@@ -445,7 +445,7 @@ func BenchmarkE5_MergeScanOverhead(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				m := pdt.NewMergerOps(sc, ops)
+				m := pdt.NewMergerOps(sc, ops, []int{0})
 				batch := vec.NewBatch(m.Kinds(), 0)
 				var total int64
 				for {
@@ -491,20 +491,38 @@ func BenchmarkE6_ParallelAggregation(b *testing.B) {
 	}
 }
 
+// tableMorsels serves a bare table's row groups as morsels, the way the
+// engine's stable morsel source does.
+type tableMorsels struct {
+	tab     *colstore.Table
+	cols    []int
+	vecSize int
+}
+
+func (s tableMorsels) NumMorsels() int { return s.tab.NumBlocks() }
+func (s tableMorsels) Worker() (exec.MorselScanner, error) {
+	return s.tab.NewMorselScanner(s.cols, s.vecSize)
+}
+func (s tableMorsels) Serial() (pdt.BatchSource, error) {
+	return s.tab.NewScanner(s.cols, s.vecSize)
+}
+
 // buildParallelQ1 builds the exchange plan the rewriter's parallelizer
-// emits: per-partition partial aggregates unioned into a final aggregate.
+// emits: morsel-scan workers feeding partial aggregates, unioned into a
+// final aggregate.
 func buildParallelQ1(tab *colstore.Table, parts int) (exec.Operator, error) {
 	if parts <= 1 {
 		return buildQ1Vectorized(tab, 0)
 	}
 	kinds := []types.Kind{types.KindDate, types.KindInt32, types.KindFloat64,
 		types.KindFloat64, types.KindString, types.KindString}
+	queue := new(int) // shared-state key linking the workers to one morsel queue
 	var partials []exec.Operator
 	for part := 0; part < parts; part++ {
-		part := part
-		scan := exec.NewColScan(kinds, func(vs int) (pdt.BatchSource, error) {
-			return tab.NewScannerPart(q1Cols, vs, part, parts)
-		})
+		scan := exec.NewMorselScan(kinds, queue, part, parts, "ParallelScan",
+			func(vs int) (exec.MorselSource, error) {
+				return tableMorsels{tab: tab, cols: q1Cols, vecSize: vs}, nil
+			})
 		sel := exec.NewSelect(scan, expr.NewCall("<=",
 			expr.Col(0, "l_shipdate", types.Date), expr.CDate(q1Cutoff)))
 		proj := exec.NewProject(sel, []expr.Expr{

@@ -35,7 +35,7 @@ func mergeScan(t *colstoreTable, ops []pdt.Op, rows int) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	m := pdt.NewMergerOps(sc, ops)
+	m := pdt.NewMergerOps(sc, ops, []int{0})
 	b := vec.NewBatch(m.Kinds(), 0)
 	var total int
 	for {

@@ -15,6 +15,7 @@ import (
 	"strings"
 
 	"vectorwise/internal/expr"
+	"vectorwise/internal/scanspec"
 	"vectorwise/internal/types"
 )
 
@@ -30,52 +31,23 @@ type Node interface {
 	Line() string
 }
 
-// ScanRange restricts scan output column Col to the inclusive interval
-// [Lo, Hi] (nil = open side) for min/max block skipping. The exact filter
-// remains a Select above the scan; the range only prunes row groups.
-type ScanRange struct {
-	Col    int
-	Lo, Hi *types.Value
-}
-
-// String renders the range for plan display.
-func (r ScanRange) String() string { return types.FormatRange("$", r.Col, r.Lo, r.Hi) }
-
-// GroupWindow is the contiguous row-group interval [Lo, Hi) of Total groups
-// a clustered range scan expects to touch (ordered zone-map pruning). A
-// planning hint only: scans re-derive the window against their own storage
-// snapshot at open time.
-type GroupWindow struct {
-	Lo, Hi, Total int
-}
-
-// String renders the window for plan display.
-func (w GroupWindow) String() string {
-	return fmt.Sprintf("groups=[%d,%d)/%d", w.Lo, w.Hi, w.Total)
-}
-
-// Scan reads columns of a stable table. In parallel plans the parallelizer
-// clones the scan into P morsel workers: all clones share MorselID (one
-// run-time work queue of row-group morsels) and each carries its Worker
-// slot. Morsels == 0 means a plain serial scan.
+// Scan reads columns of a table. What it reads is the shared Spec, held by
+// pointer from the cross compiler to the physical plan; Out is this node's
+// output schema — Spec.Cols as compiled, or the physical list the rewriter's
+// NULL decomposition derives from Spec.Cols (value columns, then the $null
+// indicators of the NULLable ones). In parallel plans the parallelizer
+// clones the scan into P morsel workers: all clones share the Spec and the
+// MorselID (one run-time work queue of row-group morsels) and each carries
+// its Worker slot. Morsels == 0 means a plain serial scan.
 type Scan struct {
-	Table     string
-	Structure string
-	Cols      []string // physical column names requested
-	Out       *types.Schema
+	Spec *scanspec.Spec
+	Out  *types.Schema
 	// Morsels is the worker count of the morsel queue this scan belongs to
 	// (0 = serial); MorselID links sibling workers to the same queue and
 	// Worker is this clone's slot in it.
 	Morsels  int
 	MorselID int
 	Worker   int
-	// Ranges are sargable block-skipping bounds on output columns. Value
-	// columns keep their positions through NULL decomposition, so the
-	// rewriter carries them unchanged.
-	Ranges []ScanRange
-	// Window is the clustered group interval implied by Ranges, when a
-	// range column is clustered (nil otherwise).
-	Window *GroupWindow
 }
 
 // Schema implements Node.
@@ -93,18 +65,8 @@ func (s *Scan) Line() string {
 	if s.Morsels > 1 {
 		part = fmt.Sprintf(" morsel worker %d/%d", s.Worker, s.Morsels)
 	}
-	rng := ""
-	if len(s.Ranges) > 0 {
-		parts := make([]string, len(s.Ranges))
-		for i, r := range s.Ranges {
-			parts[i] = r.String()
-		}
-		rng = ", ranges=[" + strings.Join(parts, ", ") + "]"
-	}
-	if s.Window != nil {
-		rng += ", " + s.Window.String()
-	}
-	return fmt.Sprintf("Scan('%s', [%s]%s%s)", s.Table, strings.Join(s.Cols, ", "), part, rng)
+	return fmt.Sprintf("Scan('%s', [%s]%s%s)", s.Spec.Table,
+		strings.Join(s.Out.Names(), ", "), part, s.Spec.Suffix())
 }
 
 // Select filters by a boolean expression.

@@ -5,12 +5,13 @@ import (
 	"testing"
 
 	"vectorwise/internal/expr"
+	"vectorwise/internal/scanspec"
 	"vectorwise/internal/types"
 )
 
 func testScan() *Scan {
-	return &Scan{Table: "t", Structure: "vectorwise", Cols: []string{"a", "b"},
-		Out: types.NewSchema(types.Col("a", types.Int64), types.Col("b", types.Float64))}
+	cols := types.NewSchema(types.Col("a", types.Int64), types.Col("b", types.Float64))
+	return &Scan{Spec: &scanspec.Spec{Table: "t", Structure: "vectorwise", Cols: cols}, Out: cols}
 }
 
 func TestSchemaPropagation(t *testing.T) {

@@ -433,53 +433,51 @@ func minMaxI64(vals []int64) (int64, int64) {
 	return lo, hi
 }
 
-// decodeBlock decompresses a block into dst (reusing its storage).
-func decodeBlock(kind types.Kind, blk *Block, dst *vec.Vector) error {
+// decodeBlock decompresses a block into dst (reusing its storage). Kinds
+// narrower than the codecs' int64 stage through scratch, which the caller
+// owns and gets back, grown if this block needed more room.
+func decodeBlock(kind types.Kind, blk *Block, dst *vec.Vector, scratch []int64) ([]int64, error) {
 	dst.Grow(blk.Rows)
 	dst.SetLen(blk.Rows)
 	switch kind {
-	case types.KindInt32, types.KindDate:
-		tmp, _, err := compress.DecodeInt64(nil, blk.Data)
-		if err != nil {
-			return err
-		}
-		for i, v := range tmp {
-			dst.I32[i] = int32(v)
-		}
 	case types.KindInt64:
 		got, _, err := compress.DecodeInt64(dst.I64[:0], blk.Data)
 		if err != nil {
-			return err
+			return scratch, err
 		}
 		if len(got) > 0 && len(dst.I64) > 0 && &got[0] != &dst.I64[0] {
 			copy(dst.I64, got)
 		}
-	case types.KindFloat64:
-		tmp, _, err := compress.DecodeInt64(nil, blk.Data)
+	case types.KindInt32, types.KindDate, types.KindFloat64, types.KindBool:
+		tmp, _, err := compress.DecodeInt64(scratch[:0], blk.Data)
 		if err != nil {
-			return err
+			return scratch, err
 		}
-		for i, v := range tmp {
-			dst.F64[i] = math.Float64frombits(uint64(v))
-		}
-	case types.KindBool:
-		tmp, _, err := compress.DecodeInt64(nil, blk.Data)
-		if err != nil {
-			return err
-		}
-		for i, v := range tmp {
-			dst.Bool[i] = v != 0
+		scratch = tmp
+		switch kind {
+		case types.KindFloat64:
+			for i, v := range tmp {
+				dst.F64[i] = math.Float64frombits(uint64(v))
+			}
+		case types.KindBool:
+			for i, v := range tmp {
+				dst.Bool[i] = v != 0
+			}
+		default:
+			for i, v := range tmp {
+				dst.I32[i] = int32(v)
+			}
 		}
 	case types.KindString:
 		got, _, err := compress.DecodeString(dst.Str[:0], blk.Data)
 		if err != nil {
-			return err
+			return scratch, err
 		}
 		if len(got) > 0 && len(dst.Str) > 0 && &got[0] != &dst.Str[0] {
 			copy(dst.Str, got)
 		}
 	default:
-		return fmt.Errorf("colstore: cannot decode kind %v", kind)
+		return scratch, fmt.Errorf("colstore: cannot decode kind %v", kind)
 	}
-	return nil
+	return scratch, nil
 }

@@ -153,6 +153,48 @@ func TestBlockSkipping(t *testing.T) {
 	}
 }
 
+// DecodedBytes and SkippedBytes split the projected columns' encoded bytes
+// between them; unprojected columns appear in neither.
+func TestDecodedAndSkippedBytesCoverTheProjection(t *testing.T) {
+	tab := fillTable(t, BlockRows*4)
+	cols := []int{0, 3}
+	var want int64
+	for g := 0; g < tab.NumBlocks(); g++ {
+		frame, err := tab.EncodeGroup(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payloads, err := DecodeGroupPayloads(frame, tab.Schema().Len())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range cols {
+			want += int64(len(payloads[c]))
+		}
+	}
+	lo := types.NewInt64(int64(BlockRows*2 + 5))
+	for _, filters := range [][]RangeFilter{nil, {{Col: 0, Lo: &lo}}} {
+		sc, err := tab.NewScanner(cols, 1024, filters...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := vec.NewBatch(sc.Kinds(), 1024)
+		for {
+			if _, _, done, err := sc.Next(b); err != nil {
+				t.Fatal(err)
+			} else if done {
+				break
+			}
+		}
+		if filters == nil && (sc.DecodedBytes() != want || sc.SkippedBytes() != 0) {
+			t.Fatalf("full scan decoded %d skipped %d, want %d and 0", sc.DecodedBytes(), sc.SkippedBytes(), want)
+		}
+		if filters != nil && (sc.SkippedBytes() == 0 || sc.DecodedBytes()+sc.SkippedBytes() != want) {
+			t.Fatalf("filtered scan decoded %d + skipped %d, want them to add to %d", sc.DecodedBytes(), sc.SkippedBytes(), want)
+		}
+	}
+}
+
 func TestBlockSkippingOpenBounds(t *testing.T) {
 	tab := fillTable(t, BlockRows*3)
 	hi := types.NewInt64(100)
@@ -232,9 +274,35 @@ func TestTotalGroupsAndPartitions(t *testing.T) {
 	if sc.TotalGroups() != 4 {
 		t.Fatalf("TotalGroups = %d, want 4", sc.TotalGroups())
 	}
-	part, err := tab.NewScannerPart([]int{0}, 1024, 1, 2)
+	// A morsel worker's partition is whatever it seeks: TotalGroups counts
+	// the groups it was handed, and each serves exactly its own rows.
+	part, err := tab.NewMorselScanner([]int{0}, 1024)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if part.TotalGroups() != 0 {
+		t.Fatalf("unseeked morsel scanner TotalGroups = %d, want 0", part.TotalGroups())
+	}
+	b := vec.NewBatch(part.Kinds(), 1024)
+	for _, g := range []int{2, 3} {
+		part.SeekGroup(g)
+		rows := 0
+		for {
+			start, n, done, err := part.Next(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if done {
+				break
+			}
+			if rows == 0 && start != int64(g*BlockRows) {
+				t.Fatalf("group %d starts at %d", g, start)
+			}
+			rows += n
+		}
+		if rows != BlockRows {
+			t.Fatalf("group %d served %d rows, want %d", g, rows, BlockRows)
+		}
 	}
 	if part.TotalGroups() != 2 {
 		t.Fatalf("partition TotalGroups = %d, want 2", part.TotalGroups())

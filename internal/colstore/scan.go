@@ -41,10 +41,12 @@ type Scanner struct {
 	rowBase   int64
 	prefix    []int64       // per-group starting SIDs (built on first SeekGroup)
 	decoded   []*vec.Vector // decoded vectors per projected column
+	scratch   []int64       // decode staging for kinds narrower than int64, reused across blocks
 	loaded    bool
 	skipped   int
 	total     int // row groups this scanner covers (its partition)
 	skipBytes int64
+	decBytes  int64
 
 	// When src is set, group bytes come through the buffer manager instead
 	// of the block snapshot; pending holds the current group's per-column
@@ -60,30 +62,6 @@ type Scanner struct {
 type RangeFilter struct {
 	Col    int
 	Lo, Hi *types.Value
-}
-
-// NewScannerPart creates a scanner over one of `parts` contiguous row-group
-// partitions — the unit the rewriter's parallelizer splits scans into.
-func (t *Table) NewScannerPart(cols []int, vecSize, part, parts int, filters ...RangeFilter) (*Scanner, error) {
-	s, err := t.newScanner(cols, vecSize, filters...)
-	if err != nil {
-		return nil, err
-	}
-	if parts <= 1 {
-		s.applyClusteredWindow()
-		return s, nil
-	}
-	lo := s.nGroups * part / parts
-	hi := s.nGroups * (part + 1) / parts
-	var base int64
-	for g := 0; g < lo; g++ {
-		base += int64(s.groupRows(g))
-	}
-	s.group = lo
-	s.rowBase = base
-	s.limit = hi
-	s.total = hi - lo
-	return s, nil
 }
 
 // NewMorselScanner creates a scanner that starts exhausted: it serves one
@@ -256,6 +234,10 @@ func (s *Scanner) SkippedGroups() int { return s.skipped }
 // pruned groups — the physical I/O and decompression skipping saved.
 func (s *Scanner) SkippedBytes() int64 { return s.skipBytes }
 
+// DecodedBytes reports the encoded bytes of the projected columns in the
+// groups this scanner decoded — what the scan actually paid for.
+func (s *Scanner) DecodedBytes() int64 { return s.decBytes }
+
 // TotalGroups reports how many row groups this scanner's partition covers,
 // skipped or not — the denominator of the "skipped=N/M groups" profile line.
 func (s *Scanner) TotalGroups() int { return s.total }
@@ -299,11 +281,12 @@ func (s *Scanner) Next(b *vec.Batch) (start int64, n int, done bool, err error) 
 					// supplies the row count, the payload the encoded data.
 					blk = &Block{Rows: blk.Rows, Codec: blk.Codec, Data: s.pending[c]}
 				}
-				if err := decodeBlock(s.t.cols[c].Type.Kind, blk, s.decoded[i]); err != nil {
+				if s.scratch, err = decodeBlock(s.t.cols[c].Type.Kind, blk, s.decoded[i], s.scratch); err != nil {
 					return 0, 0, false, err
 				}
 				decoded += int64(len(blk.Data))
 			}
+			s.decBytes += decoded
 			mGroupsScanned.Inc()
 			mBytesDecoded.Add(decoded)
 			mRowsScanned.Add(int64(gRows))

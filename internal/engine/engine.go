@@ -653,6 +653,12 @@ func (db *DB) execUpdate(ctx context.Context, s *sql.UpdateStmt) (*Result, error
 			}
 			colT := e.meta.Schema.Cols[col].Type
 			if nr[col].Null {
+				// Store the in-band safe value with the indicator, as inserts
+				// do: NULL group keys are one group only if the pair is uniform.
+				if err := tx.UpdateAt(rid, cm.Val[col], types.SafeValue(colT.Kind)); err != nil {
+					tx.Abort()
+					return nil, err
+				}
 				if err := tx.UpdateAt(rid, cm.Ind[col], types.NewBool(true)); err != nil {
 					tx.Abort()
 					return nil, err

@@ -276,7 +276,9 @@ func TestHeapTableEndToEnd(t *testing.T) {
 func TestExplainShowsPipeline(t *testing.T) {
 	db := itemsDB(t)
 	res := mustExec(t, db, `EXPLAIN SELECT grp, COUNT(*) FROM items WHERE id > 10 GROUP BY grp`)
-	for _, want := range []string{"logical plan", "optimized plan", "X100 algebra", "Scan('items'", "Aggr", "physical plan", "HashAgg"} {
+	for _, want := range []string{"logical plan", "Scan(items:vectorwise, [id, grp, price, name, d])",
+		"optimized plan", "Scan(items:vectorwise, [id, grp], ranges=[$0 in [10,+inf]])",
+		"X100 algebra", "Scan('items', [id, grp], ranges=[$0 in [10,+inf]])", "Aggr", "physical plan", "HashAgg"} {
 		if !strings.Contains(res.Text, want) {
 			t.Fatalf("explain missing %q:\n%s", want, res.Text)
 		}
@@ -286,7 +288,8 @@ func TestExplainShowsPipeline(t *testing.T) {
 func TestExplainPhysical(t *testing.T) {
 	db := itemsDB(t)
 	res := mustExec(t, db, `EXPLAIN PHYSICAL SELECT grp, COUNT(*) FROM items WHERE id > 10 GROUP BY grp`)
-	for _, want := range []string{"== physical plan ==", "Scan('items'", "HashAgg", "Select(", ":: ["} {
+	for _, want := range []string{"== physical plan ==", "Scan('items', [id grp] @ [0 1], filters=[col0 in [10,+inf]])",
+		"HashAgg", "Select(", ":: ["} {
 		if !strings.Contains(res.Text, want) {
 			t.Fatalf("explain physical missing %q:\n%s", want, res.Text)
 		}
@@ -297,7 +300,7 @@ func TestExplainPhysical(t *testing.T) {
 	// The heap structure lowers to a HeapScan node.
 	mustExec(t, db, `CREATE TABLE hp (k BIGINT NOT NULL) WITH STRUCTURE=HEAP`)
 	res = mustExec(t, db, `EXPLAIN PHYSICAL SELECT k FROM hp`)
-	if !strings.Contains(res.Text, "HeapScan('hp'") {
+	if !strings.Contains(res.Text, "HeapScan('hp', cols=[0])") {
 		t.Fatalf("heap table should plan a HeapScan:\n%s", res.Text)
 	}
 }

@@ -17,9 +17,9 @@ import (
 	"vectorwise/internal/plan"
 	"vectorwise/internal/rewriter"
 	"vectorwise/internal/rowengine"
+	"vectorwise/internal/scanspec"
 	"vectorwise/internal/sql"
 	"vectorwise/internal/txn"
-	"vectorwise/internal/types"
 	"vectorwise/internal/vec"
 	"vectorwise/internal/xcompile"
 )
@@ -68,12 +68,7 @@ func (db *DB) compileSelect(s *sql.SelectStmt) (*compiled, error) {
 		par = s.Parallel
 	}
 	t = time.Now()
-	rw, err := rewriter.Rewrite(alg, rewriter.Options{
-		Parallel: par,
-		GroupsHint: func(table string, cols []string, ranges []algebra.ScanRange) int {
-			return db.groupsAvailable(table, cols, ranges)
-		},
-	})
+	rw, err := rewriter.Rewrite(alg, rewriter.Options{Parallel: par, GroupsHint: db.groupsAvailable})
 	if err != nil {
 		return nil, err
 	}
@@ -97,8 +92,8 @@ func (db *DB) compileSelect(s *sql.SelectStmt) (*compiled, error) {
 // query's snapshot (MorselSource), so a write racing between compile and
 // run changes the run-time stream, never the plan shape — the
 // compile-vs-run delta race the old partition hint suffered from is gone.
-func (db *DB) groupsAvailable(table string, cols []string, ranges []algebra.ScanRange) int {
-	e, err := db.entry(table)
+func (db *DB) groupsAvailable(spec *scanspec.Spec) int {
+	e, err := db.entry(spec.Table)
 	if err != nil || e.store == nil {
 		return 1
 	}
@@ -107,7 +102,15 @@ func (db *DB) groupsAvailable(table string, cols []string, ranges []algebra.Scan
 	if blocks < 1 {
 		return 1
 	}
-	if filters := storageFilters(stable.Schema(), cols, ranges); len(filters) > 0 {
+	// Ranges restrict value columns, which keep their logical names in
+	// storage; resolve them by name against this snapshot's layout.
+	var filters []colstore.RangeFilter
+	for _, r := range spec.Ranges {
+		if idx := stable.Schema().Find(spec.Cols.Cols[r.Col].Name); idx >= 0 {
+			filters = append(filters, colstore.RangeFilter{Col: idx, Lo: r.Lo, Hi: r.Hi})
+		}
+	}
+	if len(filters) > 0 {
 		lo, hi := stable.ClusteredWindow(filters)
 		if w := hi - lo; w < blocks {
 			blocks = w
@@ -117,23 +120,6 @@ func (db *DB) groupsAvailable(table string, cols []string, ranges []algebra.Scan
 		}
 	}
 	return blocks
-}
-
-// storageFilters resolves scan-output ranges (by physical column name) to
-// storage-indexed range filters; unknown names are skipped.
-func storageFilters(schema *types.Schema, cols []string, ranges []algebra.ScanRange) []colstore.RangeFilter {
-	var out []colstore.RangeFilter
-	for _, r := range ranges {
-		if r.Col < 0 || r.Col >= len(cols) {
-			continue
-		}
-		idx := schema.Find(cols[r.Col])
-		if idx < 0 {
-			continue
-		}
-		out = append(out, colstore.RangeFilter{Col: idx, Lo: r.Lo, Hi: r.Hi})
-	}
-	return out
 }
 
 // PhysicalTable implements physical.Catalog.

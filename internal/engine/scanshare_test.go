@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"vectorwise/internal/exec"
+	"vectorwise/internal/scanspec"
 	"vectorwise/internal/types"
 )
 
@@ -52,7 +53,7 @@ func TestConcurrentCoopScansShareLoadsAndStayExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	groups := db.groupsAvailable("t", nil, nil)
+	groups := db.groupsAvailable(&scanspec.Spec{Table: "t"})
 	if groups < 4 {
 		t.Fatalf("table spans %d groups, want >= 4", groups)
 	}

@@ -95,8 +95,9 @@ func (c *Ctx) poll() error {
 }
 
 // OpStats are per-operator profile counters. SkippedGroups/TotalGroups are
-// populated only for scans whose source supports min/max block skipping;
-// Morsels/MorselSteals only for morsel-driven scan workers.
+// populated only for scans whose source supports min/max block skipping,
+// DecodedBytes only for column-store scans; Morsels/MorselSteals only for
+// morsel-driven scan workers.
 type OpStats struct {
 	Batches       int64
 	Rows          int64
@@ -104,6 +105,7 @@ type OpStats struct {
 	SkippedGroups int64
 	TotalGroups   int64
 	SkippedBytes  int64
+	DecodedBytes  int64
 	Morsels       int64
 	MorselSteals  int64
 }
@@ -122,6 +124,13 @@ type ByteSkipping interface {
 	SkippedBytes() int64
 }
 
+// ByteDecoding is implemented by batch sources that decode compressed
+// column blocks (colstore scanners, and PDT mergers on their behalf): the
+// encoded bytes of the projected columns actually decoded.
+type ByteDecoding interface {
+	DecodedBytes() int64
+}
+
 // skipReporter is the operator-level view of GroupSkipping (ColScan
 // implements it by delegating to its source).
 type skipReporter interface {
@@ -131,6 +140,11 @@ type skipReporter interface {
 // byteSkipReporter is the operator-level view of ByteSkipping.
 type byteSkipReporter interface {
 	SkippedByteStats() int64
+}
+
+// byteDecodeReporter is the operator-level view of ByteDecoding.
+type byteDecodeReporter interface {
+	DecodedByteStats() int64
 }
 
 // morselReporter is implemented by morsel-driven scan workers; the
@@ -227,6 +241,9 @@ func (p *Profiled) Stats() OpStats {
 	}
 	if bs, ok := p.Child.(byteSkipReporter); ok {
 		st.SkippedBytes = bs.SkippedByteStats()
+	}
+	if bd, ok := p.Child.(byteDecodeReporter); ok {
+		st.DecodedBytes = bd.DecodedByteStats()
 	}
 	if mr, ok := p.Child.(morselReporter); ok {
 		st.Morsels, st.MorselSteals = mr.MorselStats()

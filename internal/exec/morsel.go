@@ -371,3 +371,15 @@ func (m *MorselScan) SkippedByteStats() int64 {
 	}
 	return 0
 }
+
+// DecodedByteStats reports the encoded bytes this worker decoded: through
+// its morsel scanner, or through the serial merged stream if it claimed it.
+func (m *MorselScan) DecodedByteStats() int64 {
+	if bd, ok := m.scanner.(ByteDecoding); ok {
+		return bd.DecodedBytes()
+	}
+	if bd, ok := m.serial.(ByteDecoding); ok {
+		return bd.DecodedBytes()
+	}
+	return 0
+}

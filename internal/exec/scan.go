@@ -78,6 +78,14 @@ func (s *ColScan) SkippedByteStats() int64 {
 	return 0
 }
 
+// DecodedByteStats reports the encoded bytes the source decoded.
+func (s *ColScan) DecodedByteStats() int64 {
+	if bd, ok := s.src.(ByteDecoding); ok {
+		return bd.DecodedBytes()
+	}
+	return 0
+}
+
 // Values is a literal-rows operator (VALUES lists, tests).
 type Values struct {
 	Schema *types.Schema

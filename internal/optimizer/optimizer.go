@@ -3,6 +3,7 @@ package optimizer
 import (
 	"vectorwise/internal/expr"
 	"vectorwise/internal/plan"
+	"vectorwise/internal/scanspec"
 	"vectorwise/internal/types"
 )
 
@@ -27,7 +28,7 @@ func (o *Optimizer) Optimize(n plan.Node) plan.Node {
 	n = o.simplifyGroupBy(n)
 	n = o.pushdown(n) // join reordering can expose new pushdowns
 	n = o.extractScanRanges(n)
-	return n
+	return pruneColumns(n) // last: nothing below resolves against a full schema
 }
 
 // --- constant folding ---
@@ -189,19 +190,21 @@ func (o *Optimizer) extractScanRanges(n plan.Node) plan.Node {
 		cur = s.Child
 	}
 	scan, ok := cur.(*plan.Scan)
-	if !ok || scan.Structure != "vectorwise" {
+	if !ok || scan.Spec.Structure != "vectorwise" {
 		return n
 	}
-	ranges := boundsOf(preds, scan.Cols)
+	ranges := boundsOf(preds, scan.Spec.Cols)
 	if len(ranges) == 0 {
 		return n
 	}
-	// Rebuild the chain over a copy of the scan carrying the (complete,
-	// freshly computed) range set. Inner Selects may have annotated a
-	// partial set during recursion; this outermost pass wins.
+	// Rebuild the chain over a copy of the scan whose spec carries the
+	// (complete, freshly computed) range set. Inner Selects may have
+	// annotated a partial set during recursion; this outermost pass wins.
+	spec := *scan.Spec
+	spec.Ranges = ranges
+	spec.Window = o.clusteredWindow(&spec)
 	annotated := *scan
-	annotated.Ranges = ranges
-	annotated.Window = o.clusteredWindow(&annotated)
+	annotated.Spec = &spec
 	return rebuildSelectChain(sel, &annotated)
 }
 
@@ -210,12 +213,12 @@ func (o *Optimizer) extractScanRanges(n plan.Node) plan.Node {
 // no range column is clustered. The window is a hint for parallelism and
 // plan display; the scanner re-derives it at open time against its own
 // snapshot (compile-time state must not leak into run-time results).
-func (o *Optimizer) clusteredWindow(scan *plan.Scan) *plan.GroupWindow {
+func (o *Optimizer) clusteredWindow(scan *scanspec.Spec) *scanspec.Window {
 	cs, ok := o.Stats.(ClusterStats)
 	if !ok {
 		return nil
 	}
-	var w *plan.GroupWindow
+	var w *scanspec.Window
 	for _, r := range scan.Ranges {
 		name := scan.Cols.Cols[r.Col].Name
 		lo, hi, total, ok := cs.ClusteredWindow(scan.Table, name, r.Lo, r.Hi)
@@ -223,7 +226,7 @@ func (o *Optimizer) clusteredWindow(scan *plan.Scan) *plan.GroupWindow {
 			continue
 		}
 		if w == nil {
-			w = &plan.GroupWindow{Lo: lo, Hi: hi, Total: total}
+			w = &scanspec.Window{Lo: lo, Hi: hi, Total: total}
 			continue
 		}
 		if lo > w.Lo {
@@ -249,8 +252,8 @@ func rebuildSelectChain(n plan.Node, leaf plan.Node) plan.Node {
 
 // boundsOf intersects the sargable conjuncts into per-column ranges,
 // ordered by first appearance.
-func boundsOf(preds []expr.Expr, schema *types.Schema) []plan.ColRange {
-	byCol := map[int]*plan.ColRange{}
+func boundsOf(preds []expr.Expr, schema *types.Schema) []scanspec.Range {
+	byCol := map[int]*scanspec.Range{}
 	var order []int
 	for _, p := range preds {
 		col, lo, hi, ok := sargableBounds(p, schema)
@@ -259,7 +262,7 @@ func boundsOf(preds []expr.Expr, schema *types.Schema) []plan.ColRange {
 		}
 		r, seen := byCol[col]
 		if !seen {
-			r = &plan.ColRange{Col: col}
+			r = &scanspec.Range{Col: col}
 			byCol[col] = r
 			order = append(order, col)
 		}
@@ -270,7 +273,7 @@ func boundsOf(preds []expr.Expr, schema *types.Schema) []plan.ColRange {
 			r.Hi = hi
 		}
 	}
-	out := make([]plan.ColRange, 0, len(order))
+	out := make([]scanspec.Range, 0, len(order))
 	for _, c := range order {
 		out = append(out, *byCol[c])
 	}
@@ -567,7 +570,7 @@ func (o *Optimizer) joinSelectivity(curOrig []int, r relation, preds []expr.Expr
 func (o *Optimizer) estimate(n plan.Node) float64 {
 	switch t := n.(type) {
 	case *plan.Scan:
-		if rows := o.Stats.TableRows(t.Table); rows >= 0 {
+		if rows := o.Stats.TableRows(t.Spec.Table); rows >= 0 {
 			return float64(rows)
 		}
 		return defaultTableRows
@@ -652,18 +655,18 @@ func (o *Optimizer) columnStatsFor(child plan.Node, pred expr.Expr) (*ColStats, 
 			idx = cr.Idx
 			n = t.Child
 		case *plan.Scan:
-			name := t.Cols.Cols[idx].Name
-			if st := o.Stats.Column(t.Table, name); st != nil {
-				return st, t.Table
+			table, name := t.Spec.Table, t.Spec.Cols.Cols[idx].Name
+			if st := o.Stats.Column(table, name); st != nil {
+				return st, table
 			}
 			// No histogram (ANALYZE has not run): fall back to the block
 			// summaries the column store keeps anyway.
 			if ss, ok := o.Stats.(SummaryStats); ok {
-				if lo, hi, ok := ss.ColumnBounds(t.Table, name); ok {
-					return SummaryColStats(lo, hi), t.Table
+				if lo, hi, ok := ss.ColumnBounds(table, name); ok {
+					return SummaryColStats(lo, hi), table
 				}
 			}
-			return nil, t.Table
+			return nil, table
 		default:
 			return nil, ""
 		}

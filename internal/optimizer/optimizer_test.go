@@ -8,6 +8,7 @@ import (
 
 	"vectorwise/internal/expr"
 	"vectorwise/internal/plan"
+	"vectorwise/internal/scanspec"
 	"vectorwise/internal/types"
 )
 
@@ -26,8 +27,8 @@ func (f *fakeStats) TableRows(t string) int64 {
 func (f *fakeStats) Column(t, c string) *ColStats { return f.cols[t+"."+c] }
 
 func mkScan(name string, key int, cols ...types.Column) *plan.Scan {
-	return &plan.Scan{Table: name, Structure: "vectorwise", Key: key,
-		Cols: types.NewSchema(cols...)}
+	return &plan.Scan{Key: key, Spec: &scanspec.Spec{Table: name, Structure: "vectorwise",
+		Cols: types.NewSchema(cols...)}}
 }
 
 func TestBuildColStats(t *testing.T) {
@@ -131,7 +132,7 @@ func TestJoinReorderPutsSmallFirst(t *testing.T) {
 		}
 	}
 	rec(out)
-	if leftmost == nil || leftmost.Table != "small" {
+	if leftmost == nil || leftmost.Spec.Table != "small" {
 		t.Fatalf("leftmost = %v:\n%s", leftmost, plan.Format(out))
 	}
 	// Output column order restored.
@@ -203,11 +204,11 @@ func TestScanRangeExtraction(t *testing.T) {
 		expr.NewCall("=", expr.Col(1, "s", types.String), expr.CStr("x")))
 	out := New(nil).Optimize(&plan.Select{Child: scan, Pred: pred})
 	got := findScan(out)
-	if got == nil || len(got.Ranges) != 2 {
+	if got == nil || len(got.Spec.Ranges) != 2 {
 		t.Fatalf("ranges not extracted:\n%s", plan.Format(out))
 	}
-	byCol := map[int]plan.ColRange{}
-	for _, r := range got.Ranges {
+	byCol := map[int]scanspec.Range{}
+	for _, r := range got.Spec.Ranges {
 		byCol[r.Col] = r
 	}
 	k := byCol[0]
@@ -244,10 +245,10 @@ func TestScanRangeIntersectionAndFlip(t *testing.T) {
 			expr.NewCall(">", expr.Col(0, "k", types.Int64), expr.CInt(10))),
 		expr.NewCall(">=", expr.CInt(100), expr.Col(0, "k", types.Int64)))
 	got := findScan(New(nil).Optimize(&plan.Select{Child: scan, Pred: pred}))
-	if got == nil || len(got.Ranges) != 1 {
+	if got == nil || len(got.Spec.Ranges) != 1 {
 		t.Fatal("want one merged range")
 	}
-	r := got.Ranges[0]
+	r := got.Spec.Ranges[0]
 	if r.Lo == nil || r.Lo.I64 != 10 || r.Hi == nil || r.Hi.I64 != 100 {
 		t.Fatalf("merged range = %v", r)
 	}
@@ -262,8 +263,8 @@ func TestScanRangeIgnoresNonSargable(t *testing.T) {
 		expr.NewCall("between", expr.Col(0, "k", types.Int64),
 			expr.Col(0, "k", types.Int64), expr.CInt(9)))
 	got := findScan(New(nil).Optimize(&plan.Select{Child: scan, Pred: pred}))
-	if got != nil && len(got.Ranges) != 0 {
-		t.Fatalf("non-sargable predicates produced ranges: %v", got.Ranges)
+	if got != nil && len(got.Spec.Ranges) != 0 {
+		t.Fatalf("non-sargable predicates produced ranges: %v", got.Spec.Ranges)
 	}
 }
 
@@ -271,10 +272,10 @@ func TestScanRangeBetween(t *testing.T) {
 	scan := mkScan("t", -1, types.Col("k", types.Int64))
 	pred := expr.NewCall("between", expr.Col(0, "k", types.Int64), expr.CInt(3), expr.CInt(7))
 	got := findScan(New(nil).Optimize(&plan.Select{Child: scan, Pred: pred}))
-	if got == nil || len(got.Ranges) != 1 {
+	if got == nil || len(got.Spec.Ranges) != 1 {
 		t.Fatal("BETWEEN not extracted")
 	}
-	r := got.Ranges[0]
+	r := got.Spec.Ranges[0]
 	if r.Lo == nil || r.Lo.I64 != 3 || r.Hi == nil || r.Hi.I64 != 7 {
 		t.Fatalf("between range = %v", r)
 	}

@@ -21,9 +21,17 @@ type BatchSource interface {
 // inserts are spliced in order. Batches without deltas pass through
 // zero-copy — the common fast path that keeps merge overhead near zero for
 // mostly-clean tables (experiment E5 measures this).
+//
+// The stream may be a projection of the table: deltas hold whole rows and
+// table-column modifies, so the merger is told which table column each
+// source column is, reads inserted rows through that list and drops
+// modifies of columns the stream does not carry. Positions are unaffected —
+// every stable row still flows, only narrower.
 type Merger struct {
 	src   BatchSource
 	kinds []types.Kind
+	cols  []int // source column i holds table column cols[i]
+	srcOf []int // table column → source column, -1 when not projected (see srcCol)
 	ops   []Op
 	cur   int   // next op to apply
 	outAt int64 // image position of the next row we will emit
@@ -34,20 +42,76 @@ type Merger struct {
 	// output buffers between calls, so the source must never fill it directly
 }
 
-// NewMerger wraps src with the deltas of p (snapshotted at call time).
-func NewMerger(src BatchSource, p *PDT) *Merger {
-	mMergeScans.Inc()
-	return &Merger{src: src, kinds: src.Kinds(), ops: p.Ops()}
+// NewMerger wraps src — a stream of the table columns cols, in that order —
+// with the deltas of p (snapshotted at call time).
+func NewMerger(src BatchSource, p *PDT, cols []int) *Merger {
+	return NewMergerOps(src, p.Ops(), cols)
 }
 
 // NewMergerOps is NewMerger over a pre-flattened snapshot.
-func NewMergerOps(src BatchSource, ops []Op) *Merger {
+func NewMergerOps(src BatchSource, ops []Op, cols []int) *Merger {
 	mMergeScans.Inc()
-	return &Merger{src: src, kinds: src.Kinds(), ops: ops}
+	width := 0
+	for _, c := range cols {
+		if c >= width {
+			width = c + 1
+		}
+	}
+	srcOf := make([]int, width)
+	for c := range srcOf {
+		srcOf[c] = -1
+	}
+	for i, c := range cols {
+		srcOf[c] = i
+	}
+	return &Merger{src: src, kinds: src.Kinds(), cols: cols, srcOf: srcOf, ops: ops}
+}
+
+// srcCol maps a table column to its source column, -1 when not projected.
+func (m *Merger) srcCol(c int) int {
+	if c < len(m.srcOf) {
+		return m.srcOf[c]
+	}
+	return -1
+}
+
+// patch applies a modify's projected columns to row at of out.
+func (m *Merger) patch(out *vec.Batch, at int, mods map[int]types.Value) {
+	for c, v := range mods {
+		if i := m.srcCol(c); i >= 0 {
+			out.Vecs[i].Set(at, v)
+		}
+	}
+}
+
+// touches reports whether a modify changes any projected column.
+func (m *Merger) touches(mods map[int]types.Value) bool {
+	for c := range mods {
+		if m.srcCol(c) >= 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// setRow writes an inserted (whole-table) row's projected columns.
+func (m *Merger) setRow(out *vec.Batch, at int, row []types.Value) {
+	for i, c := range m.cols {
+		out.Vecs[i].Set(at, row[c])
+	}
 }
 
 // Kinds implements BatchSource.
 func (m *Merger) Kinds() []types.Kind { return m.kinds }
+
+// DecodedBytes forwards the decode counter of the scanner at the bottom of
+// the merge stack, so PROFILE shows what a merged scan decoded.
+func (m *Merger) DecodedBytes() int64 {
+	if d, ok := m.src.(interface{ DecodedBytes() int64 }); ok {
+		return d.DecodedBytes()
+	}
+	return 0
+}
 
 // Next implements BatchSource: emits the merged image in order. The
 // caller's batch is overwritten to alias merger-owned storage, valid until
@@ -99,13 +163,10 @@ func (m *Merger) Next(b *vec.Batch) (int64, int, bool, error) {
 // the batch. Logical row i of the batch has image position srcStart+i; the
 // batch may carry a selection vector from a lower merge layer.
 func (m *Merger) mergeRange(b *vec.Batch, srcStart int64, n int, ops []Op) *vec.Batch {
-	hasIns, hasMod := false, false
+	hasIns := false
 	for _, op := range ops {
-		switch op.Kind {
-		case OpIns:
+		if op.Kind == OpIns {
 			hasIns = true
-		case OpMod:
-			hasMod = true
 		}
 	}
 	if !hasIns {
@@ -114,9 +175,14 @@ func (m *Merger) mergeRange(b *vec.Batch, srcStart int64, n int, ops []Op) *vec.
 		for _, op := range ops {
 			if op.Kind == OpDel {
 				del[op.SID] = true
-			} else if op.Kind == OpMod {
+			} else if op.Kind == OpMod && m.touches(op.Mods) {
 				mods = append(mods, op)
 			}
+		}
+		hasMod := len(mods) > 0
+		if !hasMod && len(del) == 0 {
+			// Only columns this stream does not carry were modified.
+			return b
 		}
 		if m.selBuf == nil {
 			// Never nil: an empty selection means "no rows", nil means
@@ -137,10 +203,7 @@ func (m *Merger) mergeRange(b *vec.Batch, srcStart int64, n int, ops []Op) *vec.
 		// Modifies (and maybe deletes): copy-on-write into a dense batch.
 		out := m.cow(b, n)
 		for _, op := range mods {
-			at := int(op.SID - srcStart)
-			for c, v := range op.Mods {
-				out.Vecs[c].Set(at, v)
-			}
+			m.patch(out, int(op.SID-srcStart), op.Mods)
 		}
 		m.selBuf = m.selBuf[:0]
 		for i := 0; i < n; i++ {
@@ -162,9 +225,7 @@ func (m *Merger) mergeRange(b *vec.Batch, srcStart int64, n int, ops []Op) *vec.
 		sid := srcStart + int64(i)
 		// Inserts anchored before logical row i.
 		for k < len(ops) && ops[k].SID == sid && ops[k].Kind == OpIns {
-			for c, v := range ops[k].Row {
-				out.Vecs[c].Set(oi, v)
-			}
+			m.setRow(out, oi, ops[k].Row)
 			oi++
 			k++
 		}
@@ -189,9 +250,7 @@ func (m *Merger) mergeRange(b *vec.Batch, srcStart int64, n int, ops []Op) *vec.
 		for c := range out.Vecs {
 			out.Vecs[c].Set(oi, b.Vecs[c].Get(p))
 		}
-		for c, v := range mods {
-			out.Vecs[c].Set(oi, v)
-		}
+		m.patch(out, oi, mods)
 		oi++
 	}
 	out.SetLen(oi)
@@ -230,9 +289,7 @@ func (m *Merger) emitTail(b *vec.Batch) (int64, int, bool, error) {
 	oi := 0
 	for _, op := range ops {
 		if op.Kind == OpIns {
-			for c, v := range op.Row {
-				out.Vecs[c].Set(oi, v)
-			}
+			m.setRow(out, oi, op.Row)
 			oi++
 		}
 	}

@@ -70,7 +70,7 @@ func (s *sliceSource) Next(b *vec.Batch) (int64, int, bool, error) {
 func mergeAll(t *testing.T, stable []int64, p *PDT, batch int) []int64 {
 	t.Helper()
 	src := &sliceSource{vals: stable, batch: batch}
-	m := NewMerger(src, p)
+	m := NewMerger(src, p, []int{0})
 	out := vec.NewBatch(m.Kinds(), 0)
 	var got []int64
 	var wantStart int64
@@ -390,7 +390,7 @@ func TestPropagateEquivalenceProperty(t *testing.T) {
 
 func mergeVals(stable []int64, p *PDT) []int64 {
 	src := &sliceSource{vals: stable, batch: 16}
-	m := NewMerger(src, p)
+	m := NewMerger(src, p, []int{0})
 	out := vec.NewBatch(m.Kinds(), 0)
 	var got []int64
 	for {
@@ -430,8 +430,8 @@ func TestMergerStacking(t *testing.T) {
 	model.delete(10)
 
 	src := &sliceSource{vals: stable, batch: 4}
-	m1 := NewMerger(src, read)
-	m2 := NewMerger(m1, write)
+	m1 := NewMerger(src, read, []int{0})
+	m2 := NewMerger(m1, write, []int{0})
 	out := vec.NewBatch(m2.Kinds(), 0)
 	var got []int64
 	for {

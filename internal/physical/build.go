@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"vectorwise/internal/algebra"
-	"vectorwise/internal/colstore"
 	"vectorwise/internal/exec"
 	"vectorwise/internal/types"
 )
@@ -165,40 +164,34 @@ func (b *builder) buildKids(alg []algebra.Node) ([]Node, error) {
 	return kids, nil
 }
 
-// buildScan resolves a scan's column names against the table's physical
-// layout, emitting a HeapScan for classic tables and a ParallelScan worker
-// for morsel-stamped scans (sibling workers share one *ScanQueue spec,
+// buildScan resolves a scan's physical column names against the table's
+// storage layout, emitting a HeapScan for classic tables and a ParallelScan
+// worker for morsel-stamped scans (sibling workers share one *ScanQueue spec,
 // resolved through the builder's queue map).
 func (b *builder) buildScan(t *algebra.Scan) (Node, error) {
-	info, err := b.cat.PhysicalTable(t.Table)
+	info, err := b.cat.PhysicalTable(t.Spec.Table)
 	if err != nil {
 		return nil, err
 	}
-	idxs := make([]int, len(t.Cols))
-	kinds := make([]types.Kind, len(t.Cols))
-	for i, name := range t.Cols {
+	sc := ScanCols{Spec: t.Spec, Cols: t.Out.Names(), TableCols: info.Physical.Len()}
+	sc.ColIdxs = make([]int, len(sc.Cols))
+	sc.ColKinds = make([]types.Kind, len(sc.Cols))
+	for i, name := range sc.Cols {
 		idx := info.Physical.Find(name)
 		if idx < 0 {
-			return nil, fmt.Errorf("physical: table %s has no column %q", t.Table, name)
+			return nil, fmt.Errorf("physical: table %s has no column %q", t.Spec.Table, name)
 		}
-		idxs[i] = idx
-		kinds[i] = info.Physical.Cols[idx].Type.Kind
+		sc.ColIdxs[i] = idx
+		sc.ColKinds[i] = info.Physical.Cols[idx].Type.Kind
+	}
+	for _, r := range t.Spec.Ranges {
+		if r.Col < 0 || r.Col >= len(sc.ColIdxs) {
+			return nil, fmt.Errorf("physical: scan of %s has a range on column %d of %d",
+				t.Spec.Table, r.Col, len(sc.ColIdxs))
+		}
 	}
 	if info.Structure == "heap" {
-		return &HeapScan{Table: t.Table, Logical: info.Logical, ColIdxs: idxs, ColKinds: kinds}, nil
-	}
-	// Resolve range annotations (scan-output positions) to storage-column
-	// filters for the block skipper.
-	var filters []colstore.RangeFilter
-	for _, r := range t.Ranges {
-		if r.Col < 0 || r.Col >= len(idxs) || (r.Lo == nil && r.Hi == nil) {
-			continue
-		}
-		filters = append(filters, colstore.RangeFilter{Col: idxs[r.Col], Lo: r.Lo, Hi: r.Hi})
-	}
-	var win *GroupWindow
-	if t.Window != nil {
-		win = &GroupWindow{Lo: t.Window.Lo, Hi: t.Window.Hi, Total: t.Window.Total}
+		return &HeapScan{ScanCols: sc, Logical: info.Logical}, nil
 	}
 	if t.Morsels > 0 {
 		q := b.queues[t.MorselID]
@@ -206,11 +199,9 @@ func (b *builder) buildScan(t *algebra.Scan) (Node, error) {
 			q = &ScanQueue{ID: t.MorselID, Workers: t.Morsels}
 			b.queues[t.MorselID] = q
 		}
-		return &ParallelScan{Table: t.Table, Cols: t.Cols, ColIdxs: idxs,
-			ColKinds: kinds, Filters: filters, Queue: q, Worker: t.Worker, Window: win}, nil
+		return &ParallelScan{ScanCols: sc, Queue: q, Worker: t.Worker}, nil
 	}
-	return &Scan{Table: t.Table, Cols: t.Cols, ColIdxs: idxs, ColKinds: kinds,
-		Filters: filters, Window: win}, nil
+	return &Scan{ScanCols: sc}, nil
 }
 
 func aggFn(fn string) (exec.AggFn, error) {

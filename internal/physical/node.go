@@ -25,6 +25,7 @@ import (
 	"vectorwise/internal/colstore"
 	"vectorwise/internal/exec"
 	"vectorwise/internal/expr"
+	"vectorwise/internal/scanspec"
 	"vectorwise/internal/types"
 )
 
@@ -45,39 +46,61 @@ type Node interface {
 	Parallelism() int
 }
 
-// Scan reads resolved column positions from a vectorwise (column-store)
-// table, serially. Filters are sargable bounds (storage column positions)
-// forwarded to the scanner for min/max block skipping on the delta-free
-// path; the residual Select above the scan keeps results exact. Parallel
-// scans lower to ParallelScan instead.
-type Scan struct {
-	Table    string
-	Cols     []string // resolved physical column names (for display)
+// ScanCols is what every scan node carries: the shared spec it executes and
+// the physical column list Build resolved against the catalog — the names the
+// rewriter derived from Spec.Cols, their storage positions and their kinds.
+// Table, ranges and clustered window are read from the spec, never copied.
+type ScanCols struct {
+	Spec     *scanspec.Spec
+	Cols     []string // physical column names (for display)
 	ColIdxs  []int    // storage positions to read
 	ColKinds []types.Kind
-	Filters  []colstore.RangeFilter
-	// Window is the compile-time clustered group interval hint (display
-	// only — the scanner re-derives it in its own snapshot).
-	Window *GroupWindow
+	// TableCols is the table's physical column count, the N of PROFILE's
+	// "cols=k/N".
+	TableCols int
 }
 
-// GroupWindow mirrors the algebra window annotation for EXPLAIN PHYSICAL.
-type GroupWindow struct {
-	Lo, Hi, Total int
-}
+// Kinds implements Node for the scan nodes.
+func (c *ScanCols) Kinds() []types.Kind { return c.ColKinds }
 
-func (w *GroupWindow) suffix() string {
-	if w == nil {
-		return ""
+// scanCols marks the scan nodes for the profile renderer.
+func (c *ScanCols) scanCols() *ScanCols { return c }
+
+// Filters resolves the spec's ranges (scan-output positions) to
+// storage-column bounds for the scanner's min/max block skipping. They apply
+// on delta-free paths only; the residual Select above the scan keeps results
+// exact either way.
+func (c *ScanCols) Filters() []colstore.RangeFilter {
+	var out []colstore.RangeFilter
+	for _, r := range c.Spec.Ranges {
+		if r.Lo == nil && r.Hi == nil {
+			continue
+		}
+		out = append(out, colstore.RangeFilter{Col: c.ColIdxs[r.Col], Lo: r.Lo, Hi: r.Hi})
 	}
-	return fmt.Sprintf(", groups=[%d,%d)/%d", w.Lo, w.Hi, w.Total)
+	return out
 }
+
+// annotations renders the filters and the clustered window hint (display
+// only — the scanner re-derives the window in its own snapshot).
+func (c *ScanCols) annotations() string {
+	filters := c.Filters()
+	if len(filters) == 0 {
+		return c.Spec.Window.Suffix()
+	}
+	parts := make([]string, len(filters))
+	for i, f := range filters {
+		parts[i] = types.FormatRange("col", f.Col, f.Lo, f.Hi)
+	}
+	return ", filters=[" + strings.Join(parts, ", ") + "]" + c.Spec.Window.Suffix()
+}
+
+// Scan reads resolved column positions from a vectorwise (column-store)
+// table, serially. Parallel scans lower to ParallelScan instead.
+type Scan struct{ ScanCols }
 
 // Op implements Node.
 func (s *Scan) Op() string { return "Scan" }
-
-// Kinds implements Node.
-func (s *Scan) Kinds() []types.Kind { return s.ColKinds }
 
 // Children implements Node.
 func (s *Scan) Children() []Node { return nil }
@@ -87,19 +110,7 @@ func (s *Scan) Parallelism() int { return 1 }
 
 // Line implements Node.
 func (s *Scan) Line() string {
-	return fmt.Sprintf("Scan('%s', %v @ %v%s%s)", s.Table, s.Cols, s.ColIdxs,
-		filtersString(s.Filters), s.Window.suffix())
-}
-
-func filtersString(filters []colstore.RangeFilter) string {
-	if len(filters) == 0 {
-		return ""
-	}
-	parts := make([]string, len(filters))
-	for i, f := range filters {
-		parts[i] = types.FormatRange("col", f.Col, f.Lo, f.Hi)
-	}
-	return ", filters=[" + strings.Join(parts, ", ") + "]"
+	return fmt.Sprintf("Scan('%s', %v @ %v%s)", s.Spec.Table, s.Cols, s.ColIdxs, s.annotations())
 }
 
 // ScanQueue identifies one run-time morsel queue. The P ParallelScan
@@ -118,23 +129,13 @@ type ScanQueue struct {
 // self-balances by stealing, and a snapshot with deltas degrades to one
 // worker claiming the whole merged stream while the plan keeps its shape.
 type ParallelScan struct {
-	Table    string
-	Cols     []string
-	ColIdxs  []int
-	ColKinds []types.Kind
-	Filters  []colstore.RangeFilter
-	Queue    *ScanQueue
-	Worker   int
-	// Window is the compile-time clustered group interval hint (display
-	// only — the morsel source re-derives it in its own snapshot).
-	Window *GroupWindow
+	ScanCols
+	Queue  *ScanQueue
+	Worker int
 }
 
 // Op implements Node.
 func (s *ParallelScan) Op() string { return "ParallelScan" }
-
-// Kinds implements Node.
-func (s *ParallelScan) Kinds() []types.Kind { return s.ColKinds }
 
 // Children implements Node.
 func (s *ParallelScan) Children() []Node { return nil }
@@ -145,25 +146,21 @@ func (s *ParallelScan) Parallelism() int { return 1 }
 
 // Line implements Node.
 func (s *ParallelScan) Line() string {
-	return fmt.Sprintf("ParallelScan('%s', %v @ %v, worker %d/%d, queue=%d%s%s)",
-		s.Table, s.Cols, s.ColIdxs, s.Worker, s.Queue.Workers, s.Queue.ID,
-		filtersString(s.Filters), s.Window.suffix())
+	return fmt.Sprintf("ParallelScan('%s', %v @ %v, worker %d/%d, queue=%d%s)",
+		s.Spec.Table, s.Cols, s.ColIdxs, s.Worker, s.Queue.Workers, s.Queue.ID, s.annotations())
 }
 
 // HeapScan adapts a classic (slotted-page) heap table into the vectorized
-// pipeline, decomposing rows into value+indicator columns on the fly.
+// pipeline, decomposing rows into value+indicator columns on the fly. Heap
+// rows are stored whole, so Logical is the table's full row schema while
+// ColIdxs picks the spec's columns out of the decomposed row.
 type HeapScan struct {
-	Table    string
-	Logical  *types.Schema // heap row schema (pre-decomposition)
-	ColIdxs  []int         // physical column positions to produce
-	ColKinds []types.Kind
+	ScanCols
+	Logical *types.Schema // heap row schema (pre-decomposition)
 }
 
 // Op implements Node.
 func (s *HeapScan) Op() string { return "HeapScan" }
-
-// Kinds implements Node.
-func (s *HeapScan) Kinds() []types.Kind { return s.ColKinds }
 
 // Children implements Node.
 func (s *HeapScan) Children() []Node { return nil }
@@ -173,7 +170,7 @@ func (s *HeapScan) Parallelism() int { return 1 }
 
 // Line implements Node.
 func (s *HeapScan) Line() string {
-	return fmt.Sprintf("HeapScan('%s', cols=%v)", s.Table, s.ColIdxs)
+	return fmt.Sprintf("HeapScan('%s', cols=%v)", s.Spec.Table, s.ColIdxs)
 }
 
 // Values is a literal relation.

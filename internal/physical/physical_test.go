@@ -12,6 +12,7 @@ import (
 	"vectorwise/internal/expr"
 	"vectorwise/internal/pdt"
 	"vectorwise/internal/rowengine"
+	"vectorwise/internal/scanspec"
 	"vectorwise/internal/types"
 )
 
@@ -54,6 +55,12 @@ func intSchema(names ...string) *types.Schema {
 		s.Cols = append(s.Cols, types.Col(n, types.Int64))
 	}
 	return s
+}
+
+// scanNode is an algebra scan of the named BIGINT columns.
+func scanNode(table, structure string, cols ...string) *algebra.Scan {
+	s := intSchema(cols...)
+	return &algebra.Scan{Spec: &scanspec.Spec{Table: table, Structure: structure, Cols: s}, Out: s}
 }
 
 func valuesNode(rows ...int64) *algebra.Values {
@@ -119,9 +126,7 @@ func TestBuildResolvesScanColumns(t *testing.T) {
 	phys := intSchema("a", "b", "c")
 	cat := &fixtureCatalog{name: "t", info: &TableInfo{
 		Structure: "vectorwise", Logical: phys, Physical: phys}}
-	alg := &algebra.Scan{Table: "t", Structure: "vectorwise",
-		Cols: []string{"c", "a"}, Out: intSchema("c", "a")}
-	n, err := Build(alg, cat)
+	n, err := Build(scanNode("t", "vectorwise", "c", "a"), cat)
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
@@ -132,11 +137,14 @@ func TestBuildResolvesScanColumns(t *testing.T) {
 	if s.ColIdxs[0] != 2 || s.ColIdxs[1] != 0 {
 		t.Fatalf("resolved idxs = %v", s.ColIdxs)
 	}
+	if got, want := s.Line(), "Scan('t', [c a] @ [2 0])"; got != want {
+		t.Fatalf("scan line %q, want %q", got, want)
+	}
 	// Morsel-stamped scans lower to ParallelScan workers sharing one queue.
 	mk := func(w int) *algebra.Scan {
-		return &algebra.Scan{Table: "t", Structure: "vectorwise",
-			Cols: []string{"a"}, Out: intSchema("a"),
-			Morsels: 2, MorselID: 7, Worker: w}
+		s := scanNode("t", "vectorwise", "a")
+		s.Morsels, s.MorselID, s.Worker = 2, 7, w
+		return s
 	}
 	par, err := Build(&algebra.XchgUnion{Kids: []algebra.Node{mk(0), mk(1)}}, cat)
 	if err != nil {
@@ -154,13 +162,46 @@ func TestBuildResolvesScanColumns(t *testing.T) {
 	if w0.Worker != 0 || w1.Worker != 1 {
 		t.Fatalf("worker slots = %d/%d", w0.Worker, w1.Worker)
 	}
-	if _, err := Build(&algebra.Scan{Table: "t", Cols: []string{"zap"},
-		Out: intSchema("zap")}, cat); err == nil {
+	if got, want := w1.Line(), "ParallelScan('t', [a] @ [0], worker 1/2, queue=7)"; got != want {
+		t.Fatalf("worker line %q, want %q", got, want)
+	}
+	if _, err := Build(scanNode("t", "vectorwise", "zap"), cat); err == nil {
 		t.Fatal("unknown column should fail at build time")
 	}
-	if _, err := Build(&algebra.Scan{Table: "nope", Cols: []string{"a"},
-		Out: intSchema("a")}, cat); err == nil {
+	if _, err := Build(scanNode("nope", "vectorwise", "a"), cat); err == nil {
 		t.Fatal("unknown table should fail at build time")
+	}
+}
+
+// A scan holds its spec by pointer: ranges (positions in the pruned column
+// list) resolve to storage-column filters on demand, the window is read from
+// the spec for display, and a range outside the list is a build error.
+func TestScanFiltersDeriveFromSpec(t *testing.T) {
+	phys := intSchema("a", "b", "c", "d")
+	cat := &fixtureCatalog{name: "t", info: &TableInfo{
+		Structure: "vectorwise", Logical: phys, Physical: phys}}
+	alg := scanNode("t", "vectorwise", "b", "d")
+	lo, hi := types.NewInt64(5), types.NewInt64(9)
+	alg.Spec.Ranges = []scanspec.Range{{Col: 1, Lo: &lo, Hi: &hi}, {Col: 0}}
+	alg.Spec.Window = &scanspec.Window{Lo: 2, Hi: 3, Total: 8}
+	n, err := Build(alg, cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := n.(*Scan)
+	if s.Spec != alg.Spec {
+		t.Fatal("physical scan copied the spec")
+	}
+	f := s.Filters()
+	if len(f) != 1 || f[0].Col != 3 || f[0].Lo.Int64() != 5 || f[0].Hi.Int64() != 9 {
+		t.Fatalf("filters = %+v, want one on storage column 3", f)
+	}
+	if got, want := s.Line(), "Scan('t', [b d] @ [1 3], filters=[col3 in [5,9]], groups=[2,3)/8)"; got != want {
+		t.Fatalf("scan line %q, want %q", got, want)
+	}
+	alg.Spec.Ranges = []scanspec.Range{{Col: 2, Lo: &lo}}
+	if _, err := Build(alg, cat); err == nil {
+		t.Fatal("a range beyond the scan's column list should fail at build time")
 	}
 }
 
@@ -175,9 +216,7 @@ func TestHeapScanThroughRegistry(t *testing.T) {
 	}
 	cat := &fixtureCatalog{name: "h", info: &TableInfo{
 		Structure: "heap", Logical: schema, Physical: schema}}
-	alg := &algebra.Scan{Table: "h", Structure: "heap",
-		Cols: []string{"v"}, Out: intSchema("v")}
-	n, err := Build(alg, cat)
+	n, err := Build(scanNode("h", "heap", "v"), cat)
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}

@@ -49,14 +49,14 @@ func Register(op string, f Factory) {
 func init() {
 	Register("Scan", func(n Node, env Env, _ []exec.Operator) (exec.Operator, error) {
 		s := n.(*Scan)
-		table, idxs, filters := s.Table, s.ColIdxs, s.Filters
+		table, idxs, filters := s.Spec.Table, s.ColIdxs, s.Filters()
 		return exec.NewColScan(s.ColKinds, func(vecSize int) (pdt.BatchSource, error) {
 			return env.ScanSource(table, idxs, vecSize, filters)
 		}), nil
 	})
 	Register("ParallelScan", func(n Node, env Env, _ []exec.Operator) (exec.Operator, error) {
 		s := n.(*ParallelScan)
-		table, idxs, filters := s.Table, s.ColIdxs, s.Filters
+		table, idxs, filters := s.Spec.Table, s.ColIdxs, s.Filters()
 		// The Queue pointer doubles as the shared-state key: sibling workers
 		// built from the same physical spec join the same morsel queue.
 		return exec.NewMorselScan(s.ColKinds, s.Queue, s.Worker, s.Queue.Workers,
@@ -66,7 +66,7 @@ func init() {
 	})
 	Register("HeapScan", func(n Node, env Env, _ []exec.Operator) (exec.Operator, error) {
 		s := n.(*HeapScan)
-		h, err := env.Heap(s.Table)
+		h, err := env.Heap(s.Spec.Table)
 		if err != nil {
 			return nil, err
 		}
@@ -177,18 +177,23 @@ func (inst *Instance) Stats(n Node) exec.OpStats {
 }
 
 // RenderProfile renders the physical DAG annotated with each operator's
-// counters — the per-operator breakdown PROFILE prints. Scans that saw
-// block skipping additionally report skipped=N/M groups; morsel-scan
-// workers report how many morsels they claimed and how many were stolen
-// from siblings.
+// counters — the per-operator breakdown PROFILE prints. Scans report the
+// encoded bytes they decoded and how many of the table's physical columns
+// they read (decoded=B bytes cols=k/N); those that saw block skipping
+// additionally report skipped=N/M groups; morsel-scan workers report how
+// many morsels they claimed and how many were stolen from siblings.
 func (inst *Instance) RenderProfile() string {
 	return render(inst.Plan, func(n Node) string {
 		st := inst.Stats(n)
-		skip := ""
+		scan := ""
+		if sc, ok := n.(interface{ scanCols() *ScanCols }); ok {
+			c := sc.scanCols()
+			scan = fmt.Sprintf(" decoded=%d bytes cols=%d/%d", st.DecodedBytes, len(c.ColIdxs), c.TableCols)
+		}
 		if st.TotalGroups > 0 {
-			skip = fmt.Sprintf(" skipped=%d/%d groups", st.SkippedGroups, st.TotalGroups)
+			scan += fmt.Sprintf(" skipped=%d/%d groups", st.SkippedGroups, st.TotalGroups)
 			if st.SkippedBytes > 0 {
-				skip += fmt.Sprintf(" (%d bytes)", st.SkippedBytes)
+				scan += fmt.Sprintf(" (%d bytes)", st.SkippedBytes)
 			}
 		}
 		morsels := ""
@@ -199,7 +204,7 @@ func (inst *Instance) RenderProfile() string {
 			}
 		}
 		return fmt.Sprintf("  [rows=%d batches=%d time=%v%s%s]",
-			st.Rows, st.Batches, time.Duration(st.Nanos).Round(time.Microsecond), skip, morsels)
+			st.Rows, st.Batches, time.Duration(st.Nanos).Round(time.Microsecond), scan, morsels)
 	})
 }
 

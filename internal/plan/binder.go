@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"vectorwise/internal/expr"
+	"vectorwise/internal/scanspec"
 	"vectorwise/internal/sql"
 	"vectorwise/internal/types"
 )
@@ -297,9 +298,9 @@ func (b *Binder) bindFrom(tr sql.TableRef) (Node, *scope, error) {
 		if qual == "" {
 			qual = t.Name
 		}
-		scan := &Scan{Table: meta.Name, Alias: qual, Structure: meta.Structure,
-			Cols: meta.Schema.Clone(), Key: meta.Key}
-		return scan, scopeOf(qual, scan.Cols, 0), nil
+		scan := &Scan{Spec: &scanspec.Spec{Table: meta.Name, Structure: meta.Structure,
+			Cols: meta.Schema.Clone()}, Alias: qual, Key: meta.Key}
+		return scan, scopeOf(qual, scan.Spec.Cols, 0), nil
 	case *sql.SubqueryTable:
 		sub, err := b.BindSelect(t.Query)
 		if err != nil {

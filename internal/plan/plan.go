@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	"vectorwise/internal/expr"
+	"vectorwise/internal/scanspec"
 	"vectorwise/internal/types"
 )
 
@@ -24,50 +25,19 @@ type Node interface {
 	String() string
 }
 
-// ColRange is a sargable restriction of one scan output column to the
-// inclusive interval [Lo, Hi] (either side nil = open). The optimizer
-// extracts these from pushed-down predicates; storage uses them for min/max
-// block skipping while the originating Select stays in the plan, so results
-// remain exact.
-type ColRange struct {
-	Col    int
-	Lo, Hi *types.Value
-}
-
-// String renders the range for plan display.
-func (r ColRange) String() string { return types.FormatRange("$", r.Col, r.Lo, r.Hi) }
-
-// GroupWindow is the contiguous row-group interval [Lo, Hi) a clustered
-// range scan needs to touch, out of Total groups. It is a planning hint
-// derived from ordered zone maps at compile time: the scan re-derives the
-// exact window inside its own snapshot at open time, so concurrent deltas
-// and appends cannot make it wrong, only stale as an estimate.
-type GroupWindow struct {
-	Lo, Hi, Total int
-}
-
-// String renders the window for plan display.
-func (w GroupWindow) String() string {
-	return fmt.Sprintf("groups=[%d,%d)/%d", w.Lo, w.Hi, w.Total)
-}
-
-// Scan reads a base table.
+// Scan reads a base table. What it reads — table, pruned column list, range
+// bounds, clustered window — lives in the shared Spec; only what the logical
+// layer alone reasons about sits beside it.
 type Scan struct {
-	Table     string
-	Alias     string
-	Structure string // "vectorwise" or "heap"
-	Cols      *types.Schema
-	// Key is the primary-key column index (-1 if none); feeds FD reasoning.
+	Spec  *scanspec.Spec
+	Alias string
+	// Key is the primary-key position in Spec.Cols (-1 if the table has none
+	// or column pruning dropped it); feeds FD reasoning.
 	Key int
-	// Ranges are sargable bounds for block skipping (vectorwise scans only).
-	Ranges []ColRange
-	// Window is the clustered group interval implied by Ranges, when a
-	// range column is clustered (nil otherwise).
-	Window *GroupWindow
 }
 
 // Schema implements Node.
-func (s *Scan) Schema() *types.Schema { return s.Cols }
+func (s *Scan) Schema() *types.Schema { return s.Spec.Cols }
 
 // Children implements Node.
 func (s *Scan) Children() []Node { return nil }
@@ -77,18 +47,8 @@ func (s *Scan) WithChildren(ch []Node) Node { return s }
 
 // String implements Node.
 func (s *Scan) String() string {
-	if len(s.Ranges) > 0 {
-		parts := make([]string, len(s.Ranges))
-		for i, r := range s.Ranges {
-			parts[i] = r.String()
-		}
-		if s.Window != nil {
-			return fmt.Sprintf("Scan(%s:%s, ranges=[%s], %s)",
-				s.Table, s.Structure, strings.Join(parts, ", "), s.Window)
-		}
-		return fmt.Sprintf("Scan(%s:%s, ranges=[%s])", s.Table, s.Structure, strings.Join(parts, ", "))
-	}
-	return fmt.Sprintf("Scan(%s:%s)", s.Table, s.Structure)
+	return fmt.Sprintf("Scan(%s:%s, [%s]%s)", s.Spec.Table, s.Spec.Structure,
+		strings.Join(s.Spec.Cols.Names(), ", "), s.Spec.Suffix())
 }
 
 // Select filters rows by a predicate over the child's columns.

@@ -278,7 +278,7 @@ func TestBindDerivedTable(t *testing.T) {
 func TestFormatPlan(t *testing.T) {
 	n := bind(t, "SELECT id FROM items WHERE grp = 1")
 	f := Format(n)
-	if !strings.Contains(f, "Scan(items:vectorwise)") || !strings.Contains(f, "Select(") {
+	if !strings.Contains(f, "Scan(items:vectorwise, [id, grp, price, name, d])") || !strings.Contains(f, "Select(") {
 		t.Fatalf("format:\n%s", f)
 	}
 }

@@ -71,19 +71,14 @@ func DecomposeRow(logical *types.Schema, row []types.Value) []types.Value {
 func decompose(n algebra.Node) (algebra.Node, ColMap, error) {
 	switch t := n.(type) {
 	case *algebra.Scan:
-		logical := t.Out
-		phys := PhysicalSchema(logical)
-		cols := make([]string, phys.Len())
-		for i, c := range phys.Cols {
-			cols[i] = c.Name
-		}
-		// Value columns occupy the same positions in the physical layout
-		// (values first, indicators after), so scan ranges carry over
-		// unchanged. NULL positions hold in-band safe values, which only
-		// widen block summaries — skipping stays conservative.
-		return &algebra.Scan{Table: t.Table, Structure: t.Structure, Cols: cols,
-			Out: phys, Morsels: t.Morsels, MorselID: t.MorselID, Worker: t.Worker,
-			Ranges: t.Ranges, Window: t.Window}, PhysicalColMap(logical), nil
+		// The physical list is derived here, from the spec's (pruned) logical
+		// schema. Value columns occupy the same positions in it (values first,
+		// indicators after), so the spec's ranges stay valid against it. NULL
+		// positions hold in-band safe values, which only widen block
+		// summaries — skipping stays conservative.
+		out := *t
+		out.Out = PhysicalSchema(t.Spec.Cols)
+		return &out, PhysicalColMap(t.Spec.Cols), nil
 
 	case *algebra.Values:
 		logical := t.Out

@@ -36,6 +36,7 @@ import (
 
 	"vectorwise/internal/algebra"
 	"vectorwise/internal/expr"
+	"vectorwise/internal/scanspec"
 	"vectorwise/internal/types"
 )
 
@@ -46,11 +47,11 @@ type Options struct {
 	// GroupsHint tells the parallelizer how many row-group morsels the
 	// scanned table's stable storage offers the given scan, so the degree
 	// can be capped at the morsel count (engine supplies it; nil disables
-	// the cap). Cols/ranges let the engine shrink the estimate to the
+	// the cap). The spec's ranges let the engine shrink the estimate to the
 	// clustered group window a range scan will actually touch. Unlike the
 	// old partition hint it must NOT reflect transient delta state —
 	// run-time morsel sources handle deltas.
-	GroupsHint func(table string, cols []string, ranges []algebra.ScanRange) int
+	GroupsHint func(spec *scanspec.Spec) int
 	// LowerFuncs replaces kernel-native functions with equivalent
 	// combinations (experiment E9's rewriter-lowered variant).
 	LowerFuncs bool
@@ -217,7 +218,7 @@ type parCtx struct {
 func (pc *parCtx) degree(scan *algebra.Scan) int {
 	p := pc.opts.Parallel
 	if pc.opts.GroupsHint != nil {
-		if g := pc.opts.GroupsHint(scan.Table, scan.Cols, scan.Ranges); g >= 0 && g < p {
+		if g := pc.opts.GroupsHint(scan.Spec); g >= 0 && g < p {
 			p = g
 		}
 	}
@@ -433,7 +434,7 @@ func (pc *parCtx) parallelizeAggr(agg *algebra.Aggr) algebra.Node {
 func scanOfChain(n algebra.Node) *algebra.Scan {
 	switch t := n.(type) {
 	case *algebra.Scan:
-		if t.Structure != "vectorwise" {
+		if t.Spec.Structure != "vectorwise" {
 			return nil
 		}
 		return t

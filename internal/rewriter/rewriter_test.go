@@ -1,21 +1,19 @@
 package rewriter
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"vectorwise/internal/algebra"
 	"vectorwise/internal/expr"
+	"vectorwise/internal/scanspec"
 	"vectorwise/internal/types"
 )
 
 func scanNode(cols ...types.Column) *algebra.Scan {
 	s := types.NewSchema(cols...)
-	names := make([]string, len(cols))
-	for i, c := range cols {
-		names[i] = c.Name
-	}
-	return &algebra.Scan{Table: "t", Structure: "vectorwise", Cols: names, Out: s}
+	return &algebra.Scan{Spec: &scanspec.Spec{Table: "t", Structure: "vectorwise", Cols: s}, Out: s}
 }
 
 func TestPhysicalSchemaConvention(t *testing.T) {
@@ -52,7 +50,7 @@ func TestDecomposeSelectIsNull(t *testing.T) {
 	}
 	// The physical predicate must reference only the indicator column.
 	f := algebra.Format(res.Node)
-	if !strings.Contains(f, "x$null") {
+	if !strings.Contains(f, "Select(x$null)") || !strings.Contains(f, "Scan('t', [x, x$null])") {
 		t.Fatalf("no indicator in plan:\n%s", f)
 	}
 	// Output schema NULL-free.
@@ -188,7 +186,7 @@ func TestParallelizeAggr(t *testing.T) {
 	agg := &algebra.Aggr{Child: scan, GroupCols: []int{0},
 		Aggs:  []algebra.AggItem{{Fn: "count", Col: -1}, {Fn: "sum", Col: 1}, {Fn: "avg", Col: 1}},
 		Names: []string{"g", "c", "s", "a"}}
-	res, err := Rewrite(agg, Options{Parallel: 4, GroupsHint: func(string, []string, []algebra.ScanRange) int { return 8 }})
+	res, err := Rewrite(agg, Options{Parallel: 4, GroupsHint: func(*scanspec.Spec) int { return 8 }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,10 +203,49 @@ func TestParallelizeAggr(t *testing.T) {
 	}
 }
 
+// A scan's spec travels by pointer: decomposition derives the physical list
+// (values, then the indicators of the NULLable columns) from the spec's
+// pruned schema and leaves ranges and window where they are, and the morsel
+// clones differ only in their stamps.
+func TestScanSpecSharedThroughDecomposeAndParallelize(t *testing.T) {
+	scan := scanNode(types.Col("a", types.Int64.Null()), types.Col("k", types.Int64), types.Col("c", types.String.Null()))
+	lo := types.NewInt64(3)
+	scan.Spec.Ranges = []scanspec.Range{{Col: 1, Lo: &lo}}
+	scan.Spec.Window = &scanspec.Window{Lo: 1, Hi: 4, Total: 6}
+	var hinted *scanspec.Spec
+	agg := &algebra.Aggr{Child: scan, Aggs: []algebra.AggItem{{Fn: "count", Col: 0}}, Names: []string{"n"}}
+	res, err := Rewrite(agg, Options{Parallel: 2, GroupsHint: func(s *scanspec.Spec) int { hinted = s; return 8 }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hinted != scan.Spec {
+		t.Fatal("GroupsHint did not receive the scan's own spec")
+	}
+	var workers []*algebra.Scan
+	algebra.Walk(res.Node, func(n algebra.Node) bool {
+		if s, ok := n.(*algebra.Scan); ok {
+			workers = append(workers, s)
+		}
+		return true
+	})
+	if len(workers) != 2 {
+		t.Fatalf("%d scans, want 2 morsel workers:\n%s", len(workers), algebra.Format(res.Node))
+	}
+	for w, s := range workers {
+		if s.Spec != scan.Spec {
+			t.Fatalf("worker %d copied the spec", w)
+		}
+		want := fmt.Sprintf("Scan('t', [a, k, c, a$null, c$null] morsel worker %d/2, ranges=[$1 in [3,+inf]], groups=[1,4)/6)", w)
+		if s.Line() != want {
+			t.Fatalf("worker %d line %q, want %q", w, s.Line(), want)
+		}
+	}
+}
+
 func TestParallelizeRespectsGroupsHint(t *testing.T) {
 	scan := scanNode(types.Col("v", types.Int64))
 	agg := &algebra.Aggr{Child: scan, Aggs: []algebra.AggItem{{Fn: "sum", Col: 0}}, Names: []string{"s"}}
-	res, err := Rewrite(agg, Options{Parallel: 8, GroupsHint: func(string, []string, []algebra.ScanRange) int { return 1 }})
+	res, err := Rewrite(agg, Options{Parallel: 8, GroupsHint: func(*scanspec.Spec) int { return 1 }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +259,7 @@ func TestParallelizeSortAndTopN(t *testing.T) {
 		scan := scanNode(types.Col("v", types.Int64))
 		return &algebra.Sort{Child: scan, Keys: []algebra.SortKey{{Col: 0}}}
 	}
-	res, err := Rewrite(mk(), Options{Parallel: 3, GroupsHint: func(string, []string, []algebra.ScanRange) int { return 8 }})
+	res, err := Rewrite(mk(), Options{Parallel: 3, GroupsHint: func(*scanspec.Spec) int { return 8 }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +273,7 @@ func TestParallelizeSortAndTopN(t *testing.T) {
 
 	scan := scanNode(types.Col("v", types.Int64))
 	topn := &algebra.TopN{Child: scan, Keys: []algebra.SortKey{{Col: 0, Desc: true}}, N: 5}
-	res, err = Rewrite(topn, Options{Parallel: 2, GroupsHint: func(string, []string, []algebra.ScanRange) int { return 8 }})
+	res, err = Rewrite(topn, Options{Parallel: 2, GroupsHint: func(*scanspec.Spec) int { return 8 }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +289,7 @@ func TestParallelizeHashJoinProbe(t *testing.T) {
 	build := scanNode(types.Col("y", types.Int64))
 	j := &algebra.HashJoin{Left: probe, Right: build, Kind: algebra.Inner,
 		LeftKeys: []int{0}, RightKeys: []int{0}, LeftKeyNull: -1, RightKeyNull: -1}
-	res, err := Rewrite(j, Options{Parallel: 4, GroupsHint: func(string, []string, []algebra.ScanRange) int { return 8 }})
+	res, err := Rewrite(j, Options{Parallel: 4, GroupsHint: func(*scanspec.Spec) int { return 8 }})
 	if err != nil {
 		t.Fatal(err)
 	}

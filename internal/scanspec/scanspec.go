@@ -1,0 +1,82 @@
+// Package scanspec holds the one description of a table scan — the ScanSpec —
+// that the logical plan, the X100 algebra and the physical plan all share.
+// The binder creates a Spec per base table, the optimizer's passes replace it
+// (range extraction, column pruning), and from the cross compiler onward
+// every representation holds the same *Spec by pointer: nothing downstream
+// copies a range, a window or a column list, so a new scan annotation is a
+// field here plus the pass that fills it in.
+//
+// A Spec is immutable once a plan node points at it. A pass that changes a
+// scan copies the struct, edits the copy and swaps the pointer.
+package scanspec
+
+import (
+	"fmt"
+	"strings"
+
+	"vectorwise/internal/types"
+)
+
+// Range is a sargable restriction of one scan column (a position in
+// Spec.Cols) to the inclusive interval [Lo, Hi]; a nil side is open. Storage
+// uses ranges only to skip row groups by their min/max summaries — the
+// Select the range came from stays in the plan, so results remain exact.
+type Range struct {
+	Col    int
+	Lo, Hi *types.Value
+}
+
+// String renders the range for plan display.
+func (r Range) String() string { return types.FormatRange("$", r.Col, r.Lo, r.Hi) }
+
+// Window is the contiguous row-group interval [Lo, Hi) of Total groups that a
+// range scan over a clustered column needs to touch. It is a compile-time
+// hint for plan display and for capping the parallel degree: every scan
+// re-derives the exact window inside its own snapshot at open time, so
+// concurrent deltas and appends can make it stale, never wrong.
+type Window struct {
+	Lo, Hi, Total int
+}
+
+// Suffix renders the window as it trails a scan line (", groups=[lo,hi)/n"),
+// or nothing for a nil window.
+func (w *Window) Suffix() string {
+	if w == nil {
+		return ""
+	}
+	return fmt.Sprintf(", groups=[%d,%d)/%d", w.Lo, w.Hi, w.Total)
+}
+
+// Spec describes one scan of a base table.
+type Spec struct {
+	Table     string
+	Structure string // "vectorwise" or "heap"
+	// Cols is the logical schema the scan produces: the table's columns the
+	// query needs, in table order (the binder starts with all of them; the
+	// optimizer's column-pruning pass narrows it). NULLable columns are still
+	// single columns here — the rewriter's NULL decomposition derives the
+	// physical list (value columns, then the $null indicators of the NULLable
+	// ones) from this schema, and physical.Build resolves that list to
+	// storage positions.
+	Cols *types.Schema
+	// Ranges are the sargable bounds for row-group skipping (vectorwise scans
+	// only). Value columns keep their positions through NULL decomposition,
+	// so Range.Col is valid against the physical list too.
+	Ranges []Range
+	// Window is the clustered group interval implied by Ranges, when a range
+	// column is clustered (nil otherwise).
+	Window *Window
+}
+
+// Suffix renders the range and window annotations as they trail a scan line
+// in the logical and algebra plan printers.
+func (s *Spec) Suffix() string {
+	if len(s.Ranges) == 0 {
+		return s.Window.Suffix()
+	}
+	parts := make([]string, len(s.Ranges))
+	for i, r := range s.Ranges {
+		parts[i] = r.String()
+	}
+	return ", ranges=[" + strings.Join(parts, ", ") + "]" + s.Window.Suffix()
+}

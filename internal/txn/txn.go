@@ -180,64 +180,24 @@ func (t *Txn) StableSnapshot() *colstore.Table { return t.snapStable }
 // stable table directly.
 func (t *Txn) DeltaFree() bool { return t.snapRead.Len() == 0 && t.write.Len() == 0 }
 
-// Scan returns a positional batch source over the transaction's image:
-// stable table merged with the snapshot read-PDT merged with the private
-// write-PDT.
+// Scan returns a positional batch source over the cols projection of the
+// transaction's image: stable table merged with the snapshot read-PDT merged
+// with the private write-PDT. With deltas pending, block skipping is off —
+// merging is positional, so every stable row must flow — but only the
+// projected columns are decoded: the mergers read inserted rows and
+// modifies through the same projection.
 func (t *Txn) Scan(cols []int, vecSize int, filters ...colstore.RangeFilter) (pdt.BatchSource, error) {
 	if t.done {
 		return nil, ErrClosed
 	}
-	full := make([]int, t.snapStable.Schema().Len())
-	for i := range full {
-		full[i] = i
-	}
-	// When deltas exist we must scan all columns (merges materialize whole
-	// rows) and block skipping must be disabled for correctness of
-	// positions; with no deltas we can scan the projection directly.
-	if t.snapRead.Len() == 0 && t.write.Len() == 0 {
+	if t.DeltaFree() {
 		return t.snapStable.NewScanner(cols, vecSize, filters...)
 	}
-	sc, err := t.snapStable.NewScanner(full, vecSize)
+	sc, err := t.snapStable.NewScanner(cols, vecSize)
 	if err != nil {
 		return nil, err
 	}
-	m1 := pdt.NewMerger(sc, t.snapRead)
-	m2 := pdt.NewMerger(m1, t.write)
-	return &projectSource{src: m2, cols: cols}, nil
-}
-
-// projectSource narrows a full-width source to a projection.
-type projectSource struct {
-	src  pdt.BatchSource
-	cols []int
-	out  vec.Batch
-}
-
-func (p *projectSource) Kinds() []types.Kind {
-	all := p.src.Kinds()
-	out := make([]types.Kind, len(p.cols))
-	for i, c := range p.cols {
-		out[i] = all[c]
-	}
-	return out
-}
-
-func (p *projectSource) Next(b *vec.Batch) (int64, int, bool, error) {
-	if p.out.Vecs == nil {
-		p.out = *vec.NewBatch(p.src.Kinds(), 0)
-	}
-	start, n, done, err := p.src.Next(&p.out)
-	if err != nil || done {
-		return start, n, done, err
-	}
-	vecs := b.Vecs[:0]
-	for _, c := range p.cols {
-		vecs = append(vecs, p.out.Vecs[c])
-	}
-	b.Vecs = vecs
-	b.Sel = p.out.Sel
-	b.ForceLen(p.out.Full())
-	return start, n, false, nil
+	return pdt.NewMerger(pdt.NewMerger(sc, t.snapRead, cols), t.write, cols), nil
 }
 
 // InsertRow appends a row at the end of the transaction's image.
@@ -541,7 +501,7 @@ func (s *Store) Checkpoint() error {
 	if err != nil {
 		return err
 	}
-	merged := pdt.NewMergerOps(sc, ops)
+	merged := pdt.NewMergerOps(sc, ops, full)
 	fresh := colstore.NewTable(stable.Schema())
 	ap := fresh.NewAppender()
 	b := vec.NewBatch(merged.Kinds(), 0)

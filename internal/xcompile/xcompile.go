@@ -20,20 +20,7 @@ import (
 func Compile(n plan.Node) (algebra.Node, error) {
 	switch t := n.(type) {
 	case *plan.Scan:
-		cols := make([]string, t.Cols.Len())
-		for i, c := range t.Cols.Cols {
-			cols[i] = c.Name
-		}
-		ranges := make([]algebra.ScanRange, len(t.Ranges))
-		for i, r := range t.Ranges {
-			ranges[i] = algebra.ScanRange{Col: r.Col, Lo: r.Lo, Hi: r.Hi}
-		}
-		var win *algebra.GroupWindow
-		if t.Window != nil {
-			win = &algebra.GroupWindow{Lo: t.Window.Lo, Hi: t.Window.Hi, Total: t.Window.Total}
-		}
-		return &algebra.Scan{Table: t.Table, Structure: t.Structure, Cols: cols,
-			Out: t.Cols.Clone(), Ranges: ranges, Window: win}, nil
+		return &algebra.Scan{Spec: t.Spec, Out: t.Spec.Cols}, nil
 	case *plan.Select:
 		child, err := Compile(t.Child)
 		if err != nil {

@@ -7,12 +7,13 @@ import (
 	"vectorwise/internal/algebra"
 	"vectorwise/internal/expr"
 	"vectorwise/internal/plan"
+	"vectorwise/internal/scanspec"
 	"vectorwise/internal/types"
 )
 
 func scan2() *plan.Scan {
-	return &plan.Scan{Table: "t", Structure: "vectorwise", Key: -1,
-		Cols: types.NewSchema(types.Col("a", types.Int64), types.Col("b", types.Int64))}
+	return &plan.Scan{Key: -1, Spec: &scanspec.Spec{Table: "t", Structure: "vectorwise",
+		Cols: types.NewSchema(types.Col("a", types.Int64), types.Col("b", types.Int64))}}
 }
 
 func TestCompileChain(t *testing.T) {
