@@ -33,9 +33,10 @@ type Node interface {
 
 // Scan reads columns of a table. What it reads is the shared Spec, held by
 // pointer from the cross compiler to the physical plan; Out is this node's
-// output schema — Spec.Cols as compiled, or the physical list the rewriter's
-// NULL decomposition derives from Spec.Cols (value columns, then the $null
-// indicators of the NULLable ones). In parallel plans the parallelizer
+// output schema — Spec.Schema() as compiled, or the physical list the
+// rewriter's NULL decomposition derives from it (value columns, then the $null
+// indicators of the NULLable ones, then the position column of a RID scan).
+// In parallel plans the parallelizer
 // clones the scan into P morsel workers: all clones share the Spec and the
 // MorselID (one run-time work queue of row-group morsels) and each carries
 // its Worker slot. Morsels == 0 means a plain serial scan.

@@ -178,9 +178,9 @@ func (db *DB) ExecStmt(ctx context.Context, stmt sql.Stmt, text string) (*Result
 	case *sql.InsertStmt:
 		return db.execInsert(ctx, s)
 	case *sql.UpdateStmt:
-		return db.execUpdate(ctx, s)
+		return db.execUpdate(ctx, s, text)
 	case *sql.DeleteStmt:
-		return db.execDelete(ctx, s)
+		return db.execDelete(ctx, s, text)
 	case *sql.CopyStmt:
 		return db.execCopy(ctx, s)
 	case *sql.AnalyzeStmt:
@@ -597,227 +597,6 @@ func (db *DB) execInsert(ctx context.Context, s *sql.InsertStmt) (*Result, error
 		}
 	}
 	return &Result{Affected: int64(len(rows))}, nil
-}
-
-func (db *DB) execUpdate(ctx context.Context, s *sql.UpdateStmt) (*Result, error) {
-	e, err := db.entry(s.Table)
-	if err != nil {
-		return nil, err
-	}
-	pred, sets, err := db.bindDML(e.meta, s.Where, s.Set)
-	if err != nil {
-		return nil, err
-	}
-	if e.heap != nil {
-		var rids []rowengine.RowID
-		var newRows [][]types.Value
-		err := e.heap.ScanFunc(func(rid rowengine.RowID, row []types.Value) bool {
-			if matchRow(pred, row) {
-				nr, err2 := applySets(e.meta, sets, row)
-				if err2 != nil {
-					err = err2
-					return false
-				}
-				rids = append(rids, rid)
-				newRows = append(newRows, nr)
-			}
-			return true
-		})
-		if err != nil {
-			return nil, err
-		}
-		for i, rid := range rids {
-			if _, err := e.heap.Update(rid, newRows[i]); err != nil {
-				return nil, err
-			}
-		}
-		return &Result{Affected: int64(len(rids))}, nil
-	}
-	// Vectorwise path: one transaction scanning the image positionally.
-	tx := e.store.Begin()
-	rids, rows, err := db.matchingRIDs(ctx, tx, e.meta, pred)
-	if err != nil {
-		tx.Abort()
-		return nil, err
-	}
-	cm := rewriter.PhysicalColMap(e.meta.Schema)
-	for i, rid := range rids {
-		nr, err := applySets(e.meta, sets, rows[i])
-		if err != nil {
-			tx.Abort()
-			return nil, err
-		}
-		for col := range e.meta.Schema.Cols {
-			if types.Equal(nr[col], rows[i][col]) && nr[col].Null == rows[i][col].Null {
-				continue
-			}
-			colT := e.meta.Schema.Cols[col].Type
-			if nr[col].Null {
-				// Store the in-band safe value with the indicator, as inserts
-				// do: NULL group keys are one group only if the pair is uniform.
-				if err := tx.UpdateAt(rid, cm.Val[col], types.SafeValue(colT.Kind)); err != nil {
-					tx.Abort()
-					return nil, err
-				}
-				if err := tx.UpdateAt(rid, cm.Ind[col], types.NewBool(true)); err != nil {
-					tx.Abort()
-					return nil, err
-				}
-				continue
-			}
-			if err := tx.UpdateAt(rid, cm.Val[col], nr[col]); err != nil {
-				tx.Abort()
-				return nil, err
-			}
-			if colT.Nullable {
-				if err := tx.UpdateAt(rid, cm.Ind[col], types.NewBool(false)); err != nil {
-					tx.Abort()
-					return nil, err
-				}
-			}
-		}
-	}
-	if err := tx.Commit(); err != nil {
-		return nil, err
-	}
-	return &Result{Affected: int64(len(rids))}, nil
-}
-
-func (db *DB) execDelete(ctx context.Context, s *sql.DeleteStmt) (*Result, error) {
-	e, err := db.entry(s.Table)
-	if err != nil {
-		return nil, err
-	}
-	pred, _, err := db.bindDML(e.meta, s.Where, nil)
-	if err != nil {
-		return nil, err
-	}
-	if e.heap != nil {
-		var rids []rowengine.RowID
-		e.heap.ScanFunc(func(rid rowengine.RowID, row []types.Value) bool {
-			if matchRow(pred, row) {
-				rids = append(rids, rid)
-			}
-			return true
-		})
-		for _, rid := range rids {
-			if err := e.heap.Delete(rid); err != nil {
-				return nil, err
-			}
-		}
-		return &Result{Affected: int64(len(rids))}, nil
-	}
-	tx := e.store.Begin()
-	rids, _, err := db.matchingRIDs(ctx, tx, e.meta, pred)
-	if err != nil {
-		tx.Abort()
-		return nil, err
-	}
-	// Delete from the highest position down so earlier positions stay
-	// valid.
-	for i := len(rids) - 1; i >= 0; i-- {
-		if err := tx.DeleteAt(rids[i]); err != nil {
-			tx.Abort()
-			return nil, err
-		}
-	}
-	if err := tx.Commit(); err != nil {
-		return nil, err
-	}
-	return &Result{Affected: int64(len(rids))}, nil
-}
-
-// bindDML binds a WHERE predicate and SET clauses over a table's logical
-// schema.
-func (db *DB) bindDML(meta *plan.TableMeta, where sql.ExprNode, set []sql.SetClause) (expr.Expr, map[int]expr.Expr, error) {
-	b := db.binder()
-	var pred expr.Expr
-	if where != nil {
-		p, err := b.BindExprOver(meta.Schema, where)
-		if err != nil {
-			return nil, nil, err
-		}
-		if p.Type().Kind != types.KindBool {
-			return nil, nil, fmt.Errorf("engine: WHERE must be boolean")
-		}
-		pred = p
-	}
-	sets := map[int]expr.Expr{}
-	for _, sc := range set {
-		idx := meta.Schema.Find(sc.Col)
-		if idx < 0 {
-			return nil, nil, fmt.Errorf("engine: no column %q", sc.Col)
-		}
-		e, err := b.BindExprOver(meta.Schema, sc.Expr)
-		if err != nil {
-			return nil, nil, err
-		}
-		sets[idx] = e
-	}
-	return pred, sets, nil
-}
-
-func matchRow(pred expr.Expr, row []types.Value) bool {
-	if pred == nil {
-		return true
-	}
-	v, err := expr.EvalRow(pred, row)
-	return err == nil && !v.Null && v.Bool()
-}
-
-func applySets(meta *plan.TableMeta, sets map[int]expr.Expr, row []types.Value) ([]types.Value, error) {
-	out := make([]types.Value, len(row))
-	copy(out, row)
-	for col, e := range sets {
-		v, err := expr.EvalRow(e, row)
-		if err != nil {
-			return nil, err
-		}
-		cv, err := coerceValue(v, meta.Schema.Cols[col].Type)
-		if err != nil {
-			return nil, err
-		}
-		out[col] = cv
-	}
-	return out, nil
-}
-
-// matchingRIDs scans a transaction's image, returning positions and logical
-// rows matching the predicate.
-func (db *DB) matchingRIDs(ctx context.Context, tx *txn.Txn, meta *plan.TableMeta, pred expr.Expr) ([]int64, [][]types.Value, error) {
-	phys := rewriter.PhysicalSchema(meta.Schema)
-	cm := rewriter.PhysicalColMap(meta.Schema)
-	cols := make([]int, phys.Len())
-	for i := range cols {
-		cols[i] = i
-	}
-	src, err := tx.Scan(cols, 0)
-	if err != nil {
-		return nil, nil, err
-	}
-	var rids []int64
-	var rows [][]types.Value
-	b := newBatchFor(src)
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-		start, n, done, err := src.Next(b)
-		if err != nil {
-			return nil, nil, err
-		}
-		if done {
-			return rids, rows, nil
-		}
-		for i := 0; i < n; i++ {
-			physRow := b.GetRow(i)
-			logical := physicalToLogicalRow(meta.Schema, cm, physRow)
-			if matchRow(pred, logical) {
-				rids = append(rids, start+int64(i))
-				rows = append(rows, logical)
-			}
-		}
-	}
 }
 
 func (db *DB) binder() *plan.Binder {

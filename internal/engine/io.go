@@ -11,8 +11,6 @@ import (
 	"vectorwise/internal/colstore"
 	"vectorwise/internal/monitor"
 	"vectorwise/internal/optimizer"
-	"vectorwise/internal/rewriter"
-	"vectorwise/internal/rowengine"
 	"vectorwise/internal/sql"
 	"vectorwise/internal/types"
 )
@@ -267,36 +265,19 @@ func (db *DB) execAnalyze(ctx context.Context, s *sql.AnalyzeStmt) (*Result, err
 			}
 		}
 	}
-	if e.heap != nil {
-		e.heap.ScanFunc(func(_ rowengine.RowID, row []types.Value) bool { collect(row); return true })
-	} else {
-		tx := e.store.Begin()
-		defer tx.Abort()
-		cm := rewriter.PhysicalColMap(logical)
-		cols := make([]int, e.store.Schema().Len())
-		for i := range cols {
-			cols[i] = i
-		}
-		src, err := tx.Scan(cols, 0)
-		if err != nil {
-			return nil, err
-		}
-		b := newBatchFor(src)
-		for {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			_, n, done, err := src.Next(b)
-			if err != nil {
-				return nil, err
-			}
-			if done {
-				break
-			}
-			for i := 0; i < n; i++ {
-				collect(physicalToLogicalRow(logical, cm, b.GetRow(i)))
-			}
-		}
+	// The table's logical rows come from the planner, like any SELECT *.
+	all := &sql.SelectStmt{Items: []sql.SelectItem{{Star: true}},
+		From: []sql.TableRef{&sql.BaseTable{Name: s.Table}}, Limit: -1}
+	c, err := db.compileSelect(all)
+	if err != nil {
+		return nil, err
+	}
+	res, _, err := db.runCompiled(ctx, c, all, false)
+	if err != nil {
+		return nil, err
+	}
+	for _, row := range res.Rows {
+		collect(row)
 	}
 	stats := map[string]*optimizer.ColStats{}
 	for i, col := range logical.Cols {

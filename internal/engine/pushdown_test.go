@@ -9,6 +9,7 @@ import (
 
 	"vectorwise/internal/colstore"
 	"vectorwise/internal/types"
+	"vectorwise/internal/vec"
 )
 
 // rangeDB builds a vectorwise table whose k column is block-clustered
@@ -188,7 +189,7 @@ func TestParallelScanDeltaKeepsDegree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := newBatchFor(serial)
+	b := vec.NewBatch(serial.Kinds(), vec.DefaultSize)
 	rows := 0
 	for {
 		_, n, done, err := serial.Next(b)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 	"time"
+	"unsafe"
 
 	"vectorwise/internal/algebra"
 	"vectorwise/internal/colstore"
@@ -20,6 +21,7 @@ import (
 	"vectorwise/internal/scanspec"
 	"vectorwise/internal/sql"
 	"vectorwise/internal/txn"
+	"vectorwise/internal/types"
 	"vectorwise/internal/vec"
 	"vectorwise/internal/xcompile"
 )
@@ -45,10 +47,20 @@ func (c *compiled) phase(name string, start time.Time) {
 // compileSelect runs parser output through binder → optimizer → cross
 // compiler → rewriter → physical-plan builder, timing each phase.
 func (db *DB) compileSelect(s *sql.SelectStmt) (*compiled, error) {
+	par := db.Parallel
+	if s.Parallel > 0 {
+		par = s.Parallel
+	}
+	return db.compile(par, func(b *plan.Binder) (plan.Node, error) { return b.BindSelect(s) })
+}
+
+// compile takes whatever bind produces through the rest of the pipeline —
+// the one way a plan is made, for queries and for the row search of
+// UPDATE/DELETE alike.
+func (db *DB) compile(par int, bind func(*plan.Binder) (plan.Node, error)) (*compiled, error) {
 	c := &compiled{}
-	b := db.binder()
 	t := time.Now()
-	logical, err := b.BindSelect(s)
+	logical, err := bind(db.binder())
 	if err != nil {
 		return nil, err
 	}
@@ -63,10 +75,6 @@ func (db *DB) compileSelect(s *sql.SelectStmt) (*compiled, error) {
 		return nil, err
 	}
 	c.phase("xcompile", t)
-	par := db.Parallel
-	if s.Parallel > 0 {
-		par = s.Parallel
-	}
 	t = time.Now()
 	rw, err := rewriter.Rewrite(alg, rewriter.Options{Parallel: par, GroupsHint: db.groupsAvailable})
 	if err != nil {
@@ -149,6 +157,22 @@ func (db *DB) execSelect(ctx context.Context, s *sql.SelectStmt, text string) (*
 	if err != nil {
 		return nil, err
 	}
+	var res *Result
+	err = db.monitored(ctx, text, c, func(qctx context.Context) (int64, error) {
+		var err error
+		if res, _, err = db.runCompiled(qctx, c, s, false); err != nil {
+			return 0, err
+		}
+		return int64(len(res.Rows)), nil
+	})
+	return res, err
+}
+
+// monitored runs a compiled statement as a registered query: it appears in
+// sys.queries with its plan and phase spans, run gets the context
+// CancelQuery cancels, and the rows it reports (returned, or affected by
+// DML) and its error are the query's outcome.
+func (db *DB) monitored(ctx context.Context, text string, c *compiled, run func(context.Context) (int64, error)) error {
 	qi, qctx := db.Monitor.StartQuery(ctx, text)
 	db.Monitor.AttachPlan(qi, physical.Format(c.phys))
 	if ps, ok := parseSpanFrom(ctx); ok {
@@ -156,22 +180,18 @@ func (db *DB) execSelect(ctx context.Context, s *sql.SelectStmt, text string) (*
 	}
 	db.Monitor.AttachSpans(qi, c.spans...)
 	t := time.Now()
-	res, _, err := db.runCompiled(qctx, c, s, false)
+	rows, err := run(qctx)
 	db.Monitor.AttachSpans(qi, monitor.Span{Phase: "execute", Start: t, Dur: time.Since(t)})
-	var rows int64
-	if res != nil {
-		rows = int64(len(res.Rows))
-	}
 	db.Monitor.FinishQuery(qi, rows, err)
-	return res, err
+	return err
 }
 
-// runCompiled instantiates the physical plan and drains it; the returned
-// instance carries per-operator counters when profile is set.
-func (db *DB) runCompiled(ctx context.Context, c *compiled, s *sql.SelectStmt, profile bool) (*Result, *physical.Instance, error) {
-	// Snapshot transactions per vectorwise table (consistent reads).
-	session := newQuerySession(db, ctx)
-	defer session.close()
+// collect runs a compiled plan against session's snapshots — checked
+// arithmetic, the caller's memory budget, the vector size in force — and
+// returns its output as logical rows, NULLs reassembled. charged bills the
+// rows to the budget as they accumulate. The returned instance carries
+// per-operator counters when profile is set.
+func (db *DB) collect(ctx context.Context, c *compiled, session *querySession, vecSize int, profile, charged bool) ([][]types.Value, *physical.Instance, error) {
 	inst, err := physical.Instantiate(c.phys, session)
 	if err != nil {
 		return nil, nil, err
@@ -185,64 +205,91 @@ func (db *DB) runCompiled(ctx context.Context, c *compiled, s *sql.SelectStmt, p
 	if db.VectorSize > 0 {
 		ectx.VecSize = db.VectorSize
 	}
-	if s != nil && s.VectorSize > 0 {
-		ectx.VecSize = s.VectorSize
+	if vecSize > 0 {
+		ectx.VecSize = vecSize
 	}
-	physRows, err := exec.Collect(ectx, inst.Root)
+	boxed := int64(len(inst.Root.Kinds())) * int64(unsafe.Sizeof(types.Value{}))
+	var rows [][]types.Value
+	err = exec.Run(ectx, inst.Root, func(b *vec.Batch) error {
+		if charged {
+			if err := ectx.Budget.Charge(int64(b.Rows())*boxed + exec.BatchBytes(b)); err != nil {
+				return err
+			}
+		}
+		for i := 0; i < b.Rows(); i++ {
+			rows = append(rows, physicalToLogicalRow(c.rw.Logical, c.rw.ColMap, b.GetRow(i)))
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, nil, err
 	}
-	logical := c.rw.Logical
-	res := &Result{Cols: logical.Names()}
-	for _, pr := range physRows {
-		res.Rows = append(res.Rows, physicalToLogicalRow(logical, c.rw.ColMap, pr))
+	return rows, inst, nil
+}
+
+// runCompiled runs a query's plan over fresh snapshots of the tables it
+// reads (consistent reads).
+func (db *DB) runCompiled(ctx context.Context, c *compiled, s *sql.SelectStmt, profile bool) (*Result, *physical.Instance, error) {
+	session := newQuerySession(db, ctx)
+	defer session.close()
+	rows, inst, err := db.collect(ctx, c, session, s.VectorSize, profile, false)
+	if err != nil {
+		return nil, nil, err
 	}
-	return res, inst, nil
+	return &Result{Cols: c.rw.Logical.Names(), Rows: rows}, inst, nil
+}
+
+// explainText renders the compile stages EXPLAIN shows.
+func explainText(c *compiled, physicalOnly bool) string {
+	if physicalOnly {
+		return "== physical plan ==\n" + physical.Format(c.phys)
+	}
+	return "== logical plan ==\n" + plan.Format(c.logical) +
+		"== optimized plan ==\n" + plan.Format(c.optimized) +
+		"== X100 algebra (after rewriter) ==\n" + algebra.Format(c.rw.Node) +
+		"== physical plan ==\n" + physical.Format(c.phys)
+}
+
+// profileText renders what EXPLAIN PROFILE adds after a run that started at
+// t: the row count, the phase trace and the per-operator counters.
+func profileText(ctx context.Context, c *compiled, t time.Time, rows string, inst *physical.Instance) string {
+	spans := c.spans
+	if ps, ok := parseSpanFrom(ctx); ok {
+		spans = append([]monitor.Span{ps}, spans...)
+	}
+	spans = append(spans, monitor.Span{Phase: "execute", Start: t, Dur: time.Since(t)})
+	return "== execution ==\n" + rows + "\n" +
+		"== phase trace ==\n" + monitor.FormatSpans(spans) +
+		"== operator profile ==\n" + inst.RenderProfile()
 }
 
 func (db *DB) execExplain(ctx context.Context, s *sql.ExplainStmt) (*Result, error) {
-	sel, ok := s.Query.(*sql.SelectStmt)
-	if !ok {
-		return nil, fmt.Errorf("engine: EXPLAIN supports SELECT only")
-	}
-	c, err := db.compileSelect(sel)
-	if err != nil {
-		return nil, err
-	}
-	var text string
-	if s.Physical {
-		text = "== physical plan ==\n" + physical.Format(c.phys)
-	} else {
-		text = "== logical plan ==\n" + plan.Format(c.logical) +
-			"== optimized plan ==\n" + plan.Format(c.optimized) +
-			"== X100 algebra (after rewriter) ==\n" + algebra.Format(c.rw.Node) +
-			"== physical plan ==\n" + physical.Format(c.phys)
-	}
-	if s.Profile {
-		t := time.Now()
-		res, inst, err := db.runCompiled(ctx, c, sel, true)
+	switch q := s.Query.(type) {
+	case *sql.SelectStmt:
+		c, err := db.compileSelect(q)
 		if err != nil {
 			return nil, err
 		}
-		spans := c.spans
-		if ps, ok := parseSpanFrom(ctx); ok {
-			spans = append([]monitor.Span{ps}, spans...)
+		text := explainText(c, s.Physical)
+		if s.Profile {
+			t := time.Now()
+			res, inst, err := db.runCompiled(ctx, c, q, true)
+			if err != nil {
+				return nil, err
+			}
+			text += profileText(ctx, c, t, fmt.Sprintf("%d rows", len(res.Rows)), inst)
 		}
-		spans = append(spans, monitor.Span{Phase: "execute", Start: t, Dur: time.Since(t)})
-		text += fmt.Sprintf("== execution ==\n%d rows\n", len(res.Rows))
-		text += "== phase trace ==\n" + monitor.FormatSpans(spans)
-		text += "== operator profile ==\n" + inst.RenderProfile()
+		return &Result{Text: text}, nil
+	case *sql.UpdateStmt:
+		return db.explainMatch(ctx, s, q.Table, q.Where, q.Set)
+	case *sql.DeleteStmt:
+		return db.explainMatch(ctx, s, q.Table, q.Where, nil)
 	}
-	return &Result{Text: text}, nil
+	return nil, fmt.Errorf("engine: EXPLAIN supports SELECT, UPDATE and DELETE only")
 }
 
 // xcompileNode invokes the cross compiler (Figure 1's new component).
 func xcompileNode(n plan.Node) (algebra.Node, error) { return xcompile.Compile(n) }
-
-// newBatchFor allocates a batch matching a positional source.
-func newBatchFor(src pdt.BatchSource) *vec.Batch {
-	return vec.NewBatch(src.Kinds(), vec.DefaultSize)
-}
 
 // querySession owns per-query snapshots of every vectorwise table touched.
 // It implements physical.Env, supplying operator factories with storage
@@ -253,6 +300,9 @@ type querySession struct {
 	ctx context.Context
 	mu  sync.Mutex
 	txs map[string]*txn.Txn
+	// borrowed is a transaction in txs that the caller owns (the statement
+	// transaction of an UPDATE or DELETE): close leaves it open.
+	borrowed *txn.Txn
 	// releases un-registers this query's scans from per-table buffer-manager
 	// shares when the query finishes.
 	releases []func()
@@ -265,11 +315,22 @@ func newQuerySession(db *DB, ctx context.Context) *querySession {
 	return &querySession{db: db, ctx: ctx, txs: map[string]*txn.Txn{}}
 }
 
+// readThrough makes the session's scans of table read the image of tx — a
+// transaction the caller began and will commit or abort itself — so a DML
+// statement's row search sees, and its commit validates against, one
+// snapshot.
+func (qs *querySession) readThrough(table string, tx *txn.Txn) {
+	qs.txs[table] = tx
+	qs.borrowed = tx
+}
+
 func (qs *querySession) close() {
 	qs.mu.Lock()
 	defer qs.mu.Unlock()
 	for _, tx := range qs.txs {
-		tx.Abort()
+		if tx != qs.borrowed {
+			tx.Abort()
+		}
 	}
 	for _, rel := range qs.releases {
 		rel()

@@ -60,11 +60,11 @@ func (c *Ctx) charge(b *vec.Batch) error {
 	if c.Budget == nil {
 		return nil
 	}
-	return c.Budget.Charge(batchBytes(b))
+	return c.Budget.Charge(BatchBytes(b))
 }
 
-// batchBytes estimates the heap footprint of the selected rows of b.
-func batchBytes(b *vec.Batch) int64 {
+// BatchBytes estimates the heap footprint of the selected rows of b.
+func BatchBytes(b *vec.Batch) int64 {
 	rows := int64(b.Rows())
 	var total int64
 	for _, v := range b.Vecs {

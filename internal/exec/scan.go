@@ -18,6 +18,12 @@ type ColScan struct {
 	ctx *Ctx
 	src pdt.BatchSource
 	buf *vec.Batch
+
+	// Set by ProjectRID: out is buf's vectors plus rid, the image position of
+	// every row.
+	withRID bool
+	rid     *vec.Vector
+	out     vec.Batch
 }
 
 // NewColScan builds a scan over a deferred source with the given output
@@ -26,8 +32,18 @@ func NewColScan(kinds []types.Kind, sourceFn func(vecSize int) (pdt.BatchSource,
 	return &ColScan{SourceFn: sourceFn, kinds: kinds}
 }
 
+// ProjectRID makes the scan emit, after the source's columns, one BIGINT
+// vector holding each row's position in the scanned image — what
+// txn.UpdateAt and DeleteAt address rows by. Call before Open.
+func (s *ColScan) ProjectRID() { s.withRID = true }
+
 // Kinds implements Operator.
-func (s *ColScan) Kinds() []types.Kind { return s.kinds }
+func (s *ColScan) Kinds() []types.Kind {
+	if s.withRID {
+		return append(s.kinds[:len(s.kinds):len(s.kinds)], types.KindInt64)
+	}
+	return s.kinds
+}
 
 // Open implements Operator.
 func (s *ColScan) Open(ctx *Ctx) error {
@@ -38,6 +54,9 @@ func (s *ColScan) Open(ctx *Ctx) error {
 	}
 	s.src = src
 	s.buf = vec.NewBatch(s.kinds, ctx.vecSize())
+	if s.withRID {
+		s.rid = vec.New(types.KindInt64, ctx.vecSize())
+	}
 	return nil
 }
 
@@ -46,14 +65,42 @@ func (s *ColScan) Next() (*vec.Batch, error) {
 	if err := s.ctx.poll(); err != nil {
 		return nil, err
 	}
-	_, _, done, err := s.src.Next(s.buf)
+	start, n, done, err := s.src.Next(s.buf)
 	if err != nil {
 		return nil, err
 	}
 	if done {
 		return nil, nil
 	}
+	if s.withRID {
+		return s.appendRID(start, n), nil
+	}
 	return s.buf, nil
+}
+
+// appendRID numbers the n logical rows of the batch the source just filled:
+// logical row i sits at image position start+i, whatever selection vector a
+// merger narrowed the batch with, and its number goes where its values are.
+// The output batch is rebuilt from buf every time, because a merger may
+// have re-pointed buf at vectors of its own.
+func (s *ColScan) appendRID(start int64, n int) *vec.Batch {
+	full := s.buf.Full()
+	s.rid.Grow(full)
+	s.rid.SetLen(full)
+	ids := s.rid.I64
+	if s.buf.Sel == nil {
+		for i := 0; i < n; i++ {
+			ids[i] = start + int64(i)
+		}
+	} else {
+		for i, p := range s.buf.Sel[:n] {
+			ids[p] = start + int64(i)
+		}
+	}
+	s.out.Vecs = append(append(s.out.Vecs[:0], s.buf.Vecs...), s.rid)
+	s.out.Sel = s.buf.Sel
+	s.out.ForceLen(full)
+	return &s.out
 }
 
 // Close implements Operator.

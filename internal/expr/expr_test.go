@@ -308,6 +308,23 @@ func TestFilterUnderSelection(t *testing.T) {
 	}
 }
 
+// NOT of a predicate every row of the first batch satisfies keeps nothing:
+// the empty complement must not be read as "all rows".
+func TestFilterNotOfAllTrueFirstBatch(t *testing.T) {
+	b := makeBatch(100)
+	f, err := CompileFilter(NewCall("not", NewCall(">=", col(0), CInt(0))), testKinds, Mode{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel, err := f.Apply(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sel) != 0 {
+		t.Fatalf("NOT(always true) selected %d rows, want none", len(sel))
+	}
+}
+
 func TestFoldConstants(t *testing.T) {
 	e := NewCall("+", CInt(2), NewCall("*", CInt(3), CInt(4)))
 	folded := FoldConstants(e)

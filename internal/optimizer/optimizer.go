@@ -655,7 +655,7 @@ func (o *Optimizer) columnStatsFor(child plan.Node, pred expr.Expr) (*ColStats, 
 			idx = cr.Idx
 			n = t.Child
 		case *plan.Scan:
-			table, name := t.Spec.Table, t.Spec.Cols.Cols[idx].Name
+			table, name := t.Spec.Table, t.Schema().Cols[idx].Name
 			if st := o.Stats.Column(table, name); st != nil {
 				return st, table
 			}

@@ -139,13 +139,16 @@ func prune(n plan.Node, need []bool) (plan.Node, []int) {
 
 // pruneScan narrows a scan's spec to the needed columns plus the columns its
 // own ranges restrict. A scan nothing reads from (COUNT(*), EXISTS) keeps
-// one column, the cheapest to decode, so row counts still flow.
+// one column, the cheapest to decode, so row counts still flow. The position
+// column of a RID scan is not stored, so it is never dropped and never the
+// one column kept: it stays last, after whatever Cols narrows to.
 func pruneScan(t *plan.Scan, need []bool) (plan.Node, []int) {
+	stored := t.Spec.Cols.Len()
 	need = append([]bool(nil), need...)
 	for _, r := range t.Spec.Ranges {
 		need[r.Col] = true
 	}
-	if !anySet(need) {
+	if !anySet(need[:stored]) {
 		need[cheapestColumn(t.Spec.Cols)] = true
 	}
 	m := make([]int, len(need))
@@ -158,7 +161,10 @@ func pruneScan(t *plan.Scan, need []bool) (plan.Node, []int) {
 		m[i] = len(cols.Cols)
 		cols.Cols = append(cols.Cols, c)
 	}
-	if cols.Len() == len(need) {
+	if t.Spec.RID {
+		m[stored] = cols.Len()
+	}
+	if cols.Len() == stored {
 		return t, m
 	}
 	spec := *t.Spec

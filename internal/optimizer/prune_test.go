@@ -394,3 +394,51 @@ func TestCheapestColumn(t *testing.T) {
 		}
 	}
 }
+
+// The position column of a RID scan is not stored: pruning never drops it,
+// never keeps it as the one column that carries the row count, and leaves it
+// last, with every reference to it moved along.
+func TestPruneColumnsKeepsRIDLast(t *testing.T) {
+	ridScan := func(key int, cols ...types.Column) *plan.Scan {
+		s := mkScan("t", key, cols...)
+		s.Spec.RID = true
+		return s
+	}
+	project := func(child plan.Node, cols ...int) *plan.Project {
+		p := &plan.Project{Child: child}
+		for _, c := range cols {
+			p.Exprs, p.Names = append(p.Exprs, colRef(child.Schema(), c)), append(p.Names, child.Schema().Cols[c].Name)
+		}
+		return p
+	}
+
+	// UPDATE t SET b = … WHERE a > 1: the search reads a, emits $rid and b.
+	scan := ridScan(0, types.Col("a", types.Int64), types.Col("b", types.Int64.Null()),
+		types.Col("c", types.String), types.Col("d", types.Float64))
+	lo := types.NewInt64(1)
+	scan.Spec.Ranges = []scanspec.Range{{Col: 0, Lo: &lo}}
+	sel := &plan.Select{Child: scan, Pred: expr.NewCall(">", colRef(scan.Schema(), 0), expr.CInt(1))}
+	out := pruneColumns(project(sel, 4, 1))
+	checkRefs(t, out)
+	if got, want := plan.Format(out), "Project($rid, b)\n  Select((a > 1))\n    Scan(t:vectorwise, [a, b, $rid], ranges=[$0 in [1,+inf]])\n"; got != want {
+		t.Errorf("pruned search plan:\n%swant:\n%s", got, want)
+	}
+	if s := findScan(out); !s.Spec.RID || s.Key != 0 || s.Spec.Cols.Len() != 2 {
+		t.Errorf("pruned scan: RID=%v Key=%d Cols=%s", s.Spec.RID, s.Key, s.Spec.Cols)
+	}
+
+	// DELETE FROM t: only positions are read, so the cheapest stored column
+	// stays to carry the row count.
+	all := ridScan(-1, types.Col("s", types.String), types.Col("k", types.Int64), types.Col("q", types.Int32))
+	out = pruneColumns(project(all, 3))
+	checkRefs(t, out)
+	if got, want := plan.Format(out), "Project($rid)\n  Scan(t:vectorwise, [q, $rid])\n"; got != want {
+		t.Errorf("pruned unfiltered search:\n%swant:\n%s", got, want)
+	}
+
+	// Everything read: the scan node is kept as it is.
+	full := project(all, 3, 0, 1, 2)
+	if got := findScan(pruneColumns(full)); got != all {
+		t.Errorf("fully read RID scan was rebuilt: %s", got)
+	}
+}

@@ -174,6 +174,13 @@ func (b *builder) buildScan(t *algebra.Scan) (Node, error) {
 		return nil, err
 	}
 	sc := ScanCols{Spec: t.Spec, Cols: t.Out.Names(), TableCols: info.Physical.Len()}
+	if t.Spec.RID {
+		if info.Structure == "heap" || t.Morsels > 0 {
+			return nil, fmt.Errorf("physical: scan of %s projects row positions; only a serial vectorwise scan can", t.Spec.Table)
+		}
+		// The trailing position column is not stored: ColScan makes it.
+		sc.Cols = sc.Cols[:len(sc.Cols)-1]
+	}
 	sc.ColIdxs = make([]int, len(sc.Cols))
 	sc.ColKinds = make([]types.Kind, len(sc.Cols))
 	for i, name := range sc.Cols {

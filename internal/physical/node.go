@@ -60,8 +60,14 @@ type ScanCols struct {
 	TableCols int
 }
 
-// Kinds implements Node for the scan nodes.
-func (c *ScanCols) Kinds() []types.Kind { return c.ColKinds }
+// Kinds implements Node for the scan nodes: the stored columns' kinds, then
+// BIGINT for the position column of a RID scan.
+func (c *ScanCols) Kinds() []types.Kind {
+	if c.Spec.RID {
+		return append(c.ColKinds[:len(c.ColKinds):len(c.ColKinds)], types.KindInt64)
+	}
+	return c.ColKinds
+}
 
 // scanCols marks the scan nodes for the profile renderer.
 func (c *ScanCols) scanCols() *ScanCols { return c }
@@ -81,18 +87,23 @@ func (c *ScanCols) Filters() []colstore.RangeFilter {
 	return out
 }
 
-// annotations renders the filters and the clustered window hint (display
-// only — the scanner re-derives the window in its own snapshot).
+// annotations renders the position-column marker of a RID scan, the filters
+// and the clustered window hint (display only — the scanner re-derives the
+// window in its own snapshot).
 func (c *ScanCols) annotations() string {
+	rid := ""
+	if c.Spec.RID {
+		rid = ", +" + scanspec.RIDName
+	}
 	filters := c.Filters()
 	if len(filters) == 0 {
-		return c.Spec.Window.Suffix()
+		return rid + c.Spec.Window.Suffix()
 	}
 	parts := make([]string, len(filters))
 	for i, f := range filters {
 		parts[i] = types.FormatRange("col", f.Col, f.Lo, f.Hi)
 	}
-	return ", filters=[" + strings.Join(parts, ", ") + "]" + c.Spec.Window.Suffix()
+	return rid + ", filters=[" + strings.Join(parts, ", ") + "]" + c.Spec.Window.Suffix()
 }
 
 // Scan reads resolved column positions from a vectorwise (column-store)

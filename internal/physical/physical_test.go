@@ -294,3 +294,73 @@ func TestRegistryAndProfile(t *testing.T) {
 		t.Fatalf("profile rendering:\n%s", prof)
 	}
 }
+
+// ridEnv serves one column-store table as a plain scanner.
+type ridEnv struct {
+	fixtureEnv
+	tab *colstore.Table
+}
+
+func (e *ridEnv) ScanSource(_ string, cols []int, vecSize int, f []colstore.RangeFilter) (pdt.BatchSource, error) {
+	return e.tab.NewScanner(cols, vecSize, f...)
+}
+
+// A RID scan resolves only its stored columns against the catalog, reports
+// the position column in its kinds and on its line, and runs as a ColScan
+// that appends it; heap tables and morsel workers cannot project positions.
+func TestRIDScanBuildsAndRuns(t *testing.T) {
+	phys := intSchema("a", "b", "c")
+	cat := &fixtureCatalog{name: "t", info: &TableInfo{
+		Structure: "vectorwise", Logical: phys, Physical: phys}}
+	ridScan := func(table, structure string) *algebra.Scan {
+		s := scanNode(table, structure, "c", "a")
+		s.Spec.RID = true
+		s.Out = s.Spec.Schema()
+		return s
+	}
+	n, err := Build(ridScan("t", "vectorwise"), cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := n.(*Scan)
+	if got, want := s.Line(), "Scan('t', [c a] @ [2 0], +$rid)"; got != want {
+		t.Fatalf("scan line %q, want %q", got, want)
+	}
+	if k := s.Kinds(); len(k) != 3 || len(s.ColIdxs) != 2 || k[2] != types.KindInt64 {
+		t.Fatalf("kinds %v over storage positions %v", k, s.ColIdxs)
+	}
+
+	tab := colstore.NewTable(phys)
+	ap := tab.NewAppender()
+	for i := int64(0); i < 5; i++ {
+		if err := ap.AppendRow([]types.Value{types.NewInt64(i), types.NewInt64(i * 10), types.NewInt64(i * 100)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ap.Close(); err != nil {
+		t.Fatal(err)
+	}
+	inst, err := Instantiate(n, &ridEnv{tab: tab})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := collect(t, inst, false)
+	if len(rows) != 5 {
+		t.Fatalf("%d rows", len(rows))
+	}
+	for i, r := range rows {
+		if r[0].Int64() != int64(i)*100 || r[1].Int64() != int64(i) || r[2].Int64() != int64(i) {
+			t.Fatalf("row %d = %v, want (c, a, position)", i, r)
+		}
+	}
+
+	heapCat := &fixtureCatalog{name: "h", info: &TableInfo{Structure: "heap", Logical: phys, Physical: phys}}
+	if _, err := Build(ridScan("h", "heap"), heapCat); err == nil {
+		t.Error("a heap scan cannot project positions")
+	}
+	worker := ridScan("t", "vectorwise")
+	worker.Morsels = 2
+	if _, err := Build(worker, cat); err == nil {
+		t.Error("a morsel worker cannot project positions")
+	}
+}

@@ -50,9 +50,13 @@ func init() {
 	Register("Scan", func(n Node, env Env, _ []exec.Operator) (exec.Operator, error) {
 		s := n.(*Scan)
 		table, idxs, filters := s.Spec.Table, s.ColIdxs, s.Filters()
-		return exec.NewColScan(s.ColKinds, func(vecSize int) (pdt.BatchSource, error) {
+		scan := exec.NewColScan(s.ColKinds, func(vecSize int) (pdt.BatchSource, error) {
 			return env.ScanSource(table, idxs, vecSize, filters)
-		}), nil
+		})
+		if s.Spec.RID {
+			scan.ProjectRID()
+		}
+		return scan, nil
 	})
 	Register("ParallelScan", func(n Node, env Env, _ []exec.Operator) (exec.Operator, error) {
 		s := n.(*ParallelScan)

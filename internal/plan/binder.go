@@ -98,6 +98,36 @@ func (b *Binder) BindExprOver(s *types.Schema, n sql.ExprNode) (expr.Expr, error
 	return b.bindExpr(scopeOf("", s, 0), n, nil)
 }
 
+// BindMatch binds the row search of an UPDATE or DELETE on a vectorwise table
+// as a plan: a RID-projecting scan of the table, a Select for the WHERE, and
+// a projection that emits each matched row's image position followed by the
+// table columns named in emit (what the SET clauses read and write). The
+// position column never enters the scope, so WHERE cannot name it.
+func (b *Binder) BindMatch(meta *TableMeta, where sql.ExprNode, emit []int) (Node, error) {
+	spec := &scanspec.Spec{Table: meta.Name, Structure: meta.Structure,
+		Cols: meta.Schema.Clone(), RID: true}
+	var root Node = &Scan{Spec: spec, Alias: meta.Name, Key: meta.Key}
+	if where != nil {
+		pred, err := b.bindExpr(scopeOf(meta.Name, spec.Cols, 0), where, nil)
+		if err != nil {
+			return nil, err
+		}
+		if pred.Type().Kind != types.KindBool {
+			return nil, fmt.Errorf("plan: WHERE must be boolean, got %v", pred.Type())
+		}
+		root = &Select{Child: root, Pred: pred}
+	}
+	out := &Project{Child: root,
+		Exprs: []expr.Expr{expr.Col(spec.Cols.Len(), scanspec.RIDName, types.Int64)},
+		Names: []string{scanspec.RIDName}}
+	for _, c := range emit {
+		col := spec.Cols.Cols[c]
+		out.Exprs = append(out.Exprs, expr.Col(c, col.Name, col.Type))
+		out.Names = append(out.Names, col.Name)
+	}
+	return out, nil
+}
+
 // BindSelect binds a query into a logical plan.
 func (b *Binder) BindSelect(s *sql.SelectStmt) (Node, error) {
 	// 1. FROM.

@@ -37,7 +37,7 @@ type Scan struct {
 }
 
 // Schema implements Node.
-func (s *Scan) Schema() *types.Schema { return s.Spec.Cols }
+func (s *Scan) Schema() *types.Schema { return s.Spec.Schema() }
 
 // Children implements Node.
 func (s *Scan) Children() []Node { return nil }
@@ -48,7 +48,7 @@ func (s *Scan) WithChildren(ch []Node) Node { return s }
 // String implements Node.
 func (s *Scan) String() string {
 	return fmt.Sprintf("Scan(%s:%s, [%s]%s)", s.Spec.Table, s.Spec.Structure,
-		strings.Join(s.Spec.Cols.Names(), ", "), s.Spec.Suffix())
+		strings.Join(s.Spec.Schema().Names(), ", "), s.Spec.Suffix())
 }
 
 // Select filters rows by a predicate over the child's columns.

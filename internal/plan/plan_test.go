@@ -282,3 +282,39 @@ func TestFormatPlan(t *testing.T) {
 		t.Fatalf("format:\n%s", f)
 	}
 }
+
+// The row search of UPDATE/DELETE: a RID-projecting scan, the WHERE over the
+// table's columns only, and a projection of the position plus what SET needs.
+func TestBindMatch(t *testing.T) {
+	parse := func(src string) *sql.UpdateStmt {
+		stmt, err := sql.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return stmt.(*sql.UpdateStmt)
+	}
+	b := &Binder{Cat: testCatalog()}
+	meta := testCatalog()["items"]
+	n, err := b.BindMatch(meta, parse(`UPDATE items SET price = 1 WHERE grp = 3 AND price IS NULL`).Where, []int{2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "Project($rid, price)\n" +
+		"  Select(((grp = cast_int64(3)) and isnull(price)))\n" +
+		"    Scan(items:vectorwise, [id, grp, price, name, d, $rid])\n"
+	if got := Format(n); got != want {
+		t.Fatalf("bound search:\n%swant:\n%s", got, want)
+	}
+	if s := n.Schema(); s.Cols[0].Type != types.Int64 || s.Cols[1].Type != types.Float64.Null() {
+		t.Fatalf("output schema %s", s)
+	}
+	// No WHERE: every row; nothing emitted but the position.
+	n, err = b.BindMatch(meta, nil, nil)
+	if err != nil || Format(n) != "Project($rid)\n  Scan(items:vectorwise, [id, grp, price, name, d, $rid])\n" {
+		t.Fatalf("unfiltered search: %v\n%s", err, Format(n))
+	}
+	if _, err := b.BindMatch(meta, parse(`UPDATE items SET price = 1 WHERE grp + 1`).Where, nil); err == nil ||
+		!strings.Contains(err.Error(), "boolean") {
+		t.Fatalf("non-boolean WHERE: %v", err)
+	}
+}

@@ -6,6 +6,7 @@ import (
 
 	"vectorwise/internal/algebra"
 	"vectorwise/internal/expr"
+	"vectorwise/internal/scanspec"
 	"vectorwise/internal/types"
 )
 
@@ -78,7 +79,15 @@ func decompose(n algebra.Node) (algebra.Node, ColMap, error) {
 		// summaries — skipping stays conservative.
 		out := *t
 		out.Out = PhysicalSchema(t.Spec.Cols)
-		return &out, PhysicalColMap(t.Spec.Cols), nil
+		cm := PhysicalColMap(t.Spec.Cols)
+		if t.Spec.RID {
+			// The position column is made by the scan operator, not read from
+			// storage: it trails the stored list, indicators included.
+			cm.Val = append(cm.Val, out.Out.Len())
+			cm.Ind = append(cm.Ind, -1)
+			out.Out.Cols = append(out.Out.Cols, types.Col(scanspec.RIDName, types.Int64))
+		}
+		return &out, cm, nil
 
 	case *algebra.Values:
 		logical := t.Out

@@ -319,3 +319,26 @@ func TestConstantFoldingPass(t *testing.T) {
 		t.Fatalf("constant not folded:\n%s", algebra.Format(res.Node))
 	}
 }
+
+// The position column of a RID scan is made by the scan operator, so NULL
+// decomposition puts it after everything that is stored — indicators
+// included — and maps the logical column there.
+func TestDecomposeRIDScanTrailsIndicators(t *testing.T) {
+	scan := scanNode(types.Col("k", types.Int64), types.Col("v", types.Float64.Null()))
+	scan.Spec.RID = true
+	scan.Out = scan.Spec.Schema()
+	in := scan.Schema()
+	proj := &algebra.Project{Child: scan, Names: []string{"$rid", "v"},
+		Exprs: []expr.Expr{expr.Col(2, in.Cols[2].Name, in.Cols[2].Type), expr.Col(1, "v", in.Cols[1].Type)}}
+	res, err := Rewrite(proj, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "Project($rid=$rid, v=v, v$null=v$null)\n  Scan('t', [k, v, v$null, $rid])\n"
+	if got := algebra.Format(res.Node); got != want {
+		t.Fatalf("rewritten:\n%swant:\n%s", got, want)
+	}
+	if res.ColMap.Val[0] != 0 || res.ColMap.Ind[0] != -1 || res.ColMap.Val[1] != 1 || res.ColMap.Ind[1] != 2 {
+		t.Fatalf("output colmap: %+v", res.ColMap)
+	}
+}

@@ -66,6 +66,32 @@ type Spec struct {
 	// Window is the clustered group interval implied by Ranges, when a range
 	// column is clustered (nil otherwise).
 	Window *Window
+	// RID asks the scan to produce, after Cols, each row's position in the
+	// transaction's table image — the row id txn.UpdateAt and DeleteAt take —
+	// as a BIGINT NOT NULL column named RIDName. The binder sets it on the
+	// scan that finds the rows of an UPDATE or DELETE; exec.ColScan fills the
+	// column from the start position every positional batch source returns.
+	// The position is not stored, so it is no member of Cols: the passes that
+	// narrow or resolve Cols never see it. RID scans are serial vectorwise
+	// scans.
+	RID bool
+}
+
+// RIDName names the position pseudo-column. No SQL identifier starts with
+// '$', and the binder keeps the column out of scope, so no statement can
+// name it.
+const RIDName = "$rid"
+
+// Schema is what the scan produces: Cols, then the position column of a RID
+// scan.
+func (s *Spec) Schema() *types.Schema {
+	if !s.RID {
+		return s.Cols
+	}
+	out := &types.Schema{Cols: make([]types.Column, 0, s.Cols.Len()+1)}
+	out.Cols = append(out.Cols, s.Cols.Cols...)
+	out.Cols = append(out.Cols, types.Col(RIDName, types.Int64))
+	return out
 }
 
 // Suffix renders the range and window annotations as they trail a scan line

@@ -72,8 +72,12 @@ func OrSel(dst, a, b []int32, n int) []int32 {
 }
 
 // Invert produces positions in [0,n) absent from sel (sel sorted ascending).
-// Used by NOT and by anti-join selection logic.
+// Used by NOT and by anti-join selection logic. The result is never nil: an
+// empty complement must not read as the identity selection.
 func Invert(dst, sel []int32, n int) []int32 {
+	if dst == nil {
+		dst = []int32{}
+	}
 	dst = dst[:0]
 	j := 0
 	for i := int32(0); int(i) < n; i++ {

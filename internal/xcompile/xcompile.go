@@ -20,7 +20,7 @@ import (
 func Compile(n plan.Node) (algebra.Node, error) {
 	switch t := n.(type) {
 	case *plan.Scan:
-		return &algebra.Scan{Spec: t.Spec, Out: t.Spec.Cols}, nil
+		return &algebra.Scan{Spec: t.Spec, Out: t.Spec.Schema()}, nil
 	case *plan.Select:
 		child, err := Compile(t.Child)
 		if err != nil {
