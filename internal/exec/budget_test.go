@@ -42,6 +42,45 @@ func TestMemBudgetStopsSort(t *testing.T) {
 	}
 }
 
+// ORDER BY … LIMIT n with a huge n is a full sort: TopN charges each slot as
+// it is first filled, so the budget sees it, and a small n costs n rows.
+func TestMemBudgetStopsTopN(t *testing.T) {
+	keys := []SortKey{{Col: 0, Desc: true}}
+	ctx := NewCtx(context.Background())
+	ctx.Budget = NewMemBudget(256)
+	if _, err := Collect(ctx, NewTopN(seqOperator(10000), keys, 50_000_000)); !errors.Is(err, ErrBudget) {
+		t.Fatalf("err = %v, want ErrBudget", err)
+	}
+	ctx = NewCtx(context.Background())
+	ctx.Budget = NewMemBudget(256)
+	rows, err := Collect(ctx, NewTopN(seqOperator(10000), keys, 10))
+	if err != nil || len(rows) != 10 {
+		t.Fatalf("top 10 under the budget: %d rows, err %v", len(rows), err)
+	}
+	if used := ctx.Budget.Used(); used != 10*8 {
+		t.Fatalf("charged %d bytes for 10 BIGINT slots", used)
+	}
+}
+
+// A re-opened Sort or TopN starts from nothing: it emits its new input once.
+func TestSortAndTopNReopen(t *testing.T) {
+	keys := []SortKey{{Col: 0, Desc: true}}
+	for name, op := range map[string]Operator{
+		"Sort": NewSort(seqOperator(300), keys),
+		"TopN": NewTopN(seqOperator(300), keys, 500),
+	} {
+		for run := 0; run < 2; run++ {
+			rows, err := Collect(NewCtx(context.Background()), op)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rows) != 300 || rows[0][0].Int64() != 299 {
+				t.Fatalf("%s run %d: %d rows, first %v", name, run, len(rows), rows[0])
+			}
+		}
+	}
+}
+
 func TestMemBudgetStopsJoinBuild(t *testing.T) {
 	ctx := NewCtx(context.Background())
 	ctx.Budget = NewMemBudget(256)

@@ -490,49 +490,6 @@ func TestXchgUnionAggregate(t *testing.T) {
 	}
 }
 
-func TestXchgHashSplit(t *testing.T) {
-	src := seqSource(1000, 10)
-	parts := NewXchgHashSplit(src, []int{1}, 3)
-	results := make(chan map[int64]int64, len(parts))
-	errs := make(chan error, len(parts))
-	for _, p := range parts {
-		go func(p Operator) {
-			counts := map[int64]int64{}
-			err := Run(NewCtx(context.Background()), p, func(b *vec.Batch) error {
-				for i := 0; i < b.Rows(); i++ {
-					counts[b.GetRow(i)[1].Int64()]++
-				}
-				return nil
-			})
-			errs <- err
-			results <- counts
-		}(p)
-	}
-	merged := map[int64]int64{}
-	keyPart := map[int64]int{}
-	for pi := 0; pi < len(parts); pi++ {
-		if err := <-errs; err != nil {
-			t.Fatal(err)
-		}
-		counts := <-results
-		for k, c := range counts {
-			merged[k] += c
-			keyPart[k]++
-		}
-	}
-	if len(merged) != 10 {
-		t.Fatalf("keys: %v", merged)
-	}
-	for k, c := range merged {
-		if c != 100 {
-			t.Fatalf("key %d count %d", k, c)
-		}
-		if keyPart[k] != 1 {
-			t.Fatalf("key %d appeared in %d partitions", k, keyPart[k])
-		}
-	}
-}
-
 func TestCancellationStopsPipeline(t *testing.T) {
 	// An infinite source: Values with a huge row count would allocate, so
 	// use a custom operator.

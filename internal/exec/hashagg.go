@@ -80,17 +80,25 @@ type HashAgg struct {
 	inK     []types.Kind
 	keys    []*vec.Vector // per-group key values
 	hashes  []uint64      // per-group hash
-	heads   []int32
-	next    []int32
+	slots   []aggSlot     // open addressing, linear probing, at most half full
 	mask    uint64
 	states  []*aggState
 	nGroups int
 
 	hashBuf  []uint64
 	groupBuf []int32
+	homeBuf  []aggSlot
 	built    bool
 	emitAt   int
 	out      *vec.Batch
+}
+
+// aggSlot is one entry of the group table. The tag rejects nearly every
+// non-matching probe without touching the group's keys, so a lookup costs
+// one cache line of the table plus one of the keys.
+type aggSlot struct {
+	tag uint32 // upper half of the group's hash
+	gid int32  // group id + 1; 0 marks an empty slot
 }
 
 type aggState struct {
@@ -135,13 +143,8 @@ func (h *HashAgg) Open(ctx *Ctx) error {
 		h.keys[i] = vec.New(h.inK[g], 64)
 	}
 	h.hashes = h.hashes[:0]
-	nb := 1024
-	h.heads = make([]int32, nb)
-	for i := range h.heads {
-		h.heads[i] = -1
-	}
-	h.mask = uint64(nb - 1)
-	h.next = h.next[:0]
+	h.slots = make([]aggSlot, 1024)
+	h.mask = uint64(len(h.slots) - 1)
 	h.states = make([]*aggState, len(h.Aggs))
 	for i, a := range h.Aggs {
 		k, _ := a.ResultKind(h.inK)
@@ -183,32 +186,32 @@ func (h *HashAgg) Next() (*vec.Batch, error) {
 	}
 	h.out.Reset()
 	h.out.SetLen(n)
+	lo, hi := h.emitAt, h.emitAt+n
 	for c := range h.GroupCols {
-		h.out.Vecs[c].CopyFrom(sliceVec(h.keys[c], h.emitAt, n), nil, n)
+		h.out.Vecs[c].CopyFrom(sliceVec(h.keys[c], lo, n), nil, n)
 	}
 	base := len(h.GroupCols)
 	for ai, st := range h.states {
 		ov := h.out.Vecs[base+ai]
-		for i := 0; i < n; i++ {
-			g := h.emitAt + i
-			switch st.spec.Fn {
-			case AggCount:
-				ov.I64[i] = st.cnt[g]
-			case AggSum:
-				if st.kind == types.KindInt64 {
-					ov.I64[i] = st.sumI[g]
-				} else {
-					ov.F64[i] = st.sumF[g]
-				}
-			case AggAvg:
-				if st.cnt[g] > 0 {
-					ov.F64[i] = st.sumF[g] / float64(st.cnt[g])
+		switch st.spec.Fn {
+		case AggCount:
+			copy(ov.I64, st.cnt[lo:hi])
+		case AggSum:
+			if st.kind == types.KindInt64 {
+				copy(ov.I64, st.sumI[lo:hi])
+			} else {
+				copy(ov.F64, st.sumF[lo:hi])
+			}
+		case AggAvg:
+			for i, cnt := range st.cnt[lo:hi] {
+				if cnt > 0 {
+					ov.F64[i] = st.sumF[lo+i] / float64(cnt)
 				} else {
 					ov.F64[i] = 0
 				}
-			case AggMin, AggMax:
-				ov.Set(i, st.mm.Get(g))
 			}
+		case AggMin, AggMax:
+			ov.CopyFrom(sliceVec(st.mm, lo, n), nil, n)
 		}
 	}
 	h.emitAt += n
@@ -277,11 +280,14 @@ func (h *HashAgg) consume() error {
 		}
 		groups := h.groupBuf[:rows]
 		prevGroups := h.nGroups
-		for k := 0; k < rows; k++ {
-			phys := int32(b.RowIndex(k))
-			gid := h.findOrInsert(hv[k], b, phys)
-			groups[k] = gid
+		if len(h.slots) < wideTable {
+			for k, hash := range hv {
+				groups[k] = h.findOrInsert(hash, b, int32(b.RowIndex(k)))
+			}
+		} else {
+			h.findWide(hv, groups, b)
 		}
+		h.ensureGroups(h.nGroups)
 		if grown := h.nGroups - prevGroups; grown > 0 && h.ctx.Budget != nil {
 			// Aggregation memory grows with distinct groups, not input rows:
 			// bill the new groups' key + state footprint.
@@ -293,10 +299,11 @@ func (h *HashAgg) consume() error {
 	}
 }
 
-// groupBytes estimates the per-group footprint: key values, hash and chain
-// slots, and one state slot per aggregate.
+// groupBytes estimates the per-group footprint: key values, the hash, the
+// group's share of a table kept at most half full, and one state slot per
+// aggregate.
 func (h *HashAgg) groupBytes() int64 {
-	n := int64(16) // hash + chain link + slack
+	n := int64(8 + 4*8)
 	for _, g := range h.GroupCols {
 		if h.inK[g] == types.KindString {
 			n += 32
@@ -308,23 +315,49 @@ func (h *HashAgg) groupBytes() int64 {
 	return n
 }
 
+// wideTable is the slot count (128 KB) from which a lookup is a cache miss
+// more often than not.
+const wideTable = 1 << 14
+
+// findWide resolves a batch against a wide table. It first loads every
+// row's home slot in a loop with nothing else in it, so the cache misses
+// overlap; then resolves each row, probing on only when its home slot is not
+// its group. A slot read before this batch's inserts still names the right
+// group if it matches: groups never move.
+func (h *HashAgg) findWide(hv []uint64, groups []int32, b *vec.Batch) {
+	if cap(h.homeBuf) < len(hv) {
+		h.homeBuf = make([]aggSlot, len(hv))
+	}
+	home := h.homeBuf[:len(hv)]
+	for k, hash := range hv {
+		home[k] = h.slots[hash&h.mask]
+	}
+	for k, hash := range hv {
+		phys := int32(b.RowIndex(k))
+		if s := home[k]; s.gid != 0 && s.tag == uint32(hash>>32) && h.groupKeyEq(int(s.gid-1), b, phys) {
+			groups[k] = s.gid - 1
+			continue
+		}
+		groups[k] = h.findOrInsert(hash, b, phys)
+	}
+}
+
 func (h *HashAgg) findOrInsert(hash uint64, b *vec.Batch, phys int32) int32 {
-	bkt := hash & h.mask
-	for g := h.heads[bkt]; g >= 0; g = h.next[g] {
-		if h.hashes[g] == hash && h.groupKeyEq(int(g), b, phys) {
-			return g
+	tag := uint32(hash >> 32)
+	i := hash & h.mask
+	for ; h.slots[i].gid != 0; i = (i + 1) & h.mask {
+		if s := h.slots[i]; s.tag == tag && h.groupKeyEq(int(s.gid-1), b, phys) {
+			return s.gid - 1
 		}
 	}
 	// New group.
 	gid := int32(h.nGroups)
 	h.nGroups++
-	h.ensureGroups(h.nGroups)
+	h.slots[i] = aggSlot{tag: tag, gid: gid + 1}
 	for c, gc := range h.GroupCols {
-		h.keys[c].Append(b.Vecs[gc].Get(int(phys)))
+		h.keys[c].AppendRow(b.Vecs[gc], int(phys))
 	}
-	h.hashes = append(h.hashes, hash)
-	h.next = append(h.next, h.heads[bkt])
-	h.heads[bkt] = gid
+	h.hashes = append(reserveCap(h.hashes, 1), hash)
 	if uint64(h.nGroups)*2 > h.mask {
 		h.rehash()
 	}
@@ -362,56 +395,59 @@ func (h *HashAgg) groupKeyEq(g int, b *vec.Batch, phys int32) bool {
 }
 
 func (h *HashAgg) rehash() {
-	nb := (int(h.mask) + 1) * 2
-	h.heads = make([]int32, nb)
-	for i := range h.heads {
-		h.heads[i] = -1
-	}
-	h.mask = uint64(nb - 1)
-	for g := 0; g < h.nGroups; g++ {
-		bkt := h.hashes[g] & h.mask
-		h.next[g] = h.heads[bkt]
-		h.heads[bkt] = int32(g)
+	h.slots = make([]aggSlot, 4*len(h.slots))
+	h.mask = uint64(len(h.slots) - 1)
+	for g, hash := range h.hashes {
+		i := hash & h.mask
+		for h.slots[i].gid != 0 {
+			i = (i + 1) & h.mask
+		}
+		h.slots[i] = aggSlot{tag: uint32(hash >> 32), gid: int32(g) + 1}
 	}
 }
 
-// ensureGroups grows every aggregate state to hold n groups.
+// ensureGroups grows every aggregate state to hold n groups; called once per
+// batch, after its new groups are known and before its rows are folded.
 func (h *HashAgg) ensureGroups(n int) {
 	for _, st := range h.states {
 		switch st.spec.Fn {
 		case AggCount:
-			st.cnt = growI64(st.cnt, n)
+			st.cnt = growZero(st.cnt, n)
 		case AggSum:
 			if st.kind == types.KindInt64 {
-				st.sumI = growI64(st.sumI, n)
+				st.sumI = growZero(st.sumI, n)
 			} else {
-				st.sumF = growF64(st.sumF, n)
+				st.sumF = growZero(st.sumF, n)
 			}
 		case AggAvg:
-			st.sumF = growF64(st.sumF, n)
-			st.cnt = growI64(st.cnt, n)
+			st.sumF = growZero(st.sumF, n)
+			st.cnt = growZero(st.cnt, n)
 		case AggMin, AggMax:
-			st.mm.Grow(n * 2)
+			st.mm.Reserve(n - st.mm.Len())
 			st.mm.SetLen(n)
-			for len(st.seen) < n {
-				st.seen = append(st.seen, false)
-			}
+			st.seen = growZero(st.seen, n)
 		}
 	}
 }
 
-func growI64(s []int64, n int) []int64 {
-	for len(s) < n {
-		s = append(s, 0)
+// reserveCap returns s with room for extra more elements; capacity at least
+// doubles when it has to grow, and the spare part is zero.
+func reserveCap[T any](s []T, extra int) []T {
+	if cap(s)-len(s) >= extra {
+		return s
 	}
-	return s
+	ns := make([]T, len(s), max(len(s)+extra, 2*cap(s)))
+	copy(ns, s)
+	return ns
 }
 
-func growF64(s []float64, n int) []float64 {
-	for len(s) < n {
-		s = append(s, 0)
+// growZero extends s with zero values to length n. Nothing writes past the
+// length of a state slice, so its spare capacity is still zero.
+func growZero[T any](s []T, n int) []T {
+	if n <= len(s) {
+		return s
 	}
-	return s
+	return reserveCap(s, n-len(s))[:n]
 }
 
 // fold applies one batch's rows to the aggregate states. groups is parallel

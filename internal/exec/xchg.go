@@ -2,7 +2,6 @@ package exec
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"vectorwise/internal/types"
 	"vectorwise/internal/vec"
@@ -138,161 +137,4 @@ func (x *XchgUnion) Close() {
 	}
 	x.wg.Wait()
 	x.opened = false
-}
-
-// XchgHashSplit partitions one input stream into P output operators by the
-// hash of key columns; each partition can then feed an independent plan
-// fragment (partitioned joins/aggregations).
-type XchgHashSplit struct {
-	Input   Operator
-	KeyCols []int
-	P       int
-
-	parts    []*splitPart
-	once     sync.Once
-	err      error
-	stop     chan struct{}
-	stopOnce sync.Once
-	started  atomic.Bool
-}
-
-type splitPart struct {
-	parent *XchgHashSplit
-	ch     chan *vec.Batch
-	ctx    *Ctx
-}
-
-// NewXchgHashSplit builds the splitter and returns its P partition
-// operators. The input is driven by a single goroutine started lazily when
-// the first partition is opened; all partitions must be consumed (each by
-// exactly one reader).
-func NewXchgHashSplit(input Operator, keyCols []int, p int) []Operator {
-	x := &XchgHashSplit{Input: input, KeyCols: keyCols, P: p, stop: make(chan struct{})}
-	out := make([]Operator, p)
-	x.parts = make([]*splitPart, p)
-	for i := 0; i < p; i++ {
-		x.parts[i] = &splitPart{parent: x, ch: make(chan *vec.Batch, 4)}
-		out[i] = x.parts[i]
-	}
-	return out
-}
-
-// Kinds implements Operator.
-func (s *splitPart) Kinds() []types.Kind { return s.parent.Input.Kinds() }
-
-// Open implements Operator.
-func (s *splitPart) Open(ctx *Ctx) error {
-	s.ctx = ctx
-	s.parent.once.Do(func() {
-		s.parent.started.Store(true)
-		go s.parent.drive(ctx)
-	})
-	return nil
-}
-
-func (x *XchgHashSplit) drive(ctx *Ctx) {
-	defer func() {
-		for _, p := range x.parts {
-			close(p.ch)
-		}
-	}()
-	if err := x.Input.Open(ctx); err != nil {
-		x.err = err
-		return
-	}
-	defer x.Input.Close()
-	kinds := x.Input.Kinds()
-	// Per-partition accumulation buffers.
-	accs := make([]*vec.Batch, x.P)
-	for i := range accs {
-		accs[i] = vec.NewBatch(kinds, ctx.vecSize())
-	}
-	flush := func(i int) bool {
-		if accs[i].Full() == 0 {
-			return true
-		}
-		select {
-		case x.parts[i].ch <- accs[i]:
-			accs[i] = vec.NewBatch(kinds, ctx.vecSize())
-			return true
-		case <-x.stop:
-			return false
-		case <-ctx.Ctx.Done():
-			return false
-		}
-	}
-	var hashBuf []uint64
-	for {
-		b, err := x.Input.Next()
-		if err != nil {
-			x.err = err
-			return
-		}
-		if b == nil {
-			break
-		}
-		rows := b.Rows()
-		if rows == 0 {
-			continue
-		}
-		if cap(hashBuf) < rows {
-			hashBuf = make([]uint64, rows)
-		}
-		hv := hashBuf[:rows]
-		if err := hashKeys(hv, b.Vecs, x.KeyCols, b.Sel, b.Full()); err != nil {
-			x.err = err
-			return
-		}
-		for k := 0; k < rows; k++ {
-			part := int(hv[k] % uint64(x.P))
-			phys := b.RowIndex(k)
-			acc := accs[part]
-			at := acc.Full()
-			for c := range acc.Vecs {
-				acc.Vecs[c].Grow(at + 1)
-				acc.Vecs[c].SetLen(at + 1)
-				acc.Vecs[c].Set(at, b.Vecs[c].Get(phys))
-			}
-			acc.ForceLen(at + 1)
-			if at+1 >= ctx.vecSize() {
-				if !flush(part) {
-					return
-				}
-			}
-		}
-	}
-	for i := range accs {
-		if !flush(i) {
-			return
-		}
-	}
-}
-
-// Next implements Operator.
-func (s *splitPart) Next() (*vec.Batch, error) {
-	select {
-	case b, ok := <-s.ch:
-		if !ok {
-			if s.parent.err != nil {
-				return nil, s.parent.err
-			}
-			return nil, nil
-		}
-		return b, nil
-	case <-s.ctx.Ctx.Done():
-		return nil, s.ctx.poll()
-	}
-}
-
-// Close implements Operator: stops the driver and drains this part until
-// the driver closes it. The old implementation spawned an unconditional
-// drain goroutine, which leaked forever when the driver never started (no
-// partition opened) or stayed blocked on a sibling partition.
-func (s *splitPart) Close() {
-	s.parent.stopOnce.Do(func() { close(s.parent.stop) })
-	if !s.parent.started.Load() {
-		return
-	}
-	for range s.ch {
-	}
 }

@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"fmt"
 	"sync"
 
 	"vectorwise/internal/types"
@@ -24,7 +23,7 @@ type XchgMerge struct {
 	stop    chan struct{}
 	stopped sync.Once
 	opened  bool
-	cmp     func(a *vec.Batch, ai int, b *vec.Batch, bi int) int
+	cmp     rowCmp
 	out     *vec.Batch
 	done    bool
 }
@@ -52,7 +51,7 @@ func (x *XchgMerge) Open(ctx *Ctx) error {
 	x.stopped = sync.Once{}
 	x.done = false
 	x.opened = true
-	cmp, err := cmpBatchRows(x.Kinds(), x.Keys)
+	cmp, err := newRowCmp(x.Kinds(), x.Keys)
 	if err != nil {
 		return err
 	}
@@ -159,8 +158,10 @@ func (x *XchgMerge) Next() (*vec.Batch, error) {
 			if s.done {
 				continue
 			}
-			if best < 0 || x.cmp(s.cur, s.cur.RowIndex(s.pos), x.streams[best].cur,
-				x.streams[best].cur.RowIndex(x.streams[best].pos)) < 0 {
+			if best < 0 {
+				best = i
+			} else if lead := x.streams[best]; x.cmp(s.cur.Vecs, s.cur.RowIndex(s.pos),
+				lead.cur.Vecs, lead.cur.RowIndex(lead.pos)) < 0 {
 				best = i
 			}
 		}
@@ -171,7 +172,7 @@ func (x *XchgMerge) Next() (*vec.Batch, error) {
 		s := x.streams[best]
 		phys := s.cur.RowIndex(s.pos)
 		for c := range x.out.Vecs {
-			x.out.Vecs[c].Append(s.cur.Vecs[c].Get(phys))
+			x.out.Vecs[c].AppendRow(s.cur.Vecs[c], phys)
 		}
 		s.pos++
 		n++
@@ -200,58 +201,4 @@ func (x *XchgMerge) Close() {
 	}
 	x.wg.Wait()
 	x.opened = false
-}
-
-// cmpBatchRows builds a cross-batch row comparator over the sort keys —
-// the merge needs to order rows living in different children's batches,
-// which cmpRows (single-store) cannot express.
-func cmpBatchRows(kinds []types.Kind, keys []SortKey) (func(a *vec.Batch, ai int, b *vec.Batch, bi int) int, error) {
-	cmps := make([]func(a *vec.Batch, ai int, b *vec.Batch, bi int) int, len(keys))
-	for i, k := range keys {
-		col := k.Col
-		sign := 1
-		if k.Desc {
-			sign = -1
-		}
-		switch kinds[col] {
-		case types.KindBool:
-			cmps[i] = func(a *vec.Batch, ai int, b *vec.Batch, bi int) int {
-				x, y := a.Vecs[col].Bool[ai], b.Vecs[col].Bool[bi]
-				switch {
-				case x == y:
-					return 0
-				case !x:
-					return -sign
-				default:
-					return sign
-				}
-			}
-		case types.KindInt32, types.KindDate:
-			cmps[i] = func(a *vec.Batch, ai int, b *vec.Batch, bi int) int {
-				return sign * cmpOrd(a.Vecs[col].I32[ai], b.Vecs[col].I32[bi])
-			}
-		case types.KindInt64:
-			cmps[i] = func(a *vec.Batch, ai int, b *vec.Batch, bi int) int {
-				return sign * cmpOrd(a.Vecs[col].I64[ai], b.Vecs[col].I64[bi])
-			}
-		case types.KindFloat64:
-			cmps[i] = func(a *vec.Batch, ai int, b *vec.Batch, bi int) int {
-				return sign * cmpOrd(a.Vecs[col].F64[ai], b.Vecs[col].F64[bi])
-			}
-		case types.KindString:
-			cmps[i] = func(a *vec.Batch, ai int, b *vec.Batch, bi int) int {
-				return sign * cmpOrd(a.Vecs[col].Str[ai], b.Vecs[col].Str[bi])
-			}
-		default:
-			return nil, fmt.Errorf("exec: merge on kind %v", kinds[col])
-		}
-	}
-	return func(a *vec.Batch, ai int, b *vec.Batch, bi int) int {
-		for _, c := range cmps {
-			if r := c(a, ai, b, bi); r != 0 {
-				return r
-			}
-		}
-		return 0
-	}, nil
 }

@@ -498,7 +498,7 @@ func (s *SortRow) Open(ctx context.Context) error {
 			case b.Null:
 				return k.Desc
 			}
-			c := types.Compare(a, b)
+			c := types.CompareOrder(a, b)
 			if c == 0 {
 				continue
 			}

@@ -139,6 +139,38 @@ func Compare(a, b Value) int {
 	}
 }
 
+// CompareFloat64 is the sort order of DOUBLE: the usual order on numbers
+// (-0 equals +0), with NaN equal to itself and after every number, as in
+// PostgreSQL. Unlike <, it is a total order, which sorting needs.
+func CompareFloat64(x, y float64) int {
+	switch {
+	case x < y:
+		return -1
+	case x > y:
+		return 1
+	case x == y:
+		return 0
+	}
+	// At least one side is NaN.
+	switch xn, yn := x != x, y != y; {
+	case xn && yn:
+		return 0
+	case xn:
+		return 1
+	default:
+		return -1
+	}
+}
+
+// CompareOrder is Compare for sorting: floats follow CompareFloat64, so the
+// result is a total order even when a column holds NaN.
+func CompareOrder(a, b Value) int {
+	if a.Kind == KindFloat64 || b.Kind == KindFloat64 {
+		return CompareFloat64(a.AsFloat(), b.AsFloat())
+	}
+	return Compare(a, b)
+}
+
 // Equal reports SQL equality of two values; NULL is not equal to anything
 // (including NULL) — three-valued logic is handled above this helper.
 func Equal(a, b Value) bool {

@@ -104,6 +104,43 @@ func TestGatherAppend(t *testing.T) {
 	}
 }
 
+// Appending a vector at a time must reallocate O(log n) times — a store that
+// grew to exactly what each append needs would copy itself once per vector —
+// and typed row copies must agree with the boxed ones on every kind.
+func TestAppendsAreAmortisedAndTyped(t *testing.T) {
+	vals := []types.Value{types.NewBool(true), types.NewInt32(-7), types.NewInt64(1 << 40),
+		types.NewFloat64(2.5), types.NewString("x"), types.NewDate(9000)}
+	for _, val := range vals {
+		src := New(val.Kind, 64)
+		src.Fill(val, 64)
+		dst := New(val.Kind, 0)
+		reallocs, prevCap := 0, dst.Cap()
+		for i := 0; i < 1024; i++ {
+			if i%2 == 0 {
+				dst.AppendVector(src)
+			} else {
+				dst.GatherFrom(src, []int32{5, 6, 7})
+			}
+			dst.AppendRow(src, 3)
+			if dst.Cap() != prevCap {
+				reallocs, prevCap = reallocs+1, dst.Cap()
+			}
+		}
+		if want := 512*64 + 512*3 + 1024; dst.Len() != want {
+			t.Fatalf("%v: len %d, want %d", val.Kind, dst.Len(), want)
+		}
+		if reallocs > 20 {
+			t.Fatalf("%v: %d reallocations for %d values", val.Kind, reallocs, dst.Len())
+		}
+		dst.CopyRow(0, src, 1)
+		for _, i := range []int{0, 64, dst.Len() - 1} {
+			if got := dst.Get(i); got != val {
+				t.Fatalf("%v: value %d = %v, want %v", val.Kind, i, got, val)
+			}
+		}
+	}
+}
+
 func TestSetLenBeyondCapPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

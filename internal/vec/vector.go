@@ -151,16 +151,63 @@ func (v *Vector) Set(i int, val types.Value) {
 	}
 }
 
+// Reserve makes room for extra more values after the live ones. Capacity at
+// least doubles when it grows, so a store built by repeated appends copies
+// each value about once; only the live values survive a reallocation.
+func (v *Vector) Reserve(extra int) {
+	if v.Cap()-v.n >= extra {
+		return
+	}
+	switch v.Kind {
+	case types.KindBool:
+		v.Bool = reserve(v.Bool, v.n, extra)
+	case types.KindInt32, types.KindDate:
+		v.I32 = reserve(v.I32, v.n, extra)
+	case types.KindInt64:
+		v.I64 = reserve(v.I64, v.n, extra)
+	case types.KindFloat64:
+		v.F64 = reserve(v.F64, v.n, extra)
+	case types.KindString:
+		v.Str = reserve(v.Str, v.n, extra)
+	}
+}
+
+// reserve reallocates s to hold its n live values plus extra, or twice n if
+// that is more; the slice's length stays its capacity, as everywhere in
+// Vector.
+func reserve[T any](s []T, n, extra int) []T {
+	s = append(s[:n:n], make([]T, max(extra, n))...)
+	return s[:cap(s)]
+}
+
 // Append adds a boxed value at the end, growing if needed; slow path.
 func (v *Vector) Append(val types.Value) {
-	if v.n == v.Cap() {
-		n := v.Cap() * 2
-		if n < 16 {
-			n = 16
-		}
-		v.Grow(n)
-	}
+	v.Reserve(1)
 	v.Set(v.n, val)
+	v.n++
+}
+
+// CopyRow stores src[j] at position i: the typed single-value copy of
+// operators that keep rows in slots (top-N).
+func (v *Vector) CopyRow(i int, src *Vector, j int) {
+	switch v.Kind {
+	case types.KindBool:
+		v.Bool[i] = src.Bool[j]
+	case types.KindInt32, types.KindDate:
+		v.I32[i] = src.I32[j]
+	case types.KindInt64:
+		v.I64[i] = src.I64[j]
+	case types.KindFloat64:
+		v.F64[i] = src.F64[j]
+	case types.KindString:
+		v.Str[i] = src.Str[j]
+	}
+}
+
+// AppendRow appends src[j] (group keys, merged streams).
+func (v *Vector) AppendRow(src *Vector, j int) {
+	v.Reserve(1)
+	v.CopyRow(v.n, src, j)
 	v.n++
 }
 
@@ -250,7 +297,7 @@ func (v *Vector) CopyFrom(src *Vector, sel []int32, n int) *Vector {
 func (v *Vector) GatherFrom(src *Vector, idx []int32) {
 	base := v.n
 	n := len(idx)
-	v.Grow(base + n)
+	v.Reserve(n)
 	switch v.Kind {
 	case types.KindBool:
 		for i, j := range idx {
@@ -280,7 +327,7 @@ func (v *Vector) GatherFrom(src *Vector, idx []int32) {
 func (v *Vector) AppendVector(src *Vector) {
 	base := v.n
 	n := src.n
-	v.Grow(base + n)
+	v.Reserve(n)
 	switch v.Kind {
 	case types.KindBool:
 		copy(v.Bool[base:], src.Bool[:n])
