@@ -35,7 +35,8 @@ var (
 // codecs to find structure, small enough for effective min/max skipping.
 const BlockRows = 16384
 
-// Block is one compressed column slice plus its summary.
+// Block is one compressed column slice plus its summary. Data is a view
+// into the row group's frame (see appendFrame) and must not be written.
 type Block struct {
 	Rows  int
 	Codec compress.Codec
@@ -57,6 +58,7 @@ type Table struct {
 	mu     sync.RWMutex
 	schema *types.Schema
 	cols   []Column
+	frames [][]byte // per row group: the bytes every Block.Data of the group aliases
 	rows   int64
 	// clustered[c] records that column c's blocks are ascending and
 	// non-overlapping (prev.Max <= next.Min), i.e. its zone maps form an
@@ -316,17 +318,21 @@ func (a *Appender) Flush() error {
 	t := a.t
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	blks := make([]Block, len(t.cols))
 	for c := range t.cols {
-		blk, err := encodeBlock(t.cols[c].Type.Kind, a.buf.Vecs[c], n)
-		if err != nil {
+		var err error
+		if blks[c], err = encodeBlock(t.cols[c].Type.Kind, a.buf.Vecs[c], n); err != nil {
 			return err
 		}
+	}
+	for c, blk := range blks {
 		if prev := t.cols[c].Blocks; len(prev) > 0 && t.clustered[c] &&
 			types.Compare(blk.Min, prev[len(prev)-1].Max) < 0 {
 			t.clustered[c] = false
 		}
 		t.cols[c].Blocks = append(t.cols[c].Blocks, blk)
 	}
+	t.appendFrame()
 	t.rows += int64(n)
 	mRowsAppended.Add(int64(n))
 	mGroupsFlushed.Inc()
@@ -433,51 +439,33 @@ func minMaxI64(vals []int64) (int64, int64) {
 	return lo, hi
 }
 
-// decodeBlock decompresses a block into dst (reusing its storage). Kinds
-// narrower than the codecs' int64 stage through scratch, which the caller
-// owns and gets back, grown if this block needed more room.
-func decodeBlock(kind types.Kind, blk *Block, dst *vec.Vector, scratch []int64) ([]int64, error) {
-	dst.Grow(blk.Rows)
-	dst.SetLen(blk.Rows)
+// decodeBlock decompresses the rows-row block data straight into dst's typed
+// storage (grown if needed). data must hold exactly that one block: a row
+// count other than rows, or bytes left over, is corruption.
+func decodeBlock(kind types.Kind, data []byte, rows int, dst *vec.Vector, strs *compress.StringDecoder) error {
+	dst.Grow(rows)
+	dst.SetLen(rows)
+	var rest []byte
+	var err error
 	switch kind {
 	case types.KindInt64:
-		got, _, err := compress.DecodeInt64(dst.I64[:0], blk.Data)
-		if err != nil {
-			return scratch, err
-		}
-		if len(got) > 0 && len(dst.I64) > 0 && &got[0] != &dst.I64[0] {
-			copy(dst.I64, got)
-		}
-	case types.KindInt32, types.KindDate, types.KindFloat64, types.KindBool:
-		tmp, _, err := compress.DecodeInt64(scratch[:0], blk.Data)
-		if err != nil {
-			return scratch, err
-		}
-		scratch = tmp
-		switch kind {
-		case types.KindFloat64:
-			for i, v := range tmp {
-				dst.F64[i] = math.Float64frombits(uint64(v))
-			}
-		case types.KindBool:
-			for i, v := range tmp {
-				dst.Bool[i] = v != 0
-			}
-		default:
-			for i, v := range tmp {
-				dst.I32[i] = int32(v)
-			}
-		}
+		rest, err = compress.DecodeInts(dst.I64[:rows], data)
+	case types.KindInt32, types.KindDate:
+		rest, err = compress.DecodeInts(dst.I32[:rows], data)
+	case types.KindFloat64:
+		rest, err = compress.DecodeFloat64s(dst.F64[:rows], data)
+	case types.KindBool:
+		rest, err = compress.DecodeBools(dst.Bool[:rows], data)
 	case types.KindString:
-		got, _, err := compress.DecodeString(dst.Str[:0], blk.Data)
-		if err != nil {
-			return scratch, err
-		}
-		if len(got) > 0 && len(dst.Str) > 0 && &got[0] != &dst.Str[0] {
-			copy(dst.Str, got)
-		}
+		rest, err = strs.Decode(dst.Str[:rows], data)
 	default:
-		return scratch, fmt.Errorf("colstore: cannot decode kind %v", kind)
+		return fmt.Errorf("colstore: cannot decode kind %v", kind)
 	}
-	return scratch, nil
+	if err != nil {
+		return err
+	}
+	if len(rest) != 0 {
+		return fmt.Errorf("%w: %d bytes after the block", compress.ErrCorrupt, len(rest))
+	}
+	return nil
 }

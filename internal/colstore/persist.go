@@ -337,6 +337,18 @@ func LoadFS(fs fsim.FS, path string) (*Table, error) {
 			t.cols[i].Blocks = append(t.cols[i].Blocks, blk)
 		}
 	}
+	// The file stores blocks column by column; memory holds them group by
+	// group, each group's blocks inside its one frame.
+	for i := range t.cols {
+		if len(t.cols[i].Blocks) != len(t.cols[0].Blocks) {
+			return nil, fmt.Errorf("%w: %s: column %q has %d row groups, column %q has %d",
+				ErrCorrupt, path, schema.Cols[i].Name, len(t.cols[i].Blocks),
+				schema.Cols[0].Name, len(t.cols[0].Blocks))
+		}
+	}
+	for g := t.NumBlocks(); g > 0; g-- {
+		t.appendFrame()
+	}
 	if version == 1 {
 		// Pre-marker files: derive the markers from the summaries.
 		t.RefreshClustered()

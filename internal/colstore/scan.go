@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"vectorwise/internal/compress"
 	"vectorwise/internal/metrics"
 	"vectorwise/internal/types"
 	"vectorwise/internal/vec"
@@ -41,7 +42,7 @@ type Scanner struct {
 	rowBase   int64
 	prefix    []int64       // per-group starting SIDs (built on first SeekGroup)
 	decoded   []*vec.Vector // decoded vectors per projected column
-	scratch   []int64       // decode staging for kinds narrower than int64, reused across blocks
+	strs      compress.StringDecoder
 	loaded    bool
 	skipped   int
 	total     int // row groups this scanner covers (its partition)
@@ -50,10 +51,12 @@ type Scanner struct {
 
 	// When src is set, group bytes come through the buffer manager instead
 	// of the block snapshot; pending holds the current group's per-column
-	// payloads (delivered out of band via SeekGroupData, or fetched lazily).
-	src     BlockSource
-	srcCtx  context.Context
-	pending [][]byte
+	// payloads (delivered out of band via SeekGroupData, or fetched lazily)
+	// while havePending is set, and keeps its storage between groups.
+	src         BlockSource
+	srcCtx      context.Context
+	pending     [][]byte
+	havePending bool
 }
 
 // RangeFilter restricts a column to [Lo, Hi] (inclusive; either may be nil
@@ -101,7 +104,7 @@ func (s *Scanner) SeekGroup(g int) {
 	s.limit = g + 1
 	s.offset = 0
 	s.loaded = false
-	s.pending = nil
+	s.havePending = false
 	s.rowBase = s.prefix[g]
 	s.total++
 }
@@ -123,11 +126,16 @@ func (s *Scanner) SetBlockSource(ctx context.Context, src BlockSource) {
 // hands the scanner its bytes directly.
 func (s *Scanner) SeekGroupData(g int, payload []byte) error {
 	s.SeekGroup(g)
-	cols, err := DecodeGroupPayloads(payload, len(s.blocks))
+	return s.setPending(payload)
+}
+
+// setPending splits a group frame into the scanner's per-column payloads.
+func (s *Scanner) setPending(frame []byte) error {
+	cols, err := splitFrame(s.pending, frame, len(s.blocks))
 	if err != nil {
 		return err
 	}
-	s.pending = cols
+	s.pending, s.havePending = cols, true
 	return nil
 }
 
@@ -262,29 +270,28 @@ func (s *Scanner) Next(b *vec.Batch) (start int64, n int, done bool, err error) 
 				mBytesSkipped.Add(bytes)
 				continue
 			}
-			if s.src != nil && s.pending == nil && len(s.cols) > 0 {
-				payload, err := s.src.FetchGroup(s.srcCtx, s.group)
+			if s.src != nil && !s.havePending && len(s.cols) > 0 {
+				frame, err := s.src.FetchGroup(s.srcCtx, s.group)
 				if err != nil {
 					return 0, 0, false, err
 				}
-				cols, err := DecodeGroupPayloads(payload, len(s.blocks))
-				if err != nil {
+				if err := s.setPending(frame); err != nil {
 					return 0, 0, false, err
 				}
-				s.pending = cols
 			}
 			var decoded int64
 			for i, c := range s.cols {
+				// The snapshot supplies the row count either way; the bytes
+				// are the snapshot's own or the buffer manager's.
 				blk := &s.blocks[c][s.group]
-				if s.pending != nil {
-					// Same metadata, buffer-manager bytes: the snapshot still
-					// supplies the row count, the payload the encoded data.
-					blk = &Block{Rows: blk.Rows, Codec: blk.Codec, Data: s.pending[c]}
+				data := blk.Data
+				if s.havePending {
+					data = s.pending[c]
 				}
-				if s.scratch, err = decodeBlock(s.t.cols[c].Type.Kind, blk, s.decoded[i], s.scratch); err != nil {
+				if err := decodeBlock(s.t.cols[c].Type.Kind, data, blk.Rows, s.decoded[i], &s.strs); err != nil {
 					return 0, 0, false, err
 				}
-				decoded += int64(len(blk.Data))
+				decoded += int64(len(data))
 			}
 			s.decBytes += decoded
 			mGroupsScanned.Inc()
@@ -310,7 +317,7 @@ func (s *Scanner) Next(b *vec.Batch) (start int64, n int, done bool, err error) 
 			s.group++
 			s.offset = 0
 			s.loaded = false
-			s.pending = nil
+			s.havePending = false
 			s.rowBase += int64(gRows)
 		}
 		return start, n, false, nil

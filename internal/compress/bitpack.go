@@ -23,60 +23,41 @@ func packedLen(n int, w uint) int {
 	return (bits + 63) / 64 * 8
 }
 
-// packBits appends n w-bit values to dst.
-func packBits(dst []byte, vals []uint64, w uint) []byte {
-	if w == 0 {
-		return dst
-	}
-	var acc uint64
-	var nbits uint
-	for _, v := range vals {
-		acc |= (v & widthMask(w)) << nbits
-		nbits += w
-		for nbits >= 64 {
-			dst = binary.LittleEndian.AppendUint64(dst, acc)
-			nbits -= 64
-			if nbits > 0 {
-				acc = v >> (w - nbits)
-			} else {
-				acc = 0
-			}
-		}
-	}
-	if nbits > 0 {
-		dst = binary.LittleEndian.AppendUint64(dst, acc)
-	}
-	return dst
+// bitPacker appends w-bit values to dst one at a time, so an encoder packs
+// its codes as it computes them instead of staging them in a slice.
+type bitPacker struct {
+	dst   []byte
+	w     uint
+	acc   uint64
+	nbits uint
 }
 
-// unpackBits decodes n w-bit values from src into dst[:n].
-func unpackBits(dst []uint64, src []byte, n int, w uint) {
-	if w == 0 {
-		for i := 0; i < n; i++ {
-			dst[i] = 0
-		}
+// put appends the low w bits of v.
+func (p *bitPacker) put(v uint64) {
+	if p.w == 0 {
 		return
 	}
-	mask := widthMask(w)
-	var acc uint64
-	var nbits uint
-	word := 0
-	for i := 0; i < n; i++ {
-		if nbits < w {
-			next := binary.LittleEndian.Uint64(src[word*8:])
-			word++
-			v := (acc | next<<nbits) & mask
-			dst[i] = v
-			used := w - nbits
-			acc = next >> used
-			nbits = 64 - used
-			// Keep acc's live bits only; high garbage is masked on use.
-		} else {
-			dst[i] = acc & mask
-			acc >>= w
-			nbits -= w
+	v &= widthMask(p.w)
+	p.acc |= v << p.nbits
+	p.nbits += p.w
+	if p.nbits >= 64 {
+		p.dst = binary.LittleEndian.AppendUint64(p.dst, p.acc)
+		p.nbits -= 64
+		// The bits of v that did not fit (none when it ended on the word
+		// boundary: a shift by w yields 0 only below 64, hence the branch).
+		p.acc = 0
+		if p.nbits > 0 {
+			p.acc = v >> (p.w - p.nbits)
 		}
 	}
+}
+
+// finish pads the last word with zero bits and returns dst.
+func (p *bitPacker) finish() []byte {
+	if p.nbits > 0 {
+		p.dst = binary.LittleEndian.AppendUint64(p.dst, p.acc)
+	}
+	return p.dst
 }
 
 func widthMask(w uint) uint64 {

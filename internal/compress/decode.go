@@ -1,0 +1,358 @@
+package compress
+
+import (
+	"encoding/binary"
+	"unsafe"
+)
+
+// Decoding. One typed kernel per codec writes into a destination the caller
+// owns: the block's row count must equal len(dst), so the destination — not
+// a number read from the block — bounds every write and nothing is
+// allocated. The DecodeInt64/DecodePFOR/… functions are thin wrappers that
+// size a destination from the header and run the same kernels.
+//
+// Blocks are untrusted bytes (a file may be corrupt or hostile): every
+// length is compared as uint64 before it is converted, and a kernel returns
+// ErrCorrupt rather than panic whatever src holds. After an error dst holds
+// unspecified values.
+
+// MaxBlockRows bounds the row count the allocating wrappers accept, so a
+// forged header cannot ask for an arbitrary allocation (a width-0 block
+// legitimately encodes any number of rows in a few bytes). The typed kernels
+// need no such bound: len(dst) is one.
+const MaxBlockRows = 1 << 20
+
+// DecodeInts decodes the integer block at the head of src into dst,
+// dispatching on its codec byte, and returns the unconsumed remainder of
+// src. The block must hold exactly len(dst) values.
+func DecodeInts[T Int](dst []T, src []byte) ([]byte, error) {
+	if len(src) == 0 {
+		return nil, ErrCorrupt
+	}
+	countDecode(Codec(src[0]), len(src))
+	switch Codec(src[0]) {
+	case None:
+		return decodeNone(dst, src)
+	case PFOR:
+		return decodePFOR(dst, src)
+	case PFORDelta:
+		return decodePFORDelta(dst, src)
+	case RLE:
+		return decodeRLE(dst, src)
+	default:
+		return nil, ErrCorrupt
+	}
+}
+
+// DecodeFloat64s decodes an integer block of IEEE 754 bit patterns into dst.
+func DecodeFloat64s(dst []float64, src []byte) ([]byte, error) {
+	return DecodeInts(unsafe.Slice((*int64)(unsafe.Pointer(unsafe.SliceData(dst))), len(dst)), src)
+}
+
+// DecodeBools decodes an integer block of 0/1 values into dst. Any other
+// value (judged by its low byte) is corruption: a bool must not hold it.
+func DecodeBools(dst []bool, src []byte) ([]byte, error) {
+	raw := unsafe.Slice((*int8)(unsafe.Pointer(unsafe.SliceData(dst))), len(dst))
+	rest, err := DecodeInts(raw, src)
+	if err == nil {
+		var seen int8
+		for _, b := range raw {
+			seen |= b
+		}
+		if seen&^1 != 0 {
+			err = ErrCorrupt
+		}
+	}
+	if err != nil {
+		clear(raw)
+		return nil, err
+	}
+	return rest, nil
+}
+
+// blockHeader checks the codec byte and reads the row count, which must be
+// exactly want.
+func blockHeader(src []byte, c Codec, want int) ([]byte, bool) {
+	if len(src) == 0 || Codec(src[0]) != c {
+		return nil, false
+	}
+	n, rest, ok := getUvarint(src[1:])
+	return rest, ok && n == uint64(want)
+}
+
+func decodePFOR[T Int](dst []T, src []byte) ([]byte, error) {
+	src, ok := blockHeader(src, PFOR, len(dst))
+	if !ok {
+		return nil, ErrCorrupt
+	}
+	n := len(dst)
+	if n == 0 {
+		return src, nil
+	}
+	baseU, src, ok := getUvarint(src)
+	if !ok || len(src) < 1 {
+		return nil, ErrCorrupt
+	}
+	w := uint(src[0])
+	nExc, src, ok := getUvarint(src[1:])
+	if !ok || w > 64 {
+		return nil, ErrCorrupt
+	}
+	packed := packedLen(n, w)
+	if len(src) < packed {
+		return nil, ErrCorrupt
+	}
+	unpack(dst, src[:packed], w, uint64(unzigzag(baseU)))
+	src = src[packed:]
+	// Patch phase. Each exception consumes input, so a forged count ends in
+	// a truncation error, not a long loop.
+	pos := 0
+	for ; nExc > 0; nExc-- {
+		dp, rest, ok := getUvarint(src)
+		if !ok {
+			return nil, ErrCorrupt
+		}
+		v, rest, ok := getUvarint(rest)
+		if !ok || dp >= uint64(n-pos) {
+			return nil, ErrCorrupt
+		}
+		src = rest
+		pos += int(dp)
+		dst[pos] = T(unzigzag(v))
+	}
+	return src, nil
+}
+
+// decodePFORDelta decodes the deltas into dst[1:] and prefix-sums in place.
+// The sum runs in T: wrapping addition commutes with narrowing.
+func decodePFORDelta[T Int](dst []T, src []byte) ([]byte, error) {
+	src, ok := blockHeader(src, PFORDelta, len(dst))
+	if !ok {
+		return nil, ErrCorrupt
+	}
+	if len(dst) == 0 {
+		return src, nil
+	}
+	firstU, src, ok := getUvarint(src)
+	if !ok {
+		return nil, ErrCorrupt
+	}
+	src, err := decodePFOR(dst[1:], src)
+	if err != nil {
+		return nil, err
+	}
+	acc := T(unzigzag(firstU))
+	dst[0] = acc
+	for i, d := range dst[1:] {
+		acc += d
+		dst[i+1] = acc
+	}
+	return src, nil
+}
+
+func decodeRLE[T Int](dst []T, src []byte) ([]byte, error) {
+	src, ok := blockHeader(src, RLE, len(dst))
+	if !ok {
+		return nil, ErrCorrupt
+	}
+	for at := 0; at < len(dst); {
+		vU, rest, ok := getUvarint(src)
+		if !ok {
+			return nil, ErrCorrupt
+		}
+		run, rest, ok := getUvarint(rest)
+		if !ok || run == 0 || run > uint64(len(dst)-at) {
+			return nil, ErrCorrupt
+		}
+		src = rest
+		v := T(unzigzag(vU))
+		fill := dst[at : at+int(run)]
+		for i := range fill {
+			fill[i] = v
+		}
+		at += int(run)
+	}
+	return src, nil
+}
+
+func decodeNone[T Int](dst []T, src []byte) ([]byte, error) {
+	src, ok := blockHeader(src, None, len(dst))
+	if !ok || len(src) < 8*len(dst) {
+		return nil, ErrCorrupt
+	}
+	raw := src[:8*len(dst)]
+	for i := range dst {
+		dst[i] = T(binary.LittleEndian.Uint64(raw[8*i:]))
+	}
+	return src[len(raw):], nil
+}
+
+// StringDecoder decodes string blocks. It keeps its dictionary slots from
+// block to block, and a block's strings are slices of one string made from
+// the block's text region (the dictionary entries, or the raw values), so a
+// decoder in steady state allocates once per block. The zero value is ready
+// to use; a StringDecoder must not be used concurrently.
+type StringDecoder struct {
+	dict []string
+}
+
+// Decode decodes the string block at the head of src into dst, dispatching
+// on its codec byte, and returns the unconsumed remainder of src. The block
+// must hold exactly len(dst) values.
+func (d *StringDecoder) Decode(dst []string, src []byte) ([]byte, error) {
+	if len(src) == 0 {
+		return nil, ErrCorrupt
+	}
+	countDecode(Codec(src[0]), len(src))
+	switch Codec(src[0]) {
+	case None:
+		return decodeStringRaw(dst, src)
+	case PDict:
+		return d.decodePDict(dst, src)
+	default:
+		return nil, ErrCorrupt
+	}
+}
+
+// sliceStrings reads len(dst) entries, each a uvarint length and that many
+// bytes, from the head of src. It turns the whole region into one string
+// and points dst at the entries inside it.
+func sliceStrings(dst []string, src []byte) ([]byte, bool) {
+	end := 0
+	for range dst {
+		l, w := binary.Uvarint(src[end:])
+		if w <= 0 || l > uint64(len(src)-end-w) {
+			return nil, false
+		}
+		end += w + int(l)
+	}
+	region := string(src[:end])
+	at := 0
+	for i := range dst {
+		l, w := binary.Uvarint(src[at:])
+		dst[i] = region[at+w : at+w+int(l)]
+		at += w + int(l)
+	}
+	return src[end:], true
+}
+
+func decodeStringRaw(dst []string, src []byte) ([]byte, error) {
+	src, ok := blockHeader(src, None, len(dst))
+	if !ok {
+		return nil, ErrCorrupt
+	}
+	src, ok = sliceStrings(dst, src)
+	if !ok {
+		return nil, ErrCorrupt
+	}
+	return src, nil
+}
+
+func (d *StringDecoder) decodePDict(dst []string, src []byte) ([]byte, error) {
+	src, ok := blockHeader(src, PDict, len(dst))
+	if !ok {
+		return nil, ErrCorrupt
+	}
+	n := len(dst)
+	if n == 0 {
+		return src, nil
+	}
+	// Every dictionary entry takes at least its length byte.
+	dictN, src, ok := getUvarint(src)
+	if !ok || dictN > uint64(len(src)) {
+		return nil, ErrCorrupt
+	}
+	if uint64(cap(d.dict)) < dictN {
+		d.dict = make([]string, dictN)
+	}
+	dict := d.dict[:dictN]
+	src, ok = sliceStrings(dict, src)
+	if !ok || len(src) < 1 {
+		return nil, ErrCorrupt
+	}
+	w := uint(src[0])
+	src = src[1:]
+	if w > 64 {
+		return nil, ErrCorrupt
+	}
+	packed := packedLen(n, w)
+	if len(src) < packed {
+		return nil, ErrCorrupt
+	}
+	// Unpack a cache-resident run of codes at a time (a run starts on a
+	// byte boundary: its length is a multiple of 8), then gather.
+	var codes [512]int64
+	for at := 0; at < n; at += len(codes) {
+		run := codes[:min(len(codes), n-at)]
+		unpack(run, src[at/8*int(w):packed], w, 0)
+		for i, c := range run {
+			if uint64(c) >= dictN {
+				return nil, ErrCorrupt
+			}
+			dst[at+i] = dict[c]
+		}
+	}
+	return src[packed:], nil
+}
+
+// sized returns dst resized (reallocated if too small) to the row count the
+// header of the block at the head of src declares.
+func sized[E any](dst []E, src []byte) ([]E, bool) {
+	if len(src) == 0 {
+		return nil, false
+	}
+	n, _, ok := getUvarint(src[1:])
+	if !ok || n > MaxBlockRows {
+		return nil, false
+	}
+	if uint64(cap(dst)) < n {
+		dst = make([]E, n)
+	}
+	return dst[:n], true
+}
+
+// decodeInt64As is DecodeInt64 for a block that must carry codec c.
+func decodeInt64As(c Codec, dst []int64, src []byte) ([]int64, []byte, error) {
+	if len(src) == 0 || Codec(src[0]) != c {
+		return nil, nil, ErrCorrupt
+	}
+	return DecodeInt64(dst, src)
+}
+
+// DecodeInt64 decodes any integer block by dispatching on its header byte,
+// into dst (grown as needed), and returns the values along with the
+// unconsumed remainder of src.
+func DecodeInt64(dst []int64, src []byte) ([]int64, []byte, error) {
+	dst, ok := sized(dst, src)
+	if !ok {
+		return nil, nil, ErrCorrupt
+	}
+	rest, err := DecodeInts(dst, src)
+	if err != nil {
+		return nil, nil, err
+	}
+	return dst, rest, nil
+}
+
+// decodeStringAs is DecodeString for a block that must carry codec c.
+func decodeStringAs(c Codec, dst []string, src []byte) ([]string, []byte, error) {
+	if len(src) == 0 || Codec(src[0]) != c {
+		return nil, nil, ErrCorrupt
+	}
+	return DecodeString(dst, src)
+}
+
+// DecodeString decodes any string block by dispatching on its header byte,
+// into dst (grown as needed).
+func DecodeString(dst []string, src []byte) ([]string, []byte, error) {
+	dst, ok := sized(dst, src)
+	if !ok {
+		return nil, nil, ErrCorrupt
+	}
+	var d StringDecoder
+	rest, err := d.Decode(dst, src)
+	if err != nil {
+		return nil, nil, err
+	}
+	return dst, rest, nil
+}

@@ -1,0 +1,117 @@
+package compress
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"runtime"
+	"slices"
+	"testing"
+)
+
+// The fuzz targets hold every decoder of untrusted block bytes to one
+// invariant: an error, never a panic, and never more memory than a small
+// multiple of the input plus the row cap. Whenever the reference decoder
+// accepts the input, the kernels must return its values (narrowed) and its
+// unconsumed tail.
+
+// allocated runs f and returns the bytes it allocated.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// allocBound is what decoding input may allocate: the destination (at most
+// MaxBlockRows values of perRow bytes), dictionary slots and one text string
+// bounded by the input, and slack for the runtime's own bookkeeping.
+func allocBound(input []byte, perRow int) uint64 {
+	return uint64(perRow*MaxBlockRows + 64*len(input) + 1<<20)
+}
+
+func FuzzDecodeInts(f *testing.F) {
+	rng := rand.New(rand.NewSource(1))
+	for w := uint(0); w <= 64; w++ {
+		for _, mode := range []string{"none", "5pct", "below"} {
+			block, vals := pforBlock(rng, w, 70, mode)
+			f.Add(block)
+			f.Add(EncodePFORDelta(nil, vals))
+		}
+	}
+	f.Add(EncodeRLE(nil, []int64{7, 7, 7, -1, -1, 9}))
+	f.Add(EncodeNone(nil, []int64{1, -1, 1 << 62}))
+	f.Add(EncodePFOR(nil, nil))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var got []int64
+		var rest []byte
+		var err error
+		if a := allocated(func() { got, rest, err = DecodeInt64(nil, data) }); a > allocBound(data, 8) {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), a)
+		}
+		want, wantRest, refErr := refDecodeInt64(data)
+		if refErr != nil {
+			return
+		}
+		if err != nil {
+			t.Fatalf("reference accepts, DecodeInt64: %v", err)
+		}
+		if !slices.Equal(got, want) || !bytes.Equal(rest, wantRest) {
+			t.Fatalf("DecodeInt64 differs from the reference (%d values, %d left; reference %d, %d)",
+				len(got), len(rest), len(want), len(wantRest))
+		}
+		narrow := make([]int32, len(want))
+		rest, err = DecodeInts(narrow, data)
+		if err != nil || !bytes.Equal(rest, wantRest) {
+			t.Fatalf("int32: %v, %d left", err, len(rest))
+		}
+		for i, v := range want {
+			if narrow[i] != int32(v) {
+				t.Fatalf("int32 value %d = %d, want %d", i, narrow[i], int32(v))
+			}
+		}
+		// The other typed entry points must not panic on the same bytes.
+		DecodeFloat64s(make([]float64, len(want)), data)
+		DecodeBools(make([]bool, len(want)), data)
+	})
+}
+
+func FuzzDecodeString(f *testing.F) {
+	rng := rand.New(rand.NewSource(2))
+	for _, entries := range []int{1, 2, 3, 255, 256, 257, 70000} {
+		vals := make([]string, 300)
+		for i := range vals {
+			vals[i] = fmt.Sprintf("v%d", rng.Intn(entries))
+		}
+		f.Add(EncodePDict(nil, vals))
+		f.Add(EncodeStringRaw(nil, vals[:20]))
+	}
+	f.Add(EncodePDict(nil, nil))
+	f.Add(EncodeStringRaw(nil, []string{"", "a\x00b"}))
+	var d StringDecoder // kept across inputs, as a scanner keeps it across blocks
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var got []string
+		var rest []byte
+		var err error
+		if a := allocated(func() { got, rest, err = DecodeString(nil, data) }); a > allocBound(data, 16) {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), a)
+		}
+		want, wantRest, refErr := refDecodeString(data)
+		if refErr != nil {
+			return
+		}
+		if err != nil {
+			t.Fatalf("reference accepts, DecodeString: %v", err)
+		}
+		if !slices.Equal(got, want) || !bytes.Equal(rest, wantRest) {
+			t.Fatalf("DecodeString differs from the reference (%d values, %d left; reference %d, %d)",
+				len(got), len(rest), len(want), len(wantRest))
+		}
+		reused := make([]string, len(want))
+		rest, err = d.Decode(reused, data)
+		if err != nil || !slices.Equal(reused, want) || !bytes.Equal(rest, wantRest) {
+			t.Fatalf("reused decoder: %v", err)
+		}
+	})
+}

@@ -24,28 +24,7 @@ func EncodeStringRaw(dst []byte, vals []string) []byte {
 
 // DecodeStringRaw decodes an uncompressed string block.
 func DecodeStringRaw(dst []string, src []byte) ([]string, []byte, error) {
-	if len(src) == 0 || Codec(src[0]) != None {
-		return nil, nil, ErrCorrupt
-	}
-	src = src[1:]
-	nU, src, ok := getUvarint(src)
-	if !ok {
-		return nil, nil, ErrCorrupt
-	}
-	n := int(nU)
-	if cap(dst) < n {
-		dst = make([]string, n)
-	}
-	dst = dst[:n]
-	for i := 0; i < n; i++ {
-		lU, rest, ok := getUvarint(src)
-		if !ok || len(rest) < int(lU) {
-			return nil, nil, ErrCorrupt
-		}
-		dst[i] = string(rest[:lU])
-		src = rest[lU:]
-	}
-	return dst, src, nil
+	return decodeStringAs(None, dst, src)
 }
 
 // EncodePDict appends a dictionary-compressed string block.
@@ -79,63 +58,16 @@ func EncodePDict(dst []byte, vals []string) []byte {
 	}
 	w := codeWidth(len(dict))
 	dst = append(dst, byte(w))
-	codes := make([]uint64, len(vals))
-	for i, s := range vals {
-		codes[i] = code[s]
+	p := bitPacker{dst: dst, w: w}
+	for _, s := range vals {
+		p.put(code[s])
 	}
-	return packBits(dst, codes, w)
+	return p.finish()
 }
 
 // DecodePDict decodes a dictionary-compressed string block.
 func DecodePDict(dst []string, src []byte) ([]string, []byte, error) {
-	if len(src) == 0 || Codec(src[0]) != PDict {
-		return nil, nil, ErrCorrupt
-	}
-	src = src[1:]
-	nU, src, ok := getUvarint(src)
-	if !ok {
-		return nil, nil, ErrCorrupt
-	}
-	n := int(nU)
-	if cap(dst) < n {
-		dst = make([]string, n)
-	}
-	dst = dst[:n]
-	if n == 0 {
-		return dst, src, nil
-	}
-	dU, src, ok := getUvarint(src)
-	if !ok {
-		return nil, nil, ErrCorrupt
-	}
-	dictN := int(dU)
-	dict := make([]string, dictN)
-	for i := 0; i < dictN; i++ {
-		lU, rest, ok := getUvarint(src)
-		if !ok || len(rest) < int(lU) {
-			return nil, nil, ErrCorrupt
-		}
-		dict[i] = string(rest[:lU])
-		src = rest[lU:]
-	}
-	if len(src) < 1 {
-		return nil, nil, ErrCorrupt
-	}
-	w := uint(src[0])
-	src = src[1:]
-	packed := packedLen(n, w)
-	if w > 64 || len(src) < packed {
-		return nil, nil, ErrCorrupt
-	}
-	codes := make([]uint64, n)
-	unpackBits(codes, src[:packed], n, w)
-	for i, c := range codes {
-		if int(c) >= dictN {
-			return nil, nil, ErrCorrupt
-		}
-		dst[i] = dict[c]
-	}
-	return dst, src[packed:], nil
+	return decodeStringAs(PDict, dst, src)
 }
 
 func codeWidth(dictSize int) uint {
@@ -154,20 +86,4 @@ func ChooseString(dst []byte, vals []string) ([]byte, Codec) {
 		return append(dst, d...), PDict
 	}
 	return append(dst, r...), None
-}
-
-// DecodeString decodes any string block by dispatching on its header byte.
-func DecodeString(dst []string, src []byte) ([]string, []byte, error) {
-	if len(src) == 0 {
-		return nil, nil, ErrCorrupt
-	}
-	countDecode(Codec(src[0]), len(src))
-	switch Codec(src[0]) {
-	case None:
-		return DecodeStringRaw(dst, src)
-	case PDict:
-		return DecodePDict(dst, src)
-	default:
-		return nil, nil, ErrCorrupt
-	}
 }

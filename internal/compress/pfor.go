@@ -4,7 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // PFOR: patched frame-of-reference. Values are encoded as fixed-width
@@ -59,9 +59,8 @@ const exceptionCost = 11
 // find the densest coverage.
 func choosePFOR(vals []int64) (int64, uint) {
 	n := len(vals)
-	sorted := make([]int64, n)
-	copy(sorted, vals)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	sorted := slices.Clone(vals)
+	slices.Sort(sorted)
 	bestBase, bestW := sorted[0], uint(64)
 	bestCost := n * 8 // cost of w=64, no exceptions
 	for w := uint(0); w < 64; w++ {
@@ -99,35 +98,48 @@ func choosePFOR(vals []int64) (int64, uint) {
 // packed codes | exceptions (uvarint pos-delta, uvarint zigzag(value))*.
 // Exception values are absolute (not offsets), so they can lie below base.
 func EncodePFOR(dst []byte, vals []int64) []byte {
-	n := len(vals)
-	dst = append(dst, byte(PFOR))
-	dst = putUvarint(dst, uint64(n))
-	if n == 0 {
-		return dst
+	if len(vals) == 0 {
+		return putUvarint(append(dst, byte(PFOR)), 0)
 	}
 	base, w := choosePFOR(vals)
+	return encodePFORAt(dst, vals, base, w)
+}
+
+// encodePFORAt appends the PFOR block of a non-empty vals under the frame of
+// reference [base, base+2^w).
+func encodePFORAt(dst []byte, vals []int64, base int64, w uint) []byte {
+	dst = append(dst, byte(PFOR))
+	dst = putUvarint(dst, uint64(len(vals)))
 	dst = putUvarint(dst, zigzag(base))
 	dst = append(dst, byte(w))
-	// Collect exceptions; their code slots hold 0.
 	span := widthMask(w)
-	var excPos []int
-	codes := make([]uint64, n)
-	for i, v := range vals {
-		off := uint64(v) - uint64(base)
-		if v < base || (w < 64 && off > span) {
-			excPos = append(excPos, i)
-			codes[i] = 0
-		} else {
-			codes[i] = off
+	isException := func(v int64) bool {
+		return v < base || (w < 64 && uint64(v)-uint64(base) > span)
+	}
+	nExc := 0
+	for _, v := range vals {
+		if isException(v) {
+			nExc++
 		}
 	}
-	dst = putUvarint(dst, uint64(len(excPos)))
-	dst = packBits(dst, codes, w)
+	dst = putUvarint(dst, uint64(nExc))
+	// Exceptions' code slots hold 0.
+	p := bitPacker{dst: dst, w: w}
+	for _, v := range vals {
+		if isException(v) {
+			p.put(0)
+		} else {
+			p.put(uint64(v) - uint64(base))
+		}
+	}
+	dst = p.finish()
 	prev := 0
-	for _, p := range excPos {
-		dst = putUvarint(dst, uint64(p-prev))
-		prev = p
-		dst = putUvarint(dst, zigzag(vals[p]))
+	for i, v := range vals {
+		if isException(v) {
+			dst = putUvarint(dst, uint64(i-prev))
+			prev = i
+			dst = putUvarint(dst, zigzag(v))
+		}
 	}
 	return dst
 }
@@ -135,66 +147,7 @@ func EncodePFOR(dst []byte, vals []int64) []byte {
 // DecodePFOR decodes a PFOR block into dst (grown as needed) and returns
 // the value slice along with the unconsumed remainder of src.
 func DecodePFOR(dst []int64, src []byte) ([]int64, []byte, error) {
-	if len(src) == 0 || Codec(src[0]) != PFOR {
-		return nil, nil, ErrCorrupt
-	}
-	src = src[1:]
-	nU, src, ok := getUvarint(src)
-	if !ok {
-		return nil, nil, ErrCorrupt
-	}
-	n := int(nU)
-	if cap(dst) < n {
-		dst = make([]int64, n)
-	}
-	dst = dst[:n]
-	if n == 0 {
-		return dst, src, nil
-	}
-	baseU, src, ok := getUvarint(src)
-	if !ok {
-		return nil, nil, ErrCorrupt
-	}
-	base := unzigzag(baseU)
-	if len(src) < 1 {
-		return nil, nil, ErrCorrupt
-	}
-	w := uint(src[0])
-	src = src[1:]
-	nExcU, src, ok := getUvarint(src)
-	if !ok || w > 64 {
-		return nil, nil, ErrCorrupt
-	}
-	packed := packedLen(n, w)
-	if len(src) < packed {
-		return nil, nil, ErrCorrupt
-	}
-	codes := make([]uint64, n)
-	unpackBits(codes, src[:packed], n, w)
-	src = src[packed:]
-	// Branch-free hot loop: base + code.
-	for i := 0; i < n; i++ {
-		dst[i] = base + int64(codes[i])
-	}
-	// Patch phase.
-	pos := 0
-	for e := 0; e < int(nExcU); e++ {
-		dp, rest, ok := getUvarint(src)
-		if !ok {
-			return nil, nil, ErrCorrupt
-		}
-		v, rest2, ok := getUvarint(rest)
-		if !ok {
-			return nil, nil, ErrCorrupt
-		}
-		src = rest2
-		pos += int(dp)
-		if pos >= n {
-			return nil, nil, ErrCorrupt
-		}
-		dst[pos] = unzigzag(v)
-	}
-	return dst, src, nil
+	return decodeInt64As(PFOR, dst, src)
 }
 
 // EncodePFORDelta appends a PFOR-DELTA block: consecutive differences
@@ -216,40 +169,7 @@ func EncodePFORDelta(dst []byte, vals []int64) []byte {
 
 // DecodePFORDelta decodes a PFOR-DELTA block.
 func DecodePFORDelta(dst []int64, src []byte) ([]int64, []byte, error) {
-	if len(src) == 0 || Codec(src[0]) != PFORDelta {
-		return nil, nil, ErrCorrupt
-	}
-	src = src[1:]
-	nU, src, ok := getUvarint(src)
-	if !ok {
-		return nil, nil, ErrCorrupt
-	}
-	n := int(nU)
-	if cap(dst) < n {
-		dst = make([]int64, n)
-	}
-	dst = dst[:n]
-	if n == 0 {
-		return dst, src, nil
-	}
-	firstU, src, ok := getUvarint(src)
-	if !ok {
-		return nil, nil, ErrCorrupt
-	}
-	deltas, src, err := DecodePFOR(nil, src)
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(deltas) != n-1 {
-		return nil, nil, ErrCorrupt
-	}
-	acc := unzigzag(firstU)
-	dst[0] = acc
-	for i, d := range deltas {
-		acc += d
-		dst[i+1] = acc
-	}
-	return dst, src, nil
+	return decodeInt64As(PFORDelta, dst, src)
 }
 
 // EncodeRLE appends a run-length block: (zigzag value, run length) pairs.
@@ -271,41 +191,7 @@ func EncodeRLE(dst []byte, vals []int64) []byte {
 
 // DecodeRLE decodes a run-length block.
 func DecodeRLE(dst []int64, src []byte) ([]int64, []byte, error) {
-	if len(src) == 0 || Codec(src[0]) != RLE {
-		return nil, nil, ErrCorrupt
-	}
-	src = src[1:]
-	nU, src, ok := getUvarint(src)
-	if !ok {
-		return nil, nil, ErrCorrupt
-	}
-	n := int(nU)
-	if cap(dst) < n {
-		dst = make([]int64, n)
-	}
-	dst = dst[:n]
-	at := 0
-	for at < n {
-		vU, rest, ok := getUvarint(src)
-		if !ok {
-			return nil, nil, ErrCorrupt
-		}
-		runU, rest2, ok := getUvarint(rest)
-		if !ok {
-			return nil, nil, ErrCorrupt
-		}
-		src = rest2
-		v := unzigzag(vU)
-		run := int(runU)
-		if run <= 0 || at+run > n {
-			return nil, nil, ErrCorrupt
-		}
-		for k := 0; k < run; k++ {
-			dst[at+k] = v
-		}
-		at += run
-	}
-	return dst, src, nil
+	return decodeInt64As(RLE, dst, src)
 }
 
 // EncodeNone appends an uncompressed block of raw little-endian values.
@@ -320,26 +206,7 @@ func EncodeNone(dst []byte, vals []int64) []byte {
 
 // DecodeNone decodes an uncompressed block.
 func DecodeNone(dst []int64, src []byte) ([]int64, []byte, error) {
-	if len(src) == 0 || Codec(src[0]) != None {
-		return nil, nil, ErrCorrupt
-	}
-	src = src[1:]
-	nU, src, ok := getUvarint(src)
-	if !ok {
-		return nil, nil, ErrCorrupt
-	}
-	n := int(nU)
-	if len(src) < n*8 {
-		return nil, nil, ErrCorrupt
-	}
-	if cap(dst) < n {
-		dst = make([]int64, n)
-	}
-	dst = dst[:n]
-	for i := 0; i < n; i++ {
-		dst[i] = int64(binary.LittleEndian.Uint64(src[i*8:]))
-	}
-	return dst, src[n*8:], nil
+	return decodeInt64As(None, dst, src)
 }
 
 // EncodeInt64 encodes vals with the given codec.
@@ -355,26 +222,6 @@ func EncodeInt64(codec Codec, dst []byte, vals []int64) ([]byte, error) {
 		return EncodeRLE(dst, vals), nil
 	default:
 		return nil, fmt.Errorf("compress: codec %v cannot encode int64", codec)
-	}
-}
-
-// DecodeInt64 decodes any integer block by dispatching on its header byte.
-func DecodeInt64(dst []int64, src []byte) ([]int64, []byte, error) {
-	if len(src) == 0 {
-		return nil, nil, ErrCorrupt
-	}
-	countDecode(Codec(src[0]), len(src))
-	switch Codec(src[0]) {
-	case None:
-		return DecodeNone(dst, src)
-	case PFOR:
-		return DecodePFOR(dst, src)
-	case PFORDelta:
-		return DecodePFORDelta(dst, src)
-	case RLE:
-		return DecodeRLE(dst, src)
-	default:
-		return nil, nil, ErrCorrupt
 	}
 }
 
