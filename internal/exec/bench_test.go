@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"vectorwise/internal/expr"
 	"vectorwise/internal/types"
 	"vectorwise/internal/vec"
 )
@@ -129,5 +130,42 @@ func TestJoinBuildAllocatesLogRowsPerColumn(t *testing.T) {
 	limit := float64(len(benchKinds)*bits.Len(uint(rows)) + 16)
 	if allocs > limit {
 		t.Fatalf("join build over %d batches: %.0f allocations, limit %.0f", len(in), allocs, limit)
+	}
+}
+
+// scalarAggOverFilter is SELECT COUNT(*), SUM(measure), MIN(key), MAX(label)
+// ... WHERE key < 500 over in: an ungrouped aggregate fed by a filter.
+func scalarAggOverFilter(tb testing.TB, in []*vec.Batch) *HashAgg {
+	pred := expr.NewCall("<", expr.Col(2, "key", types.Int64), expr.CInt(500))
+	agg, err := NewHashAgg(NewSelect(NewBatchSupplier(benchKinds, in), pred), nil, []AggSpec{
+		{Fn: AggCount, Col: -1}, {Fn: AggSum, Col: 0}, {Fn: AggMin, Col: 1}, {Fn: AggMax, Col: 3}})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return agg
+}
+
+func BenchmarkScalarAgg(b *testing.B) {
+	benchOperator(b, func(src Operator) Operator {
+		agg, err := NewHashAgg(src, nil, []AggSpec{
+			{Fn: AggCount, Col: -1}, {Fn: AggSum, Col: 0}, {Fn: AggSum, Col: 2}, {Fn: AggMin, Col: 1}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return agg
+	})
+}
+
+// An ungrouped aggregate over a filter allocates per query, never per
+// vector: twice the input costs not one allocation more.
+func TestScalarAggOverFilterAllocatesNothingPerBatch(t *testing.T) {
+	in := benchInput()
+	allocs := func(batches []*vec.Batch) float64 {
+		agg := scalarAggOverFilter(t, batches)
+		return testing.AllocsPerRun(5, func() { drain(t, agg) })
+	}
+	half, full := allocs(in[:len(in)/2]), allocs(in)
+	if full != half {
+		t.Fatalf("%d batches: %.0f allocations, %d batches: %.0f", len(in)/2, half, len(in), full)
 	}
 }

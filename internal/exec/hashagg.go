@@ -68,8 +68,10 @@ func (a AggSpec) ResultKind(in []types.Kind) (types.Kind, error) {
 }
 
 // HashAgg groups its input by the group columns and computes aggregates;
-// with no group columns it produces exactly one row (scalar aggregation).
-// Output: group columns, then aggregates, in declaration order.
+// with no group columns it produces exactly one row (scalar aggregation),
+// folding each vector straight into that row's state with the primitives
+// that keep the running value in a register. Output: group columns, then
+// aggregates, in declaration order.
 type HashAgg struct {
 	Child     Operator
 	GroupCols []int
@@ -157,6 +159,11 @@ func (h *HashAgg) Open(ctx *Ctx) error {
 		}
 		h.states[i] = st
 	}
+	if len(h.GroupCols) == 0 {
+		// The one group of a scalar aggregate exists even over no input.
+		h.ensureGroups(1)
+		h.nGroups = 1
+	}
 	h.out = vec.NewBatch(h.kinds, ctx.vecSize())
 	return h.Child.Open(ctx)
 }
@@ -168,11 +175,6 @@ func (h *HashAgg) Next() (*vec.Batch, error) {
 			return nil, err
 		}
 		h.built = true
-	}
-	// Scalar aggregation always emits one row.
-	if len(h.GroupCols) == 0 && h.nGroups == 0 && h.emitAt == 0 {
-		h.ensureGroups(1)
-		h.nGroups = 1
 	}
 	if h.emitAt >= h.nGroups {
 		return nil, nil
@@ -254,18 +256,9 @@ func (h *HashAgg) consume() error {
 			continue
 		}
 		if len(h.GroupCols) == 0 {
-			h.ensureGroups(1)
-			if h.nGroups == 0 {
-				h.nGroups = 1
+			if err := h.fold(nil, b); err != nil {
+				return err
 			}
-			if cap(h.groupBuf) < rows {
-				h.groupBuf = make([]int32, rows)
-			}
-			g := h.groupBuf[:rows]
-			for i := range g {
-				g[i] = 0
-			}
-			h.fold(g, b)
 			continue
 		}
 		if cap(h.hashBuf) < rows {
@@ -295,7 +288,9 @@ func (h *HashAgg) consume() error {
 				return err
 			}
 		}
-		h.fold(groups, b)
+		if err := h.fold(groups, b); err != nil {
+			return err
+		}
 	}
 }
 
@@ -451,112 +446,108 @@ func growZero[T any](s []T, n int) []T {
 }
 
 // fold applies one batch's rows to the aggregate states. groups is parallel
-// to the batch's logical rows.
-func (h *HashAgg) fold(groups []int32, b *vec.Batch) {
+// to the batch's logical rows; nil folds every row into the one group of a
+// scalar aggregate, whose running values the "from" primitives keep in
+// registers for the whole vector.
+func (h *HashAgg) fold(groups []int32, b *vec.Batch) error {
 	sel, n := b.Sel, b.Full()
 	for _, st := range h.states {
+		var v *vec.Vector
+		if st.spec.Col >= 0 {
+			v = b.Vecs[st.spec.Col]
+		}
 		switch st.spec.Fn {
 		case AggCount:
-			primitives.CountGrouped(st.cnt, groups, sel, n)
+			countInto(st.cnt, groups, b)
 		case AggSum:
-			h.foldSum(st, groups, b, sel, n)
+			var err error
+			switch st.inK {
+			case types.KindInt32:
+				err = sumIntInto(st.sumI, groups, v.I32, sel, n)
+			case types.KindInt64:
+				err = sumIntInto(st.sumI, groups, v.I64, sel, n)
+			case types.KindFloat64:
+				sumFloatInto(st.sumF, groups, v.F64, sel, n)
+			}
+			if err != nil {
+				return fmt.Errorf("exec: %v: %w", st.spec.Fn, err)
+			}
 		case AggAvg:
-			h.foldAvg(st, groups, b, sel, n)
-		case AggMin:
-			h.foldMinMax(st, groups, b, sel, n, true)
-		case AggMax:
-			h.foldMinMax(st, groups, b, sel, n, false)
+			countInto(st.cnt, groups, b)
+			switch st.inK {
+			case types.KindInt32:
+				sumFloatInto(st.sumF, groups, v.I32, sel, n)
+			case types.KindInt64:
+				sumFloatInto(st.sumF, groups, v.I64, sel, n)
+			case types.KindFloat64:
+				sumFloatInto(st.sumF, groups, v.F64, sel, n)
+			}
+		case AggMin, AggMax:
+			isMin := st.spec.Fn == AggMin
+			switch st.inK {
+			case types.KindInt32, types.KindDate:
+				minMaxInto(st.mm.I32, st.seen, groups, v.I32, sel, n, isMin)
+			case types.KindInt64:
+				minMaxInto(st.mm.I64, st.seen, groups, v.I64, sel, n, isMin)
+			case types.KindFloat64:
+				minMaxInto(st.mm.F64, st.seen, groups, v.F64, sel, n, isMin)
+			case types.KindString:
+				minMaxInto(st.mm.Str, st.seen, groups, v.Str, sel, n, isMin)
+			case types.KindBool:
+				// MIN/MAX over booleans: false < true.
+				for k := range b.Rows() {
+					g := int32(0)
+					if groups != nil {
+						g = groups[k]
+					}
+					foldBoolMM(st, g, v.Bool[b.RowIndex(k)], isMin)
+				}
+			}
 		}
 	}
+	return nil
 }
 
-func (h *HashAgg) foldSum(st *aggState, groups []int32, b *vec.Batch, sel []int32, n int) {
-	v := b.Vecs[st.spec.Col]
-	switch st.inK {
-	case types.KindInt32:
-		if sel == nil {
-			for k := 0; k < n; k++ {
-				st.sumI[groups[k]] += int64(v.I32[k])
-			}
-		} else {
-			for k, i := range sel {
-				st.sumI[groups[k]] += int64(v.I32[i])
-			}
-		}
-	case types.KindInt64:
-		primitives.SumGrouped(st.sumI, groups, v.I64, sel, n)
-	case types.KindFloat64:
-		primitives.SumGrouped(st.sumF, groups, v.F64, sel, n)
+// countInto adds each row of b to its group's count (nil groups: the one
+// group of a scalar aggregate).
+func countInto(acc []int64, groups []int32, b *vec.Batch) {
+	if groups == nil {
+		acc[0] += int64(b.Rows())
+		return
 	}
+	primitives.CountGrouped(acc, groups, b.Sel, b.Full())
 }
 
-func (h *HashAgg) foldAvg(st *aggState, groups []int32, b *vec.Batch, sel []int32, n int) {
-	v := b.Vecs[st.spec.Col]
-	primitives.CountGrouped(st.cnt, groups, sel, n)
-	switch st.inK {
-	case types.KindInt32:
-		if sel == nil {
-			for k := 0; k < n; k++ {
-				st.sumF[groups[k]] += float64(v.I32[k])
-			}
-		} else {
-			for k, i := range sel {
-				st.sumF[groups[k]] += float64(v.I32[i])
-			}
-		}
-	case types.KindInt64:
-		if sel == nil {
-			for k := 0; k < n; k++ {
-				st.sumF[groups[k]] += float64(v.I64[k])
-			}
-		} else {
-			for k, i := range sel {
-				st.sumF[groups[k]] += float64(v.I64[i])
-			}
-		}
-	case types.KindFloat64:
-		primitives.SumGrouped(st.sumF, groups, v.F64, sel, n)
+// sumIntInto adds integer values to their groups' checked int64 sums.
+func sumIntInto[T primitives.Integer](acc []int64, groups []int32, a []T, sel []int32, n int) error {
+	if groups == nil {
+		var err error
+		acc[0], err = primitives.SumFrom(acc[0], a, sel, n)
+		return err
 	}
+	return primitives.SumGrouped(acc, groups, a, sel, n)
 }
 
-func (h *HashAgg) foldMinMax(st *aggState, groups []int32, b *vec.Batch, sel []int32, n int, isMin bool) {
-	v := b.Vecs[st.spec.Col]
-	switch st.inK {
-	case types.KindInt32, types.KindDate:
-		if isMin {
-			primitives.MinGrouped(st.mm.I32, st.seen, groups, v.I32, sel, n)
-		} else {
-			primitives.MaxGrouped(st.mm.I32, st.seen, groups, v.I32, sel, n)
-		}
-	case types.KindInt64:
-		if isMin {
-			primitives.MinGrouped(st.mm.I64, st.seen, groups, v.I64, sel, n)
-		} else {
-			primitives.MaxGrouped(st.mm.I64, st.seen, groups, v.I64, sel, n)
-		}
-	case types.KindFloat64:
-		if isMin {
-			primitives.MinGrouped(st.mm.F64, st.seen, groups, v.F64, sel, n)
-		} else {
-			primitives.MaxGrouped(st.mm.F64, st.seen, groups, v.F64, sel, n)
-		}
-	case types.KindString:
-		if isMin {
-			primitives.MinGrouped(st.mm.Str, st.seen, groups, v.Str, sel, n)
-		} else {
-			primitives.MaxGrouped(st.mm.Str, st.seen, groups, v.Str, sel, n)
-		}
-	case types.KindBool:
-		// MIN/MAX over booleans: false < true.
-		if sel == nil {
-			for k := 0; k < n; k++ {
-				foldBoolMM(st, groups[k], v.Bool[k], isMin)
-			}
-		} else {
-			for k, i := range sel {
-				foldBoolMM(st, groups[k], v.Bool[i], isMin)
-			}
-		}
+// sumFloatInto adds values to their groups' float64 sums.
+func sumFloatInto[T primitives.Num](acc []float64, groups []int32, a []T, sel []int32, n int) {
+	if groups == nil {
+		acc[0] = primitives.SumFloatFrom(acc[0], a, sel, n)
+		return
+	}
+	primitives.SumFloatGrouped(acc, groups, a, sel, n)
+}
+
+// minMaxInto folds values into their groups' minima or maxima.
+func minMaxInto[T primitives.Ordered](acc []T, seen []bool, groups []int32, a []T, sel []int32, n int, isMin bool) {
+	switch {
+	case groups == nil && isMin:
+		acc[0], seen[0] = primitives.MinFrom(acc[0], seen[0], a, sel, n)
+	case groups == nil:
+		acc[0], seen[0] = primitives.MaxFrom(acc[0], seen[0], a, sel, n)
+	case isMin:
+		primitives.MinGrouped(acc, seen, groups, a, sel, n)
+	default:
+		primitives.MaxGrouped(acc, seen, groups, a, sel, n)
 	}
 }
 

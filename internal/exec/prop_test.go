@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -9,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"vectorwise/internal/primitives"
 	"vectorwise/internal/types"
 	"vectorwise/internal/vec"
 )
@@ -320,6 +322,113 @@ func TestHashJoinBuildBatchingDoesNotMatter(t *testing.T) {
 			got := runWith(t, 64, j)
 			sort.Strings(got)
 			sameRows(t, fmt.Sprintf("seed %d keys %v build vector size %d", seed, keyCols, vs), got, want)
+		}
+	}
+}
+
+// sameBits reports whether two values are identical bit for bit (-0 differs
+// from +0), except that any NaN equals any NaN: when both operands of a
+// float add are NaN the hardware returns one of them, and which one is the
+// register allocator's choice in each loop. Nothing in SQL tells NaNs apart.
+func sameBits(a, b types.Value) bool {
+	fa, fb := math.Float64bits(a.F64), math.Float64bits(b.F64)
+	return a.Kind == b.Kind && a.Null == b.Null && a.I64 == b.I64 && a.Str == b.Str &&
+		(fa == fb || (math.IsNaN(a.F64) && math.IsNaN(b.F64)))
+}
+
+// TestScalarAggEqualsOneGroup checks the scalar fold, which keeps each
+// running value in a register for a whole vector, against the grouped fold
+// over a single group: every aggregate over every input kind, bit for bit,
+// float SUM and AVG included (they add in the same order), and MIN/MAX whose
+// first value is NaN.
+func TestScalarAggEqualsOneGroup(t *testing.T) {
+	// Column 0 is the constant key that puts every row in one group.
+	kinds := append([]types.Kind{types.KindInt64}, propKinds[:len(propKinds)-1]...)
+	aggs := []AggSpec{{Fn: AggCount, Col: -1}}
+	for c := 1; c < len(kinds); c++ {
+		aggs = append(aggs, AggSpec{Fn: AggMin, Col: c}, AggSpec{Fn: AggMax, Col: c})
+		switch kinds[c] {
+		case types.KindInt32, types.KindInt64, types.KindFloat64:
+			aggs = append(aggs, AggSpec{Fn: AggSum, Col: c}, AggSpec{Fn: AggAvg, Col: c})
+		}
+	}
+	for seed := int64(0); seed < 30; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		rows := make([][]types.Value, 1+rng.Intn(2500))
+		for i := range rows {
+			row := []types.Value{types.NewInt64(0)}
+			for _, k := range kinds[1:] {
+				row = append(row, randomValue(rng, k, []int{3, 1000}[rng.Intn(2)]))
+			}
+			rows[i] = row
+		}
+		if seed%3 == 0 { // NaN first: MIN and MAX must both keep it
+			for c, k := range kinds {
+				if k == types.KindFloat64 {
+					rows[0][c] = types.NewFloat64(math.NaN())
+				}
+			}
+		}
+		for _, vs := range propVecSizes {
+			in := batchesOf(rng, kinds, rows, vs)
+			scalar, err := NewHashAgg(NewBatchSupplier(kinds, in), nil, aggs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			grouped, err := NewHashAgg(NewBatchSupplier(kinds, in), []int{0}, aggs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, want := collectWith(t, vs, scalar), collectWith(t, vs, grouped)
+			if len(got) != 1 || len(want) != 1 {
+				t.Fatalf("seed %d vector size %d: %d scalar rows, %d groups", seed, vs, len(got), len(want))
+			}
+			for i, a := range aggs {
+				if g, w := got[0][i], want[0][1+i]; !sameBits(g, w) {
+					t.Fatalf("seed %d vector size %d: %v(col %d) = %v (%#x), grouped %v (%#x)",
+						seed, vs, a.Fn, a.Col, g, math.Float64bits(g.F64), w, math.Float64bits(w.F64))
+				}
+			}
+		}
+	}
+}
+
+func collectWith(t *testing.T, vecSize int, op Operator) [][]types.Value {
+	t.Helper()
+	ctx := NewCtx(context.Background())
+	ctx.VecSize = vecSize
+	rows, err := Collect(ctx, op)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
+
+// Integer SUM fails instead of wrapping, in either fold and whichever way
+// the running total leaves the range; a float SUM of the same values does
+// not fail.
+func TestHashAggSumOverflow(t *testing.T) {
+	kinds := []types.Kind{types.KindInt64, types.KindInt64, types.KindInt32, types.KindFloat64}
+	for _, vals := range [][]int64{{math.MaxInt64, 1}, {math.MinInt64, -1}, {-5, math.MinInt64 + 4}} {
+		b := vec.NewBatch(kinds, len(vals))
+		b.SetLen(len(vals))
+		for i, v := range vals {
+			b.Vecs[1].I64[i] = v
+			b.Vecs[3].F64[i] = float64(v)
+		}
+		for _, groupCols := range [][]int{nil, {0}} {
+			agg, err := NewHashAgg(NewBatchSupplier(kinds, []*vec.Batch{b}), groupCols, []AggSpec{{Fn: AggSum, Col: 1}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Collect(NewCtx(context.Background()), agg); !errors.Is(err, primitives.ErrOverflow) {
+				t.Fatalf("SUM %v group by %v: %v, want overflow", vals, groupCols, err)
+			}
+			agg, _ = NewHashAgg(NewBatchSupplier(kinds, []*vec.Batch{b}), groupCols,
+				[]AggSpec{{Fn: AggSum, Col: 3}, {Fn: AggAvg, Col: 1}, {Fn: AggSum, Col: 2}})
+			if _, err := Collect(NewCtx(context.Background()), agg); err != nil {
+				t.Fatalf("float SUM, AVG and in-range SUM %v group by %v: %v", vals, groupCols, err)
+			}
 		}
 	}
 }

@@ -36,6 +36,7 @@ type Evaluator struct {
 	outKind  types.Kind
 	regState []*vec.Vector
 	checked  bool
+	ctx      evalCtx // per-call state, kept here so a call allocates nothing
 }
 
 type ownedReg struct {
@@ -109,7 +110,8 @@ func (ev *Evaluator) EvalSel(b *vec.Batch, sel []int32) (*vec.Vector, error) {
 		}
 		r.SetLen(n)
 	}
-	ctx := &evalCtx{in: b, regs: ev.regState, sel: sel, n: n}
+	ctx := &ev.ctx
+	*ctx = evalCtx{in: b, regs: ev.regState, sel: sel, n: n}
 	for _, ins := range ev.prog {
 		if err := ins(ctx); err != nil {
 			return nil, err

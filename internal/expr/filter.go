@@ -14,9 +14,12 @@ import (
 // Conjunctions chain selections (each term runs only over survivors —
 // X100's cheap filter composition); disjunctions union them.
 
-// Filter is a compiled predicate.
+// Filter is a compiled predicate. It owns its per-batch state, so applying
+// it allocates nothing once its selection buffers have grown.
 type Filter struct {
 	root selNode
+	ctx  selCtx
+	ev   evalCtx
 }
 
 // selCtx carries per-batch state for filter execution.
@@ -41,15 +44,17 @@ func CompileFilter(pred Expr, inputKinds []types.Kind, mode Mode) (*Filter, erro
 	if err != nil {
 		return nil, err
 	}
-	return &Filter{root: root}, nil
+	f := &Filter{root: root}
+	f.ctx.ev = &f.ev
+	return f, nil
 }
 
 // Apply evaluates the filter over a batch and returns the selection of
 // qualifying physical positions (subset of b.Sel, or of all rows when b.Sel
 // is nil). The result is owned by the filter and valid until the next Apply.
 func (f *Filter) Apply(b *vec.Batch) ([]int32, error) {
-	ctx := &selCtx{ev: &evalCtx{in: b, n: b.Full()}}
-	return f.root.apply(ctx, b.Sel)
+	f.ev = evalCtx{in: b, n: b.Full()}
+	return f.root.apply(&f.ctx, b.Sel)
 }
 
 type filterCompiler struct {

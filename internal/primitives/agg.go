@@ -1,80 +1,132 @@
 package primitives
 
+import "fmt"
+
 // Aggregation primitives come in two shapes, following X100:
 //
-//   - direct aggregates over a (selected) vector, returning a scalar, used
-//     for ungrouped aggregation, and
+//   - "from" aggregates fold a (selected) vector into one running value the
+//     caller threads from vector to vector: ungrouped aggregation, whose
+//     state stays in a register for a whole vector, and
 //   - grouped aggregates, where groups[i] gives each selected row's
 //     aggregate-table slot and the primitive scatters updates into dense
 //     per-group arrays.
+//
+// Both shapes add values one at a time in row order, so a float sum comes
+// out the same bits whichever shape computed it (a NaN apart: which of two
+// NaN operands an add returns is the register allocator's choice), and
+// MIN/MAX keep the same value on ties and NaNs. Integer sums are checked: each addition ORs the
+// sign-flag word of CheckedAddVV, (acc^s)&(v^s), into a register — no branch
+// per value — and one test after the loop reports ErrOverflow. The
+// accumulator type A must be at least as wide as the value type T.
 
-// SumDirect returns the sum of the selected values.
+// SumFrom returns acc plus the selected values, each widened to the
+// accumulator's type. It fails with ErrOverflow if any running total leaves
+// A's range; the returned sum has then wrapped.
+func SumFrom[A, T Integer](acc A, a []T, sel []int32, n int) (A, error) {
+	var flags A
+	if sel == nil {
+		for _, v := range a[:n] {
+			w := A(v)
+			s := acc + w
+			flags |= (acc ^ s) & (w ^ s)
+			acc = s
+		}
+	} else {
+		for _, i := range sel {
+			w := A(a[i])
+			s := acc + w
+			flags |= (acc ^ s) & (w ^ s)
+			acc = s
+		}
+	}
+	if flags < 0 {
+		return acc, ErrOverflow
+	}
+	return acc, nil
+}
+
+// SumFloatFrom returns acc plus the selected values, each converted to
+// float64: SUM over DOUBLE, and the running sum of AVG over any number.
+func SumFloatFrom[T Num](acc float64, a []T, sel []int32, n int) float64 {
+	if sel == nil {
+		for _, v := range a[:n] {
+			acc += float64(v)
+		}
+		return acc
+	}
+	for _, i := range sel {
+		acc += float64(a[i])
+	}
+	return acc
+}
+
+// SumDirect returns the sum of the selected values, for callers that
+// cannot fail: an integer sum that overflows wraps.
 func SumDirect[T Num](a []T, sel []int32, n int) T {
-	var s T
+	switch a := any(a).(type) {
+	case []float64:
+		return T(SumFloatFrom(0, a, sel, n))
+	case []int64:
+		s, _ := SumFrom(int64(0), a, sel, n)
+		return T(s)
+	case []int32:
+		s, _ := SumFrom(int32(0), a, sel, n)
+		return T(s)
+	}
+	panic(fmt.Sprintf("primitives: SumDirect over %T", a))
+}
+
+// MinFrom folds the selected values into a running minimum; seen reports
+// whether acc holds a value yet. The first value seeds it and later ones
+// replace it only when they compare below it, so a NaN that arrives first
+// stays, as in MinGrouped.
+func MinFrom[T Ordered](acc T, seen bool, a []T, sel []int32, n int) (T, bool) {
 	if sel == nil {
-		for i := 0; i < n; i++ {
-			s += a[i]
+		a = a[:n]
+		if !seen && len(a) > 0 {
+			acc, seen, a = a[0], true, a[1:]
 		}
-		return s
-	}
-	for _, i := range sel {
-		s += a[i]
-	}
-	return s
-}
-
-// CountDirect returns the number of selected values.
-func CountDirect(sel []int32, n int) int64 {
-	if sel == nil {
-		return int64(n)
-	}
-	return int64(len(sel))
-}
-
-// MinDirect returns the minimum of the selected values and whether any value
-// was present.
-func MinDirect[T Ordered](a []T, sel []int32, n int) (T, bool) {
-	var m T
-	found := false
-	if sel == nil {
-		for i := 0; i < n; i++ {
-			if !found || a[i] < m {
-				m = a[i]
-				found = true
+		for _, v := range a {
+			if v < acc {
+				acc = v
 			}
 		}
-		return m, found
+		return acc, seen
+	}
+	if !seen && len(sel) > 0 {
+		acc, seen, sel = a[sel[0]], true, sel[1:]
 	}
 	for _, i := range sel {
-		if !found || a[i] < m {
-			m = a[i]
-			found = true
+		if v := a[i]; v < acc {
+			acc = v
 		}
 	}
-	return m, found
+	return acc, seen
 }
 
-// MaxDirect returns the maximum of the selected values and whether any value
-// was present.
-func MaxDirect[T Ordered](a []T, sel []int32, n int) (T, bool) {
-	var m T
-	found := false
+// MaxFrom folds the selected values into a running maximum, like MinFrom.
+func MaxFrom[T Ordered](acc T, seen bool, a []T, sel []int32, n int) (T, bool) {
 	if sel == nil {
-		for i := 0; i < n; i++ {
-			if !found || a[i] > m {
-				m = a[i]
-				found = true
+		a = a[:n]
+		if !seen && len(a) > 0 {
+			acc, seen, a = a[0], true, a[1:]
+		}
+		for _, v := range a {
+			if v > acc {
+				acc = v
 			}
 		}
-		return m, found
+		return acc, seen
+	}
+	if !seen && len(sel) > 0 {
+		acc, seen, sel = a[sel[0]], true, sel[1:]
 	}
 	for _, i := range sel {
-		if !found || a[i] > m {
-			m = a[i]
-			found = true
+		if v := a[i]; v > acc {
+			acc = v
 		}
 	}
-	return m, found
+	return acc, seen
 }
 
 // Grouped aggregates. groups must be parallel to the *logical* rows: when
@@ -82,16 +134,45 @@ func MaxDirect[T Ordered](a []T, sel []int32, n int) (T, bool) {
 // groups[k] corresponds to row k. This matches how the hash-aggregation
 // operator produces group positions for exactly the selected rows.
 
-// SumGrouped adds selected values into acc[groups[k]].
-func SumGrouped[T Num](acc []T, groups []int32, a []T, sel []int32, n int) {
+// SumGrouped adds the selected values, widened as in SumFrom, into
+// acc[groups[k]]. It fails with ErrOverflow if any group's running total
+// leaves A's range.
+func SumGrouped[A, T Integer](acc []A, groups []int32, a []T, sel []int32, n int) error {
+	var flags A
 	if sel == nil {
-		for k := 0; k < n; k++ {
-			acc[groups[k]] += a[k]
+		for k, v := range a[:n] {
+			g := groups[k]
+			w := A(v)
+			s := acc[g] + w
+			flags |= (acc[g] ^ s) & (w ^ s)
+			acc[g] = s
+		}
+	} else {
+		for k, i := range sel {
+			g := groups[k]
+			w := A(a[i])
+			s := acc[g] + w
+			flags |= (acc[g] ^ s) & (w ^ s)
+			acc[g] = s
+		}
+	}
+	if flags < 0 {
+		return ErrOverflow
+	}
+	return nil
+}
+
+// SumFloatGrouped adds the selected values, converted to float64, into
+// acc[groups[k]].
+func SumFloatGrouped[T Num](acc []float64, groups []int32, a []T, sel []int32, n int) {
+	if sel == nil {
+		for k, v := range a[:n] {
+			acc[groups[k]] += float64(v)
 		}
 		return
 	}
 	for k, i := range sel {
-		acc[groups[k]] += a[i]
+		acc[groups[k]] += float64(a[i])
 	}
 }
 

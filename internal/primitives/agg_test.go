@@ -1,6 +1,9 @@
 package primitives
 
 import (
+	"errors"
+	"math"
+	"math/big"
 	"testing"
 	"testing/quick"
 )
@@ -13,23 +16,69 @@ func TestDirectAggregates(t *testing.T) {
 	if s := SumDirect(a, []int32{0, 2}, 5); s != 7 {
 		t.Fatalf("sum sel: %d", s)
 	}
-	if c := CountDirect(nil, 5); c != 5 {
-		t.Fatalf("count: %d", c)
+	if s := SumDirect([]float64{0.5, 0.25}, nil, 2); s != 0.75 {
+		t.Fatalf("float sum: %v", s)
 	}
-	if c := CountDirect([]int32{1, 2}, 5); c != 2 {
-		t.Fatalf("count sel: %d", c)
+	// The running value threads through vectors.
+	if s, err := SumFrom(int64(100), a, []int32{4}, 5); err != nil || s != 105 {
+		t.Fatalf("sum from: %d %v", s, err)
 	}
-	if m, ok := MinDirect(a, nil, 5); !ok || m != 1 {
+	if s, err := SumFrom(int64(0), []int32{math.MaxInt32, math.MaxInt32}, nil, 2); err != nil || s != 2*math.MaxInt32 {
+		t.Fatalf("widening sum: %d %v", s, err)
+	}
+	if s := SumFloatFrom(1, []int64{2, 3}, nil, 2); s != 6 {
+		t.Fatalf("float sum from ints: %v", s)
+	}
+	if m, ok := MinFrom(0, false, a, nil, 5); !ok || m != 1 {
 		t.Fatalf("min: %d %v", m, ok)
 	}
-	if m, ok := MaxDirect(a, nil, 5); !ok || m != 5 {
+	if m, ok := MaxFrom(0, false, a, nil, 5); !ok || m != 5 {
 		t.Fatalf("max: %d %v", m, ok)
 	}
-	if _, ok := MinDirect(a, []int32{}, 5); ok {
+	if m, ok := MinFrom(int64(-7), true, a, []int32{2}, 5); !ok || m != -7 {
+		t.Fatalf("min seeded: %d %v", m, ok)
+	}
+	if _, ok := MinFrom(0, false, a, []int32{}, 5); ok {
 		t.Fatal("empty min should report not-found")
 	}
-	if m, ok := MaxDirect([]string{"b", "a", "c"}, nil, 3); !ok || m != "c" {
+	if m, ok := MaxFrom("", false, []string{"b", "a", "c"}, nil, 3); !ok || m != "c" {
 		t.Fatalf("string max: %q", m)
+	}
+}
+
+// Integer sums fail instead of wrapping, in both shapes and at both widths,
+// whether the running total leaves the range upwards or downwards.
+func TestSumOverflow(t *testing.T) {
+	up := []int64{math.MaxInt64, 1}
+	down := []int64{math.MinInt64, -1}
+	for _, a := range [][]int64{up, down} {
+		if _, err := SumFrom(int64(0), a, nil, 2); !errors.Is(err, ErrOverflow) {
+			t.Fatalf("SumFrom %v: %v", a, err)
+		}
+		if _, err := SumFrom(int64(0), a, []int32{0, 1}, 2); !errors.Is(err, ErrOverflow) {
+			t.Fatalf("SumFrom sel %v: %v", a, err)
+		}
+		if err := SumGrouped(make([]int64, 1), []int32{0, 0}, a, nil, 2); !errors.Is(err, ErrOverflow) {
+			t.Fatalf("SumGrouped %v: %v", a, err)
+		}
+		if err := SumGrouped(make([]int64, 1), []int32{0, 0}, a, []int32{0, 1}, 2); !errors.Is(err, ErrOverflow) {
+			t.Fatalf("SumGrouped sel %v: %v", a, err)
+		}
+	}
+	// Two groups that each stay in range do not fail together.
+	if err := SumGrouped(make([]int64, 2), []int32{0, 1}, up, nil, 2); err != nil {
+		t.Fatal(err)
+	}
+	// Widening: int32 values into a running int64 total near its limit.
+	if _, err := SumFrom(int64(math.MaxInt64-1), []int32{1, 1}, nil, 2); !errors.Is(err, ErrOverflow) {
+		t.Fatalf("widening SumFrom: %v", err)
+	}
+	if s, err := SumFrom(int64(math.MaxInt64-1), []int32{1, 1, -5}, []int32{0, 2}, 3); err != nil || s != math.MaxInt64-5 {
+		t.Fatalf("widening SumFrom in range: %d %v", s, err)
+	}
+	// The wrapped total of a failed sum is still returned.
+	if s, _ := SumFrom(int64(0), up, nil, 2); s != math.MinInt64 {
+		t.Fatalf("wrapped: %d", s)
 	}
 }
 
@@ -76,14 +125,34 @@ func TestGroupedWithSelection(t *testing.T) {
 	}
 }
 
-// Property: grouped sum over a single group equals direct sum.
+// Property: grouped sum over a single group equals the running sum, wrapped
+// total and overflow verdict alike (random int64s overflow often).
 func TestGroupedEqualsDirectProperty(t *testing.T) {
 	f := func(vals []int64) bool {
 		n := len(vals)
 		groups := make([]int32, n)
 		acc := make([]int64, 1)
-		SumGrouped(acc, groups, vals, nil, n)
-		return acc[0] == SumDirect(vals, nil, n)
+		gerr := SumGrouped(acc, groups, vals, nil, n)
+		s, err := SumFrom(int64(0), vals, nil, n)
+		return acc[0] == s && acc[0] == SumDirect(vals, nil, n) && errors.Is(gerr, ErrOverflow) == errors.Is(err, ErrOverflow)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: the checked sum fails exactly when the exact total of some
+// prefix leaves the int64 range.
+func TestSumOverflowMatchesExactArithmetic(t *testing.T) {
+	f := func(vals []int64) bool {
+		exact, over := new(big.Int), false
+		lo, hi := big.NewInt(math.MinInt64), big.NewInt(math.MaxInt64)
+		for _, v := range vals {
+			exact.Add(exact, big.NewInt(v))
+			over = over || exact.Cmp(lo) < 0 || exact.Cmp(hi) > 0
+		}
+		_, err := SumFrom(int64(0), vals, nil, len(vals))
+		return (err != nil) == over
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -267,4 +336,49 @@ func TestMathPrimitives(t *testing.T) {
 	if si[0] != -1 || si[1] != 0 || si[2] != 1 {
 		t.Fatal("sign")
 	}
+}
+
+var sumSinkI int64
+var sumSinkF float64
+
+// BenchmarkSumFrom times an ungrouped sum whose running value stays in a
+// register (SumFrom, SumFloatFrom) against the grouped kernel fed one group
+// id per row, the way ungrouped sums used to run: every add then goes
+// through memory. ns/value is per 1 024-value vector.
+func BenchmarkSumFrom(b *testing.B) {
+	const n = 1024
+	ints, floats := make([]int64, n), make([]float64, n)
+	for i := range ints {
+		ints[i] = int64(i % 50)
+		floats[i] = float64(i) / 7
+	}
+	groups := make([]int32, n)
+	accI, accF := make([]int64, 1), make([]float64, 1)
+	perValue := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/value")
+	}
+	b.Run("kind=int64/kernel=from", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			sumSinkI, _ = SumFrom(sumSinkI, ints, nil, n)
+		}
+		perValue(b)
+	})
+	b.Run("kind=int64/kernel=grouped", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			_ = SumGrouped(accI, groups, ints, nil, n)
+		}
+		perValue(b)
+	})
+	b.Run("kind=float64/kernel=from", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			sumSinkF = SumFloatFrom(sumSinkF, floats, nil, n)
+		}
+		perValue(b)
+	})
+	b.Run("kind=float64/kernel=grouped", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			SumFloatGrouped(accF, groups, floats, nil, n)
+		}
+		perValue(b)
+	})
 }

@@ -1,0 +1,295 @@
+package primitives
+
+// The branchy selection loops: the reference the branch-free primitives of
+// select.go are checked and benchmarked against. Each appends a position
+// under an if on the predicate, so it runs fast when the branch predictor
+// guesses the outcome (selectivity near 0 or 100 %, or data it has seen
+// before) and mispredicts on about half the rows near 50 %.
+
+// refSelEqVC selects positions where a[i] == c.
+func refSelEqVC[T Ordered](dst []int32, a []T, c T, sel []int32, n int) []int32 {
+	dst = dst[:0]
+	if sel == nil {
+		for i := 0; i < n; i++ {
+			if a[i] == c {
+				dst = append(dst, int32(i))
+			}
+		}
+		return dst
+	}
+	for _, i := range sel {
+		if a[i] == c {
+			dst = append(dst, i)
+		}
+	}
+	return dst
+}
+
+// refSelNeVC selects positions where a[i] != c.
+func refSelNeVC[T Ordered](dst []int32, a []T, c T, sel []int32, n int) []int32 {
+	dst = dst[:0]
+	if sel == nil {
+		for i := 0; i < n; i++ {
+			if a[i] != c {
+				dst = append(dst, int32(i))
+			}
+		}
+		return dst
+	}
+	for _, i := range sel {
+		if a[i] != c {
+			dst = append(dst, i)
+		}
+	}
+	return dst
+}
+
+// refSelLtVC selects positions where a[i] < c.
+func refSelLtVC[T Ordered](dst []int32, a []T, c T, sel []int32, n int) []int32 {
+	dst = dst[:0]
+	if sel == nil {
+		for i := 0; i < n; i++ {
+			if a[i] < c {
+				dst = append(dst, int32(i))
+			}
+		}
+		return dst
+	}
+	for _, i := range sel {
+		if a[i] < c {
+			dst = append(dst, i)
+		}
+	}
+	return dst
+}
+
+// refSelLeVC selects positions where a[i] <= c.
+func refSelLeVC[T Ordered](dst []int32, a []T, c T, sel []int32, n int) []int32 {
+	dst = dst[:0]
+	if sel == nil {
+		for i := 0; i < n; i++ {
+			if a[i] <= c {
+				dst = append(dst, int32(i))
+			}
+		}
+		return dst
+	}
+	for _, i := range sel {
+		if a[i] <= c {
+			dst = append(dst, i)
+		}
+	}
+	return dst
+}
+
+// refSelGtVC selects positions where a[i] > c.
+func refSelGtVC[T Ordered](dst []int32, a []T, c T, sel []int32, n int) []int32 {
+	dst = dst[:0]
+	if sel == nil {
+		for i := 0; i < n; i++ {
+			if a[i] > c {
+				dst = append(dst, int32(i))
+			}
+		}
+		return dst
+	}
+	for _, i := range sel {
+		if a[i] > c {
+			dst = append(dst, i)
+		}
+	}
+	return dst
+}
+
+// refSelGeVC selects positions where a[i] >= c.
+func refSelGeVC[T Ordered](dst []int32, a []T, c T, sel []int32, n int) []int32 {
+	dst = dst[:0]
+	if sel == nil {
+		for i := 0; i < n; i++ {
+			if a[i] >= c {
+				dst = append(dst, int32(i))
+			}
+		}
+		return dst
+	}
+	for _, i := range sel {
+		if a[i] >= c {
+			dst = append(dst, i)
+		}
+	}
+	return dst
+}
+
+// refSelEqVV selects positions where a[i] == b[i].
+func refSelEqVV[T Ordered](dst []int32, a, b []T, sel []int32, n int) []int32 {
+	dst = dst[:0]
+	if sel == nil {
+		for i := 0; i < n; i++ {
+			if a[i] == b[i] {
+				dst = append(dst, int32(i))
+			}
+		}
+		return dst
+	}
+	for _, i := range sel {
+		if a[i] == b[i] {
+			dst = append(dst, i)
+		}
+	}
+	return dst
+}
+
+// refSelNeVV selects positions where a[i] != b[i].
+func refSelNeVV[T Ordered](dst []int32, a, b []T, sel []int32, n int) []int32 {
+	dst = dst[:0]
+	if sel == nil {
+		for i := 0; i < n; i++ {
+			if a[i] != b[i] {
+				dst = append(dst, int32(i))
+			}
+		}
+		return dst
+	}
+	for _, i := range sel {
+		if a[i] != b[i] {
+			dst = append(dst, i)
+		}
+	}
+	return dst
+}
+
+// refSelLtVV selects positions where a[i] < b[i].
+func refSelLtVV[T Ordered](dst []int32, a, b []T, sel []int32, n int) []int32 {
+	dst = dst[:0]
+	if sel == nil {
+		for i := 0; i < n; i++ {
+			if a[i] < b[i] {
+				dst = append(dst, int32(i))
+			}
+		}
+		return dst
+	}
+	for _, i := range sel {
+		if a[i] < b[i] {
+			dst = append(dst, i)
+		}
+	}
+	return dst
+}
+
+// refSelLeVV selects positions where a[i] <= b[i].
+func refSelLeVV[T Ordered](dst []int32, a, b []T, sel []int32, n int) []int32 {
+	dst = dst[:0]
+	if sel == nil {
+		for i := 0; i < n; i++ {
+			if a[i] <= b[i] {
+				dst = append(dst, int32(i))
+			}
+		}
+		return dst
+	}
+	for _, i := range sel {
+		if a[i] <= b[i] {
+			dst = append(dst, i)
+		}
+	}
+	return dst
+}
+
+// refSelGtVV selects positions where a[i] > b[i].
+func refSelGtVV[T Ordered](dst []int32, a, b []T, sel []int32, n int) []int32 {
+	dst = dst[:0]
+	if sel == nil {
+		for i := 0; i < n; i++ {
+			if a[i] > b[i] {
+				dst = append(dst, int32(i))
+			}
+		}
+		return dst
+	}
+	for _, i := range sel {
+		if a[i] > b[i] {
+			dst = append(dst, i)
+		}
+	}
+	return dst
+}
+
+// refSelGeVV selects positions where a[i] >= b[i].
+func refSelGeVV[T Ordered](dst []int32, a, b []T, sel []int32, n int) []int32 {
+	dst = dst[:0]
+	if sel == nil {
+		for i := 0; i < n; i++ {
+			if a[i] >= b[i] {
+				dst = append(dst, int32(i))
+			}
+		}
+		return dst
+	}
+	for _, i := range sel {
+		if a[i] >= b[i] {
+			dst = append(dst, i)
+		}
+	}
+	return dst
+}
+
+// refSelBetweenVCC selects positions where lo <= a[i] <= hi; a fused range
+// predicate (one pass instead of two plus an AND).
+func refSelBetweenVCC[T Ordered](dst []int32, a []T, lo, hi T, sel []int32, n int) []int32 {
+	dst = dst[:0]
+	if sel == nil {
+		for i := 0; i < n; i++ {
+			if a[i] >= lo && a[i] <= hi {
+				dst = append(dst, int32(i))
+			}
+		}
+		return dst
+	}
+	for _, i := range sel {
+		if a[i] >= lo && a[i] <= hi {
+			dst = append(dst, i)
+		}
+	}
+	return dst
+}
+
+// refSelTrue selects positions where the bool vector is true; used for
+// predicates that were materialized as bool values (e.g. LIKE results).
+func refSelTrue(dst []int32, a []bool, sel []int32, n int) []int32 {
+	dst = dst[:0]
+	if sel == nil {
+		for i := 0; i < n; i++ {
+			if a[i] {
+				dst = append(dst, int32(i))
+			}
+		}
+		return dst
+	}
+	for _, i := range sel {
+		if a[i] {
+			dst = append(dst, i)
+		}
+	}
+	return dst
+}
+
+// refSelFalse selects positions where the bool vector is false (vectorized NOT
+// on a filter).
+func refSelFalse(dst []int32, a []bool, sel []int32, n int) []int32 {
+	dst = dst[:0]
+	if sel == nil {
+		for i := 0; i < n; i++ {
+			if !a[i] {
+				dst = append(dst, int32(i))
+			}
+		}
+		return dst
+	}
+	for _, i := range sel {
+		if !a[i] {
+			dst = append(dst, i)
+		}
+	}
+	return dst
+}

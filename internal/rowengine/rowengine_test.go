@@ -2,9 +2,12 @@ package rowengine
 
 import (
 	"context"
+	"errors"
+	"math"
 	"testing"
 
 	"vectorwise/internal/expr"
+	"vectorwise/internal/primitives"
 	"vectorwise/internal/types"
 )
 
@@ -190,6 +193,26 @@ func TestVolcanoScalarAggEmpty(t *testing.T) {
 	}
 	if len(rows) != 1 || rows[0][0].Int64() != 0 || !rows[0][1].Null {
 		t.Fatalf("empty agg: %v", rows)
+	}
+}
+
+// An integer SUM fails instead of wrapping, grouped or not; a DOUBLE SUM of
+// the same values does not.
+func TestVolcanoSumOverflow(t *testing.T) {
+	schema := types.NewSchema(types.Col("a", types.Int64), types.Col("g", types.Int64), types.Col("f", types.Float64))
+	tab := NewHeapTable(schema, -1)
+	for _, v := range []int64{math.MaxInt64, 1} {
+		tab.Insert([]types.Value{types.NewInt64(v), types.NewInt64(0), types.NewFloat64(float64(v))})
+	}
+	for _, groupCols := range [][]int{nil, {1}} {
+		agg := NewAggRow(NewTableScan(tab), groupCols, []RowAggSpec{{Fn: "sum", Col: 0}})
+		if _, err := CollectRows(context.Background(), agg); !errors.Is(err, primitives.ErrOverflow) {
+			t.Fatalf("group by %v: %v, want overflow", groupCols, err)
+		}
+		agg = NewAggRow(NewTableScan(tab), groupCols, []RowAggSpec{{Fn: "sum", Col: 2}, {Fn: "avg", Col: 0}})
+		if _, err := CollectRows(context.Background(), agg); err != nil {
+			t.Fatalf("float sum group by %v: %v", groupCols, err)
+		}
 	}
 }
 

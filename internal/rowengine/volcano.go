@@ -2,9 +2,11 @@ package rowengine
 
 import (
 	"context"
+	"fmt"
 	"sort"
 
 	"vectorwise/internal/expr"
+	"vectorwise/internal/primitives"
 	"vectorwise/internal/types"
 )
 
@@ -263,6 +265,9 @@ type AggRow struct {
 	order  []string
 	at     int
 	ctx    context.Context
+	// overflow ORs the sign-flag word of every integer SUM step, as the
+	// vectorized kernels do: negative once any running total has wrapped.
+	overflow int64
 }
 
 // RowAggSpec mirrors exec.AggSpec for the row engine.
@@ -320,6 +325,7 @@ func (a *AggRow) Open(ctx context.Context) error {
 	a.groups = nil
 	a.order = nil
 	a.at = 0
+	a.overflow = 0
 	return a.Child.Open(ctx)
 }
 
@@ -376,6 +382,11 @@ func (a *AggRow) consume() error {
 	if len(a.GroupCols) == 0 {
 		a.ensureGroup("", nil)
 	}
+	in := a.Child.Schema()
+	intSum := make([]bool, len(a.Aggs))
+	for i, sp := range a.Aggs {
+		intSum[i] = sp.Fn == "sum" && in.Cols[sp.Col].Type.Kind != types.KindFloat64
+	}
 	n := 0
 	for {
 		n++
@@ -389,6 +400,9 @@ func (a *AggRow) consume() error {
 			return err
 		}
 		if row == nil {
+			if a.overflow < 0 {
+				return fmt.Errorf("rowengine: sum: %w", primitives.ErrOverflow)
+			}
 			return nil
 		}
 		key := rowKey(row, a.GroupCols)
@@ -413,8 +427,14 @@ func (a *AggRow) consume() error {
 			case "count":
 				st.cnt++
 			case "sum":
-				st.sumI += v.AsInt()
-				st.sumF += v.AsFloat()
+				if intSum[i] {
+					w := v.AsInt()
+					sum := st.sumI + w
+					a.overflow |= (st.sumI ^ sum) & (w ^ sum)
+					st.sumI = sum
+				} else {
+					st.sumF += v.AsFloat()
+				}
 			case "avg":
 				st.cnt++
 				st.sumF += v.AsFloat()
