@@ -10,7 +10,8 @@
 //     want a chunk, how close its wanters are to finishing) so one physical
 //     read feeds many queries.
 //
-// Experiment E4 drives both policies over the same simulated disk.
+// TestCooperativeSharingBeatsLRU and examples/cooperative drive both
+// policies over the same slow chunk source.
 package bufmgr
 
 import (

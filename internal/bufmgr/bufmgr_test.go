@@ -6,32 +6,31 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"vectorwise/internal/iosim"
 )
 
-// memSource is a Source over a simulated disk with recognizable chunk
-// contents.
-type memSource struct {
-	disk   *iosim.Disk
+// delaySource is a Source whose every read takes delay, or lasts until ctx
+// is done, and returns the chunk id as the chunk's content.
+type delaySource struct {
+	delay  time.Duration
 	chunks int
-	size   int
 }
 
-func (m *memSource) NumChunks() int { return m.chunks }
+func (s *delaySource) NumChunks() int { return s.chunks }
 
-func (m *memSource) ReadChunk(ctx context.Context, id int) ([]byte, error) {
-	if err := m.disk.Read(ctx, m.size); err != nil {
-		return nil, err
+func (s *delaySource) ReadChunk(ctx context.Context, id int) ([]byte, error) {
+	t := time.NewTimer(s.delay)
+	defer t.Stop()
+	select {
+	case <-t.C:
+	case <-ctx.Done():
+		return nil, ctx.Err()
 	}
 	b := make([]byte, 8)
 	binary.LittleEndian.PutUint64(b, uint64(id))
 	return b, nil
 }
 
-func fastSource(chunks int) *memSource {
-	return &memSource{disk: iosim.NewDisk(0, 0), chunks: chunks, size: 1 << 20}
-}
+func fastSource(chunks int) *delaySource { return &delaySource{chunks: chunks} }
 
 func TestLRUPoolHitsAndEviction(t *testing.T) {
 	src := fastSource(10)
@@ -62,7 +61,7 @@ func TestLRUPoolHitsAndEviction(t *testing.T) {
 }
 
 func TestLRUPoolSingleFlight(t *testing.T) {
-	src := &memSource{disk: iosim.NewDisk(5*time.Millisecond, 0), chunks: 1, size: 1}
+	src := &delaySource{delay: 5 * time.Millisecond, chunks: 1}
 	p := NewLRUPool(src, 2)
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
@@ -164,8 +163,7 @@ func TestCooperativeSharingBeatsLRU(t *testing.T) {
 	const offset = poolCap + 4 // chunks consumed before the next scan starts
 	ctx := context.Background()
 	run := func(coop bool) int64 {
-		disk := iosim.NewDisk(100*time.Microsecond, 0)
-		src := &memSource{disk: disk, chunks: chunks, size: 1 << 20}
+		src := &delaySource{delay: 100 * time.Microsecond, chunks: chunks}
 		var wg sync.WaitGroup
 		progress := make([]chan struct{}, nScans) // closed when scan i passes offset
 		for i := range progress {
@@ -233,8 +231,7 @@ func TestCooperativeSharingBeatsLRU(t *testing.T) {
 }
 
 func TestCoopScanCancellation(t *testing.T) {
-	disk := iosim.NewDisk(50*time.Millisecond, 0)
-	src := &memSource{disk: disk, chunks: 100, size: 1}
+	src := &delaySource{delay: 50 * time.Millisecond, chunks: 100}
 	a := NewABM(src, 4)
 	s := a.Attach()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -265,26 +262,11 @@ func TestCoopScanCancellation(t *testing.T) {
 }
 
 func TestLRUGetCancellation(t *testing.T) {
-	disk := iosim.NewDisk(time.Hour, 0) // never completes
-	src := &memSource{disk: disk, chunks: 1, size: 1}
+	src := &delaySource{delay: time.Hour, chunks: 1} // never completes
 	p := NewLRUPool(src, 1)
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	if _, err := p.Get(ctx, 0); err == nil {
 		t.Fatal("expected timeout")
-	}
-}
-
-func TestDiskStats(t *testing.T) {
-	d := iosim.NewDisk(time.Millisecond, 1<<30)
-	_ = d.Read(context.Background(), 1<<20)
-	reads, bytes, busy := d.Stats()
-	if reads != 1 || bytes != 1<<20 || busy <= 0 {
-		t.Fatalf("stats: %d %d %v", reads, bytes, busy)
-	}
-	d.ResetStats()
-	reads, _, _ = d.Stats()
-	if reads != 0 {
-		t.Fatal("reset failed")
 	}
 }

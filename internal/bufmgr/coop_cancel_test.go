@@ -5,8 +5,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"vectorwise/internal/iosim"
 )
 
 // A context-cancelled CoopScan must detach itself: a lingering attachment
@@ -14,8 +12,7 @@ import (
 // cancelled victims interleaved with healthy siblings (under -race in CI)
 // and require that everyone unwinds and the scan set drains to zero.
 func TestCoopCancelDetachesAndReleasesSiblings(t *testing.T) {
-	disk := iosim.NewDisk(2*time.Millisecond, 0)
-	src := &memSource{disk: disk, chunks: 32, size: 1}
+	src := &delaySource{delay: 2 * time.Millisecond, chunks: 32}
 	a := NewABM(src, 4)
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -75,8 +72,7 @@ func TestCoopCancelDetachesAndReleasesSiblings(t *testing.T) {
 // be a harmless no-op, and a scan abandoned by a read error must likewise
 // leave the ABM.
 func TestCoopDetachIdempotentAfterError(t *testing.T) {
-	disk := iosim.NewDisk(time.Hour, 0) // reads never complete
-	src := &memSource{disk: disk, chunks: 4, size: 1}
+	src := &delaySource{delay: time.Hour, chunks: 4} // reads never complete
 	a := NewABM(src, 4)
 	s := a.Attach()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)

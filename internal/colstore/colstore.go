@@ -245,8 +245,7 @@ func (t *Table) AccountWindowPrune(cols []int, lo, hi int) {
 	mBytesSkipped.Add(bytes)
 }
 
-// CompressedBytes totals the encoded size of all blocks (experiment E3's
-// ratio numerator).
+// CompressedBytes totals the encoded size of all blocks.
 func (t *Table) CompressedBytes() int64 {
 	t.mu.RLock()
 	defer t.mu.RUnlock()

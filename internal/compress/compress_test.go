@@ -7,10 +7,10 @@ import (
 	"testing/quick"
 )
 
-func roundTripInt(t *testing.T, enc func([]byte, []int64) []byte, dec func([]int64, []byte) ([]int64, []byte, error), vals []int64) {
+func roundTripInt(t *testing.T, enc func([]byte, []int64) []byte, vals []int64) {
 	t.Helper()
 	buf := enc(nil, vals)
-	got, rest, err := dec(nil, buf)
+	got, rest, err := DecodeInt64(nil, buf)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -28,11 +28,11 @@ func roundTripInt(t *testing.T, enc func([]byte, []int64) []byte, dec func([]int
 }
 
 func TestPFORRoundTripBasic(t *testing.T) {
-	roundTripInt(t, EncodePFOR, DecodePFOR, []int64{1, 2, 3, 4, 5})
-	roundTripInt(t, EncodePFOR, DecodePFOR, []int64{})
-	roundTripInt(t, EncodePFOR, DecodePFOR, []int64{42})
-	roundTripInt(t, EncodePFOR, DecodePFOR, []int64{-5, -5, -5})
-	roundTripInt(t, EncodePFOR, DecodePFOR, []int64{math.MinInt64, math.MaxInt64, 0})
+	roundTripInt(t, EncodePFOR, []int64{1, 2, 3, 4, 5})
+	roundTripInt(t, EncodePFOR, []int64{})
+	roundTripInt(t, EncodePFOR, []int64{42})
+	roundTripInt(t, EncodePFOR, []int64{-5, -5, -5})
+	roundTripInt(t, EncodePFOR, []int64{math.MinInt64, math.MaxInt64, 0})
 }
 
 func TestPFORExceptions(t *testing.T) {
@@ -44,7 +44,7 @@ func TestPFORExceptions(t *testing.T) {
 	vals[17] = 1 << 50
 	vals[500] = -(1 << 40)
 	vals[999] = math.MaxInt64
-	roundTripInt(t, EncodePFOR, DecodePFOR, vals)
+	roundTripInt(t, EncodePFOR, vals)
 	// Compression should still be effective despite outliers.
 	buf := EncodePFOR(nil, vals)
 	if len(buf) > 8000/4 {
@@ -60,7 +60,7 @@ func TestPFORDeltaSorted(t *testing.T) {
 		acc += rng.Int63n(5)
 		vals[i] = acc
 	}
-	roundTripInt(t, EncodePFORDelta, DecodePFORDelta, vals)
+	roundTripInt(t, EncodePFORDelta, vals)
 	buf := EncodePFORDelta(nil, vals)
 	if len(buf) > 10000 { // <1 byte/value on near-sorted data
 		t.Fatalf("PFOR-DELTA on sorted data too large: %d", len(buf))
@@ -68,8 +68,8 @@ func TestPFORDeltaSorted(t *testing.T) {
 }
 
 func TestRLE(t *testing.T) {
-	roundTripInt(t, EncodeRLE, DecodeRLE, []int64{7, 7, 7, 7, 1, 1, 9})
-	roundTripInt(t, EncodeRLE, DecodeRLE, []int64{})
+	roundTripInt(t, EncodeRLE, []int64{7, 7, 7, 7, 1, 1, 9})
+	roundTripInt(t, EncodeRLE, []int64{})
 	vals := make([]int64, 5000)
 	for i := range vals {
 		vals[i] = int64(i / 1000)
@@ -78,11 +78,11 @@ func TestRLE(t *testing.T) {
 	if len(buf) > 60 {
 		t.Fatalf("RLE on runs too large: %d", len(buf))
 	}
-	roundTripInt(t, EncodeRLE, DecodeRLE, vals)
+	roundTripInt(t, EncodeRLE, vals)
 }
 
 func TestNoneCodec(t *testing.T) {
-	roundTripInt(t, EncodeNone, DecodeNone, []int64{1, -1, math.MaxInt64})
+	roundTripInt(t, EncodeNone, []int64{1, -1, math.MaxInt64})
 }
 
 func TestChooseInt64(t *testing.T) {
@@ -149,7 +149,7 @@ func TestCorruptionDetected(t *testing.T) {
 	}
 	buf := EncodePFOR(nil, vals)
 	for _, cut := range []int{1, 2, 5, len(buf) / 2, len(buf) - 1} {
-		if _, _, err := DecodePFOR(nil, buf[:cut]); err == nil {
+		if _, _, err := DecodeInt64(nil, buf[:cut]); err == nil {
 			t.Fatalf("truncation at %d not detected", cut)
 		}
 	}
@@ -158,7 +158,7 @@ func TestCorruptionDetected(t *testing.T) {
 func TestStringRaw(t *testing.T) {
 	vals := []string{"hello", "", "world", "a\x00b"}
 	buf := EncodeStringRaw(nil, vals)
-	got, rest, err := DecodeStringRaw(nil, buf)
+	got, rest, err := DecodeString(nil, buf)
 	if err != nil || len(rest) != 0 {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestPDictRoundTrip(t *testing.T) {
 		vals[i] = opts[i%len(opts)]
 	}
 	buf := EncodePDict(nil, vals)
-	got, rest, err := DecodePDict(nil, buf)
+	got, rest, err := DecodeString(nil, buf)
 	if err != nil || len(rest) != 0 {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func TestBitPackWidths(t *testing.T) {
 func TestPFORRoundTripProperty(t *testing.T) {
 	f := func(vals []int64) bool {
 		buf := EncodePFOR(nil, vals)
-		got, rest, err := DecodePFOR(nil, buf)
+		got, rest, err := DecodeInt64(nil, buf)
 		if err != nil || len(rest) != 0 || len(got) != len(vals) {
 			return false
 		}
@@ -266,7 +266,7 @@ func TestPFORRoundTripProperty(t *testing.T) {
 func TestDeltaRLERoundTripProperty(t *testing.T) {
 	f := func(vals []int64, small []uint8) bool {
 		buf := EncodePFORDelta(nil, vals)
-		got, _, err := DecodePFORDelta(nil, buf)
+		got, _, err := DecodeInt64(nil, buf)
 		if err != nil || len(got) != len(vals) {
 			return false
 		}
@@ -280,7 +280,7 @@ func TestDeltaRLERoundTripProperty(t *testing.T) {
 			sv[i] = int64(b % 4)
 		}
 		buf2 := EncodeRLE(nil, sv)
-		got2, _, err := DecodeRLE(nil, buf2)
+		got2, _, err := DecodeInt64(nil, buf2)
 		if err != nil || len(got2) != len(sv) {
 			return false
 		}
@@ -307,7 +307,7 @@ func TestZigzagProperty(t *testing.T) {
 func TestPDictRoundTripProperty(t *testing.T) {
 	f := func(vals []string) bool {
 		buf := EncodePDict(nil, vals)
-		got, _, err := DecodePDict(nil, buf)
+		got, _, err := DecodeString(nil, buf)
 		if err != nil || len(got) != len(vals) {
 			return false
 		}

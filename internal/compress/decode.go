@@ -8,8 +8,8 @@ import (
 // Decoding. One typed kernel per codec writes into a destination the caller
 // owns: the block's row count must equal len(dst), so the destination — not
 // a number read from the block — bounds every write and nothing is
-// allocated. The DecodeInt64/DecodePFOR/… functions are thin wrappers that
-// size a destination from the header and run the same kernels.
+// allocated. DecodeInt64 and DecodeString are thin wrappers that size a
+// destination from the header and run the same kernels.
 //
 // Blocks are untrusted bytes (a file may be corrupt or hostile): every
 // length is compared as uint64 before it is converted, and a kernel returns
@@ -311,14 +311,6 @@ func sized[E any](dst []E, src []byte) ([]E, bool) {
 	return dst[:n], true
 }
 
-// decodeInt64As is DecodeInt64 for a block that must carry codec c.
-func decodeInt64As(c Codec, dst []int64, src []byte) ([]int64, []byte, error) {
-	if len(src) == 0 || Codec(src[0]) != c {
-		return nil, nil, ErrCorrupt
-	}
-	return DecodeInt64(dst, src)
-}
-
 // DecodeInt64 decodes any integer block by dispatching on its header byte,
 // into dst (grown as needed), and returns the values along with the
 // unconsumed remainder of src.
@@ -332,14 +324,6 @@ func DecodeInt64(dst []int64, src []byte) ([]int64, []byte, error) {
 		return nil, nil, err
 	}
 	return dst, rest, nil
-}
-
-// decodeStringAs is DecodeString for a block that must carry codec c.
-func decodeStringAs(c Codec, dst []string, src []byte) ([]string, []byte, error) {
-	if len(src) == 0 || Codec(src[0]) != c {
-		return nil, nil, ErrCorrupt
-	}
-	return DecodeString(dst, src)
 }
 
 // DecodeString decodes any string block by dispatching on its header byte,

@@ -22,11 +22,6 @@ func EncodeStringRaw(dst []byte, vals []string) []byte {
 	return dst
 }
 
-// DecodeStringRaw decodes an uncompressed string block.
-func DecodeStringRaw(dst []string, src []byte) ([]string, []byte, error) {
-	return decodeStringAs(None, dst, src)
-}
-
 // EncodePDict appends a dictionary-compressed string block.
 //
 // Layout: uvarint n | uvarint dictSize | dict entries (uvarint len+bytes) |
@@ -63,11 +58,6 @@ func EncodePDict(dst []byte, vals []string) []byte {
 		p.put(code[s])
 	}
 	return p.finish()
-}
-
-// DecodePDict decodes a dictionary-compressed string block.
-func DecodePDict(dst []string, src []byte) ([]string, []byte, error) {
-	return decodeStringAs(PDict, dst, src)
 }
 
 func codeWidth(dictSize int) uint {

@@ -144,12 +144,6 @@ func encodePFORAt(dst []byte, vals []int64, base int64, w uint) []byte {
 	return dst
 }
 
-// DecodePFOR decodes a PFOR block into dst (grown as needed) and returns
-// the value slice along with the unconsumed remainder of src.
-func DecodePFOR(dst []int64, src []byte) ([]int64, []byte, error) {
-	return decodeInt64As(PFOR, dst, src)
-}
-
 // EncodePFORDelta appends a PFOR-DELTA block: consecutive differences
 // compressed with PFOR. Ideal for sorted or clustered columns (keys, dates,
 // row IDs).
@@ -165,11 +159,6 @@ func EncodePFORDelta(dst []byte, vals []int64) []byte {
 		deltas[i-1] = vals[i] - vals[i-1]
 	}
 	return EncodePFOR(dst, deltas)
-}
-
-// DecodePFORDelta decodes a PFOR-DELTA block.
-func DecodePFORDelta(dst []int64, src []byte) ([]int64, []byte, error) {
-	return decodeInt64As(PFORDelta, dst, src)
 }
 
 // EncodeRLE appends a run-length block: (zigzag value, run length) pairs.
@@ -189,11 +178,6 @@ func EncodeRLE(dst []byte, vals []int64) []byte {
 	return dst
 }
 
-// DecodeRLE decodes a run-length block.
-func DecodeRLE(dst []int64, src []byte) ([]int64, []byte, error) {
-	return decodeInt64As(RLE, dst, src)
-}
-
 // EncodeNone appends an uncompressed block of raw little-endian values.
 func EncodeNone(dst []byte, vals []int64) []byte {
 	dst = append(dst, byte(None))
@@ -202,11 +186,6 @@ func EncodeNone(dst []byte, vals []int64) []byte {
 		dst = binary.LittleEndian.AppendUint64(dst, uint64(v))
 	}
 	return dst
-}
-
-// DecodeNone decodes an uncompressed block.
-func DecodeNone(dst []int64, src []byte) ([]int64, []byte, error) {
-	return decodeInt64As(None, dst, src)
 }
 
 // EncodeInt64 encodes vals with the given codec.

@@ -1,7 +1,7 @@
 // Package datagen generates deterministic TPC-H-like data: the lineitem /
 // orders / customer triple the paper's workloads revolve around, with the
-// same column kinds, skew and cardinality knobs (documented substitution
-// for TPC-H dbgen; see DESIGN.md).
+// same column kinds, skew and cardinality knobs (a substitution for TPC-H
+// dbgen).
 package datagen
 
 import (

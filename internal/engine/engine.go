@@ -50,9 +50,6 @@ type DB struct {
 	// shared cooperative ABM instead of each reading through the LRU pool.
 	// On by default; benchmarks toggle it to measure the difference.
 	CoopScans bool
-	// ScanIODelay adds a simulated per-group read latency to buffer-managed
-	// scans (benchmarks only; 0 in production).
-	ScanIODelay time.Duration
 	// SessionSource, when set by the session layer, supplies sys.sessions
 	// rows.
 	SessionSource func() []SessionInfo

@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"sync"
-	"time"
 
 	"vectorwise/internal/bufmgr"
 	"vectorwise/internal/colstore"
@@ -16,23 +15,14 @@ import (
 const DefaultBufferGroups = 256
 
 // tableChunkSource adapts a stable snapshot to bufmgr.Source: one chunk is
-// one framed row group. An optional per-read delay simulates disk latency so
-// buffer-policy differences are observable on in-memory tables (benchmarks).
+// one framed row group.
 type tableChunkSource struct {
-	t     *colstore.Table
-	delay time.Duration
+	t *colstore.Table
 }
 
 func (s *tableChunkSource) NumChunks() int { return s.t.NumBlocks() }
 
-func (s *tableChunkSource) ReadChunk(ctx context.Context, id int) ([]byte, error) {
-	if s.delay > 0 {
-		select {
-		case <-time.After(s.delay):
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
+func (s *tableChunkSource) ReadChunk(_ context.Context, id int) ([]byte, error) {
 	return s.t.EncodeGroup(id)
 }
 
@@ -92,7 +82,7 @@ func (db *DB) shareFor(table string, snap *colstore.Table) *scanShare {
 	if capGroups <= 0 {
 		capGroups = DefaultBufferGroups
 	}
-	src := &tableChunkSource{t: snap, delay: db.ScanIODelay}
+	src := &tableChunkSource{t: snap}
 	sh := &scanShare{
 		stable: snap,
 		lru:    bufmgr.NewLRUPool(src, capGroups),

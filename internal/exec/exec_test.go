@@ -469,7 +469,8 @@ func TestXchgUnionParallel(t *testing.T) {
 }
 
 func TestXchgUnionAggregate(t *testing.T) {
-	// Parallel partial aggregation + final aggregation: the E6 plan shape.
+	// Parallel partial aggregation + final aggregation: the plan shape the
+	// rewriter's parallelizer emits.
 	var partials []Operator
 	for i := 0; i < 4; i++ {
 		src := seqSource(1000, 4)

@@ -377,7 +377,9 @@ func (h *HashAgg) groupKeyEq(g int, b *vec.Batch, phys int32) bool {
 				return false
 			}
 		case types.KindFloat64:
-			if kv.F64[g] != iv.F64[phys] {
+			// Equal as types.CompareFloat64 has it, like ORDER BY: -0 is +0
+			// and NaN is NaN.
+			if x, y := kv.F64[g], iv.F64[phys]; x != y && (x == x || y == y) {
 				return false
 			}
 		case types.KindString:

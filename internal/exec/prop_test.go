@@ -194,11 +194,16 @@ type aggModel struct {
 	min, max map[int]types.Value
 }
 
+// doubleKeys is the domain of the DOUBLE group key: NaNs of three bit
+// patterns, which make one group, and -0 and +0, which make another.
+var doubleKeys = []float64{math.NaN(), math.Copysign(0, -1), 1.5, math.Float64frombits(0x7ff8000000000000),
+	0, -2, math.Float64frombits(0xfff8000000000000)}
+
 func TestHashAggEqualsMapModel(t *testing.T) {
-	// Input columns: three candidate keys, then one measure per kind.
-	kinds := []types.Kind{types.KindInt64, types.KindString, types.KindInt32,
+	// Input columns: four candidate keys, then one measure per kind.
+	kinds := []types.Kind{types.KindInt64, types.KindString, types.KindInt32, types.KindFloat64,
 		types.KindBool, types.KindInt32, types.KindDate, types.KindInt64, types.KindFloat64, types.KindString}
-	const firstMeasure = 3
+	const firstMeasure = 4
 	var aggs []AggSpec
 	aggs = append(aggs, AggSpec{Fn: AggCount, Col: -1})
 	for c := firstMeasure; c < len(kinds); c++ {
@@ -217,7 +222,8 @@ func TestHashAggEqualsMapModel(t *testing.T) {
 			if distinct == nRows {
 				k = i
 			}
-			row := []types.Value{types.NewInt64(int64(k) * 7), types.NewString(fmt.Sprint("g", k)), types.NewInt32(int32(k % 13))}
+			row := []types.Value{types.NewInt64(int64(k) * 7), types.NewString(fmt.Sprint("g", k)), types.NewInt32(int32(k % 13)),
+				types.NewFloat64(doubleKeys[k%len(doubleKeys)])}
 			for _, kind := range kinds[firstMeasure:] {
 				v := randomValue(rng, kind, 1000)
 				if kind == types.KindFloat64 && (math.IsNaN(v.F64) || math.IsInf(v.F64, 0)) {
@@ -227,18 +233,25 @@ func TestHashAggEqualsMapModel(t *testing.T) {
 			}
 			rows[i] = row
 		}
-		for _, groupCols := range [][]int{{0}, {1}, {2, 1}} {
+		for _, groupCols := range [][]int{{0}, {1}, {2, 1}, {3}, {3, 2}} {
 			model := map[string]*aggModel{}
 			for _, row := range rows {
-				var key []types.Value
+				// The group is named by its first row's key, and found by the
+				// key with -0 made +0 (every NaN already prints alike).
+				var key, canon []types.Value
 				for _, g := range groupCols {
-					key = append(key, row[g])
+					v := row[g]
+					key = append(key, v)
+					if v.Kind == types.KindFloat64 && v.F64 == 0 {
+						v = types.NewFloat64(0)
+					}
+					canon = append(canon, v)
 				}
-				m := model[fmt.Sprint(key)]
+				m := model[fmt.Sprint(canon)]
 				if m == nil {
 					m = &aggModel{key: key, sumI: map[int]int64{}, sumF: map[int]float64{},
 						min: map[int]types.Value{}, max: map[int]types.Value{}}
-					model[fmt.Sprint(key)] = m
+					model[fmt.Sprint(canon)] = m
 				}
 				m.count++
 				for c := firstMeasure; c < len(kinds); c++ {

@@ -11,7 +11,8 @@ import (
 // fragments run in their own goroutines and meet at exchange boundaries.
 // The paper's "Multi-core" bullet (claim C9) notes Vectorwise built its
 // parallelizer *in the rewriter* by inserting exactly these operators;
-// internal/rewriter does the same and experiment E6 measures the scaling.
+// internal/rewriter does the same, and bench/ reports the scaling as
+// exec.xchg_speedup_p2.
 
 // XchgUnion runs each child in its own goroutine and merges their batches
 // into one stream (no ordering guarantees).

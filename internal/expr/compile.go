@@ -47,12 +47,9 @@ type ownedReg struct {
 // Mode flags for compilation.
 type Mode struct {
 	// Checked enables overflow/div-zero detection via the vectorized
-	// checked primitives. Unchecked mode exists for experiment E8 and for
-	// expressions the optimizer proved safe.
+	// checked primitives. Unchecked mode exists for expressions the
+	// optimizer proved safe.
 	Checked bool
-	// Naive switches the checked primitives to the per-value naive variants
-	// (experiment E8's straw man). Implies Checked.
-	Naive bool
 }
 
 // Compile builds an Evaluator for e over inputs with the given kinds.

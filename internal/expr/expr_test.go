@@ -142,11 +142,6 @@ func TestCheckedOverflow(t *testing.T) {
 	if _, err := evC.Eval(b); !errors.Is(err, primitives.ErrOverflow) {
 		t.Fatal("checked mode missed overflow")
 	}
-	// Naive mode reports identically.
-	evN, _ := Compile(e, kinds, Mode{Naive: true})
-	if _, err := evN.Eval(b); !errors.Is(err, primitives.ErrOverflow) {
-		t.Fatal("naive mode missed overflow")
-	}
 }
 
 func TestCmpAgreement(t *testing.T) {

@@ -143,14 +143,12 @@ func intArith[T primitives.Integer](
 ) (instr, error) {
 	// Promote operand kinds: the binder guarantees both sides already match
 	// the destination kind via casts, so slots here share T.
-	checked := mode.Checked || mode.Naive
 	// Division and modulo are *always* checked: unchecked integer division
 	// by zero would fault the whole process.
 	if fn == "/" || fn == "%" || fn == "mod" {
 		av := c.materialize(a)
 		bv := c.materialize(b)
 		ra, rb := av.reg, bv.reg
-		naive := mode.Naive
 		isMod := fn != "/"
 		return func(ctx *evalCtx) error {
 			d, x, y := sl(ctx.regs[dst]), sl(ctx.regs[ra]), sl(ctx.regs[rb])
@@ -161,17 +159,13 @@ func intArith[T primitives.Integer](
 			if isMod {
 				return primitives.CheckedModVV(d, x, y, sel)
 			}
-			if naive {
-				return primitives.NaiveCheckedDivVV(d, x, y, sel)
-			}
 			return primitives.CheckedDivVV(d, x, y, sel)
 		}, nil
 	}
-	if checked {
+	if mode.Checked {
 		av := c.materialize(a)
 		bv := c.materialize(b)
 		ra, rb := av.reg, bv.reg
-		naive := mode.Naive
 		switch fn {
 		case "+":
 			return func(ctx *evalCtx) error {
@@ -179,9 +173,6 @@ func intArith[T primitives.Integer](
 				sel, n := ctx.sel, ctx.n
 				if sel == nil {
 					d = d[:n]
-				}
-				if naive {
-					return primitives.NaiveCheckedAddVV(d, x, y, sel, primitives.NaiveAddOverflowCheck[T])
 				}
 				return primitives.CheckedAddVV(d, x, y, sel)
 			}, nil
@@ -299,7 +290,7 @@ func floatArith(fn string, a, b argSlot, dst int, mode Mode, c *compiler) (instr
 	switch {
 	case fn == "/" && b.isConst():
 		ra, k := a.reg, cv(b.val)
-		checked := mode.Checked || mode.Naive
+		checked := mode.Checked
 		return func(ctx *evalCtx) error {
 			d, x := sl(ctx.regs[dst]), sl(ctx.regs[ra])
 			sel := ctx.sel
@@ -316,7 +307,7 @@ func floatArith(fn string, a, b argSlot, dst int, mode Mode, c *compiler) (instr
 		av := c.materialize(a)
 		bv := c.materialize(b)
 		ra, rb := av.reg, bv.reg
-		checked := mode.Checked || mode.Naive
+		checked := mode.Checked
 		return func(ctx *evalCtx) error {
 			d, x, y := sl(ctx.regs[dst]), sl(ctx.regs[ra]), sl(ctx.regs[rb])
 			sel := ctx.sel

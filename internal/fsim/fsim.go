@@ -5,7 +5,7 @@
 // versus volatile distinction real disks have: writes land in a volatile
 // image, Sync publishes them to the durable image, and Crash() discards
 // everything volatile — exactly what a kill -9 does to the page cache.
-// MemFS also carries iosim-style failpoints (torn write at byte N, failing
+// MemFS also carries failpoints (torn write at byte N, failing
 // fsync, bit flips) so crash-matrix tests can cut a write at every byte
 // boundary without ever forking a process.
 package fsim

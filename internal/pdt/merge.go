@@ -20,7 +20,7 @@ type BatchSource interface {
 // filtered with a selection vector, modifies patch values (copy-on-write),
 // inserts are spliced in order. Batches without deltas pass through
 // zero-copy — the common fast path that keeps merge overhead near zero for
-// mostly-clean tables (experiment E5 measures this).
+// mostly-clean tables (bench/ reports it as pdt.merge_slowdown_x).
 //
 // The stream may be a projection of the table: deltas hold whole rows and
 // table-column modifies, so the merger is told which table column each

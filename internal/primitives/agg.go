@@ -129,6 +129,26 @@ func MaxFrom[T Ordered](acc T, seen bool, a []T, sel []int32, n int) (T, bool) {
 	return acc, seen
 }
 
+// CountTrue counts the selected set positions of a bool vector; the hash
+// join uses it to find NULL keys through their indicator column.
+func CountTrue(a []bool, sel []int32, n int) int64 {
+	var c int64
+	if sel == nil {
+		for i := 0; i < n; i++ {
+			if a[i] {
+				c++
+			}
+		}
+		return c
+	}
+	for _, i := range sel {
+		if a[i] {
+			c++
+		}
+	}
+	return c
+}
+
 // Grouped aggregates. groups must be parallel to the *logical* rows: when
 // sel is non-nil, groups[k] corresponds to row sel[k]; when sel is nil,
 // groups[k] corresponds to row k. This matches how the hash-aggregation

@@ -159,36 +159,12 @@ func TestSumOverflowMatchesExactArithmetic(t *testing.T) {
 	}
 }
 
-func TestNullAwareVariants(t *testing.T) {
-	a := []float64{1, 2, 3, 4}
-	aN := []bool{false, true, false, false}
-	b := []float64{10, 10, 10, 10}
-	bN := []bool{false, false, true, false}
-	dst := make([]float64, 4)
-	dstN := make([]bool, 4)
-	NullAwareAddVV(dst, dstN, a, aN, b, bN, nil)
-	if dst[0] != 11 || !dstN[1] || !dstN[2] || dst[3] != 14 || dstN[0] || dstN[3] {
-		t.Fatalf("nullaware add: %v %v", dst, dstN)
+func TestCountTrue(t *testing.T) {
+	a := []bool{false, true, false, true}
+	if n := CountTrue(a, nil, 4); n != 2 {
+		t.Fatalf("count true: %d", n)
 	}
-	NullAwareMulVV(dst, dstN, a, aN, b, bN, nil)
-	if dst[0] != 10 || !dstN[1] || dst[3] != 40 {
-		t.Fatalf("nullaware mul: %v %v", dst, dstN)
-	}
-	sel := NullAwareSelGtVC(nil, a, aN, 1.5, nil, 4)
-	if len(sel) != 2 || sel[0] != 2 || sel[1] != 3 {
-		t.Fatalf("nullaware sel: %v", sel)
-	}
-	s, c := NullAwareSumDirect(a, aN, nil, 4)
-	if s != 8 || c != 3 {
-		t.Fatalf("nullaware sum: %v %v", s, c)
-	}
-	// Decomposed path: value column holds safe zeros at NULL slots.
-	av := []float64{1, 0, 3, 4}
-	s2, c2 := DecomposedSumDirect(av, aN, nil, 4)
-	if s2 != 8 || c2 != 3 {
-		t.Fatalf("decomposed sum: %v %v", s2, c2)
-	}
-	if n := CountTrue(aN, []int32{0, 1}, 4); n != 1 {
+	if n := CountTrue(a, []int32{0, 1}, 4); n != 1 {
 		t.Fatalf("count true sel: %d", n)
 	}
 }
@@ -218,6 +194,13 @@ func TestHashBasics(t *testing.T) {
 	HashFloat(hf, f, nil, 3)
 	if hf[0] != hf[2] {
 		t.Fatal("-0.0 and 0.0 must hash equal")
+	}
+	nans := []float64{math.NaN(), math.Float64frombits(0xfff8000000000000)}
+	hn := make([]uint64, 2)
+	HashFloat(hn, nans, nil, 2)
+	RehashFloat(hn, nans, nil, 2)
+	if hn[0] != hn[1] {
+		t.Fatal("every NaN must hash equal")
 	}
 	b := []bool{true, false}
 	hb := make([]uint64, 2)

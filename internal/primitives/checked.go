@@ -18,10 +18,7 @@ import (
 // to rescan for the exact failing position. The common (error-free) path
 // therefore costs one extra OR-and-compare per element and no branches; the
 // error path pays a second scan but only when the query is failing anyway.
-//
-// The naive contrast variants (NaiveChecked*) check and construct error
-// state per element through a function pointer — the straightforward
-// implementation the paper warns about. Experiment E8 measures all three.
+// bench/ times CheckedMulVVI64 as primitives.checked_mul_mrows_per_s.
 
 // ErrOverflow reports integer overflow in checked arithmetic.
 var ErrOverflow = errors.New("arithmetic overflow")
@@ -334,66 +331,5 @@ func CheckedModVV[T Integer](dst, a, b []T, sel []int32) error {
 		}
 	}
 	ModVV(dst, a, b, sel)
-	return nil
-}
-
-// Naive per-value checked variants — the "straightforward implementation"
-// baseline for experiment E8. checkFn is called per element through a
-// function value, modelling the per-value error-checking plumbing (bounds
-// validation, errno-style reporting) a non-vectorized engine pays.
-
-// NaiveCheckFn validates one pair of operands; returns an error to abort.
-type NaiveCheckFn[T Integer] func(a, b T) error
-
-// NaiveCheckedAddVV is the per-element checked addition.
-func NaiveCheckedAddVV[T Integer](dst, a, b []T, sel []int32, check NaiveCheckFn[T]) error {
-	if sel == nil {
-		a = a[:len(dst)]
-		b = b[:len(dst)]
-		for i := range dst {
-			if err := check(a[i], b[i]); err != nil {
-				return &PosError{Err: err, Pos: i}
-			}
-			dst[i] = a[i] + b[i]
-		}
-		return nil
-	}
-	for k, i := range sel {
-		if err := check(a[i], b[i]); err != nil {
-			return &PosError{Err: err, Pos: k}
-		}
-		dst[i] = a[i] + b[i]
-	}
-	return nil
-}
-
-// NaiveAddOverflowCheck is the standard per-pair overflow test.
-func NaiveAddOverflowCheck[T Integer](a, b T) error {
-	s := a + b
-	if (a^s)&(b^s) < 0 {
-		return ErrOverflow
-	}
-	return nil
-}
-
-// NaiveCheckedDivVV divides with a per-element zero test and error wrap.
-func NaiveCheckedDivVV[T Integer](dst, a, b []T, sel []int32) error {
-	if sel == nil {
-		a = a[:len(dst)]
-		b = b[:len(dst)]
-		for i := range dst {
-			if b[i] == 0 {
-				return &PosError{Err: ErrDivByZero, Pos: i}
-			}
-			dst[i] = a[i] / b[i]
-		}
-		return nil
-	}
-	for k, i := range sel {
-		if b[i] == 0 {
-			return &PosError{Err: ErrDivByZero, Pos: k}
-		}
-		dst[i] = a[i] / b[i]
-	}
 	return nil
 }

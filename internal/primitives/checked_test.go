@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestCheckedAddNoOverflow(t *testing.T) {
@@ -125,51 +124,6 @@ func TestCheckedMod(t *testing.T) {
 	}
 	if err := CheckedModVV(dst, []int64{10, 7}, []int64{3, 0}, []int32{0}); err != nil {
 		t.Fatal("mod sel")
-	}
-}
-
-func TestNaiveChecked(t *testing.T) {
-	dst := make([]int64, 2)
-	if err := NaiveCheckedAddVV(dst, []int64{1, 2}, []int64{3, 4}, nil, NaiveAddOverflowCheck[int64]); err != nil || dst[1] != 6 {
-		t.Fatalf("naive add: %v %v", dst, err)
-	}
-	err := NaiveCheckedAddVV(dst[:1], []int64{math.MaxInt64}, []int64{1}, nil, NaiveAddOverflowCheck[int64])
-	if !errors.Is(err, ErrOverflow) {
-		t.Fatal("naive overflow missed")
-	}
-	if err := NaiveCheckedDivVV(dst, []int64{6, 8}, []int64{2, 0}, nil); !errors.Is(err, ErrDivByZero) {
-		t.Fatal("naive div0 missed")
-	}
-}
-
-// Property: checked and naive-checked addition agree on both result and
-// error/no-error outcome.
-func TestCheckedAgreesWithNaiveProperty(t *testing.T) {
-	f := func(a, b []int64) bool {
-		n := min(len(a), len(b))
-		a, b = a[:n], b[:n]
-		d1 := make([]int64, n)
-		d2 := make([]int64, n)
-		e1 := CheckedAddVV(d1, a, b, nil)
-		e2 := NaiveCheckedAddVV(d2, a, b, nil, NaiveAddOverflowCheck[int64])
-		if (e1 == nil) != (e2 == nil) {
-			return false
-		}
-		if e1 != nil {
-			var p1, p2 *PosError
-			errors.As(e1, &p1)
-			errors.As(e2, &p2)
-			return p1.Pos == p2.Pos
-		}
-		for i := range d1 {
-			if d1[i] != d2[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
 	}
 }
 

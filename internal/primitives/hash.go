@@ -35,23 +35,29 @@ func HashInt[T Integer](dst []uint64, a []T, sel []int32, n int) {
 	}
 }
 
-// HashFloat initializes dst with the hash of a float column; normalizes
-// -0.0 to +0.0 so equal SQL values hash equally.
-func HashFloat(dst []uint64, a []float64, sel []int32, n int) {
-	h := func(f float64) uint64 {
-		if f == 0 {
-			f = 0 // collapse -0.0
-		}
-		return mix64(math.Float64bits(f) + hashSeed)
+// floatKeyBits is the bit pattern a DOUBLE hashes by: -0 hashes as +0 and
+// every NaN as one pattern, so values equal under types.CompareFloat64 (the
+// equality of GROUP BY) hash equally.
+func floatKeyBits(f float64) uint64 {
+	switch {
+	case f == 0:
+		return 0
+	case f != f:
+		return 0x7ff8000000000001 // math.NaN()
 	}
+	return math.Float64bits(f)
+}
+
+// HashFloat initializes dst with the hash of a float column.
+func HashFloat(dst []uint64, a []float64, sel []int32, n int) {
 	if sel == nil {
 		for i := 0; i < n; i++ {
-			dst[i] = h(a[i])
+			dst[i] = mix64(floatKeyBits(a[i]) + hashSeed)
 		}
 		return
 	}
 	for k, i := range sel {
-		dst[k] = h(a[i])
+		dst[k] = mix64(floatKeyBits(a[i]) + hashSeed)
 	}
 }
 
@@ -118,20 +124,12 @@ func RehashInt[T Integer](dst []uint64, a []T, sel []int32, n int) {
 func RehashFloat(dst []uint64, a []float64, sel []int32, n int) {
 	if sel == nil {
 		for i := 0; i < n; i++ {
-			f := a[i]
-			if f == 0 {
-				f = 0
-			}
-			dst[i] = mix64(dst[i] ^ (math.Float64bits(f) + hashSeed))
+			dst[i] = mix64(dst[i] ^ (floatKeyBits(a[i]) + hashSeed))
 		}
 		return
 	}
 	for k, i := range sel {
-		f := a[i]
-		if f == 0 {
-			f = 0
-		}
-		dst[k] = mix64(dst[k] ^ (math.Float64bits(f) + hashSeed))
+		dst[k] = mix64(dst[k] ^ (floatKeyBits(a[i]) + hashSeed))
 	}
 }
 

@@ -2,18 +2,15 @@
 // kernel: tight loops over typed slices, optionally driven by a selection
 // vector, with no per-value interpretation, allocation or boxing.
 //
-// The package provides several variants of the arithmetic primitives that
-// exist to reproduce specific claims of the paper:
+// The arithmetic primitives come in two variants:
 //
 //   - unchecked map primitives (the fast path),
 //   - vectorized *checked* primitives that detect division-by-zero and
 //     integer overflow with branch-light flag accumulation (the "special
-//     algorithms in the kernel" the paper says had to be devised),
-//   - deliberately naive per-value checked primitives used only by
-//     experiment E8 to show what the paper calls "significant overhead" of
-//     a straightforward implementation,
-//   - branchy NULL-aware primitives used only by experiment E7 to contrast
-//     with Vectorwise's two-column NULL decomposition.
+//     algorithms in the kernel" the paper says had to be devised).
+//
+// Every primitive is NULL-oblivious: a NULLable column reaches the kernel as
+// a value column plus a boolean indicator column.
 package primitives
 
 // Num constrains the numeric element types the kernel supports.

@@ -5,8 +5,7 @@ import "strings"
 // String primitives. The paper's "Many Functions" bullet: the SQL standard
 // plus migration compatibility required dozens of functions, implemented
 // efficiently either natively in the kernel (this file) or by rewriting into
-// combinations of others (internal/rewriter). Experiment E9 compares the two
-// routes.
+// combinations of others (internal/rewriter).
 
 // UpperV computes dst = UPPER(a).
 func UpperV(dst, a []string, sel []int32) {

@@ -6,14 +6,13 @@
 //
 //   - constant folding and expression simplification,
 //   - function lowering — implementing SQL functions as combinations of
-//     existing kernel primitives instead of new kernel code (claim C7,
-//     experiment E9),
+//     existing kernel primitives instead of new kernel code (claim C7),
 //   - NULL decomposition — rewriting every NULLable column into a value
 //     column plus a BOOL indicator column so the kernel stays NULL-
-//     oblivious (claim C6, experiment E7), including the anti-join NULL
+//     oblivious (claim C6), including the anti-join NULL
 //     intricacies of claim C10,
 //   - the Volcano-style parallelizer — splitting pipelines across cores
-//     with exchange operators (claim C9, experiment E6). Parallel scans are
+//     with exchange operators (claim C9). Parallel scans are
 //     morsel-driven: the rewriter clones a scan chain into P workers that
 //     all reference one run-time work queue of row-group morsels
 //     (identified by Scan.MorselID), so work distribution happens at Open,
@@ -28,7 +27,7 @@
 //     point running more workers than the table has row groups).
 //
 // (The original used the Tom pattern-matching tool [5]; hand-written
-// visitors replace it here, as documented in DESIGN.md.)
+// visitors replace it here.)
 package rewriter
 
 import (
@@ -53,7 +52,7 @@ type Options struct {
 	// run-time morsel sources handle deltas.
 	GroupsHint func(spec *scanspec.Spec) int
 	// LowerFuncs replaces kernel-native functions with equivalent
-	// combinations (experiment E9's rewriter-lowered variant).
+	// combinations of other primitives.
 	LowerFuncs bool
 	// SkipDecompose is for tests that feed pre-physical plans.
 	SkipDecompose bool
@@ -130,7 +129,7 @@ func foldNode(n algebra.Node) algebra.Node {
 	return n
 }
 
-// --- function lowering (experiment E9) ---
+// --- function lowering ---
 
 // lowerFuncs rewrites selected kernel-native calls into combinations of
 // other primitives: the "implement it in the rewriter" route the paper

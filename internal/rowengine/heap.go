@@ -5,7 +5,7 @@
 //   - it is the conventional engine the X100 kernel's >10× claim (C1,
 //     experiment E1) is measured against, and
 //   - Vectorwise shipped with *both* storage engines — classic tables for
-//     OLTP-style access, Vectorwise tables for OLAP (C5, experiment E12) —
+//     OLTP-style access, Vectorwise tables for OLAP (C5) —
 //     so the engine layer here offers the same choice.
 package rowengine
 

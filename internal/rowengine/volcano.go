@@ -186,10 +186,17 @@ func (j *HashJoinRow) Schema() *types.Schema {
 	return s
 }
 
+// rowKey encodes the key columns of row as a map key. Every NaN formats
+// alike, and -0 is encoded as +0, so DOUBLE keys that types.CompareFloat64
+// finds equal share a key.
 func rowKey(row []types.Value, cols []int) string {
 	k := ""
 	for _, c := range cols {
-		k += row[c].String() + "\x00"
+		v := row[c]
+		if v.Kind == types.KindFloat64 && v.F64 == 0 {
+			v.F64 = 0
+		}
+		k += v.String() + "\x00"
 	}
 	return k
 }
@@ -230,14 +237,15 @@ func (j *HashJoinRow) Next() ([]types.Value, error) {
 		if err != nil || lrow == nil {
 			return nil, err
 		}
-		// NULL keys never join.
-		nullKey := false
+		// NULL and NaN keys never join: SQL = is not true for them.
+		noMatch := false
 		for _, c := range j.LeftKeys {
-			if lrow[c].Null {
-				nullKey = true
+			v := lrow[c]
+			if v.Null || v.Kind == types.KindFloat64 && v.F64 != v.F64 {
+				noMatch = true
 			}
 		}
-		if nullKey {
+		if noMatch {
 			continue
 		}
 		for _, rrow := range j.table[rowKey(lrow, j.LeftKeys)] {
