@@ -37,7 +37,6 @@ func main() {
 	queryBudgetMB := flag.Int64("query-budget-mb", 0, "per-query memory budget in MiB (0 = unlimited)")
 	parallel := flag.Int("parallel", 0, "default degree of parallelism per query")
 	bufferGroups := flag.Int("buffer-groups", 0, "shared buffer-pool capacity in row groups (0 = default)")
-	coop := flag.Bool("coop", true, "cooperative scans for concurrent readers of a table")
 	initScript := flag.String("init", "", "SQL script to execute before accepting connections")
 	drainSec := flag.Int("drain-timeout-sec", 10, "graceful-shutdown drain timeout in seconds")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics and /debug/pprof on this address (off when empty)")
@@ -57,7 +56,6 @@ func main() {
 		db = engine.Open()
 	}
 	db.Parallel = *parallel
-	db.CoopScans = *coop
 	if *bufferGroups > 0 {
 		db.BufferGroups = *bufferGroups
 	}
@@ -90,8 +88,7 @@ func main() {
 	}
 	srv := newServer(p, ln)
 	srv.idleTimeout = time.Duration(*idleSec) * time.Second
-	log.Printf("vwserver listening on %s (pool=%d queue=%d coop=%v)",
-		ln.Addr(), *pool, *queue, *coop)
+	log.Printf("vwserver listening on %s (pool=%d queue=%d)", ln.Addr(), *pool, *queue)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

@@ -92,14 +92,6 @@ func (a *ABM) detachLocked(s *CoopScan) {
 	a.cond.Broadcast()
 }
 
-// Remaining returns how many chunks the scan still needs.
-func (s *CoopScan) Remaining() int {
-	a := s.abm
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return s.left
-}
-
 // Next delivers any not-yet-consumed chunk to the scan — in whatever order
 // benefits the system — or ok=false when the scan has consumed everything.
 func (s *CoopScan) Next(ctx context.Context) (id int, data []byte, ok bool, err error) {

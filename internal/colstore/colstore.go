@@ -142,26 +142,6 @@ func (t *Table) Clustered(col int) bool {
 	return col >= 0 && col < len(t.clustered) && t.clustered[col]
 }
 
-// RefreshClustered recomputes every column's clustered marker from the
-// block summaries — used after loading legacy files that predate the
-// persisted marker, and by tests.
-func (t *Table) RefreshClustered() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for c := range t.cols {
-		t.clustered[c] = blocksOrdered(t.cols[c].Blocks)
-	}
-}
-
-func blocksOrdered(blocks []Block) bool {
-	for i := 1; i < len(blocks); i++ {
-		if types.Compare(blocks[i].Min, blocks[i-1].Max) < 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // ClusteredWindow intersects the filters' bounds against every clustered
 // column's ordered zone maps, returning the contiguous row-group interval
 // [lo, hi) that can contain matching rows. Filters on unclustered columns
@@ -218,21 +198,20 @@ func clusteredWindow(blocks [][]Block, clustered []bool, filters []RangeFilter, 
 }
 
 // AccountWindowPrune records the groups outside [lo, hi) as skipped in the
-// scan metrics (groups and encoded bytes of the projected columns). Morsel
-// sources that narrow the offered group set call this once per scan —
-// worker scanners never even see the pruned groups.
-func (t *Table) AccountWindowPrune(cols []int, lo, hi int) {
+// scan metrics and returns them: their count and the encoded bytes of the
+// projected columns. Morsel sources that narrow the offered group set call
+// this once per scan — worker scanners never even see the pruned groups.
+func (t *Table) AccountWindowPrune(cols []int, lo, hi int) (pruned int, bytes int64) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	n := 0
 	if len(t.cols) > 0 {
 		n = len(t.cols[0].Blocks)
 	}
-	pruned := lo + (n - hi)
+	pruned = lo + (n - hi)
 	if pruned <= 0 {
-		return
+		return 0, 0
 	}
-	var bytes int64
 	for _, c := range cols {
 		for g := 0; g < lo; g++ {
 			bytes += int64(len(t.cols[c].Blocks[g].Data))
@@ -243,6 +222,7 @@ func (t *Table) AccountWindowPrune(cols []int, lo, hi int) {
 	}
 	mGroupsSkipped.Add(int64(pruned))
 	mBytesSkipped.Add(bytes)
+	return pruned, bytes
 }
 
 // CompressedBytes totals the encoded size of all blocks.

@@ -55,32 +55,47 @@ func fillTable(t *testing.T, rows int) *Table {
 	return tab
 }
 
+// scanAll reads the projection through a morsel scanner that seeks every
+// row group in order — the filtered in-order scan — and returns the rows,
+// the start position of every batch and the groups the filters skipped.
 func scanAll(t *testing.T, tab *Table, cols []int, vecSize int, filters ...RangeFilter) (*vec.Batch, []int64, int) {
 	t.Helper()
-	sc, err := tab.NewScanner(cols, vecSize, filters...)
+	sc, err := tab.NewMorselScanner(cols, vecSize, filters...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := vec.NewBatch(sc.Kinds(), 0)
 	acc := vec.NewBatch(sc.Kinds(), 0)
 	var starts []int64
 	total := 0
-	for {
-		start, n, done, err := sc.Next(out)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if done {
-			break
-		}
+	seekAll(t, sc, vecSize, func(start int64, out *vec.Batch) {
 		starts = append(starts, start)
-		total += n
+		total += out.Rows()
 		for i := range acc.Vecs {
 			acc.Vecs[i].AppendVector(out.Vecs[i])
 		}
-	}
+	})
 	acc.SetLen(total)
 	return acc, starts, sc.SkippedGroups()
+}
+
+// seekAll drains a morsel scanner over every row group in order, handing
+// each batch and its start position to emit.
+func seekAll(t *testing.T, sc *Scanner, vecSize int, emit func(start int64, b *vec.Batch)) {
+	t.Helper()
+	out := vec.NewBatch(sc.Kinds(), vecSize)
+	for g := 0; g < sc.NumGroups(); g++ {
+		sc.SeekGroup(g)
+		for {
+			start, _, done, err := sc.Next(out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if done {
+				break
+			}
+			emit(start, out)
+		}
+	}
 }
 
 func TestAppendScanRoundTrip(t *testing.T) {
@@ -174,18 +189,11 @@ func TestDecodedAndSkippedBytesCoverTheProjection(t *testing.T) {
 	}
 	lo := types.NewInt64(int64(BlockRows*2 + 5))
 	for _, filters := range [][]RangeFilter{nil, {{Col: 0, Lo: &lo}}} {
-		sc, err := tab.NewScanner(cols, 1024, filters...)
+		sc, err := tab.NewMorselScanner(cols, 1024, filters...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b := vec.NewBatch(sc.Kinds(), 1024)
-		for {
-			if _, _, done, err := sc.Next(b); err != nil {
-				t.Fatal(err)
-			} else if done {
-				break
-			}
-		}
+		seekAll(t, sc, 1024, func(int64, *vec.Batch) {})
 		if filters == nil && (sc.DecodedBytes() != want || sc.SkippedBytes() != 0) {
 			t.Fatalf("full scan decoded %d skipped %d, want %d and 0", sc.DecodedBytes(), sc.SkippedBytes(), want)
 		}
@@ -257,10 +265,10 @@ func TestNaNBlocksAreNeverSkipped(t *testing.T) {
 func TestNewScannerRejectsBadFilterColumn(t *testing.T) {
 	tab := fillTable(t, 100)
 	lo := types.NewInt64(1)
-	if _, err := tab.NewScanner([]int{0}, 64, RangeFilter{Col: 99, Lo: &lo}); err == nil {
+	if _, err := tab.NewMorselScanner([]int{0}, 64, RangeFilter{Col: 99, Lo: &lo}); err == nil {
 		t.Fatal("out-of-range filter column must error, not panic in skipGroup")
 	}
-	if _, err := tab.NewScanner([]int{0}, 64, RangeFilter{Col: -1, Lo: &lo}); err == nil {
+	if _, err := tab.NewMorselScanner([]int{0}, 64, RangeFilter{Col: -1, Lo: &lo}); err == nil {
 		t.Fatal("negative filter column must error")
 	}
 }

@@ -19,27 +19,22 @@ import (
 //
 //	magic "VWT3"
 //	uvarint ncols | per column: name, kind byte, nullable byte
-//	per column: clustered byte (VWT2+)
+//	per column: clustered byte
 //	uvarint rows
 //	per column: uvarint nblocks | per block:
 //	    uvarint rows, codec byte, min value, max value,
 //	    uvarint len(data), data bytes,
-//	    u32le CRC32C over the block section above (VWT3 only)
+//	    u32le CRC32C over the block section above
 //
 // Values are encoded as kind byte + kind-specific payload. The format is
-// self-contained and versioned by the magic string. VWT2 added the
-// per-column clustered markers, VWT3 the per-row-group checksums; VWT1 and
-// VWT2 files still load (checksum-less, markers re-derived for VWT1).
+// self-contained and versioned by the magic string; a file with any other
+// magic is rejected as corrupt.
 //
 // The CRC covers each (column, row-group) section independently, so a bit
 // flip is pinned to an exact column and group at open time instead of
 // surfacing as a garbled scan result later.
 
-var (
-	magic   = []byte("VWT3")
-	magicV2 = []byte("VWT2")
-	magicV1 = []byte("VWT1")
-)
+var magic = []byte("VWT3")
 
 // ErrCorrupt tags load failures caused by the file's *content* — truncated
 // mid-structure, failed checksum, nonsense values — as opposed to I/O
@@ -212,7 +207,7 @@ func corruptAt(path string, off int64, section string, err error) error {
 func Load(path string) (*Table, error) { return LoadFS(fsim.OS, path) }
 
 // LoadFS reads a table file through an fsim seam, verifying the per-group
-// checksums of VWT3 files. Structural failures (truncation, checksum
+// checksums. Structural failures (truncation, checksum
 // mismatch, invalid fields) are reported as ErrCorrupt with the file
 // offset and the section being decoded; a checksum failure names the exact
 // column and row group.
@@ -227,15 +222,7 @@ func LoadFS(fs fsim.FS, path string) (*Table, error) {
 	if _, err := io.ReadFull(r, m[:]); err != nil {
 		return nil, corruptAt(path, 0, "magic", err)
 	}
-	version := 0
-	switch string(m[:]) {
-	case string(magic):
-		version = 3
-	case string(magicV2):
-		version = 2
-	case string(magicV1):
-		version = 1
-	default:
+	if string(m[:]) != string(magic) {
 		return nil, fmt.Errorf("%w: %s: bad magic %q", ErrCorrupt, path, m[:])
 	}
 	ncols, err := binary.ReadUvarint(r)
@@ -265,14 +252,12 @@ func LoadFS(fs fsim.FS, path string) (*Table, error) {
 		schema.Cols = append(schema.Cols, types.Col(name, tt))
 	}
 	t := NewTable(schema)
-	if version >= 2 {
-		for i := range t.clustered {
-			cb, err := r.ReadByte()
-			if err != nil {
-				return nil, corruptAt(path, r.off, "clustered markers", err)
-			}
-			t.clustered[i] = cb != 0
+	for i := range t.clustered {
+		cb, err := r.ReadByte()
+		if err != nil {
+			return nil, corruptAt(path, r.off, "clustered markers", err)
 		}
+		t.clustered[i] = cb != 0
 	}
 	rows, err := binary.ReadUvarint(r)
 	if err != nil {
@@ -287,9 +272,7 @@ func LoadFS(fs fsim.FS, path string) (*Table, error) {
 		}
 		for j := uint64(0); j < nblocks; j++ {
 			section := fmt.Sprintf("column %q group %d", colName, j)
-			if version >= 3 {
-				r.arm()
-			}
+			r.arm()
 			var blk Block
 			br, err := binary.ReadUvarint(r)
 			if err != nil {
@@ -321,18 +304,16 @@ func LoadFS(fs fsim.FS, path string) (*Table, error) {
 			if _, err := io.ReadFull(r, blk.Data); err != nil {
 				return nil, corruptAt(path, r.off, section+" data", err)
 			}
-			if version >= 3 {
-				computed := r.disarm()
-				var sumBuf [4]byte
-				if _, err := io.ReadFull(r, sumBuf[:]); err != nil {
-					return nil, corruptAt(path, r.off, section+" checksum", err)
-				}
-				stored := binary.LittleEndian.Uint32(sumBuf[:])
-				if stored != computed {
-					mChecksumFailures.Inc()
-					return nil, fmt.Errorf("%w: %s: column %q group %d: checksum mismatch (stored %08x, computed %08x)",
-						ErrCorrupt, path, colName, j, stored, computed)
-				}
+			computed := r.disarm()
+			var sumBuf [4]byte
+			if _, err := io.ReadFull(r, sumBuf[:]); err != nil {
+				return nil, corruptAt(path, r.off, section+" checksum", err)
+			}
+			stored := binary.LittleEndian.Uint32(sumBuf[:])
+			if stored != computed {
+				mChecksumFailures.Inc()
+				return nil, fmt.Errorf("%w: %s: column %q group %d: checksum mismatch (stored %08x, computed %08x)",
+					ErrCorrupt, path, colName, j, stored, computed)
 			}
 			t.cols[i].Blocks = append(t.cols[i].Blocks, blk)
 		}
@@ -348,10 +329,6 @@ func LoadFS(fs fsim.FS, path string) (*Table, error) {
 	}
 	for g := t.NumBlocks(); g > 0; g-- {
 		t.appendFrame()
-	}
-	if version == 1 {
-		// Pre-marker files: derive the markers from the summaries.
-		t.RefreshClustered()
 	}
 	return t, nil
 }

@@ -149,48 +149,16 @@ func TestLoadFlippedChecksumByte(t *testing.T) {
 	}
 }
 
-// Legacy checksum-less formats still load: a VWT2 image is a VWT3 file
-// minus the per-group CRCs, with the magic swapped.
+// The checksum-less VWT2 format is no longer read: a file carrying its
+// magic is rejected as corrupt instead of loading unverified.
 func TestLoadLegacyVWT2(t *testing.T) {
-	tab := fillTable(t, 500)
-	_, v3 := saveToMem(t, tab)
-
-	// Reconstruct the VWT2 image by stripping each group's trailing CRC.
-	v2 := []byte("VWT2")
-	pos := 4
-	// Header: everything up to the first column's first block is CRC-free.
-	// Find it via the first block's data slice.
-	var crcOffsets []int
-	searchFrom := 0
-	for _, col := range tab.cols {
-		for gi := range col.Blocks {
-			idx := indexFrom(v3, col.Blocks[gi].Data, searchFrom)
-			if idx < 0 {
-				t.Fatalf("group %d data not found", gi)
-			}
-			end := idx + len(col.Blocks[gi].Data)
-			crcOffsets = append(crcOffsets, end)
-			searchFrom = end + 4
-		}
-	}
-	for _, co := range crcOffsets {
-		v2 = append(v2, v3[pos:co]...)
-		pos = co + 4 // skip the 4 CRC bytes
-	}
-	v2 = append(v2, v3[pos:]...)
-
+	_, img := saveToMem(t, fillTable(t, 500))
+	copy(img, "VWT2")
 	fs := fsim.NewMemFS()
-	fs.SetDurable("legacy.vwt", v2)
-	got, err := LoadFS(fs, "legacy.vwt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Rows() != 500 {
-		t.Fatalf("rows %d", got.Rows())
-	}
-	acc, _, _ := scanAll(t, got, []int{0, 5}, 256)
-	if acc.Full() != 500 || acc.Vecs[0].I64[499] != 499 {
-		t.Fatal("legacy content")
+	fs.SetDurable("legacy.vwt", img)
+	_, err := LoadFS(fs, "legacy.vwt")
+	if err == nil || !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "bad magic") {
+		t.Fatalf("VWT2 image: %v, want ErrCorrupt (bad magic)", err)
 	}
 }
 

@@ -21,9 +21,9 @@ var (
 )
 
 // Scanner reads a projection of a table vector-at-a-time, in row order,
-// decoding each row group once and slicing vectors out of it. Min/max block
-// skipping prunes row groups that cannot satisfy the provided range
-// filters — the sparse-index benefit of the PAX/DSM layout.
+// decoding each row group once and slicing vectors out of it. On morsel
+// scanners, min/max block skipping prunes row groups that cannot satisfy the
+// provided range filters — the sparse-index benefit of the PAX/DSM layout.
 type Scanner struct {
 	t       *Table
 	cols    []int
@@ -31,9 +31,8 @@ type Scanner struct {
 	filters []RangeFilter
 
 	// Snapshot of the block lists (appends after creation are invisible).
-	blocks    [][]Block
-	clustered []bool
-	nGroups   int
+	blocks  [][]Block
+	nGroups int
 
 	group     int // current row group
 	limit     int // first group past the scan window (exclusive)
@@ -69,8 +68,9 @@ type RangeFilter struct {
 
 // NewMorselScanner creates a scanner that starts exhausted: it serves one
 // row-group morsel at a time via SeekGroup, reusing its decode buffers
-// across seeks. This is the run-time granule of the morsel-driven parallel
-// scan — workers pull group numbers from a shared queue and reposition.
+// across seeks. This is the run-time granule of the engine's delta-free
+// scans, serial or parallel — workers pull group numbers from a shared
+// queue and reposition.
 func (t *Table) NewMorselScanner(cols []int, vecSize int, filters ...RangeFilter) (*Scanner, error) {
 	// No clustered-window narrowing here: the morsel *source* computes the
 	// window once, offers only its groups as morsels, and accounts the
@@ -140,15 +140,11 @@ func (s *Scanner) setPending(frame []byte) error {
 }
 
 // NewScanner creates a scanner over the given column indexes with batches
-// of vecSize rows. When a filter column is clustered, the scan window is
-// immediately narrowed to the matching group interval.
-func (t *Table) NewScanner(cols []int, vecSize int, filters ...RangeFilter) (*Scanner, error) {
-	s, err := t.newScanner(cols, vecSize, filters...)
-	if err != nil {
-		return nil, err
-	}
-	s.applyClusteredWindow()
-	return s, nil
+// of vecSize rows: the full in-order scan of the table (the PDT-merge path,
+// checkpoints). Range-filtered scans go through morsel scanners, whose
+// source narrows to the clustered window once.
+func (t *Table) NewScanner(cols []int, vecSize int) (*Scanner, error) {
+	return t.newScanner(cols, vecSize)
 }
 
 func (t *Table) newScanner(cols []int, vecSize int, filters ...RangeFilter) (*Scanner, error) {
@@ -172,7 +168,6 @@ func (t *Table) newScanner(cols []int, vecSize int, filters ...RangeFilter) (*Sc
 	for i := range t.cols {
 		s.blocks[i] = t.cols[i].Blocks
 	}
-	s.clustered = append([]bool(nil), t.clustered...)
 	if len(t.cols) > 0 {
 		s.nGroups = len(t.cols[0].Blocks)
 	}
@@ -183,37 +178,6 @@ func (t *Table) newScanner(cols []int, vecSize int, filters ...RangeFilter) (*Sc
 		s.decoded[i] = vec.New(t.cols[c].Type.Kind, BlockRows)
 	}
 	return s, nil
-}
-
-// applyClusteredWindow narrows the serial scan window to the contiguous
-// group interval a clustered range filter allows — binary search over the
-// ordered zone maps instead of a per-group check. Derived from the
-// scanner's own snapshot, so compile-time planning never has to be right
-// about run-time storage. Pruned groups count as skipped.
-func (s *Scanner) applyClusteredWindow() {
-	if len(s.filters) == 0 || s.nGroups == 0 {
-		return
-	}
-	lo, hi := clusteredWindow(s.blocks, s.clustered, s.filters, s.nGroups)
-	if lo == 0 && hi == s.nGroups {
-		return
-	}
-	var base int64
-	for g := 0; g < lo; g++ {
-		base += int64(s.groupRows(g))
-	}
-	pruned := lo + (s.nGroups - hi)
-	var bytes int64
-	for g := 0; g < s.nGroups; g++ {
-		if g < lo || g >= hi {
-			bytes += s.groupBytes(g)
-		}
-	}
-	s.group, s.limit, s.rowBase = lo, hi, base
-	s.skipped += pruned
-	s.skipBytes += bytes
-	mGroupsSkipped.Add(int64(pruned))
-	mBytesSkipped.Add(bytes)
 }
 
 // groupBytes is the encoded size of group g's projected columns — the

@@ -188,22 +188,6 @@ func EncodeNone(dst []byte, vals []int64) []byte {
 	return dst
 }
 
-// EncodeInt64 encodes vals with the given codec.
-func EncodeInt64(codec Codec, dst []byte, vals []int64) ([]byte, error) {
-	switch codec {
-	case None:
-		return EncodeNone(dst, vals), nil
-	case PFOR:
-		return EncodePFOR(dst, vals), nil
-	case PFORDelta:
-		return EncodePFORDelta(dst, vals), nil
-	case RLE:
-		return EncodeRLE(dst, vals), nil
-	default:
-		return nil, fmt.Errorf("compress: codec %v cannot encode int64", codec)
-	}
-}
-
 // ChooseInt64 adaptively encodes vals with every integer codec and keeps the
 // smallest encoding — the per-block codec choice the column store makes at
 // append time.

@@ -2,6 +2,9 @@ package engine
 
 import (
 	"context"
+	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -97,6 +100,31 @@ func TestVectorSizeOptionEndToEnd(t *testing.T) {
 	for i := range a.Rows {
 		if a.Rows[i][1].Int64() != b.Rows[i][1].Int64() {
 			t.Fatalf("row %d differs", i)
+		}
+	}
+}
+
+// COPY stops on a cancelled context whichever bulk-load path it takes —
+// heap inserts, the appender into an empty table, a transaction into a
+// non-empty one — and leaves the table as it was.
+func TestCopyHonoursCancellation(t *testing.T) {
+	db := Open()
+	mustExec(t, db, `CREATE TABLE h (a BIGINT NOT NULL) WITH STRUCTURE=HEAP`)
+	mustExec(t, db, `CREATE TABLE e (a BIGINT NOT NULL)`)
+	mustExec(t, db, `CREATE TABLE n (a BIGINT NOT NULL)`)
+	mustExec(t, db, `INSERT INTO n VALUES (0)`)
+	csv := filepath.Join(t.TempDir(), "a.csv")
+	if err := os.WriteFile(csv, []byte("1\n2\n3\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for table, want := range map[string]int64{"h": 0, "e": 0, "n": 1} {
+		if _, err := db.Exec(ctx, `COPY `+table+` FROM '`+csv+`'`); !errors.Is(err, context.Canceled) {
+			t.Errorf("COPY into %s: %v, want context.Canceled", table, err)
+		}
+		if got := mustExec(t, db, `SELECT COUNT(*) FROM `+table).Rows[0][0].I64; got != want {
+			t.Errorf("%s holds %d rows after a cancelled COPY, want %d", table, got, want)
 		}
 	}
 }

@@ -123,7 +123,7 @@ func TestClusteredRangeQueryPrunesToWindow(t *testing.T) {
 	// even see the pruned ones.
 	session := newQuerySession(db, context.Background())
 	defer session.close()
-	src, err := session.MorselSource("t", []int{0}, 0, []colstore.RangeFilter{{
+	src, err := session.MorselSource("t", []int{0}, 0, 4, []colstore.RangeFilter{{
 		Col: 0, Lo: ptrInt64(int64(lo)), Hi: ptrInt64(int64(lo + 99)),
 	}})
 	if err != nil {

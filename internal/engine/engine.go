@@ -46,10 +46,6 @@ type DB struct {
 	// (0 = DefaultBufferGroups). Small values make policy differences
 	// visible; production leaves the default.
 	BufferGroups int
-	// CoopScans lets concurrent parallel scans of one table attach to a
-	// shared cooperative ABM instead of each reading through the LRU pool.
-	// On by default; benchmarks toggle it to measure the difference.
-	CoopScans bool
 	// SessionSource, when set by the session layer, supplies sys.sessions
 	// rows.
 	SessionSource func() []SessionInfo
@@ -91,7 +87,6 @@ func Open() *DB {
 		shares:      map[string]*scanShare{},
 		quarantined: map[string]error{},
 		Monitor:     monitor.New(2048),
-		CoopScans:   true,
 	}
 }
 

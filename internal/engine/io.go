@@ -15,10 +15,8 @@ import (
 	"vectorwise/internal/types"
 )
 
-// execCopy bulk-loads a CSV file (no header; empty fields are NULL). Loads
-// into an empty vectorwise table go straight to stable storage through the
-// block appender (the fast path); otherwise rows flow through a
-// transaction like any insert.
+// execCopy bulk-loads a CSV file (no header; empty fields are NULL) through
+// load, or through the clustered bulk loader for COPY ... ORDER BY.
 func (db *DB) execCopy(ctx context.Context, s *sql.CopyStmt) (*Result, error) {
 	e, err := db.entry(s.Table)
 	if err != nil {
@@ -59,84 +57,26 @@ func (db *DB) execCopy(ctx context.Context, s *sql.CopyStmt) (*Result, error) {
 	if len(s.OrderBy) > 0 {
 		return db.execCopyClustered(ctx, s, e, r, parseRow)
 	}
-
-	var loaded int64
-	switch {
-	case e.heap != nil:
+	loaded, err := db.load(ctx, s.Table, func(emit func([]types.Value) error) error {
 		for {
 			rec, err := r.Read()
 			if err == io.EOF {
-				break
+				return nil
 			}
 			if err != nil {
-				return nil, err
+				return err
 			}
 			row, err := parseRow(rec)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			if _, err := e.heap.Insert(row); err != nil {
-				return nil, err
-			}
-			loaded++
-		}
-	case e.store.Rows() == 0 && e.store.PendingOps() == 0:
-		ap := e.store.Stable().NewAppender()
-		for {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			rec, err := r.Read()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				return nil, err
-			}
-			row, err := parseRow(rec)
-			if err != nil {
-				return nil, err
-			}
-			if err := ap.AppendRow(logicalToPhysicalRow(logical, row)); err != nil {
-				return nil, err
-			}
-			loaded++
-		}
-		if err := ap.Close(); err != nil {
-			return nil, err
-		}
-		// The appender bypassed the WAL; make the loaded stable durable
-		// right away so a crash after COPY returns keeps the rows.
-		if db.durable() {
-			if err := db.persistTable(s.Table, e.store.Stable(), e.store.LastWalSeq()); err != nil {
-				return nil, err
+			if err := emit(row); err != nil {
+				return err
 			}
 		}
-	default:
-		tx := e.store.Begin()
-		for {
-			rec, err := r.Read()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				tx.Abort()
-				return nil, err
-			}
-			row, err := parseRow(rec)
-			if err != nil {
-				tx.Abort()
-				return nil, err
-			}
-			if err := tx.InsertRow(logicalToPhysicalRow(logical, row)); err != nil {
-				tx.Abort()
-				return nil, err
-			}
-			loaded++
-		}
-		if err := tx.Commit(); err != nil {
-			return nil, err
-		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	db.Monitor.Log(monitor.EvLoad, "copy %d rows into %s", loaded, s.Table)
 	return &Result{Affected: loaded}, nil
@@ -209,40 +149,65 @@ func (db *DB) execCopyClustered(ctx context.Context, s *sql.CopyStmt, e *tableEn
 // LoadBatchFunc bulk-loads generated rows via a callback (data generators,
 // benches); the fast stable-append path when the table is empty.
 func (db *DB) LoadBatchFunc(table string, gen func(emit func(row []types.Value) error) error) error {
+	_, err := db.load(context.Background(), table, gen)
+	return err
+}
+
+// load feeds the rows gen emits into table — the one bulk-load switch COPY
+// and LoadBatchFunc share: heap inserts; on an empty vectorwise table, the
+// block appender straight into stable storage, made durable at once; else
+// one transaction inserting every row. ctx is checked before every row.
+func (db *DB) load(ctx context.Context, table string, gen func(emit func(row []types.Value) error) error) (rows int64, err error) {
 	e, err := db.entry(table)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	logical := e.meta.Schema
-	if e.heap != nil {
-		return gen(func(row []types.Value) error {
+	var insert func(row []types.Value) error
+	finish, abort := func() error { return nil }, func() {}
+	switch {
+	case e.heap != nil:
+		insert = func(row []types.Value) error {
 			_, err := e.heap.Insert(row)
 			return err
-		})
-	}
-	if e.store.Rows() == 0 && e.store.PendingOps() == 0 {
+		}
+	case e.store.Rows() == 0 && e.store.PendingOps() == 0:
 		ap := e.store.Stable().NewAppender()
-		if err := gen(func(row []types.Value) error {
-			return ap.AppendRow(logicalToPhysicalRow(logical, row))
-		}); err != nil {
+		insert = func(row []types.Value) error { return ap.AppendRow(logicalToPhysicalRow(logical, row)) }
+		finish = func() error {
+			if err := ap.Close(); err != nil {
+				return err
+			}
+			// The appender bypassed the WAL; make the loaded stable durable
+			// right away so a crash after the load returns keeps the rows.
+			if db.durable() {
+				return db.persistTable(table, e.store.Stable(), e.store.LastWalSeq())
+			}
+			return nil
+		}
+	default:
+		tx := e.store.Begin()
+		insert = func(row []types.Value) error { return tx.InsertRow(logicalToPhysicalRow(logical, row)) }
+		finish, abort = tx.Commit, tx.Abort
+	}
+	err = gen(func(row []types.Value) error {
+		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if err := ap.Close(); err != nil {
+		if err := insert(row); err != nil {
 			return err
 		}
-		if db.durable() {
-			return db.persistTable(table, e.store.Stable(), e.store.LastWalSeq())
-		}
+		rows++
 		return nil
+	})
+	if err != nil {
+		abort()
+		return 0, err
 	}
-	tx := e.store.Begin()
-	if err := gen(func(row []types.Value) error {
-		return tx.InsertRow(logicalToPhysicalRow(logical, row))
-	}); err != nil {
-		tx.Abort()
-		return err
+	if err := finish(); err != nil {
+		return 0, err
 	}
-	return tx.Commit()
+	return rows, nil
 }
 
 // execAnalyze builds equi-depth histograms for every column of a table —

@@ -8,8 +8,8 @@ import (
 	"testing"
 
 	"vectorwise/internal/colstore"
+	"vectorwise/internal/exec"
 	"vectorwise/internal/types"
-	"vectorwise/internal/vec"
 )
 
 // rangeDB builds a vectorwise table whose k column is block-clustered
@@ -178,31 +178,21 @@ func TestParallelScanDeltaKeepsDegree(t *testing.T) {
 	// degrades to a single serial stream exactly one worker can claim.
 	session := newQuerySession(db, context.Background())
 	defer session.close()
-	src, err := session.MorselSource("pts", []int{0}, 0, nil)
+	src, err := session.MorselSource("pts", []int{0}, 0, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if src.NumMorsels() != 0 {
 		t.Fatalf("delta snapshot offered %d morsels, want serial fallback", src.NumMorsels())
 	}
-	serial, err := src.Serial()
+	scan := exec.NewMorselScan([]types.Kind{types.KindInt64}, new(int), 0, 1, "Scan",
+		func(int) (exec.MorselSource, error) { return src, nil })
+	rows, err := exec.Collect(exec.NewCtx(context.Background()), scan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := vec.NewBatch(serial.Kinds(), vec.DefaultSize)
-	rows := 0
-	for {
-		_, n, done, err := serial.Next(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if done {
-			break
-		}
-		rows += n
-	}
-	if rows != stable+1 {
-		t.Fatalf("serial fallback saw %d rows, want %d (stable + delta)", rows, stable+1)
+	if len(rows) != stable+1 {
+		t.Fatalf("serial fallback saw %d rows, want %d (stable + delta)", len(rows), stable+1)
 	}
 
 	// And once the delta is checkpointed into stable storage, the same
@@ -210,11 +200,43 @@ func TestParallelScanDeltaKeepsDegree(t *testing.T) {
 	mustExec(t, db, `CHECKPOINT pts`)
 	session2 := newQuerySession(db, context.Background())
 	defer session2.close()
-	src2, err := session2.MorselSource("pts", []int{0}, 0, nil)
+	src2, err := session2.MorselSource("pts", []int{0}, 0, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if src2.NumMorsels() < 4 {
 		t.Fatalf("flushed table offers %d morsels, want >= 4", src2.NumMorsels())
+	}
+}
+
+// The groups the clustered window prunes count once per scan, whatever its
+// degree: worker 0 carries them, so the workers of a PARALLEL=2 scan sum to
+// the serial scan's skipped=4/8.
+func TestSkipAccountingSerialEqualsParallel(t *testing.T) {
+	db := rangeDB(t, 8)
+	q := `SELECT COUNT(*) FROM pts WHERE k BETWEEN ` + strconv.Itoa(2*colstore.BlockRows) +
+		` AND ` + strconv.Itoa(6*colstore.BlockRows-1)
+	sum := func(q string) (skipped, total int) {
+		t.Helper()
+		res := mustExec(t, db, "PROFILE "+q)
+		for _, m := range skippedRe.FindAllStringSubmatch(res.Text, -1) {
+			s, _ := strconv.Atoi(m[1])
+			n, _ := strconv.Atoi(m[2])
+			skipped, total = skipped+s, total+n
+		}
+		return skipped, total
+	}
+	if s, n := sum(q); s != 4 || n != 8 {
+		t.Fatalf("serial scan: skipped=%d/%d, want 4/8", s, n)
+	}
+	par := q + ` WITH (PARALLEL=2)`
+	if exp := mustExec(t, db, "EXPLAIN PHYSICAL "+par); !strings.Contains(exp.Text, "Xchg(degree=2)") {
+		t.Fatalf("query did not parallelize:\n%s", exp.Text)
+	}
+	if s, n := sum(par); s != 4 || n != 8 {
+		t.Fatalf("parallel workers sum to skipped=%d/%d, want 4/8", s, n)
+	}
+	if got := mustExec(t, db, par).Rows[0][0].I64; got != 4*colstore.BlockRows {
+		t.Fatalf("count = %d, want %d", got, 4*colstore.BlockRows)
 	}
 }

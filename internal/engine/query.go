@@ -10,10 +10,8 @@ import (
 	"vectorwise/internal/algebra"
 	"vectorwise/internal/colstore"
 	"vectorwise/internal/exec"
-	"vectorwise/internal/expr"
 	"vectorwise/internal/monitor"
 	"vectorwise/internal/optimizer"
-	"vectorwise/internal/pdt"
 	"vectorwise/internal/physical"
 	"vectorwise/internal/plan"
 	"vectorwise/internal/rewriter"
@@ -197,7 +195,6 @@ func (db *DB) collect(ctx context.Context, c *compiled, session *querySession, v
 		return nil, nil, err
 	}
 	ectx := exec.NewCtx(ctx)
-	ectx.Mode = expr.Mode{Checked: true}
 	ectx.Profile = profile
 	if budget := queryBudgetFrom(ctx); budget > 0 {
 		ectx.Budget = exec.NewMemBudget(budget)
@@ -378,40 +375,16 @@ func (qs *querySession) Heap(table string) (*rowengine.HeapTable, error) {
 	return e.heap, nil
 }
 
-// ScanSource implements physical.Env. Range filters ride along to the
-// scanner on delta-free paths; txn.Scan drops them itself when the
-// snapshot carries deltas (PDT merging is positional — every stable row
-// must flow). The residual Select in the plan keeps results exact.
-func (qs *querySession) ScanSource(table string, cols []int, vecSize int, filters []colstore.RangeFilter) (pdt.BatchSource, error) {
-	tx, err := qs.txFor(table)
-	if err != nil {
-		return nil, err
-	}
-	src, err := tx.Scan(cols, vecSize, filters...)
-	if err != nil {
-		return nil, err
-	}
-	// Delta-free serial scans route group reads through the shared LRU pool
-	// (row order preserved — only where bytes come from changes). Delta
-	// paths merge positionally over the raw table and bypass the seam.
-	if cs, isCol := src.(*colstore.Scanner); isCol && tx.DeltaFree() {
-		if sh := qs.db.shareFor(table, tx.StableSnapshot()); sh != nil {
-			_, release := sh.beginScan()
-			qs.addRelease(release)
-			cs.SetBlockSource(qs.ctx, lruBlockSource{sh.lru})
-		}
-	}
-	return src, nil
-}
-
-// MorselSource implements physical.Env: the run-time view of a parallel
-// scan, decided inside the query's snapshot (after every compile-time
-// decision). A delta-free snapshot offers its row groups as morsels with an
-// independent repositionable scanner per worker; a snapshot carrying deltas
-// degrades to one serial PDT-merged stream that a single worker claims —
-// the plan keeps its parallel shape either way, so a write committing
-// between compile and run can no longer strand a partitioned plan.
-func (qs *querySession) MorselSource(table string, cols []int, vecSize int, filters []colstore.RangeFilter) (exec.MorselSource, error) {
+// MorselSource implements physical.Env: the run-time view of a scan by
+// workers workers, decided inside the query's snapshot (after every
+// compile-time decision). It is the one place a scan registers on the
+// table's buffer-manager share. A delta-free snapshot offers the row groups
+// of its clustered window as morsels, with an independent repositionable
+// scanner per worker reading through the share's LRU pool; a snapshot
+// carrying deltas degrades to one serial PDT-merged stream that a single
+// worker claims, bypassing the pool — the plan keeps its shape either way,
+// so a write committing between compile and run can no longer strand it.
+func (qs *querySession) MorselSource(table string, cols []int, vecSize, workers int, filters []colstore.RangeFilter) (exec.MorselSource, error) {
 	tx, err := qs.txFor(table)
 	if err != nil {
 		return nil, err
@@ -432,11 +405,13 @@ func (qs *querySession) MorselSource(table string, cols []int, vecSize int, filt
 	concurrent, release := sh.beginScan()
 	qs.addRelease(release)
 	cms := &coopMorselSource{stableMorselSource: base, ctx: qs.ctx, lru: sh.lru}
-	// Cooperate when the table has company and this is a full scan: the ABM
-	// delivers every group exactly once across the workers, in whatever
-	// order lets one physical read feed every attached query. Filtered
-	// scans skip groups, so they stay on the LRU path.
-	if qs.db.CoopScans && concurrent && len(filters) == 0 {
+	// Cooperate when the table has company and this is a parallel full scan:
+	// the ABM delivers every group exactly once across the workers, in
+	// whatever order lets one physical read feed every attached query. A
+	// one-worker scan must deliver groups in image order ($rid numbering and
+	// DELETE's highest-position-first apply depend on it), and filtered
+	// scans skip groups, so both stay on the LRU path.
+	if workers > 1 && concurrent && len(filters) == 0 {
 		cms.stream = &coopStream{scan: sh.abm.Attach()}
 	}
 	return cms, nil
@@ -453,24 +428,26 @@ type stableMorselSource struct {
 	vecSize      int
 	filters      []colstore.RangeFilter
 	winLo, winHi int
+	pruned       int   // groups outside the window
+	prunedBytes  int64 // their encoded bytes in the projected columns
 }
 
 // newStableMorselSource derives the clustered group window inside the
 // query's snapshot and accounts the pruned groups once for the whole scan.
-// An empty window is NOT accounted here: NumMorsels()==0 makes the executor
-// fall back to Serial(), whose scanner narrows and accounts for itself.
+// An empty window offers zero morsels: every group counts as pruned.
 func newStableMorselSource(snap *colstore.Table, cols []int, vecSize int, filters []colstore.RangeFilter) *stableMorselSource {
 	lo, hi := snap.ClusteredWindow(filters)
 	s := &stableMorselSource{snap: snap, cols: cols, vecSize: vecSize,
 		filters: filters, winLo: lo, winHi: hi}
-	if hi > lo && (lo > 0 || hi < snap.NumBlocks()) {
-		snap.AccountWindowPrune(cols, lo, hi)
-	}
+	s.pruned, s.prunedBytes = snap.AccountWindowPrune(cols, lo, hi)
 	return s
 }
 
 // NumMorsels implements exec.MorselSource.
 func (s *stableMorselSource) NumMorsels() int { return s.winHi - s.winLo }
+
+// PrunedGroups implements exec.WindowPruning.
+func (s *stableMorselSource) PrunedGroups() (int, int64) { return s.pruned, s.prunedBytes }
 
 // Worker implements exec.MorselSource. Queue indices are window-relative;
 // the seek base rebases them onto absolute group ids.
@@ -481,10 +458,4 @@ func (s *stableMorselSource) Worker() (exec.MorselScanner, error) {
 	}
 	sc.SetSeekBase(s.winLo)
 	return sc, nil
-}
-
-// Serial implements exec.MorselSource (only used when the snapshot has no
-// row groups at all).
-func (s *stableMorselSource) Serial() (pdt.BatchSource, error) {
-	return s.snap.NewScanner(s.cols, s.vecSize, s.filters...)
 }

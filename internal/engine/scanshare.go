@@ -27,9 +27,10 @@ func (s *tableChunkSource) ReadChunk(_ context.Context, id int) ([]byte, error) 
 }
 
 // scanShare is one table's shared buffer-manager state: an LRU pool for
-// lone scans and a cooperative ABM that concurrent scans attach to, both
-// over the same chunk source. It is pinned to one stable snapshot; a
-// checkpoint swaps the snapshot and the share is rebuilt once idle.
+// lone, serial and filtered scans and a cooperative ABM that concurrent
+// parallel full scans attach to, both over the same chunk source. It is
+// pinned to one stable snapshot; a checkpoint swaps the snapshot and the
+// share is rebuilt once idle.
 type scanShare struct {
 	stable *colstore.Table
 	lru    *bufmgr.LRUPool
@@ -125,8 +126,8 @@ func (c *coopStream) Next(ctx context.Context) (int, []byte, bool, error) {
 func (c *coopStream) Close() { c.once.Do(c.scan.Detach) }
 
 // coopMorselSource decorates a stable morsel source with buffer-managed
-// reads: workers either share one cooperative stream (concurrent full
-// scans) or pull groups through the LRU pool.
+// reads: workers either share one cooperative stream (concurrent parallel
+// full scans) or pull groups through the LRU pool.
 type coopMorselSource struct {
 	*stableMorselSource
 	ctx    context.Context

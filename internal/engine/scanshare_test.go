@@ -15,11 +15,10 @@ import (
 
 // coopDB builds a DB whose table t spans several row groups, with a buffer
 // pool deliberately smaller than the table so policy differences show.
-func coopDB(t *testing.T, rows, bufferGroups int, coop bool) *DB {
+func coopDB(t *testing.T, rows, bufferGroups int) *DB {
 	t.Helper()
 	db := Open()
 	db.BufferGroups = bufferGroups
-	db.CoopScans = coop
 	ctx := context.Background()
 	if _, err := db.Exec(ctx, `CREATE TABLE t (k BIGINT, v DOUBLE)`); err != nil {
 		t.Fatal(err)
@@ -47,7 +46,7 @@ const coopScanSQL = `SELECT COUNT(*), SUM(k), SUM(v) FROM t WITH (PARALLEL=2)`
 // independent scans would.
 func TestConcurrentCoopScansShareLoadsAndStayExact(t *testing.T) {
 	const rows, clients = 100000, 8 // 7 row groups
-	db := coopDB(t, rows, 2, true)
+	db := coopDB(t, rows, 2)
 	ctx := context.Background()
 	serial, err := db.Exec(ctx, `SELECT COUNT(*), SUM(k), SUM(v) FROM t`)
 	if err != nil {
@@ -95,28 +94,40 @@ func TestConcurrentCoopScansShareLoadsAndStayExact(t *testing.T) {
 	}
 }
 
-// With CoopScans off, the same workload runs through the LRU pool only, and
-// results stay exact (the control cell for the benchmark).
+// Serial scans have company too, but a one-worker scan must deliver groups
+// in image order: concurrent serial scans stay exact and in row order, and
+// read through the LRU pool only — never through the cooperative ABM.
 func TestConcurrentScansLRUOnlyStayExact(t *testing.T) {
 	const rows, clients = 50000, 4
-	db := coopDB(t, rows, 2, false)
+	db := coopDB(t, rows, 2)
 	ctx := context.Background()
-	serial, err := db.Exec(ctx, `SELECT COUNT(*), SUM(k), SUM(v) FROM t`)
+	// A registered scan gives every client company, the condition on which
+	// a parallel scan would attach to the ABM.
+	store, err := db.Store("t")
 	if err != nil {
 		t.Fatal(err)
 	}
+	_, release := db.shareFor("t", store.Stable()).beginScan()
+	defer release()
 	var wg sync.WaitGroup
 	for i := 0; i < clients; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, err := db.Exec(ctx, coopScanSQL)
+			res, err := db.Exec(ctx, `SELECT k FROM t`)
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			if !reflect.DeepEqual(res.Rows, serial.Rows) {
-				t.Errorf("rows %v != serial %v", res.Rows, serial.Rows)
+			if len(res.Rows) != rows {
+				t.Errorf("rows = %d, want %d", len(res.Rows), rows)
+				return
+			}
+			for i, r := range res.Rows {
+				if r[0].Int64() != int64(i) {
+					t.Errorf("row %d = %d (order broken)", i, r[0].Int64())
+					return
+				}
 			}
 		}()
 	}
@@ -126,7 +137,7 @@ func TestConcurrentScansLRUOnlyStayExact(t *testing.T) {
 		t.Fatal("no share built")
 	}
 	if coop.Loads != 0 {
-		t.Fatalf("ABM used despite CoopScans=false: %+v", coop)
+		t.Fatalf("a serial scan loaded through the ABM: %+v", coop)
 	}
 	if lru.Loads == 0 {
 		t.Fatal("LRU pool never loaded — scans bypassed the seam")
@@ -137,7 +148,7 @@ func TestConcurrentScansLRUOnlyStayExact(t *testing.T) {
 // order exactly.
 func TestSerialScanThroughSharePreservesOrder(t *testing.T) {
 	const rows = 40000
-	db := coopDB(t, rows, 4, true)
+	db := coopDB(t, rows, 4)
 	ctx := context.Background()
 	res, err := db.Exec(ctx, `SELECT k FROM t`)
 	if err != nil {
@@ -160,7 +171,7 @@ func TestSerialScanThroughSharePreservesOrder(t *testing.T) {
 // A checkpoint replaces the stable snapshot; the share must be rebuilt for
 // the new snapshot and queries must keep answering exactly.
 func TestShareRebuiltAfterCheckpoint(t *testing.T) {
-	db := coopDB(t, 40000, 4, true)
+	db := coopDB(t, 40000, 4)
 	ctx := context.Background()
 	if _, err := db.Exec(ctx, `SELECT COUNT(*) FROM t`); err != nil {
 		t.Fatal(err)
@@ -190,7 +201,7 @@ func TestShareRebuiltAfterCheckpoint(t *testing.T) {
 // The session layer's per-query budget must reach the executor through
 // WithQueryBudget and stop oversized materializations.
 func TestWithQueryBudgetStopsBigSort(t *testing.T) {
-	db := coopDB(t, 50000, 4, true)
+	db := coopDB(t, 50000, 4)
 	ctx := WithQueryBudget(context.Background(), 1024)
 	_, err := db.Exec(ctx, `SELECT k FROM t ORDER BY v DESC`)
 	if !errors.Is(err, exec.ErrBudget) {

@@ -16,7 +16,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"vectorwise/internal/expr"
 	"vectorwise/internal/metrics"
 	"vectorwise/internal/types"
 	"vectorwise/internal/vec"
@@ -43,8 +42,6 @@ type Ctx struct {
 	// VecSize is the vector length; 0 means vec.DefaultSize. Experiment E2
 	// sweeps it.
 	VecSize int
-	// Mode selects checked/naive arithmetic for expression compilation.
-	Mode expr.Mode
 	// Profile enables per-operator counters (claim C12: monitoring).
 	Profile bool
 	// Budget caps the bytes materializing operators may accumulate for this
@@ -131,8 +128,8 @@ type ByteDecoding interface {
 	DecodedBytes() int64
 }
 
-// skipReporter is the operator-level view of GroupSkipping (ColScan
-// implements it by delegating to its source).
+// skipReporter is the operator-level view of GroupSkipping (MorselScan
+// implements it by delegating to its scanner).
 type skipReporter interface {
 	SkipStats() (skipped, total int64)
 }

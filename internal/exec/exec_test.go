@@ -584,9 +584,7 @@ func TestErrorPropagation(t *testing.T) {
 	proj := NewProject(src, []expr.Expr{
 		expr.NewCall("/", expr.CInt(1), expr.Col(1, "b", types.Int64)),
 	})
-	ctx := NewCtx(context.Background())
-	ctx.Mode = expr.Mode{Checked: true}
-	_, err := Collect(ctx, proj)
+	_, err := Collect(NewCtx(context.Background()), proj)
 	if err == nil {
 		t.Fatal("expected division by zero")
 	}

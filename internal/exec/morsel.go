@@ -28,20 +28,25 @@ type MorselScanner interface {
 	SeekGroup(g int)
 }
 
-// MorselSource is the run-time view of a parallel table scan, constructed
-// at Open (inside the query's snapshot, after every compile-time decision).
-// Either the table is morsel-scannable (NumMorsels > 0, one independent
-// MorselScanner per worker), or it degrades to a single serial stream
-// (NumMorsels == 0: the PDT-merge path, where delta application is
-// positional over the whole table).
+// MorselSource is the run-time view of a table scan, constructed at Open
+// (inside the query's snapshot, after every compile-time decision). Either
+// the table is morsel-scannable (NumMorsels row groups, one independent
+// MorselScanner per worker; zero morsels when nothing can match), or it
+// degrades to a single serial stream (SerialMorselSource: the PDT-merge
+// path, where delta application is positional over the whole table).
 type MorselSource interface {
-	// NumMorsels reports how many row-group morsels the snapshot offers;
-	// 0 means only Serial is available.
+	// NumMorsels reports how many row-group morsels the snapshot offers.
 	NumMorsels() int
 	// Worker returns a fresh repositionable scanner (one per worker).
 	Worker() (MorselScanner, error)
-	// Serial returns the fallback stream when NumMorsels() == 0.
-	Serial() (pdt.BatchSource, error)
+}
+
+// WindowPruning is implemented by morsel sources that offer only the
+// clustered group window of a table: the groups left outside it, and their
+// encoded bytes in the projected columns. Worker 0 reports them as skipped,
+// so the workers of a scan sum to the whole table whatever its degree.
+type WindowPruning interface {
+	PrunedGroups() (groups int, bytes int64)
 }
 
 // CoopStream delivers row-group morsels with their raw bytes, in whatever
@@ -76,11 +81,12 @@ func SerialMorselSource(src pdt.BatchSource) MorselSource {
 	return serialMorselSource{src: src}
 }
 
+// serialMorselSource is recognised by MorselScan, which claims src whole and
+// never asks it for a worker scanner.
 type serialMorselSource struct{ src pdt.BatchSource }
 
-func (s serialMorselSource) NumMorsels() int                  { return 0 }
-func (s serialMorselSource) Worker() (MorselScanner, error)   { return nil, nil }
-func (s serialMorselSource) Serial() (pdt.BatchSource, error) { return s.src, nil }
+func (s serialMorselSource) NumMorsels() int                { return 0 }
+func (s serialMorselSource) Worker() (MorselScanner, error) { return nil, nil }
 
 // MorselQueue hands out row-group morsels to P workers. Each worker owns a
 // contiguous deque (preserving sequential decode locality); when a worker's
@@ -161,8 +167,8 @@ func (q *MorselQueue) Counts() []int64 {
 }
 
 // morselState is the run-time state the P sibling MorselScan workers of one
-// parallel fragment share, created lazily under Ctx.SharedState by the
-// first worker to open.
+// scan share, created lazily under Ctx.SharedState by the first worker to
+// open.
 type morselState struct {
 	once  sync.Once
 	err   error
@@ -183,17 +189,17 @@ func (st *morselState) init(workers int, mk func() (MorselSource, error)) {
 			return
 		}
 		st.src = src
-		if n := src.NumMorsels(); n > 0 {
-			if cs, ok := src.(CoopMorselSource); ok {
-				if c := cs.Coop(); c != nil {
-					st.coop = c
-					return
-				}
-			}
-			st.queue = NewMorselQueue(n, workers)
+		if s, ok := src.(serialMorselSource); ok {
+			st.serial = s.src
 			return
 		}
-		st.serial, st.err = src.Serial()
+		if cs, ok := src.(CoopMorselSource); ok {
+			if c := cs.Coop(); c != nil {
+				st.coop = c
+				return
+			}
+		}
+		st.queue = NewMorselQueue(src.NumMorsels(), workers)
 	})
 }
 
@@ -205,10 +211,12 @@ func (st *morselState) closeCoop() {
 	}
 }
 
-// MorselScan is one worker of a morsel-driven parallel scan. All workers
-// sharing a Key pull from the same MorselQueue; when the source degrades to
-// a serial stream (deltas at run time), exactly one worker claims it and
-// the rest come up empty — the plan keeps its parallel shape either way.
+// MorselScan is one worker of a morsel-driven scan — the one operator that
+// scans a vectorwise table. A serial scan is a scan of one worker, which
+// claims its morsels in group order. All workers sharing a Key pull from
+// the same MorselQueue; when the source degrades to a serial stream (deltas
+// at run time), exactly one worker claims it and the rest come up empty —
+// the plan keeps its shape either way.
 type MorselScan struct {
 	kinds []types.Kind
 	// SourceFn builds the shared run-time source at Open, once the vector
@@ -218,16 +226,21 @@ type MorselScan struct {
 	Worker   int
 	Workers  int
 	OpLabel  string // metrics label, e.g. "ParallelScan"
+	// RID makes the scan emit, after the source's columns, one BIGINT vector
+	// holding each row's position in the scanned image — what txn.UpdateAt
+	// and DeleteAt address rows by. Set before Open.
+	RID bool
 
 	ctx     *Ctx
 	st      *morselState
 	scanner MorselScanner
 	serial  pdt.BatchSource
 	buf     *vec.Batch
+	rid     *vec.Vector
+	out     vec.Batch
 	inGroup bool
 	morsels int64
 	stolen  int64
-	class   *opClassMetrics
 	mCount  *Counter
 }
 
@@ -239,7 +252,12 @@ func NewMorselScan(kinds []types.Kind, key any, worker, workers int, label strin
 }
 
 // Kinds implements Operator.
-func (m *MorselScan) Kinds() []types.Kind { return m.kinds }
+func (m *MorselScan) Kinds() []types.Kind {
+	if m.RID {
+		return append(m.kinds[:len(m.kinds):len(m.kinds)], types.KindInt64)
+	}
+	return m.kinds
+}
 
 // Open implements Operator: resolves (or joins) the shared morsel state.
 func (m *MorselScan) Open(ctx *Ctx) error {
@@ -254,6 +272,9 @@ func (m *MorselScan) Open(ctx *Ctx) error {
 	}
 	m.mCount = metrics.Default.Counter(`exec_morsels_total{op="` + label + `"}`)
 	vecSize := ctx.vecSize()
+	if m.RID {
+		m.rid = vec.New(types.KindInt64, vecSize)
+	}
 	m.st = ctx.SharedState(m.Key, func() any { return &morselState{} }).(*morselState)
 	m.st.init(m.Workers, func() (MorselSource, error) { return m.SourceFn(vecSize) })
 	if m.st.err != nil {
@@ -293,20 +314,20 @@ func (m *MorselScan) Next() (*vec.Batch, error) {
 		if m.serial == nil {
 			return nil, nil // another worker claimed the serial stream
 		}
-		_, _, done, err := m.serial.Next(m.buf)
+		start, n, done, err := m.serial.Next(m.buf)
 		if err != nil || done {
 			return nil, err
 		}
-		return m.buf, nil
+		return m.emit(start, n), nil
 	}
 	for {
 		if m.inGroup {
-			_, _, done, err := m.scanner.Next(m.buf)
+			start, n, done, err := m.scanner.Next(m.buf)
 			if err != nil {
 				return nil, err
 			}
 			if !done {
-				return m.buf, nil
+				return m.emit(start, n), nil
 			}
 			m.inGroup = false
 		}
@@ -346,6 +367,40 @@ func (m *MorselScan) Next() (*vec.Batch, error) {
 	}
 }
 
+// emit returns the batch the source just filled, numbered when the scan
+// projects row positions.
+func (m *MorselScan) emit(start int64, n int) *vec.Batch {
+	if !m.RID {
+		return m.buf
+	}
+	return m.appendRID(start, n)
+}
+
+// appendRID numbers the n logical rows of the batch the source just filled:
+// logical row i sits at image position start+i, whatever selection vector a
+// merger narrowed the batch with, and its number goes where its values are.
+// The output batch is rebuilt from buf every time, because a merger may
+// have re-pointed buf at vectors of its own.
+func (m *MorselScan) appendRID(start int64, n int) *vec.Batch {
+	full := m.buf.Full()
+	m.rid.Grow(full)
+	m.rid.SetLen(full)
+	ids := m.rid.I64
+	if m.buf.Sel == nil {
+		for i := 0; i < n; i++ {
+			ids[i] = start + int64(i)
+		}
+	} else {
+		for i, p := range m.buf.Sel[:n] {
+			ids[p] = start + int64(i)
+		}
+	}
+	m.out.Vecs = append(append(m.out.Vecs[:0], m.buf.Vecs...), m.rid)
+	m.out.Sel = m.buf.Sel
+	m.out.ForceLen(full)
+	return &m.out
+}
+
 // Close implements Operator.
 func (m *MorselScan) Close() {
 	if m.st != nil {
@@ -356,20 +411,39 @@ func (m *MorselScan) Close() {
 // MorselStats implements the profiling shell's morselReporter.
 func (m *MorselScan) MorselStats() (morsels, steals int64) { return m.morsels, m.stolen }
 
-// SkipStats reports block-skipping counters from this worker's scanner.
-func (m *MorselScan) SkipStats() (int64, int64) {
-	if gs, ok := m.scanner.(GroupSkipping); ok {
-		return int64(gs.SkippedGroups()), int64(gs.TotalGroups())
+// windowPruned reports the groups (and bytes) the source's clustered window
+// left out — on worker 0 only, so they count once per scan.
+func (m *MorselScan) windowPruned() (int64, int64) {
+	if m.Worker != 0 || m.st == nil {
+		return 0, 0
+	}
+	if wp, ok := m.st.src.(WindowPruning); ok {
+		g, b := wp.PrunedGroups()
+		return int64(g), b
 	}
 	return 0, 0
 }
 
-// SkippedByteStats reports the encoded bytes this worker's scanner skipped.
-func (m *MorselScan) SkippedByteStats() int64 {
-	if bs, ok := m.scanner.(ByteSkipping); ok {
-		return bs.SkippedBytes()
+// SkipStats reports block-skipping counters: this worker's scanner, plus
+// the window-pruned groups on worker 0, in both skipped and total.
+func (m *MorselScan) SkipStats() (skipped, total int64) {
+	skipped, _ = m.windowPruned()
+	total = skipped
+	if gs, ok := m.scanner.(GroupSkipping); ok {
+		skipped += int64(gs.SkippedGroups())
+		total += int64(gs.TotalGroups())
 	}
-	return 0
+	return skipped, total
+}
+
+// SkippedByteStats reports the encoded bytes this worker's scanner skipped,
+// plus the window-pruned bytes on worker 0.
+func (m *MorselScan) SkippedByteStats() int64 {
+	_, bytes := m.windowPruned()
+	if bs, ok := m.scanner.(ByteSkipping); ok {
+		bytes += bs.SkippedBytes()
+	}
+	return bytes
 }
 
 // DecodedByteStats reports the encoded bytes this worker decoded: through

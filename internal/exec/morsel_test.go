@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"vectorwise/internal/pdt"
 	"vectorwise/internal/types"
 	"vectorwise/internal/vec"
 )
@@ -133,8 +132,6 @@ func (s *fakeMorselSource) NumMorsels() int { return len(s.sizes) }
 func (s *fakeMorselSource) Worker() (MorselScanner, error) {
 	return &fakeScanner{sizes: s.sizes}, nil
 }
-
-func (s *fakeMorselSource) Serial() (pdt.BatchSource, error) { return nil, nil }
 
 // morselWorkers builds P MorselScan workers sharing one queue over src.
 func morselWorkers(workers int, mk func(int) (MorselSource, error)) []*MorselScan {

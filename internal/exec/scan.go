@@ -6,9 +6,9 @@ import (
 	"vectorwise/internal/vec"
 )
 
-// ColScan adapts a positional batch source (a colstore scanner, possibly
-// wrapped in PDT mergers by the txn layer) into an operator, polling for
-// cancellation between vectors.
+// ColScan adapts a positional batch source into an operator, polling for
+// cancellation between vectors. Engine plans scan vectorwise tables through
+// MorselScan; ColScan serves callers that already hold a source.
 type ColScan struct {
 	// SourceFn defers source construction to Open so the vector size and
 	// snapshot are taken at execution time.
@@ -18,12 +18,6 @@ type ColScan struct {
 	ctx *Ctx
 	src pdt.BatchSource
 	buf *vec.Batch
-
-	// Set by ProjectRID: out is buf's vectors plus rid, the image position of
-	// every row.
-	withRID bool
-	rid     *vec.Vector
-	out     vec.Batch
 }
 
 // NewColScan builds a scan over a deferred source with the given output
@@ -32,18 +26,8 @@ func NewColScan(kinds []types.Kind, sourceFn func(vecSize int) (pdt.BatchSource,
 	return &ColScan{SourceFn: sourceFn, kinds: kinds}
 }
 
-// ProjectRID makes the scan emit, after the source's columns, one BIGINT
-// vector holding each row's position in the scanned image — what
-// txn.UpdateAt and DeleteAt address rows by. Call before Open.
-func (s *ColScan) ProjectRID() { s.withRID = true }
-
 // Kinds implements Operator.
-func (s *ColScan) Kinds() []types.Kind {
-	if s.withRID {
-		return append(s.kinds[:len(s.kinds):len(s.kinds)], types.KindInt64)
-	}
-	return s.kinds
-}
+func (s *ColScan) Kinds() []types.Kind { return s.kinds }
 
 // Open implements Operator.
 func (s *ColScan) Open(ctx *Ctx) error {
@@ -54,9 +38,6 @@ func (s *ColScan) Open(ctx *Ctx) error {
 	}
 	s.src = src
 	s.buf = vec.NewBatch(s.kinds, ctx.vecSize())
-	if s.withRID {
-		s.rid = vec.New(types.KindInt64, ctx.vecSize())
-	}
 	return nil
 }
 
@@ -65,73 +46,15 @@ func (s *ColScan) Next() (*vec.Batch, error) {
 	if err := s.ctx.poll(); err != nil {
 		return nil, err
 	}
-	start, n, done, err := s.src.Next(s.buf)
-	if err != nil {
+	_, _, done, err := s.src.Next(s.buf)
+	if err != nil || done {
 		return nil, err
-	}
-	if done {
-		return nil, nil
-	}
-	if s.withRID {
-		return s.appendRID(start, n), nil
 	}
 	return s.buf, nil
 }
 
-// appendRID numbers the n logical rows of the batch the source just filled:
-// logical row i sits at image position start+i, whatever selection vector a
-// merger narrowed the batch with, and its number goes where its values are.
-// The output batch is rebuilt from buf every time, because a merger may
-// have re-pointed buf at vectors of its own.
-func (s *ColScan) appendRID(start int64, n int) *vec.Batch {
-	full := s.buf.Full()
-	s.rid.Grow(full)
-	s.rid.SetLen(full)
-	ids := s.rid.I64
-	if s.buf.Sel == nil {
-		for i := 0; i < n; i++ {
-			ids[i] = start + int64(i)
-		}
-	} else {
-		for i, p := range s.buf.Sel[:n] {
-			ids[p] = start + int64(i)
-		}
-	}
-	s.out.Vecs = append(append(s.out.Vecs[:0], s.buf.Vecs...), s.rid)
-	s.out.Sel = s.buf.Sel
-	s.out.ForceLen(full)
-	return &s.out
-}
-
 // Close implements Operator.
 func (s *ColScan) Close() {}
-
-// SkipStats reports (skipped, total) row groups when the underlying source
-// does min/max block skipping; zeros otherwise (e.g. the PDT-merge path).
-// Read after the query drains — the profiling shell calls it from Stats.
-func (s *ColScan) SkipStats() (int64, int64) {
-	if gs, ok := s.src.(GroupSkipping); ok {
-		return int64(gs.SkippedGroups()), int64(gs.TotalGroups())
-	}
-	return 0, 0
-}
-
-// SkippedByteStats reports the encoded bytes of the skipped groups when the
-// source tracks them.
-func (s *ColScan) SkippedByteStats() int64 {
-	if bs, ok := s.src.(ByteSkipping); ok {
-		return bs.SkippedBytes()
-	}
-	return 0
-}
-
-// DecodedByteStats reports the encoded bytes the source decoded.
-func (s *ColScan) DecodedByteStats() int64 {
-	if bd, ok := s.src.(ByteDecoding); ok {
-		return bd.DecodedBytes()
-	}
-	return 0
-}
 
 // Values is a literal-rows operator (VALUES lists, tests).
 type Values struct {

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"vectorwise/internal/colstore"
-	"vectorwise/internal/pdt"
 	"vectorwise/internal/types"
 	"vectorwise/internal/vec"
 )
@@ -13,11 +12,13 @@ import (
 // fakeSource is a positional source whose every batch is scripted: the image
 // position it reports, the values of its one BIGINT column, a selection
 // vector, and whether it fills the caller's vectors or re-points the caller's
-// batch at a batch of its own (as pdt.Merger does with `*b = *m.in`).
+// batch at a batch of its own (as pdt.Merger does with `*b = *m.in`). It
+// serves the script [at, end): whole as a serial stream, or one batch per
+// SeekGroup as a morsel scanner.
 type fakeSource struct {
-	script []fakeBatch
-	at     int
-	own    *vec.Batch
+	script  []fakeBatch
+	at, end int
+	own     *vec.Batch
 }
 
 type fakeBatch struct {
@@ -29,8 +30,10 @@ type fakeBatch struct {
 
 func (f *fakeSource) Kinds() []types.Kind { return []types.Kind{types.KindInt64} }
 
+func (f *fakeSource) SeekGroup(g int) { f.at, f.end = g, g+1 }
+
 func (f *fakeSource) Next(b *vec.Batch) (int64, int, bool, error) {
-	if f.at == len(f.script) {
+	if f.at >= f.end {
 		return 0, 0, true, nil
 	}
 	fb := f.script[f.at]
@@ -50,13 +53,30 @@ func (f *fakeSource) Next(b *vec.Batch) (int64, int, bool, error) {
 	return fb.start, b.Rows(), false, nil
 }
 
-// ridRows drains a RID-projecting scan over src into (value, rid) pairs,
-// reading logical row i at RowIndex(i) as every operator does.
-func ridRows(t *testing.T, src pdt.BatchSource, vecSize int) [][2]int64 {
+// scriptMorsels offers each scripted batch as one morsel.
+type scriptMorsels []fakeBatch
+
+func (s scriptMorsels) NumMorsels() int { return len(s) }
+
+func (s scriptMorsels) Worker() (MorselScanner, error) { return &fakeSource{script: s}, nil }
+
+// scriptSources runs a script through both kinds of morsel source: as
+// morsels, and as the serial stream of the delta path.
+func scriptSources(script []fakeBatch) map[string]MorselSource {
+	return map[string]MorselSource{
+		"morsels": scriptMorsels(script),
+		"serial":  SerialMorselSource(&fakeSource{script: script, end: len(script)}),
+	}
+}
+
+// ridRows drains a one-worker RID-projecting scan over src into (value, rid)
+// pairs, reading logical row i at RowIndex(i) as every operator does.
+func ridRows(t *testing.T, src MorselSource, vecSize int) [][2]int64 {
 	t.Helper()
-	scan := NewColScan(src.Kinds(), func(int) (pdt.BatchSource, error) { return src, nil })
-	scan.ProjectRID()
-	if k := scan.Kinds(); len(k) != len(src.Kinds())+1 || k[len(k)-1] != types.KindInt64 {
+	scan := NewMorselScan([]types.Kind{types.KindInt64}, new(int), 0, 1, "Scan",
+		func(int) (MorselSource, error) { return src, nil })
+	scan.RID = true
+	if k := scan.Kinds(); len(k) != 2 || k[1] != types.KindInt64 {
 		t.Fatalf("kinds %v: want the source's plus BIGINT", k)
 	}
 	ctx := NewCtx(context.Background())
@@ -80,21 +100,23 @@ func ridRows(t *testing.T, src pdt.BatchSource, vecSize int) [][2]int64 {
 
 // Row i of a selection is image position start+i, and its number is written
 // where its values are: at RowIndex(i), not at i.
-func TestColScanRIDFollowsSelectionVector(t *testing.T) {
-	src := &fakeSource{script: []fakeBatch{
+func TestMorselScanRIDFollowsSelectionVector(t *testing.T) {
+	script := []fakeBatch{
 		{start: 100, vals: []int64{10, 11, 12, 13, 14, 15, 16, 17}, sel: []int32{1, 3, 6}},
 		{start: 103, vals: []int64{20, 21, 22}},
 		{start: 106, vals: []int64{30, 31, 32, 33}, sel: []int32{}}, // all deleted
 		{start: 106, vals: []int64{40, 41}, sel: []int32{1}},
-	}}
-	got := ridRows(t, src, 4) // batches larger than the vector size must fit too
-	want := [][2]int64{{11, 100}, {13, 101}, {16, 102}, {20, 103}, {21, 104}, {22, 105}, {41, 106}}
-	if len(got) != len(want) {
-		t.Fatalf("got %v, want %v", got, want)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("row %d: got (value, rid) %v, want %v (all: %v)", i, got[i], want[i], got)
+	want := [][2]int64{{11, 100}, {13, 101}, {16, 102}, {20, 103}, {21, 104}, {22, 105}, {41, 106}}
+	for name, src := range scriptSources(script) {
+		got := ridRows(t, src, 4) // batches larger than the vector size must fit too
+		if len(got) != len(want) {
+			t.Fatalf("%s: got %v, want %v", name, got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: row %d: got (value, rid) %v, want %v (all: %v)", name, i, got[i], want[i], got)
+			}
 		}
 	}
 }
@@ -102,29 +124,51 @@ func TestColScanRIDFollowsSelectionVector(t *testing.T) {
 // A source may fill the caller's vectors on one call and re-point the
 // caller's batch at its own vectors on the next: the scan must pair the RID
 // vector with whichever vectors the batch holds now.
-func TestColScanRIDSurvivesRealiasedBatch(t *testing.T) {
-	src := &fakeSource{script: []fakeBatch{
+func TestMorselScanRIDSurvivesRealiasedBatch(t *testing.T) {
+	script := []fakeBatch{
 		{start: 0, vals: []int64{1, 2, 3}},
 		{start: 3, vals: []int64{4, 5, 6, 7}, realias: true},
 		{start: 7, vals: []int64{8, 9}},
 		{start: 9, vals: []int64{10, 11, 12}, sel: []int32{0, 2}, realias: true},
 		{start: 11, vals: []int64{13}},
-	}}
-	got := ridRows(t, src, 1024)
-	wantVals := []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 13}
-	if len(got) != len(wantVals) {
-		t.Fatalf("got %d rows %v, want %d", len(got), got, len(wantVals))
 	}
-	for i, v := range wantVals {
-		if got[i] != [2]int64{v, int64(i)} {
-			t.Fatalf("row %d: got (value, rid) %v, want (%d, %d)", i, got[i], v, i)
+	wantVals := []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 13}
+	for name, src := range scriptSources(script) {
+		got := ridRows(t, src, 1024)
+		if len(got) != len(wantVals) {
+			t.Fatalf("%s: got %d rows %v, want %d", name, len(got), got, len(wantVals))
+		}
+		for i, v := range wantVals {
+			if got[i] != [2]int64{v, int64(i)} {
+				t.Fatalf("%s: row %d: got (value, rid) %v, want (%d, %d)", name, i, got[i], v, i)
+			}
 		}
 	}
 }
 
-// A delta-free scan that skips row groups (by min/max summaries, or by the
-// clustered window) still numbers rows by their place in the whole table.
-func TestColScanRIDAcrossSkippedRowGroups(t *testing.T) {
+// windowMorsels offers the clustered group window of a table as morsels
+// rebased by the seek base, as the engine's morsel source does.
+type windowMorsels struct {
+	tab     *colstore.Table
+	filters []colstore.RangeFilter
+	lo, hi  int
+}
+
+func (s windowMorsels) NumMorsels() int { return s.hi - s.lo }
+
+func (s windowMorsels) Worker() (MorselScanner, error) {
+	sc, err := s.tab.NewMorselScanner([]int{0}, 1000, s.filters...)
+	if err != nil {
+		return nil, err
+	}
+	sc.SetSeekBase(s.lo)
+	return sc, nil
+}
+
+// A delta-free scan that skips row groups (by the clustered window, or by
+// min/max summaries) still numbers rows by their place in the whole table,
+// and so does the serial stream, which skips nothing.
+func TestMorselScanRIDAcrossSkippedRowGroups(t *testing.T) {
 	tab := colstore.NewTable(types.NewSchema(types.Col("k", types.Int64)))
 	ap := tab.NewAppender()
 	const rows = 3*colstore.BlockRows + 100
@@ -136,6 +180,17 @@ func TestColScanRIDAcrossSkippedRowGroups(t *testing.T) {
 	if err := ap.Close(); err != nil {
 		t.Fatal(err)
 	}
+	check := func(name string, got [][2]int64, want int) {
+		t.Helper()
+		if len(got) != want {
+			t.Fatalf("%s: %d rows emitted, want %d", name, len(got), want)
+		}
+		for _, r := range got {
+			if r[0] != r[1]*2 {
+				t.Fatalf("%s: value %d carries rid %d, want %d", name, r[0], r[1], r[0]/2)
+			}
+		}
+	}
 	for _, tc := range []struct {
 		name   string
 		lo, hi int64 // bounds on k
@@ -146,18 +201,15 @@ func TestColScanRIDAcrossSkippedRowGroups(t *testing.T) {
 		{"middle groups", 2*colstore.BlockRows + 2, 2*3*colstore.BlockRows - 2, 2 * colstore.BlockRows},
 	} {
 		lo, hi := types.NewInt64(tc.lo), types.NewInt64(tc.hi)
-		sc, err := tab.NewScanner([]int{0}, 1000, colstore.RangeFilter{Col: 0, Lo: &lo, Hi: &hi})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := ridRows(t, sc, 1000)
-		if len(got) != tc.rows {
-			t.Fatalf("%s: %d rows emitted, want %d", tc.name, len(got), tc.rows)
-		}
-		for _, r := range got {
-			if r[0] != r[1]*2 {
-				t.Fatalf("%s: value %d carries rid %d, want %d", tc.name, r[0], r[1], r[0]/2)
-			}
-		}
+		filters := []colstore.RangeFilter{{Col: 0, Lo: &lo, Hi: &hi}}
+		wlo, whi := tab.ClusteredWindow(filters)
+		check(tc.name+" (window)", ridRows(t, windowMorsels{tab, filters, wlo, whi}, 1000), tc.rows)
+		// The whole table as morsels: min/max skipping prunes the same groups.
+		check(tc.name+" (zone maps)", ridRows(t, windowMorsels{tab, filters, 0, tab.NumBlocks()}, 1000), tc.rows)
 	}
+	sc, err := tab.NewScanner([]int{0}, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("serial", ridRows(t, SerialMorselSource(sc), 1000), rows)
 }

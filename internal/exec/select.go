@@ -30,7 +30,7 @@ func (s *Select) Kinds() []types.Kind { return s.Child.Kinds() }
 // Open implements Operator.
 func (s *Select) Open(ctx *Ctx) error {
 	s.ctx = ctx
-	f, err := expr.CompileFilter(s.Pred, s.Child.Kinds(), ctx.Mode)
+	f, err := expr.CompileFilter(s.Pred, s.Child.Kinds())
 	if err != nil {
 		return err
 	}
@@ -101,7 +101,7 @@ func (p *Project) Open(ctx *Ctx) error {
 			continue
 		}
 		p.direct[i] = -1
-		ev, err := expr.Compile(e, inKinds, ctx.Mode)
+		ev, err := expr.Compile(e, inKinds)
 		if err != nil {
 			return err
 		}

@@ -33,9 +33,7 @@ type Evaluator struct {
 	nRegs    int
 	owned    []ownedReg // registers we must allocate/grow
 	out      int        // register holding the result
-	outKind  types.Kind
 	regState []*vec.Vector
-	checked  bool
 	ctx      evalCtx // per-call state, kept here so a call allocates nothing
 }
 
@@ -44,17 +42,11 @@ type ownedReg struct {
 	kind types.Kind
 }
 
-// Mode flags for compilation.
-type Mode struct {
-	// Checked enables overflow/div-zero detection via the vectorized
-	// checked primitives. Unchecked mode exists for expressions the
-	// optimizer proved safe.
-	Checked bool
-}
-
 // Compile builds an Evaluator for e over inputs with the given kinds.
-func Compile(e Expr, inputKinds []types.Kind, mode Mode) (*Evaluator, error) {
-	c := &compiler{inputKinds: inputKinds, mode: mode}
+// Integer arithmetic is always checked: overflow and division by zero are
+// errors, as SQL requires.
+func Compile(e Expr, inputKinds []types.Kind) (*Evaluator, error) {
+	c := &compiler{inputKinds: inputKinds}
 	slot, err := c.compileNode(e)
 	if err != nil {
 		return nil, err
@@ -70,23 +62,8 @@ func Compile(e Expr, inputKinds []types.Kind, mode Mode) (*Evaluator, error) {
 			return nil
 		})
 	}
-	ev := &Evaluator{
-		prog:    c.prog,
-		nRegs:   c.nRegs,
-		owned:   c.owned,
-		out:     outReg,
-		outKind: e.Type().Kind,
-		checked: mode.Checked,
-	}
-	ev.regState = make([]*vec.Vector, ev.nRegs)
-	for _, o := range ev.owned {
-		ev.regState[o.reg] = vec.New(o.kind, vec.DefaultSize)
-	}
-	return ev, nil
+	return finishProgram(c, outReg), nil
 }
-
-// OutKind returns the result vector kind.
-func (ev *Evaluator) OutKind() types.Kind { return ev.outKind }
 
 // Eval runs the program over a batch, evaluating only the batch's selected
 // positions, and returns the result vector. Result values sit at the same
@@ -120,7 +97,6 @@ func (ev *Evaluator) EvalSel(b *vec.Batch, sel []int32) (*vec.Vector, error) {
 // compiler state.
 type compiler struct {
 	inputKinds []types.Kind
-	mode       Mode
 	prog       []instr
 	nRegs      int
 	owned      []ownedReg
@@ -182,7 +158,7 @@ func (c *compiler) compileNode(e Expr) (argSlot, error) {
 		}
 		dstKind := n.T.Kind
 		dst := c.allocReg(dstKind)
-		ins, err := buildCall(n.Fn, args, dst, dstKind, c.mode, c)
+		ins, err := buildCall(n.Fn, args, dst, dstKind, c)
 		if err != nil {
 			return argSlot{}, err
 		}

@@ -3,7 +3,6 @@ package expr
 import (
 	"fmt"
 	"math"
-	"strconv"
 	"strings"
 
 	"vectorwise/internal/primitives"
@@ -413,24 +412,4 @@ func FoldConstants(e Expr) Expr {
 		}
 		return &Const{Val: v}
 	})
-}
-
-// ParseNumberAs parses s into kind k; helper shared by loaders. Unlike
-// types.ParseValue it tolerates float syntax for integer kinds (truncating),
-// matching lenient COPY semantics.
-func ParseNumberAs(k types.Kind, s string) (types.Value, error) {
-	v, err := types.ParseValue(k, s)
-	if err == nil {
-		return v, nil
-	}
-	if k.Integral() {
-		f, ferr := strconv.ParseFloat(s, 64)
-		if ferr == nil {
-			if k == types.KindInt32 {
-				return types.NewInt32(int32(f)), nil
-			}
-			return types.NewInt64(int64(f)), nil
-		}
-	}
-	return types.Value{}, err
 }

@@ -40,7 +40,7 @@ func col(i int) *ColRef {
 
 func evalBoth(t *testing.T, e Expr, b *vec.Batch) (*vec.Vector, []types.Value) {
 	t.Helper()
-	ev, err := Compile(e, testKinds, Mode{})
+	ev, err := Compile(e, testKinds)
 	if err != nil {
 		t.Fatalf("compile %s: %v", e, err)
 	}
@@ -111,7 +111,7 @@ func TestIntDivision(t *testing.T) {
 	e := NewCall("/", col(0), CInt(2))
 	assertAgree(t, e, b)
 	// Division by zero from data: col1 has zeros (i%7==0).
-	ev, err := Compile(NewCall("/", col(0), col(1)), testKinds, Mode{Checked: true})
+	ev, err := Compile(NewCall("/", col(0), col(1)), testKinds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestIntDivision(t *testing.T) {
 		t.Fatalf("expected div0, got %v", err)
 	}
 	// Mod too.
-	evm, _ := Compile(NewCall("%", col(0), col(1)), testKinds, Mode{})
+	evm, _ := Compile(NewCall("%", col(0), col(1)), testKinds)
 	if _, err := evm.Eval(b); !errors.Is(err, primitives.ErrDivByZero) {
 		t.Fatalf("expected mod0, got %v", err)
 	}
@@ -132,15 +132,12 @@ func TestCheckedOverflow(t *testing.T) {
 	b.Vecs[0].I64[0] = 1
 	b.Vecs[0].I64[1] = math.MaxInt64
 	e := NewCall("+", Col(0, "x", types.Int64), CInt(1))
-	// Unchecked mode wraps silently.
-	evU, _ := Compile(e, kinds, Mode{})
-	if _, err := evU.Eval(b); err != nil {
-		t.Fatalf("unchecked should not error: %v", err)
+	ev, err := Compile(e, kinds)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Checked mode reports.
-	evC, _ := Compile(e, kinds, Mode{Checked: true})
-	if _, err := evC.Eval(b); !errors.Is(err, primitives.ErrOverflow) {
-		t.Fatal("checked mode missed overflow")
+	if _, err := ev.Eval(b); !errors.Is(err, primitives.ErrOverflow) {
+		t.Fatal("checked arithmetic missed overflow")
 	}
 }
 
@@ -231,7 +228,7 @@ func TestMathFuncs(t *testing.T) {
 
 func TestFilterBasics(t *testing.T) {
 	b := makeBatch(100)
-	f, err := CompileFilter(NewCall(">", col(0), CInt(89)), testKinds, Mode{})
+	f, err := CompileFilter(NewCall(">", col(0), CInt(89)), testKinds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +258,7 @@ func TestFilterMatchesInterpreter(t *testing.T) {
 		NewCall("between", col(0), col(1), CInt(10)),
 	}
 	for _, p := range preds {
-		f, err := CompileFilter(p, testKinds, Mode{})
+		f, err := CompileFilter(p, testKinds)
 		if err != nil {
 			t.Fatalf("compile filter %s: %v", p, err)
 		}
@@ -293,7 +290,7 @@ func TestFilterMatchesInterpreter(t *testing.T) {
 func TestFilterUnderSelection(t *testing.T) {
 	b := makeBatch(100)
 	b.Sel = []int32{0, 10, 20, 30, 40, 50}
-	f, _ := CompileFilter(NewCall(">", col(0), CInt(25)), testKinds, Mode{})
+	f, _ := CompileFilter(NewCall(">", col(0), CInt(25)), testKinds)
 	sel, err := f.Apply(b)
 	if err != nil {
 		t.Fatal(err)
@@ -307,7 +304,7 @@ func TestFilterUnderSelection(t *testing.T) {
 // the empty complement must not be read as "all rows".
 func TestFilterNotOfAllTrueFirstBatch(t *testing.T) {
 	b := makeBatch(100)
-	f, err := CompileFilter(NewCall("not", NewCall(">=", col(0), CInt(0))), testKinds, Mode{})
+	f, err := CompileFilter(NewCall("not", NewCall(">=", col(0), CInt(0))), testKinds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,14 +396,14 @@ func TestPromote(t *testing.T) {
 
 func TestNullLiteralRejectedByKernel(t *testing.T) {
 	e := &Call{Fn: "+", Args: []Expr{col(0), &Const{Val: types.NewNull(types.KindInt64)}}, T: types.Int64.Null()}
-	if _, err := Compile(e, testKinds, Mode{}); err == nil {
+	if _, err := Compile(e, testKinds); err == nil {
 		t.Fatal("kernel must reject NULL literals")
 	}
 }
 
 func TestNullFuncsRejectedByKernel(t *testing.T) {
 	e := &Call{Fn: "isnull", Args: []Expr{col(0)}, T: types.Bool}
-	if _, err := Compile(e, testKinds, Mode{}); err == nil {
+	if _, err := Compile(e, testKinds); err == nil {
 		t.Fatal("kernel must reject isnull")
 	}
 }
@@ -454,7 +451,7 @@ func TestRowNullPropagation(t *testing.T) {
 func TestVectorizedRowAgreementProperty(t *testing.T) {
 	kinds := []types.Kind{types.KindInt64, types.KindInt64}
 	e := NewCall("+", NewCall("*", Col(0, "a", types.Int64), CInt(2)), Col(1, "b", types.Int64))
-	ev, err := Compile(e, kinds, Mode{})
+	ev, err := Compile(e, kinds)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,11 +35,11 @@ type selNode interface {
 }
 
 // CompileFilter builds a Filter for pred over inputs of the given kinds.
-func CompileFilter(pred Expr, inputKinds []types.Kind, mode Mode) (*Filter, error) {
+func CompileFilter(pred Expr, inputKinds []types.Kind) (*Filter, error) {
 	if pred.Type().Kind != types.KindBool {
 		return nil, fmt.Errorf("expr: filter predicate has type %v, want BOOLEAN", pred.Type())
 	}
-	fc := &filterCompiler{inputKinds: inputKinds, mode: mode}
+	fc := &filterCompiler{inputKinds: inputKinds}
 	root, err := fc.compile(pred)
 	if err != nil {
 		return nil, err
@@ -59,7 +59,6 @@ func (f *Filter) Apply(b *vec.Batch) ([]int32, error) {
 
 type filterCompiler struct {
 	inputKinds []types.Kind
-	mode       Mode
 }
 
 func (fc *filterCompiler) compile(pred Expr) (selNode, error) {
@@ -196,7 +195,7 @@ func (fc *filterCompiler) compileCmp(call *Call) (selNode, error) {
 		a, b = b, a
 		fn = mirrorCmp(fn)
 	}
-	c := &compiler{inputKinds: fc.inputKinds, mode: fc.mode}
+	c := &compiler{inputKinds: fc.inputKinds}
 	sa, err := c.compileNode(a)
 	if err != nil {
 		return nil, err
@@ -213,7 +212,7 @@ func (fc *filterCompiler) compileCmp(call *Call) (selNode, error) {
 		sb = c.materialize(sb)
 	}
 	sa = c.materialize(sa)
-	ev := finishProgram(c, sa.reg, a.Type().Kind)
+	ev := finishProgram(c, sa.reg)
 
 	var prim func(dst []int32, regs []*vec.Vector, cur []int32, n int) []int32
 	switch a.Type().Kind {
@@ -309,13 +308,13 @@ func (fc *filterCompiler) compileBetween(call *Call) (selNode, error) {
 		le := &Call{Fn: "<=", Args: []Expr{x, hi}, T: types.Bool}
 		return fc.compile(&Call{Fn: "and", Args: []Expr{ge, le}, T: types.Bool})
 	}
-	c := &compiler{inputKinds: fc.inputKinds, mode: fc.mode}
+	c := &compiler{inputKinds: fc.inputKinds}
 	sx, err := c.compileNode(x)
 	if err != nil {
 		return nil, err
 	}
 	sx = c.materialize(sx)
-	ev := finishProgram(c, sx.reg, x.Type().Kind)
+	ev := finishProgram(c, sx.reg)
 	loV, hiV := lo.(*Const).Val, hi.(*Const).Val
 	var prim func(dst []int32, regs []*vec.Vector, cur []int32, n int) []int32
 	ra := sx.reg
@@ -352,13 +351,13 @@ func (fc *filterCompiler) compileLike(call *Call) (selNode, error) {
 	if !ok {
 		return nil, fmt.Errorf("expr: %s pattern must be constant in filters", call.Fn)
 	}
-	c := &compiler{inputKinds: fc.inputKinds, mode: fc.mode}
+	c := &compiler{inputKinds: fc.inputKinds}
 	sx, err := c.compileNode(call.Args[0])
 	if err != nil {
 		return nil, err
 	}
 	sx = c.materialize(sx)
-	ev := finishProgram(c, sx.reg, types.KindString)
+	ev := finishProgram(c, sx.reg)
 	var m *primitives.LikeMatcher
 	switch call.Fn {
 	case "like":
@@ -381,13 +380,13 @@ func (fc *filterCompiler) compileLike(call *Call) (selNode, error) {
 // and selects the true positions — the escape hatch for predicates without
 // a dedicated selection primitive.
 func (fc *filterCompiler) boolFallback(pred Expr) (selNode, error) {
-	c := &compiler{inputKinds: fc.inputKinds, mode: fc.mode}
+	c := &compiler{inputKinds: fc.inputKinds}
 	s, err := c.compileNode(pred)
 	if err != nil {
 		return nil, err
 	}
 	s = c.materialize(s)
-	ev := finishProgram(c, s.reg, types.KindBool)
+	ev := finishProgram(c, s.reg)
 	ra := s.reg
 	prim := func(dst []int32, regs []*vec.Vector, cur []int32, n int) []int32 {
 		return primitives.SelTrue(dst, regs[ra].Bool, cur, n)
@@ -395,10 +394,10 @@ func (fc *filterCompiler) boolFallback(pred Expr) (selNode, error) {
 	return &selLeaf{ev: ev, prim: prim}, nil
 }
 
-// finishProgram packages a compiler's instruction list as an Evaluator whose
-// registers a selection primitive can read.
-func finishProgram(c *compiler, out int, outKind types.Kind) *Evaluator {
-	ev := &Evaluator{prog: c.prog, nRegs: c.nRegs, owned: c.owned, out: out, outKind: outKind}
+// finishProgram packages a compiler's instruction list as an Evaluator with
+// its result in register out — Compile's, or one a selection primitive reads.
+func finishProgram(c *compiler, out int) *Evaluator {
+	ev := &Evaluator{prog: c.prog, nRegs: c.nRegs, owned: c.owned, out: out}
 	ev.regState = make([]*vec.Vector, ev.nRegs)
 	for _, o := range ev.owned {
 		ev.regState[o.reg] = vec.New(o.kind, vec.DefaultSize)

@@ -30,10 +30,10 @@ func cI64(v types.Value) int64   { return v.I64 }
 func cF64(v types.Value) float64 { return v.AsFloat() }
 func cStr(v types.Value) string  { return v.Str }
 
-func buildCall(fn string, args []argSlot, dst int, dstKind types.Kind, mode Mode, c *compiler) (instr, error) {
+func buildCall(fn string, args []argSlot, dst int, dstKind types.Kind, c *compiler) (instr, error) {
 	switch fn {
 	case "+", "-", "*", "/", "%", "mod":
-		return buildArith(fn, args, dst, dstKind, mode, c)
+		return buildArith(fn, args, dst, dstKind, c)
 	case "=", "<>", "<", "<=", ">", ">=":
 		return buildCmp(fn, args, dst, c)
 	case "and", "or", "not":
@@ -65,7 +65,7 @@ func buildCall(fn string, args []argSlot, dst int, dstKind types.Kind, mode Mode
 
 // --- arithmetic ---
 
-func buildArith(fn string, args []argSlot, dst int, dstKind types.Kind, mode Mode, c *compiler) (instr, error) {
+func buildArith(fn string, args []argSlot, dst int, dstKind types.Kind, c *compiler) (instr, error) {
 	a, b := args[0], args[1]
 	if a.isConst() && b.isConst() {
 		// Constant folding is the rewriter's job, but stay safe when an
@@ -89,11 +89,11 @@ func buildArith(fn string, args []argSlot, dst int, dstKind types.Kind, mode Mod
 	}
 	switch dstKind {
 	case types.KindInt32:
-		return intArith(fn, a, b, dst, mode, c, sI32, cI32, primitives.CheckedMulVVI32)
+		return intArith(fn, a, b, dst, c, sI32, primitives.CheckedMulVVI32)
 	case types.KindInt64:
-		return intArith(fn, a, b, dst, mode, c, sI64, cI64, primitives.CheckedMulVVI64)
+		return intArith(fn, a, b, dst, c, sI64, primitives.CheckedMulVVI64)
 	case types.KindFloat64:
-		return floatArith(fn, a, b, dst, mode, c)
+		return floatArith(fn, a, b, dst, c)
 	}
 	return nil, fmt.Errorf("expr: arithmetic on %v", dstKind)
 }
@@ -137,188 +137,65 @@ func negSlot(s argSlot, c *compiler) (argSlot, error) {
 }
 
 func intArith[T primitives.Integer](
-	fn string, a, b argSlot, dst int, mode Mode, c *compiler,
-	sl func(*vec.Vector) []T, cv func(types.Value) T,
+	fn string, a, b argSlot, dst int, c *compiler,
+	sl func(*vec.Vector) []T,
 	mulChecked func(dst, a, b []T, sel []int32) error,
 ) (instr, error) {
-	// Promote operand kinds: the binder guarantees both sides already match
-	// the destination kind via casts, so slots here share T.
-	// Division and modulo are *always* checked: unchecked integer division
-	// by zero would fault the whole process.
-	if fn == "/" || fn == "%" || fn == "mod" {
-		av := c.materialize(a)
-		bv := c.materialize(b)
-		ra, rb := av.reg, bv.reg
-		isMod := fn != "/"
-		return func(ctx *evalCtx) error {
-			d, x, y := sl(ctx.regs[dst]), sl(ctx.regs[ra]), sl(ctx.regs[rb])
-			sel, n := ctx.sel, ctx.n
-			if sel == nil {
-				d = d[:n]
-			}
-			if isMod {
-				return primitives.CheckedModVV(d, x, y, sel)
-			}
-			return primitives.CheckedDivVV(d, x, y, sel)
-		}, nil
+	// The binder guarantees both sides already match the destination kind
+	// via casts, so slots here share T. Every operation is checked: overflow
+	// and division by zero are errors, never wrapped or faulting values.
+	av := c.materialize(a)
+	bv := c.materialize(b)
+	ra, rb := av.reg, bv.reg
+	var op func(dst, a, b []T, sel []int32) error
+	switch fn {
+	case "+":
+		op = primitives.CheckedAddVV[T]
+	case "-":
+		op = primitives.CheckedSubVV[T]
+	case "*":
+		op = mulChecked
+	case "/":
+		op = primitives.CheckedDivVV[T]
+	case "%", "mod":
+		op = primitives.CheckedModVV[T]
+	default:
+		return nil, fmt.Errorf("expr: unsupported integer arithmetic %q", fn)
 	}
-	if mode.Checked {
-		av := c.materialize(a)
-		bv := c.materialize(b)
-		ra, rb := av.reg, bv.reg
-		switch fn {
-		case "+":
-			return func(ctx *evalCtx) error {
-				d, x, y := sl(ctx.regs[dst]), sl(ctx.regs[ra]), sl(ctx.regs[rb])
-				sel, n := ctx.sel, ctx.n
-				if sel == nil {
-					d = d[:n]
-				}
-				return primitives.CheckedAddVV(d, x, y, sel)
-			}, nil
-		case "-":
-			return func(ctx *evalCtx) error {
-				d, x, y := sl(ctx.regs[dst]), sl(ctx.regs[ra]), sl(ctx.regs[rb])
-				sel, n := ctx.sel, ctx.n
-				if sel == nil {
-					d = d[:n]
-				}
-				return primitives.CheckedSubVV(d, x, y, sel)
-			}, nil
-		case "*":
-			return func(ctx *evalCtx) error {
-				d, x, y := sl(ctx.regs[dst]), sl(ctx.regs[ra]), sl(ctx.regs[rb])
-				sel, n := ctx.sel, ctx.n
-				if sel == nil {
-					d = d[:n]
-				}
-				return mulChecked(d, x, y, sel)
-			}, nil
+	return func(ctx *evalCtx) error {
+		d, x, y := sl(ctx.regs[dst]), sl(ctx.regs[ra]), sl(ctx.regs[rb])
+		sel := ctx.sel
+		if sel == nil {
+			d = d[:ctx.n]
 		}
-	}
-	// Unchecked fast paths with VC/CV shapes.
-	switch {
-	case fn == "+" && a.isConst():
-		a, b = b, a // commute
-		fallthrough
-	case fn == "+" && b.isConst():
-		ra, k := a.reg, cv(b.val)
-		return func(ctx *evalCtx) error {
-			d, x := sl(ctx.regs[dst]), sl(ctx.regs[ra])
-			if ctx.sel == nil {
-				primitives.AddVC(d[:ctx.n], x, k, nil)
-			} else {
-				primitives.AddVC(d, x, k, ctx.sel)
-			}
-			return nil
-		}, nil
-	case fn == "+":
-		ra, rb := a.reg, b.reg
-		return func(ctx *evalCtx) error {
-			d, x, y := sl(ctx.regs[dst]), sl(ctx.regs[ra]), sl(ctx.regs[rb])
-			if ctx.sel == nil {
-				primitives.AddVV(d[:ctx.n], x, y, nil)
-			} else {
-				primitives.AddVV(d, x, y, ctx.sel)
-			}
-			return nil
-		}, nil
-	case fn == "-" && b.isConst():
-		ra, k := a.reg, cv(b.val)
-		return func(ctx *evalCtx) error {
-			d, x := sl(ctx.regs[dst]), sl(ctx.regs[ra])
-			if ctx.sel == nil {
-				primitives.SubVC(d[:ctx.n], x, k, nil)
-			} else {
-				primitives.SubVC(d, x, k, ctx.sel)
-			}
-			return nil
-		}, nil
-	case fn == "-" && a.isConst():
-		rb, k := b.reg, cv(a.val)
-		return func(ctx *evalCtx) error {
-			d, y := sl(ctx.regs[dst]), sl(ctx.regs[rb])
-			if ctx.sel == nil {
-				primitives.SubCV(d[:ctx.n], k, y, nil)
-			} else {
-				primitives.SubCV(d, k, y, ctx.sel)
-			}
-			return nil
-		}, nil
-	case fn == "-":
-		ra, rb := a.reg, b.reg
-		return func(ctx *evalCtx) error {
-			d, x, y := sl(ctx.regs[dst]), sl(ctx.regs[ra]), sl(ctx.regs[rb])
-			if ctx.sel == nil {
-				primitives.SubVV(d[:ctx.n], x, y, nil)
-			} else {
-				primitives.SubVV(d, x, y, ctx.sel)
-			}
-			return nil
-		}, nil
-	case fn == "*" && a.isConst():
-		a, b = b, a
-		fallthrough
-	case fn == "*" && b.isConst():
-		ra, k := a.reg, cv(b.val)
-		return func(ctx *evalCtx) error {
-			d, x := sl(ctx.regs[dst]), sl(ctx.regs[ra])
-			if ctx.sel == nil {
-				primitives.MulVC(d[:ctx.n], x, k, nil)
-			} else {
-				primitives.MulVC(d, x, k, ctx.sel)
-			}
-			return nil
-		}, nil
-	case fn == "*":
-		ra, rb := a.reg, b.reg
-		return func(ctx *evalCtx) error {
-			d, x, y := sl(ctx.regs[dst]), sl(ctx.regs[ra]), sl(ctx.regs[rb])
-			if ctx.sel == nil {
-				primitives.MulVV(d[:ctx.n], x, y, nil)
-			} else {
-				primitives.MulVV(d, x, y, ctx.sel)
-			}
-			return nil
-		}, nil
-	}
-	return nil, fmt.Errorf("expr: unsupported integer arithmetic %q", fn)
+		return op(d, x, y, sel)
+	}, nil
 }
 
-func floatArith(fn string, a, b argSlot, dst int, mode Mode, c *compiler) (instr, error) {
+func floatArith(fn string, a, b argSlot, dst int, c *compiler) (instr, error) {
 	sl, cv := sF64, cF64
 	switch {
 	case fn == "/" && b.isConst():
 		ra, k := a.reg, cv(b.val)
-		checked := mode.Checked
 		return func(ctx *evalCtx) error {
 			d, x := sl(ctx.regs[dst]), sl(ctx.regs[ra])
 			sel := ctx.sel
 			if sel == nil {
 				d = d[:ctx.n]
 			}
-			if checked {
-				return primitives.CheckedDivVCF(d, x, k, sel)
-			}
-			primitives.DivVCF(d, x, k, sel)
-			return nil
+			return primitives.CheckedDivVCF(d, x, k, sel)
 		}, nil
 	case fn == "/":
 		av := c.materialize(a)
 		bv := c.materialize(b)
 		ra, rb := av.reg, bv.reg
-		checked := mode.Checked
 		return func(ctx *evalCtx) error {
 			d, x, y := sl(ctx.regs[dst]), sl(ctx.regs[ra]), sl(ctx.regs[rb])
 			sel := ctx.sel
 			if sel == nil {
 				d = d[:ctx.n]
 			}
-			if checked {
-				return primitives.CheckedDivVVF(d, x, y, sel)
-			}
-			primitives.DivVVF(d, x, y, sel)
-			return nil
+			return primitives.CheckedDivVVF(d, x, y, sel)
 		}, nil
 	case (fn == "+" || fn == "*") && a.isConst():
 		a, b = b, a

@@ -15,9 +15,8 @@
 // scheme is column-store friendly.
 //
 // PDTs layer: a transaction's private write-PDT sits on top of the shared
-// read-PDT, whose image in turn overlays the stable table. Propagation
-// replays one layer's ops onto the layer below (see Propagate and the txn
-// package).
+// read-PDT, whose image in turn overlays the stable table. Commit replays
+// one layer's ops onto the layer below (see the txn package).
 package pdt
 
 import (
@@ -206,16 +205,6 @@ func (p *PDT) locate(rid int64) location {
 		}
 	}
 	return location{kind: locStable, sid: rid - int64(ia) + int64(da)}
-}
-
-// SIDForRID maps an image position to the stable row it shows, or -1 for
-// inserted rows; exported for tests and the txn layer's conflict checks.
-func (p *PDT) SIDForRID(rid int64) int64 {
-	loc := p.locate(rid)
-	if loc.kind == locIns {
-		return -1
-	}
-	return loc.sid
 }
 
 // Resolve maps an image position to (stable SID, whether the row is a
@@ -527,40 +516,4 @@ func (p *PDT) Clone() *PDT {
 		return &nn
 	}
 	return &PDT{root: cp(p.root), ops: p.ops}
-}
-
-// Propagate replays src's ops (positions in src's own image space — i.e.
-// the image *over* dst) onto dst: the write-PDT → read-PDT merge at commit,
-// and equally the read-PDT → stable merge during checkpoints.
-//
-// Correctness relies on replaying in the same logical order the ops were
-// made visible: an Ops() snapshot is already in image order, and positions
-// in it are stable under later ops in the same snapshot... they are not —
-// so positions are adjusted while replaying: an insert at position q shifts
-// later positions up by one, a delete shifts them down. The snapshot's SIDs
-// are positions in dst's image *before any of src's ops*, so the running
-// adjustment restores each op's intended location.
-func Propagate(dst *PDT, src *PDT) error {
-	shift := int64(0)
-	for _, op := range src.Ops() {
-		switch op.Kind {
-		case OpIns:
-			if err := dst.InsertAt(op.SID+shift, op.Row); err != nil {
-				return err
-			}
-			shift++
-		case OpDel:
-			if err := dst.DeleteAt(op.SID + shift); err != nil {
-				return err
-			}
-			shift--
-		case OpMod:
-			for c, v := range op.Mods {
-				if err := dst.ModifyAt(op.SID+shift, c, v); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return nil
 }

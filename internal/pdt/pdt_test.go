@@ -3,7 +3,6 @@ package pdt
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"vectorwise/internal/types"
 	"vectorwise/internal/vec"
@@ -202,17 +201,14 @@ func TestSIDMapping(t *testing.T) {
 	p := New()
 	p.InsertAt(3, row(-1)) // image: 0 1 2 [ins] 3 4 ...
 	p.DeleteAt(6)          // deletes stable row 5
-	if sid := p.SIDForRID(0); sid != 0 {
-		t.Fatalf("rid0 → %d", sid)
+	if sid, ins := p.Resolve(0); ins || sid != 0 {
+		t.Fatalf("rid0 → %d (insert %v)", sid, ins)
 	}
-	if sid := p.SIDForRID(3); sid != -1 {
-		t.Fatalf("rid3 (insert) → %d", sid)
+	if sid, ins := p.Resolve(4); ins || sid != 3 {
+		t.Fatalf("rid4 → %d (insert %v)", sid, ins)
 	}
-	if sid := p.SIDForRID(4); sid != 3 {
-		t.Fatalf("rid4 → %d", sid)
-	}
-	if sid := p.SIDForRID(6); sid != 6 { // 5 deleted: rid6 shows stable 6
-		t.Fatalf("rid6 → %d", sid)
+	if sid, ins := p.Resolve(6); ins || sid != 6 { // 5 deleted: rid6 shows stable 6
+		t.Fatalf("rid6 → %d (insert %v)", sid, ins)
 	}
 	sid, ins := p.Resolve(3)
 	if !ins || sid != 3 {
@@ -260,8 +256,8 @@ func TestSIDAnchoredAPIs(t *testing.T) {
 
 func TestSIDMappingStable(t *testing.T) { // rid mapping with no deltas
 	p := New()
-	if sid := p.SIDForRID(7); sid != 7 {
-		t.Fatalf("identity mapping broken: %d", sid)
+	if sid, ins := p.Resolve(7); ins || sid != 7 {
+		t.Fatalf("identity mapping broken: %d (insert %v)", sid, ins)
 	}
 }
 
@@ -278,32 +274,6 @@ func TestClone(t *testing.T) {
 	model.insert(2, row(-1))
 	model.modify(0, 0, types.NewInt64(9))
 	checkImage(t, stable, c, model)
-}
-
-func TestPropagate(t *testing.T) {
-	stable := stableVals(8)
-	read := New()
-	read.InsertAt(2, row(-1))
-	read.DeleteAt(5)
-	model := newNaive(stable)
-	model.insert(2, row(-1))
-	model.delete(5)
-
-	// A write-PDT built over the read image.
-	write := New()
-	write.InsertAt(0, row(-100))
-	model.insert(0, row(-100))
-	write.DeleteAt(3)
-	model.delete(3)
-	write.ModifyAt(4, 0, types.NewInt64(77))
-	model.modify(4, 0, types.NewInt64(77))
-	write.InsertAt(8, row(-200))
-	model.insert(8, row(-200))
-
-	if err := Propagate(read, write); err != nil {
-		t.Fatal(err)
-	}
-	checkImage(t, stable, read, model)
 }
 
 // Property: random op sequences keep the PDT image identical to the naive
@@ -337,79 +307,6 @@ func TestRandomOpsAgainstModel(t *testing.T) {
 		}
 		checkImage(t, stable, p, model)
 	}
-}
-
-// Property: Propagate(empty ← ops) equals applying ops directly.
-func TestPropagateEquivalenceProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		stable := stableVals(30)
-		read := New()
-		// Seed the read layer.
-		read.InsertAt(int64(rng.Intn(31)), row(-1))
-		read.DeleteAt(int64(rng.Intn(30)))
-		snapshot := read.Clone()
-
-		write := New()
-		model := mergeVals(stable, snapshot)
-		for o := 0; o < 20; o++ {
-			size := int64(len(model))
-			switch op := rng.Intn(3); {
-			case op == 0 || size == 0:
-				at := rng.Int63n(size + 1)
-				write.InsertAt(at, row(int64(-100-o)))
-				model = insertVal(model, at, int64(-100-o))
-			case op == 1:
-				at := rng.Int63n(size)
-				write.DeleteAt(at)
-				model = append(model[:at], model[at+1:]...)
-			default:
-				at := rng.Int63n(size)
-				write.ModifyAt(at, 0, types.NewInt64(int64(o*7)))
-				model[at] = int64(o * 7)
-			}
-		}
-		if err := Propagate(read, write); err != nil {
-			return false
-		}
-		got := mergeVals(stable, read)
-		if len(got) != len(model) {
-			return false
-		}
-		for i := range got {
-			if got[i] != model[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func mergeVals(stable []int64, p *PDT) []int64 {
-	src := &sliceSource{vals: stable, batch: 16}
-	m := NewMerger(src, p, []int{0})
-	out := vec.NewBatch(m.Kinds(), 0)
-	var got []int64
-	for {
-		_, n, done, err := m.Next(out)
-		if err != nil || done {
-			break
-		}
-		for i := 0; i < n; i++ {
-			got = append(got, out.Vecs[0].Get(out.RowIndex(i)).Int64())
-		}
-	}
-	return got
-}
-
-func insertVal(s []int64, at int64, v int64) []int64 {
-	s = append(s, 0)
-	copy(s[at+1:], s[at:])
-	s[at] = v
-	return s
 }
 
 func TestMergerStacking(t *testing.T) {

@@ -178,7 +178,8 @@ func (b *builder) buildScan(t *algebra.Scan) (Node, error) {
 		if info.Structure == "heap" || t.Morsels > 0 {
 			return nil, fmt.Errorf("physical: scan of %s projects row positions; only a serial vectorwise scan can", t.Spec.Table)
 		}
-		// The trailing position column is not stored: ColScan makes it.
+		// The trailing position column is not stored: the scan operator
+		// numbers the rows itself.
 		sc.Cols = sc.Cols[:len(sc.Cols)-1]
 	}
 	sc.ColIdxs = make([]int, len(sc.Cols))

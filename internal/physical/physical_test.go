@@ -10,7 +10,6 @@ import (
 	"vectorwise/internal/colstore"
 	"vectorwise/internal/exec"
 	"vectorwise/internal/expr"
-	"vectorwise/internal/pdt"
 	"vectorwise/internal/rowengine"
 	"vectorwise/internal/scanspec"
 	"vectorwise/internal/types"
@@ -41,11 +40,7 @@ func (e *fixtureEnv) Heap(string) (*rowengine.HeapTable, error) {
 	return e.heap, nil
 }
 
-func (e *fixtureEnv) ScanSource(string, []int, int, []colstore.RangeFilter) (pdt.BatchSource, error) {
-	return nil, fmt.Errorf("no column store in fixture")
-}
-
-func (e *fixtureEnv) MorselSource(string, []int, int, []colstore.RangeFilter) (exec.MorselSource, error) {
+func (e *fixtureEnv) MorselSource(string, []int, int, int, []colstore.RangeFilter) (exec.MorselSource, error) {
 	return nil, fmt.Errorf("no column store in fixture")
 }
 
@@ -295,19 +290,33 @@ func TestRegistryAndProfile(t *testing.T) {
 	}
 }
 
-// ridEnv serves one column-store table as a plain scanner.
+// ridEnv serves one column-store table, each row group a morsel.
 type ridEnv struct {
 	fixtureEnv
 	tab *colstore.Table
 }
 
-func (e *ridEnv) ScanSource(_ string, cols []int, vecSize int, f []colstore.RangeFilter) (pdt.BatchSource, error) {
-	return e.tab.NewScanner(cols, vecSize, f...)
+func (e *ridEnv) MorselSource(_ string, cols []int, vecSize, _ int, f []colstore.RangeFilter) (exec.MorselSource, error) {
+	return tableMorsels{e.tab, cols, vecSize, f}, nil
+}
+
+type tableMorsels struct {
+	tab     *colstore.Table
+	cols    []int
+	vecSize int
+	filters []colstore.RangeFilter
+}
+
+func (s tableMorsels) NumMorsels() int { return s.tab.NumBlocks() }
+
+func (s tableMorsels) Worker() (exec.MorselScanner, error) {
+	return s.tab.NewMorselScanner(s.cols, s.vecSize, s.filters...)
 }
 
 // A RID scan resolves only its stored columns against the catalog, reports
-// the position column in its kinds and on its line, and runs as a ColScan
-// that appends it; heap tables and morsel workers cannot project positions.
+// the position column in its kinds and on its line, and runs as a one-worker
+// morsel scan that appends it; heap tables and morsel workers cannot
+// project positions.
 func TestRIDScanBuildsAndRuns(t *testing.T) {
 	phys := intSchema("a", "b", "c")
 	cat := &fixtureCatalog{name: "t", info: &TableInfo{
@@ -343,6 +352,9 @@ func TestRIDScanBuildsAndRuns(t *testing.T) {
 	inst, err := Instantiate(n, &ridEnv{tab: tab})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if ms, ok := inst.Root.(*exec.Profiled).Child.(*exec.MorselScan); !ok || ms.Workers != 1 {
+		t.Fatalf("serial scan runs as %T, want a one-worker *exec.MorselScan", inst.Root.(*exec.Profiled).Child)
 	}
 	rows := collect(t, inst, false)
 	if len(rows) != 5 {

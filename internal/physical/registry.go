@@ -7,7 +7,6 @@ import (
 
 	"vectorwise/internal/colstore"
 	"vectorwise/internal/exec"
-	"vectorwise/internal/pdt"
 	"vectorwise/internal/rowengine"
 )
 
@@ -17,18 +16,15 @@ import (
 type Env interface {
 	// Heap returns a heap table's storage.
 	Heap(table string) (*rowengine.HeapTable, error)
-	// ScanSource returns a positional batch source over the whole of a
-	// vectorwise table's snapshot. Called at operator Open time, once the
+	// MorselSource returns the run-time view of a scan of a vectorwise
+	// table's snapshot by the given number of workers: row-group morsels plus
+	// per-worker scanners when the snapshot is delta-free, or a serial
+	// fallback stream otherwise. Called at operator Open time, once the
 	// vector size is known. filters carry sargable bounds for min/max block
 	// skipping; the provider must apply them only on delta-free scans (PDT
 	// merging is positional, so every stable row must flow) — results stay
 	// exact either way because the plan keeps the residual Select.
-	ScanSource(table string, cols []int, vecSize int, filters []colstore.RangeFilter) (pdt.BatchSource, error)
-	// MorselSource returns the run-time view of a parallel scan over the
-	// same snapshot: row-group morsels plus per-worker scanners when the
-	// snapshot is delta-free, or a serial fallback stream otherwise (the
-	// run-time decision that replaced compile-time partitioning).
-	MorselSource(table string, cols []int, vecSize int, filters []colstore.RangeFilter) (exec.MorselSource, error)
+	MorselSource(table string, cols []int, vecSize, workers int, filters []colstore.RangeFilter) (exec.MorselSource, error)
 }
 
 // Factory instantiates the kernel operator for one physical node; kids are
@@ -48,25 +44,17 @@ func Register(op string, f Factory) {
 
 func init() {
 	Register("Scan", func(n Node, env Env, _ []exec.Operator) (exec.Operator, error) {
+		// A serial scan is a morsel scan of one worker, keyed by its node.
 		s := n.(*Scan)
-		table, idxs, filters := s.Spec.Table, s.ColIdxs, s.Filters()
-		scan := exec.NewColScan(s.ColKinds, func(vecSize int) (pdt.BatchSource, error) {
-			return env.ScanSource(table, idxs, vecSize, filters)
-		})
-		if s.Spec.RID {
-			scan.ProjectRID()
-		}
+		scan := morselScan(env, &s.ScanCols, s, 0, 1, "Scan")
+		scan.RID = s.Spec.RID
 		return scan, nil
 	})
 	Register("ParallelScan", func(n Node, env Env, _ []exec.Operator) (exec.Operator, error) {
-		s := n.(*ParallelScan)
-		table, idxs, filters := s.Spec.Table, s.ColIdxs, s.Filters()
 		// The Queue pointer doubles as the shared-state key: sibling workers
 		// built from the same physical spec join the same morsel queue.
-		return exec.NewMorselScan(s.ColKinds, s.Queue, s.Worker, s.Queue.Workers,
-			"ParallelScan", func(vecSize int) (exec.MorselSource, error) {
-				return env.MorselSource(table, idxs, vecSize, filters)
-			}), nil
+		s := n.(*ParallelScan)
+		return morselScan(env, &s.ScanCols, s.Queue, s.Worker, s.Queue.Workers, "ParallelScan"), nil
 	})
 	Register("HeapScan", func(n Node, env Env, _ []exec.Operator) (exec.Operator, error) {
 		s := n.(*HeapScan)
@@ -122,6 +110,16 @@ func init() {
 		return exec.NewParallelHashJoin(kids[0], kids[1:], j.LeftKeys, j.RightKeys,
 			j.Type, j.LeftKeyNull, j.RightKeyNull), nil
 	})
+}
+
+// morselScan builds one worker of a scan over the env's morsel source;
+// workers sharing key share the source and its queue.
+func morselScan(env Env, c *ScanCols, key any, worker, workers int, label string) *exec.MorselScan {
+	table, idxs, filters := c.Spec.Table, c.ColIdxs, c.Filters()
+	return exec.NewMorselScan(c.ColKinds, key, worker, workers, label,
+		func(vecSize int) (exec.MorselSource, error) {
+			return env.MorselSource(table, idxs, vecSize, workers, filters)
+		})
 }
 
 // Instance is an instantiated plan: the kernel operator tree plus the

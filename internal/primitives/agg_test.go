@@ -208,12 +208,6 @@ func TestHashBasics(t *testing.T) {
 	if hb[0] == hb[1] {
 		t.Fatal("bool hash collision")
 	}
-	BucketMask(hf, 4, 3)
-	for _, v := range hf {
-		if v >= 16 {
-			t.Fatal("bucket mask")
-		}
-	}
 }
 
 func TestHashWithSelection(t *testing.T) {

@@ -166,11 +166,3 @@ func RehashString(dst []uint64, a []string, sel []int32, n int) {
 		dst[k] = mix64(dst[k] ^ hashStr(a[i]))
 	}
 }
-
-// BucketMask reduces hashes into [0, 2^bits) bucket numbers in place.
-func BucketMask(dst []uint64, bits uint, n int) {
-	mask := (uint64(1) << bits) - 1
-	for i := 0; i < n; i++ {
-		dst[i] &= mask
-	}
-}

@@ -116,11 +116,6 @@ func DivVVF(dst, a, b []float64, sel []int32) {
 	}
 }
 
-// DivVCF computes dst = a / c for floats.
-func DivVCF(dst, a []float64, c float64, sel []int32) {
-	MulVC(dst, a, 1/c, sel)
-}
-
 // NegV computes dst = -a.
 func NegV[T Num](dst, a []T, sel []int32) {
 	if sel == nil {
@@ -465,19 +460,5 @@ func ModVV[T Integer](dst, a, b []T, sel []int32) {
 	}
 	for _, i := range sel {
 		dst[i] = a[i] % b[i]
-	}
-}
-
-// ModVC computes dst = a mod c for constant non-zero c.
-func ModVC[T Integer](dst, a []T, c T, sel []int32) {
-	if sel == nil {
-		a = a[:len(dst)]
-		for i := range dst {
-			dst[i] = a[i] % c
-		}
-		return
-	}
-	for _, i := range sel {
-		dst[i] = a[i] % c
 	}
 }

@@ -42,10 +42,6 @@ func TestMapVCShapes(t *testing.T) {
 	if dst[1] != 4 {
 		t.Fatal("MulVC")
 	}
-	DivVCF(dst, a, 2, nil)
-	if dst[1] != 1 {
-		t.Fatal("DivVCF")
-	}
 }
 
 func TestSubMulDiv(t *testing.T) {
@@ -169,10 +165,6 @@ func TestMod(t *testing.T) {
 	ModVV(dst, a, b, nil)
 	if dst[0] != 1 || dst[1] != 2 || dst[2] != 2 {
 		t.Fatal("ModVV")
-	}
-	ModVC(dst, a, 4, nil)
-	if dst[0] != 2 || dst[2] != 0 {
-		t.Fatal("ModVC")
 	}
 }
 

@@ -306,23 +306,3 @@ func SelTrue(dst []int32, a []bool, sel []int32, n int) []int32 {
 	}
 	return dst[:k]
 }
-
-// SelFalse selects positions where the bool vector is false (vectorized NOT
-// on a filter).
-func SelFalse(dst []int32, a []bool, sel []int32, n int) []int32 {
-	k := 0
-	if sel == nil {
-		dst = selDst(dst, n)
-		for i, v := range a[:n] {
-			dst[k] = int32(i)
-			k += b2i(!v)
-		}
-		return dst[:k]
-	}
-	dst = selDst(dst, len(sel))
-	for _, i := range sel {
-		dst[k] = i
-		k += b2i(!a[i])
-	}
-	return dst[:k]
-}

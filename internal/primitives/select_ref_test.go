@@ -273,23 +273,3 @@ func refSelTrue(dst []int32, a []bool, sel []int32, n int) []int32 {
 	}
 	return dst
 }
-
-// refSelFalse selects positions where the bool vector is false (vectorized NOT
-// on a filter).
-func refSelFalse(dst []int32, a []bool, sel []int32, n int) []int32 {
-	dst = dst[:0]
-	if sel == nil {
-		for i := 0; i < n; i++ {
-			if !a[i] {
-				dst = append(dst, int32(i))
-			}
-		}
-		return dst
-	}
-	for _, i := range sel {
-		if !a[i] {
-			dst = append(dst, i)
-		}
-	}
-	return dst
-}

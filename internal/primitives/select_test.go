@@ -74,9 +74,6 @@ func TestSelTrueFalse(t *testing.T) {
 	if got := SelTrue(nil, b, nil, 4); len(got) != 2 || got[1] != 2 {
 		t.Fatalf("true: %v", got)
 	}
-	if got := SelFalse(nil, b, nil, 4); len(got) != 2 || got[1] != 3 {
-		t.Fatalf("false: %v", got)
-	}
 	if got := SelTrue(nil, b, []int32{1, 2, 3}, 4); len(got) != 1 || got[0] != 2 {
 		t.Fatalf("true sel: %v", got)
 	}
@@ -157,15 +154,12 @@ func selPairs[T Ordered](a, b []T, c, hi T, n int) []selPair {
 	}
 }
 
-// boolSelPairs binds SelTrue and SelFalse and their references to a.
+// boolSelPairs binds SelTrue and its reference to a.
 func boolSelPairs(a []bool, n int) []selPair {
 	return []selPair{
 		{"True",
 			func(dst, sel []int32) []int32 { return SelTrue(dst, a, sel, n) },
 			func(dst, sel []int32) []int32 { return refSelTrue(dst, a, sel, n) }},
-		{"False",
-			func(dst, sel []int32) []int32 { return SelFalse(dst, a, sel, n) },
-			func(dst, sel []int32) []int32 { return refSelFalse(dst, a, sel, n) }},
 	}
 }
 

@@ -69,8 +69,8 @@ type Spec struct {
 	// RID asks the scan to produce, after Cols, each row's position in the
 	// transaction's table image — the row id txn.UpdateAt and DeleteAt take —
 	// as a BIGINT NOT NULL column named RIDName. The binder sets it on the
-	// scan that finds the rows of an UPDATE or DELETE; exec.ColScan fills the
-	// column from the start position every positional batch source returns.
+	// scan that finds the rows of an UPDATE or DELETE; exec.MorselScan fills
+	// the column from the start position every positional batch source returns.
 	// The position is not stored, so it is no member of Cols: the passes that
 	// narrow or resolve Cols never see it. RID scans are serial vectorwise
 	// scans.

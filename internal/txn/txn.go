@@ -172,7 +172,7 @@ func (t *Txn) Rows() int64 {
 }
 
 // StableSnapshot exposes the stable table this transaction reads (for
-// delta-free fast paths such as partitioned parallel scans).
+// delta-free fast paths such as morsel scans).
 func (t *Txn) StableSnapshot() *colstore.Table { return t.snapStable }
 
 // DeltaFree reports whether the snapshot image equals the stable table
@@ -181,17 +181,17 @@ func (t *Txn) StableSnapshot() *colstore.Table { return t.snapStable }
 func (t *Txn) DeltaFree() bool { return t.snapRead.Len() == 0 && t.write.Len() == 0 }
 
 // Scan returns a positional batch source over the cols projection of the
-// transaction's image: stable table merged with the snapshot read-PDT merged
-// with the private write-PDT. With deltas pending, block skipping is off —
-// merging is positional, so every stable row must flow — but only the
-// projected columns are decoded: the mergers read inserted rows and
-// modifies through the same projection.
-func (t *Txn) Scan(cols []int, vecSize int, filters ...colstore.RangeFilter) (pdt.BatchSource, error) {
+// transaction's image, in order: stable table merged with the snapshot
+// read-PDT merged with the private write-PDT. Merging is positional, so
+// every stable row flows — no block skipping — but only the projected
+// columns are decoded: the mergers read inserted rows and modifies through
+// the same projection.
+func (t *Txn) Scan(cols []int, vecSize int) (pdt.BatchSource, error) {
 	if t.done {
 		return nil, ErrClosed
 	}
 	if t.DeltaFree() {
-		return t.snapStable.NewScanner(cols, vecSize, filters...)
+		return t.snapStable.NewScanner(cols, vecSize)
 	}
 	sc, err := t.snapStable.NewScanner(cols, vecSize)
 	if err != nil {
@@ -354,8 +354,8 @@ func (t *Txn) Commit() error {
 }
 
 // positionalOps flattens a write-PDT into positional wal ops, baking in the
-// running shift pdt.Propagate would apply (an earlier insert moves later
-// positions up, a delete down).
+// running shift of replaying them in order (an earlier insert moves later
+// positions up, a delete down); applyOps replays them.
 func positionalOps(write *pdt.PDT) []wal.Op {
 	src := write.Ops()
 	out := make([]wal.Op, 0, len(src))

@@ -2,7 +2,9 @@ package txn
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
+	"testing/quick"
 
 	"vectorwise/internal/colstore"
 	"vectorwise/internal/types"
@@ -345,6 +347,68 @@ func TestReadOnlyCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := t2.Commit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: a random write-PDT over a read-PDT, committed with nothing in
+// between — the positional replay, positionalOps baking in the running
+// shift and applyOps applying it — leaves exactly the image a row model of
+// the same ops holds.
+func TestPositionalOpsEquivalenceProperty(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		s := newStore(t, 30)
+		// Seed the read layer.
+		seedTx := s.Begin()
+		if err := seedTx.InsertRowAt(int64(rng.Intn(31)), row2(-1, "seed")); err != nil {
+			t.Fatal(err)
+		}
+		if err := seedTx.DeleteAt(int64(rng.Intn(31))); err != nil {
+			t.Fatal(err)
+		}
+		if err := seedTx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+
+		tx := s.Begin()
+		model := readIDs(t, tx)
+		for o := 0; o < 20; o++ {
+			size := int64(len(model))
+			var err error
+			switch op := rng.Intn(3); {
+			case op == 0 || size == 0:
+				at, id := rng.Int63n(size+1), int64(-100-o)
+				err = tx.InsertRowAt(at, row2(id, "ins"))
+				model = append(model[:at], append([]int64{id}, model[at:]...)...)
+			case op == 1:
+				at := rng.Int63n(size)
+				err = tx.DeleteAt(at)
+				model = append(model[:at], model[at+1:]...)
+			default:
+				at := rng.Int63n(size)
+				err = tx.UpdateAt(at, 0, types.NewInt64(int64(o*7)))
+				model[at] = int64(o * 7)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		got := readIDs(t, s.Begin())
+		if len(got) != len(model) {
+			return false
+		}
+		for i := range got {
+			if got[i] != model[i] {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
 }

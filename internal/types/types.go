@@ -9,8 +9,6 @@
 // dispatch).
 package types
 
-import "fmt"
-
 // Kind enumerates the physical value kinds the kernel can process.
 type Kind uint8
 
@@ -147,15 +145,6 @@ func (s *Schema) Find(name string) int {
 		}
 	}
 	return -1
-}
-
-// MustFind is Find that panics on a missing column; for internal invariants.
-func (s *Schema) MustFind(name string) int {
-	i := s.Find(name)
-	if i < 0 {
-		panic(fmt.Sprintf("types: column %q not in schema", name))
-	}
-	return i
 }
 
 // Names returns the column names in order.

@@ -88,23 +88,6 @@ func (b *Batch) GetRow(i int) []types.Value {
 	return out
 }
 
-// Compact materializes the selection vector: rows are copied so that the
-// batch becomes dense and Sel becomes nil. Operators that buffer data (sort,
-// hash build) call this before retaining vectors.
-func (b *Batch) Compact() {
-	if b.Sel == nil {
-		return
-	}
-	n := len(b.Sel)
-	for i, v := range b.Vecs {
-		nv := New(v.Kind, n)
-		nv.CopyFrom(v, b.Sel, n)
-		b.Vecs[i] = nv
-	}
-	b.n = n
-	b.Sel = nil
-}
-
 // Clone deep-copies the batch (including materializing any selection).
 func (b *Batch) Clone() *Batch {
 	out := &Batch{Vecs: make([]*Vector, len(b.Vecs)), n: b.Rows()}
