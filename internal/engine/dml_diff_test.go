@@ -192,12 +192,20 @@ type dset struct {
 
 // genSet makes SET clauses: constants, expressions over other columns
 // (including one that changes nothing), NULL — an error when the column is
-// NOT NULL — and, rarely, an INTEGER overflow.
+// NOT NULL — rarely an INTEGER overflow, and divisions by g, which is 0 on an
+// eighth of the rows: a zero divisor fails the statement unless the row's
+// result is NULL anyway or CASE/COALESCE sends the row around the division.
 func genSet(rng *rand.Rand, nullable bool) dset {
 	ok := func(f func(r drow)) func(drow) (drow, error) {
 		return func(r drow) (drow, error) { f(r); return r, nil }
 	}
-	switch rng.Intn(12) {
+	div := func(r drow, num int64) (types.Value, error) {
+		if r[fG].I64 == 0 {
+			return types.Value{}, fmt.Errorf("division by zero")
+		}
+		return types.NewInt64(num / r[fG].I64), nil
+	}
+	switch rng.Intn(15) {
 	case 0:
 		return dset{"g = 5", ok(func(r drow) { r[fG] = types.NewInt32(5) })}
 	case 1:
@@ -243,6 +251,36 @@ func genSet(rng *rand.Rand, nullable bool) dset {
 			}
 			r[fG] = types.NewInt32(2147483647)
 			return r, nil
+		}}
+	case 11:
+		return dset{"n = n / g", func(r drow) (drow, error) {
+			if r[fN].Null {
+				return r, nil // NULL / g is NULL, 0 included
+			}
+			var err error
+			r[fN], err = div(r, r[fN].I64)
+			return r, err
+		}}
+	case 12:
+		return dset{"n = CASE WHEN g = 0 THEN NULL ELSE id / g END", func(r drow) (drow, error) {
+			if r[fG].I64 != 0 {
+				r[fN], _ = div(r, r[fID].I64)
+				return r, nil
+			}
+			if !nullable {
+				return nil, fmt.Errorf("NULL into NOT NULL column n")
+			}
+			r[fN] = types.NewNull(types.KindInt64)
+			return r, nil
+		}}
+	case 13:
+		return dset{"n = COALESCE(n, id / g)", func(r drow) (drow, error) {
+			if !r[fN].Null {
+				return r, nil
+			}
+			var err error
+			r[fN], err = div(r, r[fID].I64)
+			return r, err
 		}}
 	}
 	return dset{"b = TRUE", ok(func(r drow) { r[fB] = types.NewBool(true) })}
@@ -290,16 +328,16 @@ func dmlFactRow(rng *rand.Rand, id int64, nullable bool) drow {
 	return r
 }
 
-// loadDML creates f and fills it with dmlRows seeded rows: through the block
-// appender in id order, or — clustered — through COPY … ORDER BY id from a
-// shuffled CSV file. Either way the image is in id order.
-func loadDML(t *testing.T, db *DB, nullable, clustered bool) *dmlModel {
+// loadDML creates f with the given structure and fills it with dmlRows seeded
+// rows: through the block appender in id order, or — clustered — through COPY
+// … ORDER BY id from a shuffled CSV file. Either way the image is in id order.
+func loadDML(t *testing.T, db *DB, nullable, clustered bool, structure string) *dmlModel {
 	t.Helper()
 	ddl := diffDDL
 	if !nullable {
 		ddl = strings.Replace(ddl, "n BIGINT, m VARCHAR)", "n BIGINT NOT NULL, m VARCHAR NOT NULL)", 1)
 	}
-	mustExec(t, db, `CREATE TABLE f `+ddl)
+	mustExec(t, db, `CREATE TABLE f `+ddl+structure)
 	rng := rand.New(rand.NewSource(7))
 	m := &dmlModel{}
 	for id := int64(0); id < dmlRows; id++ {
@@ -478,10 +516,27 @@ var dmlStates = []struct {
 }
 
 // checkAgainstModel compares the engine's whole image, in order, and its
-// pending-delta count with the model's.
+// pending-delta count with the model's. A heap table has no deltas, and an
+// UPDATE may move its rows, so it is compared in id order (the model's, since
+// heap streams insert nothing).
 func checkAgainstModel(t *testing.T, db *DB, m *dmlModel, after string) {
 	t.Helper()
-	got := mustExec(t, db, `SELECT * FROM f`).Rows
+	e, err := db.entry("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.heap != nil {
+		checkRows(t, mustExec(t, db, `SELECT * FROM f ORDER BY id`).Rows, m, after)
+		return
+	}
+	checkRows(t, mustExec(t, db, `SELECT * FROM f`).Rows, m, after)
+	if got, want := e.store.PendingOps(), m.pending(); got != want {
+		t.Fatalf("after %s: %d pending deltas, model %d", after, got, want)
+	}
+}
+
+func checkRows(t *testing.T, got []drow, m *dmlModel, after string) {
+	t.Helper()
 	if len(got) != len(m.rows) {
 		t.Fatalf("after %s: image has %d rows, model %d", after, len(got), len(m.rows))
 	}
@@ -489,13 +544,6 @@ func checkAgainstModel(t *testing.T, db *DB, m *dmlModel, after string) {
 		if !sameRow(got[i], r.v) {
 			t.Fatalf("after %s: image row %d is %s, model has %s", after, i, render(got[i]), render(r.v))
 		}
-	}
-	store, err := db.Store("f")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := store.PendingOps(), m.pending(); got != want {
-		t.Fatalf("after %s: %d pending deltas, model %d", after, got, want)
 	}
 }
 
@@ -535,7 +583,7 @@ func TestDMLAgreesWithModel(t *testing.T) {
 					t.Run(name, func(t *testing.T) {
 						t.Parallel() // every configuration has a database of its own
 						db := Open()
-						m := loadDML(t, db, nullable, clustered)
+						m := loadDML(t, db, nullable, clustered, "")
 						st.setup(t, db, m, nullable)
 						checkAgainstModel(t, db, m, "set-up")
 						seed := int64(1000*si + vecSize)
@@ -551,6 +599,24 @@ func TestDMLAgreesWithModel(t *testing.T) {
 			}
 		}
 	}
+	// A heap table runs the same statements through the same plans; it has
+	// no delta states (the set-ups write through the transaction API) and no
+	// clustered load.
+	for _, nullable := range []bool{true, false} {
+		for _, vecSize := range []int{3, 1024} {
+			t.Run(fmt.Sprintf("HEAP/nullable=%v/vec=%d", nullable, vecSize), func(t *testing.T) {
+				t.Parallel()
+				db := Open()
+				m := loadDML(t, db, nullable, false, " WITH STRUCTURE=HEAP")
+				checkAgainstModel(t, db, m, "set-up")
+				seed := int64(7000 + vecSize)
+				if nullable {
+					seed += 100
+				}
+				runStream(t, db, m, rand.New(rand.NewSource(seed)), nullable, vecSize, stmts)
+			})
+		}
+	}
 }
 
 // A crash after a vectorized DML stream: what the WAL replays into the PDT
@@ -558,7 +624,7 @@ func TestDMLAgreesWithModel(t *testing.T) {
 func TestDMLStreamSurvivesCrash(t *testing.T) {
 	fs := fsim.NewMemFS()
 	db, _ := openMem(t, fs)
-	m := loadDML(t, db, true, false)
+	m := loadDML(t, db, true, false, "")
 	rng := rand.New(rand.NewSource(23))
 	runStream(t, db, m, rng, true, 1024, 8)
 	mustExec(t, db, `CHECKPOINT f`)

@@ -300,7 +300,7 @@ func TestExplainPhysical(t *testing.T) {
 	// The heap structure lowers to a HeapScan node.
 	mustExec(t, db, `CREATE TABLE hp (k BIGINT NOT NULL) WITH STRUCTURE=HEAP`)
 	res = mustExec(t, db, `EXPLAIN PHYSICAL SELECT k FROM hp`)
-	if !strings.Contains(res.Text, "HeapScan('hp', cols=[0])") {
+	if !strings.Contains(res.Text, "HeapScan('hp', [k] @ [0])") {
 		t.Fatalf("heap table should plan a HeapScan:\n%s", res.Text)
 	}
 }

@@ -148,6 +148,9 @@ func (c *compiler) compileNode(e Expr) (argSlot, error) {
 		})
 		return argSlot{reg: r, kind: n.T.Kind}, nil
 	case *Call:
+		if n.Fn == "if" {
+			return c.compileIf(n)
+		}
 		args := make([]argSlot, len(n.Args))
 		for i, a := range n.Args {
 			s, err := c.compileNode(a)

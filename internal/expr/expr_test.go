@@ -167,6 +167,36 @@ func TestLogicalIfBetween(t *testing.T) {
 	assertAgree(t, NewCall("between", col(0), col(1), CInt(15)), b)
 }
 
+// Each branch of an if runs only on the rows that take it: 10 / col1 is
+// never computed where col1 is 0, so neither the value nor the filter fails,
+// with or without an incoming selection, nested or not.
+func TestIfEvaluatesOnlyTakenBranch(t *testing.T) {
+	b := makeBatch(30) // col1 = i % 7: a zero every seventh row
+	nonZero := NewCall("<>", col(1), CInt(0))
+	safe := NewCall("if", nonZero, NewCall("/", CInt(10), col(1)), CInt(-1))
+	nested := NewCall("if", NewCall(">", col(0), CInt(20)),
+		NewCall("if", nonZero, NewCall("%", col(0), col(1)), CInt(0)), safe)
+	for _, sel := range [][]int32{nil, {0, 3, 7, 8, 14, 29}, {7, 14}, {}} {
+		b.Sel = sel
+		for _, e := range []Expr{safe, nested} {
+			assertAgree(t, e, b)
+			f, err := CompileFilter(NewCall(">", e, CInt(2)), testKinds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Apply(b); err != nil {
+				t.Fatalf("filter on %s under %v: %v", e, sel, err)
+			}
+		}
+	}
+	// Without the guard the division fails.
+	b.Sel = nil
+	ev, _ := Compile(NewCall("if", CBool(true), NewCall("/", CInt(10), col(1)), CInt(-1)), testKinds)
+	if _, err := ev.Eval(b); !errors.Is(err, primitives.ErrDivByZero) {
+		t.Fatalf("the taken branch divides by zero, got %v", err)
+	}
+}
+
 func TestCasts(t *testing.T) {
 	b := makeBatch(20)
 	assertAgree(t, NewCall("cast_float64", col(0)), b)

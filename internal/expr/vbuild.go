@@ -38,8 +38,6 @@ func buildCall(fn string, args []argSlot, dst int, dstKind types.Kind, c *compil
 		return buildCmp(fn, args, dst, c)
 	case "and", "or", "not":
 		return buildLogical(fn, args, dst, c)
-	case "if":
-		return buildIf(args, dst, dstKind, c)
 	case "between":
 		return buildBetween(args, dst, c)
 	case "cast_int32", "cast_int64", "cast_float64", "cast_string":
@@ -449,68 +447,90 @@ func buildLogical(fn string, args []argSlot, dst int, c *compiler) (instr, error
 	}, nil
 }
 
-func buildIf(args []argSlot, dst int, dstKind types.Kind, c *compiler) (instr, error) {
-	cond := c.materialize(args[0])
-	a := c.materialize(args[1])
-	b := c.materialize(args[2])
-	rc, ra, rb := cond.reg, a.reg, b.reg
-	run := func(ctx *evalCtx, gen func(dst *vec.Vector, cond []bool, a, b *vec.Vector, sel []int32, n int)) error {
-		gen(ctx.regs[dst], ctx.regs[rc].Bool, ctx.regs[ra], ctx.regs[rb], ctx.sel, ctx.n)
-		return nil
+// compileIf compiles if(cond, a, b), the kernel form of CASE, COALESCE and
+// IFNULL. The condition runs once, over the incoming selection, and splits it
+// in two; each branch is a sub-program run only under the half whose rows take
+// it, so a branch that would fail (a division by zero, an overflow) on the
+// rows the condition sends the other way never sees them. A merge then joins
+// the two results.
+func (c *compiler) compileIf(n *Call) (argSlot, error) {
+	cond, err := c.compileNode(n.Args[0])
+	if err != nil {
+		return argSlot{}, err
 	}
-	switch dstKind {
+	rc := c.materialize(cond).reg
+	progA, ra, err := c.branch(n.Args[1])
+	if err != nil {
+		return argSlot{}, err
+	}
+	progB, rb, err := c.branch(n.Args[2])
+	if err != nil {
+		return argSlot{}, err
+	}
+	kind := n.T.Kind
+	dst := c.allocReg(kind)
+	var merge func(regs []*vec.Vector, selA, selB []int32)
+	switch kind {
 	case types.KindBool:
-		return func(ctx *evalCtx) error {
-			return run(ctx, func(d *vec.Vector, cond []bool, a, b *vec.Vector, sel []int32, n int) {
-				dd := d.Bool
-				if sel == nil {
-					dd = dd[:n]
-				}
-				primitives.IfThenElse(dd, cond, a.Bool, b.Bool, sel)
-			})
-		}, nil
+		merge = mergeOf(dst, ra, rb, sBool)
 	case types.KindInt32, types.KindDate:
-		return func(ctx *evalCtx) error {
-			return run(ctx, func(d *vec.Vector, cond []bool, a, b *vec.Vector, sel []int32, n int) {
-				dd := d.I32
-				if sel == nil {
-					dd = dd[:n]
-				}
-				primitives.IfThenElse(dd, cond, a.I32, b.I32, sel)
-			})
-		}, nil
+		merge = mergeOf(dst, ra, rb, sI32)
 	case types.KindInt64:
-		return func(ctx *evalCtx) error {
-			return run(ctx, func(d *vec.Vector, cond []bool, a, b *vec.Vector, sel []int32, n int) {
-				dd := d.I64
-				if sel == nil {
-					dd = dd[:n]
-				}
-				primitives.IfThenElse(dd, cond, a.I64, b.I64, sel)
-			})
-		}, nil
+		merge = mergeOf(dst, ra, rb, sI64)
 	case types.KindFloat64:
-		return func(ctx *evalCtx) error {
-			return run(ctx, func(d *vec.Vector, cond []bool, a, b *vec.Vector, sel []int32, n int) {
-				dd := d.F64
-				if sel == nil {
-					dd = dd[:n]
-				}
-				primitives.IfThenElse(dd, cond, a.F64, b.F64, sel)
-			})
-		}, nil
+		merge = mergeOf(dst, ra, rb, sF64)
 	case types.KindString:
-		return func(ctx *evalCtx) error {
-			return run(ctx, func(d *vec.Vector, cond []bool, a, b *vec.Vector, sel []int32, n int) {
-				dd := d.Str
-				if sel == nil {
-					dd = dd[:n]
-				}
-				primitives.IfThenElse(dd, cond, a.Str, b.Str, sel)
-			})
-		}, nil
+		merge = mergeOf(dst, ra, rb, sStr)
+	default:
+		return argSlot{}, fmt.Errorf("expr: if on %v", kind)
 	}
-	return nil, fmt.Errorf("expr: if on %v", dstKind)
+	var selA, selB []int32
+	c.prog = append(c.prog, func(ctx *evalCtx) error {
+		outer := ctx.sel
+		selA, selB = primitives.SelSplit(selA, selB, ctx.regs[rc].Bool, outer, ctx.n)
+		err := runUnder(ctx, progA, selA)
+		if err == nil {
+			err = runUnder(ctx, progB, selB)
+		}
+		ctx.sel = outer
+		if err != nil {
+			return err
+		}
+		merge(ctx.regs, selA, selB)
+		return nil
+	})
+	return argSlot{reg: dst, kind: kind}, nil
+}
+
+// branch compiles e as a sub-program of its own, returning it and the
+// register that holds its result.
+func (c *compiler) branch(e Expr) ([]instr, int, error) {
+	outer := c.prog
+	c.prog = nil
+	s, err := c.compileNode(e)
+	if err == nil {
+		s = c.materialize(s)
+	}
+	prog := c.prog
+	c.prog = outer
+	return prog, s.reg, err
+}
+
+// runUnder runs a sub-program under the selection sel (never nil).
+func runUnder(ctx *evalCtx, prog []instr, sel []int32) error {
+	ctx.sel = sel
+	for _, ins := range prog {
+		if err := ins(ctx); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func mergeOf[T any](dst, ra, rb int, sl func(*vec.Vector) []T) func([]*vec.Vector, []int32, []int32) {
+	return func(regs []*vec.Vector, selA, selB []int32) {
+		primitives.MergeSel(sl(regs[dst]), sl(regs[ra]), sl(regs[rb]), selA, selB)
+	}
 }
 
 func buildBetween(args []argSlot, dst int, c *compiler) (instr, error) {

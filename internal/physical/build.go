@@ -167,7 +167,7 @@ func (b *builder) buildKids(alg []algebra.Node) ([]Node, error) {
 // buildScan resolves a scan's physical column names against the table's
 // storage layout, emitting a HeapScan for classic tables and a ParallelScan
 // worker for morsel-stamped scans (sibling workers share one *ScanQueue spec,
-// resolved through the builder's queue map).
+// resolved through the builder's queue map). A RID scan must be serial.
 func (b *builder) buildScan(t *algebra.Scan) (Node, error) {
 	info, err := b.cat.PhysicalTable(t.Spec.Table)
 	if err != nil {
@@ -175,11 +175,11 @@ func (b *builder) buildScan(t *algebra.Scan) (Node, error) {
 	}
 	sc := ScanCols{Spec: t.Spec, Cols: t.Out.Names(), TableCols: info.Physical.Len()}
 	if t.Spec.RID {
-		if info.Structure == "heap" || t.Morsels > 0 {
-			return nil, fmt.Errorf("physical: scan of %s projects row positions; only a serial vectorwise scan can", t.Spec.Table)
+		if t.Morsels > 0 {
+			return nil, fmt.Errorf("physical: scan of %s projects row ids; only a serial scan can", t.Spec.Table)
 		}
-		// The trailing position column is not stored: the scan operator
-		// numbers the rows itself.
+		// The trailing row-id column is not stored: the scan operator
+		// produces it itself.
 		sc.Cols = sc.Cols[:len(sc.Cols)-1]
 	}
 	sc.ColIdxs = make([]int, len(sc.Cols))

@@ -9,21 +9,24 @@ import (
 )
 
 // heapScanOp adapts a heap table into batches of physical (decomposed)
-// columns so classic tables participate in vectorized plans.
+// columns so classic tables participate in vectorized plans. A RID scan
+// appends each row's packed RowID as a last BIGINT column.
 type heapScanOp struct {
 	heap    *rowengine.HeapTable
 	logical *types.Schema
 	idxs    []int // physical column indexes to produce
 	kinds   []types.Kind
+	rid     bool
 
 	ctx  *exec.Ctx
 	rows [][]types.Value // logical row snapshot
+	rids []int64         // packed RowIDs of rows (RID scans only)
 	at   int
 	buf  *vec.Batch
 }
 
-func newHeapScan(h *rowengine.HeapTable, logical *types.Schema, idxs []int, kinds []types.Kind) exec.Operator {
-	return &heapScanOp{heap: h, logical: logical, idxs: idxs, kinds: kinds}
+func newHeapScan(h *rowengine.HeapTable, logical *types.Schema, idxs []int, kinds []types.Kind, rid bool) exec.Operator {
+	return &heapScanOp{heap: h, logical: logical, idxs: idxs, kinds: kinds, rid: rid}
 }
 
 // Kinds implements exec.Operator.
@@ -34,13 +37,16 @@ func (h *heapScanOp) Kinds() []types.Kind { return h.kinds }
 func (h *heapScanOp) Open(ctx *exec.Ctx) error {
 	h.ctx = ctx
 	h.at = 0
-	h.rows = h.rows[:0]
+	h.rows, h.rids = h.rows[:0], h.rids[:0]
 	h.buf = vec.NewBatch(h.kinds, ctx.VecSize)
 	if h.buf.Vecs[0].Cap() == 0 {
 		h.buf = vec.NewBatch(h.kinds, vec.DefaultSize)
 	}
-	return h.heap.ScanFunc(func(_ rowengine.RowID, row []types.Value) bool {
+	return h.heap.ScanFunc(func(rid rowengine.RowID, row []types.Value) bool {
 		h.rows = append(h.rows, row)
+		if h.rid {
+			h.rids = append(h.rids, rid.Pack())
+		}
 		return true
 	})
 }
@@ -65,6 +71,9 @@ func (h *heapScanOp) Next() (*vec.Batch, error) {
 		for c, pi := range h.idxs {
 			h.buf.Vecs[c].Set(i, phys[pi])
 		}
+	}
+	if h.rid {
+		copy(h.buf.Vecs[len(h.idxs)].I64, h.rids[h.at:h.at+n])
 	}
 	h.at += n
 	return h.buf, nil

@@ -61,7 +61,7 @@ type ScanCols struct {
 }
 
 // Kinds implements Node for the scan nodes: the stored columns' kinds, then
-// BIGINT for the position column of a RID scan.
+// BIGINT for the row-id column of a RID scan.
 func (c *ScanCols) Kinds() []types.Kind {
 	if c.Spec.RID {
 		return append(c.ColKinds[:len(c.ColKinds):len(c.ColKinds)], types.KindInt64)
@@ -87,7 +87,7 @@ func (c *ScanCols) Filters() []colstore.RangeFilter {
 	return out
 }
 
-// annotations renders the position-column marker of a RID scan, the filters
+// annotations renders the row-id marker of a RID scan, the filters
 // and the clustered window hint (display only — the scanner re-derives the
 // window in its own snapshot).
 func (c *ScanCols) annotations() string {
@@ -164,7 +164,8 @@ func (s *ParallelScan) Line() string {
 // HeapScan adapts a classic (slotted-page) heap table into the vectorized
 // pipeline, decomposing rows into value+indicator columns on the fly. Heap
 // rows are stored whole, so Logical is the table's full row schema while
-// ColIdxs picks the spec's columns out of the decomposed row.
+// ColIdxs picks the spec's columns out of the decomposed row. Its $rid is the
+// row's packed rowengine.RowID.
 type HeapScan struct {
 	ScanCols
 	Logical *types.Schema // heap row schema (pre-decomposition)
@@ -181,7 +182,7 @@ func (s *HeapScan) Parallelism() int { return 1 }
 
 // Line implements Node.
 func (s *HeapScan) Line() string {
-	return fmt.Sprintf("HeapScan('%s', cols=%v)", s.Spec.Table, s.ColIdxs)
+	return fmt.Sprintf("HeapScan('%s', %v @ %v%s)", s.Spec.Table, s.Cols, s.ColIdxs, s.annotations())
 }
 
 // Values is a literal relation.

@@ -314,9 +314,9 @@ func (s tableMorsels) Worker() (exec.MorselScanner, error) {
 }
 
 // A RID scan resolves only its stored columns against the catalog, reports
-// the position column in its kinds and on its line, and runs as a one-worker
-// morsel scan that appends it; heap tables and morsel workers cannot
-// project positions.
+// the row-id column in its kinds and on its line, and runs as a one-worker
+// morsel scan that appends positions — or, on a heap table, as a HeapScan
+// that appends packed RowIDs; morsel workers cannot project row ids.
 func TestRIDScanBuildsAndRuns(t *testing.T) {
 	phys := intSchema("a", "b", "c")
 	cat := &fixtureCatalog{name: "t", info: &TableInfo{
@@ -366,9 +366,35 @@ func TestRIDScanBuildsAndRuns(t *testing.T) {
 		}
 	}
 
+	// On a heap table the row id is the row's packed RowID.
+	heap := rowengine.NewHeapTable(phys, -1)
+	var rids []rowengine.RowID
+	for i := int64(0); i < 3; i++ {
+		rid, err := heap.Insert([]types.Value{types.NewInt64(i), types.NewInt64(i * 10), types.NewInt64(i * 100)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rids = append(rids, rid)
+	}
 	heapCat := &fixtureCatalog{name: "h", info: &TableInfo{Structure: "heap", Logical: phys, Physical: phys}}
-	if _, err := Build(ridScan("h", "heap"), heapCat); err == nil {
-		t.Error("a heap scan cannot project positions")
+	n, err = Build(ridScan("h", "heap"), heapCat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := n.Line(), "HeapScan('h', [c a] @ [2 0], +$rid)"; got != want {
+		t.Fatalf("heap scan line %q, want %q", got, want)
+	}
+	if inst, err = Instantiate(n, &fixtureEnv{heap: heap}); err != nil {
+		t.Fatal(err)
+	}
+	rows = collect(t, inst, false)
+	for i, r := range rows {
+		if r[0].Int64() != int64(i)*100 || r[1].Int64() != int64(i) || rowengine.UnpackRowID(r[2].Int64()) != rids[i] {
+			t.Fatalf("heap row %d = %v, want (c, a, %v packed)", i, r, rids[i])
+		}
+	}
+	if len(rows) != 3 {
+		t.Fatalf("%d heap rows", len(rows))
 	}
 	worker := ridScan("t", "vectorwise")
 	worker.Morsels = 2

@@ -62,7 +62,7 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		return newHeapScan(h, s.Logical, s.ColIdxs, s.ColKinds), nil
+		return newHeapScan(h, s.Logical, s.ColIdxs, s.Kinds(), s.Spec.RID), nil
 	})
 	Register("Values", func(n Node, _ Env, _ []exec.Operator) (exec.Operator, error) {
 		v := n.(*Values)

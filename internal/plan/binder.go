@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 
 	"vectorwise/internal/expr"
 	"vectorwise/internal/scanspec"
@@ -92,40 +93,79 @@ func (b *Binder) BindExprNoCols(n sql.ExprNode) (expr.Expr, error) {
 	return b.bindExpr(&scope{}, n, nil)
 }
 
-// BindExprOver binds an expression over a bare schema (DML predicates and
-// SET clauses).
-func (b *Binder) BindExprOver(s *types.Schema, n sql.ExprNode) (expr.Expr, error) {
-	return b.bindExpr(scopeOf("", s, 0), n, nil)
-}
-
-// BindMatch binds the row search of an UPDATE or DELETE on a vectorwise table
-// as a plan: a RID-projecting scan of the table, a Select for the WHERE, and
-// a projection that emits each matched row's image position followed by the
-// table columns named in emit (what the SET clauses read and write). The
-// position column never enters the scope, so WHERE cannot name it.
-func (b *Binder) BindMatch(meta *TableMeta, where sql.ExprNode, emit []int) (Node, error) {
+// BindMatch binds the row search of an UPDATE or DELETE as a plan: a
+// RID-projecting scan of the table, a Select for the WHERE, and a projection
+// that emits, per matched row, its row id, the old values of the columns it
+// keeps — every column, in table order, when keepAll is set, else the SET
+// targets — and then the new value of each SET target, named $set_<column>.
+// It returns the SET targets in the order their values appear. The row-id
+// column never enters the scope, so neither WHERE nor SET can name it.
+func (b *Binder) BindMatch(meta *TableMeta, where sql.ExprNode, set []sql.SetClause, keepAll bool) (Node, []int, error) {
 	spec := &scanspec.Spec{Table: meta.Name, Structure: meta.Structure,
 		Cols: meta.Schema.Clone(), RID: true}
+	sc := scopeOf(meta.Name, spec.Cols, 0)
 	var root Node = &Scan{Spec: spec, Alias: meta.Name, Key: meta.Key}
 	if where != nil {
-		pred, err := b.bindExpr(scopeOf(meta.Name, spec.Cols, 0), where, nil)
+		pred, err := b.bindExpr(sc, where, nil)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if pred.Type().Kind != types.KindBool {
-			return nil, fmt.Errorf("plan: WHERE must be boolean, got %v", pred.Type())
+			return nil, nil, fmt.Errorf("plan: WHERE must be boolean, got %v", pred.Type())
 		}
 		root = &Select{Child: root, Pred: pred}
+	}
+	targets, values, err := b.bindSets(sc, spec.Cols, set)
+	if err != nil {
+		return nil, nil, err
+	}
+	keep := targets
+	if keepAll {
+		keep = make([]int, spec.Cols.Len())
+		for i := range keep {
+			keep[i] = i
+		}
 	}
 	out := &Project{Child: root,
 		Exprs: []expr.Expr{expr.Col(spec.Cols.Len(), scanspec.RIDName, types.Int64)},
 		Names: []string{scanspec.RIDName}}
-	for _, c := range emit {
+	for _, c := range keep {
 		col := spec.Cols.Cols[c]
 		out.Exprs = append(out.Exprs, expr.Col(c, col.Name, col.Type))
 		out.Names = append(out.Names, col.Name)
 	}
-	return out, nil
+	for k, c := range targets {
+		out.Exprs = append(out.Exprs, values[k])
+		out.Names = append(out.Names, "$set_"+spec.Cols.Cols[c].Name)
+	}
+	return out, targets, nil
+}
+
+// bindSets binds SET clauses over the scan's scope: their target columns, in
+// clause order, and the expressions of the new values. A bare NULL takes its
+// target's type.
+func (b *Binder) bindSets(sc *scope, cols *types.Schema, set []sql.SetClause) ([]int, []expr.Expr, error) {
+	var targets []int
+	var values []expr.Expr
+	for _, s := range set {
+		c := cols.Find(s.Col)
+		if c < 0 {
+			return nil, nil, fmt.Errorf("plan: no column %q", s.Col)
+		}
+		if slices.Contains(targets, c) {
+			return nil, nil, fmt.Errorf("plan: column %q is set twice", s.Col)
+		}
+		e, err := b.bindExpr(sc, s.Expr, nil)
+		if err != nil {
+			return nil, nil, err
+		}
+		if isUntypedNull(e) {
+			e = &expr.Const{Val: types.NewNull(cols.Cols[c].Type.Kind)}
+		}
+		targets = append(targets, c)
+		values = append(values, e)
+	}
+	return targets, values, nil
 }
 
 // BindSelect binds a query into a logical plan.

@@ -283,8 +283,9 @@ func TestFormatPlan(t *testing.T) {
 	}
 }
 
-// The row search of UPDATE/DELETE: a RID-projecting scan, the WHERE over the
-// table's columns only, and a projection of the position plus what SET needs.
+// The row search of UPDATE/DELETE: a RID-projecting scan, the WHERE and SET
+// over the table's columns only, and a projection of the row id, the kept old
+// values and the new ones.
 func TestBindMatch(t *testing.T) {
 	parse := func(src string) *sql.UpdateStmt {
 		stmt, err := sql.Parse(src)
@@ -295,26 +296,41 @@ func TestBindMatch(t *testing.T) {
 	}
 	b := &Binder{Cat: testCatalog()}
 	meta := testCatalog()["items"]
-	n, err := b.BindMatch(meta, parse(`UPDATE items SET price = 1 WHERE grp = 3 AND price IS NULL`).Where, []int{2})
+	upd := parse(`UPDATE items SET price = price + grp, name = NULL WHERE grp = 3 AND price IS NULL`)
+	n, targets, err := b.BindMatch(meta, upd.Where, upd.Set, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := "Project($rid, price)\n" +
+	want := "Project($rid, price, name, (price + cast_float64(grp)), NULL)\n" +
 		"  Select(((grp = cast_int64(3)) and isnull(price)))\n" +
 		"    Scan(items:vectorwise, [id, grp, price, name, d, $rid])\n"
-	if got := Format(n); got != want {
-		t.Fatalf("bound search:\n%swant:\n%s", got, want)
+	if got := Format(n); got != want || fmt.Sprint(targets) != "[2 3]" {
+		t.Fatalf("bound search, targets %v:\n%swant:\n%s", targets, Format(n), want)
 	}
-	if s := n.Schema(); s.Cols[0].Type != types.Int64 || s.Cols[1].Type != types.Float64.Null() {
+	s := n.Schema()
+	if s.Cols[0].Type != types.Int64 || s.Cols[1].Type != types.Float64.Null() ||
+		s.Cols[3].Name != "$set_price" || s.Cols[3].Type.Kind != types.KindFloat64 ||
+		s.Cols[4].Name != "$set_name" || s.Cols[4].Type.Kind != types.KindString {
 		t.Fatalf("output schema %s", s)
 	}
-	// No WHERE: every row; nothing emitted but the position.
-	n, err = b.BindMatch(meta, nil, nil)
-	if err != nil || Format(n) != "Project($rid)\n  Scan(items:vectorwise, [id, grp, price, name, d, $rid])\n" {
+	// Keeping every column: the old row whole, then the new values.
+	n, _, err = b.BindMatch(meta, nil, upd.Set, true)
+	if err != nil || Format(n) != "Project($rid, id, grp, price, name, d, (price + cast_float64(grp)), NULL)\n  Scan(items:vectorwise, [id, grp, price, name, d, $rid])\n" {
+		t.Fatalf("search keeping every column: %v\n%s", err, Format(n))
+	}
+	// No WHERE and no SET (a DELETE): every row; nothing emitted but the id.
+	n, targets, err = b.BindMatch(meta, nil, nil, false)
+	if err != nil || len(targets) != 0 || Format(n) != "Project($rid)\n  Scan(items:vectorwise, [id, grp, price, name, d, $rid])\n" {
 		t.Fatalf("unfiltered search: %v\n%s", err, Format(n))
 	}
-	if _, err := b.BindMatch(meta, parse(`UPDATE items SET price = 1 WHERE grp + 1`).Where, nil); err == nil ||
-		!strings.Contains(err.Error(), "boolean") {
-		t.Fatalf("non-boolean WHERE: %v", err)
+	for src, want := range map[string]string{
+		`UPDATE items SET price = 1 WHERE grp + 1`: "boolean",
+		`UPDATE items SET nope = 1`:                `no column "nope"`,
+		`UPDATE items SET price = 1, price = 2`:    "set twice",
+	} {
+		upd := parse(src)
+		if _, _, err := b.BindMatch(meta, upd.Where, upd.Set, false); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: %v, want an error naming %q", src, err, want)
+		}
 	}
 }

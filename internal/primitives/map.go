@@ -424,26 +424,16 @@ func CastNum[S Num, D Num](dst []D, a []S, sel []int32) {
 	}
 }
 
-// IfThenElse computes dst = cond ? a : b element-wise; the vectorized CASE
-// primitive (both branches are evaluated, which is the standard vectorized
-// trade-off — side-effect-free expressions make this safe).
-func IfThenElse[T any](dst []T, cond []bool, a, b []T, sel []int32) {
-	if sel == nil {
-		for i := range dst {
-			if cond[i] {
-				dst[i] = a[i]
-			} else {
-				dst[i] = b[i]
-			}
-		}
-		return
+// MergeSel joins the two branches of a CASE: dst[i] = a[i] at the positions
+// of selA and b[i] at those of selB (SelSplit's two halves). Each branch was
+// evaluated under its own selection only, so a branch that would fail on the
+// rows the condition sends the other way never sees them.
+func MergeSel[T any](dst, a, b []T, selA, selB []int32) {
+	for _, i := range selA {
+		dst[i] = a[i]
 	}
-	for _, i := range sel {
-		if cond[i] {
-			dst[i] = a[i]
-		} else {
-			dst[i] = b[i]
-		}
+	for _, i := range selB {
+		dst[i] = b[i]
 	}
 }
 

@@ -1,6 +1,7 @@
 package primitives
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -144,17 +145,27 @@ func TestCastAndIfThenElse(t *testing.T) {
 	if back[1] != 2 {
 		t.Fatal("CastNum narrow")
 	}
+	// if-then-else is a split of the candidates by the condition and a merge
+	// of the two branches.
 	cond := []bool{true, false, true}
 	x := []int64{1, 2, 3}
 	y := []int64{10, 20, 30}
 	out := make([]int64, 3)
-	IfThenElse(out, cond, x, y, nil)
-	if out[0] != 1 || out[1] != 20 || out[2] != 3 {
-		t.Fatal("IfThenElse")
+	tr, fa := SelSplit(nil, nil, cond, nil, 3)
+	if fmt.Sprint(tr, fa) != "[0 2] [1]" {
+		t.Fatalf("SelSplit: %v %v", tr, fa)
 	}
-	IfThenElse(out, cond, x, y, []int32{1})
-	if out[1] != 20 {
-		t.Fatal("IfThenElse sel")
+	MergeSel(out, x, y, tr, fa)
+	if out[0] != 1 || out[1] != 20 || out[2] != 3 {
+		t.Fatal("MergeSel")
+	}
+	// An empty half is a selection of no rows, never nil (every row).
+	tr, fa = SelSplit(tr, fa, cond, []int32{0, 2}, 3)
+	if len(tr) != 2 || fa == nil || len(fa) != 0 {
+		t.Fatalf("SelSplit under a selection: %v %v", tr, fa)
+	}
+	if tr, fa = SelSplit(nil, nil, nil, []int32{}, 0); tr == nil || fa == nil {
+		t.Fatal("SelSplit of no candidates returned nil")
 	}
 }
 

@@ -306,3 +306,35 @@ func SelTrue(dst []int32, a []bool, sel []int32, n int) []int32 {
 	}
 	return dst[:k]
 }
+
+// SelSplit partitions the candidates by a bool vector: the positions where a
+// is true go to t, the others to f, both in order. Neither result is nil,
+// even when empty, so each can serve as a selection (where nil means every
+// row).
+func SelSplit(t, f []int32, a []bool, sel []int32, n int) ([]int32, []int32) {
+	m := n
+	if sel != nil {
+		m = len(sel)
+	}
+	if t = selDst(t, m); t == nil {
+		t = []int32{}
+	}
+	if f = selDst(f, m); f == nil {
+		f = []int32{}
+	}
+	k, j := 0, 0
+	if sel == nil {
+		for i, v := range a[:n] {
+			t[k], f[j] = int32(i), int32(i)
+			k += b2i(v)
+			j += 1 - b2i(v)
+		}
+		return t[:k], f[:j]
+	}
+	for _, i := range sel {
+		t[k], f[j] = i, i
+		k += b2i(a[i])
+		j += 1 - b2i(a[i])
+	}
+	return t[:k], f[:j]
+}

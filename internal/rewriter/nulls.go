@@ -831,12 +831,30 @@ func (d *exprDecomposer) decompCall(c *expr.Call) (expr.Expr, expr.Expr, error) 
 			vals[i] = v
 			ind = orE(ind, ai)
 		}
+		// A NULL operand reaches the kernel as its in-band safe value, 0: a
+		// checked division would fail on a row whose result is NULL anyway.
+		// There, divide by 1. (A non-zero constant divisor needs no guard.)
+		if isDivision(c.Fn) && !isFalseConst(ind) && !isNonZeroConst(vals[1]) {
+			one := litOf(vals[1].Type().Kind, 1)
+			divisor, err := expr.TryCall("if", ind, one, vals[1])
+			if err != nil {
+				return nil, nil, err
+			}
+			vals[1] = divisor
+		}
 		val, err := expr.TryCall(c.Fn, vals...)
 		if err != nil {
 			return nil, nil, err
 		}
 		return val, ind, nil
 	}
+}
+
+func isDivision(fn string) bool { return fn == "/" || fn == "%" || fn == "mod" }
+
+func isNonZeroConst(e expr.Expr) bool {
+	c, ok := e.(*expr.Const)
+	return ok && !c.Val.Null && c.Val.AsFloat() != 0
 }
 
 // Boolean expression helpers with constant short-circuiting.

@@ -27,6 +27,12 @@ type RowID struct {
 	Slot int32
 }
 
+// Pack packs the RowID into one BIGINT, the $rid a scan of the heap emits.
+func (r RowID) Pack() int64 { return int64(r.Page)<<32 | int64(uint32(r.Slot)) }
+
+// UnpackRowID is the inverse of RowID.Pack.
+func UnpackRowID(v int64) RowID { return RowID{Page: int32(v >> 32), Slot: int32(uint32(v))} }
+
 // page is a slotted page: rows grow from the front of data, the slot
 // directory holds (offset, length) pairs; length 0 marks a deleted slot.
 type page struct {
@@ -89,12 +95,9 @@ func (t *HeapTable) Rows() int64 {
 
 // Insert appends a row and returns its RowID.
 func (t *HeapTable) Insert(row []types.Value) (RowID, error) {
-	if len(row) != t.schema.Len() {
-		return RowID{}, fmt.Errorf("rowengine: row arity %d, want %d", len(row), t.schema.Len())
-	}
-	enc := encodeRow(nil, row)
-	if len(enc)+16 > PageSize {
-		return RowID{}, fmt.Errorf("rowengine: row of %d bytes exceeds page size", len(enc))
+	enc, err := t.encode(row)
+	if err != nil {
+		return RowID{}, err
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -104,6 +107,28 @@ func (t *HeapTable) Insert(row []types.Value) (RowID, error) {
 			return RowID{}, fmt.Errorf("rowengine: duplicate key %d", k)
 		}
 	}
+	rid := t.appendLocked(enc)
+	if t.index != nil {
+		t.index[row[t.keyCol].AsInt()] = rid
+	}
+	return rid, nil
+}
+
+// encode checks a row's arity and encoded size and returns its encoding.
+func (t *HeapTable) encode(row []types.Value) ([]byte, error) {
+	if len(row) != t.schema.Len() {
+		return nil, fmt.Errorf("rowengine: row arity %d, want %d", len(row), t.schema.Len())
+	}
+	enc := encodeRow(nil, row)
+	if len(enc)+16 > PageSize {
+		return nil, fmt.Errorf("rowengine: row of %d bytes exceeds page size", len(enc))
+	}
+	return enc, nil
+}
+
+// appendLocked stores an encoded row in the last page, or in a new one when
+// it does not fit there, and counts it.
+func (t *HeapTable) appendLocked(enc []byte) RowID {
 	var p *page
 	if n := len(t.pages); n > 0 && t.pages[n-1].fits(len(enc)) {
 		p = t.pages[n-1]
@@ -112,19 +137,8 @@ func (t *HeapTable) Insert(row []types.Value) (RowID, error) {
 		t.pages = append(t.pages, p)
 	}
 	slotIdx := p.insert(enc)
-	rid := RowID{Page: int32(len(t.pages) - 1), Slot: slotIdx}
-	if t.index != nil {
-		t.index[row[t.keyCol].AsInt()] = rid
-	}
 	t.rows++
-	return rid, nil
-}
-
-// Get fetches the row at rid (nil if the slot is deleted).
-func (t *HeapTable) Get(rid RowID) ([]types.Value, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.getLocked(rid)
+	return RowID{Page: int32(len(t.pages) - 1), Slot: slotIdx}
 }
 
 func (t *HeapTable) getLocked(rid RowID) ([]types.Value, error) {
@@ -146,20 +160,6 @@ func (t *HeapTable) getLocked(rid RowID) ([]types.Value, error) {
 	return row, nil
 }
 
-// Lookup finds a row by indexed key; (nil, nil) when absent.
-func (t *HeapTable) Lookup(key int64) ([]types.Value, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if t.index == nil {
-		return nil, fmt.Errorf("rowengine: table has no index")
-	}
-	rid, ok := t.index[key]
-	if !ok {
-		return nil, nil
-	}
-	return t.getLocked(rid)
-}
-
 // Delete removes the row at rid.
 func (t *HeapTable) Delete(rid RowID) error {
 	t.mu.Lock()
@@ -179,51 +179,75 @@ func (t *HeapTable) Delete(rid RowID) error {
 	return nil
 }
 
-// DeleteByKey removes the row with the indexed key; reports whether a row
-// was removed.
-func (t *HeapTable) DeleteByKey(key int64) (bool, error) {
-	t.mu.Lock()
-	rid, ok := t.index[key]
-	t.mu.Unlock()
-	if !ok {
-		return false, nil
+// UpdateRows replaces the row at each rids[i] by rows[i], all of them or
+// none. Under one write lock it first checks everything that can fail — every
+// rid is live and listed once, every new row has the table's arity and fits a
+// page, and the
+// new keys are unique, against each other and against the index with the
+// rewritten rows' old keys taken out — and only then changes anything. A row
+// that fits its slot is rewritten in place; one that grew moves to the end of
+// the heap under a new RowID.
+func (t *HeapTable) UpdateRows(rids []RowID, rows [][]types.Value) error {
+	if len(rids) != len(rows) {
+		return fmt.Errorf("rowengine: %d row ids for %d rows", len(rids), len(rows))
 	}
-	return true, t.Delete(rid)
-}
-
-// Update rewrites the row at rid in place when it fits, else as
-// delete+insert (returning the possibly changed RowID).
-func (t *HeapTable) Update(rid RowID, row []types.Value) (RowID, error) {
-	t.mu.Lock()
-	old, err := t.getLocked(rid)
-	if err != nil || old == nil {
-		t.mu.Unlock()
-		if err == nil {
-			err = fmt.Errorf("rowengine: update of deleted row")
+	encs := make([][]byte, len(rows))
+	for i, row := range rows {
+		enc, err := t.encode(row)
+		if err != nil {
+			return err
 		}
-		return RowID{}, err
+		encs[i] = enc
 	}
-	enc := encodeRow(nil, row)
-	p := t.pages[rid.Page]
-	s := &p.slots[rid.Slot]
-	if int32(len(enc)) <= s.length {
-		copy(p.data[s.off:], enc)
-		s.length = int32(len(enc))
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	rewritten := make(map[RowID]bool, len(rids))
+	var oldKeys []int64
+	for _, rid := range rids {
+		old, err := t.getLocked(rid)
+		if err != nil {
+			return err
+		}
+		if old == nil {
+			return fmt.Errorf("rowengine: update of deleted row")
+		}
+		if rewritten[rid] {
+			return fmt.Errorf("rowengine: row %v updated twice", rid)
+		}
+		rewritten[rid] = true
 		if t.index != nil {
-			delete(t.index, old[t.keyCol].AsInt())
-			t.index[row[t.keyCol].AsInt()] = rid
+			oldKeys = append(oldKeys, old[t.keyCol].AsInt())
 		}
-		t.mu.Unlock()
-		return rid, nil
 	}
-	// Doesn't fit: delete + reinsert.
-	s.length = 0
 	if t.index != nil {
-		delete(t.index, old[t.keyCol].AsInt())
+		newKeys := make(map[int64]bool, len(rows))
+		for _, row := range rows {
+			k := row[t.keyCol].AsInt()
+			if owner, taken := t.index[k]; newKeys[k] || taken && !rewritten[owner] {
+				return fmt.Errorf("rowengine: duplicate key %d", k)
+			}
+			newKeys[k] = true
+		}
+		for _, k := range oldKeys {
+			delete(t.index, k)
+		}
 	}
-	t.rows--
-	t.mu.Unlock()
-	return t.Insert(row)
+	for i, rid := range rids {
+		p := t.pages[rid.Page]
+		s := &p.slots[rid.Slot]
+		if int32(len(encs[i])) <= s.length {
+			copy(p.data[s.off:], encs[i])
+			s.length = int32(len(encs[i]))
+		} else {
+			s.length = 0
+			t.rows--
+			rid = t.appendLocked(encs[i])
+		}
+		if t.index != nil {
+			t.index[rows[i][t.keyCol].AsInt()] = rid
+		}
+	}
+	return nil
 }
 
 // ScanFunc iterates all live rows in heap order; return false to stop.
@@ -245,13 +269,6 @@ func (t *HeapTable) ScanFunc(f func(rid RowID, row []types.Value) bool) error {
 		}
 	}
 	return nil
-}
-
-// BytesUsed returns the heap's allocated page bytes.
-func (t *HeapTable) BytesUsed() int64 {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return int64(len(t.pages)) * PageSize
 }
 
 // Row encoding: per value, a tag byte (kind | null bit) and a fixed or

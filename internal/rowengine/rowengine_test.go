@@ -3,7 +3,9 @@ package rowengine
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"vectorwise/internal/expr"
@@ -34,24 +36,50 @@ func testTable(t *testing.T, rows int, keyCol int) *HeapTable {
 	return tab
 }
 
+// find returns the RowID and row whose id is key (ok false when absent).
+func find(t *testing.T, tab *HeapTable, key int64) (rid RowID, row []types.Value, ok bool) {
+	t.Helper()
+	err := tab.ScanFunc(func(r RowID, v []types.Value) bool {
+		if v[0].Int64() == key {
+			rid, row, ok = r, v, true
+		}
+		return !ok
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rid, row, ok
+}
+
+func row4(id, grp int64, name string, val float64) []types.Value {
+	return []types.Value{types.NewInt64(id), types.NewInt64(grp), types.NewString(name), types.NewFloat64(val)}
+}
+
 func TestHeapInsertGetRoundTrip(t *testing.T) {
 	tab := testTable(t, 1000, 0)
 	if tab.Rows() != 1000 {
 		t.Fatalf("rows: %d", tab.Rows())
 	}
-	row, err := tab.Lookup(567)
-	if err != nil || row == nil {
-		t.Fatalf("lookup: %v %v", row, err)
-	}
-	if row[0].Int64() != 567 || row[2].Str != "nameA" || row[3].Float64() != 850.5 {
+	_, row, ok := find(t, tab, 567)
+	if !ok || row[0].Int64() != 567 || row[2].Str != "nameA" || row[3].Float64() != 850.5 {
 		t.Fatalf("content: %v", row)
 	}
-	if r, err := tab.Lookup(99999); err != nil || r != nil {
-		t.Fatalf("missing lookup: %v %v", r, err)
+	// Several pages were used for 1000 rows, and RowIDs survive packing.
+	pages := map[int32]bool{}
+	tab.ScanFunc(func(r RowID, _ []types.Value) bool {
+		pages[r.Page] = true
+		if UnpackRowID(r.Pack()) != r {
+			t.Fatalf("%v packs to %d, unpacks to %v", r, r.Pack(), UnpackRowID(r.Pack()))
+		}
+		return true
+	})
+	if len(pages) < 2 {
+		t.Fatalf("pages: %d", len(pages))
 	}
-	// Several pages were used for 1000 rows.
-	if tab.BytesUsed() < 2*PageSize {
-		t.Fatalf("pages: %d", tab.BytesUsed())
+	for _, r := range []RowID{{Page: 0, Slot: 0}, {Page: 1 << 30, Slot: -1}, {Page: -1, Slot: 1 << 30}} {
+		if UnpackRowID(r.Pack()) != r {
+			t.Fatalf("%v does not survive packing", r)
+		}
 	}
 }
 
@@ -67,51 +95,99 @@ func TestHeapDuplicateKeyRejected(t *testing.T) {
 
 func TestHeapDeleteUpdate(t *testing.T) {
 	tab := testTable(t, 100, 0)
-	ok, err := tab.DeleteByKey(50)
-	if err != nil || !ok {
-		t.Fatalf("delete: %v %v", ok, err)
+	rid, _, _ := find(t, tab, 50)
+	if err := tab.Delete(rid); err != nil {
+		t.Fatal(err)
 	}
 	if tab.Rows() != 99 {
 		t.Fatalf("rows after delete: %d", tab.Rows())
 	}
-	if r, _ := tab.Lookup(50); r != nil {
+	if _, _, ok := find(t, tab, 50); ok {
 		t.Fatal("deleted row still found")
 	}
-	if ok, _ := tab.DeleteByKey(50); ok {
-		t.Fatal("double delete reported success")
+	if err := tab.Delete(rid); err != nil || tab.Rows() != 99 {
+		t.Fatalf("double delete: %v, %d rows", err, tab.Rows())
+	}
+	// The deleted key is free again.
+	if _, err := tab.Insert(row4(50, 0, "back", 0)); err != nil {
+		t.Fatalf("re-insert of a deleted key: %v", err)
 	}
 	// In-place update (same size).
-	var rid RowID
-	tab.ScanFunc(func(r RowID, row []types.Value) bool {
-		if row[0].Int64() == 10 {
-			rid = r
-			return false
-		}
-		return true
-	})
-	nrid, err := tab.Update(rid, []types.Value{
-		types.NewInt64(10), types.NewInt64(9), types.NewString("nameA"), types.NewFloat64(-1),
-	})
-	if err != nil {
+	rid, _, _ = find(t, tab, 10)
+	if err := tab.UpdateRows([]RowID{rid}, [][]types.Value{row4(10, 9, "nameA", -1)}); err != nil {
 		t.Fatal(err)
 	}
-	row, _ := tab.Get(nrid)
-	if row[1].Int64() != 9 || row[3].Float64() != -1 {
-		t.Fatalf("update: %v", row)
+	nrid, row, _ := find(t, tab, 10)
+	if nrid != rid || row[1].Int64() != 9 || row[3].Float64() != -1 {
+		t.Fatalf("update: %v at %v", row, nrid)
 	}
-	// Growing update forces relocation.
-	nrid2, err := tab.Update(nrid, []types.Value{
-		types.NewInt64(10), types.NewInt64(9), types.NewString("a much longer name than before"), types.NewFloat64(-1),
-	})
-	if err != nil {
+	// Growing update forces relocation; the key stays indexed.
+	if err := tab.UpdateRows([]RowID{rid}, [][]types.Value{row4(10, 9, "a much longer name than before", -1)}); err != nil {
 		t.Fatal(err)
 	}
-	row, _ = tab.Get(nrid2)
-	if row[2].Str != "a much longer name than before" {
-		t.Fatalf("relocated update: %v", row)
+	nrid, row, _ = find(t, tab, 10)
+	if nrid == rid || row[2].Str != "a much longer name than before" || tab.Rows() != 100 {
+		t.Fatalf("relocated update: %v at %v, %d rows", row, nrid, tab.Rows())
 	}
-	if r, _ := tab.Lookup(10); r == nil {
+	if _, err := tab.Insert(row4(10, 0, "dup", 0)); err == nil {
 		t.Fatal("index lost after relocation")
+	}
+	if err := tab.UpdateRows([]RowID{rid}, [][]types.Value{row4(10, 9, "x", -1)}); err == nil {
+		t.Fatal("update of a vacated slot accepted")
+	}
+}
+
+// UpdateRows checks every new key and row before it changes anything: a key
+// taken by a row it does not rewrite, two rows given one key, or a row too
+// large for a page fail the whole call, whether the rows would be rewritten
+// in place or moved. Keys may move between the rows it rewrites.
+func TestHeapUpdateRowsAllOrNothing(t *testing.T) {
+	tab := testTable(t, 5, 0)
+	snapshot := func() string {
+		var s []string
+		tab.ScanFunc(func(r RowID, row []types.Value) bool {
+			s = append(s, fmt.Sprint(r, row))
+			return true
+		})
+		return strings.Join(s, "\n")
+	}
+	rid := func(key int64) RowID {
+		r, _, _ := find(t, tab, key)
+		return r
+	}
+	before := snapshot()
+	for _, tc := range []struct {
+		name string
+		rids []RowID
+		rows [][]types.Value
+		want string
+	}{
+		{"key of a row not rewritten, in place", []RowID{rid(2)}, [][]types.Value{row4(1, 2, "nameC", 3)}, "duplicate key 1"},
+		{"key of a row not rewritten, moved", []RowID{rid(1)}, [][]types.Value{row4(3, 1, "a longer name", 1.5)}, "duplicate key 3"},
+		{"one key for two rows", []RowID{rid(1), rid(2)}, [][]types.Value{row4(7, 1, "nameB", 1.5), row4(7, 2, "nameC", 3)}, "duplicate key 7"},
+		{"row too large", []RowID{rid(1), rid(2)}, [][]types.Value{row4(8, 1, "nameB", 1.5), row4(9, 2, strings.Repeat("x", PageSize), 3)}, "exceeds page size"},
+		{"wrong arity", []RowID{rid(1)}, [][]types.Value{row4(8, 1, "nameB", 1.5)[:3]}, "arity"},
+		{"one row twice", []RowID{rid(1), rid(1)}, [][]types.Value{row4(8, 1, "a longer name", 1.5), row4(9, 1, "nameB", 1.5)}, "twice"},
+	} {
+		err := tab.UpdateRows(tc.rids, tc.rows)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: %v, want an error naming %q", tc.name, err, tc.want)
+		}
+		if after := snapshot(); after != before {
+			t.Fatalf("%s failed but changed the table:\n%s", tc.name, after)
+		}
+	}
+	// Swapping two keys is fine: each is freed by the row that held it.
+	if err := tab.UpdateRows([]RowID{rid(1), rid(2)}, [][]types.Value{row4(2, 1, "nameB", 1.5), row4(1, 2, "a longer name", 3)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, row, _ := find(t, tab, 1); row[2].Str != "a longer name" || tab.Rows() != 5 {
+		t.Fatalf("after the swap key 1 holds %v (%d rows)", row, tab.Rows())
+	}
+	for _, k := range []int64{1, 2} {
+		if _, err := tab.Insert(row4(k, 0, "dup", 0)); err == nil {
+			t.Fatalf("key %d unindexed after the swap", k)
+		}
 	}
 }
 

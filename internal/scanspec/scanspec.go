@@ -66,23 +66,23 @@ type Spec struct {
 	// Window is the clustered group interval implied by Ranges, when a range
 	// column is clustered (nil otherwise).
 	Window *Window
-	// RID asks the scan to produce, after Cols, each row's position in the
-	// transaction's table image — the row id txn.UpdateAt and DeleteAt take —
-	// as a BIGINT NOT NULL column named RIDName. The binder sets it on the
-	// scan that finds the rows of an UPDATE or DELETE; exec.MorselScan fills
-	// the column from the start position every positional batch source returns.
-	// The position is not stored, so it is no member of Cols: the passes that
-	// narrow or resolve Cols never see it. RID scans are serial vectorwise
-	// scans.
+	// RID asks the scan to produce, after Cols, each row's id as a BIGINT NOT
+	// NULL column named RIDName. On a vectorwise table it is the row's
+	// position in the transaction's table image — what txn.UpdateAt and
+	// DeleteAt take — filled by exec.MorselScan from the start position every
+	// positional batch source returns; on a heap table it is the row's packed
+	// rowengine.RowID. The binder sets it on the scan that finds the rows of an
+	// UPDATE or DELETE. The id is not stored, so it is no member of Cols: the
+	// passes that narrow or resolve Cols never see it. RID scans are serial.
 	RID bool
 }
 
-// RIDName names the position pseudo-column. No SQL identifier starts with
+// RIDName names the row-id pseudo-column. No SQL identifier starts with
 // '$', and the binder keeps the column out of scope, so no statement can
 // name it.
 const RIDName = "$rid"
 
-// Schema is what the scan produces: Cols, then the position column of a RID
+// Schema is what the scan produces: Cols, then the row-id column of a RID
 // scan.
 func (s *Spec) Schema() *types.Schema {
 	if !s.RID {
