@@ -123,7 +123,7 @@ func (p *Project) Line() string {
 
 // AggItem is one aggregate over a child column.
 type AggItem struct {
-	Fn  string // count, sum, min, max, avg
+	Fn  string // count, sum, min, max, avg; count_false (of a BOOLEAN column) after NULL decomposition
 	Col int    // -1 for count(*)
 }
 
@@ -147,7 +147,7 @@ func (a *Aggr) Schema() *types.Schema {
 	for i, it := range a.Aggs {
 		var t types.T
 		switch it.Fn {
-		case "count":
+		case "count", "count_false":
 			t = types.Int64
 		case "avg":
 			t = types.Float64

@@ -3,32 +3,42 @@ package colstore
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"vectorwise/internal/compress"
 	"vectorwise/internal/metrics"
+	"vectorwise/internal/primitives"
 	"vectorwise/internal/types"
 	"vectorwise/internal/vec"
 )
 
 // Scan instrumentation: group-level counters cost one atomic add per row
-// group (16K rows), not per vector.
+// group (16K rows), not per vector; the rows dropped on codes cost one per
+// vector that drops any.
 var (
 	mGroupsScanned = metrics.Default.Counter("colstore_groups_scanned_total")
 	mGroupsSkipped = metrics.Default.Counter("colstore_groups_skipped_total")
 	mBytesDecoded  = metrics.Default.Counter("colstore_bytes_decompressed_total")
 	mBytesSkipped  = metrics.Default.Counter("colstore_bytes_skipped_total")
 	mRowsScanned   = metrics.Default.Counter("colstore_rows_scanned_total")
+	mRowsCodeDrop  = metrics.Default.Counter("colstore_rows_dropped_on_codes_total")
 )
 
 // Scanner reads a projection of a table vector-at-a-time, in row order,
 // decoding each row group once and slicing vectors out of it. On morsel
 // scanners, min/max block skipping prunes row groups that cannot satisfy the
-// provided range filters — the sparse-index benefit of the PAX/DSM layout.
+// provided range filters — the sparse-index benefit of the PAX/DSM layout —
+// and a filter on a dictionary-coded string column runs on the codes (see
+// codeFilter), so the scan drops rows before their strings exist.
 type Scanner struct {
 	t       *Table
 	cols    []int
 	vecSize int
 	filters []RangeFilter
+	code    []codeFilter
+	coded   []*codeFilter // per projected column: its filter, while on codes
+	sel     []int32       // the rows of the current vector the codes pass
+	dropped int64
 
 	// Snapshot of the block lists (appends after creation are invisible).
 	blocks  [][]Block
@@ -59,11 +69,51 @@ type Scanner struct {
 }
 
 // RangeFilter restricts a column to [Lo, Hi] (inclusive; either may be nil
-// to leave that side open). Used only for block skipping — exact filtering
-// remains the Select operator's job.
+// to leave that side open). A scanner may drop any row outside the range —
+// whole groups by their summaries, single rows by their dictionary codes —
+// but need not drop them all: exact filtering remains the Select operator's
+// job.
 type RangeFilter struct {
 	Col    int
 	Lo, Hi *types.Value
+}
+
+// codeFilter is a range filter on a projected string column, run on the
+// dictionary codes whenever the column's block in the current group is
+// PDICT. The dictionary is sorted, so the range becomes one code interval
+// per group (an empty one skips the group: a dictionary-level zone map); the
+// scan selects on the codes of each vector and gathers strings only at the
+// rows that pass. The bounds are compared in Go string order, as the Select
+// kernels compare.
+type codeFilter struct {
+	proj     int // position of the column in the projection
+	lo, hi   *string
+	dec      compress.StringDecoder
+	blk      compress.DictBlock
+	codes    []int32 // the group's codes
+	from, to int32   // the group's code interval [from, to)
+	all      bool    // every code of the group is in the interval
+}
+
+// codeFilters builds one code filter per range on a projected string column
+// (the optimizer pairs a string column with string bounds only).
+func codeFilters(t *Table, cols []int, filters []RangeFilter) []codeFilter {
+	var out []codeFilter
+	for _, f := range filters {
+		proj := slices.Index(cols, f.Col)
+		if proj < 0 || t.cols[f.Col].Type.Kind != types.KindString {
+			continue
+		}
+		cf := codeFilter{proj: proj}
+		if f.Lo != nil {
+			cf.lo = &f.Lo.Str
+		}
+		if f.Hi != nil {
+			cf.hi = &f.Hi.Str
+		}
+		out = append(out, cf)
+	}
+	return out
 }
 
 // NewMorselScanner creates a scanner that starts exhausted: it serves one
@@ -163,7 +213,8 @@ func (t *Table) newScanner(cols []int, vecSize int, filters ...RangeFilter) (*Sc
 	if vecSize <= 0 {
 		vecSize = vec.DefaultSize
 	}
-	s := &Scanner{t: t, cols: cols, vecSize: vecSize, filters: filters}
+	s := &Scanner{t: t, cols: cols, vecSize: vecSize, filters: filters,
+		code: codeFilters(t, cols, filters), coded: make([]*codeFilter, len(cols))}
 	s.blocks = make([][]Block, len(t.cols))
 	for i := range t.cols {
 		s.blocks[i] = t.cols[i].Blocks
@@ -214,9 +265,16 @@ func (s *Scanner) DecodedBytes() int64 { return s.decBytes }
 // skipped or not — the denominator of the "skipped=N/M groups" profile line.
 func (s *Scanner) TotalGroups() int { return s.total }
 
+// CodeDroppedRows reports how many rows of the groups this scanner decoded
+// its code filters dropped — rows whose strings were never gathered.
+func (s *Scanner) CodeDroppedRows() int64 { return s.dropped }
+
 // Next fills b with up to vecSize rows and returns the global position
-// (SID) of the first row, or done=true at end of table. The batch's vectors
-// are owned by the scanner and valid until the next call.
+// (SID) of the first row, or done=true at end of table. n is the batch's
+// row count. When code filters drop rows, b.Sel lists the rows that remain,
+// row p of the batch sitting at position start+p; a vector whose rows are
+// all dropped is never returned. The batch's vectors and selection are owned
+// by the scanner and valid until the next call.
 func (s *Scanner) Next(b *vec.Batch) (start int64, n int, done bool, err error) {
 	for {
 		if s.group >= s.limit {
@@ -224,68 +282,164 @@ func (s *Scanner) Next(b *vec.Batch) (start int64, n int, done bool, err error) 
 		}
 		gRows := s.groupRows(s.group)
 		if s.offset == 0 && !s.loaded {
-			if s.skipGroup(s.group) {
+			skip, err := s.loadGroup(gRows)
+			if err != nil {
+				return 0, 0, false, err
+			}
+			if skip {
 				bytes := s.groupBytes(s.group)
-				s.rowBase += int64(gRows)
-				s.group++
 				s.skipped++
 				s.skipBytes += bytes
 				mGroupsSkipped.Inc()
 				mBytesSkipped.Add(bytes)
+				s.endGroup(gRows)
 				continue
 			}
-			if s.src != nil && !s.havePending && len(s.cols) > 0 {
-				frame, err := s.src.FetchGroup(s.srcCtx, s.group)
-				if err != nil {
-					return 0, 0, false, err
-				}
-				if err := s.setPending(frame); err != nil {
-					return 0, 0, false, err
-				}
-			}
-			var decoded int64
-			for i, c := range s.cols {
-				// The snapshot supplies the row count either way; the bytes
-				// are the snapshot's own or the buffer manager's.
-				blk := &s.blocks[c][s.group]
-				data := blk.Data
-				if s.havePending {
-					data = s.pending[c]
-				}
-				if err := decodeBlock(s.t.cols[c].Type.Kind, data, blk.Rows, s.decoded[i], &s.strs); err != nil {
-					return 0, 0, false, err
-				}
-				decoded += int64(len(data))
-			}
-			s.decBytes += decoded
-			mGroupsScanned.Inc()
-			mBytesDecoded.Add(decoded)
-			mRowsScanned.Add(int64(gRows))
-			s.loaded = true
 		}
-		n = s.vecSize
-		if rem := gRows - s.offset; n > rem {
-			n = rem
-		}
+		n = min(s.vecSize, gRows-s.offset)
 		start = s.rowBase + int64(s.offset)
-		// Slice decoded vectors into the caller's batch without copying.
-		for i := range s.cols {
-			src := s.decoded[i]
-			dstV := b.Vecs[i]
-			sliceInto(dstV, src, s.offset, n)
+		sel, kept := s.selectCodes(n)
+		if kept {
+			// Slice decoded vectors into the caller's batch without copying.
+			for i := range s.cols {
+				sliceInto(b.Vecs[i], s.decoded[i], s.offset, n)
+			}
+			b.Sel = sel
+			b.SetLen(n)
 		}
-		b.Sel = nil
-		b.SetLen(n)
 		s.offset += n
 		if s.offset >= gRows {
-			s.group++
-			s.offset = 0
-			s.loaded = false
-			s.havePending = false
-			s.rowBase += int64(gRows)
+			s.endGroup(gRows)
 		}
-		return start, n, false, nil
+		if kept {
+			return start, b.Rows(), false, nil
+		}
 	}
+}
+
+// endGroup moves the scanner past the current group.
+func (s *Scanner) endGroup(gRows int) {
+	s.group++
+	s.offset = 0
+	s.loaded = false
+	s.havePending = false
+	s.rowBase += int64(gRows)
+}
+
+// loadGroup readies the current group for slicing: it fetches the group's
+// bytes, opens the dictionaries of the code-filtered columns, unpacks their
+// codes and decodes every other column. skip reports a group that holds no
+// row in some filter's range, by its min/max summaries or by a dictionary
+// without a value in the range; then nothing is unpacked or decoded.
+func (s *Scanner) loadGroup(gRows int) (skip bool, err error) {
+	if s.skipGroup(s.group) {
+		return true, nil
+	}
+	if s.src != nil && !s.havePending && len(s.cols) > 0 {
+		frame, err := s.src.FetchGroup(s.srcCtx, s.group)
+		if err != nil {
+			return false, err
+		}
+		if err := s.setPending(frame); err != nil {
+			return false, err
+		}
+	}
+	clear(s.coded)
+	for k := range s.code {
+		cf := &s.code[k]
+		data := s.blockData(s.cols[cf.proj])
+		if len(data) == 0 || compress.Codec(data[0]) != compress.PDict {
+			continue
+		}
+		blk, rest, err := cf.dec.OpenPDict(data, gRows)
+		if err == nil && len(rest) != 0 {
+			err = fmt.Errorf("%w: %d bytes after the block", compress.ErrCorrupt, len(rest))
+		}
+		if err != nil {
+			return false, err
+		}
+		cf.blk = blk
+		cf.from, cf.to = blk.CodeRange(cf.lo, cf.hi)
+		if cf.from >= cf.to {
+			return true, nil
+		}
+		cf.all = cf.from == 0 && int(cf.to) == len(blk.Dict)
+		s.coded[cf.proj] = cf
+	}
+	var decoded int64
+	for i, c := range s.cols {
+		data := s.blockData(c)
+		dst := s.decoded[i]
+		if cf := s.coded[i]; cf != nil {
+			// Strings are gathered per vector, for the rows the codes pass.
+			cf.codes = slices.Grow(cf.codes[:0], gRows)[:gRows]
+			if err := cf.blk.Codes(cf.codes, 0); err != nil {
+				return false, err
+			}
+			dst.Grow(gRows)
+			dst.SetLen(gRows)
+		} else if err := decodeBlock(s.t.cols[c].Type.Kind, data, gRows, dst, &s.strs); err != nil {
+			return false, err
+		}
+		decoded += int64(len(data))
+	}
+	s.decBytes += decoded
+	mGroupsScanned.Inc()
+	mBytesDecoded.Add(decoded)
+	mRowsScanned.Add(int64(gRows))
+	s.loaded = true
+	return false, nil
+}
+
+// blockData returns the current group's bytes of table column c: the
+// snapshot's own, or the buffer manager's. The snapshot supplies the row
+// count either way.
+func (s *Scanner) blockData(c int) []byte {
+	if s.havePending {
+		return s.pending[c]
+	}
+	return s.blocks[c][s.group].Data
+}
+
+// selectCodes runs the current group's code filters over the next n rows.
+// It returns the rows that pass (nil: all n) and whether any did, and
+// gathers the strings of the code-filtered columns at exactly those rows.
+func (s *Scanner) selectCodes(n int) (sel []int32, kept bool) {
+	filtered := false
+	for _, cf := range s.coded {
+		if cf == nil || cf.all {
+			continue
+		}
+		codes := cf.codes[s.offset : s.offset+n]
+		if !filtered {
+			sel = primitives.SelBetweenVCC(s.sel, codes, cf.from, cf.to-1, nil, n)
+			filtered = true
+		} else {
+			sel = primitives.SelBetweenVCC(sel, codes, cf.from, cf.to-1, sel, n)
+		}
+		if len(sel) == 0 {
+			break
+		}
+	}
+	if filtered {
+		s.sel = sel
+		if dropped := int64(n - len(sel)); dropped > 0 {
+			s.dropped += dropped
+			mRowsCodeDrop.Add(dropped)
+		}
+		if len(sel) == 0 {
+			return nil, false
+		}
+		if len(sel) == n {
+			sel = nil
+		}
+	}
+	for i, cf := range s.coded {
+		if cf != nil {
+			cf.blk.Gather(s.decoded[i].Str[s.offset:s.offset+n], cf.codes[s.offset:s.offset+n], sel)
+		}
+	}
+	return sel, true
 }
 
 func (s *Scanner) groupRows(g int) int {

@@ -2,6 +2,7 @@ package compress
 
 import (
 	"encoding/binary"
+	"sort"
 	"unsafe"
 )
 
@@ -249,18 +250,52 @@ func decodeStringRaw(dst []string, src []byte) ([]byte, error) {
 }
 
 func (d *StringDecoder) decodePDict(dst []string, src []byte) ([]byte, error) {
-	src, ok := blockHeader(src, PDict, len(dst))
+	b, rest, err := d.OpenPDict(src, len(dst))
+	if err != nil {
+		return nil, err
+	}
+	// Unpack a cache-resident run of codes at a time, then gather.
+	var codes [512]int32
+	for at := 0; at < len(dst); at += len(codes) {
+		run := codes[:min(len(codes), len(dst)-at)]
+		if err := b.Codes(run, at); err != nil {
+			return nil, err
+		}
+		b.Gather(dst[at:], run, nil)
+	}
+	return rest, nil
+}
+
+// DictBlock is a PDICT block opened without decoding its values: the sorted
+// dictionary and the bit-packed codes. A filter on the column maps its value
+// range to a code interval once per block (CodeRange), selects on the codes,
+// and gathers strings only for the rows that pass (Gather).
+type DictBlock struct {
+	// Dict holds the block's distinct values in ascending byte order (Go
+	// string order, the order of the Select kernels); a code indexes it.
+	Dict   []string
+	w      uint
+	packed []byte
+}
+
+// OpenPDict parses the header and dictionary of the PDICT block at the head
+// of src, which must hold exactly rows values, and returns the block and the
+// unconsumed remainder of src. The codes are checked when Codes unpacks
+// them. The dictionary lives in the decoder's slots: the block is valid until
+// the decoder opens or decodes the next one.
+func (d *StringDecoder) OpenPDict(src []byte, rows int) (DictBlock, []byte, error) {
+	src, ok := blockHeader(src, PDict, rows)
 	if !ok {
-		return nil, ErrCorrupt
+		return DictBlock{}, nil, ErrCorrupt
 	}
-	n := len(dst)
-	if n == 0 {
-		return src, nil
+	if rows == 0 {
+		return DictBlock{}, src, nil
 	}
-	// Every dictionary entry takes at least its length byte.
+	// Every dictionary entry takes at least its length byte, and rows need
+	// at least one entry to point at.
 	dictN, src, ok := getUvarint(src)
-	if !ok || dictN > uint64(len(src)) {
-		return nil, ErrCorrupt
+	if !ok || dictN == 0 || dictN > uint64(len(src)) {
+		return DictBlock{}, nil, ErrCorrupt
 	}
 	if uint64(cap(d.dict)) < dictN {
 		d.dict = make([]string, dictN)
@@ -268,31 +303,89 @@ func (d *StringDecoder) decodePDict(dst []string, src []byte) ([]byte, error) {
 	dict := d.dict[:dictN]
 	src, ok = sliceStrings(dict, src)
 	if !ok || len(src) < 1 {
-		return nil, ErrCorrupt
+		return DictBlock{}, nil, ErrCorrupt
 	}
 	w := uint(src[0])
 	src = src[1:]
 	if w > 64 {
-		return nil, ErrCorrupt
+		return DictBlock{}, nil, ErrCorrupt
 	}
-	packed := packedLen(n, w)
+	packed := packedLen(rows, w)
 	if len(src) < packed {
-		return nil, ErrCorrupt
+		return DictBlock{}, nil, ErrCorrupt
 	}
-	// Unpack a cache-resident run of codes at a time (a run starts on a
-	// byte boundary: its length is a multiple of 8), then gather.
-	var codes [512]int64
-	for at := 0; at < n; at += len(codes) {
-		run := codes[:min(len(codes), n-at)]
-		unpack(run, src[at/8*int(w):packed], w, 0)
-		for i, c := range run {
-			if uint64(c) >= dictN {
-				return nil, ErrCorrupt
+	return DictBlock{Dict: dict, w: w, packed: src[:packed]}, src[packed:], nil
+}
+
+// Codes unpacks the codes of rows [at, at+len(dst)) into dst. at must be a
+// multiple of 8 (a run then starts on a byte boundary) and the run must lie
+// inside the block. A code outside the dictionary is corruption.
+func (b *DictBlock) Codes(dst []int32, at int) error {
+	src := b.packed[at/8*int(b.w):]
+	n := uint64(len(b.Dict))
+	if b.w <= 32 {
+		// A code of up to 32 bits survives the narrowing as its uint32. When
+		// the dictionary fills the width, every code is valid.
+		unpack(dst, src, b.w, 0)
+		if uint64(1)<<b.w <= n {
+			return nil
+		}
+		var top uint32
+		for _, c := range dst {
+			top = max(top, uint32(c))
+		}
+		if len(dst) > 0 && uint64(top) >= n {
+			return ErrCorrupt
+		}
+		return nil
+	}
+	// Only a hostile block is this wide: unpack through int64 to check
+	// every code before narrowing it.
+	var run [64]int64
+	for i := 0; i < len(dst); i += len(run) {
+		r := run[:min(len(run), len(dst)-i)]
+		unpack(r, src[i/8*int(b.w):], b.w, 0)
+		for j, c := range r {
+			if uint64(c) >= n {
+				return ErrCorrupt
 			}
-			dst[at+i] = dict[c]
+			dst[i+j] = int32(c)
 		}
 	}
-	return src[packed:], nil
+	return nil
+}
+
+// CodeRange maps the value range [lo, hi] (a nil bound is open) to the
+// codes [from, to) of the dictionary entries inside it, by binary search in
+// Go string order. from >= to means no row of the block is in range. A block
+// whose dictionary is not sorted (never written by EncodePDict) yields some
+// interval inside the dictionary.
+func (b *DictBlock) CodeRange(lo, hi *string) (from, to int32) {
+	from, to = 0, int32(len(b.Dict))
+	if lo != nil {
+		from = int32(sort.SearchStrings(b.Dict, *lo))
+	}
+	if hi != nil {
+		to = int32(sort.Search(len(b.Dict), func(i int) bool { return b.Dict[i] > *hi }))
+	}
+	return from, to
+}
+
+// Gather writes the strings of codes into dst: at the positions sel lists,
+// or at every position of codes when sel is nil. The codes must come from
+// Codes on this block.
+func (b *DictBlock) Gather(dst []string, codes, sel []int32) {
+	dict := b.Dict
+	if sel == nil {
+		dst = dst[:len(codes)]
+		for i, c := range codes {
+			dst[i] = dict[c]
+		}
+		return
+	}
+	for _, i := range sel {
+		dst[i] = dict[codes[i]]
+	}
 }
 
 // sized returns dst resized (reallocated if too small) to the row count the

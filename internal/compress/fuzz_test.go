@@ -115,3 +115,72 @@ func FuzzDecodeString(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDictCodes holds the entry point of filtering on codes — open a PDICT
+// block, unpack its codes, map a range to codes — to the same invariant, and
+// ties it to the decoder: when the block opens and its codes unpack, the
+// strings they gather are what DecodeString returns, and whenever
+// DecodeString accepts a PDICT block, so does the code path. Over a sorted
+// dictionary, CodeRange's interval holds exactly the entries in [lo, hi].
+func FuzzDictCodes(f *testing.F) {
+	rng := rand.New(rand.NewSource(3))
+	for _, entries := range []int{1, 2, 3, 255, 256, 257} {
+		vals := make([]string, 300)
+		for i := range vals {
+			vals[i] = fmt.Sprintf("v%03d", rng.Intn(entries))
+		}
+		f.Add(EncodePDict(nil, vals), "v001", "v100")
+	}
+	f.Add(EncodePDict(nil, nil), "", "")
+	f.Add(EncodeStringRaw(nil, []string{"a", "b"}), "a", "b")
+	f.Fuzz(func(t *testing.T, data []byte, lo, hi string) {
+		codes, ok := sized([]int32(nil), data)
+		if !ok {
+			return
+		}
+		var d StringDecoder
+		var blk DictBlock
+		var rest []byte
+		var err error
+		if a := allocated(func() {
+			if blk, rest, err = d.OpenPDict(data, len(codes)); err == nil {
+				err = blk.Codes(codes, 0)
+			}
+		}); a > allocBound(data, 0) {
+			t.Fatalf("opening %d bytes allocated %d", len(data), a)
+		}
+		want, wantRest, wantErr := DecodeString(nil, data)
+		if err != nil {
+			if wantErr == nil && Codec(data[0]) == PDict {
+				t.Fatalf("DecodeString accepts the block, the code path: %v", err)
+			}
+			return
+		}
+		if wantErr != nil || !bytes.Equal(rest, wantRest) {
+			t.Fatalf("code path accepts the block, DecodeString: %v (%d left, code path %d)", wantErr, len(wantRest), len(rest))
+		}
+		got := make([]string, len(codes))
+		blk.Gather(got, codes, nil)
+		if !slices.Equal(got, want) {
+			t.Fatal("gathered codes differ from DecodeString")
+		}
+		if len(codes) > 8 {
+			tail := make([]int32, len(codes)-8)
+			if err := blk.Codes(tail, 8); err != nil || !slices.Equal(tail, codes[8:]) {
+				t.Fatalf("codes from row 8: %v", err)
+			}
+		}
+		from, to := blk.CodeRange(&lo, &hi)
+		if from < 0 || to > int32(len(blk.Dict)) {
+			t.Fatalf("CodeRange [%d, %d) outside a dictionary of %d", from, to, len(blk.Dict))
+		}
+		if !slices.IsSorted(blk.Dict) {
+			return
+		}
+		for c, v := range blk.Dict {
+			if in := int32(c) >= from && int32(c) < to; in != (lo <= v && v <= hi) {
+				t.Fatalf("entry %d (%q) in [%d, %d) is %v for [%q, %q]", c, v, from, to, in, lo, hi)
+			}
+		}
+	})
+}

@@ -14,11 +14,12 @@ type Int interface{ ~int8 | ~int32 | ~int64 }
 // one pass with no staging buffer. src must hold at least
 // ceil(len(dst)*w/8) bytes and w must be <= 64.
 //
-// Byte-aligned widths are direct loads. Every other width up to 56 reads the
-// 8 bytes starting at the code's first byte, shifts and masks: the loads are
-// independent, so nothing but the bit offset is carried between iterations.
-// Wider codes take a ninth byte. The last few codes, whose window would run
-// past src, go through codeAt.
+// Byte-aligned widths are direct loads. Widths below 8 take eight codes from
+// one 8-byte load. Every other width up to 56 reads the 8 bytes starting at
+// the code's first byte, shifts and masks: the loads are independent, so
+// nothing but the bit offset is carried between iterations. Wider codes take
+// a ninth byte. The last few codes, whose window would run past src, go
+// through codeAt.
 func unpack[T Int](dst []T, src []byte, w uint, base uint64) {
 	n := len(dst)
 	switch w {
@@ -55,7 +56,26 @@ func unpack[T Int](dst []T, src []byte, w uint, base uint64) {
 	}
 	mask := widthMask(w)
 	fast := 0
-	if w <= 56 {
+	if w < 8 {
+		// Eight codes fill exactly w bytes, so one load serves eight codes
+		// (dictionary codes and small PFOR widths). Chunk k's load
+		// src[k*w : k*w+8] must lie inside src.
+		if len(src) >= 8 {
+			fast = min(n/8, (len(src)-8)/int(w)+1) * 8
+		}
+		for k := 0; k < fast; k += 8 {
+			x := binary.LittleEndian.Uint64(src[k/8*int(w):])
+			d := dst[k : k+8 : k+8]
+			d[0] = T(base + x&mask)
+			d[1] = T(base + x>>w&mask)
+			d[2] = T(base + x>>(2*w)&mask)
+			d[3] = T(base + x>>(3*w)&mask)
+			d[4] = T(base + x>>(4*w)&mask)
+			d[5] = T(base + x>>(5*w)&mask)
+			d[6] = T(base + x>>(6*w)&mask)
+			d[7] = T(base + x>>(7*w)&mask)
+		}
+	} else if w <= 56 {
 		// Codes whose window src[bit>>3 : bit>>3+8] lies inside src.
 		if len(src) >= 8 {
 			fast = min(n, ((len(src)-8)*8+7)/int(w)+1)

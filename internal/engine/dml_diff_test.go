@@ -122,11 +122,13 @@ type dpred struct {
 	fn  func(drow) bool
 }
 
-const dmlPredKinds = 6
+const dmlPredKinds = 7
 
 // genPred makes a WHERE of the given kind: 0 equality, 1 range, 2 IS [NOT]
-// NULL, 3 OR, 4 arithmetic expression, 5 none. ids come from live rows so
-// most predicates hit something; a fifth of the equalities hit nothing.
+// NULL, 3 OR, 4 arithmetic expression, 5 a comparison of a dictionary-coded
+// string column (which a delta-free scan filters on codes), 6 none. ids come
+// from live rows so most predicates hit something; a fifth of the equalities
+// hit nothing.
 func genPred(rng *rand.Rand, m *dmlModel, kind int) dpred {
 	id := func() int64 {
 		if len(m.rows) == 0 || rng.Intn(5) == 0 {
@@ -181,6 +183,22 @@ func genPred(rng *rand.Rand, m *dmlModel, kind int) dpred {
 		}
 		// NULL + 1 is NULL, and NULL > c is not TRUE: such rows never match.
 		return dpred{"n + 1 > 1990", func(r drow) bool { return !r[fN].Null && r[fN].I64+1 > 1990 }}
+	case 5:
+		// s holds k0…k12 and m holds m0…m8 or NULL; k13 and m9 are in no
+		// dictionary.
+		k, hi := fmt.Sprintf("k%d", rng.Intn(14)), id()+3000
+		switch rng.Intn(3) {
+		case 0:
+			return dpred{fmt.Sprintf("s = '%s' AND id < %d", k, hi),
+				func(r drow) bool { return r[fS].Str == k && r[fID].I64 < hi }}
+		case 1:
+			lo := fmt.Sprintf("k%d", rng.Intn(13))
+			return dpred{fmt.Sprintf("s BETWEEN '%s' AND '%s' AND id < %d", lo, k, hi),
+				func(r drow) bool { return r[fS].Str >= lo && r[fS].Str <= k && r[fID].I64 < hi }}
+		}
+		mk := fmt.Sprintf("m%d", rng.Intn(10))
+		return dpred{fmt.Sprintf("m < '%s' AND id < %d", mk, hi),
+			func(r drow) bool { return !r[fM].Null && r[fM].Str < mk && r[fID].I64 < hi }}
 	}
 	return dpred{"", func(drow) bool { return true }}
 }
@@ -287,12 +305,13 @@ func genSet(rng *rand.Rand, nullable bool) dset {
 }
 
 // genStmt makes statement i of a stream of n. The filtered predicate kinds
-// cycle, so every stream sees all of them. Unfiltered statements come at the
-// end — a DELETE at most next to last, the UPDATE of every row last — because
-// whatever ran after them would pay for a delta per row (pdt re-aggregates
-// its whole tree each time a modified row is deleted).
+// cycle, so every stream sees all of them; it starts with a string
+// comparison, so a stream from a delta-free state finds its first rows
+// through a scan that filters on dictionary codes. Unfiltered statements
+// come at the end — a DELETE at most next to last, the UPDATE of every row
+// last — because whatever ran after them would pay for a delta per row.
 func genStmt(rng *rand.Rand, m *dmlModel, nullable bool, i, n int) dmlStmt {
-	kind, del := i%(dmlPredKinds-1), rng.Intn(3) == 0
+	kind, del := (i+dmlPredKinds-2)%(dmlPredKinds-1), rng.Intn(3) == 0
 	switch i {
 	case n - 2:
 		kind = rng.Intn(dmlPredKinds)

@@ -311,6 +311,15 @@ var diffQueries = []diffQuery{
 	}},
 	{`SELECT m, COUNT(*) FROM {f} GROUP BY m`, false,
 		func(f, _ []drow) []drow { return group(f, []int{fM}, cnt()) }},
+	// Only indicators read, under a join and a TopN: the value columns drop
+	// out of the scans after NULL decomposition.
+	{`SELECT COUNT(w), COUNT(*) FROM {f} JOIN {d} ON g = k WHERE n IS NULL`, true, func(f, d []drow) []drow {
+		return group(joinOn("inner", keep(f, func(r drow) bool { return r[fN].Null }), d, fG, 0, 3),
+			nil, oagg{"count", fM + 3}, cnt())
+	}},
+	{`SELECT id FROM {f} WHERE m IS NULL ORDER BY id LIMIT 7`, true, func(f, _ []drow) []drow {
+		return top(pick(keep(f, func(r drow) bool { return r[fM].Null }), fID), 7)
+	}},
 	// Plain aggregates over one and several columns.
 	{`SELECT SUM(g) FROM {f}`, true, func(f, _ []drow) []drow { return group(f, nil, oagg{"sum", fG}) }},
 	{`SELECT SUM(x), MIN(x), MAX(x) FROM {f}`, true, func(f, _ []drow) []drow {

@@ -93,8 +93,9 @@ func (c *Ctx) poll() error {
 
 // OpStats are per-operator profile counters. SkippedGroups/TotalGroups are
 // populated only for scans whose source supports min/max block skipping,
-// DecodedBytes only for column-store scans; Morsels/MorselSteals only for
-// morsel-driven scan workers.
+// DecodedBytes only for column-store scans, CodeDropped only for scans that
+// filter on dictionary codes; Morsels/MorselSteals only for morsel-driven
+// scan workers.
 type OpStats struct {
 	Batches       int64
 	Rows          int64
@@ -103,6 +104,7 @@ type OpStats struct {
 	TotalGroups   int64
 	SkippedBytes  int64
 	DecodedBytes  int64
+	CodeDropped   int64
 	Morsels       int64
 	MorselSteals  int64
 }
@@ -128,6 +130,14 @@ type ByteDecoding interface {
 	DecodedBytes() int64
 }
 
+// CodeDropping is implemented by batch sources that filter rows on
+// dictionary codes before decoding them (colstore scanners): the rows the
+// codes dropped, which the profiling shell surfaces as "dropped=N rows on
+// codes".
+type CodeDropping interface {
+	CodeDroppedRows() int64
+}
+
 // skipReporter is the operator-level view of GroupSkipping (MorselScan
 // implements it by delegating to its scanner).
 type skipReporter interface {
@@ -142,6 +152,11 @@ type byteSkipReporter interface {
 // byteDecodeReporter is the operator-level view of ByteDecoding.
 type byteDecodeReporter interface {
 	DecodedByteStats() int64
+}
+
+// codeDropReporter is the operator-level view of CodeDropping.
+type codeDropReporter interface {
+	CodeDropStats() int64
 }
 
 // morselReporter is implemented by morsel-driven scan workers; the
@@ -241,6 +256,9 @@ func (p *Profiled) Stats() OpStats {
 	}
 	if bd, ok := p.Child.(byteDecodeReporter); ok {
 		st.DecodedBytes = bd.DecodedByteStats()
+	}
+	if cd, ok := p.Child.(codeDropReporter); ok {
+		st.CodeDropped = cd.CodeDropStats()
 	}
 	if mr, ok := p.Child.(morselReporter); ok {
 		st.Morsels, st.MorselSteals = mr.MorselStats()

@@ -12,14 +12,15 @@ import (
 type AggFn uint8
 
 // The aggregate functions. The kernel is NULL-oblivious: COUNT(col) over a
-// NULLable column is rewritten upstream into SUM over the negated
-// indicator, so only these physical aggregates exist.
+// NULLable column is rewritten upstream into COUNT_FALSE over its BOOLEAN
+// NULL indicator, so only these physical aggregates exist.
 const (
 	AggCount AggFn = iota // COUNT(*)
 	AggSum
 	AggMin
 	AggMax
 	AggAvg
+	AggCountFalse // the rows whose BOOLEAN input is false
 )
 
 // String names the aggregate.
@@ -35,6 +36,8 @@ func (f AggFn) String() string {
 		return "max"
 	case AggAvg:
 		return "avg"
+	case AggCountFalse:
+		return "count_false"
 	default:
 		return "agg?"
 	}
@@ -50,6 +53,11 @@ type AggSpec struct {
 func (a AggSpec) ResultKind(in []types.Kind) (types.Kind, error) {
 	switch a.Fn {
 	case AggCount:
+		return types.KindInt64, nil
+	case AggCountFalse:
+		if in[a.Col] != types.KindBool {
+			return 0, fmt.Errorf("exec: count_false over %v", in[a.Col])
+		}
 		return types.KindInt64, nil
 	case AggAvg:
 		return types.KindFloat64, nil
@@ -196,7 +204,7 @@ func (h *HashAgg) Next() (*vec.Batch, error) {
 	for ai, st := range h.states {
 		ov := h.out.Vecs[base+ai]
 		switch st.spec.Fn {
-		case AggCount:
+		case AggCount, AggCountFalse:
 			copy(ov.I64, st.cnt[lo:hi])
 		case AggSum:
 			if st.kind == types.KindInt64 {
@@ -408,7 +416,7 @@ func (h *HashAgg) rehash() {
 func (h *HashAgg) ensureGroups(n int) {
 	for _, st := range h.states {
 		switch st.spec.Fn {
-		case AggCount:
+		case AggCount, AggCountFalse:
 			st.cnt = growZero(st.cnt, n)
 		case AggSum:
 			if st.kind == types.KindInt64 {
@@ -461,6 +469,12 @@ func (h *HashAgg) fold(groups []int32, b *vec.Batch) error {
 		switch st.spec.Fn {
 		case AggCount:
 			countInto(st.cnt, groups, b)
+		case AggCountFalse:
+			if groups == nil {
+				st.cnt[0] += primitives.CountFalse(v.Bool, sel, n)
+			} else {
+				primitives.CountFalseGrouped(st.cnt, groups, v.Bool, sel, n)
+			}
 		case AggSum:
 			var err error
 			switch st.inK {

@@ -318,7 +318,7 @@ func (m *MorselScan) Next() (*vec.Batch, error) {
 		if err != nil || done {
 			return nil, err
 		}
-		return m.emit(start, n), nil
+		return m.emit(start, n, false), nil
 	}
 	for {
 		if m.inGroup {
@@ -327,7 +327,7 @@ func (m *MorselScan) Next() (*vec.Batch, error) {
 				return nil, err
 			}
 			if !done {
-				return m.emit(start, n), nil
+				return m.emit(start, n, true), nil
 			}
 			m.inGroup = false
 		}
@@ -368,29 +368,32 @@ func (m *MorselScan) Next() (*vec.Batch, error) {
 }
 
 // emit returns the batch the source just filled, numbered when the scan
-// projects row positions.
-func (m *MorselScan) emit(start int64, n int) *vec.Batch {
+// projects row positions. physical says how a selection vector relates rows
+// to positions: a morsel scanner's selection lists the rows its filters let
+// through, and row p sits at start+p; a merger's selection lists the rows a
+// delete did not remove, and its i-th row sits at start+i.
+func (m *MorselScan) emit(start int64, n int, physical bool) *vec.Batch {
 	if !m.RID {
 		return m.buf
 	}
-	return m.appendRID(start, n)
+	return m.appendRID(start, n, physical)
 }
 
-// appendRID numbers the n logical rows of the batch the source just filled:
-// logical row i sits at image position start+i, whatever selection vector a
-// merger narrowed the batch with, and its number goes where its values are.
-// The output batch is rebuilt from buf every time, because a merger may
-// have re-pointed buf at vectors of its own.
-func (m *MorselScan) appendRID(start int64, n int) *vec.Batch {
+// appendRID numbers the n rows of the batch the source just filled, putting
+// each number where the row's values are. The output batch is rebuilt from
+// buf every time, because a merger may have re-pointed buf at vectors of its
+// own.
+func (m *MorselScan) appendRID(start int64, n int, physical bool) *vec.Batch {
 	full := m.buf.Full()
 	m.rid.Grow(full)
 	m.rid.SetLen(full)
 	ids := m.rid.I64
-	if m.buf.Sel == nil {
-		for i := 0; i < n; i++ {
-			ids[i] = start + int64(i)
+	switch {
+	case m.buf.Sel == nil || physical:
+		for p := range ids[:full] {
+			ids[p] = start + int64(p)
 		}
-	} else {
+	default:
 		for i, p := range m.buf.Sel[:n] {
 			ids[p] = start + int64(i)
 		}
@@ -454,6 +457,15 @@ func (m *MorselScan) DecodedByteStats() int64 {
 	}
 	if bd, ok := m.serial.(ByteDecoding); ok {
 		return bd.DecodedBytes()
+	}
+	return 0
+}
+
+// CodeDropStats reports the rows this worker's scanner dropped on dictionary
+// codes.
+func (m *MorselScan) CodeDropStats() int64 {
+	if cd, ok := m.scanner.(CodeDropping); ok {
+		return cd.CodeDroppedRows()
 	}
 	return 0
 }

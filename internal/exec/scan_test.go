@@ -60,15 +60,6 @@ func (s scriptMorsels) NumMorsels() int { return len(s) }
 
 func (s scriptMorsels) Worker() (MorselScanner, error) { return &fakeSource{script: s}, nil }
 
-// scriptSources runs a script through both kinds of morsel source: as
-// morsels, and as the serial stream of the delta path.
-func scriptSources(script []fakeBatch) map[string]MorselSource {
-	return map[string]MorselSource{
-		"morsels": scriptMorsels(script),
-		"serial":  SerialMorselSource(&fakeSource{script: script, end: len(script)}),
-	}
-}
-
 // ridRows drains a one-worker RID-projecting scan over src into (value, rid)
 // pairs, reading logical row i at RowIndex(i) as every operator does.
 func ridRows(t *testing.T, src MorselSource, vecSize int) [][2]int64 {
@@ -98,27 +89,41 @@ func ridRows(t *testing.T, src MorselSource, vecSize int) [][2]int64 {
 	return out
 }
 
-// Row i of a selection is image position start+i, and its number is written
-// where its values are: at RowIndex(i), not at i.
+// checkRIDs drains src and compares its (value, rid) pairs with want.
+func checkRIDs(t *testing.T, name string, src MorselSource, vecSize int, want [][2]int64) {
+	t.Helper()
+	got := ridRows(t, src, vecSize)
+	if len(got) != len(want) {
+		t.Fatalf("%s: got %v, want %v", name, got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: row %d: got (value, rid) %v, want %v (all: %v)", name, i, got[i], want[i], got)
+		}
+	}
+}
+
+// A merger's selection removes deleted rows: its row i is image position
+// start+i. A morsel scanner's selection lists the rows its filters let
+// through: its row p is position start+p. Either way the number is written
+// where the row's values are: at RowIndex(i), not at i.
 func TestMorselScanRIDFollowsSelectionVector(t *testing.T) {
-	script := []fakeBatch{
+	merged := []fakeBatch{
 		{start: 100, vals: []int64{10, 11, 12, 13, 14, 15, 16, 17}, sel: []int32{1, 3, 6}},
 		{start: 103, vals: []int64{20, 21, 22}},
 		{start: 106, vals: []int64{30, 31, 32, 33}, sel: []int32{}}, // all deleted
 		{start: 106, vals: []int64{40, 41}, sel: []int32{1}},
 	}
-	want := [][2]int64{{11, 100}, {13, 101}, {16, 102}, {20, 103}, {21, 104}, {22, 105}, {41, 106}}
-	for name, src := range scriptSources(script) {
-		got := ridRows(t, src, 4) // batches larger than the vector size must fit too
-		if len(got) != len(want) {
-			t.Fatalf("%s: got %v, want %v", name, got, want)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%s: row %d: got (value, rid) %v, want %v (all: %v)", name, i, got[i], want[i], got)
-			}
-		}
+	// Batches larger than the vector size must fit too.
+	checkRIDs(t, "serial", SerialMorselSource(&fakeSource{script: merged, end: len(merged)}), 4,
+		[][2]int64{{11, 100}, {13, 101}, {16, 102}, {20, 103}, {21, 104}, {22, 105}, {41, 106}})
+	filtered := []fakeBatch{
+		{start: 100, vals: []int64{10, 11, 12, 13, 14, 15, 16, 17}, sel: []int32{1, 3, 6}},
+		{start: 108, vals: []int64{20, 21, 22}},
+		{start: 111, vals: []int64{40, 41}, sel: []int32{1}},
 	}
+	checkRIDs(t, "morsels", scriptMorsels(filtered), 4,
+		[][2]int64{{11, 101}, {13, 103}, {16, 106}, {20, 108}, {21, 109}, {22, 110}, {41, 112}})
 }
 
 // A source may fill the caller's vectors on one call and re-point the
@@ -132,18 +137,12 @@ func TestMorselScanRIDSurvivesRealiasedBatch(t *testing.T) {
 		{start: 9, vals: []int64{10, 11, 12}, sel: []int32{0, 2}, realias: true},
 		{start: 11, vals: []int64{13}},
 	}
-	wantVals := []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 13}
-	for name, src := range scriptSources(script) {
-		got := ridRows(t, src, 1024)
-		if len(got) != len(wantVals) {
-			t.Fatalf("%s: got %d rows %v, want %d", name, len(got), got, len(wantVals))
-		}
-		for i, v := range wantVals {
-			if got[i] != [2]int64{v, int64(i)} {
-				t.Fatalf("%s: row %d: got (value, rid) %v, want (%d, %d)", name, i, got[i], v, i)
-			}
-		}
-	}
+	want := [][2]int64{{1, 0}, {2, 1}, {3, 2}, {4, 3}, {5, 4}, {6, 5}, {7, 6}, {8, 7}, {9, 8}}
+	checkRIDs(t, "serial", SerialMorselSource(&fakeSource{script: script, end: len(script)}), 1024,
+		append(want, [2]int64{10, 9}, [2]int64{12, 10}, [2]int64{13, 11}))
+	script[4].start = 12
+	checkRIDs(t, "morsels", scriptMorsels(script), 1024,
+		append(want, [2]int64{10, 9}, [2]int64{12, 11}, [2]int64{13, 12}))
 }
 
 // windowMorsels offers the clustered group window of a table as morsels

@@ -222,6 +222,18 @@ func RemapCols(e Expr, m map[int]int) Expr {
 	})
 }
 
+// MapCols rewrites e's column references through the old→new position map
+// m (m[old] = new), sharing every subtree the map leaves alone; the pruning
+// passes use it to follow a child that dropped columns.
+func MapCols(e Expr, m []int) Expr {
+	return Rewrite(e, func(n Expr) Expr {
+		if c, ok := n.(*ColRef); ok && m[c.Idx] != c.Idx {
+			return Col(m[c.Idx], c.Name, c.T)
+		}
+		return n
+	})
+}
+
 // Equal reports structural equality of two expressions (used by CSE and
 // subquery re-use in the rewriter).
 func Equal(a, b Expr) bool {

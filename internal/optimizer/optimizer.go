@@ -737,9 +737,10 @@ func predSelectivity(p expr.Expr, st *ColStats, _ string) float64 {
 // --- FD-based group-by simplification ---
 
 // simplifyGroupBy drops functionally dependent group columns: grouping on a
-// table's primary key determines every other column of that table, so the
-// extra keys become cheap MAX aggregates instead of widening the hash key.
-// (The paper: "functional dependency tracking ... also benefit Ingres 10".)
+// table's enforced primary key determines every other column of that table,
+// so the extra keys become cheap MAX aggregates instead of widening the hash
+// key. (The paper: "functional dependency tracking ... also benefit Ingres
+// 10".)
 func (o *Optimizer) simplifyGroupBy(n plan.Node) plan.Node {
 	ch := n.Children()
 	newCh := make([]plan.Node, len(ch))
@@ -755,12 +756,16 @@ func (o *Optimizer) simplifyGroupBy(n plan.Node) plan.Node {
 	if keyCols == nil {
 		return n
 	}
-	// Does some group column carry a unique key?
+	// Does some group column carry a unique key? And can every other group
+	// column become a MAX (the NULL decomposition of MAX takes no NULLable
+	// VARCHAR or BOOLEAN)?
 	hasKey := false
+	in := agg.Child.Schema()
 	for _, g := range agg.GroupCols {
 		if keyCols[g] {
 			hasKey = true
-			break
+		} else if t := in.Cols[g].Type; t.Nullable && (t.Kind == types.KindString || t.Kind == types.KindBool) {
+			return n
 		}
 	}
 	if !hasKey {
@@ -841,11 +846,12 @@ func (o *Optimizer) simplifyGroupBy(n plan.Node) plan.Node {
 
 // keyColumns returns the set of child output columns that carry a unique
 // key, or nil when unknown. Tracks keys through Select and column-only
-// Project over a keyed Scan.
+// Project over a keyed Scan. Only a heap table enforces its PRIMARY KEY; a
+// vectorwise table may hold duplicates, so its key proves nothing.
 func keyColumns(n plan.Node) map[int]bool {
 	switch t := n.(type) {
 	case *plan.Scan:
-		if t.Key < 0 {
+		if t.Key < 0 || t.Spec.Structure != "heap" {
 			return nil
 		}
 		return map[int]bool{t.Key: true}

@@ -141,11 +141,9 @@ func TestJoinReorderPutsSmallFirst(t *testing.T) {
 	}
 }
 
-func TestGroupBySimplificationByKey(t *testing.T) {
-	s := mkScan("t", 0, types.Col("pk", types.Int64), types.Col("payload", types.String))
-	agg := &plan.Aggregate{Child: s, GroupCols: []int{0, 1},
-		Aggs: []plan.AggItem{{Fn: "count", Col: -1}}, Names: []string{"pk", "payload", "cnt"}}
-	out := New(nil).Optimize(agg)
+// groupCount reports how many group columns the optimized aggregate keeps.
+func groupCount(t *testing.T, out plan.Node) int {
+	t.Helper()
 	var found *plan.Aggregate
 	var rec func(plan.Node)
 	rec = func(n plan.Node) {
@@ -157,11 +155,36 @@ func TestGroupBySimplificationByKey(t *testing.T) {
 		}
 	}
 	rec(out)
-	if found == nil || len(found.GroupCols) != 1 {
+	if found == nil {
+		t.Fatalf("no aggregate:\n%s", plan.Format(out))
+	}
+	return len(found.GroupCols)
+}
+
+// Grouping on an enforced key (a heap table's PRIMARY KEY) demotes the other
+// group columns to MAX. A vectorwise table's key is not enforced, and MAX
+// takes no NULLable VARCHAR: both keep every group column.
+func TestGroupBySimplificationByKey(t *testing.T) {
+	keyed := func(structure string, payload types.T) *plan.Aggregate {
+		s := mkScan("t", 0, types.Col("pk", types.Int64), types.Col("payload", payload))
+		s.Spec.Structure = structure
+		return &plan.Aggregate{Child: s, GroupCols: []int{0, 1},
+			Aggs: []plan.AggItem{{Fn: "count", Col: -1}}, Names: []string{"pk", "payload", "cnt"}}
+	}
+	out := New(nil).Optimize(keyed("heap", types.String))
+	if groupCount(t, out) != 1 {
 		t.Fatalf("FD simplification missed:\n%s", plan.Format(out))
 	}
 	if out.Schema().Len() != 3 {
 		t.Fatalf("schema shape: %s", out.Schema())
+	}
+	for _, c := range []struct {
+		structure string
+		payload   types.T
+	}{{"vectorwise", types.String}, {"heap", types.String.Null()}, {"heap", types.Bool.Null()}} {
+		if out := New(nil).Optimize(keyed(c.structure, c.payload)); groupCount(t, out) != 2 {
+			t.Errorf("%s table, payload %v: simplified anyway:\n%s", c.structure, c.payload, plan.Format(out))
+		}
 	}
 }
 

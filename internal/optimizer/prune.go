@@ -47,7 +47,7 @@ func prune(n plan.Node, need []bool) (plan.Node, []int) {
 		childNeed := append([]bool(nil), need...)
 		addCols(childNeed, t.Pred)
 		child, m := prune(t.Child, childNeed)
-		return &plan.Select{Child: child, Pred: remapExpr(t.Pred, m)}, m
+		return &plan.Select{Child: child, Pred: expr.MapCols(t.Pred, m)}, m
 
 	case *plan.Project:
 		keep := need
@@ -72,7 +72,7 @@ func prune(n plan.Node, need []bool) (plan.Node, []int) {
 				continue
 			}
 			m[i] = len(out.Exprs)
-			out.Exprs = append(out.Exprs, remapExpr(e, cm))
+			out.Exprs = append(out.Exprs, expr.MapCols(e, cm))
 			out.Names = append(out.Names, t.Names[i])
 		}
 		return out, m
@@ -219,7 +219,7 @@ func pruneJoin(t *plan.Join, need []bool) (plan.Node, []int) {
 	}
 	out := &plan.Join{Kind: t.Kind, Left: left, Right: right}
 	if t.On != nil {
-		out.On = remapExpr(t.On, m)
+		out.On = expr.MapCols(t.On, m)
 	}
 	return out, m[:len(need)]
 }
@@ -246,15 +246,4 @@ func identityMap(n int) []int {
 		m[i] = i
 	}
 	return m
-}
-
-// remapExpr rewrites e's column references through an old→new position map;
-// expr.Rewrite shares every subtree the map leaves alone.
-func remapExpr(e expr.Expr, m []int) expr.Expr {
-	return expr.Rewrite(e, func(n expr.Expr) expr.Expr {
-		if c, ok := n.(*expr.ColRef); ok && m[c.Idx] != c.Idx {
-			return expr.Col(m[c.Idx], c.Name, c.T)
-		}
-		return n
-	})
 }

@@ -267,9 +267,7 @@ func (p *PDT) DeleteAt(rid int64) error {
 		return nil
 	case locMod:
 		// The modify becomes a delete of the same stable row.
-		loc.nd.kind = OpDel
-		loc.nd.mods = nil
-		refreshAggregates(p.root)
+		p.modToDel(loc.nd)
 		mDeletes.Inc()
 		return nil
 	default:
@@ -381,9 +379,7 @@ func (p *PDT) DeleteAtSID(sid int64) error {
 		if nd.kind == OpDel {
 			return fmt.Errorf("pdt: stable row %d already deleted", sid)
 		}
-		nd.kind = OpDel
-		nd.mods = nil
-		refreshAggregates(p.root)
+		p.modToDel(nd)
 		mDeletes.Inc()
 		return nil
 	}
@@ -460,14 +456,24 @@ func popLeftmost(n *node) (*node, *node) {
 	return rebalance(n), leftmost
 }
 
-// refreshAggregates recomputes subtree counts after an in-place kind change.
-func refreshAggregates(n *node) {
-	if n == nil {
-		return
+// modToDel turns the modify node nd into the delete of its stable row, in
+// place, and counts the delete in every subtree that holds nd: the nodes on
+// the path from the root, found by the order insertBySID keeps (a stable
+// row's del/mod node sorts after the inserts anchored at its SID). O(log d).
+func (p *PDT) modToDel(nd *node) {
+	nd.kind = OpDel
+	nd.mods = nil
+	for n := p.root; n != nil; {
+		n.del++
+		switch {
+		case n == nd:
+			return
+		case nd.sid < n.sid:
+			n = n.left
+		default:
+			n = n.right
+		}
 	}
-	refreshAggregates(n.left)
-	refreshAggregates(n.right)
-	n.update()
 }
 
 // Ops returns the deltas as a flat, in-order snapshot (SID-ascending).

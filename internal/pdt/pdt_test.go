@@ -377,3 +377,79 @@ func TestOpsSnapshotOrdering(t *testing.T) {
 		}
 	}
 }
+
+// checkCounts recomputes every node's subtree insert/delete counts from
+// scratch and compares them with what the tree carries.
+func checkCounts(t *testing.T, p *PDT) {
+	t.Helper()
+	var walk func(n *node) (ins, del int)
+	walk = func(n *node) (int, int) {
+		if n == nil {
+			return 0, 0
+		}
+		li, ld := walk(n.left)
+		ri, rd := walk(n.right)
+		ins, del := li+ri+n.selfIns(), ld+rd+n.selfDel()
+		if n.ins != ins || n.del != del {
+			t.Fatalf("node (kind %d, sid %d) counts ins=%d del=%d, recomputed %d %d", n.kind, n.sid, n.ins, n.del, ins, del)
+		}
+		return ins, del
+	}
+	walk(p.root)
+}
+
+// Property: after random streams of inserts, modifies and deletes — by image
+// position and by stable SID, including deletes of modified rows, which turn
+// a node into a delete in place — every node's counts equal a full
+// recompute, and the image still equals the model.
+func TestCountsMatchRecomputeUnderRandomStreams(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 40; trial++ {
+		stable := stableVals(10 + rng.Intn(60))
+		p := New()
+		model := newNaive(stable)
+		for o := 0; o < 150; o++ {
+			size := int64(len(model.rows))
+			switch op := rng.Intn(5); {
+			case op == 0 || size == 0:
+				at := rng.Int63n(size + 1)
+				p.InsertAt(at, row(int64(-o)))
+				model.insert(at, row(int64(-o)))
+			case op == 1:
+				at := rng.Int63n(size)
+				p.ModifyAt(at, 0, types.NewInt64(int64(1000+o)))
+				model.modify(at, 0, types.NewInt64(int64(1000+o)))
+			case op == 2:
+				at := rng.Int63n(size)
+				p.DeleteAt(at)
+				model.delete(at)
+			default:
+				// By SID: modify a stable row, then maybe delete it.
+				sid := rng.Int63n(int64(len(stable)))
+				if p.StableDeleted(sid) {
+					continue
+				}
+				at := sidPosition(p, sid)
+				p.ModifyAtSID(sid, 0, types.NewInt64(int64(2000+o)))
+				model.modify(at, 0, types.NewInt64(int64(2000+o)))
+				if op == 4 {
+					if err := p.DeleteAtSID(sid); err != nil {
+						t.Fatal(err)
+					}
+					model.delete(at)
+				}
+			}
+			checkCounts(t, p)
+		}
+		checkImage(t, stable, p, model)
+	}
+}
+
+// sidPosition is the image position of a visible stable row.
+func sidPosition(p *PDT, sid int64) int64 {
+	for rid := int64(0); ; rid++ {
+		if s, ins := p.Resolve(rid); !ins && s == sid {
+			return rid
+		}
+	}
+}

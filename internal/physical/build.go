@@ -193,9 +193,9 @@ func (b *builder) buildScan(t *algebra.Scan) (Node, error) {
 		sc.ColKinds[i] = info.Physical.Cols[idx].Type.Kind
 	}
 	for _, r := range t.Spec.Ranges {
-		if r.Col < 0 || r.Col >= len(sc.ColIdxs) {
-			return nil, fmt.Errorf("physical: scan of %s has a range on column %d of %d",
-				t.Spec.Table, r.Col, len(sc.ColIdxs))
+		if r.Col < 0 || r.Col >= t.Spec.Cols.Len() || sc.rangeCol(r) < 0 {
+			return nil, fmt.Errorf("physical: scan of %s has a range on column %d, which it does not read",
+				t.Spec.Table, r.Col)
 		}
 	}
 	if info.Structure == "heap" {
@@ -224,6 +224,8 @@ func aggFn(fn string) (exec.AggFn, error) {
 		return exec.AggMax, nil
 	case "avg":
 		return exec.AggAvg, nil
+	case "count_false":
+		return exec.AggCountFalse, nil
 	}
 	return 0, fmt.Errorf("physical: aggregate %q", fn)
 }

@@ -20,6 +20,7 @@ package physical
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"vectorwise/internal/colstore"
@@ -72,19 +73,26 @@ func (c *ScanCols) Kinds() []types.Kind {
 // scanCols marks the scan nodes for the profile renderer.
 func (c *ScanCols) scanCols() *ScanCols { return c }
 
-// Filters resolves the spec's ranges (scan-output positions) to
-// storage-column bounds for the scanner's min/max block skipping. They apply
-// on delta-free paths only; the residual Select above the scan keeps results
-// exact either way.
+// Filters resolves the spec's ranges to storage-column bounds for the
+// scanner's block skipping and code filtering. A range names a column of
+// Spec.Cols; the rewriter may have dropped columns before it from the
+// physical list, so it is found by name. They apply on delta-free paths
+// only; the residual Select above the scan keeps results exact either way.
 func (c *ScanCols) Filters() []colstore.RangeFilter {
 	var out []colstore.RangeFilter
 	for _, r := range c.Spec.Ranges {
 		if r.Lo == nil && r.Hi == nil {
 			continue
 		}
-		out = append(out, colstore.RangeFilter{Col: c.ColIdxs[r.Col], Lo: r.Lo, Hi: r.Hi})
+		out = append(out, colstore.RangeFilter{Col: c.ColIdxs[c.rangeCol(r)], Lo: r.Lo, Hi: r.Hi})
 	}
 	return out
+}
+
+// rangeCol is the position in Cols of a range's column, -1 if the list
+// lacks it.
+func (c *ScanCols) rangeCol(r scanspec.Range) int {
+	return slices.Index(c.Cols, c.Spec.Cols.Cols[r.Col].Name)
 }
 
 // annotations renders the row-id marker of a RID scan, the filters

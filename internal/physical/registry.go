@@ -182,8 +182,10 @@ func (inst *Instance) Stats(n Node) exec.OpStats {
 // counters — the per-operator breakdown PROFILE prints. Scans report the
 // encoded bytes they decoded and how many of the table's physical columns
 // they read (decoded=B bytes cols=k/N); those that saw block skipping
-// additionally report skipped=N/M groups; morsel-scan workers report how
-// many morsels they claimed and how many were stolen from siblings.
+// additionally report skipped=N/M groups, and those whose filters ran on
+// dictionary codes the rows the codes dropped (dropped=N rows on codes);
+// morsel-scan workers report how many morsels they claimed and how many
+// were stolen from siblings.
 func (inst *Instance) RenderProfile() string {
 	return render(inst.Plan, func(n Node) string {
 		st := inst.Stats(n)
@@ -197,6 +199,9 @@ func (inst *Instance) RenderProfile() string {
 			if st.SkippedBytes > 0 {
 				scan += fmt.Sprintf(" (%d bytes)", st.SkippedBytes)
 			}
+		}
+		if st.CodeDropped > 0 {
+			scan += fmt.Sprintf(" dropped=%d rows on codes", st.CodeDropped)
 		}
 		morsels := ""
 		if st.Morsels > 0 {

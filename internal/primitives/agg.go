@@ -149,6 +149,23 @@ func CountTrue(a []bool, sel []int32, n int) int64 {
 	return c
 }
 
+// CountFalse counts the selected unset positions of a bool vector without a
+// branch per value: COUNT(col) over a NULLable column is the count of its
+// false NULL indicators.
+func CountFalse(a []bool, sel []int32, n int) int64 {
+	var c int
+	if sel == nil {
+		for _, v := range a[:n] {
+			c += b2i(!v)
+		}
+		return int64(c)
+	}
+	for _, i := range sel {
+		c += b2i(!a[i])
+	}
+	return int64(c)
+}
+
 // Grouped aggregates. groups must be parallel to the *logical* rows: when
 // sel is non-nil, groups[k] corresponds to row sel[k]; when sel is nil,
 // groups[k] corresponds to row k. This matches how the hash-aggregation
@@ -206,6 +223,20 @@ func CountGrouped(acc []int64, groups []int32, sel []int32, n int) {
 	}
 	for k := range sel {
 		acc[groups[k]]++
+	}
+}
+
+// CountFalseGrouped adds each selected unset position of a bool vector to
+// its group's count, like CountFalse.
+func CountFalseGrouped(acc []int64, groups []int32, a []bool, sel []int32, n int) {
+	if sel == nil {
+		for k, v := range a[:n] {
+			acc[groups[k]] += int64(b2i(!v))
+		}
+		return
+	}
+	for k, i := range sel {
+		acc[groups[k]] += int64(b2i(!a[i]))
 	}
 }
 

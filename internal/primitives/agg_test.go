@@ -169,6 +169,29 @@ func TestCountTrue(t *testing.T) {
 	}
 }
 
+// CountFalse and CountFalseGrouped count exactly the selected false
+// positions, with and without a selection vector.
+func TestCountFalse(t *testing.T) {
+	a := []bool{false, true, false, true, false}
+	sel := []int32{1, 2, 4}
+	if n := CountFalse(a, nil, 4); n != 2 {
+		t.Fatalf("count false: %d", n)
+	}
+	if n := CountFalse(a, sel, 5); n != 2 {
+		t.Fatalf("count false sel: %d", n)
+	}
+	acc := make([]int64, 2)
+	CountFalseGrouped(acc, []int32{0, 1, 1, 0, 1}, a, nil, 5)
+	if acc[0] != 1 || acc[1] != 2 {
+		t.Fatalf("grouped: %v", acc)
+	}
+	acc = make([]int64, 2)
+	CountFalseGrouped(acc, []int32{1, 0, 0}, a, sel, 5) // groups parallel to sel
+	if acc[0] != 2 || acc[1] != 0 {
+		t.Fatalf("grouped sel: %v", acc)
+	}
+}
+
 func TestHashBasics(t *testing.T) {
 	a := []int64{1, 2, 1}
 	h := make([]uint64, 3)

@@ -299,8 +299,8 @@ func decomposeAggr(t *algebra.Aggr) (algebra.Node, ColMap, error) {
 		if idx, ok := nnCount[col]; ok {
 			return idx
 		}
-		nn := add(expr.NewCall("cast_int64", expr.NewCall("not", colE(cm.Ind[col]))), fmt.Sprintf("$nn%d", col))
-		idx := addAgg(algebra.AggItem{Fn: "sum", Col: nn})
+		nn := add(colE(cm.Ind[col]), fmt.Sprintf("$nn%d", col))
+		idx := addAgg(algebra.AggItem{Fn: "count_false", Col: nn})
 		nnCount[col] = idx
 		return idx
 	}
@@ -322,14 +322,9 @@ func decomposeAggr(t *algebra.Aggr) (algebra.Node, ColMap, error) {
 		switch a.Fn {
 		case "count":
 			if a.Col < 0 || !nullable {
-				var col = -1
-				if a.Col >= 0 {
-					col = add(colE(cm.Val[a.Col]), fmt.Sprintf("$c%d", ai))
-				}
-				_ = col
 				p.outPos = addAgg(algebra.AggItem{Fn: "count", Col: -1})
 			} else {
-				// COUNT(col) over nullable = SUM(NOT ind).
+				// COUNT(col) over nullable = COUNT_FALSE(ind).
 				p.outPos = nonNullCountAgg(a.Col)
 			}
 		case "sum":

@@ -1,0 +1,256 @@
+package rewriter
+
+import (
+	"vectorwise/internal/algebra"
+	"vectorwise/internal/expr"
+)
+
+// Column pruning after NULL decomposition. The optimizer prunes logical
+// columns, but decomposition then hands every NULLable column to its scan as
+// a value column plus a BOOLEAN indicator, and some plans read only the
+// indicator: COUNT(col) counts false indicators, `col IS NULL` tests one. A
+// value column no operator reads is dropped from its scan's physical list,
+// so the scan neither fetches nor decodes it.
+//
+// One recursion does both directions, as the optimizer's pruning does: going
+// down it accumulates the set of a node's output columns its ancestors read;
+// coming back up each node is rebuilt over its narrowed children with every
+// positional reference rewritten through the child's old→new position map.
+// Scans and Projects narrow; every other node keeps all its outputs. The
+// root needs all of its columns, so the plan's output layout (and its
+// ColMap) is unchanged.
+
+// pruneDecomposed narrows the scans of a decomposed plan to the columns read.
+func pruneDecomposed(n algebra.Node) algebra.Node {
+	out, _ := pruneNode(n, allOf(n))
+	return out
+}
+
+// allOf is the need set that asks for every output column of n.
+func allOf(n algebra.Node) []bool {
+	need := make([]bool, n.Schema().Len())
+	for i := range need {
+		need[i] = true
+	}
+	return need
+}
+
+// pruneNode rebuilds n to produce at least the columns in need and returns
+// the rebuilt node with the map from n's output positions to the new node's
+// (-1 for a dropped column).
+func pruneNode(n algebra.Node, need []bool) (algebra.Node, []int) {
+	switch t := n.(type) {
+	case *algebra.Scan:
+		return pruneScanOut(t, need)
+
+	case *algebra.Select:
+		childNeed := append([]bool(nil), need...)
+		markCols(childNeed, t.Pred)
+		child, m := pruneNode(t.Child, childNeed)
+		return &algebra.Select{Child: child, Pred: expr.MapCols(t.Pred, m)}, m
+
+	case *algebra.Project:
+		keep := need
+		if !anyOf(keep) && len(keep) > 0 {
+			// Unread, but keep one: a zero-width projection only runs where
+			// the binder made one (under COUNT(*)).
+			keep = make([]bool, len(need))
+			keep[0] = true
+		}
+		childNeed := make([]bool, t.Child.Schema().Len())
+		for i, e := range t.Exprs {
+			if keep[i] {
+				markCols(childNeed, e)
+			}
+		}
+		child, cm := pruneNode(t.Child, childNeed)
+		out := &algebra.Project{Child: child}
+		m := make([]int, len(t.Exprs))
+		for i, e := range t.Exprs {
+			m[i] = -1
+			if keep[i] {
+				m[i] = len(out.Exprs)
+				out.Exprs = append(out.Exprs, expr.MapCols(e, cm))
+				out.Names = append(out.Names, t.Names[i])
+			}
+		}
+		return out, m
+
+	case *algebra.Aggr:
+		childNeed := make([]bool, t.Child.Schema().Len())
+		for _, g := range t.GroupCols {
+			childNeed[g] = true
+		}
+		for _, a := range t.Aggs {
+			if a.Col >= 0 {
+				childNeed[a.Col] = true
+			}
+		}
+		child, m := pruneNode(t.Child, childNeed)
+		out := &algebra.Aggr{Child: child, Names: t.Names,
+			GroupCols: make([]int, len(t.GroupCols)), Aggs: make([]algebra.AggItem, len(t.Aggs))}
+		for i, g := range t.GroupCols {
+			out.GroupCols[i] = m[g]
+		}
+		for i, a := range t.Aggs {
+			if a.Col >= 0 {
+				a.Col = m[a.Col]
+			}
+			out.Aggs[i] = a
+		}
+		return out, identity(len(need))
+
+	case *algebra.HashJoin:
+		return pruneHashJoin(t, need)
+
+	case *algebra.Sort:
+		child, keys, m := pruneSorted(t.Child, t.Keys, need)
+		return &algebra.Sort{Child: child, Keys: keys}, m
+
+	case *algebra.TopN:
+		child, keys, m := pruneSorted(t.Child, t.Keys, need)
+		return &algebra.TopN{Child: child, Keys: keys, N: t.N}, m
+
+	case *algebra.Limit:
+		child, m := pruneNode(t.Child, need)
+		return &algebra.Limit{Child: child, Offset: t.Offset, N: t.N}, m
+	}
+	// Values, unions and any other node keep their children whole, which
+	// keeps every child's positions.
+	ch := n.Children()
+	newCh := make([]algebra.Node, len(ch))
+	for i, c := range ch {
+		newCh[i], _ = pruneNode(c, allOf(c))
+	}
+	return n.WithChildren(newCh), identity(len(need))
+}
+
+// pruneScanOut drops the unread columns of a scan's physical list. Range
+// columns stay (the scanner filters on them), so does the position column of
+// a RID scan, which is made, not stored. A scan nothing reads from (COUNT(*))
+// stays as the optimizer left it: one logical column, the cheapest.
+func pruneScanOut(t *algebra.Scan, need []bool) (algebra.Node, []int) {
+	need = append([]bool(nil), need...)
+	for _, r := range t.Spec.Ranges {
+		need[r.Col] = true // value columns keep their logical positions
+	}
+	stored := len(need)
+	if t.Spec.RID {
+		stored--
+		need[stored] = true
+	}
+	if !anyOf(need[:stored]) {
+		return t, identity(len(need))
+	}
+	out := *t
+	out.Out = out.Out.Clone()
+	out.Out.Cols = out.Out.Cols[:0]
+	m := make([]int, len(need))
+	for i, c := range t.Out.Cols {
+		m[i] = -1
+		if need[i] {
+			m[i] = len(out.Out.Cols)
+			out.Out.Cols = append(out.Out.Cols, c)
+		}
+	}
+	if out.Out.Len() == t.Out.Len() {
+		return t, m
+	}
+	return &out, m
+}
+
+// pruneHashJoin splits need and the join's key and NULL-key columns between
+// the inputs and rebuilds the join over their narrowed outputs.
+func pruneHashJoin(t *algebra.HashJoin, need []bool) (algebra.Node, []int) {
+	nl, nr := t.Left.Schema().Len(), t.Right.Schema().Len()
+	emitsRight := t.Kind == algebra.Inner || t.Kind == algebra.LeftOuter
+	ln, rn := make([]bool, nl), make([]bool, nr)
+	copy(ln, need)
+	if emitsRight {
+		copy(rn, need[nl:])
+	}
+	for _, k := range t.LeftKeys {
+		ln[k] = true
+	}
+	for _, k := range t.RightKeys {
+		rn[k] = true
+	}
+	if t.LeftKeyNull >= 0 {
+		ln[t.LeftKeyNull] = true
+	}
+	if t.RightKeyNull >= 0 {
+		rn[t.RightKeyNull] = true
+	}
+	left, lm := pruneNode(t.Left, ln)
+	right, rm := pruneNode(t.Right, rn)
+	out := *t
+	out.Left, out.Right = left, right
+	out.LeftKeys, out.RightKeys = remapInts(t.LeftKeys, lm), remapInts(t.RightKeys, rm)
+	if t.LeftKeyNull >= 0 {
+		out.LeftKeyNull = lm[t.LeftKeyNull]
+	}
+	if t.RightKeyNull >= 0 {
+		out.RightKeyNull = rm[t.RightKeyNull]
+	}
+	m := append(make([]int, 0, len(need)), lm...)
+	if emitsRight {
+		nlNew := left.Schema().Len()
+		for _, p := range rm {
+			if p >= 0 {
+				p += nlNew
+			}
+			m = append(m, p)
+		}
+		if t.Kind == algebra.LeftOuter && t.WithMatch {
+			m = append(m, nlNew+right.Schema().Len()) // the trailing $match
+		}
+	}
+	return &out, m
+}
+
+func anyOf(set []bool) bool {
+	for _, on := range set {
+		if on {
+			return true
+		}
+	}
+	return false
+}
+
+// markCols marks the columns e references.
+func markCols(set []bool, e expr.Expr) {
+	for _, c := range expr.Cols(e) {
+		set[c] = true
+	}
+}
+
+func identity(n int) []int {
+	m := make([]int, n)
+	for i := range m {
+		m[i] = i
+	}
+	return m
+}
+
+func remapInts(cols []int, m []int) []int {
+	out := make([]int, len(cols))
+	for i, c := range cols {
+		out[i] = m[c]
+	}
+	return out
+}
+
+// pruneSorted prunes the child of a Sort or TopN, which also reads the
+// keys, and remaps the keys.
+func pruneSorted(child algebra.Node, keys []algebra.SortKey, need []bool) (algebra.Node, []algebra.SortKey, []int) {
+	childNeed := append([]bool(nil), need...)
+	for _, k := range keys {
+		childNeed[k.Col] = true
+	}
+	child, m := pruneNode(child, childNeed)
+	out := make([]algebra.SortKey, len(keys))
+	for i, k := range keys {
+		out[i] = algebra.SortKey{Col: m[k.Col], Desc: k.Desc}
+	}
+	return child, out, m
+}

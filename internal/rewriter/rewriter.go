@@ -10,7 +10,9 @@
 //   - NULL decomposition — rewriting every NULLable column into a value
 //     column plus a BOOL indicator column so the kernel stays NULL-
 //     oblivious (claim C6), including the anti-join NULL
-//     intricacies of claim C10,
+//     intricacies of claim C10, then dropping from each scan the value
+//     columns no operator reads (a NULLable column counted or tested for
+//     NULL scans its indicator only),
 //   - the Volcano-style parallelizer — splitting pipelines across cores
 //     with exchange operators (claim C9). Parallel scans are
 //     morsel-driven: the rewriter clones a scan chain into P workers that
@@ -83,6 +85,7 @@ func Rewrite(n algebra.Node, opts Options) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
+		n = pruneDecomposed(n)
 	}
 	if opts.Parallel > 1 {
 		pc := &parCtx{opts: opts}
@@ -327,7 +330,7 @@ func (pc *parCtx) parallelizeAggr(agg *algebra.Aggr) algebra.Node {
 	base := len(agg.GroupCols)
 	for i, a := range agg.Aggs {
 		switch a.Fn {
-		case "count":
+		case "count", "count_false":
 			finals = append(finals, finalSpec{fn: "sum", col: base + len(partialAggs)})
 			partialAggs = append(partialAggs, a)
 		case "sum", "min", "max":

@@ -205,8 +205,9 @@ func TestParallelizeAggr(t *testing.T) {
 
 // A scan's spec travels by pointer: decomposition derives the physical list
 // (values, then the indicators of the NULLable columns) from the spec's
-// pruned schema and leaves ranges and window where they are, and the morsel
-// clones differ only in their stamps.
+// pruned schema, the columns no operator reads drop out of it (COUNT(a)
+// reads a$null only; k stays for its range), ranges and window stay where
+// they are, and the morsel clones differ only in their stamps.
 func TestScanSpecSharedThroughDecomposeAndParallelize(t *testing.T) {
 	scan := scanNode(types.Col("a", types.Int64.Null()), types.Col("k", types.Int64), types.Col("c", types.String.Null()))
 	lo := types.NewInt64(3)
@@ -235,7 +236,7 @@ func TestScanSpecSharedThroughDecomposeAndParallelize(t *testing.T) {
 		if s.Spec != scan.Spec {
 			t.Fatalf("worker %d copied the spec", w)
 		}
-		want := fmt.Sprintf("Scan('t', [a, k, c, a$null, c$null] morsel worker %d/2, ranges=[$1 in [3,+inf]], groups=[1,4)/6)", w)
+		want := fmt.Sprintf("Scan('t', [k, a$null] morsel worker %d/2, ranges=[$1 in [3,+inf]], groups=[1,4)/6)", w)
 		if s.Line() != want {
 			t.Fatalf("worker %d line %q, want %q", w, s.Line(), want)
 		}
@@ -322,7 +323,8 @@ func TestConstantFoldingPass(t *testing.T) {
 
 // The position column of a RID scan is made by the scan operator, so NULL
 // decomposition puts it after everything that is stored — indicators
-// included — and maps the logical column there.
+// included — and maps the logical column there. Pruning never drops it
+// (the unread k goes).
 func TestDecomposeRIDScanTrailsIndicators(t *testing.T) {
 	scan := scanNode(types.Col("k", types.Int64), types.Col("v", types.Float64.Null()))
 	scan.Spec.RID = true
@@ -334,7 +336,7 @@ func TestDecomposeRIDScanTrailsIndicators(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := "Project($rid=$rid, v=v, v$null=v$null)\n  Scan('t', [k, v, v$null, $rid])\n"
+	want := "Project($rid=$rid, v=v, v$null=v$null)\n  Scan('t', [v, v$null, $rid])\n"
 	if got := algebra.Format(res.Node); got != want {
 		t.Fatalf("rewritten:\n%swant:\n%s", got, want)
 	}

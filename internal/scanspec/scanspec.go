@@ -19,8 +19,9 @@ import (
 
 // Range is a sargable restriction of one scan column (a position in
 // Spec.Cols) to the inclusive interval [Lo, Hi]; a nil side is open. Storage
-// uses ranges only to skip row groups by their min/max summaries — the
-// Select the range came from stays in the plan, so results remain exact.
+// uses ranges to skip row groups by their min/max summaries and to drop rows
+// of dictionary-coded strings on their codes — the Select the range came
+// from stays in the plan, so results remain exact.
 type Range struct {
 	Col    int
 	Lo, Hi *types.Value
@@ -59,9 +60,11 @@ type Spec struct {
 	// ones) from this schema, and physical.Build resolves that list to
 	// storage positions.
 	Cols *types.Schema
-	// Ranges are the sargable bounds for row-group skipping (vectorwise scans
-	// only). Value columns keep their positions through NULL decomposition,
-	// so Range.Col is valid against the physical list too.
+	// Ranges are the sargable bounds for row-group skipping and filtering on
+	// dictionary codes (vectorwise scans only). Range.Col is a position in
+	// Cols; the physical list may lack columns before it (the rewriter drops
+	// the value columns no operator reads), so the physical plan finds the
+	// column by name.
 	Ranges []Range
 	// Window is the clustered group interval implied by Ranges, when a range
 	// column is clustered (nil otherwise).
