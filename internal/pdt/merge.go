@@ -43,13 +43,8 @@ type Merger struct {
 }
 
 // NewMerger wraps src — a stream of the table columns cols, in that order —
-// with the deltas of p (snapshotted at call time).
+// with the deltas of p, which must not change while the merger runs.
 func NewMerger(src BatchSource, p *PDT, cols []int) *Merger {
-	return NewMergerOps(src, p.Ops(), cols)
-}
-
-// NewMergerOps is NewMerger over a pre-flattened snapshot.
-func NewMergerOps(src BatchSource, ops []Op, cols []int) *Merger {
 	mMergeScans.Inc()
 	width := 0
 	for _, c := range cols {
@@ -64,7 +59,7 @@ func NewMergerOps(src BatchSource, ops []Op, cols []int) *Merger {
 	for i, c := range cols {
 		srcOf[c] = i
 	}
-	return &Merger{src: src, kinds: src.Kinds(), cols: cols, srcOf: srcOf, ops: ops}
+	return &Merger{src: src, kinds: src.Kinds(), cols: cols, srcOf: srcOf, ops: p.Ops()}
 }
 
 // srcCol maps a table column to its source column, -1 when not projected.
@@ -161,63 +156,74 @@ func (m *Merger) Next(b *vec.Batch) (int64, int, bool, error) {
 
 // mergeRange applies ops (all with SID within the batch's logical rows) to
 // the batch. Logical row i of the batch has image position srcStart+i; the
-// batch may carry a selection vector from a lower merge layer.
+// batch may carry a selection vector from a lower merge layer. Without
+// inserts the rows keep their places: modifies patch a copy, deletes narrow
+// the selection vector.
 func (m *Merger) mergeRange(b *vec.Batch, srcStart int64, n int, ops []Op) *vec.Batch {
-	hasIns := false
+	dels, mods := 0, 0
 	for _, op := range ops {
-		if op.Kind == OpIns {
-			hasIns = true
+		switch op.Kind {
+		case OpIns:
+			return m.splice(b, srcStart, n, ops)
+		case OpDel:
+			dels++
+		case OpMod:
+			if m.touches(op.Mods) {
+				mods++
+			}
 		}
 	}
-	if !hasIns {
-		del := map[int64]bool{}
-		var mods []Op
+	out := b
+	if mods > 0 {
+		// Copy on write: never scribble on the source's decode buffers.
+		out = m.cow(b, n)
 		for _, op := range ops {
-			if op.Kind == OpDel {
-				del[op.SID] = true
-			} else if op.Kind == OpMod && m.touches(op.Mods) {
-				mods = append(mods, op)
+			if op.Kind == OpMod {
+				m.patch(out, int(op.SID-srcStart), op.Mods)
 			}
 		}
-		hasMod := len(mods) > 0
-		if !hasMod && len(del) == 0 {
-			// Only columns this stream does not carry were modified.
-			return b
-		}
-		if m.selBuf == nil {
-			// Never nil: an empty selection means "no rows", nil means
-			// "all rows".
-			m.selBuf = make([]int32, 0, n)
-		}
-		if !hasMod {
-			// Deletes only: narrow the selection vector, zero copy.
-			m.selBuf = m.selBuf[:0]
-			for i := 0; i < n; i++ {
-				if !del[srcStart+int64(i)] {
-					m.selBuf = append(m.selBuf, int32(b.RowIndex(i)))
-				}
-			}
-			b.Sel = m.selBuf
-			return b
-		}
-		// Modifies (and maybe deletes): copy-on-write into a dense batch.
-		out := m.cow(b, n)
-		for _, op := range mods {
-			m.patch(out, int(op.SID-srcStart), op.Mods)
-		}
-		m.selBuf = m.selBuf[:0]
-		for i := 0; i < n; i++ {
-			if !del[srcStart+int64(i)] {
-				m.selBuf = append(m.selBuf, int32(i))
-			}
-		}
-		out.Sel = m.selBuf
-		if len(m.selBuf) == n {
-			out.Sel = nil
-		}
-		return out
 	}
-	// Slow path with inserts: assemble row-wise in image order.
+	if dels > 0 {
+		out.Sel = m.dropDeleted(out.Sel, srcStart, n, ops)
+	}
+	return out
+}
+
+// dropDeleted returns the selection of the n logical rows (sel, or all of
+// them when sel is nil) minus those ops delete, copying the runs between
+// the SID-sorted deletes into the merger's selection buffer.
+func (m *Merger) dropDeleted(sel []int32, srcStart int64, n int, ops []Op) []int32 {
+	if m.selBuf == nil {
+		// Never nil: an empty selection means "no rows", nil means "all rows".
+		m.selBuf = make([]int32, 0, n)
+	}
+	keep := m.selBuf[:0]
+	from := 0
+	for _, op := range ops {
+		if op.Kind == OpDel {
+			to := int(op.SID - srcStart)
+			keep = appendRun(keep, sel, from, to)
+			from = to + 1
+		}
+	}
+	m.selBuf = appendRun(keep, sel, from, n)
+	return m.selBuf
+}
+
+// appendRun appends the physical indexes of logical rows [from, to).
+func appendRun(dst, sel []int32, from, to int) []int32 {
+	if sel != nil {
+		return append(dst, sel[from:to]...)
+	}
+	for i := from; i < to; i++ {
+		dst = append(dst, int32(i))
+	}
+	return dst
+}
+
+// splice is the path with inserts: it assembles the batch row-wise in image
+// order.
+func (m *Merger) splice(b *vec.Batch, srcStart int64, n int, ops []Op) *vec.Batch {
 	out := m.splicedBatch(n + len(ops))
 	oi := 0
 	k := 0
@@ -248,7 +254,7 @@ func (m *Merger) mergeRange(b *vec.Batch, srcStart int64, n int, ops []Op) *vec.
 		}
 		p := b.RowIndex(i)
 		for c := range out.Vecs {
-			out.Vecs[c].Set(oi, b.Vecs[c].Get(p))
+			out.Vecs[c].CopyRow(oi, b.Vecs[c], p)
 		}
 		m.patch(out, oi, mods)
 		oi++

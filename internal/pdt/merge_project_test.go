@@ -189,66 +189,111 @@ func TestProjectedMergeInsertSpliceAndTail(t *testing.T) {
 	checkProjected(t, stable, p, model)
 }
 
-// Random ops, two stacked layers (snapshot read-PDT, then write-PDT), every
-// projection: the merged stream equals the projection of the model.
+// Random ops, two stacked layers (snapshot read-PDT, then write-PDT), a
+// random projection and batch size: the merged stream equals the
+// projection of the model. The same check runs under FuzzMergerAgainstModel.
 func TestProjectedMergeRandomStacked(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	for round := 0; round < 30; round++ {
-		model := wideStable(40)
-		stable := append([][]types.Value(nil), model.rows...)
-		layers := []*PDT{New(), New()}
-		for _, p := range layers {
-			for i := 0; i < 12; i++ {
-				n := int64(len(model.rows))
-				switch k := rng.Intn(3); {
-				case k == 0 || n == 0:
-					at, row := rng.Int63n(n+1), wideRow(1000+rng.Int63n(100))
-					if err := p.InsertAt(at, row); err != nil {
-						t.Fatal(err)
-					}
-					model.insert(at, row)
-				case k == 1:
-					at := rng.Int63n(n)
-					if err := p.DeleteAt(at); err != nil {
-						t.Fatal(err)
-					}
-					model.delete(at)
-				default:
-					at, col := rng.Int63n(n), rng.Intn(4)
-					v := wideRow(2000 + rng.Int63n(100))[col]
-					if err := p.ModifyAt(at, col, v); err != nil {
-						t.Fatal(err)
-					}
-					model.modify(at, col, v)
-				}
-			}
-		}
-		for _, cols := range [][]int{{0, 1, 2, 3}, {1}, {3, 2}} {
-			src := &wideSource{rows: stable, cols: cols, batch: 7}
-			m := NewMerger(NewMerger(src, layers[0], cols), layers[1], cols)
-			out := vec.NewBatch(m.Kinds(), 0)
-			at := 0
-			for {
-				_, n, done, err := m.Next(out)
-				if err != nil {
+	for round := 0; round < 100; round++ {
+		data := make([]byte, 64+rng.Intn(192))
+		rng.Read(data)
+		checkStacked(t, data)
+	}
+}
+
+// FuzzMergerAgainstModel is TestProjectedMergeRandomStacked driven by fuzz
+// bytes instead of a seeded generator.
+func FuzzMergerAgainstModel(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{40, 0, 4, 6, 12, 0, 5, 1, 7, 2, 9, 3, 1, 12, 2, 3, 0, 1, 4, 2, 2, 1, 8})
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 4; i++ {
+		data := make([]byte, 200)
+		rng.Read(data)
+		f.Add(data)
+	}
+	f.Fuzz(checkStacked)
+}
+
+// choices hands out small decisions from a byte string; once it runs out,
+// every decision is 0.
+type choices []byte
+
+func (c *choices) next(n int) int {
+	if len(*c) == 0 {
+		return 0
+	}
+	v := int((*c)[0]) % n
+	*c = (*c)[1:]
+	return v
+}
+
+// checkStacked builds a stable table, two PDT layers of random inserts,
+// deletes and modifies, a projection and a batch size from data, and
+// compares the stacked merge with the row model.
+func checkStacked(t *testing.T, data []byte) {
+	c := choices(data)
+	model := wideStable(c.next(48))
+	stable := append([][]types.Value(nil), model.rows...)
+	order := rand.New(rand.NewSource(int64(c.next(256)))).Perm(4)
+	cols := order[:1+c.next(4)]
+	batch := 1 + c.next(16)
+	layers := []*PDT{New(), New()}
+	for _, p := range layers {
+		for i, ops := 0, c.next(24); i < ops; i++ {
+			n := int64(len(model.rows))
+			switch k := c.next(3); {
+			case k == 0 || n == 0:
+				at, row := int64(c.next(int(n)+1)), wideRow(int64(1000+c.next(100)))
+				if err := p.InsertAt(at, row); err != nil {
 					t.Fatal(err)
 				}
-				if done {
-					break
+				model.insert(at, row)
+			case k == 1:
+				at := int64(c.next(int(n)))
+				if err := p.DeleteAt(at); err != nil {
+					t.Fatal(err)
 				}
-				for i := 0; i < n; i++ {
-					got := out.GetRow(i)
-					for j, c := range cols {
-						if want := model.rows[at][c]; fmt.Sprint(got[j]) != fmt.Sprint(want) {
-							t.Fatalf("round %d cols=%v row %d col %d: %v, want %v", round, cols, at, c, got[j], want)
-						}
-					}
-					at++
+				model.delete(at)
+			default:
+				at, col := int64(c.next(int(n))), c.next(4)
+				v := wideRow(int64(2000 + c.next(100)))[col]
+				if err := p.ModifyAt(at, col, v); err != nil {
+					t.Fatal(err)
 				}
-			}
-			if at != len(model.rows) {
-				t.Fatalf("round %d cols=%v: %d rows, want %d", round, cols, at, len(model.rows))
+				model.modify(at, col, v)
 			}
 		}
+	}
+	src := &wideSource{rows: stable, cols: cols, batch: batch}
+	m := NewMerger(NewMerger(src, layers[0], cols), layers[1], cols)
+	out := vec.NewBatch(m.Kinds(), 0)
+	at := 0
+	for {
+		start, n, done, err := m.Next(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if done {
+			break
+		}
+		if start != int64(at) {
+			t.Fatalf("cols=%v batch=%d: a batch starts at %d, want %d", cols, batch, start, at)
+		}
+		for i := 0; i < n; i++ {
+			if at >= len(model.rows) {
+				t.Fatalf("cols=%v batch=%d: more than %d rows", cols, batch, len(model.rows))
+			}
+			got := out.GetRow(i)
+			for j, col := range cols {
+				if want := model.rows[at][col]; fmt.Sprint(got[j]) != fmt.Sprint(want) {
+					t.Fatalf("cols=%v batch=%d row %d col %d: %v, want %v", cols, batch, at, col, got[j], want)
+				}
+			}
+			at++
+		}
+	}
+	if at != len(model.rows) {
+		t.Fatalf("cols=%v batch=%d: %d rows, want %d", cols, batch, at, len(model.rows))
 	}
 }

@@ -17,10 +17,15 @@
 // PDTs layer: a transaction's private write-PDT sits on top of the shared
 // read-PDT, whose image in turn overlays the stable table. Commit replays
 // one layer's ops onto the layer below (see the txn package).
+//
+// A PDT is not locked: any number of goroutines may read a tree (Ops fills
+// its cache under a lock of its own), but its owner must not change a tree
+// while anybody reads it.
 package pdt
 
 import (
 	"fmt"
+	"sync"
 
 	"vectorwise/internal/types"
 )
@@ -61,6 +66,9 @@ type node struct {
 type PDT struct {
 	root *node
 	ops  int
+
+	flatMu sync.Mutex
+	flat   []Op // Ops of the current tree; nil until asked for, and after every change
 }
 
 // New creates an empty PDT.
@@ -221,6 +229,7 @@ func (p *PDT) InsertAt(rid int64, row []types.Value) error {
 	if rid < 0 {
 		return fmt.Errorf("pdt: insert at negative position %d", rid)
 	}
+	p.flat = nil
 	r := make([]types.Value, len(row))
 	copy(r, row)
 	nn := &node{kind: OpIns, row: r, height: 1, ins: 1}
@@ -258,6 +267,7 @@ func (p *PDT) DeleteAt(rid int64) error {
 	if rid < 0 {
 		return fmt.Errorf("pdt: delete at negative position %d", rid)
 	}
+	p.flat = nil
 	loc := p.locate(rid)
 	switch loc.kind {
 	case locIns:
@@ -284,6 +294,7 @@ func (p *PDT) ModifyAt(rid int64, col int, v types.Value) error {
 	if rid < 0 {
 		return fmt.Errorf("pdt: modify at negative position %d", rid)
 	}
+	p.flat = nil
 	loc := p.locate(rid)
 	switch loc.kind {
 	case locIns:
@@ -329,6 +340,7 @@ func insertBySID(n, nn *node) *node {
 // InsertAtSID inserts a row anchored immediately before stable row sid,
 // after any inserts already anchored there (commit order).
 func (p *PDT) InsertAtSID(sid int64, row []types.Value) {
+	p.flat = nil
 	r := make([]types.Value, len(row))
 	copy(r, row)
 	nn := &node{kind: OpIns, sid: sid, row: r, height: 1, ins: 1}
@@ -375,6 +387,7 @@ func (p *PDT) findStableOp(sid int64) *node {
 // DeleteAtSID marks stable row sid deleted. Deleting an already-deleted row
 // is an error (the txn layer's conflict check prevents it).
 func (p *PDT) DeleteAtSID(sid int64) error {
+	p.flat = nil
 	if nd := p.findStableOp(sid); nd != nil {
 		if nd.kind == OpDel {
 			return fmt.Errorf("pdt: stable row %d already deleted", sid)
@@ -392,6 +405,7 @@ func (p *PDT) DeleteAtSID(sid int64) error {
 
 // ModifyAtSID updates one column of stable row sid.
 func (p *PDT) ModifyAtSID(sid int64, col int, v types.Value) error {
+	p.flat = nil
 	if nd := p.findStableOp(sid); nd != nil {
 		if nd.kind == OpDel {
 			return fmt.Errorf("pdt: stable row %d is deleted", sid)
@@ -476,8 +490,20 @@ func (p *PDT) modToDel(nd *node) {
 	}
 }
 
-// Ops returns the deltas as a flat, in-order snapshot (SID-ascending).
+// Ops returns the deltas as a flat, in-order snapshot (SID-ascending). The
+// slice is computed once per state of the tree and shared by every caller:
+// read it, never write it. Its rows and modify maps are the tree's own, so
+// the snapshot stays valid only until the tree changes.
 func (p *PDT) Ops() []Op {
+	p.flatMu.Lock()
+	defer p.flatMu.Unlock()
+	if p.flat == nil {
+		p.flat = p.flatten()
+	}
+	return p.flat
+}
+
+func (p *PDT) flatten() []Op {
 	out := make([]Op, 0, p.ops)
 	var walk func(n *node)
 	walk = func(n *node) {
@@ -499,8 +525,9 @@ func (p *PDT) Ops() []Op {
 	return out
 }
 
-// Clone returns a structural copy sharing no mutable nodes; snapshots for
-// readers while writers continue (the read-PDT versioning trick).
+// Clone returns a structural copy sharing no mutable nodes: what a commit
+// changes when snapshots still read the tree it would otherwise change in
+// place (the read-PDT versioning trick).
 func (p *PDT) Clone() *PDT {
 	var cp func(n *node) *node
 	cp = func(n *node) *node {

@@ -398,10 +398,26 @@ func checkCounts(t *testing.T, p *PDT) {
 	walk(p.root)
 }
 
+// checkOpsCache compares the cached Ops with a fresh walk of the tree: a
+// change that forgot to drop the cache leaves them different.
+func checkOpsCache(t *testing.T, p *PDT) {
+	t.Helper()
+	cached, fresh := p.Ops(), p.flatten()
+	if len(cached) != len(fresh) {
+		t.Fatalf("Ops has %d ops, the tree %d", len(cached), len(fresh))
+	}
+	for i := range fresh {
+		if cached[i].Kind != fresh[i].Kind || cached[i].SID != fresh[i].SID {
+			t.Fatalf("op %d is %v, the tree has %v", i, cached[i], fresh[i])
+		}
+	}
+}
+
 // Property: after random streams of inserts, modifies and deletes — by image
 // position and by stable SID, including deletes of modified rows, which turn
 // a node into a delete in place — every node's counts equal a full
-// recompute, and the image still equals the model.
+// recompute, the cached Ops equal the tree, and the image still equals the
+// model.
 func TestCountsMatchRecomputeUnderRandomStreams(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 40; trial++ {
@@ -410,7 +426,7 @@ func TestCountsMatchRecomputeUnderRandomStreams(t *testing.T) {
 		model := newNaive(stable)
 		for o := 0; o < 150; o++ {
 			size := int64(len(model.rows))
-			switch op := rng.Intn(5); {
+			switch op := rng.Intn(6); {
 			case op == 0 || size == 0:
 				at := rng.Int63n(size + 1)
 				p.InsertAt(at, row(int64(-o)))
@@ -423,6 +439,15 @@ func TestCountsMatchRecomputeUnderRandomStreams(t *testing.T) {
 				at := rng.Int63n(size)
 				p.DeleteAt(at)
 				model.delete(at)
+			case op == 5:
+				// By SID: an insert lands right before the stable row.
+				sid := rng.Int63n(int64(len(stable)))
+				if p.StableDeleted(sid) {
+					continue
+				}
+				at := sidPosition(p, sid)
+				p.InsertAtSID(sid, row(int64(-3000-o)))
+				model.insert(at, row(int64(-3000-o)))
 			default:
 				// By SID: modify a stable row, then maybe delete it.
 				sid := rng.Int63n(int64(len(stable)))
@@ -433,6 +458,7 @@ func TestCountsMatchRecomputeUnderRandomStreams(t *testing.T) {
 				p.ModifyAtSID(sid, 0, types.NewInt64(int64(2000+o)))
 				model.modify(at, 0, types.NewInt64(int64(2000+o)))
 				if op == 4 {
+					checkOpsCache(t, p)
 					if err := p.DeleteAtSID(sid); err != nil {
 						t.Fatal(err)
 					}
@@ -440,6 +466,7 @@ func TestCountsMatchRecomputeUnderRandomStreams(t *testing.T) {
 				}
 			}
 			checkCounts(t, p)
+			checkOpsCache(t, p)
 		}
 		checkImage(t, stable, p, model)
 	}

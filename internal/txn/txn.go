@@ -6,8 +6,9 @@
 //   - the *stable* table (internal/colstore) is immutable,
 //   - the shared *read-PDT* holds all committed deltas since the last
 //     checkpoint,
-//   - each transaction gets a snapshot (stable + read-PDT clone) plus a
-//     private *write-PDT*; its own scans see stable ∘ snapshot ∘ write,
+//   - each transaction gets a snapshot (stable + the published read-PDT,
+//     shared by pointer and immutable while anyone reads it) plus a private
+//     *write-PDT*; its own scans see stable ∘ snapshot ∘ write,
 //   - commit validates positionally (first-committer-wins on stable rows)
 //     and replays the write-PDT onto the shared read-PDT by stable SID,
 //   - a checkpoint merges the read-PDT into a new stable table in the
@@ -49,9 +50,15 @@ var ErrClosed = errors.New("txn: transaction already committed or aborted")
 
 // Store is one table's transactional state.
 type Store struct {
-	mu      sync.Mutex
-	stable  *colstore.Table
+	mu     sync.Mutex
+	stable *colstore.Table
+	// read is the published version of the committed deltas. Snapshots and
+	// a running checkpoint share it by pointer, and readers counts them. A
+	// commit changes read in place only when readers is 0, and publishes a
+	// changed clone otherwise (see writable): a tree anybody reads never
+	// changes.
 	read    *pdt.PDT
+	readers int
 	seq     int64 // commit sequence
 	epoch   int64 // checkpoint epoch
 	commits []commitRecord
@@ -103,7 +110,7 @@ func (s *Store) LastWalSeq() uint64 {
 func (s *Store) ApplyRecovered(rec *wal.Record) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := applyOps(s.read, rec.Ops); err != nil {
+	if err := applyOps(s.writable(), rec.Ops); err != nil {
 		return fmt.Errorf("txn: replaying wal record %d: %w", rec.Seq, err)
 	}
 	s.seq++
@@ -155,12 +162,13 @@ func (s *Store) Begin() *Txn {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.active++
+	s.readers++
 	return &Txn{
 		store:      s,
 		snapSeq:    s.seq,
 		snapEpoch:  s.epoch,
 		snapStable: s.stable,
-		snapRead:   s.read.Clone(),
+		snapRead:   s.read,
 		write:      pdt.New(),
 		touched:    make(map[int64]struct{}),
 	}
@@ -182,22 +190,25 @@ func (t *Txn) DeltaFree() bool { return t.snapRead.Len() == 0 && t.write.Len() =
 
 // Scan returns a positional batch source over the cols projection of the
 // transaction's image, in order: stable table merged with the snapshot
-// read-PDT merged with the private write-PDT. Merging is positional, so
-// every stable row flows — no block skipping — but only the projected
-// columns are decoded: the mergers read inserted rows and modifies through
-// the same projection.
+// read-PDT merged with the private write-PDT, each merge layer left out
+// when its PDT is empty. Merging is positional, so every stable row flows
+// — no block skipping — but only the projected columns are decoded: the
+// mergers read inserted rows and modifies through the same projection.
 func (t *Txn) Scan(cols []int, vecSize int) (pdt.BatchSource, error) {
 	if t.done {
 		return nil, ErrClosed
-	}
-	if t.DeltaFree() {
-		return t.snapStable.NewScanner(cols, vecSize)
 	}
 	sc, err := t.snapStable.NewScanner(cols, vecSize)
 	if err != nil {
 		return nil, err
 	}
-	return pdt.NewMerger(pdt.NewMerger(sc, t.snapRead, cols), t.write, cols), nil
+	var src pdt.BatchSource = sc
+	for _, layer := range [...]*pdt.PDT{t.snapRead, t.write} {
+		if layer.Len() > 0 {
+			src = pdt.NewMerger(src, layer, cols)
+		}
+	}
+	return src, nil
 }
 
 // InsertRow appends a row at the end of the transaction's image.
@@ -272,6 +283,7 @@ func (t *Txn) Abort() {
 	t.done = true
 	t.store.mu.Lock()
 	t.store.active--
+	t.store.release(t.snapRead)
 	t.store.mu.Unlock()
 	if t.write.Len() > 0 {
 		mAborts.Inc()
@@ -288,6 +300,7 @@ func (t *Txn) Commit() error {
 	defer s.mu.Unlock()
 	t.done = true
 	s.active--
+	s.release(t.snapRead)
 	if t.write.Len() == 0 {
 		mCommits.Inc()
 		return nil // read-only
@@ -342,7 +355,7 @@ func (t *Txn) Commit() error {
 		}
 		s.lastWalSeq = seq
 	}
-	if err := applyOps(s.read, ops); err != nil {
+	if err := applyOps(s.writable(), ops); err != nil {
 		return err
 	}
 	s.seq++
@@ -351,6 +364,25 @@ func (t *Txn) Commit() error {
 	}
 	mCommits.Inc()
 	return nil
+}
+
+// release drops a snapshot of read. Only snapshots of the published version
+// are counted: a version a commit or checkpoint has replaced is never
+// changed again. Called with s.mu held.
+func (s *Store) release(read *pdt.PDT) {
+	if read == s.read {
+		s.readers--
+	}
+}
+
+// writable returns the read-PDT a commit may change in place: the published
+// one when nobody reads it, otherwise a fresh clone that replaces it, so
+// the snapshots keep the version they began on. Called with s.mu held.
+func (s *Store) writable() *pdt.PDT {
+	if s.readers > 0 {
+		s.read, s.readers = s.read.Clone(), 0
+	}
+	return s.read
 }
 
 // positionalOps flattens a write-PDT into positional wal ops, baking in the
@@ -485,44 +517,21 @@ func (s *Store) Checkpoint() error {
 		s.mu.Unlock()
 		return nil
 	}
-	stable := s.stable
-	// Deep-copy the delta snapshot: commits arriving during the rebuild
-	// mutate read-PDT nodes in place.
-	ops := s.read.Clone().Ops()
-	seqAtStart := s.seq
+	// Read the published version like a snapshot does: counted as a reader,
+	// it stays unchanged while commits arriving during the rebuild publish
+	// changed clones.
+	stable, read, seqAtStart := s.stable, s.read, s.seq
+	s.readers++
 	s.mu.Unlock()
 
-	// Rebuild outside the lock from an immutable snapshot.
-	full := make([]int, stable.Schema().Len())
-	for i := range full {
-		full[i] = i
-	}
-	sc, err := stable.NewScanner(full, vec.DefaultSize)
-	if err != nil {
-		return err
-	}
-	merged := pdt.NewMergerOps(sc, ops, full)
-	fresh := colstore.NewTable(stable.Schema())
-	ap := fresh.NewAppender()
-	b := vec.NewBatch(merged.Kinds(), 0)
-	for {
-		_, _, done, err := merged.Next(b)
-		if err != nil {
-			return err
-		}
-		if done {
-			break
-		}
-		if err := ap.AppendBatch(b); err != nil {
-			return err
-		}
-	}
-	if err := ap.Close(); err != nil {
-		return err
-	}
+	fresh, err := rebuild(stable, read)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.release(read)
+	if err != nil {
+		return err
+	}
 	// Commits that landed while we rebuilt would be lost; retry covers the
 	// race. (Vectorwise overlaps these; we keep the simple retry variant.)
 	if s.seq != seqAtStart {
@@ -541,9 +550,41 @@ func (s *Store) Checkpoint() error {
 		}
 	}
 	s.stable = fresh
-	s.read = pdt.New()
+	s.read, s.readers = pdt.New(), 0
 	s.epoch++
 	s.commits = nil
 	mCheckpoints.Inc()
 	return nil
+}
+
+// rebuild writes the image of stable merged with read into a new table.
+func rebuild(stable *colstore.Table, read *pdt.PDT) (*colstore.Table, error) {
+	full := make([]int, stable.Schema().Len())
+	for i := range full {
+		full[i] = i
+	}
+	sc, err := stable.NewScanner(full, vec.DefaultSize)
+	if err != nil {
+		return nil, err
+	}
+	merged := pdt.NewMerger(sc, read, full)
+	fresh := colstore.NewTable(stable.Schema())
+	ap := fresh.NewAppender()
+	b := vec.NewBatch(merged.Kinds(), 0)
+	for {
+		_, _, done, err := merged.Next(b)
+		if err != nil {
+			return nil, err
+		}
+		if done {
+			break
+		}
+		if err := ap.AppendBatch(b); err != nil {
+			return nil, err
+		}
+	}
+	if err := ap.Close(); err != nil {
+		return nil, err
+	}
+	return fresh, nil
 }

@@ -11,7 +11,7 @@ import (
 	"vectorwise/internal/vec"
 )
 
-func newStore(t *testing.T, rows int) *Store {
+func newStore(t testing.TB, rows int) *Store {
 	t.Helper()
 	schema := types.NewSchema(types.Col("id", types.Int64), types.Col("name", types.String))
 	tab := colstore.NewTable(schema)
