@@ -240,8 +240,10 @@ func (t *Table) CompressedBytes() int64 {
 
 // Appender buffers rows and flushes full row groups into the table.
 type Appender struct {
-	t   *Table
-	buf *vec.Batch
+	t    *Table
+	buf  *vec.Batch
+	enc  compress.Encoder
+	wide []int64 // INT, DATE, DOUBLE and BOOL values widened for enc
 }
 
 // NewAppender creates an appender for t.
@@ -300,7 +302,7 @@ func (a *Appender) Flush() error {
 	blks := make([]Block, len(t.cols))
 	for c := range t.cols {
 		var err error
-		if blks[c], err = encodeBlock(t.cols[c].Type.Kind, a.buf.Vecs[c], n); err != nil {
+		if blks[c], err = a.encodeBlock(t.cols[c].Type.Kind, a.buf.Vecs[c], n); err != nil {
 			return err
 		}
 	}
@@ -322,25 +324,30 @@ func (a *Appender) Flush() error {
 // Close flushes any partial row group.
 func (a *Appender) Close() error { return a.Flush() }
 
-// encodeBlock compresses n leading values of v.
-func encodeBlock(kind types.Kind, v *vec.Vector, n int) (Block, error) {
+// encodeBlock compresses n leading values of v. The widening buffer and the
+// encoder's working memory are the appender's, reused block after block.
+func (a *Appender) encodeBlock(kind types.Kind, v *vec.Vector, n int) (Block, error) {
 	blk := Block{Rows: n}
+	if cap(a.wide) < n {
+		a.wide = make([]int64, n)
+	}
+	wide := a.wide[:n]
 	switch kind {
 	case types.KindInt32, types.KindDate:
-		tmp := make([]int64, n)
+		tmp := wide
 		for i := 0; i < n; i++ {
 			tmp[i] = int64(v.I32[i])
 		}
-		blk.Data, blk.Codec = compress.ChooseInt64(nil, tmp)
+		blk.Data, blk.Codec = a.enc.ChooseInt64(nil, tmp)
 		lo, hi := minMaxI64(tmp)
 		blk.Min, blk.Max = mkIntVal(kind, lo), mkIntVal(kind, hi)
 	case types.KindInt64:
 		tmp := v.I64[:n]
-		blk.Data, blk.Codec = compress.ChooseInt64(nil, tmp)
+		blk.Data, blk.Codec = a.enc.ChooseInt64(nil, tmp)
 		lo, hi := minMaxI64(tmp)
 		blk.Min, blk.Max = types.NewInt64(lo), types.NewInt64(hi)
 	case types.KindFloat64:
-		tmp := make([]int64, n)
+		tmp := wide
 		lo, hi := math.Inf(1), math.Inf(-1)
 		hasNaN := false
 		for i := 0; i < n; i++ {
@@ -364,24 +371,25 @@ func encodeBlock(kind types.Kind, v *vec.Vector, n int) (Block, error) {
 			// the summary to ±Inf so NaN-carrying blocks are never skipped.
 			lo, hi = math.Inf(-1), math.Inf(1)
 		}
-		blk.Data, blk.Codec = compress.ChooseInt64(nil, tmp)
+		blk.Data, blk.Codec = a.enc.ChooseInt64(nil, tmp)
 		blk.Min, blk.Max = types.NewFloat64(lo), types.NewFloat64(hi)
 	case types.KindBool:
-		tmp := make([]int64, n)
+		tmp := wide
 		anyT, anyF := false, false
 		for i := 0; i < n; i++ {
 			if v.Bool[i] {
 				tmp[i] = 1
 				anyT = true
 			} else {
+				tmp[i] = 0
 				anyF = true
 			}
 		}
-		blk.Data, blk.Codec = compress.ChooseInt64(nil, tmp)
+		blk.Data, blk.Codec = a.enc.ChooseInt64(nil, tmp)
 		blk.Min, blk.Max = types.NewBool(!anyF), types.NewBool(anyT)
 	case types.KindString:
 		tmp := v.Str[:n]
-		blk.Data, blk.Codec = compress.ChooseString(nil, tmp)
+		blk.Data, blk.Codec = a.enc.ChooseString(nil, tmp)
 		lo, hi := tmp[0], tmp[0]
 		for _, s := range tmp {
 			if s < lo {

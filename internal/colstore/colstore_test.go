@@ -447,3 +447,32 @@ func TestScanStartPositions(t *testing.T) {
 		t.Fatalf("total = %d", prevEnd)
 	}
 }
+
+// Encoding a block allocates a small constant — the block's bytes — however
+// many rows it holds: the widening buffer and the encoder's working memory
+// are the appender's.
+func TestEncodeBlockAllocations(t *testing.T) {
+	schema := testSchema()
+	ap := NewTable(schema).NewAppender()
+	b := vec.NewBatchFromSchema(schema, BlockRows)
+	modes := []string{"AIR", "RAIL", "SHIP"}
+	for r := 0; r < BlockRows; r++ {
+		b.Vecs[0].I64[r] = int64(r * 7 % 1000)
+		b.Vecs[1].I32[r] = int32(r % 50)
+		b.Vecs[2].F64[r] = float64(r) * 0.25
+		b.Vecs[3].Str[r] = modes[r%3]
+		b.Vecs[4].I32[r] = int32(10000 + r/100)
+		b.Vecs[5].Bool[r] = r%2 == 0
+	}
+	for c, col := range schema.Cols {
+		kind := col.Type.Kind
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := ap.encodeBlock(kind, b.Vecs[c], BlockRows); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 2 { // 1, and 2 under the race detector
+			t.Errorf("encoding a %v block of %d rows: %.0f allocations, want at most 2", kind, BlockRows, allocs)
+		}
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -181,6 +182,79 @@ func FuzzDictCodes(f *testing.F) {
 			if in := int32(c) >= from && int32(c) < to; in != (lo <= v && v <= hi) {
 				t.Fatalf("entry %d (%q) in [%d, %d) is %v for [%q, %q]", c, v, from, to, in, lo, hi)
 			}
+		}
+	})
+}
+
+// fuzzInts decodes fuzz bytes into a block: data[0] picks how many bytes
+// (1 to 8) make a value and whether the values are running sums, so the
+// fuzzer reaches narrow, wide, sorted and outlier-ridden blocks alike; the
+// rest are the values, little-endian and sign-extended.
+func fuzzInts(data []byte) []int64 {
+	if len(data) == 0 {
+		return nil
+	}
+	k, sums := int(data[0]%8)+1, data[0]&8 != 0
+	data = data[1:]
+	vals := make([]int64, 0, len(data)/k)
+	var acc int64
+	for ; len(data) >= k; data = data[k:] {
+		var u uint64
+		for i := k - 1; i >= 0; i-- {
+			u = u<<8 | uint64(data[i])
+		}
+		v := int64(u<<(64-8*k)) >> (64 - 8*k)
+		if sums {
+			acc += v
+			v = acc
+		}
+		vals = append(vals, v)
+	}
+	return vals
+}
+
+func FuzzChooseInt64(f *testing.F) {
+	rng := rand.New(rand.NewSource(4))
+	for _, shape := range intShapes {
+		vals := shape.gen(rng, 40)
+		for _, k := range []byte{1, 2, 4, 8} {
+			data := []byte{k - 1}
+			for _, v := range vals {
+				for i := 0; i < int(k); i++ {
+					data = append(data, byte(v>>(8*i)))
+				}
+			}
+			f.Add(data)
+		}
+	}
+	f.Add([]byte{8 + 1, 1, 0, 1, 0, 200, 0, 1, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		vals := fuzzInts(data)
+		got, codec := ChooseInt64(nil, vals)
+		want, wantCodec := refChooseInt64(nil, vals)
+		if codec != wantCodec || !bytes.Equal(got, want) {
+			t.Fatalf("ChooseInt64 of %v: %v block %x, reference %v block %x", vals, codec, got, wantCodec, want)
+		}
+	})
+}
+
+// FuzzChooseString splits the fuzz bytes after the first at the first byte.
+func FuzzChooseString(f *testing.F) {
+	rng := rand.New(rand.NewSource(5))
+	for _, shape := range strShapes {
+		f.Add(append([]byte{0}, strings.Join(shape.gen(rng, 30), "\x00")...))
+	}
+	f.Add([]byte{','})
+	f.Add([]byte(",a,,b,a,a"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var vals []string
+		if len(data) > 0 {
+			vals = strings.Split(string(data[1:]), string(data[:1]))
+		}
+		got, codec := ChooseString(nil, vals)
+		want, wantCodec := refChooseString(nil, vals)
+		if codec != wantCodec || !bytes.Equal(got, want) {
+			t.Fatalf("ChooseString of %q: %v block %x, reference %v block %x", vals, codec, got, wantCodec, want)
 		}
 	})
 }

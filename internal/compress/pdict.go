@@ -1,7 +1,8 @@
 package compress
 
 import (
-	"sort"
+	"slices"
+	"strings"
 )
 
 // PDICT: dictionary compression for string columns. Distinct values are
@@ -27,35 +28,82 @@ func EncodeStringRaw(dst []byte, vals []string) []byte {
 // Layout: uvarint n | uvarint dictSize | dict entries (uvarint len+bytes) |
 // byte codeWidth | packed codes.
 func EncodePDict(dst []byte, vals []string) []byte {
+	if len(vals) == 0 {
+		return putUvarint(append(dst, byte(PDict)), 0)
+	}
+	e := encoders.Get().(*Encoder)
+	defer encoders.Put(e)
+	e.buildDict(vals)
+	defer e.releaseDict()
+	return e.encodePDict(dst, vals)
+}
+
+// buildDict fills e.ids with each row's first-seen dictionary id and
+// e.dict with the distinct values in first-seen order, and returns the
+// length of vals' PDICT block. The map holds the dictionary, not the block,
+// and a run of equal values costs one lookup.
+func (e *Encoder) buildDict(vals []string) (size int) {
+	if e.index == nil {
+		e.index = make(map[string]int32)
+	}
+	ids := resized(e.ids, len(vals))
+	dict := e.dict[:0]
+	id, prev := int32(-1), ""
+	for i, s := range vals {
+		if id < 0 || s != prev {
+			var ok bool
+			if id, ok = e.index[s]; !ok {
+				id = int32(len(dict))
+				e.index[s] = id
+				dict = append(dict, s)
+				size += uvarintLen(uint64(len(s))) + len(s)
+			}
+			prev = s
+		}
+		ids[i] = id
+	}
+	e.ids, e.dict = ids, dict
+	return size + 1 + uvarintLen(uint64(len(vals))) + uvarintLen(uint64(len(dict))) + 1 +
+		packedLen(len(vals), codeWidth(len(dict)))
+}
+
+// releaseDict drops the strings buildDict kept, so an idle Encoder does
+// not hold a block's values alive, and a map grown by a near-unique block.
+func (e *Encoder) releaseDict() {
+	if len(e.dict) > 1<<12 {
+		e.index = nil
+	} else {
+		clear(e.index)
+	}
+	clear(e.dict)
+}
+
+// encodePDict appends the PDICT block of a non-empty vals after buildDict:
+// the dictionary sorted, each row's first-seen id renumbered to its code.
+func (e *Encoder) encodePDict(dst []byte, vals []string) []byte {
+	dict := e.dict
+	perm := resized(e.perm, len(dict))
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	slices.SortFunc(perm, func(a, b int32) int { return strings.Compare(dict[a], dict[b]) })
+	rank := resized(e.rank, len(dict))
+	for code, id := range perm {
+		rank[id] = int32(code)
+	}
+	e.perm, e.rank = perm, rank
 	dst = append(dst, byte(PDict))
 	dst = putUvarint(dst, uint64(len(vals)))
-	if len(vals) == 0 {
-		return dst
-	}
-	// Build the sorted dictionary.
-	set := make(map[string]struct{}, len(vals))
-	for _, s := range vals {
-		set[s] = struct{}{}
-	}
-	dict := make([]string, 0, len(set))
-	for s := range set {
-		dict = append(dict, s)
-	}
-	sort.Strings(dict)
-	code := make(map[string]uint64, len(dict))
-	for i, s := range dict {
-		code[s] = uint64(i)
-	}
 	dst = putUvarint(dst, uint64(len(dict)))
-	for _, s := range dict {
-		dst = putUvarint(dst, uint64(len(s)))
-		dst = append(dst, s...)
+	for _, id := range perm {
+		dst = putUvarint(dst, uint64(len(dict[id])))
+		dst = append(dst, dict[id]...)
 	}
 	w := codeWidth(len(dict))
 	dst = append(dst, byte(w))
 	p := bitPacker{dst: dst, w: w}
-	for _, s := range vals {
-		p.put(code[s])
+	for _, id := range e.ids[:len(vals)] {
+		p.put(uint64(rank[id]))
 	}
 	return p.finish()
 }
@@ -68,12 +116,26 @@ func codeWidth(dictSize int) uint {
 	return w
 }
 
-// ChooseString adaptively picks PDICT when it beats raw storage.
+// ChooseString appends the PDICT encoding of vals to dst when it is
+// strictly shorter than raw storage, and the raw encoding otherwise.
 func ChooseString(dst []byte, vals []string) ([]byte, Codec) {
-	d := EncodePDict(nil, vals)
-	r := EncodeStringRaw(nil, vals)
-	if len(d) < len(r) {
-		return append(dst, d...), PDict
+	e := encoders.Get().(*Encoder)
+	defer encoders.Put(e)
+	return e.ChooseString(dst, vals)
+}
+
+// ChooseString is the package-level ChooseString on e's working memory.
+func (e *Encoder) ChooseString(dst []byte, vals []string) ([]byte, Codec) {
+	raw := 1 + uvarintLen(uint64(len(vals)))
+	for _, s := range vals {
+		raw += uvarintLen(uint64(len(s))) + len(s)
 	}
-	return append(dst, r...), None
+	if len(vals) > 0 {
+		size := e.buildDict(vals)
+		defer e.releaseDict()
+		if size < raw {
+			return e.encodePDict(slices.Grow(dst, size), vals), PDict
+		}
+	}
+	return EncodeStringRaw(slices.Grow(dst, raw), vals), None
 }

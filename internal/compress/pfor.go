@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"slices"
 )
 
 // PFOR: patched frame-of-reference. Values are encoded as fixed-width
@@ -51,58 +50,15 @@ func (c Codec) String() string {
 // (position delta + value), used when choosing the code width.
 const exceptionCost = 11
 
-// choosePFOR picks (base, width) minimizing estimated block size. Exceptions
-// may lie on *either* side of the covered window [base, base+2^w), so a
-// single wild outlier — high or low — cannot blow up the frame of
-// reference; it just becomes a patched exception. The search slides a
-// window of each candidate width over the sorted values (two pointers) to
-// find the densest coverage.
-func choosePFOR(vals []int64) (int64, uint) {
-	n := len(vals)
-	sorted := slices.Clone(vals)
-	slices.Sort(sorted)
-	bestBase, bestW := sorted[0], uint(64)
-	bestCost := n * 8 // cost of w=64, no exceptions
-	for w := uint(0); w < 64; w++ {
-		span := widthMask(w) // max representable offset
-		covered, coverIdx := 0, 0
-		j := 0
-		for i := 0; i < n; i++ {
-			if j < i {
-				j = i
-			}
-			for j < n && uint64(sorted[j])-uint64(sorted[i]) <= span {
-				j++
-			}
-			if j-i > covered {
-				covered = j - i
-				coverIdx = i
-			}
-			if j == n {
-				break
-			}
-		}
-		cost := (n*int(w)+7)/8 + (n-covered)*exceptionCost
-		if cost < bestCost {
-			bestCost = cost
-			bestW = w
-			bestBase = sorted[coverIdx]
-		}
-	}
-	return bestBase, bestW
-}
-
 // EncodePFOR appends a PFOR block for vals to dst.
 //
 // Layout: uvarint n | uvarint zigzag(base) | byte width | uvarint nExc |
 // packed codes | exceptions (uvarint pos-delta, uvarint zigzag(value))*.
 // Exception values are absolute (not offsets), so they can lie below base.
 func EncodePFOR(dst []byte, vals []int64) []byte {
-	if len(vals) == 0 {
-		return putUvarint(append(dst, byte(PFOR)), 0)
-	}
-	base, w := choosePFOR(vals)
-	return encodePFORAt(dst, vals, base, w)
+	e := encoders.Get().(*Encoder)
+	defer encoders.Put(e)
+	return e.planPFOR(vals).encode(dst, vals)
 }
 
 // encodePFORAt appends the PFOR block of a non-empty vals under the frame of
@@ -148,17 +104,13 @@ func encodePFORAt(dst []byte, vals []int64, base int64, w uint) []byte {
 // compressed with PFOR. Ideal for sorted or clustered columns (keys, dates,
 // row IDs).
 func EncodePFORDelta(dst []byte, vals []int64) []byte {
-	dst = append(dst, byte(PFORDelta))
-	dst = putUvarint(dst, uint64(len(vals)))
 	if len(vals) == 0 {
-		return dst
+		return putUvarint(append(dst, byte(PFORDelta)), 0)
 	}
-	dst = putUvarint(dst, zigzag(vals[0]))
-	deltas := make([]int64, len(vals)-1)
-	for i := 1; i < len(vals); i++ {
-		deltas[i-1] = vals[i] - vals[i-1]
-	}
-	return EncodePFOR(dst, deltas)
+	e := encoders.Get().(*Encoder)
+	defer encoders.Put(e)
+	deltas := e.deltasOf(vals)
+	return encodePFORDelta(dst, vals, deltas, e.planPFOR(deltas))
 }
 
 // EncodeRLE appends a run-length block: (zigzag value, run length) pairs.
@@ -186,22 +138,4 @@ func EncodeNone(dst []byte, vals []int64) []byte {
 		dst = binary.LittleEndian.AppendUint64(dst, uint64(v))
 	}
 	return dst
-}
-
-// ChooseInt64 adaptively encodes vals with every integer codec and keeps the
-// smallest encoding — the per-block codec choice the column store makes at
-// append time.
-func ChooseInt64(dst []byte, vals []int64) ([]byte, Codec) {
-	best := EncodePFOR(nil, vals)
-	bestCodec := PFOR
-	if c := EncodePFORDelta(nil, vals); len(c) < len(best) {
-		best, bestCodec = c, PFORDelta
-	}
-	if c := EncodeRLE(nil, vals); len(c) < len(best) {
-		best, bestCodec = c, RLE
-	}
-	if raw := len(vals)*8 + 10; raw < len(best) {
-		best, bestCodec = EncodeNone(nil, vals), None
-	}
-	return append(dst, best...), bestCodec
 }

@@ -1,6 +1,10 @@
 package compress
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"slices"
+	"sort"
+)
 
 // The reference decoders: the package's decoders as they were before the
 // typed kernels — one generic bit-state unpack loop into a staging slice,
@@ -277,4 +281,131 @@ func refDecodeString(src []byte) ([]string, []byte, error) {
 	default:
 		return nil, nil, ErrCorrupt
 	}
+}
+
+// The reference encoders: the package's codec choice as it was before the
+// pruned search — every width of every codec tried on a sorted copy, every
+// codec encoded, the shortest kept. The property tests and fuzz targets hold
+// ChooseInt64 and ChooseString to these byte for byte.
+
+// refChoosePFOR picks (base, width) minimizing estimated block size by
+// sliding a window of each of the 64 candidate widths over sorted values.
+func refChoosePFOR(vals []int64) (int64, uint) {
+	n := len(vals)
+	sorted := slices.Clone(vals)
+	slices.Sort(sorted)
+	bestBase, bestW := sorted[0], uint(64)
+	bestCost := n * 8 // cost of w=64, no exceptions
+	for w := uint(0); w < 64; w++ {
+		span := widthMask(w) // max representable offset
+		covered, coverIdx := 0, 0
+		j := 0
+		for i := 0; i < n; i++ {
+			if j < i {
+				j = i
+			}
+			for j < n && uint64(sorted[j])-uint64(sorted[i]) <= span {
+				j++
+			}
+			if j-i > covered {
+				covered = j - i
+				coverIdx = i
+			}
+			if j == n {
+				break
+			}
+		}
+		cost := (n*int(w)+7)/8 + (n-covered)*exceptionCost
+		if cost < bestCost {
+			bestCost = cost
+			bestW = w
+			bestBase = sorted[coverIdx]
+		}
+	}
+	return bestBase, bestW
+}
+
+func refEncodePFOR(dst []byte, vals []int64) []byte {
+	if len(vals) == 0 {
+		return putUvarint(append(dst, byte(PFOR)), 0)
+	}
+	base, w := refChoosePFOR(vals)
+	return encodePFORAt(dst, vals, base, w)
+}
+
+func refEncodePFORDelta(dst []byte, vals []int64) []byte {
+	dst = append(dst, byte(PFORDelta))
+	dst = putUvarint(dst, uint64(len(vals)))
+	if len(vals) == 0 {
+		return dst
+	}
+	dst = putUvarint(dst, zigzag(vals[0]))
+	deltas := make([]int64, len(vals)-1)
+	for i := 1; i < len(vals); i++ {
+		deltas[i-1] = vals[i] - vals[i-1]
+	}
+	return refEncodePFOR(dst, deltas)
+}
+
+// refChooseInt64 encodes vals with every integer codec and keeps the
+// smallest encoding.
+func refChooseInt64(dst []byte, vals []int64) ([]byte, Codec) {
+	best := refEncodePFOR(nil, vals)
+	bestCodec := PFOR
+	if c := refEncodePFORDelta(nil, vals); len(c) < len(best) {
+		best, bestCodec = c, PFORDelta
+	}
+	if c := EncodeRLE(nil, vals); len(c) < len(best) {
+		best, bestCodec = c, RLE
+	}
+	if raw := len(vals)*8 + 10; raw < len(best) {
+		best, bestCodec = EncodeNone(nil, vals), None
+	}
+	return append(dst, best...), bestCodec
+}
+
+// refEncodePDict builds the sorted dictionary through a set sized to the
+// block and a second map from value to code.
+func refEncodePDict(dst []byte, vals []string) []byte {
+	dst = append(dst, byte(PDict))
+	dst = putUvarint(dst, uint64(len(vals)))
+	if len(vals) == 0 {
+		return dst
+	}
+	set := make(map[string]struct{}, len(vals))
+	for _, s := range vals {
+		set[s] = struct{}{}
+	}
+	dict := make([]string, 0, len(set))
+	for s := range set {
+		dict = append(dict, s)
+	}
+	sort.Strings(dict)
+	code := make(map[string]uint64, len(dict))
+	for i, s := range dict {
+		code[s] = uint64(i)
+	}
+	dst = putUvarint(dst, uint64(len(dict)))
+	for _, s := range dict {
+		dst = putUvarint(dst, uint64(len(s)))
+		dst = append(dst, s...)
+	}
+	w := codeWidth(len(dict))
+	dst = append(dst, byte(w))
+	p := bitPacker{dst: dst, w: w}
+	for _, s := range vals {
+		p.put(code[s])
+	}
+	return p.finish()
+}
+
+// refChooseString encodes both string codecs and keeps PDICT when it is
+// strictly shorter.
+func refChooseString(dst []byte, vals []string) ([]byte, Codec) {
+	d := refEncodePDict(nil, vals)
+	r := EncodeStringRaw(nil, vals)
+	if len(d) < len(r) {
+		return append(dst, d...), PDict
+	}
+	return append(dst, r...), None
 }

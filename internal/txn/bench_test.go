@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"testing"
 
+	"vectorwise/internal/colstore"
+	"vectorwise/internal/datagen"
 	"vectorwise/internal/types"
 )
 
@@ -83,5 +85,66 @@ func BenchmarkBeginPendingDeltas(b *testing.B) {
 				openScan(b, s)
 			}
 		})
+	}
+}
+
+// lineitemStore is a store over datagen's lineitem in its stored form (the
+// eleven columns plus l_comment's NULL indicator), groups row groups long,
+// carrying pending committed ops: a third updates, a third deletes, a third
+// inserts.
+func lineitemStore(b *testing.B, groups, pending int) *Store {
+	schema := datagen.LineitemSchema().Clone()
+	schema.Cols[10].Type.Nullable = false
+	schema.Cols = append(schema.Cols, types.Col("l_comment$null", types.Bool))
+	tab := colstore.NewTable(schema)
+	ap := tab.NewAppender()
+	rows := groups * colstore.BlockRows
+	var last []types.Value
+	err := datagen.Lineitems((float64(rows)+0.5)/datagen.RowsPerSF, 1, func(row []types.Value) error {
+		null := row[10].Null
+		if null {
+			row[10] = types.NewString("")
+		}
+		last = append(row[:11:11], types.NewBool(null))
+		return ap.AppendRow(last)
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := ap.Close(); err != nil {
+		b.Fatal(err)
+	}
+	s := NewStore(tab)
+	tx := s.Begin()
+	third := pending / 3
+	for i := 0; i < third; i++ {
+		if err := tx.UpdateAt(int64(i*97), 2, types.NewInt32(int32(i%50+1))); err != nil {
+			b.Fatal(err)
+		}
+		if err := tx.DeleteAt(int64(rows - 1 - i*89)); err != nil {
+			b.Fatal(err)
+		}
+		if err := tx.InsertRow(last); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		b.Fatal(err)
+	}
+	return s
+}
+
+// BenchmarkCheckpoint rewrites a four-group lineitem merged with 300 pending
+// ops: the work of CHECKPOINT before it persists and swaps the new table.
+// Choosing and encoding a codec for every block is most of it.
+func BenchmarkCheckpoint(b *testing.B) {
+	s := lineitemStore(b, 4, 300)
+	stable, read := s.Stable(), s.read
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := rebuild(stable, read); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
