@@ -12,6 +12,7 @@ import (
 
 	"vectorwise/internal/colstore"
 	"vectorwise/internal/fsim"
+	"vectorwise/internal/physical"
 	"vectorwise/internal/rewriter"
 	"vectorwise/internal/types"
 )
@@ -440,7 +441,7 @@ func applyRaw(t *testing.T, db *DB, m *dmlModel, ops []rawOp) {
 	for _, op := range ops {
 		switch op.kind {
 		case 'i':
-			check(tx.InsertRowAt(int64(op.pos), rewriter.DecomposeRow(e.meta.Schema, op.row)))
+			check(tx.InsertRowAt(int64(op.pos), physical.DecomposeRow(e.meta.Schema, op.row)))
 			m.rows = append(m.rows[:op.pos:op.pos], append([]mrow{{v: op.row, ins: true}}, m.rows[op.pos:]...)...)
 		case 'd':
 			check(tx.DeleteAt(int64(op.pos)))

@@ -20,6 +20,7 @@ import (
 	"vectorwise/internal/metrics"
 	"vectorwise/internal/monitor"
 	"vectorwise/internal/optimizer"
+	"vectorwise/internal/physical"
 	"vectorwise/internal/plan"
 	"vectorwise/internal/rewriter"
 	"vectorwise/internal/rowengine"
@@ -501,7 +502,7 @@ func coerceValue(v types.Value, t types.T) (types.Value, error) {
 // logicalToPhysicalRow decomposes a logical row per the storage convention
 // (values then indicators).
 func logicalToPhysicalRow(logical *types.Schema, row []types.Value) []types.Value {
-	return rewriter.DecomposeRow(logical, row)
+	return physical.DecomposeRow(logical, row)
 }
 
 // physicalToLogicalRow reassembles NULLs from a physical row.

@@ -278,10 +278,15 @@ func TestExplainShowsPipeline(t *testing.T) {
 	res := mustExec(t, db, `EXPLAIN SELECT grp, COUNT(*) FROM items WHERE id > 10 GROUP BY grp`)
 	for _, want := range []string{"logical plan", "Scan(items:vectorwise, [id, grp, price, name, d])",
 		"optimized plan", "Scan(items:vectorwise, [id, grp], ranges=[$0 in [10,+inf]])",
-		"X100 algebra", "Scan('items', [id, grp], ranges=[$0 in [10,+inf]])", "Aggr", "physical plan", "HashAgg"} {
+		"physical plan", "Scan('items', [id grp] @ [0 1], filters=[col0 in [10,+inf]])", "HashAgg"} {
 		if !strings.Contains(res.Text, want) {
 			t.Fatalf("explain missing %q:\n%s", want, res.Text)
 		}
+	}
+	// The rewriter rewrites the tree the physical plan shows, so no
+	// separate algebra stage is printed.
+	if strings.Count(res.Text, "== ") != 3 {
+		t.Fatalf("explain should show three stages:\n%s", res.Text)
 	}
 }
 

@@ -64,13 +64,13 @@ func TestExplainPhysicalShowsPrunedScans(t *testing.T) {
 		}
 	}
 	// The logical stages show the same narrowing: the bound plan lists every
-	// column, the optimized plan the pruned list.
+	// column, the optimized and the physical plan the pruned list.
 	text := mustExec(t, db, `EXPLAIN SELECT SUM(l_tax) FROM lineitem WHERE l_quantity < 3`).Text
 	for _, want := range []string{
 		"Scan(lineitem:vectorwise, [l_orderkey, l_partkey, l_quantity, l_extendedprice, l_discount, l_tax, " +
 			"l_returnflag, l_linestatus, l_shipdate, l_shipmode, l_comment])",
 		"Scan(lineitem:vectorwise, [l_quantity, l_tax], ranges=[$0 in [-inf,3]])",
-		"Scan('lineitem', [l_quantity, l_tax], ranges=[$0 in [-inf,3]])",
+		"Scan('lineitem', [l_quantity l_tax] @ [2 5], filters=[col2 in [-inf,3]])",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("EXPLAIN lacks %q:\n%s", want, text)

@@ -7,7 +7,6 @@ import (
 	"time"
 	"unsafe"
 
-	"vectorwise/internal/algebra"
 	"vectorwise/internal/colstore"
 	"vectorwise/internal/exec"
 	"vectorwise/internal/monitor"
@@ -24,8 +23,7 @@ import (
 	"vectorwise/internal/xcompile"
 )
 
-// compiled carries a query through the Figure-1 pipeline stages (the
-// pre-rewrite algebra lives on through rw.Node's provenance; only the
+// compiled carries a query through the Figure-1 pipeline stages (only the
 // stages EXPLAIN renders are retained).
 type compiled struct {
 	logical   plan.Node
@@ -68,13 +66,13 @@ func (db *DB) compile(par int, bind func(*plan.Binder) (plan.Node, error)) (*com
 	optimized := opt.Optimize(logical)
 	c.phase("optimize", t)
 	t = time.Now()
-	alg, err := xcompileNode(optimized)
+	tree, err := xcompile.Compile(optimized)
 	if err != nil {
 		return nil, err
 	}
 	c.phase("xcompile", t)
 	t = time.Now()
-	rw, err := rewriter.Rewrite(alg, rewriter.Options{Parallel: par, GroupsHint: db.groupsAvailable})
+	rw, err := rewriter.Rewrite(tree, rewriter.Options{Parallel: par, GroupsHint: db.groupsAvailable})
 	if err != nil {
 		return nil, err
 	}
@@ -243,7 +241,6 @@ func explainText(c *compiled, physicalOnly bool) string {
 	}
 	return "== logical plan ==\n" + plan.Format(c.logical) +
 		"== optimized plan ==\n" + plan.Format(c.optimized) +
-		"== X100 algebra (after rewriter) ==\n" + algebra.Format(c.rw.Node) +
 		"== physical plan ==\n" + physical.Format(c.phys)
 }
 
@@ -284,9 +281,6 @@ func (db *DB) execExplain(ctx context.Context, s *sql.ExplainStmt) (*Result, err
 	}
 	return nil, fmt.Errorf("engine: EXPLAIN supports SELECT, UPDATE and DELETE only")
 }
-
-// xcompileNode invokes the cross compiler (Figure 1's new component).
-func xcompileNode(n plan.Node) (algebra.Node, error) { return xcompile.Compile(n) }
 
 // querySession owns per-query snapshots of every vectorwise table touched.
 // It implements physical.Env, supplying operator factories with storage

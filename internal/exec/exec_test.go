@@ -124,24 +124,6 @@ func TestLimitOffset(t *testing.T) {
 	}
 }
 
-func TestUnion(t *testing.T) {
-	r1, schema := intRows(1, 2)
-	r2, _ := intRows(3)
-	u, err := NewUnion(mkValues(schema, r1...), mkValues(schema, r2...))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := collect(t, u)
-	if len(got) != 3 || got[2][0].Int64() != 3 {
-		t.Fatalf("union: %v", got)
-	}
-	// Mismatched arity rejected.
-	two := types.NewSchema(types.Col("a", types.Int64), types.Col("b", types.Int64))
-	if _, err := NewUnion(mkValues(schema, r1...), mkValues(two)); err == nil {
-		t.Fatal("union arity accepted")
-	}
-}
-
 func joinSides() (Operator, Operator) {
 	orders := types.NewSchema(types.Col("okey", types.Int64), types.Col("cust", types.Int64))
 	customers := types.NewSchema(types.Col("ckey", types.Int64), types.Col("name", types.String))

@@ -1,8 +1,6 @@
 package exec
 
 import (
-	"fmt"
-
 	"vectorwise/internal/expr"
 	"vectorwise/internal/types"
 	"vectorwise/internal/vec"
@@ -209,67 +207,3 @@ func (l *Limit) Next() (*vec.Batch, error) {
 
 // Close implements Operator.
 func (l *Limit) Close() { l.Child.Close() }
-
-// Union concatenates the streams of its children (UNION ALL).
-type Union struct {
-	Children []Operator
-	ctx      *Ctx
-	at       int
-}
-
-// NewUnion builds a UNION ALL.
-func NewUnion(children ...Operator) (*Union, error) {
-	if len(children) == 0 {
-		return nil, fmt.Errorf("exec: union of nothing")
-	}
-	k0 := children[0].Kinds()
-	for _, c := range children[1:] {
-		k := c.Kinds()
-		if len(k) != len(k0) {
-			return nil, fmt.Errorf("exec: union children differ in arity")
-		}
-		for i := range k {
-			if k[i] != k0[i] {
-				return nil, fmt.Errorf("exec: union children differ in column %d kind", i)
-			}
-		}
-	}
-	return &Union{Children: children}, nil
-}
-
-// Kinds implements Operator.
-func (u *Union) Kinds() []types.Kind { return u.Children[0].Kinds() }
-
-// Open implements Operator.
-func (u *Union) Open(ctx *Ctx) error {
-	u.ctx = ctx
-	u.at = 0
-	for _, c := range u.Children {
-		if err := c.Open(ctx); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Next implements Operator.
-func (u *Union) Next() (*vec.Batch, error) {
-	for u.at < len(u.Children) {
-		b, err := u.Children[u.at].Next()
-		if err != nil {
-			return nil, err
-		}
-		if b != nil {
-			return b, nil
-		}
-		u.at++
-	}
-	return nil, nil
-}
-
-// Close implements Operator.
-func (u *Union) Close() {
-	for _, c := range u.Children {
-		c.Close()
-	}
-}

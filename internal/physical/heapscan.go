@@ -2,7 +2,6 @@ package physical
 
 import (
 	"vectorwise/internal/exec"
-	"vectorwise/internal/rewriter"
 	"vectorwise/internal/rowengine"
 	"vectorwise/internal/types"
 	"vectorwise/internal/vec"
@@ -67,7 +66,7 @@ func (h *heapScanOp) Next() (*vec.Batch, error) {
 	h.buf.SetLen(n)
 	for i := 0; i < n; i++ {
 		row := h.rows[h.at+i]
-		phys := rewriter.DecomposeRow(h.logical, row)
+		phys := DecomposeRow(h.logical, row)
 		for c, pi := range h.idxs {
 			h.buf.Vecs[c].Set(i, phys[pi])
 		}
@@ -81,3 +80,23 @@ func (h *heapScanOp) Next() (*vec.Batch, error) {
 
 // Close implements exec.Operator.
 func (h *heapScanOp) Close() {}
+
+// DecomposeRow lays a logical row out in the physical storage convention:
+// values (with in-band safe values at NULL positions) followed by the
+// indicators of nullable columns.
+func DecomposeRow(logical *types.Schema, row []types.Value) []types.Value {
+	out := make([]types.Value, 0, len(row)+4)
+	for i, v := range row {
+		if v.Null {
+			out = append(out, types.SafeValue(logical.Cols[i].Type.Kind))
+		} else {
+			out = append(out, v)
+		}
+	}
+	for i, c := range logical.Cols {
+		if c.Type.Nullable {
+			out = append(out, types.NewBool(row[i].Null))
+		}
+	}
+	return out
+}

@@ -1,21 +1,21 @@
-// Package physical is the plan-instantiation layer between the rewritten
-// X100 algebra and the execution kernel — the rewriter/builder stage the
+// Package physical is the one operator tree below the optimizer, and the
+// stage that turns it into kernel operators — the rewriter/builder work the
 // paper files under "things most researchers do not think about": picking
-// physical operators, placing parallelism, and accounting for the
-// resources a plan will use before a single vector flows.
+// physical operators, placing parallelism, and resolving a plan against the
+// storage it will read before a single vector flows.
 //
-// It exposes three things:
+// The tree passes through three phases, all on the same node types:
 //
-//   - a typed physical-plan DAG (Node and its variants) in which every
-//     node carries resolved column indexes, output vector kinds, compiled
-//     expressions, and its degree of parallelism;
-//   - Build, which lowers rewritten algebra into that DAG against a
-//     Catalog (resolving column names to storage positions once, at plan
-//     time, instead of during instantiation);
-//   - a registry of operator factories plus Instantiate, which turns the
-//     DAG into a kernel operator tree, wrapping every operator in a
-//     profiling shell so per-operator statistics (exec.OpStats) are
-//     uniformly available to EXPLAIN/PROFILE and the monitor.
+//   - the cross compiler (internal/xcompile) emits it from an optimized
+//     plan; schemas may still carry NULLable columns;
+//   - the rewriter (internal/rewriter) folds constants, decomposes NULLs
+//     into value+indicator columns, prunes the scans and parallelizes;
+//   - Build resolves every scan against a Catalog (column names to storage
+//     positions, and the access path: Scan, ParallelScan or HeapScan).
+//
+// Instantiate then turns the tree into a kernel operator tree, wrapping
+// every operator in a profiling shell so per-operator statistics
+// (exec.OpStats) are uniformly available to EXPLAIN/PROFILE and the monitor.
 package physical
 
 import (
@@ -30,44 +30,64 @@ import (
 	"vectorwise/internal/types"
 )
 
-// Node is one operator of the physical plan. Unlike algebra nodes, a
-// physical node is fully resolved: column references are storage indexes,
-// output kinds are known, and parallel placement is explicit.
+// Node is one operator of the plan. Expressions and every column list
+// (keys, group columns, sort keys) are positional over the children's
+// schemas.
 type Node interface {
-	// Op names the node kind; it is the operator-registry key.
+	// Op names the node kind; it labels the operator in profiles.
 	Op() string
-	// Kinds lists the output vector kinds.
-	Kinds() []types.Kind
+	// Schema returns the output columns: NULLable until the rewriter's
+	// decomposition, plain vectors afterwards.
+	Schema() *types.Schema
 	// Children returns the inputs.
 	Children() []Node
+	// WithChildren rebuilds the node over new inputs.
+	WithChildren(ch []Node) Node
 	// Line renders this node (one line, children excluded).
 	Line() string
-	// Parallelism is the degree of parallelism this node introduces
-	// (1 = serial; an exchange reports its fan-in).
-	Parallelism() int
 }
 
-// ScanCols is what every scan node carries: the shared spec it executes and
-// the physical column list Build resolved against the catalog — the names the
-// rewriter derived from Spec.Cols, their storage positions and their kinds.
-// Table, ranges and clustered window are read from the spec, never copied.
+// Kinds lists the output vector kinds of n, read off its schema.
+func Kinds(n Node) []types.Kind {
+	s := n.Schema()
+	out := make([]types.Kind, s.Len())
+	for i, c := range s.Cols {
+		out[i] = c.Type.Kind
+	}
+	return out
+}
+
+// ScanCols is what every scan node carries: the shared spec it executes, its
+// output schema and, once Build has resolved it against the catalog, the
+// storage positions and kinds of the stored columns. Out is Spec.Schema() as
+// compiled, then the physical list the rewriter derives from it (value
+// columns, then the $null indicators of the NULLable ones, then the position
+// column of a RID scan). Table, ranges and clustered window are read from the
+// spec, never copied.
 type ScanCols struct {
 	Spec     *scanspec.Spec
-	Cols     []string // physical column names (for display)
-	ColIdxs  []int    // storage positions to read
+	Out      *types.Schema
+	ColIdxs  []int // storage positions to read
 	ColKinds []types.Kind
 	// TableCols is the table's physical column count, the N of PROFILE's
 	// "cols=k/N".
 	TableCols int
 }
 
-// Kinds implements Node for the scan nodes: the stored columns' kinds, then
-// BIGINT for the row-id column of a RID scan.
-func (c *ScanCols) Kinds() []types.Kind {
+// Schema implements Node for the scan nodes.
+func (c *ScanCols) Schema() *types.Schema { return c.Out }
+
+// Children implements Node for the scan nodes.
+func (c *ScanCols) Children() []Node { return nil }
+
+// cols names the stored columns the scan reads: its output minus the row-id
+// column of a RID scan, which the scan operator makes itself.
+func (c *ScanCols) cols() []string {
+	names := c.Out.Names()
 	if c.Spec.RID {
-		return append(c.ColKinds[:len(c.ColKinds):len(c.ColKinds)], types.KindInt64)
+		names = names[:len(names)-1]
 	}
-	return c.ColKinds
+	return names
 }
 
 // scanCols marks the scan nodes for the profile renderer.
@@ -89,19 +109,24 @@ func (c *ScanCols) Filters() []colstore.RangeFilter {
 	return out
 }
 
-// rangeCol is the position in Cols of a range's column, -1 if the list
+// rangeCol is the position in cols of a range's column, -1 if the list
 // lacks it.
 func (c *ScanCols) rangeCol(r scanspec.Range) int {
-	return slices.Index(c.Cols, c.Spec.Cols.Cols[r.Col].Name)
+	return slices.Index(c.cols(), c.Spec.Cols.Cols[r.Col].Name)
 }
 
-// annotations renders the row-id marker of a RID scan, the filters
-// and the clustered window hint (display only — the scanner re-derives the
-// window in its own snapshot).
+// annotations renders the row-id marker of a RID scan, the filters (the
+// spec's ranges before Build resolves the scan) and the clustered window
+// hint (display only — the scanner re-derives the window in its own
+// snapshot).
 func (c *ScanCols) annotations() string {
 	rid := ""
 	if c.Spec.RID {
 		rid = ", +" + scanspec.RIDName
+	}
+	if c.ColIdxs == nil {
+		// Not resolved yet: the ranges as the spec numbers them.
+		return rid + c.Spec.Suffix()
 	}
 	filters := c.Filters()
 	if len(filters) == 0 {
@@ -114,22 +139,19 @@ func (c *ScanCols) annotations() string {
 	return rid + ", filters=[" + strings.Join(parts, ", ") + "]" + c.Spec.Window.Suffix()
 }
 
-// Scan reads resolved column positions from a vectorwise (column-store)
-// table, serially. Parallel scans lower to ParallelScan instead.
+// Scan reads a table serially. The cross compiler emits it for every table;
+// Build turns the scan of a heap table into a HeapScan.
 type Scan struct{ ScanCols }
 
 // Op implements Node.
 func (s *Scan) Op() string { return "Scan" }
 
-// Children implements Node.
-func (s *Scan) Children() []Node { return nil }
-
-// Parallelism implements Node.
-func (s *Scan) Parallelism() int { return 1 }
+// WithChildren implements Node.
+func (s *Scan) WithChildren([]Node) Node { return s }
 
 // Line implements Node.
 func (s *Scan) Line() string {
-	return fmt.Sprintf("Scan('%s', %v @ %v%s)", s.Spec.Table, s.Cols, s.ColIdxs, s.annotations())
+	return fmt.Sprintf("Scan('%s', %v @ %v%s)", s.Spec.Table, s.cols(), s.ColIdxs, s.annotations())
 }
 
 // ScanQueue identifies one run-time morsel queue. The P ParallelScan
@@ -142,11 +164,12 @@ type ScanQueue struct {
 	Workers int
 }
 
-// ParallelScan is one worker of a morsel-driven parallel scan: P siblings
-// share the Queue and pull row-group morsels from it at run time. Which
-// rows a worker reads is decided at Open, never at plan time — skew
-// self-balances by stealing, and a snapshot with deltas degrades to one
-// worker claiming the whole merged stream while the plan keeps its shape.
+// ParallelScan is one worker of a morsel-driven parallel scan of a
+// vectorwise table: the parallelizer clones a scan into P siblings sharing
+// the Queue, and they pull row-group morsels from it at run time. Which rows
+// a worker reads is decided at Open, never at plan time — skew self-balances
+// by stealing, and a snapshot with deltas degrades to one worker claiming
+// the whole merged stream while the plan keeps its shape.
 type ParallelScan struct {
 	ScanCols
 	Queue  *ScanQueue
@@ -156,17 +179,13 @@ type ParallelScan struct {
 // Op implements Node.
 func (s *ParallelScan) Op() string { return "ParallelScan" }
 
-// Children implements Node.
-func (s *ParallelScan) Children() []Node { return nil }
-
-// Parallelism implements Node: each worker is one stream; the exchange
-// above reports the fan-in.
-func (s *ParallelScan) Parallelism() int { return 1 }
+// WithChildren implements Node.
+func (s *ParallelScan) WithChildren([]Node) Node { return s }
 
 // Line implements Node.
 func (s *ParallelScan) Line() string {
 	return fmt.Sprintf("ParallelScan('%s', %v @ %v, worker %d/%d, queue=%d%s)",
-		s.Spec.Table, s.Cols, s.ColIdxs, s.Worker, s.Queue.Workers, s.Queue.ID, s.annotations())
+		s.Spec.Table, s.cols(), s.ColIdxs, s.Worker, s.Queue.Workers, s.Queue.ID, s.annotations())
 }
 
 // HeapScan adapts a classic (slotted-page) heap table into the vectorized
@@ -182,45 +201,36 @@ type HeapScan struct {
 // Op implements Node.
 func (s *HeapScan) Op() string { return "HeapScan" }
 
-// Children implements Node.
-func (s *HeapScan) Children() []Node { return nil }
-
-// Parallelism implements Node.
-func (s *HeapScan) Parallelism() int { return 1 }
+// WithChildren implements Node.
+func (s *HeapScan) WithChildren([]Node) Node { return s }
 
 // Line implements Node.
 func (s *HeapScan) Line() string {
-	return fmt.Sprintf("HeapScan('%s', %v @ %v%s)", s.Spec.Table, s.Cols, s.ColIdxs, s.annotations())
+	return fmt.Sprintf("HeapScan('%s', %v @ %v%s)", s.Spec.Table, s.cols(), s.ColIdxs, s.annotations())
 }
 
 // Values is a literal relation.
 type Values struct {
-	Schema *types.Schema
-	Rows   [][]types.Value
+	Rows [][]types.Value
+	Out  *types.Schema
 }
 
 // Op implements Node.
 func (v *Values) Op() string { return "Values" }
 
-// Kinds implements Node.
-func (v *Values) Kinds() []types.Kind {
-	out := make([]types.Kind, v.Schema.Len())
-	for i, c := range v.Schema.Cols {
-		out[i] = c.Type.Kind
-	}
-	return out
-}
+// Schema implements Node.
+func (v *Values) Schema() *types.Schema { return v.Out }
 
 // Children implements Node.
 func (v *Values) Children() []Node { return nil }
 
-// Parallelism implements Node.
-func (v *Values) Parallelism() int { return 1 }
+// WithChildren implements Node.
+func (v *Values) WithChildren([]Node) Node { return v }
 
 // Line implements Node.
 func (v *Values) Line() string { return fmt.Sprintf("Values(%d rows)", len(v.Rows)) }
 
-// Select filters by a compiled boolean expression.
+// Select filters by a boolean expression.
 type Select struct {
 	Child Node
 	Pred  expr.Expr
@@ -229,19 +239,19 @@ type Select struct {
 // Op implements Node.
 func (s *Select) Op() string { return "Select" }
 
-// Kinds implements Node.
-func (s *Select) Kinds() []types.Kind { return s.Child.Kinds() }
+// Schema implements Node.
+func (s *Select) Schema() *types.Schema { return s.Child.Schema() }
 
 // Children implements Node.
 func (s *Select) Children() []Node { return []Node{s.Child} }
 
-// Parallelism implements Node.
-func (s *Select) Parallelism() int { return 1 }
+// WithChildren implements Node.
+func (s *Select) WithChildren(ch []Node) Node { return &Select{Child: ch[0], Pred: s.Pred} }
 
 // Line implements Node.
 func (s *Select) Line() string { return "Select(" + s.Pred.String() + ")" }
 
-// Project computes compiled expressions.
+// Project computes expressions.
 type Project struct {
 	Child Node
 	Exprs []expr.Expr
@@ -251,20 +261,22 @@ type Project struct {
 // Op implements Node.
 func (p *Project) Op() string { return "Project" }
 
-// Kinds implements Node.
-func (p *Project) Kinds() []types.Kind {
-	out := make([]types.Kind, len(p.Exprs))
+// Schema implements Node.
+func (p *Project) Schema() *types.Schema {
+	s := &types.Schema{Cols: make([]types.Column, len(p.Exprs))}
 	for i, e := range p.Exprs {
-		out[i] = e.Type().Kind
+		s.Cols[i] = types.Col(p.Names[i], e.Type())
 	}
-	return out
+	return s
 }
 
 // Children implements Node.
 func (p *Project) Children() []Node { return []Node{p.Child} }
 
-// Parallelism implements Node.
-func (p *Project) Parallelism() int { return 1 }
+// WithChildren implements Node.
+func (p *Project) WithChildren(ch []Node) Node {
+	return &Project{Child: ch[0], Exprs: p.Exprs, Names: p.Names}
+}
 
 // Line implements Node.
 func (p *Project) Line() string {
@@ -275,25 +287,59 @@ func (p *Project) Line() string {
 	return "Project(" + strings.Join(parts, ", ") + ")"
 }
 
-// HashAgg groups and aggregates; output kinds are resolved at build time.
+// HashAgg groups and aggregates. Names name the group columns, then the
+// aggregates.
 type HashAgg struct {
 	Child     Node
 	GroupCols []int
 	Aggs      []exec.AggSpec
-	OutKinds  []types.Kind
+	Names     []string
 }
 
 // Op implements Node.
 func (a *HashAgg) Op() string { return "HashAgg" }
 
-// Kinds implements Node.
-func (a *HashAgg) Kinds() []types.Kind { return a.OutKinds }
+// Schema implements Node: the group columns, then one column per
+// aggregate. COUNT is never NULL, nor is AVG (the rewriter computes a
+// NULLable AVG from SUM and COUNT); SUM is as NULLable as its input.
+func (a *HashAgg) Schema() *types.Schema {
+	in := a.Child.Schema()
+	s := &types.Schema{Cols: make([]types.Column, 0, len(a.GroupCols)+len(a.Aggs))}
+	for i, g := range a.GroupCols {
+		c := in.Cols[g]
+		c.Name = a.Names[i]
+		s.Cols = append(s.Cols, c)
+	}
+	for i, sp := range a.Aggs {
+		var t types.T
+		switch sp.Fn {
+		case exec.AggCount, exec.AggCountFalse:
+			t = types.Int64
+		case exec.AggAvg:
+			t = types.Float64
+		case exec.AggSum:
+			t = types.Int64
+			if in.Cols[sp.Col].Type.Kind == types.KindFloat64 {
+				t = types.Float64
+			}
+			t.Nullable = in.Cols[sp.Col].Type.Nullable
+		default:
+			t = in.Cols[sp.Col].Type
+		}
+		s.Cols = append(s.Cols, types.Col(a.Names[len(a.GroupCols)+i], t))
+	}
+	return s
+}
 
 // Children implements Node.
 func (a *HashAgg) Children() []Node { return []Node{a.Child} }
 
-// Parallelism implements Node.
-func (a *HashAgg) Parallelism() int { return 1 }
+// WithChildren implements Node.
+func (a *HashAgg) WithChildren(ch []Node) Node {
+	out := *a
+	out.Child = ch[0]
+	return &out
+}
 
 // Line implements Node.
 func (a *HashAgg) Line() string {
@@ -308,8 +354,10 @@ func (a *HashAgg) Line() string {
 	return fmt.Sprintf("HashAgg(groups=%v, [%s])", a.GroupCols, strings.Join(aggs, ", "))
 }
 
-// HashJoin joins on key equality; LeftKeyNull/RightKeyNull carry the
-// indicator columns the null-aware anti join consults (-1 otherwise).
+// HashJoin joins on key equality. After NULL decomposition,
+// LeftKeyNull/RightKeyNull carry the indicator columns the null-aware anti
+// join consults (-1 otherwise), and WithMatch exposes the left outer join's
+// match indicator as a trailing BOOLEAN column.
 type HashJoin struct {
 	Left, Right  Node
 	Type         exec.JoinType
@@ -317,20 +365,52 @@ type HashJoin struct {
 	RightKeys    []int
 	LeftKeyNull  int
 	RightKeyNull int
-	OutKinds     []types.Kind
+	WithMatch    bool
 }
 
 // Op implements Node.
 func (j *HashJoin) Op() string { return "HashJoin" }
 
-// Kinds implements Node.
-func (j *HashJoin) Kinds() []types.Kind { return j.OutKinds }
+// Schema implements Node.
+func (j *HashJoin) Schema() *types.Schema {
+	return joinSchema(j.Left.Schema(), j.Right.Schema(), j.Type, j.WithMatch)
+}
+
+// joinSchema is the output of a join of left (the probe side) and right
+// (the build side): semi and anti joins emit the left columns; a left outer
+// join makes the right ones NULLable, or appends $match once decomposed.
+func joinSchema(left, right *types.Schema, jt exec.JoinType, withMatch bool) *types.Schema {
+	s := &types.Schema{}
+	s.Cols = append(s.Cols, left.Cols...)
+	switch jt {
+	case exec.Semi, exec.Anti, exec.AntiNullAware:
+		return s
+	case exec.LeftOuter:
+		for _, c := range right.Cols {
+			if !withMatch {
+				c.Type = c.Type.Null()
+			}
+			s.Cols = append(s.Cols, c)
+		}
+		if withMatch {
+			s.Cols = append(s.Cols, types.Col("$match", types.Bool))
+		}
+		return s
+	default:
+		s.Cols = append(s.Cols, right.Cols...)
+		return s
+	}
+}
 
 // Children implements Node.
 func (j *HashJoin) Children() []Node { return []Node{j.Left, j.Right} }
 
-// Parallelism implements Node.
-func (j *HashJoin) Parallelism() int { return 1 }
+// WithChildren implements Node.
+func (j *HashJoin) WithChildren(ch []Node) Node {
+	out := *j
+	out.Left, out.Right = ch[0], ch[1]
+	return &out
+}
 
 // Line implements Node.
 func (j *HashJoin) Line() string {
@@ -346,14 +426,14 @@ type Sort struct {
 // Op implements Node.
 func (s *Sort) Op() string { return "Sort" }
 
-// Kinds implements Node.
-func (s *Sort) Kinds() []types.Kind { return s.Child.Kinds() }
+// Schema implements Node.
+func (s *Sort) Schema() *types.Schema { return s.Child.Schema() }
 
 // Children implements Node.
 func (s *Sort) Children() []Node { return []Node{s.Child} }
 
-// Parallelism implements Node.
-func (s *Sort) Parallelism() int { return 1 }
+// WithChildren implements Node.
+func (s *Sort) WithChildren(ch []Node) Node { return &Sort{Child: ch[0], Keys: s.Keys} }
 
 // Line implements Node.
 func (s *Sort) Line() string { return fmt.Sprintf("Sort(%s)", keysString(s.Keys)) }
@@ -368,14 +448,14 @@ type TopN struct {
 // Op implements Node.
 func (t *TopN) Op() string { return "TopN" }
 
-// Kinds implements Node.
-func (t *TopN) Kinds() []types.Kind { return t.Child.Kinds() }
+// Schema implements Node.
+func (t *TopN) Schema() *types.Schema { return t.Child.Schema() }
 
 // Children implements Node.
 func (t *TopN) Children() []Node { return []Node{t.Child} }
 
-// Parallelism implements Node.
-func (t *TopN) Parallelism() int { return 1 }
+// WithChildren implements Node.
+func (t *TopN) WithChildren(ch []Node) Node { return &TopN{Child: ch[0], Keys: t.Keys, N: t.N} }
 
 // Line implements Node.
 func (t *TopN) Line() string { return fmt.Sprintf("TopN(%s, %d)", keysString(t.Keys), t.N) }
@@ -390,61 +470,42 @@ type Limit struct {
 // Op implements Node.
 func (l *Limit) Op() string { return "Limit" }
 
-// Kinds implements Node.
-func (l *Limit) Kinds() []types.Kind { return l.Child.Kinds() }
+// Schema implements Node.
+func (l *Limit) Schema() *types.Schema { return l.Child.Schema() }
 
 // Children implements Node.
 func (l *Limit) Children() []Node { return []Node{l.Child} }
 
-// Parallelism implements Node.
-func (l *Limit) Parallelism() int { return 1 }
+// WithChildren implements Node.
+func (l *Limit) WithChildren(ch []Node) Node {
+	return &Limit{Child: ch[0], Offset: l.Offset, N: l.N}
+}
 
 // Line implements Node.
 func (l *Limit) Line() string { return fmt.Sprintf("Limit(%d, %d)", l.Offset, l.N) }
 
-// Union concatenates children serially.
-type Union struct{ Kids []Node }
-
-// Op implements Node.
-func (u *Union) Op() string { return "Union" }
-
-// Kinds implements Node.
-func (u *Union) Kinds() []types.Kind { return u.Kids[0].Kinds() }
-
-// Children implements Node.
-func (u *Union) Children() []Node { return u.Kids }
-
-// Parallelism implements Node.
-func (u *Union) Parallelism() int { return 1 }
-
-// Line implements Node.
-func (u *Union) Line() string { return fmt.Sprintf("Union(%d)", len(u.Kids)) }
-
-// Xchg is the Volcano-style exchange: each child fragment runs in its own
-// goroutine and the streams merge here. Its Parallelism is the plan's
-// explicit record of where (and how wide) parallelism was placed.
-type Xchg struct {
-	Kids   []Node
-	Degree int
-}
+// Xchg is the Volcano-style exchange the parallelizer places (claim C9):
+// each child fragment runs in its own goroutine and the streams merge here.
+type Xchg struct{ Kids []Node }
 
 // Op implements Node.
 func (x *Xchg) Op() string { return "Xchg" }
 
-// Kinds implements Node.
-func (x *Xchg) Kinds() []types.Kind { return x.Kids[0].Kinds() }
+// Schema implements Node.
+func (x *Xchg) Schema() *types.Schema { return x.Kids[0].Schema() }
 
 // Children implements Node.
 func (x *Xchg) Children() []Node { return x.Kids }
 
-// Parallelism implements Node.
-func (x *Xchg) Parallelism() int { return x.Degree }
+// WithChildren implements Node.
+func (x *Xchg) WithChildren(ch []Node) Node { return &Xchg{Kids: ch} }
 
 // Line implements Node.
-func (x *Xchg) Line() string { return fmt.Sprintf("Xchg(degree=%d)", x.Degree) }
+func (x *Xchg) Line() string { return fmt.Sprintf("Xchg(degree=%d)", len(x.Kids)) }
 
-// XchgMerge is the order-preserving exchange: children are pre-sorted
-// parallel fragments and the merge keeps their union globally sorted.
+// XchgMerge is the order-preserving exchange: children are parallel
+// fragments already sorted on Keys (a per-worker local sort or top-N) and
+// the merge keeps their union globally sorted.
 type XchgMerge struct {
 	Kids []Node
 	Keys []exec.SortKey
@@ -453,14 +514,14 @@ type XchgMerge struct {
 // Op implements Node.
 func (x *XchgMerge) Op() string { return "XchgMerge" }
 
-// Kinds implements Node.
-func (x *XchgMerge) Kinds() []types.Kind { return x.Kids[0].Kinds() }
+// Schema implements Node.
+func (x *XchgMerge) Schema() *types.Schema { return x.Kids[0].Schema() }
 
 // Children implements Node.
 func (x *XchgMerge) Children() []Node { return x.Kids }
 
-// Parallelism implements Node.
-func (x *XchgMerge) Parallelism() int { return len(x.Kids) }
+// WithChildren implements Node.
+func (x *XchgMerge) WithChildren(ch []Node) Node { return &XchgMerge{Kids: ch, Keys: x.Keys} }
 
 // Line implements Node.
 func (x *XchgMerge) Line() string {
@@ -469,7 +530,8 @@ func (x *XchgMerge) Line() string {
 
 // ParallelHashJoin is a hash join with one shared build (run once, by the
 // first prober to need it) and P concurrent probe fragments merged by an
-// exchange union. Children are [Build, Probes...].
+// exchange union. Children are [Build, Probes...]; the probe fragments all
+// share the probe-side schema.
 type ParallelHashJoin struct {
 	Build        Node
 	Probes       []Node
@@ -478,22 +540,28 @@ type ParallelHashJoin struct {
 	RightKeys    []int
 	LeftKeyNull  int
 	RightKeyNull int
-	OutKinds     []types.Kind
+	WithMatch    bool
 }
 
 // Op implements Node.
 func (j *ParallelHashJoin) Op() string { return "ParallelHashJoin" }
 
-// Kinds implements Node.
-func (j *ParallelHashJoin) Kinds() []types.Kind { return j.OutKinds }
+// Schema implements Node: identical to the equivalent serial HashJoin.
+func (j *ParallelHashJoin) Schema() *types.Schema {
+	return joinSchema(j.Probes[0].Schema(), j.Build.Schema(), j.Type, j.WithMatch)
+}
 
 // Children implements Node.
 func (j *ParallelHashJoin) Children() []Node {
 	return append([]Node{j.Build}, j.Probes...)
 }
 
-// Parallelism implements Node.
-func (j *ParallelHashJoin) Parallelism() int { return len(j.Probes) }
+// WithChildren implements Node.
+func (j *ParallelHashJoin) WithChildren(ch []Node) Node {
+	out := *j
+	out.Build, out.Probes = ch[0], ch[1:]
+	return &out
+}
 
 // Line implements Node.
 func (j *ParallelHashJoin) Line() string {
@@ -513,13 +581,13 @@ func keysString(keys []exec.SortKey) string {
 	return strings.Join(parts, ", ")
 }
 
-// Format renders the physical DAG in indented form with output kinds —
-// the body of EXPLAIN PHYSICAL.
+// Format renders the tree in indented form with output kinds — the body of
+// EXPLAIN PHYSICAL.
 func Format(n Node) string {
-	return render(n, func(m Node) string { return " :: " + kindsString(m.Kinds()) })
+	return render(n, func(m Node) string { return " :: " + kindsString(Kinds(m)) })
 }
 
-// render walks the DAG producing one indented line per node: Line() plus
+// render walks the tree producing one indented line per node: Line() plus
 // a caller-supplied annotation (kinds for Format, counters for profiles).
 func render(n Node, annotate func(Node) string) string {
 	var b strings.Builder
@@ -543,27 +611,4 @@ func kindsString(kinds []types.Kind) string {
 		parts[i] = k.String()
 	}
 	return "[" + strings.Join(parts, ", ") + "]"
-}
-
-// Walk visits the DAG prefix-order.
-func Walk(n Node, f func(Node) bool) {
-	if !f(n) {
-		return
-	}
-	for _, c := range n.Children() {
-		Walk(c, f)
-	}
-}
-
-// MaxParallelism reports the widest parallel region of a plan (1 = fully
-// serial) — the resource-accounting figure the parallelizer exposes.
-func MaxParallelism(n Node) int {
-	max := 1
-	Walk(n, func(m Node) bool {
-		if p := m.Parallelism(); p > max {
-			max = p
-		}
-		return true
-	})
-	return max
 }

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"vectorwise/internal/algebra"
 	"vectorwise/internal/colstore"
 	"vectorwise/internal/exec"
 	"vectorwise/internal/expr"
@@ -52,18 +51,18 @@ func intSchema(names ...string) *types.Schema {
 	return s
 }
 
-// scanNode is an algebra scan of the named BIGINT columns.
-func scanNode(table, structure string, cols ...string) *algebra.Scan {
+// scanNode is an unresolved scan of the named BIGINT columns.
+func scanNode(table, structure string, cols ...string) *Scan {
 	s := intSchema(cols...)
-	return &algebra.Scan{Spec: &scanspec.Spec{Table: table, Structure: structure, Cols: s}, Out: s}
+	return &Scan{ScanCols{Spec: &scanspec.Spec{Table: table, Structure: structure, Cols: s}, Out: s}}
 }
 
-func valuesNode(rows ...int64) *algebra.Values {
+func valuesNode(rows ...int64) *Values {
 	out := make([][]types.Value, len(rows))
 	for i, v := range rows {
 		out[i] = []types.Value{types.NewInt64(v)}
 	}
-	return &algebra.Values{Rows: out, Out: intSchema("x")}
+	return &Values{Rows: out, Out: intSchema("x")}
 }
 
 func collect(t *testing.T, inst *Instance, profile bool) [][]types.Value {
@@ -77,13 +76,13 @@ func collect(t *testing.T, inst *Instance, profile bool) [][]types.Value {
 	return rows
 }
 
-// Build lowers a Values→Select→Project→Aggr chain into a fully typed DAG
-// that instantiates and runs through the registry.
+// Build passes a Values→Select→Project→HashAgg chain through; it
+// instantiates and runs.
 func TestBuildInstantiateAndRunPipeline(t *testing.T) {
 	col := expr.Col(0, "x", types.Int64)
-	alg := &algebra.Aggr{
-		Child: &algebra.Project{
-			Child: &algebra.Select{
+	alg := &HashAgg{
+		Child: &Project{
+			Child: &Select{
 				Child: valuesNode(1, 2, 3, 4, 5),
 				Pred:  expr.NewCall(">", col, expr.CInt(1)),
 			},
@@ -91,7 +90,7 @@ func TestBuildInstantiateAndRunPipeline(t *testing.T) {
 			Names: []string{"y"},
 		},
 		GroupCols: nil,
-		Aggs:      []algebra.AggItem{{Fn: "sum", Col: 0}, {Fn: "count", Col: -1}},
+		Aggs:      []exec.AggSpec{{Fn: exec.AggSum, Col: 0}, {Fn: exec.AggCount, Col: -1}},
 		Names:     []string{"s", "c"},
 	}
 	n, err := Build(alg, nil)
@@ -102,7 +101,7 @@ func TestBuildInstantiateAndRunPipeline(t *testing.T) {
 	if !ok {
 		t.Fatalf("root is %T, want *HashAgg", n)
 	}
-	if got := agg.Kinds(); len(got) != 2 || got[0] != types.KindInt64 || got[1] != types.KindInt64 {
+	if got := Kinds(agg); len(got) != 2 || got[0] != types.KindInt64 || got[1] != types.KindInt64 {
 		t.Fatalf("agg kinds = %v", got)
 	}
 	inst, err := Instantiate(n, &fixtureEnv{})
@@ -135,13 +134,12 @@ func TestBuildResolvesScanColumns(t *testing.T) {
 	if got, want := s.Line(), "Scan('t', [c a] @ [2 0])"; got != want {
 		t.Fatalf("scan line %q, want %q", got, want)
 	}
-	// Morsel-stamped scans lower to ParallelScan workers sharing one queue.
-	mk := func(w int) *algebra.Scan {
-		s := scanNode("t", "vectorwise", "a")
-		s.Morsels, s.MorselID, s.Worker = 2, 7, w
-		return s
+	// ParallelScan workers resolve too, and keep sharing their queue.
+	q := &ScanQueue{ID: 7, Workers: 2}
+	mk := func(w int) *ParallelScan {
+		return &ParallelScan{ScanCols: scanNode("t", "vectorwise", "a").ScanCols, Queue: q, Worker: w}
 	}
-	par, err := Build(&algebra.XchgUnion{Kids: []algebra.Node{mk(0), mk(1)}}, cat)
+	par, err := Build(&Xchg{Kids: []Node{mk(0), mk(1)}}, cat)
 	if err != nil {
 		t.Fatalf("build parallel: %v", err)
 	}
@@ -151,7 +149,7 @@ func TestBuildResolvesScanColumns(t *testing.T) {
 	if !ok0 || !ok1 {
 		t.Fatalf("workers are %T/%T, want *ParallelScan", kids[0], kids[1])
 	}
-	if w0.Queue == nil || w0.Queue != w1.Queue || w0.Queue.Workers != 2 {
+	if w0.Queue != q || w1.Queue != q {
 		t.Fatalf("workers do not share one queue spec: %+v vs %+v", w0.Queue, w1.Queue)
 	}
 	if w0.Worker != 0 || w1.Worker != 1 {
@@ -200,7 +198,8 @@ func TestScanFiltersDeriveFromSpec(t *testing.T) {
 	}
 }
 
-// Heap tables lower to HeapScan and run through the registry's adapter.
+// The scan of a heap table resolves to a HeapScan, which runs through the
+// row adapter.
 func TestHeapScanThroughRegistry(t *testing.T) {
 	schema := intSchema("k", "v")
 	heap := rowengine.NewHeapTable(schema, 0)
@@ -228,15 +227,11 @@ func TestHeapScanThroughRegistry(t *testing.T) {
 	}
 }
 
-// Exchange nodes record the parallelism degree and Format renders it.
+// An exchange's degree is its fan-in; Format renders it.
 func TestXchgParallelismAndFormat(t *testing.T) {
-	alg := &algebra.XchgUnion{Kids: []algebra.Node{valuesNode(1), valuesNode(2)}}
-	n, err := Build(alg, nil)
+	n, err := Build(&Xchg{Kids: []Node{valuesNode(1), valuesNode(2)}}, nil)
 	if err != nil {
 		t.Fatalf("build: %v", err)
-	}
-	if got := MaxParallelism(n); got != 2 {
-		t.Fatalf("MaxParallelism = %d, want 2", got)
 	}
 	text := Format(n)
 	for _, want := range []string{"Xchg(degree=2)", "Values(1 rows)", ":: [BIGINT]"} {
@@ -253,23 +248,9 @@ func TestXchgParallelismAndFormat(t *testing.T) {
 	}
 }
 
-// Every node kind the builder can emit has a registered factory, and
-// profiling shells record per-operator counters uniformly.
+// Profiling shells record per-operator counters uniformly.
 func TestRegistryAndProfile(t *testing.T) {
-	ops := RegisteredOps()
-	want := []string{"HashAgg", "HashJoin", "HeapScan", "Limit", "ParallelHashJoin",
-		"ParallelScan", "Project", "Scan", "Select", "Sort", "TopN", "Union",
-		"Values", "Xchg", "XchgMerge"}
-	if len(ops) != len(want) {
-		t.Fatalf("registered ops = %v, want %v", ops, want)
-	}
-	for i := range want {
-		if ops[i] != want[i] {
-			t.Fatalf("registered ops = %v, want %v", ops, want)
-		}
-	}
-
-	n, err := Build(&algebra.Select{Child: valuesNode(1, 2, 3),
+	n, err := Build(&Select{Child: valuesNode(1, 2, 3),
 		Pred: expr.NewCall(">", expr.Col(0, "x", types.Int64), expr.CInt(0))}, nil)
 	if err != nil {
 		t.Fatalf("build: %v", err)
@@ -321,7 +302,7 @@ func TestRIDScanBuildsAndRuns(t *testing.T) {
 	phys := intSchema("a", "b", "c")
 	cat := &fixtureCatalog{name: "t", info: &TableInfo{
 		Structure: "vectorwise", Logical: phys, Physical: phys}}
-	ridScan := func(table, structure string) *algebra.Scan {
+	ridScan := func(table, structure string) *Scan {
 		s := scanNode(table, structure, "c", "a")
 		s.Spec.RID = true
 		s.Out = s.Spec.Schema()
@@ -335,7 +316,7 @@ func TestRIDScanBuildsAndRuns(t *testing.T) {
 	if got, want := s.Line(), "Scan('t', [c a] @ [2 0], +$rid)"; got != want {
 		t.Fatalf("scan line %q, want %q", got, want)
 	}
-	if k := s.Kinds(); len(k) != 3 || len(s.ColIdxs) != 2 || k[2] != types.KindInt64 {
+	if k := Kinds(s); len(k) != 3 || len(s.ColIdxs) != 2 || k[2] != types.KindInt64 {
 		t.Fatalf("kinds %v over storage positions %v", k, s.ColIdxs)
 	}
 
@@ -396,9 +377,104 @@ func TestRIDScanBuildsAndRuns(t *testing.T) {
 	if len(rows) != 3 {
 		t.Fatalf("%d heap rows", len(rows))
 	}
-	worker := ridScan("t", "vectorwise")
-	worker.Morsels = 2
+	worker := &ParallelScan{ScanCols: ridScan("t", "vectorwise").ScanCols, Queue: &ScanQueue{Workers: 2}}
 	if _, err := Build(worker, cat); err == nil {
 		t.Error("a morsel worker cannot project positions")
+	}
+}
+
+func testScan() *Scan {
+	cols := types.NewSchema(types.Col("a", types.Int64), types.Col("b", types.Float64))
+	return &Scan{ScanCols{Spec: &scanspec.Spec{Table: "t", Structure: "vectorwise", Cols: cols}, Out: cols}}
+}
+
+// Schemas derive from the children: a Select keeps its input's, a Project
+// types its expressions, a HashAgg types its aggregates.
+func TestSchemaPropagation(t *testing.T) {
+	s := testScan()
+	sel := &Select{Child: s, Pred: expr.NewCall(">", expr.Col(0, "a", types.Int64), expr.CInt(1))}
+	if sel.Schema().Len() != 2 {
+		t.Fatal("select schema")
+	}
+	proj := &Project{Child: sel,
+		Exprs: []expr.Expr{expr.NewCall("*", expr.Col(1, "b", types.Float64), expr.CFloat(2))},
+		Names: []string{"bb"}}
+	ps := proj.Schema()
+	if ps.Len() != 1 || ps.Cols[0].Name != "bb" || ps.Cols[0].Type.Kind != types.KindFloat64 {
+		t.Fatalf("project schema: %s", ps)
+	}
+	agg := &HashAgg{Child: proj, GroupCols: nil,
+		Aggs:  []exec.AggSpec{{Fn: exec.AggCount, Col: -1}, {Fn: exec.AggSum, Col: 0}, {Fn: exec.AggAvg, Col: 0}},
+		Names: []string{"c", "s", "a"}}
+	as := agg.Schema()
+	if as.Cols[0].Type.Kind != types.KindInt64 || as.Cols[1].Type.Kind != types.KindFloat64 ||
+		as.Cols[2].Type.Kind != types.KindFloat64 {
+		t.Fatalf("aggregate schema: %s", as)
+	}
+	if got := Kinds(agg); len(got) != 3 || got[0] != types.KindInt64 || got[2] != types.KindFloat64 {
+		t.Fatalf("aggregate kinds: %v", got)
+	}
+}
+
+// Semi joins emit the left columns; a left outer join makes the right ones
+// NULLable until decomposition asks for the $match column instead.
+func TestJoinSchemas(t *testing.T) {
+	l, r := testScan(), testScan()
+	inner := &HashJoin{Left: l, Right: r, Type: exec.Inner, LeftKeys: []int{0}, RightKeys: []int{0}}
+	if inner.Schema().Len() != 4 {
+		t.Fatal("inner schema")
+	}
+	semi := &HashJoin{Left: l, Right: r, Type: exec.Semi, LeftKeys: []int{0}, RightKeys: []int{0}}
+	if semi.Schema().Len() != 2 {
+		t.Fatal("semi schema")
+	}
+	lo := &HashJoin{Left: l, Right: r, Type: exec.LeftOuter, LeftKeys: []int{0}, RightKeys: []int{0}}
+	s := lo.Schema()
+	if s.Len() != 4 || !s.Cols[2].Type.Nullable {
+		t.Fatalf("leftouter schema: %s", s)
+	}
+	lo.WithMatch = true
+	s = lo.Schema()
+	if s.Len() != 5 || s.Cols[4].Name != "$match" || s.Cols[2].Type.Nullable {
+		t.Fatalf("leftouter+match schema: %s", s)
+	}
+	par := &ParallelHashJoin{Build: r, Probes: []Node{l, testScan()}, Type: exec.LeftOuter, WithMatch: true}
+	if got := par.Schema(); got.String() != s.String() {
+		t.Fatalf("parallel join schema %s, want the serial %s", got, s)
+	}
+}
+
+// Format renders one indented line per node, each with its output kinds.
+func TestFormatRendersEveryNode(t *testing.T) {
+	s := testScan()
+	plan := &Limit{Child: &Sort{Child: s, Keys: []exec.SortKey{{Col: 0, Desc: true}}}, N: 5}
+	want := "Limit(0, 5) :: [BIGINT, DOUBLE]\n" +
+		"  Sort($0 desc) :: [BIGINT, DOUBLE]\n" +
+		"    Scan('t', [a b] @ []) :: [BIGINT, DOUBLE]\n"
+	if got := Format(plan); got != want {
+		t.Fatalf("format:\n%swant:\n%s", got, want)
+	}
+	// A morsel worker renders its slot and queue.
+	ps := &ParallelScan{ScanCols: testScan().ScanCols, Queue: &ScanQueue{ID: 3, Workers: 4}, Worker: 2}
+	if !strings.Contains(ps.Line(), "worker 2/4, queue=3") {
+		t.Fatalf("scan line: %s", ps.Line())
+	}
+}
+
+func TestWithChildrenRebuild(t *testing.T) {
+	s := testScan()
+	sel := &Select{Child: s, Pred: expr.CBool(true)}
+	s2 := testScan()
+	rebuilt := sel.WithChildren([]Node{s2}).(*Select)
+	if rebuilt.Child != s2 || rebuilt.Pred != sel.Pred || sel.Child != s {
+		t.Fatal("WithChildren broken")
+	}
+	x := &Xchg{Kids: []Node{s, s2}}
+	if x.WithChildren([]Node{s2, s}).(*Xchg).Kids[0] != s2 || x.Kids[0] != s {
+		t.Fatal("xchg WithChildren")
+	}
+	j := &ParallelHashJoin{Build: s, Probes: []Node{s2}}
+	if pj := j.WithChildren([]Node{s2, s, s}).(*ParallelHashJoin); pj.Build != s2 || len(pj.Probes) != 2 || j.Build != s {
+		t.Fatal("parallel join WithChildren")
 	}
 }

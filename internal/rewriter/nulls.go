@@ -4,19 +4,20 @@ import (
 	"fmt"
 	"math"
 
-	"vectorwise/internal/algebra"
+	"vectorwise/internal/exec"
 	"vectorwise/internal/expr"
+	"vectorwise/internal/physical"
 	"vectorwise/internal/scanspec"
 	"vectorwise/internal/types"
 )
 
-// NULL decomposition. Every node of the logical algebra is rewritten into a
-// physical node whose columns are all non-nullable; each logical column is
-// represented by a value column (holding an in-band "safe" value at NULL
-// positions) and, when nullable, a BOOL indicator column. Convention: a
-// node's physical layout is [values in logical order] ++ [indicators of
-// nullable columns in logical order] — the same convention the engine uses
-// for table storage, so scans are trivial.
+// NULL decomposition. Every node of the tree is rewritten into one whose
+// columns are all non-nullable; each logical column is represented by a
+// value column (holding an in-band "safe" value at NULL positions) and, when
+// nullable, a BOOL indicator column. Convention: a node's physical layout is
+// [values in logical order] ++ [indicators of nullable columns in logical
+// order] — the same convention the engine uses for table storage, so scans
+// are trivial.
 
 // PhysicalSchema derives the storage layout for a logical table schema.
 func PhysicalSchema(logical *types.Schema) *types.Schema {
@@ -48,30 +49,10 @@ func PhysicalColMap(logical *types.Schema) ColMap {
 	return cm
 }
 
-// DecomposeRow lays a logical row out in the physical storage convention:
-// values (with in-band safe values at NULL positions) followed by the
-// indicators of nullable columns.
-func DecomposeRow(logical *types.Schema, row []types.Value) []types.Value {
-	out := make([]types.Value, 0, len(row)+4)
-	for i, v := range row {
-		if v.Null {
-			out = append(out, types.SafeValue(logical.Cols[i].Type.Kind))
-		} else {
-			out = append(out, v)
-		}
-	}
-	for i, c := range logical.Cols {
-		if c.Type.Nullable {
-			out = append(out, types.NewBool(row[i].Null))
-		}
-	}
-	return out
-}
-
-// decompose rewrites n into NULL-free physical algebra.
-func decompose(n algebra.Node) (algebra.Node, ColMap, error) {
+// decompose rewrites n into a NULL-free tree.
+func decompose(n physical.Node) (physical.Node, ColMap, error) {
 	switch t := n.(type) {
-	case *algebra.Scan:
+	case *physical.Scan:
 		// The physical list is derived here, from the spec's (pruned) logical
 		// schema. Value columns occupy the same positions in it (values first,
 		// indicators after), so the spec's ranges stay valid against it. NULL
@@ -89,7 +70,7 @@ func decompose(n algebra.Node) (algebra.Node, ColMap, error) {
 		}
 		return &out, cm, nil
 
-	case *algebra.Values:
+	case *physical.Values:
 		logical := t.Out
 		phys := PhysicalSchema(logical)
 		cm := PhysicalColMap(logical)
@@ -111,28 +92,28 @@ func decompose(n algebra.Node) (algebra.Node, ColMap, error) {
 			}
 			rows[r] = nr
 		}
-		return &algebra.Values{Rows: rows, Out: phys}, cm, nil
+		return &physical.Values{Rows: rows, Out: phys}, cm, nil
 
-	case *algebra.Select:
+	case *physical.Select:
 		child, cm, err := decompose(t.Child)
 		if err != nil {
 			return nil, ColMap{}, err
 		}
-		d := &exprDecomposer{cm: cm, logical: t.Child.Schema()}
+		d := &exprDecomposer{cm: cm}
 		val, ind, err := d.decomp(t.Pred)
 		if err != nil {
 			return nil, ColMap{}, err
 		}
 		// SQL filters keep rows where the predicate is TRUE (not NULL).
 		pred := andE(val, notE(ind))
-		return &algebra.Select{Child: child, Pred: pred}, cm, nil
+		return &physical.Select{Child: child, Pred: pred}, cm, nil
 
-	case *algebra.Project:
+	case *physical.Project:
 		child, cm, err := decompose(t.Child)
 		if err != nil {
 			return nil, ColMap{}, err
 		}
-		d := &exprDecomposer{cm: cm, logical: t.Child.Schema()}
+		d := &exprDecomposer{cm: cm}
 		var exprs []expr.Expr
 		var names []string
 		outMap := ColMap{}
@@ -162,86 +143,56 @@ func decompose(n algebra.Node) (algebra.Node, ColMap, error) {
 		}
 		exprs = append(exprs, indExprs...)
 		names = append(names, indNames...)
-		return &algebra.Project{Child: child, Exprs: exprs, Names: names}, outMap, nil
+		return &physical.Project{Child: child, Exprs: exprs, Names: names}, outMap, nil
 
-	case *algebra.Aggr:
-		return decomposeAggr(t)
+	case *physical.HashAgg:
+		return decomposeAgg(t)
 
-	case *algebra.HashJoin:
+	case *physical.HashJoin:
 		return decomposeJoin(t)
 
-	case *algebra.Sort:
+	case *physical.Sort:
 		child, cm, err := decompose(t.Child)
 		if err != nil {
 			return nil, ColMap{}, err
 		}
-		var keys []algebra.SortKey
+		var keys []exec.SortKey
 		for _, k := range t.Keys {
 			if cm.Ind[k.Col] >= 0 {
 				// NULLs sort together (last): indicator is the major key.
-				keys = append(keys, algebra.SortKey{Col: cm.Ind[k.Col]})
+				keys = append(keys, exec.SortKey{Col: cm.Ind[k.Col]})
 			}
-			keys = append(keys, algebra.SortKey{Col: cm.Val[k.Col], Desc: k.Desc})
+			keys = append(keys, exec.SortKey{Col: cm.Val[k.Col], Desc: k.Desc})
 		}
-		return &algebra.Sort{Child: child, Keys: keys}, cm, nil
+		return &physical.Sort{Child: child, Keys: keys}, cm, nil
 
-	case *algebra.TopN:
+	case *physical.TopN:
 		child, cm, err := decompose(t.Child)
 		if err != nil {
 			return nil, ColMap{}, err
 		}
-		var keys []algebra.SortKey
+		var keys []exec.SortKey
 		for _, k := range t.Keys {
 			if cm.Ind[k.Col] >= 0 {
-				keys = append(keys, algebra.SortKey{Col: cm.Ind[k.Col]})
+				keys = append(keys, exec.SortKey{Col: cm.Ind[k.Col]})
 			}
-			keys = append(keys, algebra.SortKey{Col: cm.Val[k.Col], Desc: k.Desc})
+			keys = append(keys, exec.SortKey{Col: cm.Val[k.Col], Desc: k.Desc})
 		}
-		return &algebra.TopN{Child: child, Keys: keys, N: t.N}, cm, nil
+		return &physical.TopN{Child: child, Keys: keys, N: t.N}, cm, nil
 
-	case *algebra.Limit:
+	case *physical.Limit:
 		child, cm, err := decompose(t.Child)
 		if err != nil {
 			return nil, ColMap{}, err
 		}
-		return &algebra.Limit{Child: child, Offset: t.Offset, N: t.N}, cm, nil
-
-	case *algebra.UnionAll:
-		kids := make([]algebra.Node, len(t.Kids))
-		var cm ColMap
-		for i, k := range t.Kids {
-			dk, kcm, err := decompose(k)
-			if err != nil {
-				return nil, ColMap{}, err
-			}
-			kids[i] = dk
-			if i == 0 {
-				cm = kcm
-			}
-		}
-		return &algebra.UnionAll{Kids: kids}, cm, nil
-
-	case *algebra.XchgUnion:
-		kids := make([]algebra.Node, len(t.Kids))
-		var cm ColMap
-		for i, k := range t.Kids {
-			dk, kcm, err := decompose(k)
-			if err != nil {
-				return nil, ColMap{}, err
-			}
-			kids[i] = dk
-			if i == 0 {
-				cm = kcm
-			}
-		}
-		return &algebra.XchgUnion{Kids: kids}, cm, nil
+		return &physical.Limit{Child: child, Offset: t.Offset, N: t.N}, cm, nil
 	}
 	return nil, ColMap{}, fmt.Errorf("rewriter: cannot decompose %T", n)
 }
 
 // --- aggregates ---
 
-func decomposeAggr(t *algebra.Aggr) (algebra.Node, ColMap, error) {
+func decomposeAgg(t *physical.HashAgg) (physical.Node, ColMap, error) {
 	child, cm, err := decompose(t.Child)
 	if err != nil {
 		return nil, ColMap{}, err
@@ -264,11 +215,9 @@ func decomposeAggr(t *algebra.Aggr) (algebra.Node, ColMap, error) {
 	// group because the safe value + indicator pair is uniform).
 	var groupCols []int
 	outMap := ColMap{}
-	groupIndPos := map[int]int{} // logical group idx → position among group outputs
 	for gi, g := range t.GroupCols {
 		vi := add(colE(cm.Val[g]), fmt.Sprintf("$gv%d", gi))
 		groupCols = append(groupCols, vi)
-		groupIndPos[gi] = len(groupCols) - 1
 		outMap.Val = append(outMap.Val, len(groupCols)-1)
 		if cm.Ind[g] >= 0 {
 			ii := add(colE(cm.Ind[g]), fmt.Sprintf("$gi%d", gi))
@@ -280,18 +229,17 @@ func decomposeAggr(t *algebra.Aggr) (algebra.Node, ColMap, error) {
 	}
 	// Aggregates.
 	type aggPlan struct {
-		item    algebra.AggItem
 		outPos  int // position in physical agg output (set later)
 		indFrom int // index of the companion non-null-count agg, or -1
 		isAvg   bool
 		avgSum  int
 		avgCnt  int
 	}
-	var physAggs []algebra.AggItem
+	var physAggs []exec.AggSpec
 	plans := make([]aggPlan, len(t.Aggs))
 	// cache of non-null-count aggs per logical column.
 	nnCount := map[int]int{}
-	addAgg := func(it algebra.AggItem) int {
+	addAgg := func(it exec.AggSpec) int {
 		physAggs = append(physAggs, it)
 		return len(physAggs) - 1
 	}
@@ -300,7 +248,7 @@ func decomposeAggr(t *algebra.Aggr) (algebra.Node, ColMap, error) {
 			return idx
 		}
 		nn := add(colE(cm.Ind[col]), fmt.Sprintf("$nn%d", col))
-		idx := addAgg(algebra.AggItem{Fn: "count_false", Col: nn})
+		idx := addAgg(exec.AggSpec{Fn: exec.AggCountFalse, Col: nn})
 		nnCount[col] = idx
 		return idx
 	}
@@ -320,35 +268,35 @@ func decomposeAggr(t *algebra.Aggr) (algebra.Node, ColMap, error) {
 			kind = logical.Cols[a.Col].Type.Kind
 		}
 		switch a.Fn {
-		case "count":
+		case exec.AggCount:
 			if a.Col < 0 || !nullable {
-				p.outPos = addAgg(algebra.AggItem{Fn: "count", Col: -1})
+				p.outPos = addAgg(exec.AggSpec{Fn: exec.AggCount, Col: -1})
 			} else {
 				// COUNT(col) over nullable = COUNT_FALSE(ind).
 				p.outPos = nonNullCountAgg(a.Col)
 			}
-		case "sum":
+		case exec.AggSum:
 			mv, err := maskedVal(a.Col, types.SafeValue(kind))
 			if err != nil {
 				return nil, ColMap{}, err
 			}
 			ci := add(mv, fmt.Sprintf("$s%d", ai))
-			p.outPos = addAgg(algebra.AggItem{Fn: "sum", Col: ci})
+			p.outPos = addAgg(exec.AggSpec{Fn: exec.AggSum, Col: ci})
 			if nullable {
 				p.indFrom = nonNullCountAgg(a.Col)
 			}
-		case "min", "max":
+		case exec.AggMin, exec.AggMax:
 			var extreme types.Value
 			if nullable {
 				switch kind {
 				case types.KindInt32:
-					extreme = types.NewInt32(extremeI32(a.Fn == "min"))
+					extreme = types.NewInt32(extremeI32(a.Fn == exec.AggMin))
 				case types.KindInt64:
-					extreme = types.NewInt64(extremeI64(a.Fn == "min"))
+					extreme = types.NewInt64(extremeI64(a.Fn == exec.AggMin))
 				case types.KindFloat64:
-					extreme = types.NewFloat64(extremeF64(a.Fn == "min"))
+					extreme = types.NewFloat64(extremeF64(a.Fn == exec.AggMin))
 				case types.KindDate:
-					extreme = types.NewDate(extremeI32(a.Fn == "min"))
+					extreme = types.NewDate(extremeI32(a.Fn == exec.AggMin))
 				default:
 					return nil, ColMap{}, fmt.Errorf("rewriter: %s over nullable %v is not supported", a.Fn, kind)
 				}
@@ -358,14 +306,14 @@ func decomposeAggr(t *algebra.Aggr) (algebra.Node, ColMap, error) {
 				return nil, ColMap{}, err
 			}
 			ci := add(mv, fmt.Sprintf("$m%d", ai))
-			p.outPos = addAgg(algebra.AggItem{Fn: a.Fn, Col: ci})
+			p.outPos = addAgg(exec.AggSpec{Fn: a.Fn, Col: ci})
 			if nullable {
 				p.indFrom = nonNullCountAgg(a.Col)
 			}
-		case "avg":
+		case exec.AggAvg:
 			if !nullable {
 				ci := add(colE(cm.Val[a.Col]), fmt.Sprintf("$a%d", ai))
-				p.outPos = addAgg(algebra.AggItem{Fn: "avg", Col: ci})
+				p.outPos = addAgg(exec.AggSpec{Fn: exec.AggAvg, Col: ci})
 			} else {
 				// AVG over nullable = SUM(masked as float) / COUNT(non-null).
 				mv, err := maskedVal(a.Col, types.SafeValue(kind))
@@ -377,20 +325,20 @@ func decomposeAggr(t *algebra.Aggr) (algebra.Node, ColMap, error) {
 				}
 				ci := add(mv, fmt.Sprintf("$a%d", ai))
 				p.isAvg = true
-				p.avgSum = addAgg(algebra.AggItem{Fn: "sum", Col: ci})
+				p.avgSum = addAgg(exec.AggSpec{Fn: exec.AggSum, Col: ci})
 				p.avgCnt = nonNullCountAgg(a.Col)
 				p.indFrom = p.avgCnt
 			}
 		default:
-			return nil, ColMap{}, fmt.Errorf("rewriter: aggregate %q", a.Fn)
+			return nil, ColMap{}, fmt.Errorf("rewriter: aggregate %v", a.Fn)
 		}
 	}
-	preNode := &algebra.Project{Child: child, Exprs: pre, Names: preNames}
+	preNode := &physical.Project{Child: child, Exprs: pre, Names: preNames}
 	aggNames := make([]string, len(groupCols)+len(physAggs))
 	for i := range aggNames {
 		aggNames[i] = fmt.Sprintf("$o%d", i)
 	}
-	aggNode := &algebra.Aggr{Child: preNode, GroupCols: rangeInts(len(groupCols)),
+	aggNode := &physical.HashAgg{Child: preNode, GroupCols: rangeInts(len(groupCols)),
 		Aggs: physAggs, Names: aggNames}
 	aggSchema := aggNode.Schema()
 	aggColE := func(idx int) expr.Expr {
@@ -452,7 +400,7 @@ func decomposeAggr(t *algebra.Aggr) (algebra.Node, ColMap, error) {
 	}
 	post = append(post, inds...)
 	postNames = append(postNames, indNames...)
-	return &algebra.Project{Child: aggNode, Exprs: post, Names: postNames}, finalMap, nil
+	return &physical.Project{Child: aggNode, Exprs: post, Names: postNames}, finalMap, nil
 }
 
 func rangeInts(n int) []int {
@@ -486,7 +434,7 @@ func extremeF64(isMin bool) float64 {
 
 // --- joins (including the C10 anti-join intricacies) ---
 
-func decomposeJoin(t *algebra.HashJoin) (algebra.Node, ColMap, error) {
+func decomposeJoin(t *physical.HashJoin) (physical.Node, ColMap, error) {
 	left, lcm, err := decompose(t.Left)
 	if err != nil {
 		return nil, ColMap{}, err
@@ -495,7 +443,6 @@ func decomposeJoin(t *algebra.HashJoin) (algebra.Node, ColMap, error) {
 	if err != nil {
 		return nil, ColMap{}, err
 	}
-	nlLogical := t.Left.Schema().Len()
 	// Physical key columns.
 	lk := make([]int, len(t.LeftKeys))
 	rk := make([]int, len(t.RightKeys))
@@ -518,12 +465,12 @@ func decomposeJoin(t *algebra.HashJoin) (algebra.Node, ColMap, error) {
 			rIndCols = append(rIndCols, -1)
 		}
 	}
-	switch t.Kind {
-	case algebra.Inner, algebra.Semi:
+	switch t.Type {
+	case exec.Inner, exec.Semi:
 		// NULL keys never match: filter both sides.
 		left = filterNotNullKeys(left, lIndCols)
 		right = filterNotNullKeys(right, rIndCols)
-	case algebra.LeftOuter, algebra.Anti:
+	case exec.LeftOuter, exec.Anti:
 		// Probe rows must survive; only the build side is filtered. To keep
 		// safe values from falsely matching, nullable probe keys gain the
 		// indicator as an extra key column against constant FALSE on the
@@ -533,8 +480,7 @@ func decomposeJoin(t *algebra.HashJoin) (algebra.Node, ColMap, error) {
 			var extraRight []int
 			right, extraRight = appendFalseCols(right, countNonNeg(lIndCols))
 			ei := 0
-			for i, li := range lIndCols {
-				_ = i
+			for _, li := range lIndCols {
 				if li < 0 {
 					continue
 				}
@@ -543,21 +489,21 @@ func decomposeJoin(t *algebra.HashJoin) (algebra.Node, ColMap, error) {
 				ei++
 			}
 		}
-	case algebra.AntiNullAware:
+	case exec.AntiNullAware:
 		if len(t.LeftKeys) != 1 {
 			return nil, ColMap{}, fmt.Errorf("rewriter: multi-key NOT IN is not supported")
 		}
 	}
-	hj := &algebra.HashJoin{Left: left, Right: right, Kind: t.Kind,
+	hj := &physical.HashJoin{Left: left, Right: right, Type: t.Type,
 		LeftKeys: lk, RightKeys: rk, LeftKeyNull: -1, RightKeyNull: -1}
-	if t.Kind == algebra.AntiNullAware {
+	if t.Type == exec.AntiNullAware {
 		hj.LeftKeyNull = lIndCols[0]  // may be -1 (non-nullable side)
 		hj.RightKeyNull = rIndCols[0] // may be -1
 	}
-	switch t.Kind {
-	case algebra.Semi, algebra.Anti, algebra.AntiNullAware:
+	switch t.Type {
+	case exec.Semi, exec.Anti, exec.AntiNullAware:
 		return hj, lcm, nil
-	case algebra.Inner:
+	case exec.Inner:
 		cm := ColMap{}
 		nlPhys := left.Schema().Len()
 		cm.Val = append(cm.Val, lcm.Val...)
@@ -573,7 +519,7 @@ func decomposeJoin(t *algebra.HashJoin) (algebra.Node, ColMap, error) {
 			}
 		}
 		return hj, cm, nil
-	case algebra.LeftOuter:
+	case exec.LeftOuter:
 		hj.WithMatch = true
 		js := hj.Schema()
 		matchIdx := js.Len() - 1
@@ -622,10 +568,9 @@ func decomposeJoin(t *algebra.HashJoin) (algebra.Node, ColMap, error) {
 		}
 		exprs = append(exprs, inds...)
 		names = append(names, indNames...)
-		_ = nlLogical
-		return &algebra.Project{Child: hj, Exprs: exprs, Names: names}, cm, nil
+		return &physical.Project{Child: hj, Exprs: exprs, Names: names}, cm, nil
 	}
-	return nil, ColMap{}, fmt.Errorf("rewriter: join kind %v", t.Kind)
+	return nil, ColMap{}, fmt.Errorf("rewriter: join kind %v", t.Type)
 }
 
 func countNonNeg(xs []int) int {
@@ -639,21 +584,21 @@ func countNonNeg(xs []int) int {
 }
 
 // filterNotNullKeys adds Select(NOT ind…) for each nullable key indicator.
-func filterNotNullKeys(n algebra.Node, indCols []int) algebra.Node {
+func filterNotNullKeys(n physical.Node, indCols []int) physical.Node {
 	s := n.Schema()
 	for _, ic := range indCols {
 		if ic < 0 {
 			continue
 		}
 		pred := expr.NewCall("not", expr.Col(ic, s.Cols[ic].Name, types.Bool))
-		n = &algebra.Select{Child: n, Pred: pred}
+		n = &physical.Select{Child: n, Pred: pred}
 	}
 	return n
 }
 
 // appendFalseCols projects n extra constant-FALSE columns, returning their
 // indexes.
-func appendFalseCols(n algebra.Node, count int) (algebra.Node, []int) {
+func appendFalseCols(n physical.Node, count int) (physical.Node, []int) {
 	s := n.Schema()
 	var exprs []expr.Expr
 	var names []string
@@ -667,14 +612,13 @@ func appendFalseCols(n algebra.Node, count int) (algebra.Node, []int) {
 		exprs = append(exprs, expr.CBool(false))
 		names = append(names, fmt.Sprintf("$false%d", k))
 	}
-	return &algebra.Project{Child: n, Exprs: exprs, Names: names}, idxs
+	return &physical.Project{Child: n, Exprs: exprs, Names: names}, idxs
 }
 
 // --- expression decomposition ---
 
 type exprDecomposer struct {
-	cm      ColMap
-	logical *types.Schema
+	cm ColMap
 }
 
 // decomp returns (value, indicator) physical expressions for a logical

@@ -1,8 +1,9 @@
 package rewriter
 
 import (
-	"vectorwise/internal/algebra"
+	"vectorwise/internal/exec"
 	"vectorwise/internal/expr"
+	"vectorwise/internal/physical"
 )
 
 // Column pruning after NULL decomposition. The optimizer prunes logical
@@ -21,13 +22,13 @@ import (
 // ColMap) is unchanged.
 
 // pruneDecomposed narrows the scans of a decomposed plan to the columns read.
-func pruneDecomposed(n algebra.Node) algebra.Node {
+func pruneDecomposed(n physical.Node) physical.Node {
 	out, _ := pruneNode(n, allOf(n))
 	return out
 }
 
 // allOf is the need set that asks for every output column of n.
-func allOf(n algebra.Node) []bool {
+func allOf(n physical.Node) []bool {
 	need := make([]bool, n.Schema().Len())
 	for i := range need {
 		need[i] = true
@@ -38,18 +39,18 @@ func allOf(n algebra.Node) []bool {
 // pruneNode rebuilds n to produce at least the columns in need and returns
 // the rebuilt node with the map from n's output positions to the new node's
 // (-1 for a dropped column).
-func pruneNode(n algebra.Node, need []bool) (algebra.Node, []int) {
+func pruneNode(n physical.Node, need []bool) (physical.Node, []int) {
 	switch t := n.(type) {
-	case *algebra.Scan:
+	case *physical.Scan:
 		return pruneScanOut(t, need)
 
-	case *algebra.Select:
+	case *physical.Select:
 		childNeed := append([]bool(nil), need...)
 		markCols(childNeed, t.Pred)
 		child, m := pruneNode(t.Child, childNeed)
-		return &algebra.Select{Child: child, Pred: expr.MapCols(t.Pred, m)}, m
+		return &physical.Select{Child: child, Pred: expr.MapCols(t.Pred, m)}, m
 
-	case *algebra.Project:
+	case *physical.Project:
 		keep := need
 		if !anyOf(keep) && len(keep) > 0 {
 			// Unread, but keep one: a zero-width projection only runs where
@@ -64,7 +65,7 @@ func pruneNode(n algebra.Node, need []bool) (algebra.Node, []int) {
 			}
 		}
 		child, cm := pruneNode(t.Child, childNeed)
-		out := &algebra.Project{Child: child}
+		out := &physical.Project{Child: child}
 		m := make([]int, len(t.Exprs))
 		for i, e := range t.Exprs {
 			m[i] = -1
@@ -76,7 +77,7 @@ func pruneNode(n algebra.Node, need []bool) (algebra.Node, []int) {
 		}
 		return out, m
 
-	case *algebra.Aggr:
+	case *physical.HashAgg:
 		childNeed := make([]bool, t.Child.Schema().Len())
 		for _, g := range t.GroupCols {
 			childNeed[g] = true
@@ -87,8 +88,8 @@ func pruneNode(n algebra.Node, need []bool) (algebra.Node, []int) {
 			}
 		}
 		child, m := pruneNode(t.Child, childNeed)
-		out := &algebra.Aggr{Child: child, Names: t.Names,
-			GroupCols: make([]int, len(t.GroupCols)), Aggs: make([]algebra.AggItem, len(t.Aggs))}
+		out := &physical.HashAgg{Child: child, Names: t.Names,
+			GroupCols: make([]int, len(t.GroupCols)), Aggs: make([]exec.AggSpec, len(t.Aggs))}
 		for i, g := range t.GroupCols {
 			out.GroupCols[i] = m[g]
 		}
@@ -100,25 +101,25 @@ func pruneNode(n algebra.Node, need []bool) (algebra.Node, []int) {
 		}
 		return out, identity(len(need))
 
-	case *algebra.HashJoin:
+	case *physical.HashJoin:
 		return pruneHashJoin(t, need)
 
-	case *algebra.Sort:
+	case *physical.Sort:
 		child, keys, m := pruneSorted(t.Child, t.Keys, need)
-		return &algebra.Sort{Child: child, Keys: keys}, m
+		return &physical.Sort{Child: child, Keys: keys}, m
 
-	case *algebra.TopN:
+	case *physical.TopN:
 		child, keys, m := pruneSorted(t.Child, t.Keys, need)
-		return &algebra.TopN{Child: child, Keys: keys, N: t.N}, m
+		return &physical.TopN{Child: child, Keys: keys, N: t.N}, m
 
-	case *algebra.Limit:
+	case *physical.Limit:
 		child, m := pruneNode(t.Child, need)
-		return &algebra.Limit{Child: child, Offset: t.Offset, N: t.N}, m
+		return &physical.Limit{Child: child, Offset: t.Offset, N: t.N}, m
 	}
-	// Values, unions and any other node keep their children whole, which
+	// Values and any other node keep their children whole, which
 	// keeps every child's positions.
 	ch := n.Children()
-	newCh := make([]algebra.Node, len(ch))
+	newCh := make([]physical.Node, len(ch))
 	for i, c := range ch {
 		newCh[i], _ = pruneNode(c, allOf(c))
 	}
@@ -129,7 +130,7 @@ func pruneNode(n algebra.Node, need []bool) (algebra.Node, []int) {
 // columns stay (the scanner filters on them), so does the position column of
 // a RID scan, which is made, not stored. A scan nothing reads from (COUNT(*))
 // stays as the optimizer left it: one logical column, the cheapest.
-func pruneScanOut(t *algebra.Scan, need []bool) (algebra.Node, []int) {
+func pruneScanOut(t *physical.Scan, need []bool) (physical.Node, []int) {
 	need = append([]bool(nil), need...)
 	for _, r := range t.Spec.Ranges {
 		need[r.Col] = true // value columns keep their logical positions
@@ -161,9 +162,9 @@ func pruneScanOut(t *algebra.Scan, need []bool) (algebra.Node, []int) {
 
 // pruneHashJoin splits need and the join's key and NULL-key columns between
 // the inputs and rebuilds the join over their narrowed outputs.
-func pruneHashJoin(t *algebra.HashJoin, need []bool) (algebra.Node, []int) {
+func pruneHashJoin(t *physical.HashJoin, need []bool) (physical.Node, []int) {
 	nl, nr := t.Left.Schema().Len(), t.Right.Schema().Len()
-	emitsRight := t.Kind == algebra.Inner || t.Kind == algebra.LeftOuter
+	emitsRight := t.Type == exec.Inner || t.Type == exec.LeftOuter
 	ln, rn := make([]bool, nl), make([]bool, nr)
 	copy(ln, need)
 	if emitsRight {
@@ -201,7 +202,7 @@ func pruneHashJoin(t *algebra.HashJoin, need []bool) (algebra.Node, []int) {
 			}
 			m = append(m, p)
 		}
-		if t.Kind == algebra.LeftOuter && t.WithMatch {
+		if t.Type == exec.LeftOuter && t.WithMatch {
 			m = append(m, nlNew+right.Schema().Len()) // the trailing $match
 		}
 	}
@@ -242,15 +243,15 @@ func remapInts(cols []int, m []int) []int {
 
 // pruneSorted prunes the child of a Sort or TopN, which also reads the
 // keys, and remaps the keys.
-func pruneSorted(child algebra.Node, keys []algebra.SortKey, need []bool) (algebra.Node, []algebra.SortKey, []int) {
+func pruneSorted(child physical.Node, keys []exec.SortKey, need []bool) (physical.Node, []exec.SortKey, []int) {
 	childNeed := append([]bool(nil), need...)
 	for _, k := range keys {
 		childNeed[k.Col] = true
 	}
 	child, m := pruneNode(child, childNeed)
-	out := make([]algebra.SortKey, len(keys))
+	out := make([]exec.SortKey, len(keys))
 	for i, k := range keys {
-		out[i] = algebra.SortKey{Col: m[k.Col], Desc: k.Desc}
+		out[i] = exec.SortKey{Col: m[k.Col], Desc: k.Desc}
 	}
 	return child, out, m
 }

@@ -1,12 +1,11 @@
 // Package rewriter is the Vectorwise rewriter of Figure 1: a rule-based
-// transformation layer over the X100 algebra, sitting between the cross
-// compiler and the execution kernel. The paper credits it with most of the
-// "filling functionality holes at a higher level" work; this implementation
-// covers the passes the paper names:
+// transformation layer over the operator tree (internal/physical) the cross
+// compiler emits, before the plan is resolved against storage and run. The
+// paper credits it with most of the "filling functionality holes at a
+// higher level" work; this implementation covers the passes the paper
+// names:
 //
 //   - constant folding and expression simplification,
-//   - function lowering — implementing SQL functions as combinations of
-//     existing kernel primitives instead of new kernel code (claim C7),
 //   - NULL decomposition — rewriting every NULLable column into a value
 //     column plus a BOOL indicator column so the kernel stays NULL-
 //     oblivious (claim C6), including the anti-join NULL
@@ -15,13 +14,13 @@
 //     NULL scans its indicator only),
 //   - the Volcano-style parallelizer — splitting pipelines across cores
 //     with exchange operators (claim C9). Parallel scans are
-//     morsel-driven: the rewriter clones a scan chain into P workers that
-//     all reference one run-time work queue of row-group morsels
-//     (identified by Scan.MorselID), so work distribution happens at Open,
+//     morsel-driven: the rewriter clones a scan chain into P ParallelScan
+//     workers that all hold one run-time work queue of row-group morsels
+//     (a shared *physical.ScanQueue), so work distribution happens at Open,
 //     not at compile — skew self-balances by work stealing, and deltas
 //     arriving between compile and run only change what the queue serves.
-//     Placement rules: Aggr over a scan chain becomes partial aggregates
-//     exchanged (XchgUnion) into a final aggregate; Sort and TopN become
+//     Placement rules: HashAgg over a scan chain becomes partial aggregates
+//     exchanged (Xchg) into a final aggregate; Sort and TopN become
 //     per-worker local sorts merged order-preservingly by XchgMerge (TopN
 //     additionally re-limited); a HashJoin whose probe side is a scan chain
 //     becomes a ParallelHashJoin — one shared build, P concurrent probe
@@ -35,8 +34,9 @@ package rewriter
 import (
 	"fmt"
 
-	"vectorwise/internal/algebra"
+	"vectorwise/internal/exec"
 	"vectorwise/internal/expr"
+	"vectorwise/internal/physical"
 	"vectorwise/internal/scanspec"
 	"vectorwise/internal/types"
 )
@@ -53,40 +53,25 @@ type Options struct {
 	// old partition hint it must NOT reflect transient delta state —
 	// run-time morsel sources handle deltas.
 	GroupsHint func(spec *scanspec.Spec) int
-	// LowerFuncs replaces kernel-native functions with equivalent
-	// combinations of other primitives.
-	LowerFuncs bool
-	// SkipDecompose is for tests that feed pre-physical plans.
-	SkipDecompose bool
 }
 
-// Result is the rewritten physical algebra plus the mapping from the
-// query's logical output columns to physical (value, indicator) pairs.
+// Result is the rewritten, NULL-free tree plus the mapping from the query's
+// logical output columns to physical (value, indicator) pairs.
 type Result struct {
-	Node   algebra.Node
+	Node   physical.Node
 	ColMap ColMap
 	// Logical is the pre-decomposition output schema (for result headers).
 	Logical *types.Schema
 }
 
 // Rewrite runs the full pipeline.
-func Rewrite(n algebra.Node, opts Options) (*Result, error) {
+func Rewrite(n physical.Node, opts Options) (*Result, error) {
 	logical := n.Schema().Clone()
-	n = foldNode(n)
-	if opts.LowerFuncs {
-		n = lowerFuncs(n)
+	n, cm, err := decompose(foldNode(n))
+	if err != nil {
+		return nil, err
 	}
-	var cm ColMap
-	if opts.SkipDecompose {
-		cm = identityMap(n.Schema())
-	} else {
-		var err error
-		n, cm, err = decompose(n)
-		if err != nil {
-			return nil, err
-		}
-		n = pruneDecomposed(n)
-	}
+	n = pruneDecomposed(n)
 	if opts.Parallel > 1 {
 		pc := &parCtx{opts: opts}
 		n = pc.parallelize(n)
@@ -101,87 +86,24 @@ type ColMap struct {
 	Ind []int
 }
 
-func identityMap(s *types.Schema) ColMap {
-	cm := ColMap{Val: make([]int, s.Len()), Ind: make([]int, s.Len())}
-	for i := range s.Cols {
-		cm.Val[i] = i
-		cm.Ind[i] = -1
-	}
-	return cm
-}
-
 // --- constant folding ---
 
-func foldNode(n algebra.Node) algebra.Node {
+func foldNode(n physical.Node) physical.Node {
 	ch := n.Children()
-	newCh := make([]algebra.Node, len(ch))
+	newCh := make([]physical.Node, len(ch))
 	for i, c := range ch {
 		newCh[i] = foldNode(c)
 	}
 	n = n.WithChildren(newCh)
 	switch t := n.(type) {
-	case *algebra.Select:
-		return &algebra.Select{Child: t.Child, Pred: expr.FoldConstants(t.Pred)}
-	case *algebra.Project:
+	case *physical.Select:
+		return &physical.Select{Child: t.Child, Pred: expr.FoldConstants(t.Pred)}
+	case *physical.Project:
 		exprs := make([]expr.Expr, len(t.Exprs))
 		for i, e := range t.Exprs {
 			exprs[i] = expr.FoldConstants(e)
 		}
-		return &algebra.Project{Child: t.Child, Exprs: exprs, Names: t.Names}
-	}
-	return n
-}
-
-// --- function lowering ---
-
-// lowerFuncs rewrites selected kernel-native calls into combinations of
-// other primitives: the "implement it in the rewriter" route the paper
-// describes for quickly filling function gaps.
-func lowerFuncs(n algebra.Node) algebra.Node {
-	lower := func(e expr.Expr) expr.Expr {
-		return expr.Rewrite(e, func(x expr.Expr) expr.Expr {
-			c, ok := x.(*expr.Call)
-			if !ok {
-				return x
-			}
-			switch c.Fn {
-			case "trim":
-				// trim(s) → ltrim(rtrim(s))
-				return expr.NewCall("ltrim", expr.NewCall("rtrim", c.Args[0]))
-			case "between":
-				// between(x, lo, hi) → x >= lo AND x <= hi
-				return expr.NewCall("and",
-					expr.NewCall(">=", c.Args[0], c.Args[1]),
-					expr.NewCall("<=", c.Args[0], c.Args[2]))
-			case "abs":
-				// abs(x) → max2(x, -x)
-				return expr.NewCall("max2", c.Args[0], expr.NewCall("neg", c.Args[0]))
-			case "sign":
-				// sign(x) → if(x > 0, 1, if(x < 0, -1, 0)), typed per input
-				k := c.Args[0].Type().Kind
-				one, minus, zero := litOf(k, 1), litOf(k, -1), litOf(k, 0)
-				return expr.NewCall("if",
-					gtZero(c.Args[0], k), one,
-					expr.NewCall("if", ltZero(c.Args[0], k), minus, zero))
-			}
-			return x
-		})
-	}
-	ch := n.Children()
-	newCh := make([]algebra.Node, len(ch))
-	for i, c := range ch {
-		newCh[i] = lowerFuncs(c)
-	}
-	n = n.WithChildren(newCh)
-	switch t := n.(type) {
-	case *algebra.Select:
-		return &algebra.Select{Child: t.Child, Pred: lower(t.Pred)}
-	case *algebra.Project:
-		exprs := make([]expr.Expr, len(t.Exprs))
-		for i, e := range t.Exprs {
-			exprs[i] = lower(e)
-		}
-		return &algebra.Project{Child: t.Child, Exprs: exprs, Names: t.Names}
+		return &physical.Project{Child: t.Child, Exprs: exprs, Names: t.Names}
 	}
 	return n
 }
@@ -197,19 +119,11 @@ func litOf(k types.Kind, v int64) expr.Expr {
 	}
 }
 
-func gtZero(e expr.Expr, k types.Kind) expr.Expr {
-	return expr.NewCall(">", e, litOf(k, 0))
-}
-
-func ltZero(e expr.Expr, k types.Kind) expr.Expr {
-	return expr.NewCall("<", e, litOf(k, 0))
-}
-
 // --- parallelizer (claim C9) ---
 
 // parCtx carries parallelizer state: the options plus a counter handing out
 // morsel-queue IDs, one per parallelized scan chain (the P worker clones of
-// one chain share an ID; distinct chains get distinct queues).
+// one chain share a queue; distinct chains get distinct queues).
 type parCtx struct {
 	opts   Options
 	nextID int
@@ -217,7 +131,7 @@ type parCtx struct {
 
 // degree picks the worker count for a scan: Options.Parallel capped by the
 // row-group morsel count the scan can actually touch.
-func (pc *parCtx) degree(scan *algebra.Scan) int {
+func (pc *parCtx) degree(scan *physical.Scan) int {
 	p := pc.opts.Parallel
 	if pc.opts.GroupsHint != nil {
 		if g := pc.opts.GroupsHint(scan.Spec); g >= 0 && g < p {
@@ -227,22 +141,23 @@ func (pc *parCtx) degree(scan *algebra.Scan) int {
 	return p
 }
 
-// morselChains clones a scan chain into p morsel workers sharing one queue.
-func (pc *parCtx) morselChains(chain algebra.Node, p int) []algebra.Node {
-	id := pc.nextID
+// morselChains clones a scan chain into p ParallelScan workers sharing one
+// queue.
+func (pc *parCtx) morselChains(chain physical.Node, p int) []physical.Node {
+	q := &physical.ScanQueue{ID: pc.nextID, Workers: p}
 	pc.nextID++
-	out := make([]algebra.Node, p)
-	for w := 0; w < p; w++ {
-		out[w] = cloneChainMorsel(chain, w, p, id)
+	out := make([]physical.Node, p)
+	for w := range out {
+		out[w] = cloneChainMorsel(chain, q, w)
 	}
 	return out
 }
 
 // chainDegree returns the scan chain's parallel degree, or 0 when the chain
-// must stay serial (no scan, already morselized, degree cap ≤ 1).
-func (pc *parCtx) chainDegree(chain algebra.Node) int {
+// must stay serial (no serial vectorwise scan, degree cap ≤ 1).
+func (pc *parCtx) chainDegree(chain physical.Node) int {
 	scan := scanOfChain(chain)
-	if scan == nil || scan.Morsels > 0 {
+	if scan == nil {
 		return 0
 	}
 	if p := pc.degree(scan); p > 1 {
@@ -253,53 +168,53 @@ func (pc *parCtx) chainDegree(chain algebra.Node) int {
 
 // parallelize applies the Xchg placement rules bottom-up:
 //
-//	Aggr(chain(Scan))  ⇒  FinalAggr(XchgUnion(PartialAggr(chain(Scan_w))…))
-//	Sort(chain(Scan))  ⇒  XchgMerge(Sort(chain(Scan_w))…)
-//	TopN(chain(Scan))  ⇒  Limit(N, XchgMerge(TopN(chain(Scan_w))…))
-//	HashJoin(chain(Scan), build) ⇒ ParallelHashJoin(build; chain(Scan_w)…)
+//	HashAgg(chain(Scan)) ⇒ FinalAgg(Xchg(PartialAgg(chain(ParallelScan_w))…))
+//	Sort(chain(Scan))    ⇒ XchgMerge(Sort(chain(ParallelScan_w))…)
+//	TopN(chain(Scan))    ⇒ Limit(N, XchgMerge(TopN(chain(ParallelScan_w))…))
+//	HashJoin(chain(Scan), build) ⇒ ParallelHashJoin(build; chain(ParallelScan_w)…)
 //
-// where the Scan_w are morsel-worker clones sharing one run-time queue.
-func (pc *parCtx) parallelize(n algebra.Node) algebra.Node {
+// where the ParallelScan_w are morsel workers sharing one run-time queue.
+func (pc *parCtx) parallelize(n physical.Node) physical.Node {
 	ch := n.Children()
-	newCh := make([]algebra.Node, len(ch))
+	newCh := make([]physical.Node, len(ch))
 	for i, c := range ch {
 		newCh[i] = pc.parallelize(c)
 	}
 	n = n.WithChildren(newCh)
 	switch t := n.(type) {
-	case *algebra.Aggr:
-		return pc.parallelizeAggr(t)
-	case *algebra.Sort:
+	case *physical.HashAgg:
+		return pc.parallelizeAgg(t)
+	case *physical.Sort:
 		p := pc.chainDegree(t.Child)
 		if p == 0 {
 			return n
 		}
-		kids := make([]algebra.Node, p)
+		kids := make([]physical.Node, p)
 		for w, c := range pc.morselChains(t.Child, p) {
-			kids[w] = &algebra.Sort{Child: c, Keys: t.Keys}
+			kids[w] = &physical.Sort{Child: c, Keys: t.Keys}
 		}
-		return &algebra.XchgMerge{Kids: kids, Keys: t.Keys}
-	case *algebra.TopN:
+		return &physical.XchgMerge{Kids: kids, Keys: t.Keys}
+	case *physical.TopN:
 		p := pc.chainDegree(t.Child)
 		if p == 0 {
 			return n
 		}
-		kids := make([]algebra.Node, p)
+		kids := make([]physical.Node, p)
 		for w, c := range pc.morselChains(t.Child, p) {
-			kids[w] = &algebra.TopN{Child: c, Keys: t.Keys, N: t.N}
+			kids[w] = &physical.TopN{Child: c, Keys: t.Keys, N: t.N}
 		}
 		// Each worker keeps its local top N; the merge is globally sorted,
 		// so a final Limit restores the exact top N.
-		return &algebra.Limit{Child: &algebra.XchgMerge{Kids: kids, Keys: t.Keys}, N: t.N}
-	case *algebra.HashJoin:
+		return &physical.Limit{Child: &physical.XchgMerge{Kids: kids, Keys: t.Keys}, N: int64(t.N)}
+	case *physical.HashJoin:
 		p := pc.chainDegree(t.Left)
 		if p == 0 {
 			return n
 		}
-		return &algebra.ParallelHashJoin{
+		return &physical.ParallelHashJoin{
 			Build:        t.Right,
 			Probes:       pc.morselChains(t.Left, p),
-			Kind:         t.Kind,
+			Type:         t.Type,
 			LeftKeys:     t.LeftKeys,
 			RightKeys:    t.RightKeys,
 			LeftKeyNull:  t.LeftKeyNull,
@@ -310,40 +225,39 @@ func (pc *parCtx) parallelize(n algebra.Node) algebra.Node {
 	return n
 }
 
-// parallelizeAggr splits Aggr-over-scan-chain pipelines into P partial
+// parallelizeAgg splits HashAgg-over-scan-chain pipelines into P partial
 // pipelines over morsel workers, exchanged into a final aggregate.
-func (pc *parCtx) parallelizeAggr(agg *algebra.Aggr) algebra.Node {
-	var n algebra.Node = agg
+func (pc *parCtx) parallelizeAgg(agg *physical.HashAgg) physical.Node {
 	p := pc.chainDegree(agg.Child)
 	if p == 0 {
-		return n
+		return agg
 	}
 	// Partial aggregates per worker. AVG splits into SUM+COUNT.
 	type finalSpec struct {
-		fn  string
+		fn  exec.AggFn
 		col int // partial output column
 	}
-	var partialAggs []algebra.AggItem
+	var partialAggs []exec.AggSpec
 	var finals []finalSpec
 	avgSum := map[int]int{} // agg idx → partial col of its sum
 	avgCnt := map[int]int{} // agg idx → partial col of its count
 	base := len(agg.GroupCols)
 	for i, a := range agg.Aggs {
 		switch a.Fn {
-		case "count", "count_false":
-			finals = append(finals, finalSpec{fn: "sum", col: base + len(partialAggs)})
+		case exec.AggCount, exec.AggCountFalse:
+			finals = append(finals, finalSpec{fn: exec.AggSum, col: base + len(partialAggs)})
 			partialAggs = append(partialAggs, a)
-		case "sum", "min", "max":
+		case exec.AggSum, exec.AggMin, exec.AggMax:
 			finals = append(finals, finalSpec{fn: a.Fn, col: base + len(partialAggs)})
 			partialAggs = append(partialAggs, a)
-		case "avg":
+		case exec.AggAvg:
 			avgSum[i] = base + len(partialAggs)
-			partialAggs = append(partialAggs, algebra.AggItem{Fn: "sum", Col: a.Col})
+			partialAggs = append(partialAggs, exec.AggSpec{Fn: exec.AggSum, Col: a.Col})
 			avgCnt[i] = base + len(partialAggs)
-			partialAggs = append(partialAggs, algebra.AggItem{Fn: "count", Col: -1})
-			finals = append(finals, finalSpec{fn: "avg", col: -1}) // placeholder
+			partialAggs = append(partialAggs, exec.AggSpec{Fn: exec.AggCount, Col: -1})
+			finals = append(finals, finalSpec{fn: exec.AggAvg, col: -1}) // placeholder
 		default:
-			return n // unknown aggregate: stay serial
+			return agg // unknown aggregate: stay serial
 		}
 	}
 	// An ungrouped aggregate emits one row even over an empty input (SQL
@@ -354,53 +268,49 @@ func (pc *parCtx) parallelizeAggr(agg *algebra.Aggr) algebra.Node {
 	sentinel := -1
 	if base == 0 {
 		for i, a := range partialAggs {
-			if a.Fn == "count" && a.Col == -1 {
+			if a.Fn == exec.AggCount && a.Col == -1 {
 				sentinel = base + i // reuse an existing count(*) partial
 				break
 			}
 		}
 		if sentinel < 0 {
 			sentinel = base + len(partialAggs)
-			partialAggs = append(partialAggs, algebra.AggItem{Fn: "count", Col: -1})
+			partialAggs = append(partialAggs, exec.AggSpec{Fn: exec.AggCount, Col: -1})
 		}
 	}
 	names := make([]string, base+len(partialAggs))
 	for i := range names {
 		names[i] = fmt.Sprintf("$p%d", i)
 	}
-	kids := make([]algebra.Node, p)
+	kids := make([]physical.Node, p)
 	for w, chain := range pc.morselChains(agg.Child, p) {
-		kids[w] = &algebra.Aggr{Child: chain, GroupCols: agg.GroupCols,
+		kids[w] = &physical.HashAgg{Child: chain, GroupCols: agg.GroupCols,
 			Aggs: partialAggs, Names: names}
 	}
-	var merged algebra.Node = &algebra.XchgUnion{Kids: kids}
+	var merged physical.Node = &physical.Xchg{Kids: kids}
 	if sentinel >= 0 {
-		merged = &algebra.Select{Child: merged,
+		merged = &physical.Select{Child: merged,
 			Pred: expr.NewCall(">", expr.Col(sentinel, "", types.Int64), expr.CInt(0))}
 	}
 	// Final aggregate regroups by the partial group outputs.
-	finalGroups := make([]int, base)
-	for i := range finalGroups {
-		finalGroups[i] = i
-	}
-	var finalAggs []algebra.AggItem
+	var finalAggs []exec.AggSpec
 	finalOutOfAgg := make([]int, len(agg.Aggs)) // agg idx → final agg output idx
 	for i, a := range agg.Aggs {
-		if a.Fn == "avg" {
-			finalAggs = append(finalAggs, algebra.AggItem{Fn: "sum", Col: avgSum[i]})
+		if a.Fn == exec.AggAvg {
+			finalAggs = append(finalAggs, exec.AggSpec{Fn: exec.AggSum, Col: avgSum[i]})
 			finalOutOfAgg[i] = len(finalAggs) - 1
-			finalAggs = append(finalAggs, algebra.AggItem{Fn: "sum", Col: avgCnt[i]})
+			finalAggs = append(finalAggs, exec.AggSpec{Fn: exec.AggSum, Col: avgCnt[i]})
 			continue
 		}
 		fs := finals[i] // finals is parallel to agg.Aggs
-		finalAggs = append(finalAggs, algebra.AggItem{Fn: fs.fn, Col: fs.col})
+		finalAggs = append(finalAggs, exec.AggSpec{Fn: fs.fn, Col: fs.col})
 		finalOutOfAgg[i] = len(finalAggs) - 1
 	}
 	fnames := make([]string, base+len(finalAggs))
 	for i := range fnames {
 		fnames[i] = fmt.Sprintf("$f%d", i)
 	}
-	final := &algebra.Aggr{Child: merged, GroupCols: finalGroups, Aggs: finalAggs, Names: fnames}
+	final := &physical.HashAgg{Child: merged, GroupCols: rangeInts(base), Aggs: finalAggs, Names: fnames}
 	// Post-projection: restore output order and compute AVG = sum/cnt.
 	fs := final.Schema()
 	var exprs []expr.Expr
@@ -410,7 +320,7 @@ func (pc *parCtx) parallelizeAggr(agg *algebra.Aggr) algebra.Node {
 		onames = append(onames, agg.Names[i])
 	}
 	for i, a := range agg.Aggs {
-		if a.Fn == "avg" {
+		if a.Fn == exec.AggAvg {
 			sumIdx := base + finalOutOfAgg[i]
 			cntIdx := sumIdx + 1
 			sumE := expr.Promote(expr.Col(sumIdx, "", fs.Cols[sumIdx].Type.NotNull()), types.KindFloat64)
@@ -428,41 +338,31 @@ func (pc *parCtx) parallelizeAggr(agg *algebra.Aggr) algebra.Node {
 		}
 		onames = append(onames, agg.Names[base+i])
 	}
-	return &algebra.Project{Child: final, Exprs: exprs, Names: onames}
+	return &physical.Project{Child: final, Exprs: exprs, Names: onames}
 }
 
-// scanOfChain returns the single Scan at the bottom of a Select/Project
-// chain, or nil.
-func scanOfChain(n algebra.Node) *algebra.Scan {
+// scanOfChain returns the serial vectorwise Scan at the bottom of a
+// Select/Project chain, or nil.
+func scanOfChain(n physical.Node) *physical.Scan {
 	switch t := n.(type) {
-	case *algebra.Scan:
+	case *physical.Scan:
 		if t.Spec.Structure != "vectorwise" {
 			return nil
 		}
 		return t
-	case *algebra.Select:
+	case *physical.Select:
 		return scanOfChain(t.Child)
-	case *algebra.Project:
+	case *physical.Project:
 		return scanOfChain(t.Child)
 	}
 	return nil
 }
 
-// cloneChainMorsel copies a chain, stamping the scan as morsel worker w of
-// a P-worker group sharing queue id.
-func cloneChainMorsel(n algebra.Node, w, p, id int) algebra.Node {
-	switch t := n.(type) {
-	case *algebra.Scan:
-		cp := *t
-		cp.Worker = w
-		cp.Morsels = p
-		cp.MorselID = id
-		return &cp
-	case *algebra.Select:
-		return &algebra.Select{Child: cloneChainMorsel(t.Child, w, p, id), Pred: t.Pred}
-	case *algebra.Project:
-		return &algebra.Project{Child: cloneChainMorsel(t.Child, w, p, id),
-			Exprs: t.Exprs, Names: t.Names}
+// cloneChainMorsel copies a chain, turning its scan into worker w of the
+// queue q.
+func cloneChainMorsel(n physical.Node, q *physical.ScanQueue, w int) physical.Node {
+	if s, ok := n.(*physical.Scan); ok {
+		return &physical.ParallelScan{ScanCols: s.ScanCols, Queue: q, Worker: w}
 	}
-	return n
+	return n.WithChildren([]physical.Node{cloneChainMorsel(n.Children()[0], q, w)})
 }

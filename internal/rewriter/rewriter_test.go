@@ -5,15 +5,16 @@ import (
 	"strings"
 	"testing"
 
-	"vectorwise/internal/algebra"
+	"vectorwise/internal/exec"
 	"vectorwise/internal/expr"
+	"vectorwise/internal/physical"
 	"vectorwise/internal/scanspec"
 	"vectorwise/internal/types"
 )
 
-func scanNode(cols ...types.Column) *algebra.Scan {
+func scanNode(cols ...types.Column) *physical.Scan {
 	s := types.NewSchema(cols...)
-	return &algebra.Scan{Spec: &scanspec.Spec{Table: "t", Structure: "vectorwise", Cols: s}, Out: s}
+	return &physical.Scan{ScanCols: physical.ScanCols{Spec: &scanspec.Spec{Table: "t", Structure: "vectorwise", Cols: s}, Out: s}}
 }
 
 func TestPhysicalSchemaConvention(t *testing.T) {
@@ -42,15 +43,15 @@ func TestPhysicalSchemaConvention(t *testing.T) {
 
 func TestDecomposeSelectIsNull(t *testing.T) {
 	scan := scanNode(types.Col("x", types.Int64.Null()))
-	sel := &algebra.Select{Child: scan, Pred: expr.NewCall("isnull",
+	sel := &physical.Select{Child: scan, Pred: expr.NewCall("isnull",
 		expr.Col(0, "x", types.Int64.Null()))}
 	res, err := Rewrite(sel, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The physical predicate must reference only the indicator column.
-	f := algebra.Format(res.Node)
-	if !strings.Contains(f, "Select(x$null)") || !strings.Contains(f, "Scan('t', [x, x$null])") {
+	f := physical.Format(res.Node)
+	if !strings.Contains(f, "Select(x$null)") || !strings.Contains(f, "Scan('t', [x x$null] @ [])") {
 		t.Fatalf("no indicator in plan:\n%s", f)
 	}
 	// Output schema NULL-free.
@@ -63,7 +64,7 @@ func TestDecomposeSelectIsNull(t *testing.T) {
 
 func TestDecomposeProjectIndicators(t *testing.T) {
 	scan := scanNode(types.Col("a", types.Int64.Null()), types.Col("b", types.Int64))
-	proj := &algebra.Project{
+	proj := &physical.Project{
 		Child: scan,
 		Exprs: []expr.Expr{
 			expr.NewCall("+", expr.Col(0, "a", types.Int64.Null()), expr.Col(1, "b", types.Int64)),
@@ -88,7 +89,7 @@ func TestThreeValuedLogicDecomposition(t *testing.T) {
 	// NULL OR TRUE must be TRUE: decompose or(a, b) and check the
 	// indicator expression is not a plain OR of indicators.
 	scan := scanNode(types.Col("p", types.Bool.Null()), types.Col("q", types.Bool))
-	sel := &algebra.Select{Child: scan, Pred: expr.NewCall("or",
+	sel := &physical.Select{Child: scan, Pred: expr.NewCall("or",
 		expr.Col(0, "p", types.Bool.Null()), expr.Col(1, "q", types.Bool))}
 	res, err := Rewrite(sel, Options{})
 	if err != nil {
@@ -96,7 +97,7 @@ func TestThreeValuedLogicDecomposition(t *testing.T) {
 	}
 	// The plan must keep rows where q is true even when p is NULL: the
 	// predicate contains q as a known-true escape.
-	f := algebra.Format(res.Node)
+	f := physical.Format(res.Node)
 	if !strings.Contains(f, "q") {
 		t.Fatalf("decomposed OR lost operand:\n%s", f)
 	}
@@ -104,15 +105,15 @@ func TestThreeValuedLogicDecomposition(t *testing.T) {
 
 func TestDecomposeAggrNullable(t *testing.T) {
 	scan := scanNode(types.Col("g", types.Int64), types.Col("v", types.Float64.Null()))
-	agg := &algebra.Aggr{
+	agg := &physical.HashAgg{
 		Child:     scan,
 		GroupCols: []int{0},
-		Aggs: []algebra.AggItem{
-			{Fn: "count", Col: -1},
-			{Fn: "count", Col: 1},
-			{Fn: "sum", Col: 1},
-			{Fn: "avg", Col: 1},
-			{Fn: "min", Col: 1},
+		Aggs: []exec.AggSpec{
+			{Fn: exec.AggCount, Col: -1},
+			{Fn: exec.AggCount, Col: 1},
+			{Fn: exec.AggSum, Col: 1},
+			{Fn: exec.AggAvg, Col: 1},
+			{Fn: exec.AggMin, Col: 1},
 		},
 		Names: []string{"g", "cnt", "cntv", "sumv", "avgv", "minv"},
 	}
@@ -133,8 +134,8 @@ func TestDecomposeAggrNullable(t *testing.T) {
 
 func TestDecomposeMinNullableStringRejected(t *testing.T) {
 	scan := scanNode(types.Col("s", types.String.Null()))
-	agg := &algebra.Aggr{Child: scan, GroupCols: nil,
-		Aggs: []algebra.AggItem{{Fn: "min", Col: 0}}, Names: []string{"m"}}
+	agg := &physical.HashAgg{Child: scan, GroupCols: nil,
+		Aggs: []exec.AggSpec{{Fn: exec.AggMin, Col: 0}}, Names: []string{"m"}}
 	if _, err := Rewrite(agg, Options{}); err == nil {
 		t.Fatal("min over nullable string should be rejected")
 	}
@@ -143,13 +144,13 @@ func TestDecomposeMinNullableStringRejected(t *testing.T) {
 func TestDecomposeAntiNullJoin(t *testing.T) {
 	left := scanNode(types.Col("x", types.Int64))
 	right := scanNode(types.Col("y", types.Int64.Null()))
-	j := &algebra.HashJoin{Left: left, Right: right, Kind: algebra.AntiNullAware,
+	j := &physical.HashJoin{Left: left, Right: right, Type: exec.AntiNullAware,
 		LeftKeys: []int{0}, RightKeys: []int{0}, LeftKeyNull: -1, RightKeyNull: -1}
 	res, err := Rewrite(j, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hj, ok := res.Node.(*algebra.HashJoin)
+	hj, ok := res.Node.(*physical.HashJoin)
 	if !ok {
 		t.Fatalf("top: %T", res.Node)
 	}
@@ -158,43 +159,20 @@ func TestDecomposeAntiNullJoin(t *testing.T) {
 	}
 }
 
-func TestLowerFuncs(t *testing.T) {
-	scan := scanNode(types.Col("s", types.String), types.Col("x", types.Int64))
-	proj := &algebra.Project{
-		Child: scan,
-		Exprs: []expr.Expr{
-			expr.NewCall("trim", expr.Col(0, "s", types.String)),
-			expr.NewCall("abs", expr.Col(1, "x", types.Int64)),
-		},
-		Names: []string{"t", "a"},
-	}
-	res, err := Rewrite(proj, Options{LowerFuncs: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := algebra.Format(res.Node)
-	if !strings.Contains(f, "ltrim(rtrim(") {
-		t.Fatalf("trim not lowered:\n%s", f)
-	}
-	if !strings.Contains(f, "max2(") {
-		t.Fatalf("abs not lowered:\n%s", f)
-	}
-}
-
 func TestParallelizeAggr(t *testing.T) {
 	scan := scanNode(types.Col("g", types.Int64), types.Col("v", types.Float64))
-	agg := &algebra.Aggr{Child: scan, GroupCols: []int{0},
-		Aggs:  []algebra.AggItem{{Fn: "count", Col: -1}, {Fn: "sum", Col: 1}, {Fn: "avg", Col: 1}},
+	agg := &physical.HashAgg{Child: scan, GroupCols: []int{0},
+		Aggs:  []exec.AggSpec{{Fn: exec.AggCount, Col: -1}, {Fn: exec.AggSum, Col: 1}, {Fn: exec.AggAvg, Col: 1}},
 		Names: []string{"g", "c", "s", "a"}}
 	res, err := Rewrite(agg, Options{Parallel: 4, GroupsHint: func(*scanspec.Spec) int { return 8 }})
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := algebra.Format(res.Node)
-	if !strings.Contains(f, "XchgUnion(4)") {
+	f := physical.Format(res.Node)
+	if !strings.Contains(f, "Xchg(degree=4)") {
 		t.Fatalf("no exchange:\n%s", f)
 	}
-	if !strings.Contains(f, "morsel worker 0/4") || !strings.Contains(f, "morsel worker 3/4") {
+	if !strings.Contains(f, "worker 0/4") || !strings.Contains(f, "worker 3/4") {
 		t.Fatalf("scan not morsel-cloned:\n%s", f)
 	}
 	// Output schema arity preserved.
@@ -214,7 +192,7 @@ func TestScanSpecSharedThroughDecomposeAndParallelize(t *testing.T) {
 	scan.Spec.Ranges = []scanspec.Range{{Col: 1, Lo: &lo}}
 	scan.Spec.Window = &scanspec.Window{Lo: 1, Hi: 4, Total: 6}
 	var hinted *scanspec.Spec
-	agg := &algebra.Aggr{Child: scan, Aggs: []algebra.AggItem{{Fn: "count", Col: 0}}, Names: []string{"n"}}
+	agg := &physical.HashAgg{Child: scan, Aggs: []exec.AggSpec{{Fn: exec.AggCount, Col: 0}}, Names: []string{"n"}}
 	res, err := Rewrite(agg, Options{Parallel: 2, GroupsHint: func(s *scanspec.Spec) int { hinted = s; return 8 }})
 	if err != nil {
 		t.Fatal(err)
@@ -222,21 +200,28 @@ func TestScanSpecSharedThroughDecomposeAndParallelize(t *testing.T) {
 	if hinted != scan.Spec {
 		t.Fatal("GroupsHint did not receive the scan's own spec")
 	}
-	var workers []*algebra.Scan
-	algebra.Walk(res.Node, func(n algebra.Node) bool {
-		if s, ok := n.(*algebra.Scan); ok {
+	var workers []*physical.ParallelScan
+	var walk func(n physical.Node)
+	walk = func(n physical.Node) {
+		if s, ok := n.(*physical.ParallelScan); ok {
 			workers = append(workers, s)
 		}
-		return true
-	})
+		for _, c := range n.Children() {
+			walk(c)
+		}
+	}
+	walk(res.Node)
 	if len(workers) != 2 {
-		t.Fatalf("%d scans, want 2 morsel workers:\n%s", len(workers), algebra.Format(res.Node))
+		t.Fatalf("%d scans, want 2 morsel workers:\n%s", len(workers), physical.Format(res.Node))
 	}
 	for w, s := range workers {
 		if s.Spec != scan.Spec {
 			t.Fatalf("worker %d copied the spec", w)
 		}
-		want := fmt.Sprintf("Scan('t', [k, a$null] morsel worker %d/2, ranges=[$1 in [3,+inf]], groups=[1,4)/6)", w)
+		if s.Queue != workers[0].Queue {
+			t.Fatalf("worker %d has its own queue", w)
+		}
+		want := fmt.Sprintf("ParallelScan('t', [k a$null] @ [], worker %d/2, queue=0, ranges=[$1 in [3,+inf]], groups=[1,4)/6)", w)
 		if s.Line() != want {
 			t.Fatalf("worker %d line %q, want %q", w, s.Line(), want)
 		}
@@ -245,27 +230,27 @@ func TestScanSpecSharedThroughDecomposeAndParallelize(t *testing.T) {
 
 func TestParallelizeRespectsGroupsHint(t *testing.T) {
 	scan := scanNode(types.Col("v", types.Int64))
-	agg := &algebra.Aggr{Child: scan, Aggs: []algebra.AggItem{{Fn: "sum", Col: 0}}, Names: []string{"s"}}
+	agg := &physical.HashAgg{Child: scan, Aggs: []exec.AggSpec{{Fn: exec.AggSum, Col: 0}}, Names: []string{"s"}}
 	res, err := Rewrite(agg, Options{Parallel: 8, GroupsHint: func(*scanspec.Spec) int { return 1 }})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(algebra.Format(res.Node), "Xchg") {
+	if strings.Contains(physical.Format(res.Node), "Xchg") {
 		t.Fatal("parallelized despite a groups hint of 1")
 	}
 }
 
 func TestParallelizeSortAndTopN(t *testing.T) {
-	mk := func() *algebra.Sort {
+	mk := func() *physical.Sort {
 		scan := scanNode(types.Col("v", types.Int64))
-		return &algebra.Sort{Child: scan, Keys: []algebra.SortKey{{Col: 0}}}
+		return &physical.Sort{Child: scan, Keys: []exec.SortKey{{Col: 0}}}
 	}
 	res, err := Rewrite(mk(), Options{Parallel: 3, GroupsHint: func(*scanspec.Spec) int { return 8 }})
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := algebra.Format(res.Node)
-	if !strings.Contains(f, "XchgMerge(3") {
+	f := physical.Format(res.Node)
+	if !strings.Contains(f, "XchgMerge(degree=3") {
 		t.Fatalf("sort not exchanged into a merge:\n%s", f)
 	}
 	if strings.Count(f, "Sort(") != 3 {
@@ -273,13 +258,13 @@ func TestParallelizeSortAndTopN(t *testing.T) {
 	}
 
 	scan := scanNode(types.Col("v", types.Int64))
-	topn := &algebra.TopN{Child: scan, Keys: []algebra.SortKey{{Col: 0, Desc: true}}, N: 5}
+	topn := &physical.TopN{Child: scan, Keys: []exec.SortKey{{Col: 0, Desc: true}}, N: 5}
 	res, err = Rewrite(topn, Options{Parallel: 2, GroupsHint: func(*scanspec.Spec) int { return 8 }})
 	if err != nil {
 		t.Fatal(err)
 	}
-	f = algebra.Format(res.Node)
-	if !strings.Contains(f, "Limit(0, 5)") || !strings.Contains(f, "XchgMerge(2") ||
+	f = physical.Format(res.Node)
+	if !strings.Contains(f, "Limit(0, 5)") || !strings.Contains(f, "XchgMerge(degree=2") ||
 		strings.Count(f, "TopN(") != 2 {
 		t.Fatalf("TopN not parallelized as Limit(XchgMerge(TopN…)):\n%s", f)
 	}
@@ -288,17 +273,17 @@ func TestParallelizeSortAndTopN(t *testing.T) {
 func TestParallelizeHashJoinProbe(t *testing.T) {
 	probe := scanNode(types.Col("x", types.Int64))
 	build := scanNode(types.Col("y", types.Int64))
-	j := &algebra.HashJoin{Left: probe, Right: build, Kind: algebra.Inner,
+	j := &physical.HashJoin{Left: probe, Right: build, Type: exec.Inner,
 		LeftKeys: []int{0}, RightKeys: []int{0}, LeftKeyNull: -1, RightKeyNull: -1}
 	res, err := Rewrite(j, Options{Parallel: 4, GroupsHint: func(*scanspec.Spec) int { return 8 }})
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := algebra.Format(res.Node)
-	if !strings.Contains(f, "ParallelHashJoin") || !strings.Contains(f, "probes=4") {
+	f := physical.Format(res.Node)
+	if !strings.Contains(f, "ParallelHashJoin") || !strings.Contains(f, "degree=4") {
 		t.Fatalf("probe side not parallelized:\n%s", f)
 	}
-	if !strings.Contains(f, "morsel worker 3/4") {
+	if !strings.Contains(f, "worker 3/4") {
 		t.Fatalf("probe scans not morsel-cloned:\n%s", f)
 	}
 	// Build side stays a single serial scan; schema matches the serial join.
@@ -309,15 +294,15 @@ func TestParallelizeHashJoinProbe(t *testing.T) {
 
 func TestConstantFoldingPass(t *testing.T) {
 	scan := scanNode(types.Col("x", types.Int64))
-	sel := &algebra.Select{Child: scan, Pred: expr.NewCall(">",
+	sel := &physical.Select{Child: scan, Pred: expr.NewCall(">",
 		expr.Col(0, "x", types.Int64),
 		expr.NewCall("+", expr.CInt(20), expr.CInt(22)))}
 	res, err := Rewrite(sel, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(algebra.Format(res.Node), "42") {
-		t.Fatalf("constant not folded:\n%s", algebra.Format(res.Node))
+	if !strings.Contains(physical.Format(res.Node), "42") {
+		t.Fatalf("constant not folded:\n%s", physical.Format(res.Node))
 	}
 }
 
@@ -330,15 +315,19 @@ func TestDecomposeRIDScanTrailsIndicators(t *testing.T) {
 	scan.Spec.RID = true
 	scan.Out = scan.Spec.Schema()
 	in := scan.Schema()
-	proj := &algebra.Project{Child: scan, Names: []string{"$rid", "v"},
+	proj := &physical.Project{Child: scan, Names: []string{"$rid", "v"},
 		Exprs: []expr.Expr{expr.Col(2, in.Cols[2].Name, in.Cols[2].Type), expr.Col(1, "v", in.Cols[1].Type)}}
 	res, err := Rewrite(proj, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := "Project($rid=$rid, v=v, v$null=v$null)\n  Scan('t', [v, v$null, $rid])\n"
-	if got := algebra.Format(res.Node); got != want {
+	want := "Project($rid=$rid, v=v, v$null=v$null) :: [BIGINT, DOUBLE, BOOLEAN]\n" +
+		"  Scan('t', [v v$null] @ [], +$rid) :: [DOUBLE, BOOLEAN, BIGINT]\n"
+	if got := physical.Format(res.Node); got != want {
 		t.Fatalf("rewritten:\n%swant:\n%s", got, want)
+	}
+	if got := res.Node.Children()[0].Schema().Names(); strings.Join(got, " ") != "v v$null $rid" {
+		t.Fatalf("scan output %v, want [v v$null $rid]", got)
 	}
 	if res.ColMap.Val[0] != 0 || res.ColMap.Ind[0] != -1 || res.ColMap.Val[1] != 1 || res.ColMap.Ind[1] != 2 {
 		t.Fatalf("output colmap: %+v", res.ColMap)

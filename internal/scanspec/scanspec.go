@@ -1,5 +1,5 @@
 // Package scanspec holds the one description of a table scan — the ScanSpec —
-// that the logical plan, the X100 algebra and the physical plan all share.
+// that the logical plan and the operator tree below it share.
 // The binder creates a Spec per base table, the optimizer's passes replace it
 // (range extraction, column pruning), and from the cross compiler onward
 // every representation holds the same *Spec by pointer: nothing downstream
@@ -98,7 +98,7 @@ func (s *Spec) Schema() *types.Schema {
 }
 
 // Suffix renders the range and window annotations as they trail a scan line
-// in the logical and algebra plan printers.
+// in the logical plan printer (and on a physical scan not yet resolved).
 func (s *Spec) Suffix() string {
 	if len(s.Ranges) == 0 {
 		return s.Window.Suffix()

@@ -147,8 +147,8 @@ type CheckpointStmt struct{ Table string }
 
 func (*CheckpointStmt) stmt() {}
 
-// ExplainStmt shows the plan (and X100 algebra) of a query. Physical
-// restricts the output to the instantiated physical-plan DAG.
+// ExplainStmt shows the plan stages of a query: logical, optimized and
+// physical. Physical restricts the output to the physical plan.
 type ExplainStmt struct {
 	Query    Stmt
 	Profile  bool

@@ -1,5 +1,5 @@
 // Package types defines the minimal analytical type system shared by every
-// layer of the engine: the SQL front-end, the optimizer, the X100 algebra,
+// layer of the engine: the SQL front-end, the optimizer, the operator tree,
 // the vectorized kernel and the classic row engine.
 //
 // Vectorwise (and X100 before it) deliberately supported a small set of

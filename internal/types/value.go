@@ -240,8 +240,8 @@ func SafeValue(k Kind) Value {
 }
 
 // FormatRange renders an inclusive [lo, hi] column restriction for plan
-// display (nil = open side). Shared by the logical, algebra and physical
-// plan printers so range annotations read the same at every stage.
+// display (nil = open side). Shared by the logical and physical plan
+// printers so range annotations read the same at every stage.
 func FormatRange(prefix string, col int, lo, hi *Value) string {
 	l, h := "-inf", "+inf"
 	if lo != nil {

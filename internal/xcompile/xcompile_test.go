@@ -4,8 +4,9 @@ import (
 	"strings"
 	"testing"
 
-	"vectorwise/internal/algebra"
+	"vectorwise/internal/exec"
 	"vectorwise/internal/expr"
+	"vectorwise/internal/physical"
 	"vectorwise/internal/plan"
 	"vectorwise/internal/scanspec"
 	"vectorwise/internal/types"
@@ -34,10 +35,10 @@ func TestCompileChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Sort+Limit fuses into TopN.
-	if _, ok := alg.(*algebra.TopN); !ok {
+	if _, ok := alg.(*physical.TopN); !ok {
 		t.Fatalf("expected TopN, got %T", alg)
 	}
-	f := algebra.Format(alg)
+	f := physical.Format(alg)
 	for _, want := range []string{"TopN", "Project", "Select", "Scan('t'"} {
 		if !strings.Contains(f, want) {
 			t.Fatalf("missing %s:\n%s", want, f)
@@ -56,11 +57,11 @@ func TestCompileJoinKeyExtraction(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Residual > predicate becomes a Select above the hash join.
-	sel, ok := alg.(*algebra.Select)
+	sel, ok := alg.(*physical.Select)
 	if !ok {
 		t.Fatalf("expected residual Select, got %T", alg)
 	}
-	hj, ok := sel.Child.(*algebra.HashJoin)
+	hj, ok := sel.Child.(*physical.HashJoin)
 	if !ok || len(hj.LeftKeys) != 1 || hj.LeftKeys[0] != 0 || hj.RightKeys[0] != 0 {
 		t.Fatalf("keys: %+v", hj)
 	}
@@ -74,7 +75,7 @@ func TestCompileJoinReversedEquality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hj := alg.(*algebra.HashJoin)
+	hj := alg.(*physical.HashJoin)
 	if hj.LeftKeys[0] != 1 || hj.RightKeys[0] != 1 {
 		t.Fatalf("reversed keys: %+v", hj)
 	}
@@ -108,8 +109,8 @@ func TestCompileAggrAndValues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := alg.(*algebra.Aggr); !ok {
-		t.Fatalf("expected Aggr, got %T", alg)
+	if _, ok := alg.(*physical.HashAgg); !ok {
+		t.Fatalf("expected HashAgg, got %T", alg)
 	}
 	v := &plan.Values{Rows: [][]types.Value{{types.NewInt64(1)}},
 		Cols: types.NewSchema(types.Col("x", types.Int64))}
@@ -117,7 +118,49 @@ func TestCompileAggrAndValues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := alg2.(*algebra.Values); !ok {
+	if _, ok := alg2.(*physical.Values); !ok {
 		t.Fatalf("expected Values, got %T", alg2)
+	}
+}
+
+// An inner join with no equality joins on a constant key, as a cross join
+// does, under the ON condition as a Select.
+func TestCompileInnerJoinWithoutKeys(t *testing.T) {
+	j := &plan.Join{Kind: plan.JoinInner, Left: scan2(), Right: scan2(),
+		On: expr.NewCall("<", expr.Col(0, "a", types.Int64), expr.Col(2, "a", types.Int64))}
+	n, err := Compile(j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel, ok := n.(*physical.Select)
+	if !ok || sel.Pred.String() != "(a < a)" {
+		t.Fatalf("expected the condition as a Select, got:\n%s", physical.Format(n))
+	}
+	if sel.Schema().Len() != 4 || !strings.Contains(physical.Format(n), "HashJoin[inner](lk=[2], rk=[2])") {
+		t.Fatalf("not a constant-key join:\n%s", physical.Format(n))
+	}
+}
+
+// On a left join, a conjunct over right-side columns only filters the right
+// input (renumbered onto it); one that reads the left side is rejected.
+func TestCompileLeftJoinRightOnlyConjunct(t *testing.T) {
+	eq := expr.NewCall("=", expr.Col(0, "a", types.Int64), expr.Col(2, "a", types.Int64))
+	right := expr.NewCall(">", expr.Col(3, "b", types.Int64), expr.CInt(0))
+	j := &plan.Join{Kind: plan.JoinLeft, Left: scan2(), Right: scan2(), On: expr.NewCall("and", eq, right)}
+	n, err := Compile(j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hj, ok := n.(*physical.HashJoin)
+	if !ok || hj.Type != exec.LeftOuter {
+		t.Fatalf("expected a left outer HashJoin, got:\n%s", physical.Format(n))
+	}
+	sel, ok := hj.Right.(*physical.Select)
+	if !ok || expr.Cols(sel.Pred)[0] != 1 {
+		t.Fatalf("right conjunct not pushed onto the right input:\n%s", physical.Format(n))
+	}
+	j.On = expr.NewCall("and", eq, expr.NewCall(">", expr.Col(1, "b", types.Int64), expr.CInt(0)))
+	if _, err := Compile(j); err == nil {
+		t.Fatal("left-side conjunct on a left join accepted")
 	}
 }
