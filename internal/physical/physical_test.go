@@ -478,3 +478,14 @@ func TestWithChildrenRebuild(t *testing.T) {
 		t.Fatal("parallel join WithChildren")
 	}
 }
+
+// Build checks every aggregate against its input's kind.
+func TestBuildRejectsAggregateOverWrongKind(t *testing.T) {
+	strs := &Values{Out: types.NewSchema(types.Col("s", types.String))}
+	for _, sp := range []exec.AggSpec{{Fn: exec.AggSum, Col: 0}, {Fn: exec.AggCountFalse, Col: 0}} {
+		agg := &HashAgg{Child: strs, Aggs: []exec.AggSpec{sp}, Names: []string{"x"}}
+		if _, err := Build(agg, nil); err == nil {
+			t.Errorf("%s over VARCHAR built", sp.Fn)
+		}
+	}
+}
