@@ -16,7 +16,7 @@ import (
 
 // UPDATE and DELETE, on both table structures. The rows are found and the
 // new SET values computed by a query: WHERE and SET are compiled like any
-// SELECT's (range extraction, column pruning, NULL decomposition, the
+// SELECT's (range extraction, NULL decomposition, column pruning, the
 // vectorized kernel) over a scan that also projects each row's id, and the
 // plan runs as a monitored, budgeted, cancellable statement. Only applying its
 // output differs. On a vectorwise table the plan runs inside the statement's

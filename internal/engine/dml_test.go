@@ -96,7 +96,7 @@ func TestExplainDML(t *testing.T) {
 	text := mustExec(t, db, `EXPLAIN `+upd).Text
 	for _, want := range []string{
 		"Scan(lineitem:vectorwise, [l_orderkey, l_partkey, l_quantity, l_comment, $rid])",
-		"Scan(lineitem:vectorwise, [l_orderkey, l_quantity, $rid], ranges=[$0 in [7,7]])",
+		"Scan(lineitem:vectorwise, [l_orderkey, l_partkey, l_quantity, l_comment, $rid], ranges=[$0 in [7,7]])",
 		"Scan('lineitem', [l_orderkey l_quantity] @ [0 2], +$rid, filters=[col0 in [7,7]])",
 		"Project($rid=$rid, l_quantity=l_quantity, $set_l_quantity=(l_quantity + 1))",
 	} {

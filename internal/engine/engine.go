@@ -499,12 +499,6 @@ func coerceValue(v types.Value, t types.T) (types.Value, error) {
 	return types.Value{}, fmt.Errorf("cannot store %v into %v", v.Kind, t.Kind)
 }
 
-// logicalToPhysicalRow decomposes a logical row per the storage convention
-// (values then indicators).
-func logicalToPhysicalRow(logical *types.Schema, row []types.Value) []types.Value {
-	return physical.DecomposeRow(logical, row)
-}
-
 // physicalToLogicalRow reassembles NULLs from a physical row.
 func physicalToLogicalRow(logical *types.Schema, cm rewriter.ColMap, phys []types.Value) []types.Value {
 	out := make([]types.Value, logical.Len())
@@ -580,7 +574,7 @@ func (db *DB) execInsert(ctx context.Context, s *sql.InsertStmt) (*Result, error
 	default:
 		tx := e.store.Begin()
 		for _, r := range rows {
-			if err := tx.InsertRow(logicalToPhysicalRow(e.meta.Schema, r)); err != nil {
+			if err := tx.InsertRow(physical.DecomposeRow(e.meta.Schema, r)); err != nil {
 				tx.Abort()
 				return nil, err
 			}

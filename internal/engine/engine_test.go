@@ -277,7 +277,7 @@ func TestExplainShowsPipeline(t *testing.T) {
 	db := itemsDB(t)
 	res := mustExec(t, db, `EXPLAIN SELECT grp, COUNT(*) FROM items WHERE id > 10 GROUP BY grp`)
 	for _, want := range []string{"logical plan", "Scan(items:vectorwise, [id, grp, price, name, d])",
-		"optimized plan", "Scan(items:vectorwise, [id, grp], ranges=[$0 in [10,+inf]])",
+		"optimized plan", "Scan(items:vectorwise, [id, grp, price, name, d], ranges=[$0 in [10,+inf]])",
 		"physical plan", "Scan('items', [id grp] @ [0 1], filters=[col0 in [10,+inf]])", "HashAgg"} {
 		if !strings.Contains(res.Text, want) {
 			t.Fatalf("explain missing %q:\n%s", want, res.Text)

@@ -11,6 +11,7 @@ import (
 	"vectorwise/internal/colstore"
 	"vectorwise/internal/monitor"
 	"vectorwise/internal/optimizer"
+	"vectorwise/internal/physical"
 	"vectorwise/internal/sql"
 	"vectorwise/internal/types"
 )
@@ -129,7 +130,7 @@ func (db *DB) execCopyClustered(ctx context.Context, s *sql.CopyStmt, e *tableEn
 		if err != nil {
 			return nil, err
 		}
-		if err := loader.Append(logicalToPhysicalRow(logical, row)); err != nil {
+		if err := loader.Append(physical.DecomposeRow(logical, row)); err != nil {
 			return nil, err
 		}
 	}
@@ -173,7 +174,7 @@ func (db *DB) load(ctx context.Context, table string, gen func(emit func(row []t
 		}
 	case e.store.Rows() == 0 && e.store.PendingOps() == 0:
 		ap := e.store.Stable().NewAppender()
-		insert = func(row []types.Value) error { return ap.AppendRow(logicalToPhysicalRow(logical, row)) }
+		insert = func(row []types.Value) error { return ap.AppendRow(physical.DecomposeRow(logical, row)) }
 		finish = func() error {
 			if err := ap.Close(); err != nil {
 				return err
@@ -187,7 +188,7 @@ func (db *DB) load(ctx context.Context, table string, gen func(emit func(row []t
 		}
 	default:
 		tx := e.store.Begin()
-		insert = func(row []types.Value) error { return tx.InsertRow(logicalToPhysicalRow(logical, row)) }
+		insert = func(row []types.Value) error { return tx.InsertRow(physical.DecomposeRow(logical, row)) }
 		finish, abort = tx.Commit, tx.Abort
 	}
 	err = gen(func(row []types.Value) error {

@@ -194,6 +194,14 @@ func Cols(e Expr) []int {
 	return out
 }
 
+// Conjuncts splits e at its top-level ANDs, left to right.
+func Conjuncts(e Expr) []Expr {
+	if c, ok := e.(*Call); ok && c.Fn == "and" {
+		return append(Conjuncts(c.Args[0]), Conjuncts(c.Args[1])...)
+	}
+	return []Expr{e}
+}
+
 // ShiftCols returns a copy of e with every column index shifted by delta;
 // used when splicing expressions across operator boundaries (e.g. join
 // output numbering).
@@ -223,8 +231,8 @@ func RemapCols(e Expr, m map[int]int) Expr {
 }
 
 // MapCols rewrites e's column references through the old→new position map
-// m (m[old] = new), sharing every subtree the map leaves alone; the pruning
-// passes use it to follow a child that dropped columns.
+// m (m[old] = new), sharing every subtree the map leaves alone; the
+// rewriter's column pruning uses it to follow a child that dropped columns.
 func MapCols(e Expr, m []int) Expr {
 	return Rewrite(e, func(n Expr) Expr {
 		if c, ok := n.(*ColRef); ok && m[c.Idx] != c.Idx {

@@ -66,7 +66,7 @@ func buildCall(fn string, args []argSlot, dst int, dstKind types.Kind, c *compil
 func buildArith(fn string, args []argSlot, dst int, dstKind types.Kind, c *compiler) (instr, error) {
 	a, b := args[0], args[1]
 	if a.isConst() && b.isConst() {
-		// Constant folding is the rewriter's job, but stay safe when an
+		// Constant folding is the optimizer's job, but stay safe when an
 		// unfolded expression reaches the compiler (tests, ad-hoc plans).
 		a = c.materialize(a)
 	}

@@ -27,8 +27,7 @@ func (o *Optimizer) Optimize(n plan.Node) plan.Node {
 	n = o.reorderJoins(n)
 	n = o.simplifyGroupBy(n)
 	n = o.pushdown(n) // join reordering can expose new pushdowns
-	n = o.extractScanRanges(n)
-	return pruneColumns(n) // last: nothing below resolves against a full schema
+	return o.extractScanRanges(n)
 }
 
 // --- constant folding ---
@@ -65,7 +64,7 @@ func (o *Optimizer) pushdown(n plan.Node) plan.Node {
 	case *plan.Select:
 		child := o.pushdown(t.Child)
 		var out plan.Node = child
-		for _, pred := range splitConjuncts(t.Pred) {
+		for _, pred := range expr.Conjuncts(t.Pred) {
 			out = pushPred(out, pred)
 		}
 		return out
@@ -77,13 +76,6 @@ func (o *Optimizer) pushdown(n plan.Node) plan.Node {
 		}
 		return n.WithChildren(newCh)
 	}
-}
-
-func splitConjuncts(e expr.Expr) []expr.Expr {
-	if c, ok := e.(*expr.Call); ok && c.Fn == "and" {
-		return append(splitConjuncts(c.Args[0]), splitConjuncts(c.Args[1])...)
-	}
-	return []expr.Expr{e}
 }
 
 // andAll rebuilds a conjunction.
@@ -186,7 +178,7 @@ func (o *Optimizer) extractScanRanges(n plan.Node) plan.Node {
 		if !ok {
 			break
 		}
-		preds = append(preds, splitConjuncts(s.Pred)...)
+		preds = append(preds, expr.Conjuncts(s.Pred)...)
 		cur = s.Child
 	}
 	scan, ok := cur.(*plan.Scan)
@@ -411,7 +403,7 @@ func flattenJoin(j *plan.Join) ([]relation, []expr.Expr) {
 	rec(j, 0)
 	var split []expr.Expr
 	for _, p := range preds {
-		split = append(split, splitConjuncts(p)...)
+		split = append(split, expr.Conjuncts(p)...)
 	}
 	return rels, split
 }
@@ -592,7 +584,7 @@ func (o *Optimizer) estimate(n plan.Node) float64 {
 		default:
 			sel := 1.0
 			if t.On != nil {
-				for _, p := range splitConjuncts(t.On) {
+				for _, p := range expr.Conjuncts(t.On) {
 					sel *= predSelectivity(p, nil, "")
 				}
 			}
@@ -621,7 +613,7 @@ func (o *Optimizer) estimate(n plan.Node) float64 {
 // when the predicate compares a scan column to a constant.
 func (o *Optimizer) selectivity(child plan.Node, pred expr.Expr) float64 {
 	sel := 1.0
-	for _, p := range splitConjuncts(pred) {
+	for _, p := range expr.Conjuncts(pred) {
 		st, _ := o.columnStatsFor(child, p)
 		table := ""
 		sel *= predSelectivity(p, st, table)

@@ -343,3 +343,26 @@ func TestSummaryColStatsRejectsNonFiniteBounds(t *testing.T) {
 		t.Fatal("finite bounds rejected")
 	}
 }
+
+// Constants fold once, here, before range extraction reads the literals:
+// in a Select, a Project and a join's ON condition.
+func TestConstantFoldingPass(t *testing.T) {
+	l := mkScan("l", -1, types.Col("x", types.Int64))
+	r := mkScan("r", -1, types.Col("y", types.Int64))
+	sum := func() expr.Expr { return expr.NewCall("+", expr.CInt(20), expr.CInt(22)) }
+	join := &plan.Join{Kind: plan.JoinInner, Left: l, Right: r,
+		On: expr.NewCall("=", expr.Col(1, "y", types.Int64), sum())}
+	sel := &plan.Select{Child: join, Pred: expr.NewCall(">", expr.Col(0, "x", types.Int64), sum())}
+	proj := &plan.Project{Child: sel, Exprs: []expr.Expr{sum(), expr.Col(1, "y", types.Int64)}, Names: []string{"c", "y"}}
+	out := foldConstants(proj)
+	want := "Project(42, y)\n  Select((x > 42))\n    Join(inner on (y = 42))\n"
+	if got := plan.Format(out); !strings.HasPrefix(got, want) {
+		t.Fatalf("folded plan:\n%swant it to start with:\n%s", got, want)
+	}
+	// Range extraction sees the folded literal.
+	s := mkScan("t", -1, types.Col("k", types.Int64))
+	got := findScan(New(nil).Optimize(&plan.Select{Child: s, Pred: expr.NewCall("<=", expr.Col(0, "k", types.Int64), sum())}))
+	if len(got.Spec.Ranges) != 1 || got.Spec.Ranges[0].Hi == nil || got.Spec.Ranges[0].Hi.I64 != 42 {
+		t.Fatalf("range over a folded bound: %v", got.Spec.Ranges)
+	}
+}

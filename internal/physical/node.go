@@ -8,8 +8,9 @@
 //
 //   - the cross compiler (internal/xcompile) emits it from an optimized
 //     plan; schemas may still carry NULLable columns;
-//   - the rewriter (internal/rewriter) folds constants, decomposes NULLs
-//     into value+indicator columns, prunes the scans and parallelizes;
+//   - the rewriter (internal/rewriter) decomposes NULLs into
+//     value+indicator columns, prunes every node and scan to the columns
+//     read and parallelizes;
 //   - Build resolves every scan against a Catalog (column names to storage
 //     positions, and the access path: Scan, ParallelScan or HeapScan).
 //

@@ -25,14 +25,14 @@ type Node interface {
 	String() string
 }
 
-// Scan reads a base table. What it reads — table, pruned column list, range
-// bounds, clustered window — lives in the shared Spec; only what the logical
-// layer alone reasons about sits beside it.
+// Scan reads a base table. What it reads — table, column list, range bounds,
+// clustered window — lives in the shared Spec; only what the logical layer
+// alone reasons about sits beside it.
 type Scan struct {
 	Spec  *scanspec.Spec
 	Alias string
-	// Key is the primary-key position in Spec.Cols (-1 if the table has none
-	// or column pruning dropped it); feeds FD reasoning.
+	// Key is the primary-key position in Spec.Cols (-1 if the table has
+	// none); feeds FD reasoning.
 	Key int
 }
 

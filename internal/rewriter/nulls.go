@@ -53,11 +53,11 @@ func PhysicalColMap(logical *types.Schema) ColMap {
 func decompose(n physical.Node) (physical.Node, ColMap, error) {
 	switch t := n.(type) {
 	case *physical.Scan:
-		// The physical list is derived here, from the spec's (pruned) logical
-		// schema. Value columns occupy the same positions in it (values first,
-		// indicators after), so the spec's ranges stay valid against it. NULL
-		// positions hold in-band safe values, which only widen block
-		// summaries — skipping stays conservative.
+		// The physical list is derived here, from the spec's logical schema
+		// (the table's, whole: pruning runs after decomposition). Value
+		// columns occupy the same positions in it (values first, indicators
+		// after). NULL positions hold in-band safe values, which only widen
+		// block summaries — skipping stays conservative.
 		out := *t
 		out.Out = PhysicalSchema(t.Spec.Cols)
 		cm := PhysicalColMap(t.Spec.Cols)
@@ -786,6 +786,18 @@ func (d *exprDecomposer) decompCall(c *expr.Call) (expr.Expr, expr.Expr, error) 
 			return nil, nil, err
 		}
 		return val, ind, nil
+	}
+}
+
+// litOf is the constant v of kind k.
+func litOf(k types.Kind, v int64) expr.Expr {
+	switch k {
+	case types.KindInt32:
+		return expr.CInt32(int32(v))
+	case types.KindFloat64:
+		return expr.CFloat(float64(v))
+	default:
+		return expr.CInt(v)
 	}
 }
 

@@ -4,22 +4,25 @@ import (
 	"vectorwise/internal/exec"
 	"vectorwise/internal/expr"
 	"vectorwise/internal/physical"
+	"vectorwise/internal/types"
 )
 
-// Column pruning after NULL decomposition. The optimizer prunes logical
-// columns, but decomposition then hands every NULLable column to its scan as
-// a value column plus a BOOLEAN indicator, and some plans read only the
-// indicator: COUNT(col) counts false indicators, `col IS NULL` tests one. A
-// value column no operator reads is dropped from its scan's physical list,
-// so the scan neither fetches nor decodes it.
+// Column pruning (projection pushdown) — the first argument for a column
+// store, and the plan's only pruning pass. It runs after NULL decomposition
+// because only there is every NULLable column two columns, a value and a
+// BOOLEAN indicator, and some plans read only the indicator: COUNT(col)
+// counts false indicators, `col IS NULL` tests one. Whatever no operator
+// reads is dropped from its scan's physical list, so the scan neither
+// fetches nor decodes it; up to here every spec lists its table's full
+// logical schema.
 //
-// One recursion does both directions, as the optimizer's pruning does: going
-// down it accumulates the set of a node's output columns its ancestors read;
-// coming back up each node is rebuilt over its narrowed children with every
-// positional reference rewritten through the child's old→new position map.
-// Scans and Projects narrow; every other node keeps all its outputs. The
-// root needs all of its columns, so the plan's output layout (and its
-// ColMap) is unchanged.
+// One recursion does both directions: going down it accumulates the set of
+// a node's output columns its ancestors read; coming back up each node is
+// rebuilt over its narrowed children with every positional reference
+// rewritten through the child's old→new position map. Scans, Projects and
+// joins narrow; every other node keeps all its outputs. The root needs all
+// of its columns, so the plan's output layout (and its ColMap) is
+// unchanged. Running the pass on its own output changes nothing.
 
 // pruneDecomposed narrows the scans of a decomposed plan to the columns read.
 func pruneDecomposed(n physical.Node) physical.Node {
@@ -128,20 +131,22 @@ func pruneNode(n physical.Node, need []bool) (physical.Node, []int) {
 
 // pruneScanOut drops the unread columns of a scan's physical list. Range
 // columns stay (the scanner filters on them), so does the position column of
-// a RID scan, which is made, not stored. A scan nothing reads from (COUNT(*))
-// stays as the optimizer left it: one logical column, the cheapest.
+// a RID scan, which is made, not stored. A scan nothing reads from
+// (COUNT(*), DELETE without WHERE) keeps one value column, the cheapest, so
+// row counts still flow; never the position column. Columns are found by
+// name, so a scan pruned before is left as it is.
 func pruneScanOut(t *physical.Scan, need []bool) (physical.Node, []int) {
 	need = append([]bool(nil), need...)
-	for _, r := range t.Spec.Ranges {
-		need[r.Col] = true // value columns keep their logical positions
-	}
 	stored := len(need)
 	if t.Spec.RID {
 		stored--
 		need[stored] = true
 	}
+	for _, r := range t.Spec.Ranges {
+		need[t.Out.Find(t.Spec.Cols.Cols[r.Col].Name)] = true
+	}
 	if !anyOf(need[:stored]) {
-		return t, identity(len(need))
+		need[t.Out.Find(t.Spec.Cols.Cols[cheapestColumn(t.Spec.Cols)].Name)] = true
 	}
 	out := *t
 	out.Out = out.Out.Clone()
@@ -158,6 +163,22 @@ func pruneScanOut(t *physical.Scan, need []bool) (physical.Node, []int) {
 		return t, m
 	}
 	return &out, m
+}
+
+// cheapestColumn picks the column a scan keeps when nothing is read from it:
+// the narrowest kind (BOOL < INTEGER/DATE < BIGINT/DOUBLE < VARCHAR), then
+// NOT NULL before NULLable, then the lowest position. Chosen from the
+// logical schema alone so EXPLAIN is deterministic.
+func cheapestColumn(s *types.Schema) int {
+	best := 0
+	for i, c := range s.Cols {
+		b := s.Cols[best].Type
+		if w, bw := c.Type.Kind.Width(), b.Kind.Width(); w < bw ||
+			(w == bw && !c.Type.Nullable && b.Nullable) {
+			best = i
+		}
+	}
+	return best
 }
 
 // pruneHashJoin splits need and the join's key and NULL-key columns between

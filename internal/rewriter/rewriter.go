@@ -3,14 +3,16 @@
 // compiler emits, before the plan is resolved against storage and run. The
 // paper credits it with most of the "filling functionality holes at a
 // higher level" work; this implementation covers the passes the paper
-// names:
+// names (constant folding happens once, earlier, in the optimizer, where
+// range extraction needs the folded literals):
 //
-//   - constant folding and expression simplification,
 //   - NULL decomposition — rewriting every NULLable column into a value
 //     column plus a BOOL indicator column so the kernel stays NULL-
 //     oblivious (claim C6), including the anti-join NULL
-//     intricacies of claim C10, then dropping from each scan the value
-//     columns no operator reads (a NULLable column counted or tested for
+//     intricacies of claim C10,
+//   - column pruning, the plan's one projection pushdown — narrowing every
+//     node to the columns its ancestors read and every scan to the value
+//     and indicator columns read (a NULLable column counted or tested for
 //     NULL scans its indicator only),
 //   - the Volcano-style parallelizer — splitting pipelines across cores
 //     with exchange operators (claim C9). Parallel scans are
@@ -67,7 +69,7 @@ type Result struct {
 // Rewrite runs the full pipeline.
 func Rewrite(n physical.Node, opts Options) (*Result, error) {
 	logical := n.Schema().Clone()
-	n, cm, err := decompose(foldNode(n))
+	n, cm, err := decompose(n)
 	if err != nil {
 		return nil, err
 	}
@@ -84,39 +86,6 @@ func Rewrite(n physical.Node, opts Options) (*Result, error) {
 type ColMap struct {
 	Val []int
 	Ind []int
-}
-
-// --- constant folding ---
-
-func foldNode(n physical.Node) physical.Node {
-	ch := n.Children()
-	newCh := make([]physical.Node, len(ch))
-	for i, c := range ch {
-		newCh[i] = foldNode(c)
-	}
-	n = n.WithChildren(newCh)
-	switch t := n.(type) {
-	case *physical.Select:
-		return &physical.Select{Child: t.Child, Pred: expr.FoldConstants(t.Pred)}
-	case *physical.Project:
-		exprs := make([]expr.Expr, len(t.Exprs))
-		for i, e := range t.Exprs {
-			exprs[i] = expr.FoldConstants(e)
-		}
-		return &physical.Project{Child: t.Child, Exprs: exprs, Names: t.Names}
-	}
-	return n
-}
-
-func litOf(k types.Kind, v int64) expr.Expr {
-	switch k {
-	case types.KindInt32:
-		return expr.CInt32(int32(v))
-	case types.KindFloat64:
-		return expr.CFloat(float64(v))
-	default:
-		return expr.CInt(v)
-	}
 }
 
 // --- parallelizer (claim C9) ---

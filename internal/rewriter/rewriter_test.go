@@ -292,20 +292,6 @@ func TestParallelizeHashJoinProbe(t *testing.T) {
 	}
 }
 
-func TestConstantFoldingPass(t *testing.T) {
-	scan := scanNode(types.Col("x", types.Int64))
-	sel := &physical.Select{Child: scan, Pred: expr.NewCall(">",
-		expr.Col(0, "x", types.Int64),
-		expr.NewCall("+", expr.CInt(20), expr.CInt(22)))}
-	res, err := Rewrite(sel, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(physical.Format(res.Node), "42") {
-		t.Fatalf("constant not folded:\n%s", physical.Format(res.Node))
-	}
-}
-
 // The position column of a RID scan is made by the scan operator, so NULL
 // decomposition puts it after everything that is stored — indicators
 // included — and maps the logical column there. Pruning never drops it

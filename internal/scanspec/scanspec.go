@@ -1,10 +1,11 @@
 // Package scanspec holds the one description of a table scan — the ScanSpec —
 // that the logical plan and the operator tree below it share.
-// The binder creates a Spec per base table, the optimizer's passes replace it
-// (range extraction, column pruning), and from the cross compiler onward
-// every representation holds the same *Spec by pointer: nothing downstream
-// copies a range, a window or a column list, so a new scan annotation is a
-// field here plus the pass that fills it in.
+// The binder creates a Spec per base table, the optimizer's range extraction
+// replaces it, and from the cross compiler onward every representation holds
+// the same *Spec by pointer: nothing downstream copies a range, a window or
+// a column list, so a new scan annotation is a field here plus the pass that
+// fills it in. Which columns a scan reads is not a spec field: the rewriter
+// prunes each scan's own physical list.
 //
 // A Spec is immutable once a plan node points at it. A pass that changes a
 // scan copies the struct, edits the copy and swaps the pointer.
@@ -52,13 +53,13 @@ func (w *Window) Suffix() string {
 type Spec struct {
 	Table     string
 	Structure string // "vectorwise" or "heap"
-	// Cols is the logical schema the scan produces: the table's columns the
-	// query needs, in table order (the binder starts with all of them; the
-	// optimizer's column-pruning pass narrows it). NULLable columns are still
-	// single columns here — the rewriter's NULL decomposition derives the
-	// physical list (value columns, then the $null indicators of the NULLable
-	// ones) from this schema, and physical.Build resolves that list to
-	// storage positions.
+	// Cols is the logical schema the scan produces: all of the table's
+	// columns, in table order, from the binder to physical.Build. NULLable
+	// columns are still single columns here — the rewriter's NULL
+	// decomposition derives the physical list (value columns, then the $null
+	// indicators of the NULLable ones) from this schema, its column pruning
+	// drops from that list what no operator reads, and physical.Build
+	// resolves what is left to storage positions.
 	Cols *types.Schema
 	// Ranges are the sargable bounds for row-group skipping and filtering on
 	// dictionary codes (vectorwise scans only). Range.Col is a position in
@@ -75,8 +76,8 @@ type Spec struct {
 	// DeleteAt take — filled by exec.MorselScan from the start position every
 	// positional batch source returns; on a heap table it is the row's packed
 	// rowengine.RowID. The binder sets it on the scan that finds the rows of an
-	// UPDATE or DELETE. The id is not stored, so it is no member of Cols: the
-	// passes that narrow or resolve Cols never see it. RID scans are serial.
+	// UPDATE or DELETE. The id is not stored, so it is no member of Cols and
+	// no pass resolves it against storage. RID scans are serial.
 	RID bool
 }
 

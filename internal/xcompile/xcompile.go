@@ -107,7 +107,7 @@ func compileJoin(j *plan.Join) (physical.Node, error) {
 	var lk, rk []int
 	var residual []expr.Expr
 	if j.On != nil {
-		for _, c := range conjuncts(j.On) {
+		for _, c := range expr.Conjuncts(j.On) {
 			if l, r, ok := equiPair(c, nl); ok {
 				lk = append(lk, l)
 				rk = append(rk, r)
@@ -140,13 +140,6 @@ func compileJoin(j *plan.Join) (physical.Node, error) {
 	}
 	return &physical.HashJoin{Left: left, Right: right, Type: jt,
 		LeftKeys: lk, RightKeys: rk, LeftKeyNull: -1, RightKeyNull: -1}, nil
-}
-
-func conjuncts(e expr.Expr) []expr.Expr {
-	if c, ok := e.(*expr.Call); ok && c.Fn == "and" {
-		return append(conjuncts(c.Args[0]), conjuncts(c.Args[1])...)
-	}
-	return []expr.Expr{e}
 }
 
 // equiPair recognizes `leftcol = rightcol` across the boundary nl.
