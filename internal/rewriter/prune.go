@@ -24,7 +24,8 @@ import (
 // of its columns, so the plan's output layout (and its ColMap) is
 // unchanged. Running the pass on its own output changes nothing.
 
-// pruneDecomposed narrows the scans of a decomposed plan to the columns read.
+// pruneDecomposed narrows a decomposed plan, its scans included, to the
+// columns read.
 func pruneDecomposed(n physical.Node) physical.Node {
 	out, _ := pruneNode(n, allOf(n))
 	return out
