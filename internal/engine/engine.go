@@ -442,7 +442,9 @@ func (db *DB) CancelQuery(id int64) bool { return db.Monitor.Cancel(id) }
 
 // --- DML helpers ---
 
-// bindRowExprs evaluates a VALUES row into typed column values.
+// bindRowExprs evaluates a VALUES row into typed column values. Each value
+// is folded by the kernel programs a query runs (expr.Fold), so a bad value
+// fails with the runtime's error.
 func bindRowExprs(b *plan.Binder, meta *plan.TableMeta, row []sql.ExprNode) ([]types.Value, error) {
 	if len(row) != meta.Schema.Len() {
 		return nil, fmt.Errorf("engine: INSERT arity %d, want %d", len(row), meta.Schema.Len())
@@ -454,7 +456,7 @@ func bindRowExprs(b *plan.Binder, meta *plan.TableMeta, row []sql.ExprNode) ([]t
 		if err != nil {
 			return nil, err
 		}
-		v, err := expr.EvalRow(bound, nil)
+		v, err := expr.Fold(bound)
 		if err != nil {
 			return nil, err
 		}

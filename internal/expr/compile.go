@@ -130,7 +130,7 @@ func (c *compiler) compileNode(e Expr) (argSlot, error) {
 	switch n := e.(type) {
 	case *Const:
 		if n.Val.Null {
-			return argSlot{}, fmt.Errorf("expr: NULL literal reached the kernel compiler (rewriter must decompose): %s", e)
+			return argSlot{}, fmt.Errorf("expr: NULL literal reached the kernel compiler (SplitNulls must decompose it): %s", e)
 		}
 		return argSlot{reg: -1, val: n.Val, kind: n.Val.Kind}, nil
 	case *ColRef:
@@ -153,6 +153,9 @@ func (c *compiler) compileNode(e Expr) (argSlot, error) {
 		}
 		args := make([]argSlot, len(n.Args))
 		for i, a := range n.Args {
+			if literalOperand(n.Fn, i) {
+				a = foldOperand(a)
+			}
 			s, err := c.compileNode(a)
 			if err != nil {
 				return argSlot{}, err
@@ -185,4 +188,30 @@ func (c *compiler) materialize(s argSlot) argSlot {
 		return nil
 	})
 	return argSlot{reg: r, kind: s.kind}
+}
+
+// literalOperand reports whether argument i of fn must be a literal: a
+// pattern, a pad width or string, a rounding scale. The builders have no
+// column form for these.
+func literalOperand(fn string, i int) bool {
+	switch fn {
+	case "replace", "lpad", "rpad":
+		return i > 0
+	case "position", "like", "starts_with", "ends_with", "contains", "round":
+		return i == 1
+	}
+	return false
+}
+
+// foldOperand turns a column-free operand that must be a literal (a negated
+// pad width, say) into one; anything else is left for the builder to refuse.
+func foldOperand(a Expr) Expr {
+	if _, ok := a.(*Call); !ok || readsColumns(a) {
+		return a
+	}
+	v, err := Fold(a)
+	if err != nil || v.Null {
+		return a
+	}
+	return &Const{Val: v}
 }

@@ -1,17 +1,15 @@
-// Package expr defines typed expression trees and two evaluation strategies
-// over them:
+// Package expr defines typed expression trees and their one evaluator: a
+// vectorized compiler (compile.go) that turns an expression into a short
+// program of primitive calls over vector registers — the X100 execution
+// model. Queries run these programs over columns; Fold runs them over one
+// row to compute constants, for the optimizer's folding and for INSERT
+// values. (The tuple-at-a-time interpreter the paper's >10× claim compares
+// against lives with the classic row engine, in internal/rowengine.)
 //
-//   - a vectorized compiler (compile.go) that turns an expression into a
-//     short program of primitive calls over vector registers — the X100
-//     execution model, and
-//   - a tuple-at-a-time interpreter (eval_row.go) that walks the tree per
-//     row with boxed values — the "conventional engine" the paper's >10×
-//     claim compares against, used by the classic row engine.
-//
-// Expression trees arrive here already *physical*: the binder and rewriter
-// have resolved names, promoted types (inserting explicit casts) and
-// decomposed NULLable columns into value/indicator pairs, so every node is
-// NULL-oblivious and operates on plain vectors.
+// Expression trees reach the compiler already *physical*: the binder has
+// resolved names and promoted types (inserting explicit casts), and
+// SplitNulls (nulls.go) has decomposed NULLable columns into value/indicator
+// pairs, so every node is NULL-oblivious and operates on plain vectors.
 package expr
 
 import (

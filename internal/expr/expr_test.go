@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math"
 	"testing"
-	"testing/quick"
 
 	"vectorwise/internal/primitives"
 	"vectorwise/internal/types"
@@ -38,93 +37,6 @@ func col(i int) *ColRef {
 	return Col(i, "", t)
 }
 
-func evalBoth(t *testing.T, e Expr, b *vec.Batch) (*vec.Vector, []types.Value) {
-	t.Helper()
-	ev, err := Compile(e, testKinds)
-	if err != nil {
-		t.Fatalf("compile %s: %v", e, err)
-	}
-	v, err := ev.Eval(b)
-	if err != nil {
-		t.Fatalf("eval %s: %v", e, err)
-	}
-	rows := make([]types.Value, b.Rows())
-	for i := 0; i < b.Rows(); i++ {
-		rv, err := EvalRow(e, b.GetRow(i))
-		if err != nil {
-			t.Fatalf("evalrow %s: %v", e, err)
-		}
-		rows[i] = rv
-	}
-	return v, rows
-}
-
-// assertAgree checks vectorized result equals row-interpreter result on
-// every selected position.
-func assertAgree(t *testing.T, e Expr, b *vec.Batch) {
-	t.Helper()
-	v, rows := evalBoth(t, e, b)
-	for i := 0; i < b.Rows(); i++ {
-		p := b.RowIndex(i)
-		got := v.Get(p)
-		want := rows[i]
-		if got.String() != want.String() {
-			t.Fatalf("%s row %d: vectorized %v, row-interp %v", e, i, got, want)
-		}
-	}
-}
-
-func TestArithAgreement(t *testing.T) {
-	b := makeBatch(100)
-	exprs := []Expr{
-		NewCall("+", col(0), col(1)),
-		NewCall("-", col(0), col(1)),
-		NewCall("*", col(0), CInt(3)),
-		NewCall("+", CInt(100), col(1)),
-		NewCall("-", CInt(100), col(1)),
-		NewCall("*", CInt(2), col(0)),
-		NewCall("+", col(2), CFloat(1.5)),
-		NewCall("*", col(2), col(2)),
-		NewCall("-", col(2), col(2)),
-		NewCall("/", col(2), CFloat(2)),
-		NewCall("+", NewCall("*", col(0), CInt(2)), col(1)),
-		NewCall("neg", col(0)),
-		NewCall("abs", NewCall("-", col(1), CInt(3))),
-		NewCall("sign", NewCall("-", col(1), CInt(3))),
-		NewCall("min2", col(0), col(1)),
-		NewCall("max2", col(0), col(1)),
-	}
-	for _, e := range exprs {
-		assertAgree(t, e, b)
-	}
-}
-
-func TestArithWithSelection(t *testing.T) {
-	b := makeBatch(50)
-	b.Sel = []int32{0, 7, 13, 49}
-	assertAgree(t, NewCall("+", col(0), col(1)), b)
-	assertAgree(t, NewCall("*", col(2), CFloat(3)), b)
-}
-
-func TestIntDivision(t *testing.T) {
-	b := makeBatch(10)
-	e := NewCall("/", col(0), CInt(2))
-	assertAgree(t, e, b)
-	// Division by zero from data: col1 has zeros (i%7==0).
-	ev, err := Compile(NewCall("/", col(0), col(1)), testKinds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ev.Eval(b); !errors.Is(err, primitives.ErrDivByZero) {
-		t.Fatalf("expected div0, got %v", err)
-	}
-	// Mod too.
-	evm, _ := Compile(NewCall("%", col(0), col(1)), testKinds)
-	if _, err := evm.Eval(b); !errors.Is(err, primitives.ErrDivByZero) {
-		t.Fatalf("expected mod0, got %v", err)
-	}
-}
-
 func TestCheckedOverflow(t *testing.T) {
 	kinds := []types.Kind{types.KindInt64}
 	b := vec.NewBatch(kinds, 4)
@@ -141,121 +53,6 @@ func TestCheckedOverflow(t *testing.T) {
 	}
 }
 
-func TestCmpAgreement(t *testing.T) {
-	b := makeBatch(64)
-	for _, op := range []string{"=", "<>", "<", "<=", ">", ">="} {
-		assertAgree(t, NewCall(op, col(0), col(1)), b)
-		assertAgree(t, NewCall(op, col(0), CInt(30)), b)
-		assertAgree(t, NewCall(op, CInt(30), col(0)), b)
-		assertAgree(t, NewCall(op, col(3), CStr("beta")), b)
-		assertAgree(t, NewCall(op, col(2), CFloat(10)), b)
-	}
-	assertAgree(t, NewCall("=", col(5), CBool(true)), b)
-	assertAgree(t, NewCall("<>", col(5), CBool(false)), b)
-}
-
-func TestLogicalIfBetween(t *testing.T) {
-	b := makeBatch(40)
-	gt := NewCall(">", col(0), CInt(10))
-	lt := NewCall("<", col(0), CInt(30))
-	assertAgree(t, NewCall("and", gt, lt), b)
-	assertAgree(t, NewCall("or", gt, lt), b)
-	assertAgree(t, NewCall("not", gt), b)
-	assertAgree(t, NewCall("if", gt, col(0), col(1)), b)
-	assertAgree(t, NewCall("if", gt, CStr("big"), CStr("small")), b)
-	assertAgree(t, NewCall("between", col(0), CInt(5), CInt(15)), b)
-	assertAgree(t, NewCall("between", col(0), col(1), CInt(15)), b)
-}
-
-// Each branch of an if runs only on the rows that take it: 10 / col1 is
-// never computed where col1 is 0, so neither the value nor the filter fails,
-// with or without an incoming selection, nested or not.
-func TestIfEvaluatesOnlyTakenBranch(t *testing.T) {
-	b := makeBatch(30) // col1 = i % 7: a zero every seventh row
-	nonZero := NewCall("<>", col(1), CInt(0))
-	safe := NewCall("if", nonZero, NewCall("/", CInt(10), col(1)), CInt(-1))
-	nested := NewCall("if", NewCall(">", col(0), CInt(20)),
-		NewCall("if", nonZero, NewCall("%", col(0), col(1)), CInt(0)), safe)
-	for _, sel := range [][]int32{nil, {0, 3, 7, 8, 14, 29}, {7, 14}, {}} {
-		b.Sel = sel
-		for _, e := range []Expr{safe, nested} {
-			assertAgree(t, e, b)
-			f, err := CompileFilter(NewCall(">", e, CInt(2)), testKinds)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := f.Apply(b); err != nil {
-				t.Fatalf("filter on %s under %v: %v", e, sel, err)
-			}
-		}
-	}
-	// Without the guard the division fails.
-	b.Sel = nil
-	ev, _ := Compile(NewCall("if", CBool(true), NewCall("/", CInt(10), col(1)), CInt(-1)), testKinds)
-	if _, err := ev.Eval(b); !errors.Is(err, primitives.ErrDivByZero) {
-		t.Fatalf("the taken branch divides by zero, got %v", err)
-	}
-}
-
-func TestCasts(t *testing.T) {
-	b := makeBatch(20)
-	assertAgree(t, NewCall("cast_float64", col(0)), b)
-	assertAgree(t, NewCall("cast_int32", col(0)), b)
-	assertAgree(t, NewCall("cast_int64", col(2)), b)
-	assertAgree(t, NewCall("cast_string", col(0)), b)
-	assertAgree(t, NewCall("cast_string", col(4)), b)
-	assertAgree(t, NewCall("cast_int64", col(5)), b)
-}
-
-func TestStringFuncs(t *testing.T) {
-	b := makeBatch(20)
-	assertAgree(t, NewCall("upper", col(3)), b)
-	assertAgree(t, NewCall("lower", NewCall("upper", col(3))), b)
-	assertAgree(t, NewCall("length", col(3)), b)
-	assertAgree(t, NewCall("||", col(3), CStr("!")), b)
-	assertAgree(t, NewCall("||", CStr(">"), col(3)), b)
-	assertAgree(t, NewCall("||", col(3), col(3)), b)
-	assertAgree(t, NewCall("substr", col(3), CInt(2), CInt(3)), b)
-	assertAgree(t, NewCall("substr", col(3), col(1), CInt(2)), b)
-	assertAgree(t, NewCall("replace", col(3), CStr("a"), CStr("A")), b)
-	assertAgree(t, NewCall("position", col(3), CStr("et")), b)
-	assertAgree(t, NewCall("lpad", col(3), CInt(8), CStr("*")), b)
-	assertAgree(t, NewCall("rpad", col(3), CInt(8), CStr("*")), b)
-	assertAgree(t, NewCall("like", col(3), CStr("%et%")), b)
-	assertAgree(t, NewCall("starts_with", col(3), CStr("al")), b)
-	assertAgree(t, NewCall("ends_with", col(3), CStr("ta")), b)
-	assertAgree(t, NewCall("contains", col(3), CStr("mm")), b)
-	assertAgree(t, NewCall("trim", NewCall("||", CStr("  x "), col(3))), b)
-}
-
-func TestDateFuncs(t *testing.T) {
-	b := makeBatch(30)
-	assertAgree(t, NewCall("year", col(4)), b)
-	assertAgree(t, NewCall("month", col(4)), b)
-	assertAgree(t, NewCall("day", col(4)), b)
-	assertAgree(t, NewCall("quarter", col(4)), b)
-	assertAgree(t, NewCall("dayofweek", col(4)), b)
-	assertAgree(t, NewCall("date_add", col(4), CInt(30)), b)
-	assertAgree(t, NewCall("date_add", col(4), col(1)), b)
-	assertAgree(t, NewCall("add_months", col(4), CInt(3)), b)
-	assertAgree(t, NewCall("date_diff", col(4), CDate(18000)), b)
-	assertAgree(t, NewCall("+", col(4), CInt(5)), b)
-	assertAgree(t, NewCall("-", col(4), CInt(5)), b)
-	assertAgree(t, NewCall("-", col(4), CDate(18000)), b)
-}
-
-func TestMathFuncs(t *testing.T) {
-	b := makeBatch(20)
-	absF := NewCall("abs", col(2))
-	assertAgree(t, NewCall("sqrt", absF), b)
-	assertAgree(t, NewCall("floor", col(2)), b)
-	assertAgree(t, NewCall("ceil", col(2)), b)
-	assertAgree(t, NewCall("round", col(2), CInt(0)), b)
-	assertAgree(t, NewCall("power", col(2), CFloat(2)), b)
-	assertAgree(t, NewCall("power", col(2), col(2)), b)
-	assertAgree(t, NewCall("exp", NewCall("*", col(2), CFloat(0.01))), b)
-}
-
 func TestFilterBasics(t *testing.T) {
 	b := makeBatch(100)
 	f, err := CompileFilter(NewCall(">", col(0), CInt(89)), testKinds)
@@ -268,52 +65,6 @@ func TestFilterBasics(t *testing.T) {
 	}
 	if len(sel) != 10 || sel[0] != 90 {
 		t.Fatalf("sel: %v", sel)
-	}
-}
-
-func TestFilterMatchesInterpreter(t *testing.T) {
-	b := makeBatch(200)
-	preds := []Expr{
-		NewCall("=", col(1), CInt(3)),
-		NewCall("and", NewCall(">", col(0), CInt(20)), NewCall("<", col(0), CInt(60))),
-		NewCall("or", NewCall("<", col(0), CInt(5)), NewCall(">", col(0), CInt(190))),
-		NewCall("not", NewCall("=", col(1), CInt(0))),
-		NewCall("between", col(0), CInt(17), CInt(23)),
-		NewCall("like", col(3), CStr("%a")),
-		NewCall("and",
-			NewCall("or", NewCall("=", col(3), CStr("beta")), NewCall("=", col(1), CInt(2))),
-			NewCall(">=", col(2), CFloat(10))),
-		NewCall("=", col(5), CBool(true)),
-		NewCall(">", NewCall("+", col(0), col(1)), CInt(50)),
-		NewCall("between", col(0), col(1), CInt(10)),
-	}
-	for _, p := range preds {
-		f, err := CompileFilter(p, testKinds)
-		if err != nil {
-			t.Fatalf("compile filter %s: %v", p, err)
-		}
-		sel, err := f.Apply(b)
-		if err != nil {
-			t.Fatalf("apply %s: %v", p, err)
-		}
-		want := map[int32]bool{}
-		for i := 0; i < b.Rows(); i++ {
-			v, err := EvalRow(p, b.GetRow(i))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !v.Null && v.Bool() {
-				want[int32(b.RowIndex(i))] = true
-			}
-		}
-		if len(sel) != len(want) {
-			t.Fatalf("%s: got %d rows want %d", p, len(sel), len(want))
-		}
-		for _, i := range sel {
-			if !want[i] {
-				t.Fatalf("%s: unexpected row %d", p, i)
-			}
-		}
 	}
 }
 
@@ -435,80 +186,5 @@ func TestNullFuncsRejectedByKernel(t *testing.T) {
 	e := &Call{Fn: "isnull", Args: []Expr{col(0)}, T: types.Bool}
 	if _, err := Compile(e, testKinds); err == nil {
 		t.Fatal("kernel must reject isnull")
-	}
-}
-
-func TestRowNullPropagation(t *testing.T) {
-	nullInt := types.NewNull(types.KindInt64)
-	row := []types.Value{nullInt, types.NewInt64(5)}
-	a := Col(0, "a", types.Int64.Null())
-	b := Col(1, "b", types.Int64)
-	v, err := EvalRow(NewCall("+", a, b), row)
-	if err != nil || !v.Null {
-		t.Fatalf("null + x: %v %v", v, err)
-	}
-	v, _ = EvalRow(NewCall("isnull", a), row)
-	if !v.Bool() {
-		t.Fatal("isnull(null) = false")
-	}
-	v, _ = EvalRow(NewCall("coalesce", a, b), row)
-	if v.Null || v.Int64() != 5 {
-		t.Fatalf("coalesce: %v", v)
-	}
-	// Three-valued logic: NULL AND false = false, NULL OR true = true.
-	nb := Col(0, "a", types.Bool.Null())
-	rowB := []types.Value{types.NewNull(types.KindBool)}
-	v, _ = EvalRow(NewCall("and", nb, CBool(false)), rowB)
-	if v.Null || v.Bool() {
-		t.Fatalf("NULL AND false: %v", v)
-	}
-	v, _ = EvalRow(NewCall("or", nb, CBool(true)), rowB)
-	if v.Null || !v.Bool() {
-		t.Fatalf("NULL OR true: %v", v)
-	}
-	v, _ = EvalRow(NewCall("and", nb, CBool(true)), rowB)
-	if !v.Null {
-		t.Fatalf("NULL AND true: %v", v)
-	}
-	v, _ = EvalRow(NewCall("nullif", b, CInt(5)), []types.Value{nullInt, types.NewInt64(5)})
-	if !v.Null {
-		t.Fatalf("nullif equal: %v", v)
-	}
-}
-
-// Property: for random int vectors, the compiled (a*2+b) agrees with the
-// row interpreter everywhere.
-func TestVectorizedRowAgreementProperty(t *testing.T) {
-	kinds := []types.Kind{types.KindInt64, types.KindInt64}
-	e := NewCall("+", NewCall("*", Col(0, "a", types.Int64), CInt(2)), Col(1, "b", types.Int64))
-	ev, err := Compile(e, kinds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := func(av, bv []int32) bool {
-		n := min(len(av), len(bv))
-		if n == 0 {
-			return true
-		}
-		b := vec.NewBatch(kinds, n)
-		b.SetLen(n)
-		for i := 0; i < n; i++ {
-			b.Vecs[0].I64[i] = int64(av[i])
-			b.Vecs[1].I64[i] = int64(bv[i])
-		}
-		v, err := ev.Eval(b)
-		if err != nil {
-			return false
-		}
-		for i := 0; i < n; i++ {
-			want, _ := EvalRow(e, b.GetRow(i))
-			if v.I64[i] != want.I64 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -400,7 +400,7 @@ func finishProgram(c *compiler, out int) *Evaluator {
 	ev := &Evaluator{prog: c.prog, nRegs: c.nRegs, owned: c.owned, out: out}
 	ev.regState = make([]*vec.Vector, ev.nRegs)
 	for _, o := range ev.owned {
-		ev.regState[o.reg] = vec.New(o.kind, vec.DefaultSize)
+		ev.regState[o.reg] = vec.New(o.kind, 0) // EvalSel grows it to the batch
 	}
 	return ev
 }

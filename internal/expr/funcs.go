@@ -187,8 +187,8 @@ func ResolveFunc(fn string, args []types.T) (types.T, error) {
 			return fail()
 		}
 		return out(args[0].Kind)
-	// NULL-handling functions. These exist at the logical level only: the
-	// Vectorwise rewriter lowers them onto indicator columns before kernel
+	// NULL-handling functions. These exist at the logical level only:
+	// SplitNulls lowers them onto indicator columns before kernel
 	// compilation. The row engine interprets them directly.
 	case "isnull", "isnotnull":
 		if len(args) != 1 {

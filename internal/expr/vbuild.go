@@ -43,7 +43,7 @@ func buildCall(fn string, args []argSlot, dst int, dstKind types.Kind, c *compil
 	case "cast_int32", "cast_int64", "cast_float64", "cast_string":
 		return buildCast(fn, args, dst, c)
 	case "neg", "abs", "sign":
-		return buildUnaryNum(fn, args, dst, dstKind)
+		return buildUnaryNum(fn, args, dst, dstKind, c)
 	case "upper", "lower", "trim", "ltrim", "rtrim", "length",
 		"||", "concat", "substr", "replace", "position", "lpad", "rpad",
 		"like", "starts_with", "ends_with", "contains":
@@ -56,7 +56,7 @@ func buildCall(fn string, args []argSlot, dst int, dstKind types.Kind, c *compil
 	case "min2", "max2":
 		return buildMinMax2(fn, args, dst, dstKind, c)
 	case "isnull", "isnotnull", "coalesce", "ifnull", "nullif":
-		return nil, fmt.Errorf("expr: %s must be lowered by the rewriter before kernel compilation", fn)
+		return nil, fmt.Errorf("expr: %s must be lowered by SplitNulls before kernel compilation", fn)
 	}
 	return nil, fmt.Errorf("expr: no vectorized implementation of %q", fn)
 }
@@ -66,8 +66,8 @@ func buildCall(fn string, args []argSlot, dst int, dstKind types.Kind, c *compil
 func buildArith(fn string, args []argSlot, dst int, dstKind types.Kind, c *compiler) (instr, error) {
 	a, b := args[0], args[1]
 	if a.isConst() && b.isConst() {
-		// Constant folding is the optimizer's job, but stay safe when an
-		// unfolded expression reaches the compiler (tests, ad-hoc plans).
+		// Fold compiles constant expressions, and a constant whose fold
+		// failed reaches a query's program unfolded.
 		a = c.materialize(a)
 	}
 	// DATE arithmetic routes to the date builders.
@@ -96,42 +96,34 @@ func buildArith(fn string, args []argSlot, dst int, dstKind types.Kind, c *compi
 	return nil, fmt.Errorf("expr: arithmetic on %v", dstKind)
 }
 
-// negSlot negates an integral operand (constant folding or a NegV step).
+// negSlot negates an integral operand: a constant at compile time, unless
+// its negation overflows, else a checked negation step.
 func negSlot(s argSlot, c *compiler) (argSlot, error) {
-	if s.isConst() {
+	if s.isConst() && s.val.I64 != minOf(s.kind) {
 		v := s.val
 		v.I64 = -v.I64
 		return argSlot{reg: -1, val: v, kind: s.kind}, nil
 	}
+	s = c.materialize(s)
 	r := c.allocReg(s.kind)
-	src := s.reg
 	var ins instr
 	switch s.kind {
 	case types.KindInt32:
-		ins = func(ctx *evalCtx) error {
-			d, a := ctx.regs[r].I32, ctx.regs[src].I32
-			if ctx.sel == nil {
-				primitives.NegV(d[:ctx.n], a, nil)
-			} else {
-				primitives.NegV(d, a, ctx.sel)
-			}
-			return nil
-		}
+		ins = checkedMapIns(primitives.CheckedNegV[int32], s.reg, r, sI32, sI32)
 	case types.KindInt64:
-		ins = func(ctx *evalCtx) error {
-			d, a := ctx.regs[r].I64, ctx.regs[src].I64
-			if ctx.sel == nil {
-				primitives.NegV(d[:ctx.n], a, nil)
-			} else {
-				primitives.NegV(d, a, ctx.sel)
-			}
-			return nil
-		}
+		ins = checkedMapIns(primitives.CheckedNegV[int64], s.reg, r, sI64, sI64)
 	default:
 		return argSlot{}, fmt.Errorf("expr: cannot negate %v", s.kind)
 	}
 	c.prog = append(c.prog, ins)
 	return argSlot{reg: r, kind: s.kind}, nil
+}
+
+func minOf(k types.Kind) int64 {
+	if k == types.KindInt32 {
+		return math.MinInt32
+	}
+	return math.MinInt64
 }
 
 func intArith[T primitives.Integer](
@@ -566,6 +558,7 @@ func buildBetween(args []argSlot, dst int, c *compiler) (instr, error) {
 			return nil
 		}, nil
 	}
+	x = c.materialize(x)
 	switch x.kind {
 	case types.KindInt32, types.KindDate:
 		return betweenIns(x, lo, hi, dst, sI32, cI32)
@@ -610,9 +603,9 @@ func buildCast(fn string, args []argSlot, dst int, c *compiler) (instr, error) {
 		case types.KindInt32, types.KindDate:
 			return aliasCopyIns(ra, dst, sI32), nil
 		case types.KindInt64:
-			return castIns(ra, dst, sI64, sI32), nil
+			return checkedMapIns(primitives.CheckedNarrowV, ra, dst, sI64, sI32), nil
 		case types.KindFloat64:
-			return castIns(ra, dst, sF64, sI32), nil
+			return checkedMapIns(primitives.CheckedTruncV[int32], ra, dst, sF64, sI32), nil
 		}
 	case "cast_int64":
 		switch a.kind {
@@ -621,7 +614,7 @@ func buildCast(fn string, args []argSlot, dst int, c *compiler) (instr, error) {
 		case types.KindInt64:
 			return aliasCopyIns(ra, dst, sI64), nil
 		case types.KindFloat64:
-			return castIns(ra, dst, sF64, sI64), nil
+			return checkedMapIns(primitives.CheckedTruncV[int64], ra, dst, sF64, sI64), nil
 		case types.KindBool:
 			return func(ctx *evalCtx) error {
 				d, x := ctx.regs[dst].I64, ctx.regs[ra].Bool
@@ -704,6 +697,19 @@ func castIns[S, D primitives.Num](ra, dst int, slS func(*vec.Vector) []S, slD fu
 	}
 }
 
+// checkedMapIns runs a one-operand kernel that can fail (a value that does
+// not fit its destination type).
+func checkedMapIns[S, D primitives.Num](f func(dst []D, a []S, sel []int32) error,
+	ra, dst int, slS func(*vec.Vector) []S, slD func(*vec.Vector) []D) instr {
+	return func(ctx *evalCtx) error {
+		d, x := slD(ctx.regs[dst]), slS(ctx.regs[ra])
+		if ctx.sel == nil {
+			return f(d[:ctx.n], x, nil)
+		}
+		return f(d, x, ctx.sel)
+	}
+}
+
 func aliasCopyIns[T any](ra, dst int, sl func(*vec.Vector) []T) instr {
 	return func(ctx *evalCtx) error {
 		d, x := sl(ctx.regs[dst]), sl(ctx.regs[ra])
@@ -720,43 +726,51 @@ func aliasCopyIns[T any](ra, dst int, sl func(*vec.Vector) []T) instr {
 
 // --- unary numeric ---
 
-func buildUnaryNum(fn string, args []argSlot, dst int, dstKind types.Kind) (instr, error) {
-	a := args[0]
-	if a.isConst() {
-		return nil, fmt.Errorf("expr: %s of constant should be folded", fn)
-	}
+func buildUnaryNum(fn string, args []argSlot, dst int, dstKind types.Kind, c *compiler) (instr, error) {
+	ra := c.materialize(args[0]).reg
 	switch dstKind {
 	case types.KindInt32:
-		return unaryNumIns(fn, a.reg, dst, sI32)
+		return intUnaryIns(fn, ra, dst, sI32)
 	case types.KindInt64:
-		return unaryNumIns(fn, a.reg, dst, sI64)
+		return intUnaryIns(fn, ra, dst, sI64)
 	case types.KindFloat64:
-		return unaryNumIns(fn, a.reg, dst, sF64)
+		var f func(dst, a []float64, sel []int32)
+		switch fn {
+		case "neg":
+			f = primitives.NegV[float64]
+		case "abs":
+			f = primitives.AbsV[float64]
+		case "sign":
+			f = primitives.SignV[float64]
+		default:
+			return nil, fmt.Errorf("expr: unary %q", fn)
+		}
+		return checkedMapIns(func(d, x []float64, sel []int32) error {
+			f(d, x, sel)
+			return nil
+		}, ra, dst, sF64, sF64), nil
 	}
 	return nil, fmt.Errorf("expr: %s on %v", fn, dstKind)
 }
 
-func unaryNumIns[T primitives.Num](fn string, ra, dst int, sl func(*vec.Vector) []T) (instr, error) {
-	var f func(dst, a []T, sel []int32)
+// intUnaryIns negates and takes absolute values with checked kernels: the
+// minimum integer has no positive counterpart.
+func intUnaryIns[T primitives.Integer](fn string, ra, dst int, sl func(*vec.Vector) []T) (instr, error) {
+	var f func(dst, a []T, sel []int32) error
 	switch fn {
 	case "neg":
-		f = primitives.NegV[T]
+		f = primitives.CheckedNegV[T]
 	case "abs":
-		f = primitives.AbsV[T]
+		f = primitives.CheckedAbsV[T]
 	case "sign":
-		f = primitives.SignV[T]
+		f = func(d, x []T, sel []int32) error {
+			primitives.SignV(d, x, sel)
+			return nil
+		}
 	default:
 		return nil, fmt.Errorf("expr: unary %q", fn)
 	}
-	return func(ctx *evalCtx) error {
-		d, x := sl(ctx.regs[dst]), sl(ctx.regs[ra])
-		if ctx.sel == nil {
-			f(d[:ctx.n], x, nil)
-		} else {
-			f(d, x, ctx.sel)
-		}
-		return nil
-	}, nil
+	return checkedMapIns(f, ra, dst, sl, sl), nil
 }
 
 // --- min2/max2 ---

@@ -31,15 +31,6 @@ func (b *Binder) bindExpr(sc *scope, n sql.ExprNode, hook leafHook) (expr.Expr, 
 		}
 		switch e.Op {
 		case "-":
-			if c, ok := child.(*expr.Const); ok && c.Val.Kind.Numeric() {
-				v := c.Val
-				if v.Kind == types.KindFloat64 {
-					v.F64 = -v.F64
-				} else {
-					v.I64 = -v.I64
-				}
-				return &expr.Const{Val: v}, nil
-			}
 			return expr.TryCall("neg", child)
 		case "not":
 			return expr.TryCall("not", child)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"unsafe"
 )
 
 // Checked arithmetic: the paper's "Error handling and reporting" section
@@ -204,6 +205,127 @@ func CheckedMulVVI32(dst, a, b []int32, sel []int32) error {
 	return &PosError{Err: ErrOverflow, Pos: -1}
 }
 
+// CheckedNegV computes dst = -a, failing where a is the minimum of T: its
+// negation does not fit.
+func CheckedNegV[T Integer](dst, a []T, sel []int32) error {
+	var flags T
+	if sel == nil {
+		a = a[:len(dst)]
+		for i := range dst {
+			s := -a[i]
+			// a and -a are both negative only for the minimum.
+			flags |= a[i] & s
+			dst[i] = s
+		}
+	} else {
+		for _, i := range sel {
+			s := -a[i]
+			flags |= a[i] & s
+			dst[i] = s
+		}
+	}
+	if flags >= 0 {
+		return nil
+	}
+	return overflowAt(len(dst), sel, func(i int) bool { return a[i]&-a[i] < 0 })
+}
+
+// CheckedAbsV computes dst = |a|, failing where a is the minimum of T.
+func CheckedAbsV[T Integer](dst, a []T, sel []int32) error {
+	var flags T
+	if sel == nil {
+		a = a[:len(dst)]
+		for i := range dst {
+			s := a[i]
+			if s < 0 {
+				s = -s
+			}
+			flags |= s // negative only where the negation wrapped
+			dst[i] = s
+		}
+	} else {
+		for _, i := range sel {
+			s := a[i]
+			if s < 0 {
+				s = -s
+			}
+			flags |= s
+			dst[i] = s
+		}
+	}
+	if flags >= 0 {
+		return nil
+	}
+	return overflowAt(len(dst), sel, func(i int) bool { return a[i]&-a[i] < 0 })
+}
+
+// CheckedNarrowV converts BIGINT to INTEGER, failing where a value does not
+// fit.
+func CheckedNarrowV(dst []int32, a []int64, sel []int32) error {
+	var flags int64
+	if sel == nil {
+		a = a[:len(dst)]
+		for i := range dst {
+			flags |= a[i] - int64(int32(a[i])) // non-zero iff truncation loses bits
+			dst[i] = int32(a[i])
+		}
+	} else {
+		for _, i := range sel {
+			flags |= a[i] - int64(int32(a[i]))
+			dst[i] = int32(a[i])
+		}
+	}
+	if flags == 0 {
+		return nil
+	}
+	return overflowAt(len(dst), sel, func(i int) bool { return a[i] != int64(int32(a[i])) })
+}
+
+// CheckedTruncV converts DOUBLE to the integer type T, truncating toward
+// zero, failing on NaN and on values outside T's range.
+func CheckedTruncV[T Integer](dst []T, a []float64, sel []int32) error {
+	lim := math.Ldexp(1, int(unsafe.Sizeof(T(0)))*8-1)
+	out := func(x float64) bool {
+		t := math.Trunc(x)
+		return !(t >= -lim && t < lim)
+	}
+	bad := false
+	if sel == nil {
+		a = a[:len(dst)]
+		for i := range dst {
+			bad = bad || out(a[i])
+			dst[i] = T(a[i])
+		}
+	} else {
+		for _, i := range sel {
+			bad = bad || out(a[i])
+			dst[i] = T(a[i])
+		}
+	}
+	if !bad {
+		return nil
+	}
+	return overflowAt(len(dst), sel, func(i int) bool { return out(a[i]) })
+}
+
+// overflowAt locates the first of n positions (or of sel's) where bad holds.
+func overflowAt(n int, sel []int32, bad func(i int) bool) error {
+	if sel == nil {
+		for i := 0; i < n; i++ {
+			if bad(i) {
+				return &PosError{Err: ErrOverflow, Pos: i}
+			}
+		}
+	} else {
+		for k, i := range sel {
+			if bad(int(i)) {
+				return &PosError{Err: ErrOverflow, Pos: k}
+			}
+		}
+	}
+	return &PosError{Err: ErrOverflow, Pos: -1}
+}
+
 // CheckedDivVV computes dst = a / b for integers, detecting zero divisors
 // (and the MinInt / -1 overflow). The scan for zero divisors is a separate
 // vectorized pass so the division loop itself stays branch-free.
@@ -258,12 +380,23 @@ func boolToNum[T Integer](b bool) T {
 }
 
 // CheckedDivVCF computes dst = a / c for floats with a constant divisor,
-// returning ErrDivByZero when c == 0 (SQL semantics, not IEEE Inf).
+// returning ErrDivByZero when c == 0 (SQL semantics, not IEEE Inf). It
+// divides: a product with 1/c is not always the quotient (1/c overflows for
+// a subnormal c, and rounds for most others).
 func CheckedDivVCF(dst, a []float64, c float64, sel []int32) error {
-	if c == 0 {
+	if c == 0 && (len(sel) > 0 || sel == nil && len(dst) > 0) {
 		return &PosError{Err: ErrDivByZero, Pos: 0}
 	}
-	MulVC(dst, a, 1/c, sel)
+	if sel == nil {
+		a = a[:len(dst)]
+		for i := range dst {
+			dst[i] = a[i] / c
+		}
+		return nil
+	}
+	for _, i := range sel {
+		dst[i] = a[i] / c
+	}
 	return nil
 }
 

@@ -112,6 +112,88 @@ func TestCheckedDivFloat(t *testing.T) {
 	if err := CheckedDivVCF(dst, []float64{1, 4}, 2, nil); err != nil || dst[0] != 0.5 {
 		t.Fatalf("fdivc: %v %v", dst, err)
 	}
+	// The quotient, not a product with the reciprocal.
+	if err := CheckedDivVCF(dst, []float64{0, 3}, 5e-324, nil); err != nil || dst[0] != 0 || dst[1] != math.Inf(1) {
+		t.Fatalf("fdivc subnormal: %v %v", dst, err)
+	}
+	x, y, c := 0.3, 49.0, 0.1
+	if err := CheckedDivVCF(dst, []float64{x, y}, c, nil); err != nil || dst[0] != x/c || dst[1] != y/c {
+		t.Fatalf("fdivc rounding: %v %v", dst, err)
+	}
+	// A constant zero divisor fails only rows that are selected.
+	if err := CheckedDivVCF(dst, []float64{1, 4}, 0, []int32{}); err != nil {
+		t.Fatalf("fdivc0 under an empty selection: %v", err)
+	}
+}
+
+// Negation, absolute value and narrowing casts fail where the result does
+// not fit, at the first failing position, and never at an unselected one.
+func TestCheckedNegAbsCast(t *testing.T) {
+	checks := []struct {
+		name string
+		run  func(sel []int32) error
+		bad  int // position of the one value that does not fit
+	}{
+		{"neg64", func(sel []int32) error {
+			return CheckedNegV(make([]int64, 3), []int64{5, math.MinInt64, -7}, sel)
+		}, 1},
+		{"neg32", func(sel []int32) error {
+			return CheckedNegV(make([]int32, 3), []int32{math.MaxInt32, -1, math.MinInt32}, sel)
+		}, 2},
+		{"abs64", func(sel []int32) error {
+			return CheckedAbsV(make([]int64, 3), []int64{math.MinInt64, math.MaxInt64, -1}, sel)
+		}, 0},
+		{"abs32", func(sel []int32) error {
+			return CheckedAbsV(make([]int32, 3), []int32{-math.MaxInt32, math.MinInt32, 0}, sel)
+		}, 1},
+		{"narrow", func(sel []int32) error {
+			return CheckedNarrowV(make([]int32, 3), []int64{math.MinInt32, math.MaxInt32, 3000000000}, sel)
+		}, 2},
+		{"narrow-low", func(sel []int32) error {
+			return CheckedNarrowV(make([]int32, 3), []int64{-2147483649, 0, 1}, sel)
+		}, 0},
+		{"trunc32", func(sel []int32) error {
+			return CheckedTruncV(make([]int32, 3), []float64{-2147483648.9, 1e300, 2147483647.9}, sel)
+		}, 1},
+		{"trunc64-nan", func(sel []int32) error {
+			return CheckedTruncV(make([]int64, 3), []float64{-9223372036854775808, 0.5, math.NaN()}, sel)
+		}, 2},
+		{"trunc64-inf", func(sel []int32) error {
+			return CheckedTruncV(make([]int64, 3), []float64{math.Inf(-1), -0.0, 1}, sel)
+		}, 0},
+		{"trunc64-high", func(sel []int32) error {
+			return CheckedTruncV(make([]int64, 3), []float64{1, 9223372036854775808, 2}, sel)
+		}, 1},
+	}
+	for _, c := range checks {
+		var pe *PosError
+		if err := c.run(nil); !errors.As(err, &pe) || !errors.Is(err, ErrOverflow) || pe.Pos != c.bad {
+			t.Errorf("%s: got %v, want overflow at %d", c.name, err, c.bad)
+		}
+		var others []int32
+		for i := int32(0); i < 3; i++ {
+			if int(i) != c.bad {
+				others = append(others, i)
+			}
+		}
+		if err := c.run(others); err != nil {
+			t.Errorf("%s: unselected overflow reported: %v", c.name, err)
+		}
+		if err := c.run([]int32{int32(c.bad)}); !errors.As(err, &pe) || pe.Pos != 0 {
+			t.Errorf("%s under a selection: got %v, want overflow at 0", c.name, err)
+		}
+	}
+	dst := make([]int64, 2)
+	if err := CheckedNegV(dst, []int64{-3, math.MaxInt64}, nil); err != nil || dst[0] != 3 || dst[1] != -math.MaxInt64 {
+		t.Fatalf("neg: %v %v", dst, err)
+	}
+	if err := CheckedAbsV(dst, []int64{-3, 4}, nil); err != nil || dst[0] != 3 || dst[1] != 4 {
+		t.Fatalf("abs: %v %v", dst, err)
+	}
+	d32 := make([]int32, 2)
+	if err := CheckedTruncV(d32, []float64{-2.9, 2.9}, nil); err != nil || d32[0] != -2 || d32[1] != 2 {
+		t.Fatalf("trunc: %v %v", d32, err)
+	}
 }
 
 func TestCheckedMod(t *testing.T) {

@@ -110,9 +110,9 @@ func substr(s string, start, length int64) string {
 	if from >= int64(len(s)) {
 		return ""
 	}
-	to := from + length
-	if to > int64(len(s)) {
-		to = int64(len(s))
+	to := int64(len(s))
+	if length < to-from {
+		to = from + length
 	}
 	return s[from:to]
 }
@@ -249,7 +249,7 @@ func RPadVC(dst, a []string, width int64, pad string, sel []int32) {
 
 func padStr(s string, width int, pad string, left bool) string {
 	if width <= len(s) {
-		return s[:width]
+		return s[:max(width, 0)]
 	}
 	if pad == "" {
 		return s

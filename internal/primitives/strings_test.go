@@ -1,6 +1,7 @@
 package primitives
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -57,6 +58,9 @@ func TestSubstr(t *testing.T) {
 		{"hello", 6, 2, ""},    // past end
 		{"hello", 3, 0, ""},    // zero length
 		{"hello", 3, -1, ""},   // negative length
+		{"hello", 2, math.MaxInt64, "ello"},
+		{"hello", math.MinInt64, math.MaxInt64, ""},
+		{"hello", math.MaxInt64, 1, ""},
 	}
 	for _, c := range cases {
 		if got := substr(c.s, c.start, c.length); got != c.want {
@@ -121,6 +125,17 @@ func TestPad(t *testing.T) {
 	LPadVC(dst, []string{"a"}, 4, "", nil)
 	if dst[0] != "a" {
 		t.Fatalf("lpad empty pad: %q", dst[0])
+	}
+	// A width of zero or less pads to nothing.
+	for _, width := range []int64{0, -1, math.MinInt64} {
+		LPadVC(dst, []string{"abc"}, width, "x", nil)
+		if dst[0] != "" {
+			t.Fatalf("lpad width %d: %q", width, dst[0])
+		}
+		RPadVC(dst, []string{"abc"}, width, "x", nil)
+		if dst[0] != "" {
+			t.Fatalf("rpad width %d: %q", width, dst[0])
+		}
 	}
 }
 

@@ -99,13 +99,12 @@ func decompose(n physical.Node) (physical.Node, ColMap, error) {
 		if err != nil {
 			return nil, ColMap{}, err
 		}
-		d := &exprDecomposer{cm: cm}
-		val, ind, err := d.decomp(t.Pred)
+		val, ind, err := expr.SplitNulls(t.Pred, cm.Val, cm.Ind)
 		if err != nil {
 			return nil, ColMap{}, err
 		}
 		// SQL filters keep rows where the predicate is TRUE (not NULL).
-		pred := andE(val, notE(ind))
+		pred := expr.And(val, expr.Not(ind))
 		return &physical.Select{Child: child, Pred: pred}, cm, nil
 
 	case *physical.Project:
@@ -113,21 +112,20 @@ func decompose(n physical.Node) (physical.Node, ColMap, error) {
 		if err != nil {
 			return nil, ColMap{}, err
 		}
-		d := &exprDecomposer{cm: cm}
 		var exprs []expr.Expr
 		var names []string
 		outMap := ColMap{}
 		var indExprs []expr.Expr
 		var indNames []string
 		for i, e := range t.Exprs {
-			val, ind, err := d.decomp(e)
+			val, ind, err := expr.SplitNulls(e, cm.Val, cm.Ind)
 			if err != nil {
 				return nil, ColMap{}, err
 			}
 			outMap.Val = append(outMap.Val, len(exprs))
 			exprs = append(exprs, val)
 			names = append(names, t.Names[i])
-			if isFalseConst(ind) {
+			if expr.IsFalse(ind) {
 				outMap.Ind = append(outMap.Ind, -1)
 			} else {
 				outMap.Ind = append(outMap.Ind, -2-len(indExprs)) // patched below
@@ -613,250 +611,4 @@ func appendFalseCols(n physical.Node, count int) (physical.Node, []int) {
 		names = append(names, fmt.Sprintf("$false%d", k))
 	}
 	return &physical.Project{Child: n, Exprs: exprs, Names: names}, idxs
-}
-
-// --- expression decomposition ---
-
-type exprDecomposer struct {
-	cm ColMap
-}
-
-// decomp returns (value, indicator) physical expressions for a logical
-// expression. The indicator is the constant false for never-NULL results.
-func (d *exprDecomposer) decomp(e expr.Expr) (expr.Expr, expr.Expr, error) {
-	switch t := e.(type) {
-	case *expr.Const:
-		if t.Val.Null {
-			return &expr.Const{Val: types.SafeValue(t.Val.Kind)}, expr.CBool(true), nil
-		}
-		return t, expr.CBool(false), nil
-	case *expr.ColRef:
-		val := expr.Col(d.cm.Val[t.Idx], t.Name, t.T.NotNull())
-		if d.cm.Ind[t.Idx] < 0 {
-			return val, expr.CBool(false), nil
-		}
-		return val, expr.Col(d.cm.Ind[t.Idx], t.Name+"$null", types.Bool), nil
-	case *expr.Call:
-		return d.decompCall(t)
-	}
-	return nil, nil, fmt.Errorf("rewriter: cannot decompose expression %T", e)
-}
-
-func (d *exprDecomposer) decompCall(c *expr.Call) (expr.Expr, expr.Expr, error) {
-	switch c.Fn {
-	case "isnull":
-		_, ind, err := d.decomp(c.Args[0])
-		if err != nil {
-			return nil, nil, err
-		}
-		return ind, expr.CBool(false), nil
-	case "isnotnull":
-		_, ind, err := d.decomp(c.Args[0])
-		if err != nil {
-			return nil, nil, err
-		}
-		return notE(ind), expr.CBool(false), nil
-	case "ifnull", "coalesce":
-		av, ai, err := d.decomp(c.Args[0])
-		if err != nil {
-			return nil, nil, err
-		}
-		bv, bi, err := d.decomp(c.Args[1])
-		if err != nil {
-			return nil, nil, err
-		}
-		if isFalseConst(ai) {
-			return av, ai, nil
-		}
-		val, err := expr.TryCall("if", ai, bv, av)
-		if err != nil {
-			return nil, nil, err
-		}
-		return val, andE(ai, bi), nil
-	case "nullif":
-		av, ai, err := d.decomp(c.Args[0])
-		if err != nil {
-			return nil, nil, err
-		}
-		bv, bi, err := d.decomp(c.Args[1])
-		if err != nil {
-			return nil, nil, err
-		}
-		eq, err := expr.TryCall("=", av, bv)
-		if err != nil {
-			return nil, nil, err
-		}
-		eq3 := andE(eq, andE(notE(ai), notE(bi)))
-		return av, orE(ai, eq3), nil
-	case "and":
-		av, ai, err := d.decomp(c.Args[0])
-		if err != nil {
-			return nil, nil, err
-		}
-		bv, bi, err := d.decomp(c.Args[1])
-		if err != nil {
-			return nil, nil, err
-		}
-		if isFalseConst(ai) && isFalseConst(bi) {
-			return andE(av, bv), expr.CBool(false), nil
-		}
-		// Known-false dominates NULL: result NULL iff some side unknown
-		// and no side is known false.
-		aKnownFalse := andE(notE(av), notE(ai))
-		bKnownFalse := andE(notE(bv), notE(bi))
-		val := andE(av, bv)
-		ind := andE(orE(ai, bi), notE(orE(aKnownFalse, bKnownFalse)))
-		return val, ind, nil
-	case "or":
-		av, ai, err := d.decomp(c.Args[0])
-		if err != nil {
-			return nil, nil, err
-		}
-		bv, bi, err := d.decomp(c.Args[1])
-		if err != nil {
-			return nil, nil, err
-		}
-		if isFalseConst(ai) && isFalseConst(bi) {
-			return orE(av, bv), expr.CBool(false), nil
-		}
-		aKnownTrue := andE(av, notE(ai))
-		bKnownTrue := andE(bv, notE(bi))
-		val := orE(aKnownTrue, bKnownTrue)
-		ind := andE(orE(ai, bi), notE(val))
-		return val, ind, nil
-	case "not":
-		av, ai, err := d.decomp(c.Args[0])
-		if err != nil {
-			return nil, nil, err
-		}
-		return notE(av), ai, nil
-	case "if":
-		cv, ci, err := d.decomp(c.Args[0])
-		if err != nil {
-			return nil, nil, err
-		}
-		tv, ti, err := d.decomp(c.Args[1])
-		if err != nil {
-			return nil, nil, err
-		}
-		ev, ei, err := d.decomp(c.Args[2])
-		if err != nil {
-			return nil, nil, err
-		}
-		cond := andE(cv, notE(ci)) // NULL condition selects the else branch
-		val, err := expr.TryCall("if", cond, tv, ev)
-		if err != nil {
-			return nil, nil, err
-		}
-		var ind expr.Expr
-		if isFalseConst(ti) && isFalseConst(ei) {
-			ind = expr.CBool(false)
-		} else {
-			ind, err = expr.TryCall("if", cond, ti, ei)
-			if err != nil {
-				return nil, nil, err
-			}
-		}
-		return val, ind, nil
-	default:
-		// Strict functions: apply over values, OR the indicators.
-		vals := make([]expr.Expr, len(c.Args))
-		var ind expr.Expr = expr.CBool(false)
-		for i, a := range c.Args {
-			v, ai, err := d.decomp(a)
-			if err != nil {
-				return nil, nil, err
-			}
-			vals[i] = v
-			ind = orE(ind, ai)
-		}
-		// A NULL operand reaches the kernel as its in-band safe value, 0: a
-		// checked division would fail on a row whose result is NULL anyway.
-		// There, divide by 1. (A non-zero constant divisor needs no guard.)
-		if isDivision(c.Fn) && !isFalseConst(ind) && !isNonZeroConst(vals[1]) {
-			one := litOf(vals[1].Type().Kind, 1)
-			divisor, err := expr.TryCall("if", ind, one, vals[1])
-			if err != nil {
-				return nil, nil, err
-			}
-			vals[1] = divisor
-		}
-		val, err := expr.TryCall(c.Fn, vals...)
-		if err != nil {
-			return nil, nil, err
-		}
-		return val, ind, nil
-	}
-}
-
-// litOf is the constant v of kind k.
-func litOf(k types.Kind, v int64) expr.Expr {
-	switch k {
-	case types.KindInt32:
-		return expr.CInt32(int32(v))
-	case types.KindFloat64:
-		return expr.CFloat(float64(v))
-	default:
-		return expr.CInt(v)
-	}
-}
-
-func isDivision(fn string) bool { return fn == "/" || fn == "%" || fn == "mod" }
-
-func isNonZeroConst(e expr.Expr) bool {
-	c, ok := e.(*expr.Const)
-	return ok && !c.Val.Null && c.Val.AsFloat() != 0
-}
-
-// Boolean expression helpers with constant short-circuiting.
-
-func isFalseConst(e expr.Expr) bool {
-	c, ok := e.(*expr.Const)
-	return ok && c.Val.Kind == types.KindBool && !c.Val.Null && !c.Val.Bool()
-}
-
-func isTrueConst(e expr.Expr) bool {
-	c, ok := e.(*expr.Const)
-	return ok && c.Val.Kind == types.KindBool && !c.Val.Null && c.Val.Bool()
-}
-
-func andE(a, b expr.Expr) expr.Expr {
-	switch {
-	case isTrueConst(a):
-		return b
-	case isTrueConst(b):
-		return a
-	case isFalseConst(a):
-		return a
-	case isFalseConst(b):
-		return b
-	}
-	return expr.NewCall("and", a, b)
-}
-
-func orE(a, b expr.Expr) expr.Expr {
-	switch {
-	case isFalseConst(a):
-		return b
-	case isFalseConst(b):
-		return a
-	case isTrueConst(a):
-		return a
-	case isTrueConst(b):
-		return b
-	}
-	return expr.NewCall("or", a, b)
-}
-
-func notE(a expr.Expr) expr.Expr {
-	switch {
-	case isFalseConst(a):
-		return expr.CBool(true)
-	case isTrueConst(a):
-		return expr.CBool(false)
-	}
-	if c, ok := a.(*expr.Call); ok && c.Fn == "not" {
-		return c.Args[0]
-	}
-	return expr.NewCall("not", a)
 }

@@ -1,10 +1,11 @@
-package expr
+package rowengine
 
 import (
 	"fmt"
 	"math"
 	"strings"
 
+	"vectorwise/internal/expr"
 	"vectorwise/internal/primitives"
 	"vectorwise/internal/types"
 )
@@ -12,27 +13,30 @@ import (
 // EvalRow interprets an expression for a single row of boxed values: the
 // tuple-at-a-time model of the "classic" engine. Every call re-dispatches on
 // node and value kinds — exactly the interpretation overhead the vectorized
-// kernel amortizes, which is what experiment E1 measures.
+// kernel amortizes, which is what experiment E1 measures. It serves only
+// this package's Volcano operators, the baseline of that comparison and of
+// the differential tests; queries, constant folding and INSERT values all
+// run expr.Compile programs.
 //
 // Unlike the kernel path, the row interpreter is NULL-aware: SQL
 // three-valued logic is implemented here directly, since the classic engine
 // does not decompose NULLable columns.
-func EvalRow(e Expr, row []types.Value) (types.Value, error) {
+func EvalRow(e expr.Expr, row []types.Value) (types.Value, error) {
 	switch n := e.(type) {
-	case *Const:
+	case *expr.Const:
 		return n.Val, nil
-	case *ColRef:
+	case *expr.ColRef:
 		if n.Idx < 0 || n.Idx >= len(row) {
-			return types.Value{}, fmt.Errorf("expr: row column %d out of range", n.Idx)
+			return types.Value{}, fmt.Errorf("rowengine: row column %d out of range", n.Idx)
 		}
 		return row[n.Idx], nil
-	case *Call:
+	case *expr.Call:
 		return evalRowCall(n, row)
 	}
-	return types.Value{}, fmt.Errorf("expr: cannot interpret node %T", e)
+	return types.Value{}, fmt.Errorf("rowengine: cannot interpret node %T", e)
 }
 
-func evalRowCall(c *Call, row []types.Value) (types.Value, error) {
+func evalRowCall(c *expr.Call, row []types.Value) (types.Value, error) {
 	// Special forms with non-strict argument evaluation.
 	switch c.Fn {
 	case "and":
@@ -87,7 +91,7 @@ func evalRowCall(c *Call, row []types.Value) (types.Value, error) {
 	return applyRowFunc(c.Fn, c.T, args)
 }
 
-func evalAnd(c *Call, row []types.Value) (types.Value, error) {
+func evalAnd(c *expr.Call, row []types.Value) (types.Value, error) {
 	a, err := EvalRow(c.Args[0], row)
 	if err != nil {
 		return types.Value{}, err
@@ -109,7 +113,7 @@ func evalAnd(c *Call, row []types.Value) (types.Value, error) {
 	}
 }
 
-func evalOr(c *Call, row []types.Value) (types.Value, error) {
+func evalOr(c *expr.Call, row []types.Value) (types.Value, error) {
 	a, err := EvalRow(c.Args[0], row)
 	if err != nil {
 		return types.Value{}, err
@@ -150,7 +154,7 @@ func applyRowFunc(fn string, t types.T, args []types.Value) (types.Value, error)
 			return types.NewFloat64(math.Abs(v.F64)), nil
 		}
 		if v.I64 < 0 {
-			v.I64 = -v.I64
+			return rowArith("-", t.Kind, types.Value{Kind: t.Kind}, v)
 		}
 		return v, nil
 	case "sign":
@@ -170,9 +174,11 @@ func applyRowFunc(fn string, t types.T, args []types.Value) (types.Value, error)
 		}
 		return out, nil
 	case "cast_int32":
-		return types.NewInt32(int32(args[0].AsInt())), nil
+		i, err := rowToInt(args[0], math.MinInt32, math.MaxInt32)
+		return types.NewInt32(int32(i)), err
 	case "cast_int64":
-		return types.NewInt64(args[0].AsInt()), nil
+		i, err := rowToInt(args[0], math.MinInt64, math.MaxInt64)
+		return types.NewInt64(i), err
 	case "cast_float64":
 		return types.NewFloat64(args[0].AsFloat()), nil
 	case "cast_string":
@@ -255,7 +261,7 @@ func applyRowFunc(fn string, t types.T, args []types.Value) (types.Value, error)
 		}
 		return args[0], nil
 	}
-	return types.Value{}, fmt.Errorf("expr: no row implementation of %q", fn)
+	return types.Value{}, fmt.Errorf("rowengine: no row implementation of %q", fn)
 }
 
 func rowArith(fn string, kind types.Kind, a, b types.Value) (types.Value, error) {
@@ -285,7 +291,7 @@ func rowArith(fn string, kind types.Kind, a, b types.Value) (types.Value, error)
 			}
 			return types.NewFloat64(x / y), nil
 		}
-		return types.Value{}, fmt.Errorf("expr: float %q", fn)
+		return types.Value{}, fmt.Errorf("rowengine: float %q", fn)
 	}
 	x, y := a.AsInt(), b.AsInt()
 	var r int64
@@ -316,7 +322,7 @@ func rowArith(fn string, kind types.Kind, a, b types.Value) (types.Value, error)
 		}
 		r = x % y
 	default:
-		return types.Value{}, fmt.Errorf("expr: int %q", fn)
+		return types.Value{}, fmt.Errorf("rowengine: int %q", fn)
 	}
 	if kind == types.KindInt32 {
 		if r != int64(int32(r)) {
@@ -325,6 +331,22 @@ func rowArith(fn string, kind types.Kind, a, b types.Value) (types.Value, error)
 		return types.NewInt32(int32(r)), nil
 	}
 	return types.NewInt64(r), nil
+}
+
+// rowToInt converts a numeric value to an integer in [lo, hi], truncating a
+// DOUBLE toward zero; NaN and values outside the range overflow.
+func rowToInt(v types.Value, lo, hi int64) (int64, error) {
+	if v.Kind == types.KindFloat64 {
+		f := math.Trunc(v.F64)
+		if !(f >= -math.Ldexp(1, 63) && f < math.Ldexp(1, 63)) {
+			return 0, primitives.ErrOverflow
+		}
+	}
+	i := v.AsInt()
+	if i < lo || i > hi {
+		return 0, primitives.ErrOverflow
+	}
+	return i, nil
 }
 
 func rowCmp(fn string, a, b types.Value) types.Value {
@@ -362,16 +384,16 @@ func rowSubstr(s string, start, length int64) string {
 	if from >= int64(len(s)) {
 		return ""
 	}
-	to := from + length
-	if to > int64(len(s)) {
-		to = int64(len(s))
+	to := int64(len(s))
+	if length < to-from {
+		to = from + length
 	}
 	return s[from:to]
 }
 
 func rowPad(s string, width int, pad string, left bool) string {
 	if width <= len(s) {
-		return s[:width]
+		return s[:max(width, 0)]
 	}
 	if pad == "" {
 		return s
@@ -390,26 +412,4 @@ func rowPad(s string, width int, pad string, left bool) string {
 		return b.String() + s
 	}
 	return s + b.String()
-}
-
-// FoldConstants rewrites e bottom-up, replacing calls whose arguments are
-// all literals with their value; part of the rewriter's simplification pass
-// but shared here because it reuses the row interpreter.
-func FoldConstants(e Expr) Expr {
-	return Rewrite(e, func(n Expr) Expr {
-		c, ok := n.(*Call)
-		if !ok {
-			return n
-		}
-		for _, a := range c.Args {
-			if _, ok := a.(*Const); !ok {
-				return n
-			}
-		}
-		v, err := EvalRow(c, nil)
-		if err != nil {
-			return n // leave runtime errors (overflow, div0) to execution
-		}
-		return &Const{Val: v}
-	})
 }

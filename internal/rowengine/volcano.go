@@ -96,7 +96,7 @@ func (f *Filter) Next() ([]types.Value, error) {
 		if err != nil || row == nil {
 			return nil, err
 		}
-		v, err := expr.EvalRow(f.Pred, row)
+		v, err := EvalRow(f.Pred, row)
 		if err != nil {
 			return nil, err
 		}
@@ -148,7 +148,7 @@ func (m *Map) Next() ([]types.Value, error) {
 		return nil, err
 	}
 	for i, e := range m.Exprs {
-		v, err := expr.EvalRow(e, row)
+		v, err := EvalRow(e, row)
 		if err != nil {
 			return nil, err
 		}
