@@ -51,18 +51,7 @@ func Compile(e Expr, inputKinds []types.Kind) (*Evaluator, error) {
 	if err != nil {
 		return nil, err
 	}
-	outReg := slot.reg
-	if slot.isConst() {
-		// Expression is a bare constant: materialize it.
-		outReg = c.allocReg(slot.kind)
-		val := slot.val
-		r := outReg
-		c.prog = append(c.prog, func(ctx *evalCtx) error {
-			ctx.regs[r].Fill(val, ctx.n)
-			return nil
-		})
-	}
-	return finishProgram(c, outReg), nil
+	return finishProgram(c, c.materialize(slot).reg), nil
 }
 
 // Eval runs the program over a batch, evaluating only the batch's selected
@@ -210,7 +199,7 @@ func foldOperand(a Expr) Expr {
 		return a
 	}
 	v, err := Fold(a)
-	if err != nil || v.Null {
+	if err != nil {
 		return a
 	}
 	return &Const{Val: v}

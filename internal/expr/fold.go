@@ -9,29 +9,24 @@ import (
 // query runs over columns: e is NULL-split, and its value and indicator are
 // compiled and run over a one-row, zero-column batch. It returns the value
 // (NULL of e's kind when the indicator is set) or the runtime's error. A
-// bare constant is returned as is, without a compile.
+// bare constant splits into constants, so it is returned without a compile.
 func Fold(e Expr) (types.Value, error) {
-	if c, ok := e.(*Const); ok {
-		return c.Val, nil
-	}
 	val, ind, err := SplitNulls(e, nil, nil)
 	if err != nil {
 		return types.Value{}, err
 	}
 	// Both run, as a projection runs both over a column: an operand that
 	// fails fails the fold even where the result is NULL.
-	v, err := evalOneRow(val)
-	if err != nil {
-		return types.Value{}, err
+	var out [2]types.Value
+	for i, x := range [2]Expr{val, ind} {
+		if out[i], err = evalOneRow(x); err != nil {
+			return types.Value{}, err
+		}
 	}
-	null, err := evalOneRow(ind)
-	if err != nil {
-		return types.Value{}, err
-	}
-	if null.Bool() {
+	if out[1].Bool() {
 		return types.NewNull(e.Type().Kind), nil
 	}
-	return v, nil
+	return out[0], nil
 }
 
 // evalOneRow runs a NULL-free, column-free expression over one row.

@@ -35,9 +35,6 @@ func (d nullSplitter) split(e Expr) (Expr, Expr, error) {
 		}
 		return t, CBool(false), nil
 	case *ColRef:
-		if t.Idx < 0 || t.Idx >= len(d.val) {
-			return nil, nil, fmt.Errorf("expr: column %s has no physical position", t)
-		}
 		val := Col(d.val[t.Idx], t.Name, t.T.NotNull())
 		if d.ind[t.Idx] < 0 {
 			return val, CBool(false), nil

@@ -96,34 +96,42 @@ func buildArith(fn string, args []argSlot, dst int, dstKind types.Kind, c *compi
 	return nil, fmt.Errorf("expr: arithmetic on %v", dstKind)
 }
 
-// negSlot negates an integral operand: a constant at compile time, unless
-// its negation overflows, else a checked negation step.
+// negSlot negates an integral operand (constant folding or a NegV step).
 func negSlot(s argSlot, c *compiler) (argSlot, error) {
-	if s.isConst() && s.val.I64 != minOf(s.kind) {
+	if s.isConst() {
 		v := s.val
 		v.I64 = -v.I64
 		return argSlot{reg: -1, val: v, kind: s.kind}, nil
 	}
-	s = c.materialize(s)
 	r := c.allocReg(s.kind)
+	src := s.reg
 	var ins instr
 	switch s.kind {
 	case types.KindInt32:
-		ins = checkedMapIns(primitives.CheckedNegV[int32], s.reg, r, sI32, sI32)
+		ins = func(ctx *evalCtx) error {
+			d, a := ctx.regs[r].I32, ctx.regs[src].I32
+			if ctx.sel == nil {
+				primitives.NegV(d[:ctx.n], a, nil)
+			} else {
+				primitives.NegV(d, a, ctx.sel)
+			}
+			return nil
+		}
 	case types.KindInt64:
-		ins = checkedMapIns(primitives.CheckedNegV[int64], s.reg, r, sI64, sI64)
+		ins = func(ctx *evalCtx) error {
+			d, a := ctx.regs[r].I64, ctx.regs[src].I64
+			if ctx.sel == nil {
+				primitives.NegV(d[:ctx.n], a, nil)
+			} else {
+				primitives.NegV(d, a, ctx.sel)
+			}
+			return nil
+		}
 	default:
 		return argSlot{}, fmt.Errorf("expr: cannot negate %v", s.kind)
 	}
 	c.prog = append(c.prog, ins)
 	return argSlot{reg: r, kind: s.kind}, nil
-}
-
-func minOf(k types.Kind) int64 {
-	if k == types.KindInt32 {
-		return math.MinInt32
-	}
-	return math.MinInt64
 }
 
 func intArith[T primitives.Integer](
@@ -734,43 +742,44 @@ func buildUnaryNum(fn string, args []argSlot, dst int, dstKind types.Kind, c *co
 	case types.KindInt64:
 		return intUnaryIns(fn, ra, dst, sI64)
 	case types.KindFloat64:
-		var f func(dst, a []float64, sel []int32)
-		switch fn {
-		case "neg":
-			f = primitives.NegV[float64]
-		case "abs":
-			f = primitives.AbsV[float64]
-		case "sign":
-			f = primitives.SignV[float64]
-		default:
-			return nil, fmt.Errorf("expr: unary %q", fn)
-		}
-		return checkedMapIns(func(d, x []float64, sel []int32) error {
-			f(d, x, sel)
-			return nil
-		}, ra, dst, sF64, sF64), nil
+		return unaryNumIns(fn, ra, dst, sF64)
 	}
 	return nil, fmt.Errorf("expr: %s on %v", fn, dstKind)
 }
 
-// intUnaryIns negates and takes absolute values with checked kernels: the
-// minimum integer has no positive counterpart.
+// intUnaryIns checks neg and abs: the smallest integer has no positive
+// counterpart.
 func intUnaryIns[T primitives.Integer](fn string, ra, dst int, sl func(*vec.Vector) []T) (instr, error) {
-	var f func(dst, a []T, sel []int32) error
 	switch fn {
 	case "neg":
-		f = primitives.CheckedNegV[T]
+		return checkedMapIns(primitives.CheckedNegV[T], ra, dst, sl, sl), nil
 	case "abs":
-		f = primitives.CheckedAbsV[T]
+		return checkedMapIns(primitives.CheckedAbsV[T], ra, dst, sl, sl), nil
+	}
+	return unaryNumIns(fn, ra, dst, sl)
+}
+
+func unaryNumIns[T primitives.Num](fn string, ra, dst int, sl func(*vec.Vector) []T) (instr, error) {
+	var f func(dst, a []T, sel []int32)
+	switch fn {
+	case "neg":
+		f = primitives.NegV[T]
+	case "abs":
+		f = primitives.AbsV[T]
 	case "sign":
-		f = func(d, x []T, sel []int32) error {
-			primitives.SignV(d, x, sel)
-			return nil
-		}
+		f = primitives.SignV[T]
 	default:
 		return nil, fmt.Errorf("expr: unary %q", fn)
 	}
-	return checkedMapIns(f, ra, dst, sl, sl), nil
+	return func(ctx *evalCtx) error {
+		d, x := sl(ctx.regs[dst]), sl(ctx.regs[ra])
+		if ctx.sel == nil {
+			f(d[:ctx.n], x, nil)
+		} else {
+			f(d, x, ctx.sel)
+		}
+		return nil
+	}, nil
 }
 
 // --- min2/max2 ---

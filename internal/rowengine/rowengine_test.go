@@ -353,3 +353,36 @@ func TestVolcanoCancellation(t *testing.T) {
 		t.Fatal("cancelled row plan completed")
 	}
 }
+
+// The interpreter fails where the kernel fails: negating, or taking the
+// absolute value of, the smallest integer and casting a value an integer
+// type cannot hold overflow; a pad width of zero or less and a substring
+// longer than the string do not fault.
+func TestEvalRowEdgeValues(t *testing.T) {
+	x64 := expr.Col(0, "x", types.Int64)
+	x32 := expr.Col(1, "y", types.Int32)
+	f := expr.Col(2, "f", types.Float64)
+	s := expr.Col(3, "s", types.String)
+	row := []types.Value{types.NewInt64(math.MinInt64), types.NewInt32(math.MinInt32),
+		types.NewFloat64(math.NaN()), types.NewString("hello")}
+	for _, e := range []expr.Expr{
+		expr.NewCall("neg", x64), expr.NewCall("abs", x64),
+		expr.NewCall("neg", x32), expr.NewCall("abs", x32),
+		expr.NewCall("cast_int32", x64), expr.NewCall("cast_int64", f), expr.NewCall("cast_int32", f),
+		expr.NewCall("cast_int64", expr.CFloat(9.3e18)), expr.NewCall("cast_int32", expr.CFloat(-2147483649)),
+	} {
+		if _, err := EvalRow(e, row); !errors.Is(err, primitives.ErrOverflow) {
+			t.Errorf("%s: got %v, want overflow", e, err)
+		}
+	}
+	for e, want := range map[expr.Expr]string{
+		expr.NewCall("lpad", s, expr.CInt32(-1), expr.CStr("x")):          "",
+		expr.NewCall("rpad", s, expr.CInt32(0), expr.CStr("x")):           "",
+		expr.NewCall("substr", s, expr.CInt(2), expr.CInt(math.MaxInt64)): "ello",
+		expr.NewCall("cast_int32", expr.CFloat(-2147483648.5)):            "-2147483648",
+	} {
+		if v, err := EvalRow(e, row); err != nil || v.String() != want {
+			t.Errorf("%s: got %v (%v), want %s", e, v, err, want)
+		}
+	}
+}
