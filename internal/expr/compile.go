@@ -30,7 +30,6 @@ type instr func(ctx *evalCtx) error
 // Evaluator is a compiled expression.
 type Evaluator struct {
 	prog     []instr
-	nRegs    int
 	owned    []ownedReg // registers we must allocate/grow
 	out      int        // register holding the result
 	regState []*vec.Vector

@@ -397,8 +397,7 @@ func (fc *filterCompiler) boolFallback(pred Expr) (selNode, error) {
 // finishProgram packages a compiler's instruction list as an Evaluator with
 // its result in register out — Compile's, or one a selection primitive reads.
 func finishProgram(c *compiler, out int) *Evaluator {
-	ev := &Evaluator{prog: c.prog, nRegs: c.nRegs, owned: c.owned, out: out}
-	ev.regState = make([]*vec.Vector, ev.nRegs)
+	ev := &Evaluator{prog: c.prog, owned: c.owned, out: out, regState: make([]*vec.Vector, c.nRegs)}
 	for _, o := range ev.owned {
 		ev.regState[o.reg] = vec.New(o.kind, 0) // EvalSel grows it to the batch
 	}

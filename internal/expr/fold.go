@@ -9,8 +9,11 @@ import (
 // query runs over columns: e is NULL-split, and its value and indicator are
 // compiled and run over a one-row, zero-column batch. It returns the value
 // (NULL of e's kind when the indicator is set) or the runtime's error. A
-// bare constant splits into constants, so it is returned without a compile.
+// bare constant is returned as is: INSERT rows are mostly literals.
 func Fold(e Expr) (types.Value, error) {
+	if c, ok := e.(*Const); ok {
+		return c.Val, nil
+	}
 	val, ind, err := SplitNulls(e, nil, nil)
 	if err != nil {
 		return types.Value{}, err
