@@ -37,6 +37,33 @@ func TestCaseEvaluatesOnlyTheTakenBranch(t *testing.T) {
 	}
 }
 
+// AND and OR run their right operand only on the rows their left operand
+// leaves undecided, in SELECT as in WHERE, on both structures: the cast of
+// 1e300 to INTEGER runs on no row, b being false and c true there. With the
+// cast on the left it runs, and fails.
+func TestLogicalOperandsRunOnlyOnUndecidedRows(t *testing.T) {
+	for _, structure := range structures {
+		db := Open()
+		mustExec(t, db, `CREATE TABLE t (id INTEGER NOT NULL, b BOOLEAN NOT NULL, c BOOLEAN NOT NULL, d DOUBLE)`+structure)
+		mustExec(t, db, `INSERT INTO t VALUES (1, false, true, 1.0e300), (2, true, false, 1.0), (3, false, true, NULL), (4, true, false, -2.0)`)
+		for _, tc := range []struct{ pred, values, ids string }{
+			{`b AND CAST(d AS INTEGER) > 0`, "false\ntrue\nfalse\nfalse\n", "2\n"},
+			{`c OR CAST(d AS INTEGER) > 0`, "true\ntrue\ntrue\nfalse\n", "1\n2\n3\n"},
+		} {
+			q := `SELECT ` + tc.pred + ` FROM t ORDER BY id`
+			if got := allRows(t, db, q); got != tc.values {
+				t.Errorf("%s%s: got %q, want %q", q, structure, got, tc.values)
+			}
+			q = `SELECT id FROM t WHERE ` + tc.pred + ` ORDER BY id`
+			if got := allRows(t, db, q); got != tc.ids {
+				t.Errorf("%s%s: got %q, want %q", q, structure, got, tc.ids)
+			}
+		}
+		execErr(t, db, `SELECT CAST(d AS INTEGER) > 0 AND b FROM t`)
+		execErr(t, db, `SELECT id FROM t WHERE CAST(d AS INTEGER) > 0 OR c`)
+	}
+}
+
 // A NULL dividend or divisor makes /, % and MOD NULL — the in-band value a
 // NULL carries never reaches the divisor — over INTEGER, BIGINT and (for /)
 // DOUBLE, in SELECT and in UPDATE's SET, on both structures. A zero divisor

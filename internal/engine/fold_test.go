@@ -43,6 +43,18 @@ func TestConstantFormMatchesColumnForm(t *testing.T) {
 				"CASE WHEN a = 0 THEN d / 0.0 ELSE 2.0 END"}, "2"},
 		{"a INTEGER, z INTEGER", "1, 0", "INTEGER",
 			[]string{"1 / 0", "a / z"}, "error: division by zero"},
+		{"k BIGINT, m BIGINT", "-9223372036854775807, -1", "BIGINT",
+			[]string{"(-9223372036854775807 - 1) / -1", "(k - 1) / -1", "(k - 1) / m"}, "error: arithmetic overflow"},
+		{"k INTEGER, m INTEGER", "-2147483647, -1", "INTEGER",
+			[]string{"(CAST(-2147483647 AS INTEGER) - 1) / -1", "(k - 1) / -1", "(k - 1) / m"}, "error: arithmetic overflow"},
+		{"k BIGINT, m BIGINT", "-9223372036854775807, -1", "BIGINT",
+			[]string{"-9223372036854775807 / -1", "k / -1", "k / m"}, "9223372036854775807"},
+		{"d DATE, n BIGINT", "DATE '1970-01-01', 3000000000", "DATE",
+			[]string{"DATE '1970-01-01' + 3000000000", "d + n", "d + 3000000000", "d - -3000000000", "d - (0 - n)"}, "error: arithmetic overflow"},
+		{"d DATE, k INTEGER", "DATE '2000-01-01', 2147483647", "DATE",
+			[]string{"DATE '2000-01-01' + CAST(2147483647 AS INTEGER)", "d + k", "d - -k"}, "error: arithmetic overflow"},
+		{"d DATE, k INTEGER", "DATE '1900-01-01', -2147483648", "DATE",
+			[]string{"DATE '1900-01-01' - CAST(-2147483648 AS INTEGER)", "d - k"}, "5881510-07-13"},
 	}
 	outcome := func(db *DB, q string) string {
 		res, err := db.Exec(context.Background(), q)

@@ -136,8 +136,11 @@ func (c *compiler) compileNode(e Expr) (argSlot, error) {
 		})
 		return argSlot{reg: r, kind: n.T.Kind}, nil
 	case *Call:
-		if n.Fn == "if" {
+		switch {
+		case n.Fn == "if":
 			return c.compileIf(n)
+		case isPredicate(n.Fn):
+			return c.compilePredicate(n)
 		}
 		args := make([]argSlot, len(n.Args))
 		for i, a := range n.Args {

@@ -154,6 +154,24 @@ func TestLogicalIfBetween(t *testing.T) {
 	assertAgree(t, expr.NewCall("if", gt, expr.CStr("big"), expr.CStr("small")), b)
 	assertAgree(t, expr.NewCall("between", col(0), expr.CInt(5), expr.CInt(15)), b)
 	assertAgree(t, expr.NewCall("between", col(0), col(1), expr.CInt(15)), b)
+	for _, p := range decidedOnTheLeft() {
+		assertAgree(t, p, b)
+	}
+}
+
+// decidedOnTheLeft holds an AND and an OR whose right operand fails (a cast
+// of 1e300 to INTEGER) on exactly the rows their left operand decides: col5
+// is false where d = (col0 % 2) * 1e300 holds 1e300, and true where
+// 1e300 - d does.
+func decidedOnTheLeft() []expr.Expr {
+	d := expr.NewCall("*", expr.NewCall("cast_float64", expr.NewCall("%", col(0), expr.CInt(2))), expr.CFloat(1e300))
+	positive := func(x expr.Expr) expr.Expr {
+		return expr.NewCall(">", expr.NewCall("cast_int32", x), expr.CInt32(0))
+	}
+	return []expr.Expr{
+		expr.NewCall("and", col(5), positive(d)),
+		expr.NewCall("or", col(5), positive(expr.NewCall("-", expr.CFloat(1e300), d))),
+	}
 }
 
 // Each branch of an if runs only on the rows that take it: 10 / col1 is
@@ -261,7 +279,7 @@ func TestFilterMatchesInterpreter(t *testing.T) {
 		expr.NewCall(">", expr.NewCall("+", col(0), col(1)), expr.CInt(50)),
 		expr.NewCall("between", col(0), col(1), expr.CInt(10)),
 	}
-	for _, p := range preds {
+	for _, p := range append(preds, decidedOnTheLeft()...) {
 		f, err := expr.CompileFilter(p, testKinds)
 		if err != nil {
 			t.Fatalf("compile filter %s: %v", p, err)

@@ -176,8 +176,10 @@ func (d nullSplitter) splitCall(c *Call) (Expr, Expr, error) {
 		}
 		// A NULL operand reaches the kernel as its in-band safe value, 0: a
 		// checked division would fail on a row whose result is NULL anyway.
-		// There, divide by 1. (A non-zero constant divisor needs no guard.)
-		if isDivision(c.Fn) && !IsFalse(ind) && !isNonZeroConst(vals[1]) {
+		// There, divide by 1 — also by a non-zero constant divisor, so that
+		// the in-band quotient a later checked step reads is the one the
+		// same divisor gives as a column.
+		if isDivision(c.Fn) && !IsFalse(ind) {
 			one := litOf(vals[1].Type().Kind, 1)
 			divisor, err := TryCall("if", ind, one, vals[1])
 			if err != nil {
@@ -207,15 +209,12 @@ func litOf(k types.Kind, v int64) Expr {
 
 func isDivision(fn string) bool { return fn == "/" || fn == "%" || fn == "mod" }
 
-func isNonZeroConst(e Expr) bool {
-	c, ok := e.(*Const)
-	return ok && !c.Val.Null && c.Val.AsFloat() != 0
-}
-
 // Boolean expression builders with constant short-circuiting. A constant
-// that decides the result drops the other operand only if that operand
-// cannot fail: over a column it would run, and its error with it, so a fold
-// must run it too.
+// that decides the result on the left drops the right operand: the right
+// operand runs only on the rows its left leaves undecided, so over a column
+// it would not run either. A deciding constant on the right drops the left
+// operand only if that operand cannot fail: over a column it would run, and
+// its error with it, so a fold must run it too.
 
 // IsFalse reports whether e is the constant FALSE.
 func IsFalse(e Expr) bool {
@@ -233,9 +232,9 @@ func And(a, b Expr) Expr {
 	switch {
 	case isTrue(a):
 		return b
-	case isTrue(b):
+	case IsFalse(a):
 		return a
-	case IsFalse(a) && !mayFail(b):
+	case isTrue(b):
 		return a
 	case IsFalse(b) && !mayFail(a):
 		return b
@@ -247,9 +246,9 @@ func orE(a, b Expr) Expr {
 	switch {
 	case IsFalse(a):
 		return b
-	case IsFalse(b):
+	case isTrue(a):
 		return a
-	case isTrue(a) && !mayFail(b):
+	case IsFalse(b):
 		return a
 	case isTrue(b) && !mayFail(a):
 		return b
@@ -258,13 +257,13 @@ func orE(a, b Expr) Expr {
 }
 
 // mayFail reports whether evaluating e can raise a runtime error: checked
-// arithmetic, negation, absolute value or a narrowing cast.
+// arithmetic, negation, absolute value, a narrowing cast or a date add.
 func mayFail(e Expr) bool {
 	fails := false
 	Walk(e, func(n Expr) bool {
 		if c, ok := n.(*Call); ok {
 			switch c.Fn {
-			case "+", "-", "*", "/", "%", "mod", "neg", "abs", "cast_int32", "cast_int64":
+			case "+", "-", "*", "/", "%", "mod", "neg", "abs", "cast_int32", "cast_int64", "date_add":
 				fails = true
 			}
 		}

@@ -25,6 +25,7 @@ func sF64(v *vec.Vector) []float64 { return v.F64 }
 func sStr(v *vec.Vector) []string  { return v.Str }
 
 // Constant converters.
+func cBool(v types.Value) bool   { return v.Bool() }
 func cI32(v types.Value) int32   { return int32(v.I64) }
 func cI64(v types.Value) int64   { return v.I64 }
 func cF64(v types.Value) float64 { return v.AsFloat() }
@@ -34,19 +35,12 @@ func buildCall(fn string, args []argSlot, dst int, dstKind types.Kind, c *compil
 	switch fn {
 	case "+", "-", "*", "/", "%", "mod":
 		return buildArith(fn, args, dst, dstKind, c)
-	case "=", "<>", "<", "<=", ">", ">=":
-		return buildCmp(fn, args, dst, c)
-	case "and", "or", "not":
-		return buildLogical(fn, args, dst, c)
-	case "between":
-		return buildBetween(args, dst, c)
 	case "cast_int32", "cast_int64", "cast_float64", "cast_string":
 		return buildCast(fn, args, dst, c)
 	case "neg", "abs", "sign":
 		return buildUnaryNum(fn, args, dst, dstKind, c)
 	case "upper", "lower", "trim", "ltrim", "rtrim", "length",
-		"||", "concat", "substr", "replace", "position", "lpad", "rpad",
-		"like", "starts_with", "ends_with", "contains":
+		"||", "concat", "substr", "replace", "position", "lpad", "rpad":
 		return buildString(fn, args, dst, c)
 	case "year", "month", "day", "quarter", "dayofweek",
 		"date_add", "add_months", "date_diff":
@@ -96,42 +90,29 @@ func buildArith(fn string, args []argSlot, dst int, dstKind types.Kind, c *compi
 	return nil, fmt.Errorf("expr: arithmetic on %v", dstKind)
 }
 
-// negSlot negates an integral operand (constant folding or a NegV step).
+// negSlot negates the day count of a DATE subtraction in BIGINT, where every
+// INTEGER has a negation (constant folding or a NegV step). The smallest
+// BIGINT negates to itself, a count that takes every date out of range.
 func negSlot(s argSlot, c *compiler) (argSlot, error) {
 	if s.isConst() {
-		v := s.val
-		v.I64 = -v.I64
-		return argSlot{reg: -1, val: v, kind: s.kind}, nil
+		return argSlot{reg: -1, val: types.NewInt64(-s.val.AsInt()), kind: types.KindInt64}, nil
 	}
-	r := c.allocReg(s.kind)
+	s, err := toI64(c, s)
+	if err != nil {
+		return argSlot{}, err
+	}
+	r := c.allocReg(types.KindInt64)
 	src := s.reg
-	var ins instr
-	switch s.kind {
-	case types.KindInt32:
-		ins = func(ctx *evalCtx) error {
-			d, a := ctx.regs[r].I32, ctx.regs[src].I32
-			if ctx.sel == nil {
-				primitives.NegV(d[:ctx.n], a, nil)
-			} else {
-				primitives.NegV(d, a, ctx.sel)
-			}
-			return nil
+	c.prog = append(c.prog, func(ctx *evalCtx) error {
+		d, a := ctx.regs[r].I64, ctx.regs[src].I64
+		if ctx.sel == nil {
+			primitives.NegV(d[:ctx.n], a, nil)
+		} else {
+			primitives.NegV(d, a, ctx.sel)
 		}
-	case types.KindInt64:
-		ins = func(ctx *evalCtx) error {
-			d, a := ctx.regs[r].I64, ctx.regs[src].I64
-			if ctx.sel == nil {
-				primitives.NegV(d[:ctx.n], a, nil)
-			} else {
-				primitives.NegV(d, a, ctx.sel)
-			}
-			return nil
-		}
-	default:
-		return argSlot{}, fmt.Errorf("expr: cannot negate %v", s.kind)
-	}
-	c.prog = append(c.prog, ins)
-	return argSlot{reg: r, kind: s.kind}, nil
+		return nil
+	})
+	return argSlot{reg: r, kind: types.KindInt64}, nil
 }
 
 func intArith[T primitives.Integer](
@@ -285,180 +266,19 @@ func floatArith(fn string, a, b argSlot, dst int, c *compiler) (instr, error) {
 	return nil, fmt.Errorf("expr: unsupported float arithmetic %q", fn)
 }
 
-// --- comparisons ---
-
-func buildCmp(fn string, args []argSlot, dst int, c *compiler) (instr, error) {
-	a, b := args[0], args[1]
-	if a.isConst() && b.isConst() {
-		a = c.materialize(a)
-	}
-	// Mirror constant-on-left into constant-on-right.
-	if a.isConst() && !b.isConst() {
-		a, b = b, a
-		fn = mirrorCmp(fn)
-	}
-	switch a.kind {
-	case types.KindInt32, types.KindDate:
-		return cmpIns(fn, a, b, dst, c, sI32, cI32)
-	case types.KindInt64:
-		return cmpIns(fn, a, b, dst, c, sI64, cI64)
-	case types.KindFloat64:
-		return cmpIns(fn, a, b, dst, c, sF64, cF64)
-	case types.KindString:
-		return cmpIns(fn, a, b, dst, c, sStr, cStr)
-	case types.KindBool:
-		return cmpBoolIns(fn, a, b, dst, c)
-	}
-	return nil, fmt.Errorf("expr: comparison on %v", a.kind)
-}
-
-func mirrorCmp(fn string) string {
-	switch fn {
-	case "<":
-		return ">"
-	case "<=":
-		return ">="
-	case ">":
-		return "<"
-	case ">=":
-		return "<="
-	}
-	return fn // = and <> are symmetric
-}
-
-func cmpIns[T primitives.Ordered](
-	fn string, a, b argSlot, dst int, c *compiler,
-	sl func(*vec.Vector) []T, cv func(types.Value) T,
-) (instr, error) {
-	if b.isConst() {
-		ra, k := a.reg, cv(b.val)
-		var f func(dst []bool, a []T, c T, sel []int32)
-		switch fn {
-		case "=":
-			f = primitives.CmpEqVC[T]
-		case "<>":
-			f = primitives.CmpNeVC[T]
-		case "<":
-			f = primitives.CmpLtVC[T]
-		case "<=":
-			f = primitives.CmpLeVC[T]
-		case ">":
-			f = primitives.CmpGtVC[T]
-		case ">=":
-			f = primitives.CmpGeVC[T]
-		default:
-			return nil, fmt.Errorf("expr: comparison %q", fn)
-		}
-		return func(ctx *evalCtx) error {
-			d, x := ctx.regs[dst].Bool, sl(ctx.regs[ra])
-			if ctx.sel == nil {
-				f(d[:ctx.n], x, k, nil)
-			} else {
-				f(d, x, k, ctx.sel)
-			}
-			return nil
-		}, nil
-	}
-	av := c.materialize(a)
-	ra, rb := av.reg, b.reg
-	var f func(dst []bool, a, b []T, sel []int32)
-	switch fn {
-	case "=":
-		f = primitives.CmpEqVV[T]
-	case "<>":
-		f = primitives.CmpNeVV[T]
-	case "<":
-		f = primitives.CmpLtVV[T]
-	case "<=":
-		f = primitives.CmpLeVV[T]
-	case ">":
-		f = primitives.CmpGtVV[T]
-	case ">=":
-		f = primitives.CmpGeVV[T]
-	default:
-		return nil, fmt.Errorf("expr: comparison %q", fn)
-	}
-	return func(ctx *evalCtx) error {
-		d, x, y := ctx.regs[dst].Bool, sl(ctx.regs[ra]), sl(ctx.regs[rb])
-		if ctx.sel == nil {
-			f(d[:ctx.n], x, y, nil)
-		} else {
-			f(d, x, y, ctx.sel)
-		}
-		return nil
-	}, nil
-}
-
-func cmpBoolIns(fn string, a, b argSlot, dst int, c *compiler) (instr, error) {
-	av := c.materialize(a)
-	bv := c.materialize(b)
-	ra, rb := av.reg, bv.reg
-	eq := fn == "="
-	if fn != "=" && fn != "<>" {
-		return nil, fmt.Errorf("expr: ordering comparison on BOOLEAN")
-	}
-	return func(ctx *evalCtx) error {
-		d, x, y := ctx.regs[dst].Bool, ctx.regs[ra].Bool, ctx.regs[rb].Bool
-		if ctx.sel == nil {
-			for i := 0; i < ctx.n; i++ {
-				d[i] = (x[i] == y[i]) == eq
-			}
-		} else {
-			for _, i := range ctx.sel {
-				d[i] = (x[i] == y[i]) == eq
-			}
-		}
-		return nil
-	}, nil
-}
-
-// --- logical, if, between ---
-
-func buildLogical(fn string, args []argSlot, dst int, c *compiler) (instr, error) {
-	if fn == "not" {
-		av := c.materialize(args[0])
-		ra := av.reg
-		return func(ctx *evalCtx) error {
-			d, x := ctx.regs[dst].Bool, ctx.regs[ra].Bool
-			if ctx.sel == nil {
-				primitives.NotBool(d[:ctx.n], x, nil)
-			} else {
-				primitives.NotBool(d, x, ctx.sel)
-			}
-			return nil
-		}, nil
-	}
-	av := c.materialize(args[0])
-	bv := c.materialize(args[1])
-	ra, rb := av.reg, bv.reg
-	and := fn == "and"
-	return func(ctx *evalCtx) error {
-		d, x, y := ctx.regs[dst].Bool, ctx.regs[ra].Bool, ctx.regs[rb].Bool
-		sel := ctx.sel
-		if sel == nil {
-			d = d[:ctx.n]
-		}
-		if and {
-			primitives.AndBool(d, x, y, sel)
-		} else {
-			primitives.OrBool(d, x, y, sel)
-		}
-		return nil
-	}, nil
-}
+// --- if ---
 
 // compileIf compiles if(cond, a, b), the kernel form of CASE, COALESCE and
-// IFNULL. The condition runs once, over the incoming selection, and splits it
-// in two; each branch is a sub-program run only under the half whose rows take
-// it, so a branch that would fail (a division by zero, an overflow) on the
-// rows the condition sends the other way never sees them. A merge then joins
-// the two results.
+// IFNULL. The condition runs once, as a selection program over the incoming
+// selection: the rows it selects take a, their SelComplement takes b. Each
+// branch is a sub-program run only under its own rows, so a branch that
+// would fail (a division by zero, an overflow) on the rows the condition
+// sends the other way never sees them. A merge then joins the two results.
 func (c *compiler) compileIf(n *Call) (argSlot, error) {
-	cond, err := c.compileNode(n.Args[0])
+	cond, err := compilePred(n.Args[0], c.inputKinds)
 	if err != nil {
 		return argSlot{}, err
 	}
-	rc := c.materialize(cond).reg
 	progA, ra, err := c.branch(n.Args[1])
 	if err != nil {
 		return argSlot{}, err
@@ -484,11 +304,15 @@ func (c *compiler) compileIf(n *Call) (argSlot, error) {
 	default:
 		return argSlot{}, fmt.Errorf("expr: if on %v", kind)
 	}
-	var selA, selB []int32
+	var selB []int32
 	c.prog = append(c.prog, func(ctx *evalCtx) error {
 		outer := ctx.sel
-		selA, selB = primitives.SelSplit(selA, selB, ctx.regs[rc].Bool, outer, ctx.n)
-		err := runUnder(ctx, progA, selA)
+		selA, err := cond.apply(ctx, outer)
+		if err != nil {
+			return err
+		}
+		selB = primitives.SelComplement(selB, selA, outer, ctx.n)
+		err = runUnder(ctx, progA, selA)
 		if err == nil {
 			err = runUnder(ctx, progB, selB)
 		}
@@ -531,73 +355,6 @@ func mergeOf[T any](dst, ra, rb int, sl func(*vec.Vector) []T) func([]*vec.Vecto
 	return func(regs []*vec.Vector, selA, selB []int32) {
 		primitives.MergeSel(sl(regs[dst]), sl(regs[ra]), sl(regs[rb]), selA, selB)
 	}
-}
-
-func buildBetween(args []argSlot, dst int, c *compiler) (instr, error) {
-	// Materialized BETWEEN producing a bool vector; the filter compiler has
-	// a dedicated fused selection path instead.
-	x := args[0]
-	lo := args[1]
-	hi := args[2]
-	if !lo.isConst() || !hi.isConst() {
-		// General shape: (x >= lo) AND (x <= hi).
-		ge, err := buildCmp(">=", []argSlot{x, lo}, dst, c)
-		if err != nil {
-			return nil, err
-		}
-		tmp := c.allocReg(types.KindBool)
-		le, err := buildCmp("<=", []argSlot{x, hi}, tmp, c)
-		if err != nil {
-			return nil, err
-		}
-		return func(ctx *evalCtx) error {
-			if err := ge(ctx); err != nil {
-				return err
-			}
-			if err := le(ctx); err != nil {
-				return err
-			}
-			d, y := ctx.regs[dst].Bool, ctx.regs[tmp].Bool
-			if ctx.sel == nil {
-				primitives.AndBool(d[:ctx.n], d, y, nil)
-			} else {
-				primitives.AndBool(d, d, y, ctx.sel)
-			}
-			return nil
-		}, nil
-	}
-	x = c.materialize(x)
-	switch x.kind {
-	case types.KindInt32, types.KindDate:
-		return betweenIns(x, lo, hi, dst, sI32, cI32)
-	case types.KindInt64:
-		return betweenIns(x, lo, hi, dst, sI64, cI64)
-	case types.KindFloat64:
-		return betweenIns(x, lo, hi, dst, sF64, cF64)
-	case types.KindString:
-		return betweenIns(x, lo, hi, dst, sStr, cStr)
-	}
-	return nil, fmt.Errorf("expr: between on %v", x.kind)
-}
-
-func betweenIns[T primitives.Ordered](
-	x, lo, hi argSlot, dst int,
-	sl func(*vec.Vector) []T, cv func(types.Value) T,
-) (instr, error) {
-	rx, klo, khi := x.reg, cv(lo.val), cv(hi.val)
-	return func(ctx *evalCtx) error {
-		d, a := ctx.regs[dst].Bool, sl(ctx.regs[rx])
-		if ctx.sel == nil {
-			for i := 0; i < ctx.n; i++ {
-				d[i] = a[i] >= klo && a[i] <= khi
-			}
-		} else {
-			for _, i := range ctx.sel {
-				d[i] = a[i] >= klo && a[i] <= khi
-			}
-		}
-		return nil
-	}, nil
 }
 
 // --- casts ---
@@ -981,33 +738,6 @@ func buildString(fn string, args []argSlot, dst int, c *compiler) (instr, error)
 			}
 			return nil
 		}, nil
-	case "like", "starts_with", "ends_with", "contains":
-		if !args[1].isConst() {
-			return nil, fmt.Errorf("expr: %s pattern must be constant", fn)
-		}
-		a := c.materialize(args[0])
-		ra := a.reg
-		pat := args[1].val.Str
-		var m *primitives.LikeMatcher
-		switch fn {
-		case "like":
-			m = primitives.CompileLike(pat)
-		case "starts_with":
-			m = primitives.CompileLike(escapeLike(pat) + "%")
-		case "ends_with":
-			m = primitives.CompileLike("%" + escapeLike(pat))
-		case "contains":
-			m = primitives.CompileLike("%" + escapeLike(pat) + "%")
-		}
-		return func(ctx *evalCtx) error {
-			d, x := ctx.regs[dst].Bool, ctx.regs[ra].Str
-			if ctx.sel == nil {
-				primitives.LikeV(d[:ctx.n], x, m, nil)
-			} else {
-				primitives.LikeV(d, x, m, ctx.sel)
-			}
-			return nil
-		}, nil
 	}
 	return nil, fmt.Errorf("expr: unsupported string function %q", fn)
 }
@@ -1066,7 +796,7 @@ func buildDate(fn string, args []argSlot, dst int, c *compiler) (instr, error) {
 	case "date_add", "add_months":
 		months := fn == "add_months"
 		if args[1].isConst() {
-			k := int32(args[1].val.AsInt())
+			k := args[1].val.AsInt()
 			return func(ctx *evalCtx) error {
 				d, x := ctx.regs[dst].I32, ctx.regs[ra].I32
 				sel := ctx.sel
@@ -1074,11 +804,10 @@ func buildDate(fn string, args []argSlot, dst int, c *compiler) (instr, error) {
 					d = d[:ctx.n]
 				}
 				if months {
-					primitives.DateAddMonthsVC(d, x, k, sel)
-				} else {
-					primitives.DateAddDaysVC(d, x, k, sel)
+					primitives.DateAddMonthsVC(d, x, int32(k), sel)
+					return nil
 				}
-				return nil
+				return primitives.DateAddDaysVC(d, x, k, sel)
 			}, nil
 		}
 		nSlot, err := toI64(c, args[1])
@@ -1088,13 +817,13 @@ func buildDate(fn string, args []argSlot, dst int, c *compiler) (instr, error) {
 		rn := nSlot.reg
 		return func(ctx *evalCtx) error {
 			d, x, nn := ctx.regs[dst].I32, ctx.regs[ra].I32, ctx.regs[rn].I64
-			apply := func(i int) {
-				if months {
-					d[i] = types.DateAddMonths(x[i], int32(nn[i]))
-				} else {
-					d[i] = x[i] + int32(nn[i])
+			if !months {
+				if ctx.sel == nil {
+					return primitives.DateAddDaysVV(d[:ctx.n], x, nn, nil)
 				}
+				return primitives.DateAddDaysVV(d, x, nn, ctx.sel)
 			}
+			apply := func(i int) { d[i] = types.DateAddMonths(x[i], int32(nn[i])) }
 			if ctx.sel == nil {
 				for i := 0; i < ctx.n; i++ {
 					apply(i)

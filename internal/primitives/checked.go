@@ -327,8 +327,9 @@ func overflowAt(n int, sel []int32, bad func(i int) bool) error {
 }
 
 // CheckedDivVV computes dst = a / b for integers, detecting zero divisors
-// (and the MinInt / -1 overflow). The scan for zero divisors is a separate
-// vectorized pass so the division loop itself stays branch-free.
+// and the overflow of the minimum divided by -1. The scan for zero divisors
+// is a separate vectorized pass so the division loop itself stays
+// branch-free.
 func CheckedDivVV[T Integer](dst, a, b []T, sel []int32) error {
 	var prod T = 1
 	if sel == nil {
@@ -356,20 +357,29 @@ func CheckedDivVV[T Integer](dst, a, b []T, sel []int32) error {
 			}
 		}
 	}
-	// All divisors are non-zero; MinInt / -1 wraps in Go (no trap), matching
-	// the engine's two's-complement semantics, so a plain loop suffices.
+	// All divisors are non-zero. The one quotient that does not fit, the
+	// minimum of T over -1, wraps to the minimum in Go: a negative quotient
+	// of two negative operands, so a & b & q has its sign bit set there only.
+	var flags T
 	if sel == nil {
 		a2 := a[:len(dst)]
 		b2 := b[:len(dst)]
 		for i := range dst {
-			dst[i] = a2[i] / b2[i]
+			q := a2[i] / b2[i]
+			flags |= a2[i] & b2[i] & q
+			dst[i] = q
 		}
 	} else {
 		for _, i := range sel {
-			dst[i] = a[i] / b[i]
+			q := a[i] / b[i]
+			flags |= a[i] & b[i] & q
+			dst[i] = q
 		}
 	}
-	return nil
+	if flags >= 0 {
+		return nil
+	}
+	return overflowAt(len(dst), sel, func(i int) bool { return a[i]&b[i]&(a[i]/b[i]) < 0 })
 }
 
 func boolToNum[T Integer](b bool) T {

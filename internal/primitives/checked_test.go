@@ -126,8 +126,9 @@ func TestCheckedDivFloat(t *testing.T) {
 	}
 }
 
-// Negation, absolute value and narrowing casts fail where the result does
-// not fit, at the first failing position, and never at an unselected one.
+// Negation, absolute value, narrowing casts, integer division and date
+// arithmetic fail where the result does not fit, at the first failing
+// position, and never at an unselected one.
 func TestCheckedNegAbsCast(t *testing.T) {
 	checks := []struct {
 		name string
@@ -163,6 +164,18 @@ func TestCheckedNegAbsCast(t *testing.T) {
 		}, 0},
 		{"trunc64-high", func(sel []int32) error {
 			return CheckedTruncV(make([]int64, 3), []float64{1, 9223372036854775808, 2}, sel)
+		}, 1},
+		{"div64", func(sel []int32) error {
+			return CheckedDivVV(make([]int64, 3), []int64{-9, math.MinInt64, math.MinInt64}, []int64{-1, -1, 1}, sel)
+		}, 1},
+		{"div32", func(sel []int32) error {
+			return CheckedDivVV(make([]int32, 3), []int32{math.MinInt32, math.MinInt32 + 1, -7}, []int32{-1, -1, -1}, sel)
+		}, 0},
+		{"date-add", func(sel []int32) error {
+			return DateAddDaysVC(make([]int32, 3), []int32{math.MinInt32, 0, 1}, math.MaxInt32, sel)
+		}, 2},
+		{"date-add-vv", func(sel []int32) error {
+			return DateAddDaysVV(make([]int32, 3), []int32{0, 0, 5}, []int64{math.MinInt32, math.MinInt64, math.MaxInt32 - 5}, sel)
 		}, 1},
 	}
 	for _, c := range checks {

@@ -76,11 +76,56 @@ func DateDowV(dst, a []int32, sel []int32) {
 	}
 }
 
-// DateAddDaysVC computes dst = a + c days (dates are day numbers, so this is
-// AddVC — provided as a named primitive for the function registry).
-func DateAddDaysVC(dst, a []int32, c int32, sel []int32) {
-	AddVC(dst, a, c, sel)
+// DateAddDaysVC computes dst = a + c days, failing where the date leaves the
+// int32 day range. The sum is taken in int64, where a wrapped sum never
+// lands in that range.
+func DateAddDaysVC(dst, a []int32, c int64, sel []int32) error {
+	var flags int64
+	if sel == nil {
+		a = a[:len(dst)]
+		for i := range dst {
+			s := int64(a[i]) + c
+			flags |= s - int64(int32(s)) // non-zero iff the sum does not fit
+			dst[i] = int32(s)
+		}
+	} else {
+		for _, i := range sel {
+			s := int64(a[i]) + c
+			flags |= s - int64(int32(s))
+			dst[i] = int32(s)
+		}
+	}
+	if flags == 0 {
+		return nil
+	}
+	return overflowAt(len(dst), sel, func(i int) bool { return !dateFits(int64(a[i]) + c) })
 }
+
+// DateAddDaysVV computes dst = a + b days, failing as DateAddDaysVC does.
+func DateAddDaysVV(dst, a []int32, b []int64, sel []int32) error {
+	var flags int64
+	if sel == nil {
+		a = a[:len(dst)]
+		b = b[:len(dst)]
+		for i := range dst {
+			s := int64(a[i]) + b[i]
+			flags |= s - int64(int32(s))
+			dst[i] = int32(s)
+		}
+	} else {
+		for _, i := range sel {
+			s := int64(a[i]) + b[i]
+			flags |= s - int64(int32(s))
+			dst[i] = int32(s)
+		}
+	}
+	if flags == 0 {
+		return nil
+	}
+	return overflowAt(len(dst), sel, func(i int) bool { return !dateFits(int64(a[i]) + b[i]) })
+}
+
+func dateFits(s int64) bool { return s == int64(int32(s)) }
 
 // DateAddMonthsVC computes dst = ADD_MONTHS(a, c) with day clamping.
 func DateAddMonthsVC(dst, a []int32, c int32, sel []int32) {

@@ -198,216 +198,6 @@ func MaxVV[T Ordered](dst, a, b []T, sel []int32) {
 	}
 }
 
-// Comparison map primitives produce a bool vector (used when a comparison is
-// projected as a value rather than used as a filter; filters use the Sel*
-// primitives in select.go instead).
-
-// CmpEqVV computes dst = (a == b).
-func CmpEqVV[T Ordered](dst []bool, a, b []T, sel []int32) {
-	if sel == nil {
-		for i := range dst {
-			dst[i] = a[i] == b[i]
-		}
-		return
-	}
-	for _, i := range sel {
-		dst[i] = a[i] == b[i]
-	}
-}
-
-// CmpEqVC computes dst = (a == c).
-func CmpEqVC[T Ordered](dst []bool, a []T, c T, sel []int32) {
-	if sel == nil {
-		for i := range dst {
-			dst[i] = a[i] == c
-		}
-		return
-	}
-	for _, i := range sel {
-		dst[i] = a[i] == c
-	}
-}
-
-// CmpLtVV computes dst = (a < b).
-func CmpLtVV[T Ordered](dst []bool, a, b []T, sel []int32) {
-	if sel == nil {
-		for i := range dst {
-			dst[i] = a[i] < b[i]
-		}
-		return
-	}
-	for _, i := range sel {
-		dst[i] = a[i] < b[i]
-	}
-}
-
-// CmpLtVC computes dst = (a < c).
-func CmpLtVC[T Ordered](dst []bool, a []T, c T, sel []int32) {
-	if sel == nil {
-		for i := range dst {
-			dst[i] = a[i] < c
-		}
-		return
-	}
-	for _, i := range sel {
-		dst[i] = a[i] < c
-	}
-}
-
-// CmpLeVC computes dst = (a <= c).
-func CmpLeVC[T Ordered](dst []bool, a []T, c T, sel []int32) {
-	if sel == nil {
-		for i := range dst {
-			dst[i] = a[i] <= c
-		}
-		return
-	}
-	for _, i := range sel {
-		dst[i] = a[i] <= c
-	}
-}
-
-// CmpNeVV computes dst = (a != b).
-func CmpNeVV[T Ordered](dst []bool, a, b []T, sel []int32) {
-	if sel == nil {
-		for i := range dst {
-			dst[i] = a[i] != b[i]
-		}
-		return
-	}
-	for _, i := range sel {
-		dst[i] = a[i] != b[i]
-	}
-}
-
-// CmpNeVC computes dst = (a != c).
-func CmpNeVC[T Ordered](dst []bool, a []T, c T, sel []int32) {
-	if sel == nil {
-		for i := range dst {
-			dst[i] = a[i] != c
-		}
-		return
-	}
-	for _, i := range sel {
-		dst[i] = a[i] != c
-	}
-}
-
-// CmpLeVV computes dst = (a <= b).
-func CmpLeVV[T Ordered](dst []bool, a, b []T, sel []int32) {
-	if sel == nil {
-		for i := range dst {
-			dst[i] = a[i] <= b[i]
-		}
-		return
-	}
-	for _, i := range sel {
-		dst[i] = a[i] <= b[i]
-	}
-}
-
-// CmpGtVV computes dst = (a > b).
-func CmpGtVV[T Ordered](dst []bool, a, b []T, sel []int32) {
-	if sel == nil {
-		for i := range dst {
-			dst[i] = a[i] > b[i]
-		}
-		return
-	}
-	for _, i := range sel {
-		dst[i] = a[i] > b[i]
-	}
-}
-
-// CmpGtVC computes dst = (a > c).
-func CmpGtVC[T Ordered](dst []bool, a []T, c T, sel []int32) {
-	if sel == nil {
-		for i := range dst {
-			dst[i] = a[i] > c
-		}
-		return
-	}
-	for _, i := range sel {
-		dst[i] = a[i] > c
-	}
-}
-
-// CmpGeVV computes dst = (a >= b).
-func CmpGeVV[T Ordered](dst []bool, a, b []T, sel []int32) {
-	if sel == nil {
-		for i := range dst {
-			dst[i] = a[i] >= b[i]
-		}
-		return
-	}
-	for _, i := range sel {
-		dst[i] = a[i] >= b[i]
-	}
-}
-
-// CmpGeVC computes dst = (a >= c).
-func CmpGeVC[T Ordered](dst []bool, a []T, c T, sel []int32) {
-	if sel == nil {
-		for i := range dst {
-			dst[i] = a[i] >= c
-		}
-		return
-	}
-	for _, i := range sel {
-		dst[i] = a[i] >= c
-	}
-}
-
-// CmpGeVV and friends complete the comparison family so the expression
-// compiler can bind any operator/shape pair directly without extra NOT
-// passes.
-
-// Logical primitives on bool vectors.
-
-// AndBool computes dst = a && b.
-func AndBool(dst, a, b []bool, sel []int32) {
-	if sel == nil {
-		a = a[:len(dst)]
-		b = b[:len(dst)]
-		for i := range dst {
-			dst[i] = a[i] && b[i]
-		}
-		return
-	}
-	for _, i := range sel {
-		dst[i] = a[i] && b[i]
-	}
-}
-
-// OrBool computes dst = a || b.
-func OrBool(dst, a, b []bool, sel []int32) {
-	if sel == nil {
-		a = a[:len(dst)]
-		b = b[:len(dst)]
-		for i := range dst {
-			dst[i] = a[i] || b[i]
-		}
-		return
-	}
-	for _, i := range sel {
-		dst[i] = a[i] || b[i]
-	}
-}
-
-// NotBool computes dst = !a.
-func NotBool(dst, a []bool, sel []int32) {
-	if sel == nil {
-		a = a[:len(dst)]
-		for i := range dst {
-			dst[i] = !a[i]
-		}
-		return
-	}
-	for _, i := range sel {
-		dst[i] = !a[i]
-	}
-}
-
 // Cast primitives.
 
 // CastNum converts between numeric representations element-wise.
@@ -425,9 +215,10 @@ func CastNum[S Num, D Num](dst []D, a []S, sel []int32) {
 }
 
 // MergeSel joins the two branches of a CASE: dst[i] = a[i] at the positions
-// of selA and b[i] at those of selB (SelSplit's two halves). Each branch was
-// evaluated under its own selection only, so a branch that would fail on the
-// rows the condition sends the other way never sees them.
+// of selA and b[i] at those of selB (the rows the condition selected and
+// their SelComplement). Each branch was evaluated under its own selection
+// only, so a branch that would fail on the rows the condition sends the
+// other way never sees them.
 func MergeSel[T any](dst, a, b []T, selA, selB []int32) {
 	for _, i := range selA {
 		dst[i] = a[i]

@@ -88,51 +88,6 @@ func TestNegAbsMinMax(t *testing.T) {
 	}
 }
 
-func TestCmpAndLogical(t *testing.T) {
-	a := []int64{1, 5, 5}
-	b := []int64{5, 5, 1}
-	eq := make([]bool, 3)
-	CmpEqVV(eq, a, b, nil)
-	if eq[0] || !eq[1] || eq[2] {
-		t.Fatal("CmpEqVV")
-	}
-	lt := make([]bool, 3)
-	CmpLtVV(lt, a, b, nil)
-	if !lt[0] || lt[1] || lt[2] {
-		t.Fatal("CmpLtVV")
-	}
-	ltc := make([]bool, 3)
-	CmpLtVC(ltc, a, int64(5), nil)
-	if !ltc[0] || ltc[1] {
-		t.Fatal("CmpLtVC")
-	}
-	lec := make([]bool, 3)
-	CmpLeVC(lec, a, int64(5), nil)
-	if !lec[1] {
-		t.Fatal("CmpLeVC")
-	}
-	eqc := make([]bool, 3)
-	CmpEqVC(eqc, a, int64(5), nil)
-	if eqc[0] || !eqc[1] {
-		t.Fatal("CmpEqVC")
-	}
-	and := make([]bool, 3)
-	AndBool(and, eq, lt, nil)
-	if and[0] || and[1] || and[2] {
-		t.Fatal("AndBool")
-	}
-	or := make([]bool, 3)
-	OrBool(or, eq, lt, nil)
-	if !or[0] || !or[1] || or[2] {
-		t.Fatal("OrBool")
-	}
-	not := make([]bool, 3)
-	NotBool(not, eq, nil)
-	if !not[0] || not[1] {
-		t.Fatal("NotBool")
-	}
-}
-
 func TestCastAndIfThenElse(t *testing.T) {
 	a := []int32{1, 2, 3}
 	f := make([]float64, 3)
@@ -145,27 +100,28 @@ func TestCastAndIfThenElse(t *testing.T) {
 	if back[1] != 2 {
 		t.Fatal("CastNum narrow")
 	}
-	// if-then-else is a split of the candidates by the condition and a merge
-	// of the two branches.
+	// if-then-else is a selection of the candidates by the condition, its
+	// complement, and a merge of the two branches.
 	cond := []bool{true, false, true}
 	x := []int64{1, 2, 3}
 	y := []int64{10, 20, 30}
 	out := make([]int64, 3)
-	tr, fa := SelSplit(nil, nil, cond, nil, 3)
+	tr := SelTrue(nil, cond, nil, 3)
+	fa := SelComplement(nil, tr, nil, 3)
 	if fmt.Sprint(tr, fa) != "[0 2] [1]" {
-		t.Fatalf("SelSplit: %v %v", tr, fa)
+		t.Fatalf("SelTrue, SelComplement: %v %v", tr, fa)
 	}
 	MergeSel(out, x, y, tr, fa)
 	if out[0] != 1 || out[1] != 20 || out[2] != 3 {
 		t.Fatal("MergeSel")
 	}
 	// An empty half is a selection of no rows, never nil (every row).
-	tr, fa = SelSplit(tr, fa, cond, []int32{0, 2}, 3)
-	if len(tr) != 2 || fa == nil || len(fa) != 0 {
-		t.Fatalf("SelSplit under a selection: %v %v", tr, fa)
+	tr = SelTrue(tr, cond, []int32{0, 2}, 3)
+	if fa = SelComplement(fa, tr, []int32{0, 2}, 3); len(tr) != 2 || fa == nil || len(fa) != 0 {
+		t.Fatalf("SelTrue, SelComplement under a selection: %v %v", tr, fa)
 	}
-	if tr, fa = SelSplit(nil, nil, nil, []int32{}, 0); tr == nil || fa == nil {
-		t.Fatal("SelSplit of no candidates returned nil")
+	if tr, fa = SelTrue(nil, nil, []int32{}, 0), SelComplement(nil, nil, []int32{}, 0); tr == nil || fa == nil {
+		t.Fatal("a selection of no candidates returned nil")
 	}
 }
 

@@ -14,6 +14,8 @@ package primitives
 //
 // dst is sized once to the candidate count and reused when it is large
 // enough. It may alias sel: the write cursor never passes the read cursor.
+// The result is never nil, even when empty: a nil selection means every
+// row.
 
 // b2i is the predicate's 0/1 value; the compiler turns it into a SETcc.
 func b2i(b bool) int {
@@ -23,16 +25,17 @@ func b2i(b bool) int {
 	return 0
 }
 
-// selDst returns dst with room for m positions.
+// selDst returns dst with room for m positions, never nil.
 func selDst(dst []int32, m int) []int32 {
-	if cap(dst) < m {
+	if dst == nil || cap(dst) < m {
 		return make([]int32, m)
 	}
 	return dst[:m]
 }
 
-// SelEqVC selects positions where a[i] == c.
-func SelEqVC[T Ordered](dst []int32, a []T, c T, sel []int32, n int) []int32 {
+// SelEqVC selects positions where a[i] == c. Equality and inequality take
+// any comparable element type, BOOLEAN's []bool included.
+func SelEqVC[T comparable](dst []int32, a []T, c T, sel []int32, n int) []int32 {
 	k := 0
 	if sel == nil {
 		dst = selDst(dst, n)
@@ -51,7 +54,7 @@ func SelEqVC[T Ordered](dst []int32, a []T, c T, sel []int32, n int) []int32 {
 }
 
 // SelNeVC selects positions where a[i] != c.
-func SelNeVC[T Ordered](dst []int32, a []T, c T, sel []int32, n int) []int32 {
+func SelNeVC[T comparable](dst []int32, a []T, c T, sel []int32, n int) []int32 {
 	k := 0
 	if sel == nil {
 		dst = selDst(dst, n)
@@ -146,7 +149,7 @@ func SelGeVC[T Ordered](dst []int32, a []T, c T, sel []int32, n int) []int32 {
 }
 
 // SelEqVV selects positions where a[i] == b[i].
-func SelEqVV[T Ordered](dst []int32, a, b []T, sel []int32, n int) []int32 {
+func SelEqVV[T comparable](dst []int32, a, b []T, sel []int32, n int) []int32 {
 	k := 0
 	if sel == nil {
 		dst = selDst(dst, n)
@@ -166,7 +169,7 @@ func SelEqVV[T Ordered](dst []int32, a, b []T, sel []int32, n int) []int32 {
 }
 
 // SelNeVV selects positions where a[i] != b[i].
-func SelNeVV[T Ordered](dst []int32, a, b []T, sel []int32, n int) []int32 {
+func SelNeVV[T comparable](dst []int32, a, b []T, sel []int32, n int) []int32 {
 	k := 0
 	if sel == nil {
 		dst = selDst(dst, n)
@@ -287,8 +290,8 @@ func SelBetweenVCC[T Ordered](dst []int32, a []T, lo, hi T, sel []int32, n int) 
 	return dst[:k]
 }
 
-// SelTrue selects positions where the bool vector is true; used for
-// predicates that were materialized as bool values (e.g. LIKE results).
+// SelTrue selects positions where the bool vector is true: how a boolean
+// that is not a predicate (a BOOLEAN column, an if) selects.
 func SelTrue(dst []int32, a []bool, sel []int32, n int) []int32 {
 	k := 0
 	if sel == nil {
@@ -307,34 +310,42 @@ func SelTrue(dst []int32, a []bool, sel []int32, n int) []int32 {
 	return dst[:k]
 }
 
-// SelSplit partitions the candidates by a bool vector: the positions where a
-// is true go to t, the others to f, both in order. Neither result is nil,
-// even when empty, so each can serve as a selection (where nil means every
-// row).
-func SelSplit(t, f []int32, a []bool, sel []int32, n int) ([]int32, []int32) {
+// SelComplement selects the candidates (sel, or [0, n) when sel is nil)
+// that sub does not hold: the rows a predicate rejected, when sub is what it
+// selected. sub must be an ordered subsequence of the candidates; dst may
+// alias sel but not sub. The cursor into sub advances by the 0/1 match, and
+// stays on sub's last position once past it.
+func SelComplement(dst, sub, sel []int32, n int) []int32 {
 	m := n
 	if sel != nil {
 		m = len(sel)
 	}
-	if t = selDst(t, m); t == nil {
-		t = []int32{}
-	}
-	if f = selDst(f, m); f == nil {
-		f = []int32{}
-	}
-	k, j := 0, 0
-	if sel == nil {
-		for i, v := range a[:n] {
-			t[k], f[j] = int32(i), int32(i)
-			k += b2i(v)
-			j += 1 - b2i(v)
+	dst = selDst(dst, m)
+	if len(sub) == 0 {
+		if sel == nil {
+			for i := range dst {
+				dst[i] = int32(i)
+			}
+		} else {
+			copy(dst, sel)
 		}
-		return t[:k], f[:j]
+		return dst
+	}
+	k, j, last := 0, 0, len(sub)-1
+	if sel == nil {
+		for i := 0; i < n; i++ {
+			hit := b2i(sub[j] == int32(i))
+			dst[k] = int32(i)
+			k += 1 - hit
+			j = min(j+hit, last)
+		}
+		return dst[:k]
 	}
 	for _, i := range sel {
-		t[k], f[j] = i, i
-		k += b2i(a[i])
-		j += 1 - b2i(a[i])
+		hit := b2i(sub[j] == i)
+		dst[k] = i
+		k += 1 - hit
+		j = min(j+hit, last)
 	}
-	return t[:k], f[:j]
+	return dst[:k]
 }

@@ -7,7 +7,7 @@ package primitives
 // before) and mispredicts on about half the rows near 50 %.
 
 // refSelEqVC selects positions where a[i] == c.
-func refSelEqVC[T Ordered](dst []int32, a []T, c T, sel []int32, n int) []int32 {
+func refSelEqVC[T comparable](dst []int32, a []T, c T, sel []int32, n int) []int32 {
 	dst = dst[:0]
 	if sel == nil {
 		for i := 0; i < n; i++ {
@@ -26,7 +26,7 @@ func refSelEqVC[T Ordered](dst []int32, a []T, c T, sel []int32, n int) []int32 
 }
 
 // refSelNeVC selects positions where a[i] != c.
-func refSelNeVC[T Ordered](dst []int32, a []T, c T, sel []int32, n int) []int32 {
+func refSelNeVC[T comparable](dst []int32, a []T, c T, sel []int32, n int) []int32 {
 	dst = dst[:0]
 	if sel == nil {
 		for i := 0; i < n; i++ {
@@ -121,7 +121,7 @@ func refSelGeVC[T Ordered](dst []int32, a []T, c T, sel []int32, n int) []int32 
 }
 
 // refSelEqVV selects positions where a[i] == b[i].
-func refSelEqVV[T Ordered](dst []int32, a, b []T, sel []int32, n int) []int32 {
+func refSelEqVV[T comparable](dst []int32, a, b []T, sel []int32, n int) []int32 {
 	dst = dst[:0]
 	if sel == nil {
 		for i := 0; i < n; i++ {
@@ -140,7 +140,7 @@ func refSelEqVV[T Ordered](dst []int32, a, b []T, sel []int32, n int) []int32 {
 }
 
 // refSelNeVV selects positions where a[i] != b[i].
-func refSelNeVV[T Ordered](dst []int32, a, b []T, sel []int32, n int) []int32 {
+func refSelNeVV[T comparable](dst []int32, a, b []T, sel []int32, n int) []int32 {
 	dst = dst[:0]
 	if sel == nil {
 		for i := 0; i < n; i++ {
@@ -254,8 +254,7 @@ func refSelBetweenVCC[T Ordered](dst []int32, a []T, lo, hi T, sel []int32, n in
 	return dst
 }
 
-// refSelTrue selects positions where the bool vector is true; used for
-// predicates that were materialized as bool values (e.g. LIKE results).
+// refSelTrue selects positions where the bool vector is true.
 func refSelTrue(dst []int32, a []bool, sel []int32, n int) []int32 {
 	dst = dst[:0]
 	if sel == nil {
@@ -270,6 +269,30 @@ func refSelTrue(dst []int32, a []bool, sel []int32, n int) []int32 {
 		if a[i] {
 			dst = append(dst, i)
 		}
+	}
+	return dst
+}
+
+// refSelComplement selects the candidates sub does not hold, sub being an
+// ordered subsequence of them.
+func refSelComplement(dst, sub, sel []int32, n int) []int32 {
+	dst = dst[:0]
+	j := 0
+	keep := func(i int32) {
+		if j < len(sub) && sub[j] == i {
+			j++
+		} else {
+			dst = append(dst, i)
+		}
+	}
+	if sel == nil {
+		for i := 0; i < n; i++ {
+			keep(int32(i))
+		}
+		return dst
+	}
+	for _, i := range sel {
+		keep(i)
 	}
 	return dst
 }

@@ -128,38 +128,52 @@ type selPair struct {
 	fast, ref func(dst, sel []int32) []int32
 }
 
+// vcPair binds a primitive comparing a with the constant c, and its
+// reference.
+func vcPair[T any](name string, a []T, c T, n int, fast, ref func([]int32, []T, T, []int32, int) []int32) selPair {
+	return selPair{name + "VC",
+		func(dst, sel []int32) []int32 { return fast(dst, a, c, sel, n) },
+		func(dst, sel []int32) []int32 { return ref(dst, a, c, sel, n) }}
+}
+
+// vvPair binds a primitive comparing a with b, and its reference.
+func vvPair[T any](name string, a, b []T, n int, fast, ref func([]int32, []T, []T, []int32, int) []int32) selPair {
+	return selPair{name + "VV",
+		func(dst, sel []int32) []int32 { return fast(dst, a, b, sel, n) },
+		func(dst, sel []int32) []int32 { return ref(dst, a, b, sel, n) }}
+}
+
 // selPairs binds every comparison primitive over T and its reference to one
 // input: a compared with the constant c, with b, or with BETWEEN c AND hi.
 func selPairs[T Ordered](a, b []T, c, hi T, n int) []selPair {
-	vc := func(name string, fast, ref func([]int32, []T, T, []int32, int) []int32) selPair {
-		return selPair{name + "VC",
-			func(dst, sel []int32) []int32 { return fast(dst, a, c, sel, n) },
-			func(dst, sel []int32) []int32 { return ref(dst, a, c, sel, n) }}
-	}
-	vv := func(name string, fast, ref func([]int32, []T, []T, []int32, int) []int32) selPair {
-		return selPair{name + "VV",
-			func(dst, sel []int32) []int32 { return fast(dst, a, b, sel, n) },
-			func(dst, sel []int32) []int32 { return ref(dst, a, b, sel, n) }}
-	}
 	return []selPair{
-		vc("Eq", SelEqVC[T], refSelEqVC[T]), vc("Ne", SelNeVC[T], refSelNeVC[T]),
-		vc("Lt", SelLtVC[T], refSelLtVC[T]), vc("Le", SelLeVC[T], refSelLeVC[T]),
-		vc("Gt", SelGtVC[T], refSelGtVC[T]), vc("Ge", SelGeVC[T], refSelGeVC[T]),
-		vv("Eq", SelEqVV[T], refSelEqVV[T]), vv("Ne", SelNeVV[T], refSelNeVV[T]),
-		vv("Lt", SelLtVV[T], refSelLtVV[T]), vv("Le", SelLeVV[T], refSelLeVV[T]),
-		vv("Gt", SelGtVV[T], refSelGtVV[T]), vv("Ge", SelGeVV[T], refSelGeVV[T]),
+		vcPair("Eq", a, c, n, SelEqVC[T], refSelEqVC[T]), vcPair("Ne", a, c, n, SelNeVC[T], refSelNeVC[T]),
+		vcPair("Lt", a, c, n, SelLtVC[T], refSelLtVC[T]), vcPair("Le", a, c, n, SelLeVC[T], refSelLeVC[T]),
+		vcPair("Gt", a, c, n, SelGtVC[T], refSelGtVC[T]), vcPair("Ge", a, c, n, SelGeVC[T], refSelGeVC[T]),
+		vvPair("Eq", a, b, n, SelEqVV[T], refSelEqVV[T]), vvPair("Ne", a, b, n, SelNeVV[T], refSelNeVV[T]),
+		vvPair("Lt", a, b, n, SelLtVV[T], refSelLtVV[T]), vvPair("Le", a, b, n, SelLeVV[T], refSelLeVV[T]),
+		vvPair("Gt", a, b, n, SelGtVV[T], refSelGtVV[T]), vvPair("Ge", a, b, n, SelGeVV[T], refSelGeVV[T]),
 		{"BetweenVCC",
 			func(dst, sel []int32) []int32 { return SelBetweenVCC(dst, a, c, hi, sel, n) },
 			func(dst, sel []int32) []int32 { return refSelBetweenVCC(dst, a, c, hi, sel, n) }},
 	}
 }
 
-// boolSelPairs binds SelTrue and its reference to a.
-func boolSelPairs(a []bool, n int) []selPair {
+// boolSelPairs binds the primitives over BOOLEAN and their references:
+// SelTrue of a, a compared with the constant c and with b, and the
+// complement, within the input selection, of the rows where a is true.
+func boolSelPairs(a, b []bool, c bool, n int) []selPair {
 	return []selPair{
 		{"True",
 			func(dst, sel []int32) []int32 { return SelTrue(dst, a, sel, n) },
 			func(dst, sel []int32) []int32 { return refSelTrue(dst, a, sel, n) }},
+		vcPair("BoolEq", a, c, n, SelEqVC[bool], refSelEqVC[bool]),
+		vcPair("BoolNe", a, c, n, SelNeVC[bool], refSelNeVC[bool]),
+		vvPair("BoolEq", a, b, n, SelEqVV[bool], refSelEqVV[bool]),
+		vvPair("BoolNe", a, b, n, SelNeVV[bool], refSelNeVV[bool]),
+		{"Complement",
+			func(dst, sel []int32) []int32 { return SelComplement(dst, refSelTrue(nil, a, sel, n), sel, n) },
+			func(dst, sel []int32) []int32 { return refSelComplement(dst, refSelTrue(nil, a, sel, n), sel, n) }},
 	}
 }
 
@@ -269,11 +283,15 @@ func TestSelBranchFreeEqualsReference(t *testing.T) {
 	testSelKind(t, "float64", []float64{math.Inf(-1), -1.5, math.Copysign(0, -1), 0, 1.5, math.Inf(1), math.NaN()})
 	testSelKind(t, "string", []string{"", "a", "ab", "b", "\xff"})
 	rng := rand.New(rand.NewSource(1))
+	isTrue := func(v bool) bool { return v }
 	for _, pct := range selPcts {
 		n := 1 + rng.Intn(300)
-		a := genSel(rng, []bool{false, true}, n, pct, func(v bool) bool { return v })
-		for _, p := range boolSelPairs(a, n) {
-			checkSelPair(t, fmt.Sprintf("bool pct=%d n=%d", pct, n), rng, p, n)
+		a := genSel(rng, []bool{false, true}, n, pct, isTrue)
+		b := genSel(rng, []bool{false, true}, n, 50, isTrue)
+		for _, c := range []bool{false, true} {
+			for _, p := range boolSelPairs(a, b, c, n) {
+				checkSelPair(t, fmt.Sprintf("bool c=%v pct=%d n=%d", c, pct, n), rng, p, n)
+			}
 		}
 	}
 }
@@ -298,23 +316,25 @@ func fuzzFloat(d byte) float64 {
 // reference on a random vector, constant, input selection and operator.
 // data gives the values (int64 and float64 from the same bytes; the second
 // operand of a VV comparison is data reversed), mask the input selection
-// (none when empty), op the primitive.
+// (none when empty), op the primitive. The BOOLEAN vector is data's low
+// bits, c's low bit its constant.
 func FuzzSelect(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 200, 0, 16, 7}, int64(2), int64(5), []byte{}, uint8(2))
 	f.Add([]byte{9, 9, 9, 1, 0, 255}, int64(9), int64(1), []byte{0xa5}, uint8(14))
+	f.Add([]byte{1, 2, 3, 5, 8, 13, 21}, int64(1), int64(0), []byte{0x5b}, uint8(31))
 	f.Fuzz(func(t *testing.T, data []byte, c, hi int64, mask []byte, op uint8) {
 		n := len(data)
 		ints, rints := make([]int64, n), make([]int64, n)
 		floats, rfloats := make([]float64, n), make([]float64, n)
-		bools := make([]bool, n)
+		bools, rbools := make([]bool, n), make([]bool, n)
 		for i, d := range data {
 			ints[i], rints[n-1-i] = int64(int8(d)), int64(int8(d))
 			floats[i], rfloats[n-1-i] = fuzzFloat(d), fuzzFloat(d)
-			bools[i] = d&1 == 1
+			bools[i], rbools[n-1-i] = d&1 == 1, d&1 == 1
 		}
 		pairs := selPairs(ints, rints, c, hi, n)
 		pairs = append(pairs, selPairs(floats, rfloats, fuzzFloat(byte(c)), fuzzFloat(byte(hi)), n)...)
-		pairs = append(pairs, boolSelPairs(bools, n)...)
+		pairs = append(pairs, boolSelPairs(bools, rbools, c&1 == 1, n)...)
 		p := pairs[int(op)%len(pairs)]
 		var sel []int32
 		if len(mask) > 0 {

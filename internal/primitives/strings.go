@@ -381,34 +381,22 @@ func likeMatch(s, p string) bool {
 }
 
 // SelLikeVC selects positions whose string matches the compiled pattern.
+// It writes each candidate and advances by the match, as the primitives of
+// select.go do.
 func SelLikeVC(dst []int32, a []string, m *LikeMatcher, sel []int32, n int) []int32 {
-	dst = dst[:0]
+	k := 0
 	if sel == nil {
-		for i := 0; i < n; i++ {
-			if m.Match(a[i]) {
-				dst = append(dst, int32(i))
-			}
+		dst = selDst(dst, n)
+		for i, v := range a[:n] {
+			dst[k] = int32(i)
+			k += b2i(m.Match(v))
 		}
-		return dst
+		return dst[:k]
 	}
+	dst = selDst(dst, len(sel))
 	for _, i := range sel {
-		if m.Match(a[i]) {
-			dst = append(dst, i)
-		}
+		dst[k] = i
+		k += b2i(m.Match(a[i]))
 	}
-	return dst
-}
-
-// LikeV materializes LIKE results as a bool vector.
-func LikeV(dst []bool, a []string, m *LikeMatcher, sel []int32) {
-	if sel == nil {
-		a = a[:len(dst)]
-		for i := range dst {
-			dst[i] = m.Match(a[i])
-		}
-		return
-	}
-	for _, i := range sel {
-		dst[i] = m.Match(a[i])
-	}
+	return dst[:k]
 }

@@ -196,17 +196,18 @@ func TestLikeFastPathClassification(t *testing.T) {
 	}
 }
 
-func TestSelLikeAndLikeV(t *testing.T) {
+func TestSelLike(t *testing.T) {
 	a := []string{"apple pie", "banana", "apple tart", "cherry"}
 	m := CompileLike("apple%")
 	got := SelLikeVC(nil, a, m, nil, 4)
 	if len(got) != 2 || got[0] != 0 || got[1] != 2 {
 		t.Fatalf("sel like: %v", got)
 	}
-	dst := make([]bool, 4)
-	LikeV(dst, a, m, nil)
-	if !dst[0] || dst[1] || !dst[2] || dst[3] {
-		t.Fatalf("likev: %v", dst)
+	if got := SelLikeVC(got, a, m, []int32{1, 2, 3}, 4); len(got) != 1 || got[0] != 2 {
+		t.Fatalf("sel like under a selection: %v", got)
+	}
+	if got := SelLikeVC(nil, a, m, []int32{1, 3}, 4); got == nil || len(got) != 0 {
+		t.Fatalf("sel like of no match: %#v", got)
 	}
 }
 

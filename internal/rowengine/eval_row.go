@@ -225,7 +225,7 @@ func applyRowFunc(fn string, t types.T, args []types.Value) (types.Value, error)
 	case "dayofweek":
 		return types.NewInt32(types.DateDayOfWeek(args[0].Int32())), nil
 	case "date_add":
-		return types.NewDate(args[0].Int32() + int32(args[1].AsInt())), nil
+		return rowDateAdd(args[0].I64, args[1].AsInt())
 	case "add_months":
 		return types.NewDate(types.DateAddMonths(args[0].Int32(), int32(args[1].AsInt()))), nil
 	case "date_diff":
@@ -271,9 +271,9 @@ func rowArith(fn string, kind types.Kind, a, b types.Value) (types.Value, error)
 		case fn == "-" && b.Kind == types.KindDate:
 			return types.NewInt64(a.I64 - b.I64), nil
 		case fn == "+":
-			return types.NewDate(int32(a.I64 + b.AsInt())), nil
+			return rowDateAdd(a.I64, b.AsInt())
 		case fn == "-":
-			return types.NewDate(int32(a.I64 - b.AsInt())), nil
+			return rowDateAdd(a.I64, -b.AsInt())
 		}
 	}
 	if kind == types.KindFloat64 {
@@ -315,6 +315,9 @@ func rowArith(fn string, kind types.Kind, a, b types.Value) (types.Value, error)
 		if y == 0 {
 			return types.Value{}, primitives.ErrDivByZero
 		}
+		if x == math.MinInt64 && y == -1 {
+			return types.Value{}, primitives.ErrOverflow
+		}
 		r = x / y
 	case "%", "mod":
 		if y == 0 {
@@ -331,6 +334,16 @@ func rowArith(fn string, kind types.Kind, a, b types.Value) (types.Value, error)
 		return types.NewInt32(int32(r)), nil
 	}
 	return types.NewInt64(r), nil
+}
+
+// rowDateAdd adds n days to the day number d, failing where the date leaves
+// the int32 day range. A sum that wraps in int64 lands far outside it.
+func rowDateAdd(d, n int64) (types.Value, error) {
+	s := d + n
+	if s != int64(int32(s)) {
+		return types.Value{}, primitives.ErrOverflow
+	}
+	return types.NewDate(int32(s)), nil
 }
 
 // rowToInt converts a numeric value to an integer in [lo, hi], truncating a
