@@ -312,40 +312,36 @@ func SelTrue(dst []int32, a []bool, sel []int32, n int) []int32 {
 
 // SelComplement selects the candidates (sel, or [0, n) when sel is nil)
 // that sub does not hold: the rows a predicate rejected, when sub is what it
-// selected. sub must be an ordered subsequence of the candidates; dst may
-// alias sel but not sub. The cursor into sub advances by the 0/1 match, and
-// stays on sub's last position once past it.
+// selected. sub must be a subset of the candidates. dst, sized to n, first
+// serves as a mark per position (0 at every candidate, 1 where sub holds
+// it), then takes the result: a candidate's slot is written only after every
+// mark at or below its position was read. So dst may alias neither sel nor
+// sub, and no pass follows a chain of dependent loads.
 func SelComplement(dst, sub, sel []int32, n int) []int32 {
-	m := n
-	if sel != nil {
-		m = len(sel)
-	}
-	dst = selDst(dst, m)
-	if len(sub) == 0 {
-		if sel == nil {
-			for i := range dst {
-				dst[i] = int32(i)
-			}
-		} else {
-			copy(dst, sel)
-		}
-		return dst
-	}
-	k, j, last := 0, 0, len(sub)-1
+	dst = selDst(dst, n)
 	if sel == nil {
-		for i := 0; i < n; i++ {
-			hit := b2i(sub[j] == int32(i))
+		clear(dst)
+	} else {
+		for _, c := range sel {
+			dst[c] = 0
+		}
+	}
+	for _, s := range sub {
+		dst[s] = 1
+	}
+	k := 0
+	if sel == nil {
+		for i := range dst {
+			hit := dst[i]
 			dst[k] = int32(i)
-			k += 1 - hit
-			j = min(j+hit, last)
+			k += 1 - int(hit)
 		}
 		return dst[:k]
 	}
-	for _, i := range sel {
-		hit := b2i(sub[j] == i)
-		dst[k] = i
-		k += 1 - hit
-		j = min(j+hit, last)
+	for _, c := range sel {
+		hit := dst[c]
+		dst[k] = c
+		k += 1 - int(hit)
 	}
 	return dst[:k]
 }

@@ -126,21 +126,22 @@ func TestSelSortedProperty(t *testing.T) {
 type selPair struct {
 	name      string
 	fast, ref func(dst, sel []int32) []int32
+	noAlias   bool // dst may not alias the input selection
 }
 
 // vcPair binds a primitive comparing a with the constant c, and its
 // reference.
 func vcPair[T any](name string, a []T, c T, n int, fast, ref func([]int32, []T, T, []int32, int) []int32) selPair {
-	return selPair{name + "VC",
-		func(dst, sel []int32) []int32 { return fast(dst, a, c, sel, n) },
-		func(dst, sel []int32) []int32 { return ref(dst, a, c, sel, n) }}
+	return selPair{name: name + "VC",
+		fast: func(dst, sel []int32) []int32 { return fast(dst, a, c, sel, n) },
+		ref:  func(dst, sel []int32) []int32 { return ref(dst, a, c, sel, n) }}
 }
 
 // vvPair binds a primitive comparing a with b, and its reference.
 func vvPair[T any](name string, a, b []T, n int, fast, ref func([]int32, []T, []T, []int32, int) []int32) selPair {
-	return selPair{name + "VV",
-		func(dst, sel []int32) []int32 { return fast(dst, a, b, sel, n) },
-		func(dst, sel []int32) []int32 { return ref(dst, a, b, sel, n) }}
+	return selPair{name: name + "VV",
+		fast: func(dst, sel []int32) []int32 { return fast(dst, a, b, sel, n) },
+		ref:  func(dst, sel []int32) []int32 { return ref(dst, a, b, sel, n) }}
 }
 
 // selPairs binds every comparison primitive over T and its reference to one
@@ -153,9 +154,9 @@ func selPairs[T Ordered](a, b []T, c, hi T, n int) []selPair {
 		vvPair("Eq", a, b, n, SelEqVV[T], refSelEqVV[T]), vvPair("Ne", a, b, n, SelNeVV[T], refSelNeVV[T]),
 		vvPair("Lt", a, b, n, SelLtVV[T], refSelLtVV[T]), vvPair("Le", a, b, n, SelLeVV[T], refSelLeVV[T]),
 		vvPair("Gt", a, b, n, SelGtVV[T], refSelGtVV[T]), vvPair("Ge", a, b, n, SelGeVV[T], refSelGeVV[T]),
-		{"BetweenVCC",
-			func(dst, sel []int32) []int32 { return SelBetweenVCC(dst, a, c, hi, sel, n) },
-			func(dst, sel []int32) []int32 { return refSelBetweenVCC(dst, a, c, hi, sel, n) }},
+		{name: "BetweenVCC",
+			fast: func(dst, sel []int32) []int32 { return SelBetweenVCC(dst, a, c, hi, sel, n) },
+			ref:  func(dst, sel []int32) []int32 { return refSelBetweenVCC(dst, a, c, hi, sel, n) }},
 	}
 }
 
@@ -164,23 +165,24 @@ func selPairs[T Ordered](a, b []T, c, hi T, n int) []selPair {
 // complement, within the input selection, of the rows where a is true.
 func boolSelPairs(a, b []bool, c bool, n int) []selPair {
 	return []selPair{
-		{"True",
-			func(dst, sel []int32) []int32 { return SelTrue(dst, a, sel, n) },
-			func(dst, sel []int32) []int32 { return refSelTrue(dst, a, sel, n) }},
+		{name: "True",
+			fast: func(dst, sel []int32) []int32 { return SelTrue(dst, a, sel, n) },
+			ref:  func(dst, sel []int32) []int32 { return refSelTrue(dst, a, sel, n) }},
 		vcPair("BoolEq", a, c, n, SelEqVC[bool], refSelEqVC[bool]),
 		vcPair("BoolNe", a, c, n, SelNeVC[bool], refSelNeVC[bool]),
 		vvPair("BoolEq", a, b, n, SelEqVV[bool], refSelEqVV[bool]),
 		vvPair("BoolNe", a, b, n, SelNeVV[bool], refSelNeVV[bool]),
-		{"Complement",
-			func(dst, sel []int32) []int32 { return SelComplement(dst, refSelTrue(nil, a, sel, n), sel, n) },
-			func(dst, sel []int32) []int32 { return refSelComplement(dst, refSelTrue(nil, a, sel, n), sel, n) }},
+		{name: "Complement",
+			fast:    func(dst, sel []int32) []int32 { return SelComplement(dst, refSelTrue(nil, a, sel, n), sel, n) },
+			ref:     func(dst, sel []int32) []int32 { return refSelComplement(dst, refSelTrue(nil, a, sel, n), sel, n) },
+			noAlias: true},
 	}
 }
 
 // checkSelPair runs p over n rows under each kind of input selection — none,
-// sparse, empty, and one that dst aliases — and fails unless the
-// branch-free result equals the reference and the input selection (when
-// not aliased) is left alone.
+// sparse, empty, and one that dst aliases unless p forbids it — and fails
+// unless the branch-free result equals the reference and the input
+// selection (when not aliased) is left alone.
 func checkSelPair(t testing.TB, what string, rng *rand.Rand, p selPair, n int) {
 	t.Helper()
 	sparse := []int32{}
@@ -190,6 +192,9 @@ func checkSelPair(t testing.TB, what string, rng *rand.Rand, p selPair, n int) {
 		}
 	}
 	for _, mode := range []string{"nil", "sparse", "empty", "aliased"} {
+		if mode == "aliased" && p.noAlias {
+			continue
+		}
 		var sel []int32
 		switch mode {
 		case "sparse", "aliased":
@@ -349,7 +354,7 @@ func FuzzSelect(f *testing.F) {
 		if got := p.fast(nil, sel); !slices.Equal(got, want) {
 			t.Fatalf("%s: got %v want %v", p.name, got, want)
 		}
-		if sel != nil {
+		if sel != nil && !p.noAlias {
 			if got := p.fast(sel, sel); !slices.Equal(got, want) {
 				t.Fatalf("%s aliased: got %v want %v", p.name, got, want)
 			}
