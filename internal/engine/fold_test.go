@@ -55,6 +55,12 @@ func TestConstantFormMatchesColumnForm(t *testing.T) {
 			[]string{"DATE '2000-01-01' + CAST(2147483647 AS INTEGER)", "d + k", "d - -k"}, "error: arithmetic overflow"},
 		{"d DATE, k INTEGER", "DATE '1900-01-01', -2147483648", "DATE",
 			[]string{"DATE '1900-01-01' - CAST(-2147483648 AS INTEGER)", "d - k"}, "5881510-07-13"},
+		{"d DATE, n BIGINT", "DATE '2000-01-31', 4294967297", "DATE",
+			[]string{"ADD_MONTHS(DATE '2000-01-31', 4294967297)", "ADD_MONTHS(d, n)", "ADD_MONTHS(d, 4294967297)"}, "error: arithmetic overflow"},
+		{"d DATE, k INTEGER", "DATE '2000-01-01', 2000000000", "DATE",
+			[]string{"ADD_MONTHS(DATE '2000-01-01', 2000000000)", "ADD_MONTHS(d, k)", "ADD_MONTHS(d, 2000000000)"}, "error: arithmetic overflow"},
+		{"d DATE, k INTEGER", "DATE '2000-01-31', 1", "DATE",
+			[]string{"ADD_MONTHS(DATE '2000-01-31', 1)", "ADD_MONTHS(d, k)", "ADD_MONTHS(d, 1)"}, "2000-02-29"},
 	}
 	outcome := func(db *DB, q string) string {
 		res, err := db.Exec(context.Background(), q)

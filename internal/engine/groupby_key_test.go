@@ -1,6 +1,9 @@
 package engine
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // A vectorwise table does not enforce its PRIMARY KEY, so grouping on the key
 // and another column must not assume one row per key: duplicate keys with
@@ -19,9 +22,10 @@ func TestGroupByUnenforcedKeyKeepsEveryGroupColumn(t *testing.T) {
 	}
 }
 
-// Grouping on a key and a NULLable VARCHAR works on both structures: the
-// rewrite that demotes the second column to MAX does not apply to a column
-// MAX cannot take.
+// Grouping on a key and a NULLable VARCHAR or BOOLEAN works on both
+// structures. A heap table enforces its key, so the second group column is
+// demoted to a MAX, which takes NULLable columns of every kind; a
+// vectorwise table groups on both columns.
 func TestGroupByKeyAndNullableString(t *testing.T) {
 	for _, structure := range []string{"VECTORWISE", "HEAP"} {
 		db := Open()
@@ -33,6 +37,10 @@ func TestGroupByKeyAndNullableString(t *testing.T) {
 		} {
 			if got := allRows(t, db, q); got != want {
 				t.Errorf("%s, %s:\n got %q\nwant %q", structure, q, got, want)
+			}
+			plan := mustExec(t, db, `EXPLAIN `+q).Text
+			if demoted := strings.Contains(plan, "aggs=[{max 1}"); demoted != (structure == "HEAP") {
+				t.Errorf("%s, %s: demoted to MAX %v:\n%s", structure, q, demoted, plan)
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 
 	"vectorwise/internal/primitives"
 	"vectorwise/internal/types"
@@ -11,16 +12,16 @@ import (
 // AggFn enumerates aggregate functions.
 type AggFn uint8
 
-// The aggregate functions. The kernel is NULL-oblivious: COUNT(col) over a
-// NULLable column is rewritten upstream into COUNT_FALSE over its BOOLEAN
-// NULL indicator, so only these physical aggregates exist.
+// The aggregate functions. Their kernels are NULL-oblivious: an aggregate
+// over a NULLable column reads the column's values and skips the rows its
+// BOOLEAN NULL indicator marks (AggSpec.Ind), so COUNT(col) is COUNT(*)
+// over the rows whose indicator is false.
 const (
 	AggCount AggFn = iota // COUNT(*)
 	AggSum
 	AggMin
 	AggMax
 	AggAvg
-	AggCountFalse // the rows whose BOOLEAN input is false
 )
 
 // String names the aggregate.
@@ -36,28 +37,38 @@ func (f AggFn) String() string {
 		return "max"
 	case AggAvg:
 		return "avg"
-	case AggCountFalse:
-		return "count_false"
 	default:
 		return "agg?"
 	}
 }
 
-// AggSpec is one aggregate over an input column (-1 for COUNT(*)).
+// AggSpec is one aggregate over an input column (-1 for COUNT(*)). Ind, when
+// not zero, is one more than the position of a BOOLEAN indicator column:
+// the aggregate skips every row where that column is true. The offset keeps
+// the zero value meaning "no indicator", since column 0 can be one.
 type AggSpec struct {
 	Fn  AggFn
 	Col int
+	Ind int
 }
+
+// WithInd returns a skipping the rows where column ind is true; a negative
+// ind removes the indicator.
+func (a AggSpec) WithInd(ind int) AggSpec {
+	a.Ind = max(ind, -1) + 1
+	return a
+}
+
+// IndCol returns the indicator column, or -1 when there is none.
+func (a AggSpec) IndCol() int { return a.Ind - 1 }
 
 // ResultKind returns the aggregate's output kind over the given input kind.
 func (a AggSpec) ResultKind(in []types.Kind) (types.Kind, error) {
+	if c := a.IndCol(); c >= 0 && in[c] != types.KindBool {
+		return 0, fmt.Errorf("exec: %v skipping rows by a %v column", a.Fn, in[c])
+	}
 	switch a.Fn {
 	case AggCount:
-		return types.KindInt64, nil
-	case AggCountFalse:
-		if in[a.Col] != types.KindBool {
-			return 0, fmt.Errorf("exec: count_false over %v", in[a.Col])
-		}
 		return types.KindInt64, nil
 	case AggAvg:
 		return types.KindFloat64, nil
@@ -94,6 +105,7 @@ type HashAgg struct {
 	mask    uint64
 	states  []*aggState
 	nGroups int
+	nulls   []nullSel // one per indicator column a SUM, MIN, MAX or AVG skips by
 
 	hashBuf  []uint64
 	groupBuf []int32
@@ -112,14 +124,24 @@ type aggSlot struct {
 }
 
 type aggState struct {
-	spec AggSpec
-	kind types.Kind // result kind
-	inK  types.Kind
-	sumI []int64
-	sumF []float64
-	cnt  []int64
-	mm   *vec.Vector
-	seen []bool
+	spec   AggSpec
+	kind   types.Kind // result kind
+	inK    types.Kind
+	narrow int // index into HashAgg.nulls, or -1 to fold every row
+	sumI   []int64
+	sumF   []float64
+	cnt    []int64
+	mm     *vec.Vector
+	seen   []bool
+}
+
+// nullSel narrows one batch to the rows whose indicator column is false:
+// sel holds their positions and groups, parallel to sel, their groups. Every
+// aggregate that skips by the column folds this one narrowing.
+type nullSel struct {
+	col    int
+	sel    []int32
+	groups []int32
 }
 
 // NewHashAgg builds an aggregation operator.
@@ -156,11 +178,20 @@ func (h *HashAgg) Open(ctx *Ctx) error {
 	h.slots = make([]aggSlot, 1024)
 	h.mask = uint64(len(h.slots) - 1)
 	h.states = make([]*aggState, len(h.Aggs))
+	h.nulls = h.nulls[:0]
 	for i, a := range h.Aggs {
 		k, _ := a.ResultKind(h.inK)
-		st := &aggState{spec: a, kind: k}
+		st := &aggState{spec: a, kind: k, narrow: -1}
 		if a.Col >= 0 {
 			st.inK = h.inK[a.Col]
+		}
+		// A COUNT counts the false indicators without narrowing.
+		if c := a.IndCol(); c >= 0 && a.Fn != AggCount {
+			st.narrow = slices.IndexFunc(h.nulls, func(ns nullSel) bool { return ns.col == c })
+			if st.narrow < 0 {
+				st.narrow = len(h.nulls)
+				h.nulls = append(h.nulls, nullSel{col: c})
+			}
 		}
 		if a.Fn == AggMin || a.Fn == AggMax {
 			st.mm = vec.New(k, 64)
@@ -204,7 +235,7 @@ func (h *HashAgg) Next() (*vec.Batch, error) {
 	for ai, st := range h.states {
 		ov := h.out.Vecs[base+ai]
 		switch st.spec.Fn {
-		case AggCount, AggCountFalse:
+		case AggCount:
 			copy(ov.I64, st.cnt[lo:hi])
 		case AggSum:
 			if st.kind == types.KindInt64 {
@@ -416,7 +447,7 @@ func (h *HashAgg) rehash() {
 func (h *HashAgg) ensureGroups(n int) {
 	for _, st := range h.states {
 		switch st.spec.Fn {
-		case AggCount, AggCountFalse:
+		case AggCount:
 			st.cnt = growZero(st.cnt, n)
 		case AggSum:
 			if st.kind == types.KindInt64 {
@@ -458,22 +489,28 @@ func growZero[T any](s []T, n int) []T {
 // fold applies one batch's rows to the aggregate states. groups is parallel
 // to the batch's logical rows; nil folds every row into the one group of a
 // scalar aggregate, whose running values the "from" primitives keep in
-// registers for the whole vector.
+// registers for the whole vector. An aggregate with an indicator folds only
+// the rows the indicator does not mark.
 func (h *HashAgg) fold(groups []int32, b *vec.Batch) error {
-	sel, n := b.Sel, b.Full()
+	for i := range h.nulls {
+		ns := &h.nulls[i]
+		ns.sel, ns.groups = primitives.SelFalseGrouped(ns.sel, ns.groups, b.Vecs[ns.col].Bool, groups, b.Sel, b.Full())
+	}
 	for _, st := range h.states {
+		groups, sel, n := groups, b.Sel, b.Full()
+		if st.narrow >= 0 {
+			groups, sel = h.nulls[st.narrow].groups, h.nulls[st.narrow].sel
+		}
 		var v *vec.Vector
 		if st.spec.Col >= 0 {
 			v = b.Vecs[st.spec.Col]
 		}
 		switch st.spec.Fn {
 		case AggCount:
-			countInto(st.cnt, groups, b)
-		case AggCountFalse:
-			if groups == nil {
-				st.cnt[0] += primitives.CountFalse(v.Bool, sel, n)
+			if c := st.spec.IndCol(); c >= 0 {
+				countFalseInto(st.cnt, groups, b.Vecs[c].Bool, sel, n)
 			} else {
-				primitives.CountFalseGrouped(st.cnt, groups, v.Bool, sel, n)
+				countInto(st.cnt, groups, sel, n)
 			}
 		case AggSum:
 			var err error
@@ -489,7 +526,7 @@ func (h *HashAgg) fold(groups []int32, b *vec.Batch) error {
 				return fmt.Errorf("exec: %v: %w", st.spec.Fn, err)
 			}
 		case AggAvg:
-			countInto(st.cnt, groups, b)
+			countInto(st.cnt, groups, sel, n)
 			switch st.inK {
 			case types.KindInt32:
 				sumFloatInto(st.sumF, groups, v.I32, sel, n)
@@ -510,28 +547,34 @@ func (h *HashAgg) fold(groups []int32, b *vec.Batch) error {
 			case types.KindString:
 				minMaxInto(st.mm.Str, st.seen, groups, v.Str, sel, n, isMin)
 			case types.KindBool:
-				// MIN/MAX over booleans: false < true.
-				for k := range b.Rows() {
-					g := int32(0)
-					if groups != nil {
-						g = groups[k]
-					}
-					foldBoolMM(st, g, v.Bool[b.RowIndex(k)], isMin)
-				}
+				minMaxBoolInto(st.mm.Bool, st.seen, groups, v.Bool, sel, n, isMin)
 			}
 		}
 	}
 	return nil
 }
 
-// countInto adds each row of b to its group's count (nil groups: the one
-// group of a scalar aggregate).
-func countInto(acc []int64, groups []int32, b *vec.Batch) {
+// countInto adds each selected row to its group's count (nil groups: the
+// one group of a scalar aggregate).
+func countInto(acc []int64, groups []int32, sel []int32, n int) {
 	if groups == nil {
-		acc[0] += int64(b.Rows())
+		if sel != nil {
+			n = len(sel)
+		}
+		acc[0] += int64(n)
 		return
 	}
-	primitives.CountGrouped(acc, groups, b.Sel, b.Full())
+	primitives.CountGrouped(acc, groups, sel, n)
+}
+
+// countFalseInto adds each selected row whose indicator is false to its
+// group's count.
+func countFalseInto(acc []int64, groups []int32, ind []bool, sel []int32, n int) {
+	if groups == nil {
+		acc[0] += primitives.CountFalse(ind, sel, n)
+		return
+	}
+	primitives.CountFalseGrouped(acc, groups, ind, sel, n)
 }
 
 // sumIntInto adds integer values to their groups' checked int64 sums.
@@ -567,17 +610,28 @@ func minMaxInto[T primitives.Ordered](acc []T, seen []bool, groups []int32, a []
 	}
 }
 
-func foldBoolMM(st *aggState, g int32, val bool, isMin bool) {
-	if !st.seen[g] {
-		st.mm.Bool[g] = val
-		st.seen[g] = true
-		return
+// minMaxBoolInto folds booleans into their groups' minima or maxima, false
+// ordering before true.
+func minMaxBoolInto(acc, seen []bool, groups []int32, a []bool, sel []int32, n int, isMin bool) {
+	if sel != nil {
+		n = len(sel)
 	}
-	if isMin && !val {
-		st.mm.Bool[g] = false
-	}
-	if !isMin && val {
-		st.mm.Bool[g] = true
+	for k := range n {
+		i, g := k, 0
+		if sel != nil {
+			i = int(sel[k])
+		}
+		if groups != nil {
+			g = int(groups[k])
+		}
+		switch v := a[i]; {
+		case !seen[g]:
+			acc[g], seen[g] = v, true
+		case isMin:
+			acc[g] = acc[g] && v
+		default:
+			acc[g] = acc[g] || v
+		}
 	}
 }
 

@@ -257,13 +257,14 @@ func orE(a, b Expr) Expr {
 }
 
 // mayFail reports whether evaluating e can raise a runtime error: checked
-// arithmetic, negation, absolute value, a narrowing cast or a date add.
+// arithmetic, negation, absolute value, a narrowing cast or date
+// arithmetic.
 func mayFail(e Expr) bool {
 	fails := false
 	Walk(e, func(n Expr) bool {
 		if c, ok := n.(*Call); ok {
 			switch c.Fn {
-			case "+", "-", "*", "/", "%", "mod", "neg", "abs", "cast_int32", "cast_int64", "date_add":
+			case "+", "-", "*", "/", "%", "mod", "neg", "abs", "cast_int32", "cast_int64", "date_add", "add_months":
 				fails = true
 			}
 		}

@@ -804,8 +804,7 @@ func buildDate(fn string, args []argSlot, dst int, c *compiler) (instr, error) {
 					d = d[:ctx.n]
 				}
 				if months {
-					primitives.DateAddMonthsVC(d, x, int32(k), sel)
-					return nil
+					return primitives.DateAddMonthsVC(d, x, k, sel)
 				}
 				return primitives.DateAddDaysVC(d, x, k, sel)
 			}, nil
@@ -815,25 +814,16 @@ func buildDate(fn string, args []argSlot, dst int, c *compiler) (instr, error) {
 			return nil, err
 		}
 		rn := nSlot.reg
+		f := primitives.DateAddDaysVV
+		if months {
+			f = primitives.DateAddMonthsVV
+		}
 		return func(ctx *evalCtx) error {
 			d, x, nn := ctx.regs[dst].I32, ctx.regs[ra].I32, ctx.regs[rn].I64
-			if !months {
-				if ctx.sel == nil {
-					return primitives.DateAddDaysVV(d[:ctx.n], x, nn, nil)
-				}
-				return primitives.DateAddDaysVV(d, x, nn, ctx.sel)
-			}
-			apply := func(i int) { d[i] = types.DateAddMonths(x[i], int32(nn[i])) }
 			if ctx.sel == nil {
-				for i := 0; i < ctx.n; i++ {
-					apply(i)
-				}
-			} else {
-				for _, i := range ctx.sel {
-					apply(int(i))
-				}
+				return f(d[:ctx.n], x, nn, nil)
 			}
-			return nil
+			return f(d, x, nn, ctx.sel)
 		}, nil
 	case "date_diff":
 		b := c.materialize(args[1])

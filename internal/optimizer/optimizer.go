@@ -748,17 +748,9 @@ func (o *Optimizer) simplifyGroupBy(n plan.Node) plan.Node {
 	if keyCols == nil {
 		return n
 	}
-	// Does some group column carry a unique key? And can every other group
-	// column become a MAX (the NULL decomposition of MAX takes no NULLable
-	// VARCHAR or BOOLEAN)?
 	hasKey := false
-	in := agg.Child.Schema()
 	for _, g := range agg.GroupCols {
-		if keyCols[g] {
-			hasKey = true
-		} else if t := in.Cols[g].Type; t.Nullable && (t.Kind == types.KindString || t.Kind == types.KindBool) {
-			return n
-		}
+		hasKey = hasKey || keyCols[g]
 	}
 	if !hasKey {
 		return n

@@ -301,8 +301,9 @@ type HashAgg struct {
 func (a *HashAgg) Op() string { return "HashAgg" }
 
 // Schema implements Node: the group columns, then one column per
-// aggregate. COUNT is never NULL, nor is AVG (the rewriter computes a
-// NULLable AVG from SUM and COUNT); SUM is as NULLable as its input.
+// aggregate. COUNT is never NULL; every other aggregate is as NULLable as
+// its input, which NULL decomposition turns into a value column the
+// aggregate reads and an indicator it skips rows by.
 func (a *HashAgg) Schema() *types.Schema {
 	in := a.Child.Schema()
 	s := &types.Schema{Cols: make([]types.Column, 0, len(a.GroupCols)+len(a.Aggs))}
@@ -314,10 +315,11 @@ func (a *HashAgg) Schema() *types.Schema {
 	for i, sp := range a.Aggs {
 		var t types.T
 		switch sp.Fn {
-		case exec.AggCount, exec.AggCountFalse:
+		case exec.AggCount:
 			t = types.Int64
 		case exec.AggAvg:
 			t = types.Float64
+			t.Nullable = in.Cols[sp.Col].Type.Nullable
 		case exec.AggSum:
 			t = types.Int64
 			if in.Cols[sp.Col].Type.Kind == types.KindFloat64 {
@@ -346,11 +348,14 @@ func (a *HashAgg) WithChildren(ch []Node) Node {
 func (a *HashAgg) Line() string {
 	aggs := make([]string, len(a.Aggs))
 	for i, sp := range a.Aggs {
-		if sp.Col < 0 {
-			aggs[i] = sp.Fn.String() + "(*)"
-		} else {
-			aggs[i] = fmt.Sprintf("%s($%d)", sp.Fn, sp.Col)
+		arg := "*"
+		if sp.Col >= 0 {
+			arg = fmt.Sprintf("$%d", sp.Col)
 		}
+		if c := sp.IndCol(); c >= 0 {
+			arg += fmt.Sprintf(" skip $%d", c)
+		}
+		aggs[i] = sp.Fn.String() + "(" + arg + ")"
 	}
 	return fmt.Sprintf("HashAgg(groups=%v, [%s])", a.GroupCols, strings.Join(aggs, ", "))
 }

@@ -479,10 +479,11 @@ func TestWithChildrenRebuild(t *testing.T) {
 	}
 }
 
-// Build checks every aggregate against its input's kind.
+// Build checks every aggregate against its input's kind, and its indicator
+// column against BOOLEAN.
 func TestBuildRejectsAggregateOverWrongKind(t *testing.T) {
 	strs := &Values{Out: types.NewSchema(types.Col("s", types.String))}
-	for _, sp := range []exec.AggSpec{{Fn: exec.AggSum, Col: 0}, {Fn: exec.AggCountFalse, Col: 0}} {
+	for _, sp := range []exec.AggSpec{{Fn: exec.AggSum, Col: 0}, exec.AggSpec{Fn: exec.AggCount, Col: -1}.WithInd(0)} {
 		agg := &HashAgg{Child: strs, Aggs: []exec.AggSpec{sp}, Names: []string{"x"}}
 		if _, err := Build(agg, nil); err == nil {
 			t.Errorf("%s over VARCHAR built", sp.Fn)

@@ -287,7 +287,9 @@ func TestDatePrimitives(t *testing.T) {
 	if add[0] != d1+1 {
 		t.Fatal("add days")
 	}
-	DateAddMonthsVC(add, a, 12, nil)
+	if err := DateAddMonthsVC(add, a, 12, nil); err != nil {
+		t.Fatal(err)
+	}
 	ym := make([]int32, 2)
 	DateYearV(ym, add, nil)
 	if ym[0] != 2021 {

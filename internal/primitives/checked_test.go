@@ -177,6 +177,12 @@ func TestCheckedNegAbsCast(t *testing.T) {
 		{"date-add-vv", func(sel []int32) error {
 			return DateAddDaysVV(make([]int32, 3), []int32{0, 0, 5}, []int64{math.MinInt32, math.MinInt64, math.MaxInt32 - 5}, sel)
 		}, 1},
+		{"add-months", func(sel []int32) error {
+			return DateAddMonthsVC(make([]int32, 3), []int32{0, math.MaxInt32, math.MinInt32}, 1, sel)
+		}, 1},
+		{"add-months-vv", func(sel []int32) error {
+			return DateAddMonthsVV(make([]int32, 3), []int32{0, 5, 0}, []int64{-12, 1 << 31, 12}, sel)
+		}, 1},
 	}
 	for _, c := range checks {
 		var pe *PosError

@@ -127,18 +127,53 @@ func DateAddDaysVV(dst, a []int32, b []int64, sel []int32) error {
 
 func dateFits(s int64) bool { return s == int64(int32(s)) }
 
-// DateAddMonthsVC computes dst = ADD_MONTHS(a, c) with day clamping.
-func DateAddMonthsVC(dst, a []int32, c int32, sel []int32) {
+// DateAddMonthsVC computes dst = ADD_MONTHS(a, c) with day clamping,
+// failing where the date leaves the DATE range.
+func DateAddMonthsVC(dst, a []int32, c int64, sel []int32) error {
+	bad := 0
 	if sel == nil {
 		a = a[:len(dst)]
 		for i := range dst {
-			dst[i] = types.DateAddMonths(a[i], c)
+			var ok bool
+			dst[i], ok = types.DateAddMonths(a[i], c)
+			bad |= b2i(!ok)
 		}
-		return
+	} else {
+		for _, i := range sel {
+			var ok bool
+			dst[i], ok = types.DateAddMonths(a[i], c)
+			bad |= b2i(!ok)
+		}
 	}
-	for _, i := range sel {
-		dst[i] = types.DateAddMonths(a[i], c)
+	if bad == 0 {
+		return nil
 	}
+	return overflowAt(len(dst), sel, func(i int) bool { _, ok := types.DateAddMonths(a[i], c); return !ok })
+}
+
+// DateAddMonthsVV computes dst = ADD_MONTHS(a, b), failing as
+// DateAddMonthsVC does.
+func DateAddMonthsVV(dst, a []int32, b []int64, sel []int32) error {
+	bad := 0
+	if sel == nil {
+		a = a[:len(dst)]
+		b = b[:len(dst)]
+		for i := range dst {
+			var ok bool
+			dst[i], ok = types.DateAddMonths(a[i], b[i])
+			bad |= b2i(!ok)
+		}
+	} else {
+		for _, i := range sel {
+			var ok bool
+			dst[i], ok = types.DateAddMonths(a[i], b[i])
+			bad |= b2i(!ok)
+		}
+	}
+	if bad == 0 {
+		return nil
+	}
+	return overflowAt(len(dst), sel, func(i int) bool { _, ok := types.DateAddMonths(a[i], b[i]); return !ok })
 }
 
 // DateDiffVV computes dst = a - b in days, widened to int64.

@@ -310,6 +310,47 @@ func SelTrue(dst []int32, a []bool, sel []int32, n int) []int32 {
 	return dst[:k]
 }
 
+// SelFalseGrouped selects positions where the bool vector is false and
+// compacts groups, parallel to the candidates, into gdst alongside: how an
+// aggregate skips the rows a NULL indicator marks. With nil groups it only
+// selects, and returns nil groups. gdst may alias groups as dst may alias
+// sel.
+func SelFalseGrouped(dst, gdst []int32, a []bool, groups, sel []int32, n int) ([]int32, []int32) {
+	k := 0
+	if sel == nil {
+		dst = selDst(dst, n)
+		if groups == nil {
+			for i, v := range a[:n] {
+				dst[k] = int32(i)
+				k += 1 - b2i(v)
+			}
+			return dst[:k], nil
+		}
+		gdst = selDst(gdst, n)
+		for i, v := range a[:n] {
+			dst[k] = int32(i)
+			gdst[k] = groups[i]
+			k += 1 - b2i(v)
+		}
+		return dst[:k], gdst[:k]
+	}
+	dst = selDst(dst, len(sel))
+	if groups == nil {
+		for _, i := range sel {
+			dst[k] = i
+			k += 1 - b2i(a[i])
+		}
+		return dst[:k], nil
+	}
+	gdst = selDst(gdst, len(sel))
+	for j, i := range sel {
+		dst[k] = i
+		gdst[k] = groups[j]
+		k += 1 - b2i(a[i])
+	}
+	return dst[:k], gdst[:k]
+}
+
 // SelComplement selects the candidates (sel, or [0, n) when sel is nil)
 // that sub does not hold: the rows a predicate rejected, when sub is what it
 // selected. sub must be a subset of the candidates. dst, sized to n, first

@@ -296,3 +296,30 @@ func refSelComplement(dst, sub, sel []int32, n int) []int32 {
 	}
 	return dst
 }
+
+// refSelFalseGrouped selects positions where the bool vector is false, and
+// keeps the groups of the candidates it selects (none for nil groups).
+func refSelFalseGrouped(dst, gdst []int32, a []bool, groups, sel []int32, n int) ([]int32, []int32) {
+	dst, gdst = dst[:0], gdst[:0]
+	keep := func(k int, i int32) {
+		if !a[i] {
+			dst = append(dst, i)
+			if groups != nil {
+				gdst = append(gdst, groups[k])
+			}
+		}
+	}
+	if sel == nil {
+		for i := 0; i < n; i++ {
+			keep(i, int32(i))
+		}
+	} else {
+		for k, i := range sel {
+			keep(k, i)
+		}
+	}
+	if groups == nil {
+		return dst, nil
+	}
+	return dst, gdst
+}

@@ -160,9 +160,38 @@ func selPairs[T Ordered](a, b []T, c, hi T, n int) []selPair {
 	}
 }
 
+// falseGroupedPair binds SelFalseGrouped over a and its reference. Grouped,
+// candidate k is in group 1000+k and the result is the selection followed
+// by the compacted groups; else groups are nil.
+func falseGroupedPair(a []bool, n int, grouped bool) selPair {
+	type narrowFn func(dst, gdst []int32, a []bool, groups, sel []int32, n int) ([]int32, []int32)
+	bind := func(f narrowFn) func(dst, sel []int32) []int32 {
+		return func(dst, sel []int32) []int32 {
+			var groups []int32
+			if grouped {
+				m := n
+				if sel != nil {
+					m = len(sel)
+				}
+				for k := range m {
+					groups = append(groups, int32(1000+k))
+				}
+			}
+			s, g := f(dst, nil, a, groups, sel, n)
+			return append(slices.Clip(s), g...)
+		}
+	}
+	name := "False"
+	if grouped {
+		name = "FalseGrouped"
+	}
+	return selPair{name: name, fast: bind(SelFalseGrouped), ref: bind(refSelFalseGrouped)}
+}
+
 // boolSelPairs binds the primitives over BOOLEAN and their references:
-// SelTrue of a, a compared with the constant c and with b, and the
-// complement, within the input selection, of the rows where a is true.
+// SelTrue of a, a compared with the constant c and with b, the complement,
+// within the input selection, of the rows where a is true, and the rows
+// where a is false with and without their groups.
 func boolSelPairs(a, b []bool, c bool, n int) []selPair {
 	return []selPair{
 		{name: "True",
@@ -176,6 +205,8 @@ func boolSelPairs(a, b []bool, c bool, n int) []selPair {
 			fast:    func(dst, sel []int32) []int32 { return SelComplement(dst, refSelTrue(nil, a, sel, n), sel, n) },
 			ref:     func(dst, sel []int32) []int32 { return refSelComplement(dst, refSelTrue(nil, a, sel, n), sel, n) },
 			noAlias: true},
+		falseGroupedPair(a, n, false),
+		falseGroupedPair(a, n, true),
 	}
 }
 
@@ -327,6 +358,7 @@ func FuzzSelect(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 200, 0, 16, 7}, int64(2), int64(5), []byte{}, uint8(2))
 	f.Add([]byte{9, 9, 9, 1, 0, 255}, int64(9), int64(1), []byte{0xa5}, uint8(14))
 	f.Add([]byte{1, 2, 3, 5, 8, 13, 21}, int64(1), int64(0), []byte{0x5b}, uint8(31))
+	f.Add([]byte{0, 1, 3, 2, 5, 4, 7, 6, 9}, int64(0), int64(0), []byte{0x6d, 0x01}, uint8(33))
 	f.Fuzz(func(t *testing.T, data []byte, c, hi int64, mask []byte, op uint8) {
 		n := len(data)
 		ints, rints := make([]int64, n), make([]int64, n)

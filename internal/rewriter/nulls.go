@@ -2,7 +2,6 @@ package rewriter
 
 import (
 	"fmt"
-	"math"
 
 	"vectorwise/internal/exec"
 	"vectorwise/internal/expr"
@@ -190,154 +189,63 @@ func decompose(n physical.Node) (physical.Node, ColMap, error) {
 
 // --- aggregates ---
 
+// decomposeAgg aggregates the decomposed child's columns directly. A
+// NULLable group column groups by its value and its indicator, so NULL
+// keys form one group of their own. An aggregate over a NULLable column
+// reads the value column and skips the rows its indicator marks; its result
+// is NULL where its group has no non-NULL row, which one COUNT per such
+// column, shared by its aggregates, tells.
 func decomposeAgg(t *physical.HashAgg) (physical.Node, ColMap, error) {
 	child, cm, err := decompose(t.Child)
 	if err != nil {
 		return nil, ColMap{}, err
 	}
-	logical := t.Child.Schema()
-	childPhys := child.Schema()
-	colE := func(idx int) expr.Expr {
-		c := childPhys.Cols[idx]
-		return expr.Col(idx, c.Name, c.Type)
-	}
-	// Pre-projection feeding the physical aggregate.
-	var pre []expr.Expr
-	var preNames []string
-	add := func(e expr.Expr, name string) int {
-		pre = append(pre, e)
-		preNames = append(preNames, name)
-		return len(pre) - 1
-	}
-	// Group columns: value plus indicator (NULL group keys form their own
-	// group because the safe value + indicator pair is uniform).
 	var groupCols []int
-	outMap := ColMap{}
-	for gi, g := range t.GroupCols {
-		vi := add(colE(cm.Val[g]), fmt.Sprintf("$gv%d", gi))
-		groupCols = append(groupCols, vi)
-		outMap.Val = append(outMap.Val, len(groupCols)-1)
+	keys := ColMap{} // each group column's value and indicator among groupCols
+	for _, g := range t.GroupCols {
+		keys.Val = append(keys.Val, len(groupCols))
+		groupCols = append(groupCols, cm.Val[g])
+		keys.Ind = append(keys.Ind, -1)
 		if cm.Ind[g] >= 0 {
-			ii := add(colE(cm.Ind[g]), fmt.Sprintf("$gi%d", gi))
-			groupCols = append(groupCols, ii)
-			outMap.Ind = append(outMap.Ind, len(groupCols)-1)
-		} else {
-			outMap.Ind = append(outMap.Ind, -1)
+			keys.Ind[len(keys.Ind)-1] = len(groupCols)
+			groupCols = append(groupCols, cm.Ind[g])
 		}
 	}
-	// Aggregates.
-	type aggPlan struct {
-		outPos  int // position in physical agg output (set later)
-		indFrom int // index of the companion non-null-count agg, or -1
-		isAvg   bool
-		avgSum  int
-		avgCnt  int
+	var aggs []exec.AggSpec
+	addAgg := func(a exec.AggSpec) int {
+		aggs = append(aggs, a)
+		return len(aggs) - 1
 	}
-	var physAggs []exec.AggSpec
-	plans := make([]aggPlan, len(t.Aggs))
-	// cache of non-null-count aggs per logical column.
-	nnCount := map[int]int{}
-	addAgg := func(it exec.AggSpec) int {
-		physAggs = append(physAggs, it)
-		return len(physAggs) - 1
-	}
-	nonNullCountAgg := func(col int) int {
-		if idx, ok := nnCount[col]; ok {
-			return idx
+	nonNull := map[int]int{} // logical column → its non-NULL count
+	nonNullCount := func(col int) int {
+		idx, ok := nonNull[col]
+		if !ok {
+			idx = addAgg(exec.AggSpec{Fn: exec.AggCount, Col: -1}.WithInd(cm.Ind[col]))
+			nonNull[col] = idx
 		}
-		nn := add(colE(cm.Ind[col]), fmt.Sprintf("$nn%d", col))
-		idx := addAgg(exec.AggSpec{Fn: exec.AggCountFalse, Col: nn})
-		nnCount[col] = idx
 		return idx
 	}
-	maskedVal := func(col int, extreme types.Value) (expr.Expr, error) {
-		v := colE(cm.Val[col])
-		if cm.Ind[col] < 0 {
-			return v, nil
-		}
-		return expr.TryCall("if", colE(cm.Ind[col]), &expr.Const{Val: extreme}, v)
-	}
+	outPos := make([]int, len(t.Aggs))
+	nullFrom := make([]int, len(t.Aggs)) // the non-NULL count deciding NULL, or -1
 	for ai, a := range t.Aggs {
-		p := &plans[ai]
-		p.indFrom = -1
-		nullable := a.Col >= 0 && cm.Ind[a.Col] >= 0
-		kind := types.KindInvalid
-		if a.Col >= 0 {
-			kind = logical.Cols[a.Col].Type.Kind
-		}
-		switch a.Fn {
-		case exec.AggCount:
-			if a.Col < 0 || !nullable {
-				p.outPos = addAgg(exec.AggSpec{Fn: exec.AggCount, Col: -1})
-			} else {
-				// COUNT(col) over nullable = COUNT_FALSE(ind).
-				p.outPos = nonNullCountAgg(a.Col)
-			}
-		case exec.AggSum:
-			mv, err := maskedVal(a.Col, types.SafeValue(kind))
-			if err != nil {
-				return nil, ColMap{}, err
-			}
-			ci := add(mv, fmt.Sprintf("$s%d", ai))
-			p.outPos = addAgg(exec.AggSpec{Fn: exec.AggSum, Col: ci})
-			if nullable {
-				p.indFrom = nonNullCountAgg(a.Col)
-			}
-		case exec.AggMin, exec.AggMax:
-			var extreme types.Value
-			if nullable {
-				switch kind {
-				case types.KindInt32:
-					extreme = types.NewInt32(extremeI32(a.Fn == exec.AggMin))
-				case types.KindInt64:
-					extreme = types.NewInt64(extremeI64(a.Fn == exec.AggMin))
-				case types.KindFloat64:
-					extreme = types.NewFloat64(extremeF64(a.Fn == exec.AggMin))
-				case types.KindDate:
-					extreme = types.NewDate(extremeI32(a.Fn == exec.AggMin))
-				default:
-					return nil, ColMap{}, fmt.Errorf("rewriter: %s over nullable %v is not supported", a.Fn, kind)
-				}
-			}
-			mv, err := maskedVal(a.Col, extreme)
-			if err != nil {
-				return nil, ColMap{}, err
-			}
-			ci := add(mv, fmt.Sprintf("$m%d", ai))
-			p.outPos = addAgg(exec.AggSpec{Fn: a.Fn, Col: ci})
-			if nullable {
-				p.indFrom = nonNullCountAgg(a.Col)
-			}
-		case exec.AggAvg:
-			if !nullable {
-				ci := add(colE(cm.Val[a.Col]), fmt.Sprintf("$a%d", ai))
-				p.outPos = addAgg(exec.AggSpec{Fn: exec.AggAvg, Col: ci})
-			} else {
-				// AVG over nullable = SUM(masked as float) / COUNT(non-null).
-				mv, err := maskedVal(a.Col, types.SafeValue(kind))
-				if err != nil {
-					return nil, ColMap{}, err
-				}
-				if kind != types.KindFloat64 {
-					mv = expr.Promote(mv, types.KindFloat64)
-				}
-				ci := add(mv, fmt.Sprintf("$a%d", ai))
-				p.isAvg = true
-				p.avgSum = addAgg(exec.AggSpec{Fn: exec.AggSum, Col: ci})
-				p.avgCnt = nonNullCountAgg(a.Col)
-				p.indFrom = p.avgCnt
-			}
+		nullFrom[ai] = -1
+		switch {
+		case a.Fn == exec.AggCount && (a.Col < 0 || cm.Ind[a.Col] < 0):
+			outPos[ai] = addAgg(exec.AggSpec{Fn: exec.AggCount, Col: -1})
+		case a.Fn == exec.AggCount:
+			outPos[ai] = nonNullCount(a.Col)
+		case cm.Ind[a.Col] < 0:
+			outPos[ai] = addAgg(exec.AggSpec{Fn: a.Fn, Col: cm.Val[a.Col]})
 		default:
-			return nil, ColMap{}, fmt.Errorf("rewriter: aggregate %v", a.Fn)
+			outPos[ai] = addAgg(exec.AggSpec{Fn: a.Fn, Col: cm.Val[a.Col]}.WithInd(cm.Ind[a.Col]))
+			nullFrom[ai] = nonNullCount(a.Col)
 		}
 	}
-	preNode := &physical.Project{Child: child, Exprs: pre, Names: preNames}
-	aggNames := make([]string, len(groupCols)+len(physAggs))
+	aggNames := make([]string, len(groupCols)+len(aggs))
 	for i := range aggNames {
 		aggNames[i] = fmt.Sprintf("$o%d", i)
 	}
-	aggNode := &physical.HashAgg{Child: preNode, GroupCols: rangeInts(len(groupCols)),
-		Aggs: physAggs, Names: aggNames}
+	aggNode := &physical.HashAgg{Child: child, GroupCols: groupCols, Aggs: aggs, Names: aggNames}
 	aggSchema := aggNode.Schema()
 	aggColE := func(idx int) expr.Expr {
 		c := aggSchema.Cols[idx]
@@ -362,33 +270,19 @@ func decomposeAgg(t *physical.HashAgg) (physical.Node, ColMap, error) {
 			indNames = append(indNames, name+"$null")
 		}
 	}
-	for gi := range t.GroupCols {
-		vPos := outMap.Val[gi]
+	for i := range t.GroupCols {
 		var ind expr.Expr
-		if outMap.Ind[gi] >= 0 {
-			ind = aggColE(outMap.Ind[gi])
+		if keys.Ind[i] >= 0 {
+			ind = aggColE(keys.Ind[i])
 		}
-		pushOut(aggColE(vPos), ind, t.Names[gi])
+		pushOut(aggColE(keys.Val[i]), ind, t.Names[i])
 	}
-	nGroupOut := len(groupCols)
 	for ai := range t.Aggs {
-		p := plans[ai]
-		name := t.Names[len(t.GroupCols)+ai]
 		var ind expr.Expr
-		if p.indFrom >= 0 {
-			ind = expr.NewCall("=", aggColE(nGroupOut+p.indFrom), expr.CInt(0))
+		if nullFrom[ai] >= 0 {
+			ind = expr.NewCall("=", aggColE(len(groupCols)+nullFrom[ai]), expr.CInt(0))
 		}
-		if p.isAvg {
-			sumE := aggColE(nGroupOut + p.avgSum)
-			cntE := expr.Promote(aggColE(nGroupOut+p.avgCnt), types.KindFloat64)
-			val := expr.NewCall("if",
-				expr.NewCall(">", cntE, expr.CFloat(0)),
-				expr.NewCall("/", sumE, expr.NewCall("max2", cntE, expr.CFloat(1))),
-				expr.CFloat(0))
-			pushOut(val, ind, name)
-			continue
-		}
-		pushOut(aggColE(nGroupOut+p.outPos), ind, name)
+		pushOut(aggColE(len(groupCols)+outPos[ai]), ind, t.Names[len(t.GroupCols)+ai])
 	}
 	base := len(post)
 	for i := range finalMap.Ind {
@@ -407,27 +301,6 @@ func rangeInts(n int) []int {
 		out[i] = i
 	}
 	return out
-}
-
-func extremeI32(isMin bool) int32 {
-	if isMin {
-		return math.MaxInt32
-	}
-	return math.MinInt32
-}
-
-func extremeI64(isMin bool) int64 {
-	if isMin {
-		return math.MaxInt64
-	}
-	return math.MinInt64
-}
-
-func extremeF64(isMin bool) float64 {
-	if isMin {
-		return math.Inf(1)
-	}
-	return math.Inf(-1)
 }
 
 // --- joins (including the C10 anti-join intricacies) ---

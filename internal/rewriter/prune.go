@@ -90,6 +90,9 @@ func pruneNode(n physical.Node, need []bool) (physical.Node, []int) {
 			if a.Col >= 0 {
 				childNeed[a.Col] = true
 			}
+			if c := a.IndCol(); c >= 0 {
+				childNeed[c] = true
+			}
 		}
 		child, m := pruneNode(t.Child, childNeed)
 		out := &physical.HashAgg{Child: child, Names: t.Names,
@@ -100,6 +103,9 @@ func pruneNode(n physical.Node, need []bool) (physical.Node, []int) {
 		for i, a := range t.Aggs {
 			if a.Col >= 0 {
 				a.Col = m[a.Col]
+			}
+			if c := a.IndCol(); c >= 0 {
+				a = a.WithInd(m[c])
 			}
 			out.Aggs[i] = a
 		}

@@ -142,8 +142,11 @@ func (g *treeGen) node(depth int) physical.Node {
 				a.GroupCols, a.Names = append(a.GroupCols, c), append(a.Names, g.name())
 			}
 			a.Aggs, a.Names = append(a.Aggs, exec.AggSpec{Fn: exec.AggCount, Col: g.pick(s, 1)[0]}), append(a.Names, g.name())
+			mm := []exec.AggFn{exec.AggMin, exec.AggMax}[g.rng.Intn(2)]
+			a.Aggs, a.Names = append(a.Aggs, exec.AggSpec{Fn: mm, Col: g.pick(s, 1)[0]}), append(a.Names, g.name())
 			if c := g.intCol(s); c >= 0 {
-				a.Aggs, a.Names = append(a.Aggs, exec.AggSpec{Fn: exec.AggSum, Col: c}), append(a.Names, g.name())
+				fn := []exec.AggFn{exec.AggSum, exec.AggAvg}[g.rng.Intn(2)]
+				a.Aggs, a.Names = append(a.Aggs, exec.AggSpec{Fn: fn, Col: c}), append(a.Names, g.name())
 			}
 		}
 		a.Aggs, a.Names = append(a.Aggs, exec.AggSpec{Fn: exec.AggCount, Col: -1}), append(a.Names, g.name())
@@ -218,6 +221,9 @@ func checkRefs(t *testing.T, n physical.Node) {
 			if a.Col >= 0 {
 				colOK(a.Col, in, types.KindInvalid, "aggregate column")
 			}
+			if c := a.IndCol(); c >= 0 {
+				colOK(c, in, types.KindBool, "aggregate indicator")
+			}
 		}
 	case *physical.Sort:
 		keysOK(x.Keys, x.Child.Schema())
@@ -232,7 +238,7 @@ func checkRefs(t *testing.T, n physical.Node) {
 // colIDs names every output column of n by where it comes from: a stored
 // column by its table and name, anything else by what it computes over its
 // inputs' ids. Schema names cannot serve: decomposition names the outputs of
-// every left join l0, r0, … and of every aggregate's pre-projection $gv0, ….
+// every left join l0, r0, … and of every aggregate $o0, ….
 // A column that survives pruning keeps its id, so comparing ids compares
 // what two trees compute.
 func colIDs(n physical.Node) []string {
@@ -267,7 +273,11 @@ func colIDs(n physical.Node) []string {
 			out = append(out, "group("+idOf(in[0], g)+")")
 		}
 		for _, a := range x.Aggs {
-			out = append(out, fmt.Sprintf("%v(%s)", a.Fn, idOf(in[0], a.Col)))
+			skip := ""
+			if c := a.IndCol(); c >= 0 {
+				skip = " skip " + idOf(in[0], c)
+			}
+			out = append(out, fmt.Sprintf("%v(%s%s)", a.Fn, idOf(in[0], a.Col), skip))
 		}
 	default: // Select, Sort, TopN, Limit pass their input through
 		out = in[0]
@@ -489,6 +499,9 @@ func checkAllRead(t *testing.T, n physical.Node, used map[int]bool) {
 		for _, a := range x.Aggs {
 			if a.Col >= 0 {
 				below[a.Col] = true
+			}
+			if c := a.IndCol(); c >= 0 {
+				below[c] = true
 			}
 		}
 		checkAllRead(t, x.Child, below)

@@ -201,113 +201,114 @@ func (pc *parCtx) parallelizeAgg(agg *physical.HashAgg) physical.Node {
 	if p == 0 {
 		return agg
 	}
-	// Partial aggregates per worker. AVG splits into SUM+COUNT.
-	type finalSpec struct {
-		fn  exec.AggFn
-		col int // partial output column
-	}
-	var partialAggs []exec.AggSpec
-	var finals []finalSpec
-	avgSum := map[int]int{} // agg idx → partial col of its sum
-	avgCnt := map[int]int{} // agg idx → partial col of its count
 	base := len(agg.GroupCols)
+	// Partial aggregates per worker. Rows an aggregate skips stay skipped:
+	// each indicator (or none) has one partial count of the rows it lets
+	// through, which is a COUNT's partial, an AVG's divisor, and the mask of
+	// a MIN or MAX. A worker that folded none of a group's rows into a MIN or
+	// MAX emits the unseen zero value, and its count, 0, hides it. That
+	// covers the one row an ungrouped partial emits over an empty partition.
+	var partials []exec.AggSpec
+	addPartial := func(a exec.AggSpec) int {
+		partials = append(partials, a)
+		return base + len(partials) - 1
+	}
+	counts := map[int]int{} // AggSpec.Ind → its partial count
+	countOf := func(a exec.AggSpec) int {
+		c, ok := counts[a.Ind]
+		if !ok {
+			c = addPartial(exec.AggSpec{Fn: exec.AggCount, Col: -1, Ind: a.Ind})
+			counts[a.Ind] = c
+		}
+		return c
+	}
+	type split struct{ val, cnt int } // partial outputs; cnt -1 when unread
+	splits := make([]split, len(agg.Aggs))
 	for i, a := range agg.Aggs {
 		switch a.Fn {
-		case exec.AggCount, exec.AggCountFalse:
-			finals = append(finals, finalSpec{fn: exec.AggSum, col: base + len(partialAggs)})
-			partialAggs = append(partialAggs, a)
-		case exec.AggSum, exec.AggMin, exec.AggMax:
-			finals = append(finals, finalSpec{fn: a.Fn, col: base + len(partialAggs)})
-			partialAggs = append(partialAggs, a)
+		case exec.AggCount:
+			splits[i] = split{countOf(a), -1}
+		case exec.AggSum:
+			splits[i] = split{addPartial(a), -1}
+		case exec.AggMin, exec.AggMax:
+			splits[i] = split{addPartial(a), countOf(a)}
 		case exec.AggAvg:
-			avgSum[i] = base + len(partialAggs)
-			partialAggs = append(partialAggs, exec.AggSpec{Fn: exec.AggSum, Col: a.Col})
-			avgCnt[i] = base + len(partialAggs)
-			partialAggs = append(partialAggs, exec.AggSpec{Fn: exec.AggCount, Col: -1})
-			finals = append(finals, finalSpec{fn: exec.AggAvg, col: -1}) // placeholder
+			splits[i] = split{addPartial(exec.AggSpec{Fn: exec.AggSum, Col: a.Col, Ind: a.Ind}), countOf(a)}
 		default:
 			return agg // unknown aggregate: stay serial
 		}
 	}
-	// An ungrouped aggregate emits one row even over an empty input (SQL
-	// semantics), so a partition whose rows are all filtered away yields a
-	// zero-valued partial whose MIN/MAX would poison the final combination.
-	// Add a count(*) sentinel and drop empty partials before combining.
-	// (Grouped partials simply emit no row for an empty partition.)
-	sentinel := -1
-	if base == 0 {
-		for i, a := range partialAggs {
-			if a.Fn == exec.AggCount && a.Col == -1 {
-				sentinel = base + i // reuse an existing count(*) partial
-				break
-			}
-		}
-		if sentinel < 0 {
-			sentinel = base + len(partialAggs)
-			partialAggs = append(partialAggs, exec.AggSpec{Fn: exec.AggCount, Col: -1})
-		}
-	}
-	names := make([]string, base+len(partialAggs))
+	names := make([]string, base+len(partials))
 	for i := range names {
 		names[i] = fmt.Sprintf("$p%d", i)
 	}
 	kids := make([]physical.Node, p)
 	for w, chain := range pc.morselChains(agg.Child, p) {
 		kids[w] = &physical.HashAgg{Child: chain, GroupCols: agg.GroupCols,
-			Aggs: partialAggs, Names: names}
+			Aggs: partials, Names: names}
 	}
 	var merged physical.Node = &physical.Xchg{Kids: kids}
-	if sentinel >= 0 {
-		merged = &physical.Select{Child: merged,
-			Pred: expr.NewCall(">", expr.Col(sentinel, "", types.Int64), expr.CInt(0))}
+	// The final MIN and MAX skip the partials whose count is 0: a projection
+	// passes the partials through and adds each such count's test.
+	pass := &physical.Project{Child: merged}
+	for i, c := range merged.Schema().Cols {
+		pass.Exprs, pass.Names = append(pass.Exprs, expr.Col(i, c.Name, c.Type)), append(pass.Names, c.Name)
 	}
-	// Final aggregate regroups by the partial group outputs.
-	var finalAggs []exec.AggSpec
-	finalOutOfAgg := make([]int, len(agg.Aggs)) // agg idx → final agg output idx
+	empty := map[int]int{} // partial count → its "= 0" column
 	for i, a := range agg.Aggs {
-		if a.Fn == exec.AggAvg {
-			finalAggs = append(finalAggs, exec.AggSpec{Fn: exec.AggSum, Col: avgSum[i]})
-			finalOutOfAgg[i] = len(finalAggs) - 1
-			finalAggs = append(finalAggs, exec.AggSpec{Fn: exec.AggSum, Col: avgCnt[i]})
+		c := splits[i].cnt
+		if _, ok := empty[c]; ok || (a.Fn != exec.AggMin && a.Fn != exec.AggMax) {
 			continue
 		}
-		fs := finals[i] // finals is parallel to agg.Aggs
-		finalAggs = append(finalAggs, exec.AggSpec{Fn: fs.fn, Col: fs.col})
-		finalOutOfAgg[i] = len(finalAggs) - 1
+		empty[c] = len(pass.Exprs)
+		pass.Exprs = append(pass.Exprs, expr.NewCall("=", expr.Col(c, names[c], types.Int64), expr.CInt(0)))
+		pass.Names = append(pass.Names, fmt.Sprintf("$e%d", c))
 	}
-	fnames := make([]string, base+len(finalAggs))
+	if len(empty) > 0 {
+		merged = pass
+	}
+	// Final aggregate regroups by the partial group outputs; AVG sums its
+	// partial sums and counts.
+	var finals []exec.AggSpec
+	for i, a := range agg.Aggs {
+		s := splits[i]
+		switch a.Fn {
+		case exec.AggCount, exec.AggSum:
+			finals = append(finals, exec.AggSpec{Fn: exec.AggSum, Col: s.val})
+		case exec.AggMin, exec.AggMax:
+			finals = append(finals, exec.AggSpec{Fn: a.Fn, Col: s.val}.WithInd(empty[s.cnt]))
+		case exec.AggAvg:
+			finals = append(finals, exec.AggSpec{Fn: exec.AggSum, Col: s.val}, exec.AggSpec{Fn: exec.AggSum, Col: s.cnt})
+		}
+	}
+	fnames := make([]string, base+len(finals))
 	for i := range fnames {
 		fnames[i] = fmt.Sprintf("$f%d", i)
 	}
-	final := &physical.HashAgg{Child: merged, GroupCols: rangeInts(base), Aggs: finalAggs, Names: fnames}
+	final := &physical.HashAgg{Child: merged, GroupCols: rangeInts(base), Aggs: finals, Names: fnames}
 	// Post-projection: restore output order and compute AVG = sum/cnt.
 	fs := final.Schema()
+	col := func(i int) expr.Expr { return expr.Col(i, fs.Cols[i].Name, fs.Cols[i].Type) }
 	var exprs []expr.Expr
-	var onames []string
 	for i := range agg.GroupCols {
-		exprs = append(exprs, expr.Col(i, fs.Cols[i].Name, fs.Cols[i].Type))
-		onames = append(onames, agg.Names[i])
+		exprs = append(exprs, col(i))
 	}
-	for i, a := range agg.Aggs {
-		if a.Fn == exec.AggAvg {
-			sumIdx := base + finalOutOfAgg[i]
-			cntIdx := sumIdx + 1
-			sumE := expr.Promote(expr.Col(sumIdx, "", fs.Cols[sumIdx].Type.NotNull()), types.KindFloat64)
-			cntE := expr.Promote(expr.Col(cntIdx, "", fs.Cols[cntIdx].Type.NotNull()), types.KindFloat64)
-			div := expr.NewCall("if",
-				expr.NewCall(">", cntE, expr.CFloat(0)),
-				expr.NewCall("/", sumE, expr.NewCall("max2", cntE, expr.CFloat(1))),
-				expr.CFloat(0))
-			exprs = append(exprs, div)
-		} else {
-			idx := base + finalOutOfAgg[i]
-			// COUNT partials sum to BIGINT; keep kinds aligned with the
-			// serial plan (count stays BIGINT, min/max/sum keep kind).
-			exprs = append(exprs, expr.Col(idx, "", fs.Cols[idx].Type))
+	at := base
+	for _, a := range agg.Aggs {
+		if a.Fn != exec.AggAvg {
+			exprs = append(exprs, col(at))
+			at++
+			continue
 		}
-		onames = append(onames, agg.Names[base+i])
+		sumE := expr.Promote(col(at), types.KindFloat64)
+		cntE := expr.Promote(col(at+1), types.KindFloat64)
+		exprs = append(exprs, expr.NewCall("if",
+			expr.NewCall(">", cntE, expr.CFloat(0)),
+			expr.NewCall("/", sumE, expr.NewCall("max2", cntE, expr.CFloat(1))),
+			expr.CFloat(0)))
+		at += 2
 	}
-	return &physical.Project{Child: final, Exprs: exprs, Names: onames}
+	return &physical.Project{Child: final, Exprs: exprs, Names: agg.Names}
 }
 
 // scanOfChain returns the serial vectorwise Scan at the bottom of a

@@ -132,12 +132,22 @@ func TestDecomposeAggrNullable(t *testing.T) {
 	}
 }
 
-func TestDecomposeMinNullableStringRejected(t *testing.T) {
+// MIN over a NULLable VARCHAR reads the value column and skips the rows
+// its indicator marks, with no projection between the scan and the
+// aggregate; the result is NULL where no row was folded.
+func TestDecomposeMinNullableString(t *testing.T) {
 	scan := scanNode(types.Col("s", types.String.Null()))
 	agg := &physical.HashAgg{Child: scan, GroupCols: nil,
 		Aggs: []exec.AggSpec{{Fn: exec.AggMin, Col: 0}}, Names: []string{"m"}}
-	if _, err := Rewrite(agg, Options{}); err == nil {
-		t.Fatal("min over nullable string should be rejected")
+	res, err := Rewrite(agg, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "Project(m=$o0, m$null=($o1 = 0)) :: [VARCHAR, BOOLEAN]\n" +
+		"  HashAgg(groups=[], [min($0 skip $1), count(* skip $1)]) :: [VARCHAR, BIGINT]\n" +
+		"    Scan('t', [s s$null] @ []) :: [VARCHAR, BOOLEAN]\n"
+	if got := physical.Format(res.Node); got != want {
+		t.Fatalf("plan:\n%swant:\n%s", got, want)
 	}
 }
 

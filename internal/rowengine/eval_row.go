@@ -227,7 +227,11 @@ func applyRowFunc(fn string, t types.T, args []types.Value) (types.Value, error)
 	case "date_add":
 		return rowDateAdd(args[0].I64, args[1].AsInt())
 	case "add_months":
-		return types.NewDate(types.DateAddMonths(args[0].Int32(), int32(args[1].AsInt()))), nil
+		d, ok := types.DateAddMonths(args[0].Int32(), args[1].AsInt())
+		if !ok {
+			return types.Value{}, primitives.ErrOverflow
+		}
+		return types.NewDate(d), nil
 	case "date_diff":
 		return types.NewInt64(int64(args[0].Int32()) - int64(args[1].Int32())), nil
 	case "sqrt":

@@ -1,6 +1,9 @@
 package types
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Dates are stored as int32 day numbers relative to the Unix epoch
 // (1970-01-01 = day 0). The civil-date conversions below use the classic
@@ -9,7 +12,10 @@ import "fmt"
 // date extraction runs inside vectorized primitives.
 
 // DateFromYMD converts a civil date to a day number.
-func DateFromYMD(y, m, d int) int32 {
+func DateFromYMD(y, m, d int) int32 { return int32(daysFromCivil(y, m, d)) }
+
+// daysFromCivil is DateFromYMD's day number before it is narrowed to int32.
+func daysFromCivil(y, m, d int) int64 {
 	yy := int64(y)
 	if m <= 2 {
 		yy--
@@ -27,9 +33,9 @@ func DateFromYMD(y, m, d int) int32 {
 	} else {
 		mp = int64(m) + 9
 	}
-	doy := (153*mp+2)/5 + int64(d) - 1      // [0, 365]
-	doe := yoe*365 + yoe/4 - yoe/100 + doy  // [0, 146096]
-	return int32(era*146097 + doe - 719468) // shift so 1970-01-01 = 0
+	doy := (153*mp+2)/5 + int64(d) - 1     // [0, 365]
+	doe := yoe*365 + yoe/4 - yoe/100 + doy // [0, 146096]
+	return era*146097 + doe - 719468       // shift so 1970-01-01 = 0
 }
 
 // YMDFromDate converts a day number back to a civil date.
@@ -81,10 +87,16 @@ func DateDayOfWeek(days int32) int32 {
 }
 
 // DateAddMonths shifts a date by n months, clamping the day to the target
-// month's length (SQL ADD_MONTHS semantics).
-func DateAddMonths(days int32, n int32) int32 {
+// month's length (SQL ADD_MONTHS semantics). ok is false when the result
+// leaves the DATE range.
+func DateAddMonths(days int32, n int64) (shifted int32, ok bool) {
+	// The DATE range spans fewer than 2^31 months: a longer shift leaves it,
+	// and a shorter one cannot overflow the month count below.
+	if n <= math.MinInt32 || n >= math.MaxInt32 {
+		return 0, false
+	}
 	y, m, d := YMDFromDate(days)
-	tot := int64(y)*12 + int64(m) - 1 + int64(n)
+	tot := int64(y)*12 + int64(m) - 1 + n
 	ny := int(tot / 12)
 	nm := int(tot%12) + 1
 	if nm <= 0 {
@@ -94,7 +106,8 @@ func DateAddMonths(days int32, n int32) int32 {
 	if ml := monthLen(ny, nm); d > ml {
 		d = ml
 	}
-	return DateFromYMD(ny, nm, d)
+	s := daysFromCivil(ny, nm, d)
+	return int32(s), s == int64(int32(s))
 }
 
 func monthLen(y, m int) int {

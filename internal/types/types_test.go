@@ -1,6 +1,7 @@
 package types
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -161,16 +162,29 @@ func TestDateAgainstStdlib(t *testing.T) {
 	}
 }
 
+// ADD_MONTHS clamps the day to the target month, and reports a result
+// outside the DATE range rather than wrapping it.
 func TestDateAddMonths(t *testing.T) {
 	d := DateFromYMD(2020, 1, 31)
-	if got := FormatDate(DateAddMonths(d, 1)); got != "2020-02-29" {
-		t.Errorf("2020-01-31 + 1 month = %s", got)
-	}
-	if got := FormatDate(DateAddMonths(d, -2)); got != "2019-11-30" {
-		t.Errorf("2020-01-31 - 2 months = %s", got)
-	}
-	if got := FormatDate(DateAddMonths(d, 12)); got != "2021-01-31" {
-		t.Errorf("2020-01-31 + 12 months = %s", got)
+	for _, c := range []struct {
+		from int32
+		n    int64
+		want string // "" when the result leaves the range
+	}{
+		{d, 1, "2020-02-29"},
+		{d, -2, "2019-11-30"},
+		{d, 12, "2021-01-31"},
+		{d, 4294967297, ""},
+		{d, math.MinInt64, ""},
+		{d, 2000000000, ""},
+		{math.MaxInt32, 0, FormatDate(math.MaxInt32)},
+		{math.MaxInt32, 1, ""},
+		{math.MinInt32, -1, ""},
+	} {
+		got, ok := DateAddMonths(c.from, c.n)
+		if ok != (c.want != "") || ok && FormatDate(got) != c.want {
+			t.Errorf("%s + %d months = %s (ok %v), want %q", FormatDate(c.from), c.n, FormatDate(got), ok, c.want)
+		}
 	}
 }
 

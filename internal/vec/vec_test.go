@@ -2,7 +2,6 @@ package vec
 
 import (
 	"testing"
-	"testing/quick"
 
 	"vectorwise/internal/types"
 )
@@ -195,62 +194,5 @@ func TestIdentity(t *testing.T) {
 	s2 := Identity(s, 2)
 	if len(s2) != 2 {
 		t.Fatal("identity reuse")
-	}
-}
-
-func TestAndSel(t *testing.T) {
-	a := []int32{0, 2, 4, 6}
-	b := []int32{2, 3, 4, 7}
-	got := AndSel(nil, a, b, 8)
-	if len(got) != 2 || got[0] != 2 || got[1] != 4 {
-		t.Fatalf("and: %v", got)
-	}
-	if got := AndSel(nil, nil, b, 8); len(got) != 4 {
-		t.Fatalf("and nil a: %v", got)
-	}
-	if got := AndSel(nil, a, nil, 8); len(got) != 4 {
-		t.Fatalf("and nil b: %v", got)
-	}
-	if got := AndSel(nil, nil, nil, 3); len(got) != 3 {
-		t.Fatalf("and nil nil: %v", got)
-	}
-}
-
-func TestInvert(t *testing.T) {
-	got := Invert(nil, []int32{1, 3}, 5)
-	want := []int32{0, 2, 4}
-	if len(got) != len(want) {
-		t.Fatalf("invert: %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("invert: %v", got)
-		}
-	}
-}
-
-// Property: Invert(Invert(sel)) == sel for sorted unique selections.
-func TestInvertInvolution(t *testing.T) {
-	f := func(mask uint16) bool {
-		var sel []int32
-		for i := 0; i < 16; i++ {
-			if mask&(1<<i) != 0 {
-				sel = append(sel, int32(i))
-			}
-		}
-		inv := Invert(nil, sel, 16)
-		back := Invert(nil, inv, 16)
-		if len(back) != len(sel) {
-			return false
-		}
-		for i := range sel {
-			if back[i] != sel[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
