@@ -52,10 +52,9 @@ type AggSpec struct {
 	Ind int
 }
 
-// WithInd returns a skipping the rows where column ind is true; a negative
-// ind removes the indicator.
+// WithInd returns a skipping the rows where column ind is true.
 func (a AggSpec) WithInd(ind int) AggSpec {
-	a.Ind = max(ind, -1) + 1
+	a.Ind = ind + 1
 	return a
 }
 
