@@ -11,20 +11,23 @@ import (
 )
 
 // nullAggCols are the NULLable columns of the aggregate matrix after the
-// group column g; SUM and AVG take only the numeric ones.
+// group column g; SUM and AVG take only the numeric ones. The BIGINTs of
+// big lie near 4e18, so two of them overflow an integer SUM: big takes AVG,
+// which sums in float64, and not SUM.
 var nullAggCols = []struct {
 	name, typ string
-	numeric   bool
+	sum, avg  bool
 }{
-	{"i", "INTEGER", true}, {"b", "BIGINT", true}, {"d", "DOUBLE", true},
-	{"dt", "DATE", false}, {"s", "VARCHAR", false}, {"o", "BOOLEAN", false},
+	{"i", "INTEGER", true, true}, {"b", "BIGINT", true, true}, {"d", "DOUBLE", true, true},
+	{"dt", "DATE", false, false}, {"s", "VARCHAR", false, false}, {"o", "BOOLEAN", false, false},
+	{"big", "BIGINT", false, true},
 }
 
 // nullAggRows fills three row groups. Group 1 is NULL in every column;
 // group 0 is NULL throughout the first row group and mixed after it, so a
 // morsel holds only NULLs of a group another morsel has values for; the
-// other groups are a third NULL. Sums stay exact in a DOUBLE, so every
-// order of adding them gives the same AVG.
+// other groups are a third NULL. Sums stay exact in a DOUBLE (big's values
+// are multiples of 2^40), so every order of adding them gives the same AVG.
 func nullAggRows() [][]types.Value {
 	rng := rand.New(rand.NewSource(36))
 	rows := make([][]types.Value, 2*colstore.BlockRows+100)
@@ -36,7 +39,8 @@ func nullAggRows() [][]types.Value {
 			types.NewFloat64(float64(rng.Intn(4001)-2000) / 4),
 			types.NewDate(int32(rng.Intn(20000))),
 			types.NewString([]string{"", "a", "ab", "b", "zz"}[rng.Intn(5)]),
-			types.NewBool(rng.Intn(2) == 0)}
+			types.NewBool(rng.Intn(2) == 0),
+			types.NewInt64(int64(3_600_000+rng.Intn(100_001)) << 40)}
 		for c := 1; c < len(row); c++ {
 			if g == 1 || (g == 0 && r < colstore.BlockRows) || rng.Intn(3) == 0 {
 				row[c] = types.NewNull(row[c].Kind)
@@ -52,8 +56,11 @@ func nullAggList() string {
 	var aggs []string
 	for _, c := range nullAggCols {
 		aggs = append(aggs, "MIN("+c.name+")", "MAX("+c.name+")")
-		if c.numeric {
-			aggs = append(aggs, "SUM("+c.name+")", "AVG("+c.name+")")
+		if c.sum {
+			aggs = append(aggs, "SUM("+c.name+")")
+		}
+		if c.avg {
+			aggs = append(aggs, "AVG("+c.name+")")
 		}
 		aggs = append(aggs, "COUNT("+c.name+")")
 	}
@@ -94,15 +101,22 @@ func nullAggModel(rows [][]types.Value, keep func(row []types.Value) bool) []str
 			lo, hi = types.NewNull(kind), types.NewNull(kind)
 		}
 		out = append(out, lo.String(), hi.String())
-		if c.numeric {
-			total, avg := types.NewNull(types.KindInt64), types.NewNull(types.KindFloat64)
+		if c.sum {
+			total := types.NewNull(types.KindInt64)
 			if n > 0 {
-				total, avg = types.NewInt64(int64(sum)), types.NewFloat64(sum/float64(n))
+				total = types.NewInt64(int64(sum))
 				if kind == types.KindFloat64 {
 					total = types.NewFloat64(sum)
 				}
 			}
-			out = append(out, total.String(), avg.String())
+			out = append(out, total.String())
+		}
+		if c.avg {
+			avg := types.NewNull(types.KindFloat64)
+			if n > 0 {
+				avg = types.NewFloat64(sum / float64(n))
+			}
+			out = append(out, avg.String())
 		}
 		out = append(out, fmt.Sprint(n))
 	}
@@ -112,8 +126,8 @@ func nullAggModel(rows [][]types.Value, keep func(row []types.Value) bool) []str
 // MIN, MAX, SUM, AVG and COUNT over NULLable columns of every kind return
 // what SQL defines, grouped and ungrouped, on both table structures, serial
 // and in parallel: all-NULL groups and inputs are NULL, an empty string is
-// a value, and a worker that saw only NULLs of a group does not hide the
-// values another worker saw.
+// a value, a worker that saw only NULLs of a group does not hide the values
+// another worker saw, and a parallel AVG sums in float64 as a serial one does.
 func TestAggregateNullableMatrix(t *testing.T) {
 	rows := nullAggRows()
 	db := Open()

@@ -61,5 +61,14 @@ func TestSumOverflowFails(t *testing.T) {
 		if res := mustExec(t, db, q); res.Rows[0][1].Int64() != 0 {
 			t.Fatalf("%s: %v", q, res.Rows)
 		}
+		// AVG sums in float64, so the values that overflow SUM average
+		// alike in a serial and a parallel plan.
+		for _, q := range []string{`SELECT AVG(a) FROM %s`, `SELECT g, AVG(a) FROM %s GROUP BY g ORDER BY g`} {
+			q := fmt.Sprintf(q, table)
+			serial, parallel := mustExec(t, db, q).Rows, mustExec(t, db, q+` WITH (PARALLEL=2)`).Rows
+			if fmt.Sprint(serial) != fmt.Sprint(parallel) {
+				t.Fatalf("%s: %v serial, %v in parallel", q, serial, parallel)
+			}
+		}
 	}
 }

@@ -22,6 +22,7 @@ const (
 	AggMin
 	AggMax
 	AggAvg
+	AggSumFloat // SUM in float64 over any numeric kind: a parallel AVG's partial sum
 )
 
 // String names the aggregate.
@@ -37,6 +38,8 @@ func (f AggFn) String() string {
 		return "max"
 	case AggAvg:
 		return "avg"
+	case AggSumFloat:
+		return "sum_float"
 	default:
 		return "agg?"
 	}
@@ -52,7 +55,8 @@ type AggSpec struct {
 	Ind int
 }
 
-// WithInd returns a skipping the rows where column ind is true.
+// WithInd returns a skipping the rows where column ind is true; a negative
+// ind skips none.
 func (a AggSpec) WithInd(ind int) AggSpec {
 	a.Ind = ind + 1
 	return a
@@ -69,7 +73,7 @@ func (a AggSpec) ResultKind(in []types.Kind) (types.Kind, error) {
 	switch a.Fn {
 	case AggCount:
 		return types.KindInt64, nil
-	case AggAvg:
+	case AggAvg, AggSumFloat:
 		return types.KindFloat64, nil
 	case AggSum:
 		switch in[a.Col] {
@@ -236,7 +240,7 @@ func (h *HashAgg) Next() (*vec.Batch, error) {
 		switch st.spec.Fn {
 		case AggCount:
 			copy(ov.I64, st.cnt[lo:hi])
-		case AggSum:
+		case AggSum, AggSumFloat:
 			if st.kind == types.KindInt64 {
 				copy(ov.I64, st.sumI[lo:hi])
 			} else {
@@ -448,7 +452,7 @@ func (h *HashAgg) ensureGroups(n int) {
 		switch st.spec.Fn {
 		case AggCount:
 			st.cnt = growZero(st.cnt, n)
-		case AggSum:
+		case AggSum, AggSumFloat:
 			if st.kind == types.KindInt64 {
 				st.sumI = growZero(st.sumI, n)
 			} else {
@@ -524,8 +528,10 @@ func (h *HashAgg) fold(groups []int32, b *vec.Batch) error {
 			if err != nil {
 				return fmt.Errorf("exec: %v: %w", st.spec.Fn, err)
 			}
-		case AggAvg:
-			countInto(st.cnt, groups, sel, n)
+		case AggAvg, AggSumFloat:
+			if st.spec.Fn == AggAvg {
+				countInto(st.cnt, groups, sel, n)
+			}
 			switch st.inK {
 			case types.KindInt32:
 				sumFloatInto(st.sumF, groups, v.I32, sel, n)

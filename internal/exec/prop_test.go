@@ -210,7 +210,7 @@ func TestHashAggEqualsMapModel(t *testing.T) {
 		aggs = append(aggs, AggSpec{Fn: AggMin, Col: c}, AggSpec{Fn: AggMax, Col: c})
 		switch kinds[c] {
 		case types.KindInt32, types.KindInt64, types.KindFloat64:
-			aggs = append(aggs, AggSpec{Fn: AggSum, Col: c}, AggSpec{Fn: AggAvg, Col: c})
+			aggs = append(aggs, AggSpec{Fn: AggSum, Col: c}, AggSpec{Fn: AggAvg, Col: c}, AggSpec{Fn: AggSumFloat, Col: c})
 		}
 	}
 	const nRows = 3000
@@ -285,6 +285,8 @@ func TestHashAggEqualsMapModel(t *testing.T) {
 						}
 					case AggAvg:
 						out = append(out, types.NewFloat64(m.sumF[a.Col]/float64(m.count)))
+					case AggSumFloat:
+						out = append(out, types.NewFloat64(m.sumF[a.Col]))
 					}
 				}
 				want[fmt.Sprint(out)] = true
@@ -362,7 +364,7 @@ func TestScalarAggEqualsOneGroup(t *testing.T) {
 		aggs = append(aggs, AggSpec{Fn: AggMin, Col: c}, AggSpec{Fn: AggMax, Col: c})
 		switch kinds[c] {
 		case types.KindInt32, types.KindInt64, types.KindFloat64:
-			aggs = append(aggs, AggSpec{Fn: AggSum, Col: c}, AggSpec{Fn: AggAvg, Col: c})
+			aggs = append(aggs, AggSpec{Fn: AggSum, Col: c}, AggSpec{Fn: AggAvg, Col: c}, AggSpec{Fn: AggSumFloat, Col: c})
 		}
 	}
 	for seed := int64(0); seed < 30; seed++ {

@@ -317,7 +317,7 @@ func (a *HashAgg) Schema() *types.Schema {
 		switch sp.Fn {
 		case exec.AggCount:
 			t = types.Int64
-		case exec.AggAvg:
+		case exec.AggAvg, exec.AggSumFloat:
 			t = types.Float64
 			t.Nullable = in.Cols[sp.Col].Type.Nullable
 		case exec.AggSum:

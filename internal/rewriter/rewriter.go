@@ -206,19 +206,22 @@ func (pc *parCtx) parallelizeAgg(agg *physical.HashAgg) physical.Node {
 	// each indicator (or none) has one partial count of the rows it lets
 	// through, which is a COUNT's partial, an AVG's divisor, and the mask of
 	// a MIN or MAX. A worker that folded none of a group's rows into a MIN or
-	// MAX emits the unseen zero value, and its count, 0, hides it. That
-	// covers the one row an ungrouped partial emits over an empty partition.
+	// MAX emits the unseen zero value, and its count, 0, hides it. A grouped
+	// partial emits a group only after folding one of its rows, so only a
+	// MIN or MAX that skips rows needs the mask there; an ungrouped partial
+	// emits its one row over an empty partition too, so there every MIN and
+	// MAX takes it. AVG sums in float64, as the serial AVG does.
 	var partials []exec.AggSpec
 	addPartial := func(a exec.AggSpec) int {
 		partials = append(partials, a)
 		return base + len(partials) - 1
 	}
-	counts := map[int]int{} // AggSpec.Ind → its partial count
+	counts := map[int]int{} // indicator column (-1: none) → its partial count
 	countOf := func(a exec.AggSpec) int {
-		c, ok := counts[a.Ind]
+		c, ok := counts[a.IndCol()]
 		if !ok {
-			c = addPartial(exec.AggSpec{Fn: exec.AggCount, Col: -1, Ind: a.Ind})
-			counts[a.Ind] = c
+			c = addPartial(exec.AggSpec{Fn: exec.AggCount, Col: -1}.WithInd(a.IndCol()))
+			counts[a.IndCol()] = c
 		}
 		return c
 	}
@@ -231,9 +234,14 @@ func (pc *parCtx) parallelizeAgg(agg *physical.HashAgg) physical.Node {
 		case exec.AggSum:
 			splits[i] = split{addPartial(a), -1}
 		case exec.AggMin, exec.AggMax:
-			splits[i] = split{addPartial(a), countOf(a)}
+			splits[i] = split{addPartial(a), -1}
+			if a.IndCol() >= 0 || base == 0 {
+				splits[i].cnt = countOf(a)
+			}
 		case exec.AggAvg:
-			splits[i] = split{addPartial(exec.AggSpec{Fn: exec.AggSum, Col: a.Col, Ind: a.Ind}), countOf(a)}
+			sum := a
+			sum.Fn = exec.AggSumFloat
+			splits[i] = split{addPartial(sum), countOf(a)}
 		default:
 			return agg // unknown aggregate: stay serial
 		}
@@ -254,7 +262,7 @@ func (pc *parCtx) parallelizeAgg(agg *physical.HashAgg) physical.Node {
 	for i, c := range merged.Schema().Cols {
 		pass.Exprs, pass.Names = append(pass.Exprs, expr.Col(i, c.Name, c.Type)), append(pass.Names, c.Name)
 	}
-	empty := map[int]int{} // partial count → its "= 0" column
+	empty := map[int]int{-1: -1} // partial count → its "= 0" column; no count, no mask
 	for i, a := range agg.Aggs {
 		c := splits[i].cnt
 		if _, ok := empty[c]; ok || (a.Fn != exec.AggMin && a.Fn != exec.AggMax) {
@@ -264,7 +272,7 @@ func (pc *parCtx) parallelizeAgg(agg *physical.HashAgg) physical.Node {
 		pass.Exprs = append(pass.Exprs, expr.NewCall("=", expr.Col(c, names[c], types.Int64), expr.CInt(0)))
 		pass.Names = append(pass.Names, fmt.Sprintf("$e%d", c))
 	}
-	if len(empty) > 0 {
+	if len(empty) > 1 {
 		merged = pass
 	}
 	// Final aggregate regroups by the partial group outputs; AVG sums its
