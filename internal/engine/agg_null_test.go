@@ -10,8 +10,9 @@ import (
 	"vectorwise/internal/types"
 )
 
-// nullAggCols are the NULLable columns of the aggregate matrix after the
-// group column g; SUM and AVG take only the numeric ones. The BIGINTs of
+// nullAggCols are the columns of the aggregate matrix after the group
+// column g: NULLable ones, then NOT NULL ones, which an empty input makes
+// NULL all the same. SUM and AVG take only the numeric ones. The BIGINTs of
 // big lie near 4e18, so two of them overflow an integer SUM: big takes AVG,
 // which sums in float64, and not SUM.
 var nullAggCols = []struct {
@@ -21,6 +22,8 @@ var nullAggCols = []struct {
 	{"i", "INTEGER", true, true}, {"b", "BIGINT", true, true}, {"d", "DOUBLE", true, true},
 	{"dt", "DATE", false, false}, {"s", "VARCHAR", false, false}, {"o", "BOOLEAN", false, false},
 	{"big", "BIGINT", false, true},
+	{"ni", "INTEGER NOT NULL", true, true}, {"nb", "BIGINT NOT NULL", true, true},
+	{"nd", "DOUBLE NOT NULL", true, true}, {"ns", "VARCHAR NOT NULL", false, false},
 }
 
 // nullAggRows fills three row groups. Group 1 is NULL in every column;
@@ -40,8 +43,15 @@ func nullAggRows() [][]types.Value {
 			types.NewDate(int32(rng.Intn(20000))),
 			types.NewString([]string{"", "a", "ab", "b", "zz"}[rng.Intn(5)]),
 			types.NewBool(rng.Intn(2) == 0),
-			types.NewInt64(int64(3_600_000+rng.Intn(100_001)) << 40)}
+			types.NewInt64(int64(3_600_000+rng.Intn(100_001)) << 40),
+			types.NewInt32(int32(rng.Intn(2001) - 1000)),
+			types.NewInt64(int64(rng.Intn(2001)-1000) * 10_000_000),
+			types.NewFloat64(float64(rng.Intn(4001)-2000) / 4),
+			types.NewString([]string{"", "a", "ab", "b", "zz"}[rng.Intn(5)])}
 		for c := 1; c < len(row); c++ {
+			if strings.HasSuffix(nullAggCols[c-1].typ, "NOT NULL") {
+				continue
+			}
 			if g == 1 || (g == 0 && r < colstore.BlockRows) || rng.Intn(3) == 0 {
 				row[c] = types.NewNull(row[c].Kind)
 			}
@@ -125,9 +135,10 @@ func nullAggModel(rows [][]types.Value, keep func(row []types.Value) bool) []str
 
 // MIN, MAX, SUM, AVG and COUNT over NULLable columns of every kind return
 // what SQL defines, grouped and ungrouped, on both table structures, serial
-// and in parallel: all-NULL groups and inputs are NULL, an empty string is
-// a value, a worker that saw only NULLs of a group does not hide the values
-// another worker saw, and a parallel AVG sums in float64 as a serial one does.
+// and in parallel: all-NULL groups and inputs are NULL, an empty input is
+// NULL over NOT NULL columns too, an empty string is a value, a worker that
+// saw only NULLs of a group does not hide the values another worker saw, and
+// a parallel AVG sums in float64 as a serial one does.
 func TestAggregateNullableMatrix(t *testing.T) {
 	rows := nullAggRows()
 	db := Open()

@@ -7,6 +7,9 @@ import (
 	"testing"
 
 	"vectorwise/internal/colstore"
+	"vectorwise/internal/expr"
+	"vectorwise/internal/physical"
+	"vectorwise/internal/sql"
 	"vectorwise/internal/types"
 )
 
@@ -65,6 +68,7 @@ var goldenCorpus = []string{
 	`SELECT COUNT(*) FROM big WHERE s = 'b'`,
 	`SELECT COUNT(v) FROM big`,
 	`SELECT COUNT(*) FROM big`,
+	`SELECT COUNT(s) FROM big`,
 	`SELECT COUNT(n), MIN(k) FROM big WHERE n IS NULL`,
 	`SELECT k, v FROM hp WHERE k > 1`,
 	`SELECT name, value FROM sys.metrics WHERE value > 0`,
@@ -87,7 +91,8 @@ var goldenCorpus = []string{
 }
 
 // explainGolden renders the corpus, each statement followed by its
-// EXPLAIN PHYSICAL text.
+// EXPLAIN PHYSICAL text, and checks that every plan computes in each of its
+// operators.
 func explainGolden(t *testing.T, db *DB) string {
 	t.Helper()
 	var b strings.Builder
@@ -95,6 +100,7 @@ func explainGolden(t *testing.T, db *DB) string {
 		b.WriteString("-- " + q + "\n")
 		b.WriteString(mustExec(t, db, "EXPLAIN PHYSICAL "+q).Text)
 		b.WriteString("\n")
+		checkComputes(t, q, physicalPlan(t, db, q), true, true)
 	}
 	for _, q := range goldenCorpus {
 		emit(q)
@@ -123,5 +129,85 @@ func TestExplainPhysicalGolden(t *testing.T) {
 			}
 		}
 		t.Fatalf("%s: %d lines, want %d; full output:\n%s", path, len(gl), len(wl), got)
+	}
+}
+
+// physicalPlan compiles q as EXPLAIN PHYSICAL does and returns its plan.
+func physicalPlan(t *testing.T, db *DB, q string) physical.Node {
+	t.Helper()
+	st, err := sql.Parse(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	match := func(table string, where sql.ExprNode, set []sql.SetClause) (*compiled, error) {
+		e, err := db.entry(table)
+		if err != nil {
+			return nil, err
+		}
+		m, err := db.compileMatch(e, where, set)
+		if err != nil {
+			return nil, err
+		}
+		return m.compiled, nil
+	}
+	var c *compiled
+	switch s := st.(type) {
+	case *sql.SelectStmt:
+		c, err = db.compileSelect(s)
+	case *sql.UpdateStmt:
+		c, err = match(s.Table, s.Where, s.Set)
+	case *sql.DeleteStmt:
+		c, err = match(s.Table, s.Where, nil)
+	default:
+		t.Fatalf("%s: not a query", q)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c.phys
+}
+
+// checkComputes fails on an operator of q's plan that computes nothing: a
+// Select right over a Select, or, below the root's spine (the Selects,
+// Sorts, TopNs, Limits and order-preserving merges down to the first
+// Project), a Project that nothing reads or that passes all of its child's
+// columns through. read tells whether n's parent reads any column of n.
+func checkComputes(t *testing.T, q string, n physical.Node, spine, read bool) {
+	t.Helper()
+	reads := func(es ...expr.Expr) bool {
+		for _, e := range es {
+			if len(expr.Cols(e)) > 0 {
+				return true
+			}
+		}
+		return false
+	}
+	below, belowRead := false, true
+	switch x := n.(type) {
+	case *physical.Select:
+		if _, ok := x.Child.(*physical.Select); ok {
+			t.Errorf("%s: %s sits on %s", q, x.Line(), x.Child.Line())
+		}
+		below, belowRead = spine, read || reads(x.Pred)
+	case *physical.Limit:
+		below, belowRead = spine, read
+	case *physical.Sort, *physical.TopN, *physical.XchgMerge:
+		below = spine
+	case *physical.Project:
+		if !spine && !read {
+			t.Errorf("%s: nothing reads %s", q, x.Line())
+		}
+		if !spine && x.PassesThrough() {
+			t.Errorf("%s: %s passes its child's columns through", q, x.Line())
+		}
+		belowRead = reads(x.Exprs...)
+	case *physical.HashAgg:
+		belowRead = len(x.GroupCols) > 0
+		for _, a := range x.Aggs {
+			belowRead = belowRead || a.Col >= 0 || a.IndCol() >= 0
+		}
+	}
+	for _, c := range n.Children() {
+		checkComputes(t, q, c, below, belowRead)
 	}
 }

@@ -271,6 +271,25 @@ func (p *Project) Schema() *types.Schema {
 	return s
 }
 
+// PassesThrough reports whether p computes nothing: its expressions are
+// column references only, and together they name every column of its child.
+func (p *Project) PassesThrough() bool {
+	for _, e := range p.Exprs {
+		if _, ok := e.(*expr.ColRef); !ok {
+			return false
+		}
+	}
+	seen := make([]bool, p.Child.Schema().Len())
+	n := 0
+	for _, e := range p.Exprs {
+		if c := e.(*expr.ColRef).Idx; !seen[c] {
+			seen[c] = true
+			n++
+		}
+	}
+	return n == len(seen)
+}
+
 // Children implements Node.
 func (p *Project) Children() []Node { return []Node{p.Child} }
 

@@ -111,36 +111,16 @@ func decompose(n physical.Node) (physical.Node, ColMap, error) {
 		if err != nil {
 			return nil, ColMap{}, err
 		}
-		var exprs []expr.Expr
-		var names []string
-		outMap := ColMap{}
-		var indExprs []expr.Expr
-		var indNames []string
+		b := newSplitProject(len(t.Exprs))
 		for i, e := range t.Exprs {
 			val, ind, err := expr.SplitNulls(e, cm.Val, cm.Ind)
 			if err != nil {
 				return nil, ColMap{}, err
 			}
-			outMap.Val = append(outMap.Val, len(exprs))
-			exprs = append(exprs, val)
-			names = append(names, t.Names[i])
-			if expr.IsFalse(ind) {
-				outMap.Ind = append(outMap.Ind, -1)
-			} else {
-				outMap.Ind = append(outMap.Ind, -2-len(indExprs)) // patched below
-				indExprs = append(indExprs, ind)
-				indNames = append(indNames, t.Names[i]+"$null")
-			}
+			b.add(t.Names[i], val, ind)
 		}
-		base := len(exprs)
-		for i := range outMap.Ind {
-			if outMap.Ind[i] < -1 {
-				outMap.Ind[i] = base + (-outMap.Ind[i] - 2)
-			}
-		}
-		exprs = append(exprs, indExprs...)
-		names = append(names, indNames...)
-		return &physical.Project{Child: child, Exprs: exprs, Names: names}, outMap, nil
+		out, outMap := b.over(child)
+		return out, outMap, nil
 
 	case *physical.HashAgg:
 		return decomposeAgg(t)
@@ -189,12 +169,55 @@ func decompose(n physical.Node) (physical.Node, ColMap, error) {
 
 // --- aggregates ---
 
+// splitProject builds a decomposed projection in the layout every node
+// keeps: the values in logical order, then the indicators of the NULLable
+// ones in the same order.
+type splitProject struct {
+	exprs, inds     []expr.Expr
+	names, indNames []string
+	cm              ColMap // Ind counts from the first indicator until over
+}
+
+// newSplitProject sizes a projection of n logical columns, so that neither
+// the values nor the indicators that follow them grow it.
+func newSplitProject(n int) *splitProject {
+	cols := make([]int, 2*n)
+	return &splitProject{exprs: make([]expr.Expr, 0, 2*n), names: make([]string, 0, 2*n),
+		cm: ColMap{Val: cols[:0:n], Ind: cols[n:n]}}
+}
+
+// add appends a logical column; a nil or constant-FALSE indicator means it
+// is never NULL.
+func (b *splitProject) add(name string, val, ind expr.Expr) {
+	b.cm.Val = append(b.cm.Val, len(b.exprs))
+	b.exprs, b.names = append(b.exprs, val), append(b.names, name)
+	if ind == nil || expr.IsFalse(ind) {
+		b.cm.Ind = append(b.cm.Ind, -1)
+		return
+	}
+	b.cm.Ind = append(b.cm.Ind, len(b.inds))
+	b.inds, b.indNames = append(b.inds, ind), append(b.indNames, name+"$null")
+}
+
+// over returns the projection over child and its ColMap.
+func (b *splitProject) over(child physical.Node) (*physical.Project, ColMap) {
+	for i, p := range b.cm.Ind {
+		if p >= 0 {
+			b.cm.Ind[i] = len(b.exprs) + p
+		}
+	}
+	return &physical.Project{Child: child, Exprs: append(b.exprs, b.inds...),
+		Names: append(b.names, b.indNames...)}, b.cm
+}
+
 // decomposeAgg aggregates the decomposed child's columns directly. A
 // NULLable group column groups by its value and its indicator, so NULL
 // keys form one group of their own. An aggregate over a NULLable column
 // reads the value column and skips the rows its indicator marks; its result
 // is NULL where its group has no non-NULL row, which one COUNT per such
-// column, shared by its aggregates, tells.
+// column, shared by its aggregates, tells. Without group columns the one
+// group exists over an empty input too, so there every aggregate but COUNT
+// is NULL where the COUNT of the rows it reads is 0.
 func decomposeAgg(t *physical.HashAgg) (physical.Node, ColMap, error) {
 	child, cm, err := decompose(t.Child)
 	if err != nil {
@@ -212,33 +235,35 @@ func decomposeAgg(t *physical.HashAgg) (physical.Node, ColMap, error) {
 		}
 	}
 	var aggs []exec.AggSpec
-	addAgg := func(a exec.AggSpec) int {
-		aggs = append(aggs, a)
-		return len(aggs) - 1
+	indOf := func(col int) int { // a logical input's indicator, or -1
+		if col < 0 {
+			return -1
+		}
+		return cm.Ind[col]
 	}
-	nonNull := map[int]int{} // logical column → its non-NULL count
-	nonNullCount := func(col int) int {
-		idx, ok := nonNull[col]
+	counts := map[int]int{} // indicator column (-1: none) → the count of rows it lets through
+	countOf := func(ind int) int {
+		idx, ok := counts[ind]
 		if !ok {
-			idx = addAgg(exec.AggSpec{Fn: exec.AggCount, Col: -1}.WithInd(cm.Ind[col]))
-			nonNull[col] = idx
+			idx = len(aggs)
+			aggs = append(aggs, exec.AggSpec{Fn: exec.AggCount, Col: -1}.WithInd(ind))
+			counts[ind] = idx
 		}
 		return idx
 	}
 	outPos := make([]int, len(t.Aggs))
-	nullFrom := make([]int, len(t.Aggs)) // the non-NULL count deciding NULL, or -1
+	nullFrom := make([]int, len(t.Aggs)) // the count deciding NULL, or -1
 	for ai, a := range t.Aggs {
+		ind := indOf(a.Col)
 		nullFrom[ai] = -1
-		switch {
-		case a.Fn == exec.AggCount && (a.Col < 0 || cm.Ind[a.Col] < 0):
-			outPos[ai] = addAgg(exec.AggSpec{Fn: exec.AggCount, Col: -1})
-		case a.Fn == exec.AggCount:
-			outPos[ai] = nonNullCount(a.Col)
-		case cm.Ind[a.Col] < 0:
-			outPos[ai] = addAgg(exec.AggSpec{Fn: a.Fn, Col: cm.Val[a.Col]})
-		default:
-			outPos[ai] = addAgg(exec.AggSpec{Fn: a.Fn, Col: cm.Val[a.Col]}.WithInd(cm.Ind[a.Col]))
-			nullFrom[ai] = nonNullCount(a.Col)
+		if a.Fn == exec.AggCount {
+			outPos[ai] = countOf(ind)
+			continue
+		}
+		outPos[ai] = len(aggs)
+		aggs = append(aggs, exec.AggSpec{Fn: a.Fn, Col: cm.Val[a.Col]}.WithInd(ind))
+		if ind >= 0 || len(groupCols) == 0 {
+			nullFrom[ai] = countOf(ind)
 		}
 	}
 	aggNames := make([]string, len(groupCols)+len(aggs))
@@ -251,56 +276,24 @@ func decomposeAgg(t *physical.HashAgg) (physical.Node, ColMap, error) {
 		c := aggSchema.Cols[idx]
 		return expr.Col(idx, c.Name, c.Type.NotNull())
 	}
-	// Post-projection: group outputs in logical order, then aggregate
-	// values, then indicators.
-	var post []expr.Expr
-	var postNames []string
-	finalMap := ColMap{}
-	var inds []expr.Expr
-	var indNames []string
-	pushOut := func(val expr.Expr, ind expr.Expr, name string) {
-		finalMap.Val = append(finalMap.Val, len(post))
-		post = append(post, val)
-		postNames = append(postNames, name)
-		if ind == nil {
-			finalMap.Ind = append(finalMap.Ind, -1)
-		} else {
-			finalMap.Ind = append(finalMap.Ind, -2-len(inds))
-			inds = append(inds, ind)
-			indNames = append(indNames, name+"$null")
-		}
-	}
+	// Post-projection: group outputs in logical order, then aggregates.
+	b := newSplitProject(len(t.Names))
 	for i := range t.GroupCols {
 		var ind expr.Expr
 		if keys.Ind[i] >= 0 {
 			ind = aggColE(keys.Ind[i])
 		}
-		pushOut(aggColE(keys.Val[i]), ind, t.Names[i])
+		b.add(t.Names[i], aggColE(keys.Val[i]), ind)
 	}
 	for ai := range t.Aggs {
 		var ind expr.Expr
 		if nullFrom[ai] >= 0 {
 			ind = expr.NewCall("=", aggColE(len(groupCols)+nullFrom[ai]), expr.CInt(0))
 		}
-		pushOut(aggColE(len(groupCols)+outPos[ai]), ind, t.Names[len(t.GroupCols)+ai])
+		b.add(t.Names[len(t.GroupCols)+ai], aggColE(len(groupCols)+outPos[ai]), ind)
 	}
-	base := len(post)
-	for i := range finalMap.Ind {
-		if finalMap.Ind[i] < -1 {
-			finalMap.Ind[i] = base + (-finalMap.Ind[i] - 2)
-		}
-	}
-	post = append(post, inds...)
-	postNames = append(postNames, indNames...)
-	return &physical.Project{Child: aggNode, Exprs: post, Names: postNames}, finalMap, nil
-}
-
-func rangeInts(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
+	out, outMap := b.over(aggNode)
+	return out, outMap, nil
 }
 
 // --- joins (including the C10 anti-join intricacies) ---
@@ -399,47 +392,24 @@ func decomposeJoin(t *physical.HashJoin) (physical.Node, ColMap, error) {
 			return expr.Col(idx, c.Name, c.Type.NotNull())
 		}
 		notMatch := expr.NewCall("not", jcolE(matchIdx))
-		var exprs []expr.Expr
-		var names []string
-		cm := ColMap{}
-		var inds []expr.Expr
-		var indNames []string
-		nlPhys := left.Schema().Len()
-		// Left columns pass through.
-		for i := range lcm.Val {
-			cm.Val = append(cm.Val, len(exprs))
-			exprs = append(exprs, jcolE(lcm.Val[i]))
-			names = append(names, fmt.Sprintf("l%d", i))
+		b := newSplitProject(len(lcm.Val) + len(rcm.Val))
+		for i := range lcm.Val { // left columns pass through
+			var ind expr.Expr
 			if lcm.Ind[i] >= 0 {
-				cm.Ind = append(cm.Ind, -2-len(inds))
-				inds = append(inds, jcolE(lcm.Ind[i]))
-				indNames = append(indNames, fmt.Sprintf("l%d$null", i))
-			} else {
-				cm.Ind = append(cm.Ind, -1)
+				ind = jcolE(lcm.Ind[i])
 			}
+			b.add(fmt.Sprintf("l%d", i), jcolE(lcm.Val[i]), ind)
 		}
-		// Right columns: indicator = own indicator OR NOT matched.
-		for j := range rcm.Val {
-			cm.Val = append(cm.Val, len(exprs))
-			exprs = append(exprs, jcolE(nlPhys+rcm.Val[j]))
-			names = append(names, fmt.Sprintf("r%d", j))
+		nlPhys := left.Schema().Len()
+		for j := range rcm.Val { // right columns: own indicator OR NOT matched
 			var ind expr.Expr = notMatch
 			if rcm.Ind[j] >= 0 {
 				ind = expr.NewCall("or", jcolE(nlPhys+rcm.Ind[j]), notMatch)
 			}
-			cm.Ind = append(cm.Ind, -2-len(inds))
-			inds = append(inds, ind)
-			indNames = append(indNames, fmt.Sprintf("r%d$null", j))
+			b.add(fmt.Sprintf("r%d", j), jcolE(nlPhys+rcm.Val[j]), ind)
 		}
-		base := len(exprs)
-		for i := range cm.Ind {
-			if cm.Ind[i] < -1 {
-				cm.Ind[i] = base + (-cm.Ind[i] - 2)
-			}
-		}
-		exprs = append(exprs, inds...)
-		names = append(names, indNames...)
-		return &physical.Project{Child: hj, Exprs: exprs, Names: names}, cm, nil
+		out, cm := b.over(hj)
+		return out, cm, nil
 	}
 	return nil, ColMap{}, fmt.Errorf("rewriter: join kind %v", t.Type)
 }

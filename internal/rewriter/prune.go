@@ -20,14 +20,23 @@ import (
 // a node's output columns its ancestors read; coming back up each node is
 // rebuilt over its narrowed children with every positional reference
 // rewritten through the child's old→new position map. Scans, Projects and
-// joins narrow; every other node keeps all its outputs. The root needs all
-// of its columns, so the plan's output layout (and its ColMap) is
-// unchanged. Running the pass on its own output changes nothing.
+// joins narrow; every other node keeps all its outputs. On the way up the
+// plan also loses the operators that compute nothing: a Project nothing
+// reads, or one that only passes all of its child's columns through, gives
+// way to its child (the map sends each reference to the column it names),
+// and a Select over a Select becomes one Select whose conjunction runs the
+// upper predicate on the lower one's survivors, as the two did. The root
+// needs all of its columns, and its spine keeps its layout and names: the
+// Selects, Sorts, TopNs and Limits, and the inputs a join emits, down to the
+// first Project, which stays. So the plan's output schema (and its ColMap)
+// is unchanged. The children of a node kind the pass does not know keep
+// their layout the same way. Running the pass on its own output changes
+// nothing.
 
 // pruneDecomposed narrows a decomposed plan, its scans included, to the
 // columns read.
 func pruneDecomposed(n physical.Node) physical.Node {
-	out, _ := pruneNode(n, allOf(n))
+	out, _ := pruneNode(n, allOf(n), true)
 	return out
 }
 
@@ -42,8 +51,9 @@ func allOf(n physical.Node) []bool {
 
 // pruneNode rebuilds n to produce at least the columns in need and returns
 // the rebuilt node with the map from n's output positions to the new node's
-// (-1 for a dropped column).
-func pruneNode(n physical.Node, need []bool) (physical.Node, []int) {
+// (-1 for a dropped column). With keep, n is on a spine: its layout stays
+// as it is.
+func pruneNode(n physical.Node, need []bool, keep bool) (physical.Node, []int) {
 	switch t := n.(type) {
 	case *physical.Scan:
 		return pruneScanOut(t, need)
@@ -51,35 +61,41 @@ func pruneNode(n physical.Node, need []bool) (physical.Node, []int) {
 	case *physical.Select:
 		childNeed := append([]bool(nil), need...)
 		markCols(childNeed, t.Pred)
-		child, m := pruneNode(t.Child, childNeed)
-		return &physical.Select{Child: child, Pred: expr.MapCols(t.Pred, m)}, m
+		child, m := pruneNode(t.Child, childNeed, keep)
+		pred := expr.MapCols(t.Pred, m)
+		if s, ok := child.(*physical.Select); ok {
+			return &physical.Select{Child: s.Child, Pred: expr.And(s.Pred, pred)}, m
+		}
+		return &physical.Select{Child: child, Pred: pred}, m
 
 	case *physical.Project:
-		keep := need
-		if !anyOf(keep) && len(keep) > 0 {
-			// Unread, but keep one: a zero-width projection only runs where
-			// the binder made one (under COUNT(*)).
-			keep = make([]bool, len(need))
-			keep[0] = true
-		}
 		childNeed := make([]bool, t.Child.Schema().Len())
 		for i, e := range t.Exprs {
-			if keep[i] {
+			if need[i] {
 				markCols(childNeed, e)
 			}
 		}
-		child, cm := pruneNode(t.Child, childNeed)
-		out := &physical.Project{Child: child}
+		child, cm := pruneNode(t.Child, childNeed, false)
+		out := &physical.Project{Child: child,
+			Exprs: make([]expr.Expr, 0, len(t.Exprs)), Names: make([]string, 0, len(t.Exprs))}
 		m := make([]int, len(t.Exprs))
 		for i, e := range t.Exprs {
 			m[i] = -1
-			if keep[i] {
+			if need[i] {
 				m[i] = len(out.Exprs)
 				out.Exprs = append(out.Exprs, expr.MapCols(e, cm))
 				out.Names = append(out.Names, t.Names[i])
 			}
 		}
-		return out, m
+		if keep || (len(out.Exprs) > 0 && !out.PassesThrough()) {
+			return out, m
+		}
+		for i, p := range m {
+			if p >= 0 {
+				m[i] = out.Exprs[p].(*expr.ColRef).Idx
+			}
+		}
+		return child, m
 
 	case *physical.HashAgg:
 		childNeed := make([]bool, t.Child.Schema().Len())
@@ -94,12 +110,9 @@ func pruneNode(n physical.Node, need []bool) (physical.Node, []int) {
 				childNeed[c] = true
 			}
 		}
-		child, m := pruneNode(t.Child, childNeed)
+		child, m := pruneNode(t.Child, childNeed, false)
 		out := &physical.HashAgg{Child: child, Names: t.Names,
-			GroupCols: make([]int, len(t.GroupCols)), Aggs: make([]exec.AggSpec, len(t.Aggs))}
-		for i, g := range t.GroupCols {
-			out.GroupCols[i] = m[g]
-		}
+			GroupCols: remapInts(t.GroupCols, m), Aggs: make([]exec.AggSpec, len(t.Aggs))}
 		for i, a := range t.Aggs {
 			if a.Col >= 0 {
 				a.Col = m[a.Col]
@@ -112,18 +125,18 @@ func pruneNode(n physical.Node, need []bool) (physical.Node, []int) {
 		return out, identity(len(need))
 
 	case *physical.HashJoin:
-		return pruneHashJoin(t, need)
+		return pruneHashJoin(t, need, keep)
 
 	case *physical.Sort:
-		child, keys, m := pruneSorted(t.Child, t.Keys, need)
+		child, keys, m := pruneSorted(t.Child, t.Keys, need, keep)
 		return &physical.Sort{Child: child, Keys: keys}, m
 
 	case *physical.TopN:
-		child, keys, m := pruneSorted(t.Child, t.Keys, need)
+		child, keys, m := pruneSorted(t.Child, t.Keys, need, keep)
 		return &physical.TopN{Child: child, Keys: keys, N: t.N}, m
 
 	case *physical.Limit:
-		child, m := pruneNode(t.Child, need)
+		child, m := pruneNode(t.Child, need, keep)
 		return &physical.Limit{Child: child, Offset: t.Offset, N: t.N}, m
 	}
 	// Values and any other node keep their children whole, which
@@ -131,7 +144,7 @@ func pruneNode(n physical.Node, need []bool) (physical.Node, []int) {
 	ch := n.Children()
 	newCh := make([]physical.Node, len(ch))
 	for i, c := range ch {
-		newCh[i], _ = pruneNode(c, allOf(c))
+		newCh[i], _ = pruneNode(c, allOf(c), true)
 	}
 	return n.WithChildren(newCh), identity(len(need))
 }
@@ -190,7 +203,7 @@ func cheapestColumn(s *types.Schema) int {
 
 // pruneHashJoin splits need and the join's key and NULL-key columns between
 // the inputs and rebuilds the join over their narrowed outputs.
-func pruneHashJoin(t *physical.HashJoin, need []bool) (physical.Node, []int) {
+func pruneHashJoin(t *physical.HashJoin, need []bool, keep bool) (physical.Node, []int) {
 	nl, nr := t.Left.Schema().Len(), t.Right.Schema().Len()
 	emitsRight := t.Type == exec.Inner || t.Type == exec.LeftOuter
 	ln, rn := make([]bool, nl), make([]bool, nr)
@@ -210,8 +223,8 @@ func pruneHashJoin(t *physical.HashJoin, need []bool) (physical.Node, []int) {
 	if t.RightKeyNull >= 0 {
 		rn[t.RightKeyNull] = true
 	}
-	left, lm := pruneNode(t.Left, ln)
-	right, rm := pruneNode(t.Right, rn)
+	left, lm := pruneNode(t.Left, ln, keep)
+	right, rm := pruneNode(t.Right, rn, keep && emitsRight)
 	out := *t
 	out.Left, out.Right = left, right
 	out.LeftKeys, out.RightKeys = remapInts(t.LeftKeys, lm), remapInts(t.RightKeys, rm)
@@ -271,12 +284,12 @@ func remapInts(cols []int, m []int) []int {
 
 // pruneSorted prunes the child of a Sort or TopN, which also reads the
 // keys, and remaps the keys.
-func pruneSorted(child physical.Node, keys []exec.SortKey, need []bool) (physical.Node, []exec.SortKey, []int) {
+func pruneSorted(child physical.Node, keys []exec.SortKey, need []bool, keep bool) (physical.Node, []exec.SortKey, []int) {
 	childNeed := append([]bool(nil), need...)
 	for _, k := range keys {
 		childNeed[k.Col] = true
 	}
-	child, m := pruneNode(child, childNeed)
+	child, m := pruneNode(child, childNeed, keep)
 	out := make([]exec.SortKey, len(keys))
 	for i, k := range keys {
 		out[i] = exec.SortKey{Col: m[k.Col], Desc: k.Desc}

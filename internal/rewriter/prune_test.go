@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -258,7 +259,11 @@ func colIDs(n physical.Node) []string {
 		}
 	case *physical.Project:
 		for _, e := range x.Exprs {
-			out = append(out, renderOver(e, in[0]))
+			if c, ok := e.(*expr.ColRef); ok {
+				out = append(out, idOf(in[0], c.Idx)) // a rename computes nothing
+			} else {
+				out = append(out, renderOver(e, in[0]))
+			}
 		}
 	case *physical.HashJoin:
 		out = append(out, in[0]...)
@@ -294,13 +299,43 @@ func idOf(ids []string, c int) string {
 
 // renderOver prints e with every column reference replaced by the id of the
 // input column it points at.
-func renderOver(e expr.Expr, ids []string) string {
+func renderOver(e expr.Expr, ids []string) string { return overIDs(e, ids).String() }
+
+func overIDs(e expr.Expr, ids []string) expr.Expr {
 	return expr.Rewrite(e, func(x expr.Expr) expr.Expr {
 		if c, ok := x.(*expr.ColRef); ok {
 			return &expr.ColRef{Idx: c.Idx, Name: "{" + idOf(ids, c.Idx) + "}", T: c.T}
 		}
 		return x
-	}).String()
+	})
+}
+
+// projection lists what p computes, one name=expression over its input's
+// ids per column.
+func projection(p *physical.Project) []string {
+	in := colIDs(p.Child)
+	out := make([]string, len(p.Names))
+	for i := range p.Names {
+		out[i] = p.Names[i] + "=" + renderOver(p.Exprs[i], in)
+	}
+	return out
+}
+
+// prunedFrom reports whether after is what pruning kept of the Project b:
+// a Project computing some of b's columns, in b's order.
+func prunedFrom(b *physical.Project, after physical.Node) bool {
+	a, ok := after.(*physical.Project)
+	return ok && isSubsequence(projection(a), projection(b))
+}
+
+// isSubset reports whether every entry of sub is among all's.
+func isSubset(sub, all []string) bool {
+	for _, s := range sub {
+		if !slices.Contains(all, s) {
+			return false
+		}
+	}
+	return true
 }
 
 // joinKeyIDs lists a join's key pairs and NULL-key indicators by id.
@@ -330,16 +365,63 @@ func isSubsequence(sub, all []string) bool {
 	return true
 }
 
-// checkSame walks the decomposed tree before and after pruning in step
-// (pruning keeps the tree's shape): every node computes a subsequence of
-// the columns it computed before, from the same inputs.
+// subtreeIDs lists the columns n and every node below it compute.
+func subtreeIDs(n physical.Node) []string {
+	out := colIDs(n)
+	for _, c := range n.Children() {
+		out = append(out, subtreeIDs(c)...)
+	}
+	return out
+}
+
+// checkSame walks the decomposed tree before and after pruning in step:
+// every node reads what it read before, by what its references point at,
+// and emits columns computed before. The pass drops the Projects that
+// compute nothing and merges a Select into the Select below it, so the walk
+// steps over a Project that has no pruned counterpart, and checks a merged
+// Select against the conjunction of the Selects it replaced, the lowest
+// first. A dropped Project may have reordered its input, and one nothing
+// read lets the columns below it show through the nodes above it, so a
+// node's columns need only be among those its subtree computed before.
 func checkSame(t *testing.T, before, after physical.Node) {
 	t.Helper()
+	for {
+		p, ok := before.(*physical.Project)
+		if !ok || prunedFrom(p, after) {
+			break
+		}
+		before = p.Child
+	}
 	if before.Op() != after.Op() {
 		t.Fatalf("%s became %s", before.Line(), after.Line())
 	}
-	if b, a := colIDs(before), colIDs(after); !isSubsequence(a, b) {
-		t.Errorf("%s: columns %q are not a subsequence of %q", after.Line(), a, b)
+	if b, a := subtreeIDs(before), colIDs(after); !isSubset(a, b) {
+		t.Errorf("%s: columns %q are not among %q", after.Line(), a, b)
+	}
+	if b, ok := before.(*physical.Select); ok {
+		a := after.(*physical.Select)
+		var preds []expr.Expr // the merged predicates, the top one first
+		var below physical.Node = b
+		for {
+			if p, ok := below.(*physical.Project); ok && !prunedFrom(p, a.Child) {
+				below = p.Child
+				continue
+			}
+			s, ok := below.(*physical.Select)
+			if !ok {
+				break
+			}
+			preds, below = append(preds, overIDs(s.Pred, colIDs(s.Child))), s.Child
+		}
+		want := preds[len(preds)-1]
+		for i := len(preds) - 2; i >= 0; i-- {
+			want = expr.And(want, preds[i])
+		}
+		if got := renderOver(a.Pred, colIDs(a.Child)); got != want.String() {
+			t.Errorf("%s: predicate %s, want %s", a.Line(), got, want)
+		}
+		checkSame(t, below, a.Child)
+		return
 	}
 	bc, ac := before.Children(), after.Children()
 	if len(bc) != len(ac) {
@@ -362,20 +444,8 @@ func checkSame(t *testing.T, before, after physical.Node) {
 		if a.Spec != b.Spec {
 			t.Errorf("scan spec replaced: %s -> %s", b.Line(), a.Line())
 		}
-	case *physical.Select:
-		bs, as = []string{renderOver(b.Pred, bin[0])}, []string{renderOver(after.(*physical.Select).Pred, ain[0])}
 	case *physical.Project:
-		a := after.(*physical.Project)
-		for i := range a.Names {
-			as = append(as, a.Names[i]+"="+renderOver(a.Exprs[i], ain[0]))
-		}
-		for i := range b.Names {
-			bs = append(bs, b.Names[i]+"="+renderOver(b.Exprs[i], bin[0]))
-		}
-		if !isSubsequence(as, bs) {
-			t.Errorf("projection %q is not a subsequence of %q", as, bs)
-		}
-		as, bs = nil, nil
+		// prunedFrom held: a subsequence of b's columns.
 	case *physical.HashJoin:
 		a := after.(*physical.HashJoin)
 		if a.Type != b.Type || a.WithMatch != b.WithMatch {
@@ -463,9 +533,12 @@ func checkAllRead(t *testing.T, n physical.Node, used map[int]bool) {
 		mark(below, x.Pred)
 		checkAllRead(t, x.Child, below)
 	case *physical.Project:
+		if len(used) == 0 {
+			t.Errorf("%s: nothing reads it", x.Line())
+		}
 		below := map[int]bool{}
 		for i, e := range x.Exprs {
-			if used[i] || len(used) == 0 { // an unread projection keeps one expression
+			if used[i] {
 				mark(below, e)
 			}
 		}
@@ -514,6 +587,36 @@ func checkAllRead(t *testing.T, n physical.Node, used map[int]bool) {
 	}
 }
 
+// checkComputes fails on an operator of a pruned plan that computes
+// nothing: a Select right over a Select, or, off the root's spine, a Project
+// that passes all of its child's columns through. The spine is what keeps
+// the root's layout: the Selects, Sorts, TopNs and Limits, and the inputs a
+// join emits, down to the first Project. (checkAllRead fails on a Project
+// nothing reads.)
+func checkComputes(t *testing.T, n physical.Node, spine bool) {
+	t.Helper()
+	kids := n.Children()
+	spines := make([]bool, len(kids))
+	switch x := n.(type) {
+	case *physical.Select:
+		if _, ok := x.Child.(*physical.Select); ok {
+			t.Errorf("%s sits on %s", x.Line(), x.Child.Line())
+		}
+		spines[0] = spine
+	case *physical.Sort, *physical.TopN, *physical.Limit:
+		spines[0] = spine
+	case *physical.HashJoin:
+		spines[0], spines[1] = spine, spine && (x.Type == exec.Inner || x.Type == exec.LeftOuter)
+	case *physical.Project:
+		if !spine && x.PassesThrough() {
+			t.Errorf("%s passes its child's columns through", x.Line())
+		}
+	}
+	for i, c := range kids {
+		checkComputes(t, c, spines[i])
+	}
+}
+
 // checkPruned runs one generated tree through Rewrite and checks the pruned
 // result against the decomposed tree it came from.
 func checkPruned(t *testing.T, g *treeGen, depth int) {
@@ -537,6 +640,10 @@ func checkPruned(t *testing.T, g *treeGen, depth int) {
 	}
 	checkRefs(t, after)
 	checkSame(t, before, after)
+	if b, a := colIDs(before), colIDs(after); !reflect.DeepEqual(a, b) {
+		t.Errorf("the root computes %q, want %q", a, b)
+	}
+	checkComputes(t, after, true)
 	rootUsed := map[int]bool{}
 	for c := 0; c < after.Schema().Len(); c++ {
 		rootUsed[c] = true

@@ -13,7 +13,8 @@
 //   - column pruning, the plan's one projection pushdown — narrowing every
 //     node to the columns its ancestors read and every scan to the value
 //     and indicator columns read (a NULLable column counted or tested for
-//     NULL scans its indicator only),
+//     NULL scans its indicator only); on the way it drops the Projects that
+//     compute nothing and merges adjacent Selects,
 //   - the Volcano-style parallelizer — splitting pipelines across cores
 //     with exchange operators (claim C9). Parallel scans are
 //     morsel-driven: the rewriter clones a scan chain into P ParallelScan
@@ -276,7 +277,7 @@ func (pc *parCtx) parallelizeAgg(agg *physical.HashAgg) physical.Node {
 		merged = pass
 	}
 	// Final aggregate regroups by the partial group outputs; AVG sums its
-	// partial sums and counts.
+	// partial sums and counts, and only AVG needs a projection after it.
 	var finals []exec.AggSpec
 	for i, a := range agg.Aggs {
 		s := splits[i]
@@ -289,11 +290,14 @@ func (pc *parCtx) parallelizeAgg(agg *physical.HashAgg) physical.Node {
 			finals = append(finals, exec.AggSpec{Fn: exec.AggSum, Col: s.val}, exec.AggSpec{Fn: exec.AggSum, Col: s.cnt})
 		}
 	}
-	fnames := make([]string, base+len(finals))
-	for i := range fnames {
-		fnames[i] = fmt.Sprintf("$f%d", i)
+	final := &physical.HashAgg{Child: merged, GroupCols: identity(base), Aggs: finals, Names: agg.Names}
+	if len(finals) == len(agg.Aggs) {
+		return final
 	}
-	final := &physical.HashAgg{Child: merged, GroupCols: rangeInts(base), Aggs: finals, Names: fnames}
+	final.Names = make([]string, base+len(finals))
+	for i := range final.Names {
+		final.Names[i] = fmt.Sprintf("$f%d", i)
+	}
 	// Post-projection: restore output order and compute AVG = sum/cnt.
 	fs := final.Schema()
 	col := func(i int) expr.Expr { return expr.Col(i, fs.Cols[i].Name, fs.Cols[i].Type) }

@@ -262,12 +262,12 @@ func TestVolcanoAgg(t *testing.T) {
 
 func TestVolcanoScalarAggEmpty(t *testing.T) {
 	tab := testTable(t, 0, -1)
-	agg := NewAggRow(NewTableScan(tab), nil, []RowAggSpec{{Fn: "count", Col: -1}, {Fn: "avg", Col: 0}})
+	agg := NewAggRow(NewTableScan(tab), nil, []RowAggSpec{{Fn: "count", Col: -1}, {Fn: "avg", Col: 0}, {Fn: "sum", Col: 0}})
 	rows, err := CollectRows(context.Background(), agg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 1 || rows[0][0].Int64() != 0 || !rows[0][1].Null {
+	if len(rows) != 1 || rows[0][0].Int64() != 0 || !rows[0][1].Null || !rows[0][2].Null {
 		t.Fatalf("empty agg: %v", rows)
 	}
 }

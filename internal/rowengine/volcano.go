@@ -357,11 +357,14 @@ func (a *AggRow) Next() ([]types.Value, error) {
 		case "count":
 			out = append(out, types.NewInt64(st.cnt))
 		case "sum":
+			v := types.NewInt64(st.sumI)
 			if a.Child.Schema().Cols[sp.Col].Type.Kind == types.KindFloat64 {
-				out = append(out, types.NewFloat64(st.sumF))
-			} else {
-				out = append(out, types.NewInt64(st.sumI))
+				v = types.NewFloat64(st.sumF)
 			}
+			if !st.seen { // summed no row
+				v = types.NewNull(v.Kind)
+			}
+			out = append(out, v)
 		case "avg":
 			if st.cnt == 0 {
 				out = append(out, types.NewNull(types.KindFloat64))
@@ -435,6 +438,7 @@ func (a *AggRow) consume() error {
 			case "count":
 				st.cnt++
 			case "sum":
+				st.seen = true
 				if intSum[i] {
 					w := v.AsInt()
 					sum := st.sumI + w
