@@ -235,12 +235,6 @@ func decomposeAgg(t *physical.HashAgg) (physical.Node, ColMap, error) {
 		}
 	}
 	var aggs []exec.AggSpec
-	indOf := func(col int) int { // a logical input's indicator, or -1
-		if col < 0 {
-			return -1
-		}
-		return cm.Ind[col]
-	}
 	counts := map[int]int{} // indicator column (-1: none) → the count of rows it lets through
 	countOf := func(ind int) int {
 		idx, ok := counts[ind]
@@ -254,7 +248,10 @@ func decomposeAgg(t *physical.HashAgg) (physical.Node, ColMap, error) {
 	outPos := make([]int, len(t.Aggs))
 	nullFrom := make([]int, len(t.Aggs)) // the count deciding NULL, or -1
 	for ai, a := range t.Aggs {
-		ind := indOf(a.Col)
+		ind := -1 // the input's indicator
+		if a.Col >= 0 {
+			ind = cm.Ind[a.Col]
+		}
 		nullFrom[ai] = -1
 		if a.Fn == exec.AggCount {
 			outPos[ai] = countOf(ind)
