@@ -205,3 +205,26 @@ func TestMergedScanDecodesOnlyProjectedColumns(t *testing.T) {
 	mustExec(t, db, `CHECKPOINT lineitem`)
 	sameRows(t, merged, mustExec(t, db, q))
 }
+
+// A projected expression nothing reads is never evaluated: pruning drops
+// the Project that computes it, so a CAST that would overflow raises no
+// error there. Read, the same CAST still raises.
+func TestUnreadProjectionIsNotEvaluated(t *testing.T) {
+	db := Open()
+	for _, structure := range []string{"VECTORWISE", "HEAP"} {
+		mustExec(t, db, `CREATE TABLE t_`+structure+` (d DOUBLE NOT NULL) WITH STRUCTURE=`+structure)
+		mustExec(t, db, `INSERT INTO t_`+structure+` VALUES (1.0e300)`)
+		from := ` FROM t_` + structure
+		for _, q := range []string{
+			`SELECT COUNT(*) FROM (SELECT CAST(d AS INTEGER)` + from + `) s`,
+			`SELECT COUNT(*)` + from + ` WHERE EXISTS (SELECT CAST(d AS INTEGER)` + from + `)`,
+		} {
+			if res := mustExec(t, db, q); len(res.Rows) != 1 || res.Rows[0][0].String() != "1" {
+				t.Errorf("%s: got %v, want 1", q, res.Rows)
+			}
+		}
+		if err := execErr(t, db, `SELECT CAST(d AS INTEGER)`+from); !strings.Contains(err.Error(), "arithmetic overflow") {
+			t.Errorf("read CAST: %v, want arithmetic overflow", err)
+		}
+	}
+}

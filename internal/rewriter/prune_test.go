@@ -376,14 +376,17 @@ func subtreeIDs(n physical.Node) []string {
 
 // checkSame walks the decomposed tree before and after pruning in step:
 // every node reads what it read before, by what its references point at,
-// and emits columns computed before. The pass drops the Projects that
-// compute nothing and merges a Select into the Select below it, so the walk
-// steps over a Project that has no pruned counterpart, and checks a merged
-// Select against the conjunction of the Selects it replaced, the lowest
-// first. A dropped Project may have reordered its input, and one nothing
-// read lets the columns below it show through the nodes above it, so a
-// node's columns need only be among those its subtree computed before.
-func checkSame(t *testing.T, before, after physical.Node) {
+// and emits some of the columns it computed before. The pass drops the
+// Projects that compute nothing and merges a Select into the Select below
+// it, so the walk steps over a Project that has no pruned counterpart, and
+// checks a merged Select against the conjunction of the Selects it
+// replaced, the lowest first. A dropped Project may have reordered its
+// input, so the columns are compared as a set. One that nothing read lets
+// the columns below it show through the nodes above it, up to the first
+// node that reads nothing of them; so where read is false (nothing above
+// reads after's output) the columns need only be among those the subtree
+// computed before.
+func checkSame(t *testing.T, before, after physical.Node, read bool) {
 	t.Helper()
 	for {
 		p, ok := before.(*physical.Project)
@@ -395,8 +398,12 @@ func checkSame(t *testing.T, before, after physical.Node) {
 	if before.Op() != after.Op() {
 		t.Fatalf("%s became %s", before.Line(), after.Line())
 	}
-	if b, a := subtreeIDs(before), colIDs(after); !isSubset(a, b) {
-		t.Errorf("%s: columns %q are not among %q", after.Line(), a, b)
+	was := colIDs(before)
+	if !read {
+		was = subtreeIDs(before)
+	}
+	if a := colIDs(after); !isSubset(a, was) {
+		t.Errorf("%s: columns %q are not among %q", after.Line(), a, was)
 	}
 	if b, ok := before.(*physical.Select); ok {
 		a := after.(*physical.Select)
@@ -420,7 +427,7 @@ func checkSame(t *testing.T, before, after physical.Node) {
 		if got := renderOver(a.Pred, colIDs(a.Child)); got != want.String() {
 			t.Errorf("%s: predicate %s, want %s", a.Line(), got, want)
 		}
-		checkSame(t, below, a.Child)
+		checkSame(t, below, a.Child, read || len(expr.Cols(a.Pred)) > 0)
 		return
 	}
 	bc, ac := before.Children(), after.Children()
@@ -469,8 +476,38 @@ func checkSame(t *testing.T, before, after physical.Node) {
 		t.Errorf("%s changed: %q -> %q", before.Line(), bs, as)
 	}
 	for i := range bc {
-		checkSame(t, bc[i], ac[i])
+		checkSame(t, bc[i], ac[i], readsChild(after, read))
 	}
+}
+
+// readsChild reports whether anything reads the output of n's children,
+// given whether anything reads n's own (read).
+func readsChild(n physical.Node, read bool) bool {
+	switch x := n.(type) {
+	case *physical.Select:
+		return read || len(expr.Cols(x.Pred)) > 0
+	case *physical.Project:
+		for _, e := range x.Exprs {
+			if len(expr.Cols(e)) > 0 {
+				return true
+			}
+		}
+		return false
+	case *physical.HashAgg:
+		for _, a := range x.Aggs {
+			if a.Col >= 0 || a.IndCol() >= 0 {
+				return true
+			}
+		}
+		return len(x.GroupCols) > 0
+	case *physical.Sort:
+		return read || len(x.Keys) > 0
+	case *physical.TopN:
+		return read || len(x.Keys) > 0
+	case *physical.Limit:
+		return read
+	}
+	return true // a join reads its keys
 }
 
 // checkAllRead recomputes, independently of the pass, which of n's output
@@ -639,7 +676,7 @@ func checkPruned(t *testing.T, g *treeGen, depth int) {
 		t.Fatalf("ColMap changed from %+v to %+v", cm, res.ColMap)
 	}
 	checkRefs(t, after)
-	checkSame(t, before, after)
+	checkSame(t, before, after, true)
 	if b, a := colIDs(before), colIDs(after); !reflect.DeepEqual(a, b) {
 		t.Errorf("the root computes %q, want %q", a, b)
 	}

@@ -277,21 +277,35 @@ func (pc *parCtx) parallelizeAgg(agg *physical.HashAgg) physical.Node {
 		merged = pass
 	}
 	// Final aggregate regroups by the partial group outputs; AVG sums its
-	// partial sums and counts, and only AVG needs a projection after it.
+	// partial sums and counts. A partial summed twice (a COUNT and an AVG's
+	// divisor) is summed once, and only AVG needs a projection after it.
 	var finals []exec.AggSpec
+	finalIdx := map[exec.AggSpec]int{}
+	finalOf := func(a exec.AggSpec) int {
+		f, ok := finalIdx[a]
+		if !ok {
+			finals = append(finals, a)
+			f = base + len(finals) - 1
+			finalIdx[a] = f
+		}
+		return f
+	}
+	outs := make([]split, len(agg.Aggs)) // final outputs; cnt -1 but for AVG
+	avg := false
 	for i, a := range agg.Aggs {
 		s := splits[i]
 		switch a.Fn {
 		case exec.AggCount, exec.AggSum:
-			finals = append(finals, exec.AggSpec{Fn: exec.AggSum, Col: s.val})
+			outs[i] = split{finalOf(exec.AggSpec{Fn: exec.AggSum, Col: s.val}), -1}
 		case exec.AggMin, exec.AggMax:
-			finals = append(finals, exec.AggSpec{Fn: a.Fn, Col: s.val}.WithInd(empty[s.cnt]))
+			outs[i] = split{finalOf(exec.AggSpec{Fn: a.Fn, Col: s.val}.WithInd(empty[s.cnt])), -1}
 		case exec.AggAvg:
-			finals = append(finals, exec.AggSpec{Fn: exec.AggSum, Col: s.val}, exec.AggSpec{Fn: exec.AggSum, Col: s.cnt})
+			outs[i] = split{finalOf(exec.AggSpec{Fn: exec.AggSum, Col: s.val}), finalOf(exec.AggSpec{Fn: exec.AggSum, Col: s.cnt})}
+			avg = true
 		}
 	}
 	final := &physical.HashAgg{Child: merged, GroupCols: identity(base), Aggs: finals, Names: agg.Names}
-	if len(finals) == len(agg.Aggs) {
+	if !avg && len(finals) == len(agg.Aggs) {
 		return final
 	}
 	final.Names = make([]string, base+len(finals))
@@ -305,20 +319,17 @@ func (pc *parCtx) parallelizeAgg(agg *physical.HashAgg) physical.Node {
 	for i := range agg.GroupCols {
 		exprs = append(exprs, col(i))
 	}
-	at := base
-	for _, a := range agg.Aggs {
-		if a.Fn != exec.AggAvg {
-			exprs = append(exprs, col(at))
-			at++
+	for _, o := range outs {
+		if o.cnt < 0 {
+			exprs = append(exprs, col(o.val))
 			continue
 		}
-		sumE := expr.Promote(col(at), types.KindFloat64)
-		cntE := expr.Promote(col(at+1), types.KindFloat64)
+		sumE := expr.Promote(col(o.val), types.KindFloat64)
+		cntE := expr.Promote(col(o.cnt), types.KindFloat64)
 		exprs = append(exprs, expr.NewCall("if",
 			expr.NewCall(">", cntE, expr.CFloat(0)),
 			expr.NewCall("/", sumE, expr.NewCall("max2", cntE, expr.CFloat(1))),
 			expr.CFloat(0)))
-		at += 2
 	}
 	return &physical.Project{Child: final, Exprs: exprs, Names: agg.Names}
 }
